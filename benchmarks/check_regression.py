@@ -1,27 +1,22 @@
 #!/usr/bin/env python3
 """Regression sentinel: did this PR make the measured claims worse?
 
-The committed ``BENCH_fastpath.json`` / ``BENCH_parallel.json`` /
-``BENCH_cache.json`` artifacts record the repo's performance trajectory
-— but until now nothing *checked* a fresh run against them, so a PR
-could silently halve the fast path's advantage.  This sentinel closes
-the loop:
+The committed ``BENCH_fastpath.json`` / ``BENCH_parallel.json``
+artifacts record the repo's kernel-level performance trajectory; this
+sentinel checks a fresh run against them, so a PR cannot silently
+halve the fast path's advantage.  (Cache, planner and serving
+performance are judged end to end by ``benchmarks/e2e/run.py`` +
+``compare.py``, not here.)
 
 * **fastpath** — a fresh reference-vs-fast sweep is compared per cell
   (matched by ``label``) against the committed record: each cell's
   *speedup* (a dimensionless ratio, far more host-portable than raw
   seconds) must stay within the noise band of the committed value, and
   so must the geomean.
-* **cache** — same per-cell comparison (matched by ``case``) on
-  ``speedup`` and ``hit_speedup``, plus every fidelity bit must hold.
 * **parallel** — fidelity only: the committed record's speedups are
   core-count-dependent (the committed host's numbers mean nothing
   here), but ``fidelity_ok`` must be true in the committed record and
   in a fresh record when one is supplied.
-* **plan** — per-cell (matched by ``batch`` size) and geomean
-  wall-clock comparison for the batch derivation planner, plus every
-  fidelity bit in both the committed and the fresh record (the planner
-  claims bit-identity, so a fidelity failure is never noise).
 * **overhead** (optional, ``--overhead FILE``) — consume the JSON that
   ``check_trace_overhead.py --json`` writes and require both telemetry
   budgets to hold.
@@ -51,8 +46,6 @@ sys.path.insert(0, "src")
 COMMITTED = {
     "fastpath": "BENCH_fastpath.json",
     "parallel": "BENCH_parallel.json",
-    "cache": "BENCH_cache.json",
-    "plan": "BENCH_plan.json",
 }
 
 #: Default one-sided noise bands: a fresh speedup may fall this far
@@ -106,81 +99,6 @@ def compare_fastpath(
     if _below(fresh_geo, committed["geomean_speedup"], geomean_noise):
         problems.append(
             f"fastpath geomean: {fresh_geo:.2f}x fell below committed "
-            f"{committed['geomean_speedup']}x "
-            f"(noise band {geomean_noise:.0%})"
-        )
-    return problems
-
-
-def compare_cache(
-    committed: dict, fresh: dict, noise: float, geomean_noise: float
-) -> list[str]:
-    """Per-cell speedup + hit_speedup + fidelity for the cache sweep."""
-    problems: list[str] = []
-    if not fresh.get("fidelity_ok", False):
-        problems.append("cache: fresh record reports fidelity failure")
-    by_case = {c["case"]: c for c in committed["cells"]}
-    fresh_speedups: list[float] = []
-    for cell in fresh["cells"]:
-        base = by_case.get(cell["case"])
-        if base is None:
-            continue
-        if not cell.get("fidelity_ok", False):
-            problems.append(
-                f"cache case {cell['case']}: fidelity failure in fresh run"
-            )
-        if not cell.get("served_from_cache", False):
-            if base.get("served_from_cache", False):
-                problems.append(
-                    f"cache case {cell['case']}: no longer served from cache"
-                )
-            continue
-        fresh_speedups.append(cell["speedup"])
-        for key in ("speedup", "hit_speedup"):
-            if _below(cell[key], base[key], noise):
-                problems.append(
-                    f"cache case {cell['case']}: {key} {cell[key]}x fell "
-                    f"below committed {base[key]}x (noise band {noise:.0%})"
-                )
-    fresh_geo = _geomean(fresh_speedups)
-    if _below(fresh_geo, committed["geomean_speedup"], geomean_noise):
-        problems.append(
-            f"cache geomean: {fresh_geo:.2f}x fell below committed "
-            f"{committed['geomean_speedup']}x "
-            f"(noise band {geomean_noise:.0%})"
-        )
-    return problems
-
-
-def compare_plan(
-    committed: dict, fresh: dict, noise: float, geomean_noise: float
-) -> list[str]:
-    """Fidelity + per-batch and geomean speedup for the batch planner."""
-    problems: list[str] = []
-    if not committed.get("fidelity_ok", False):
-        problems.append("plan: committed record reports fidelity failure")
-    if not fresh.get("fidelity_ok", False):
-        problems.append("plan: fresh record reports fidelity failure")
-    by_batch = {c["batch"]: c for c in committed["cells"]}
-    fresh_speedups: list[float] = []
-    for cell in fresh["cells"]:
-        base = by_batch.get(cell["batch"])
-        if base is None:
-            continue
-        fresh_speedups.append(cell["speedup"])
-        if _below(cell["speedup"], base["speedup"], noise):
-            problems.append(
-                f"plan batch {cell['batch']}: speedup {cell['speedup']}x "
-                f"fell below committed {base['speedup']}x "
-                f"(noise band {noise:.0%})"
-            )
-    missing = set(by_batch) - {c["batch"] for c in fresh["cells"]}
-    for batch in sorted(missing):
-        problems.append(f"plan batch {batch}: missing from fresh run")
-    fresh_geo = _geomean(fresh_speedups)
-    if _below(fresh_geo, committed["geomean_speedup"], geomean_noise):
-        problems.append(
-            f"plan geomean: {fresh_geo:.2f}x fell below committed "
             f"{committed['geomean_speedup']}x "
             f"(noise band {geomean_noise:.0%})"
         )
@@ -244,24 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         " sweep; how tests feed the gate a synthetic regression)",
     )
     parser.add_argument(
-        "--fresh-cache", metavar="FILE", default=None,
-        help="use this record as the fresh cache run",
-    )
-    parser.add_argument(
         "--fresh-parallel", metavar="FILE", default=None,
         help="check this record's fidelity alongside the committed one",
-    )
-    parser.add_argument(
-        "--fresh-plan", metavar="FILE", default=None,
-        help="use this record as the fresh batch-planner run",
-    )
-    parser.add_argument(
-        "--skip-cache", action="store_true",
-        help="skip the cache comparison (no live run, no file)",
-    )
-    parser.add_argument(
-        "--skip-plan", action="store_true",
-        help="skip the batch-planner comparison (no live run, no file)",
     )
     parser.add_argument(
         "--overhead", metavar="FILE", default=None,
@@ -301,34 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     problems += compare_fastpath(
         committed_fast, fresh_fast, noise, geomean_noise
     )
-
-    if not args.skip_cache:
-        committed_cache = _load(COMMITTED["cache"])
-        if args.fresh_cache:
-            fresh_cache = _load(args.fresh_cache)
-            print(f"cache: comparing {args.fresh_cache} (pre-computed)")
-        else:
-            print(f"cache: running fresh sweep at {n_rows:,} rows ...")
-            from repro.bench.cache_bench import run_cache_trajectory
-
-            fresh_cache = run_cache_trajectory(n_rows, seed=args.seed)
-        problems += compare_cache(
-            committed_cache, fresh_cache, noise, geomean_noise
-        )
-
-    if not args.skip_plan:
-        committed_plan = _load(COMMITTED["plan"])
-        if args.fresh_plan:
-            fresh_plan = _load(args.fresh_plan)
-            print(f"plan: comparing {args.fresh_plan} (pre-computed)")
-        else:
-            print(f"plan: running fresh sweep at {n_rows:,} rows ...")
-            from repro.bench.plan_bench import run_plan_trajectory
-
-            fresh_plan = run_plan_trajectory(n_rows, seed=args.seed)
-        problems += compare_plan(
-            committed_plan, fresh_plan, noise, geomean_noise
-        )
 
     committed_parallel = _load(COMMITTED["parallel"])
     fresh_parallel = (

@@ -5,11 +5,7 @@ checks bit-identical output, and writes the JSON artifact (default
 ``BENCH_fastpath.json`` at the repo root) — equivalent to
 ``python -m repro bench --json``.  With ``--workers`` it instead sweeps
 the parallel subsystem (serial vs each worker count) over the Figure 11
-many-segment workload and writes ``BENCH_parallel.json``.  With
-``--cache`` it instead measures the order cache — cold sort vs
-modify-from-cached-order vs exact hit over the Table 1 order pairs —
-and writes ``BENCH_cache.json``, failing if any cache-served cell is
-slower than the cold sort.
+many-segment workload and writes ``BENCH_parallel.json``.
 
 Either mode exits non-zero if any cell's fidelity check (bit-identical
 rows and codes) fails.
@@ -38,38 +34,6 @@ DEFAULT_OUTPUT = os.path.join(
 DEFAULT_PARALLEL_OUTPUT = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_parallel.json"
 )
-DEFAULT_CACHE_OUTPUT = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_cache.json"
-)
-
-
-def _cache_sweep(args) -> int:
-    from repro.bench.cache_bench import (
-        check_cache_record,
-        format_cache_cells,
-        run_cache_trajectory,
-        write_cache_trajectory,
-    )
-
-    record = run_cache_trajectory(
-        1 << args.log2_rows, seed=args.seed, repeats=args.repeats
-    )
-    output = args.output or DEFAULT_CACHE_OUTPUT
-    write_cache_trajectory(output, record)
-    print(
-        format_table(
-            format_cache_cells(record),
-            f"cold sort vs cached modify, {record['n_rows']:,} rows "
-            f"({record['cells_served']}/{len(record['cells'])} cells "
-            f"cache-served; min speedup {record['min_speedup']}x, "
-            f"geomean {record['geomean_speedup']}x)",
-        )
-    )
-    print(f"\nwrote {os.path.abspath(output)}")
-    problems = check_cache_record(record)
-    for problem in problems:
-        print(f"CACHE BENCH FAILURE: {problem}")
-    return 1 if problems else 0
 
 
 def _parallel_sweep(args) -> int:
@@ -119,17 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         " ('auto' keeps adaptive dispatch) and write"
         " BENCH_parallel.json instead of the fast-path cells",
     )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="measure the order cache (cold sort vs cached modify over"
-        " the Table 1 order pairs) and write BENCH_cache.json instead"
-        " of the fast-path cells",
-    )
     args = parser.parse_args(argv)
 
-    if args.cache:
-        return _cache_sweep(args)
     if args.workers:
         return _parallel_sweep(args)
 

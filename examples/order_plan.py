@@ -28,7 +28,9 @@ ORDERS = [
 
 
 def main() -> None:
-    cfg = ExecutionConfig(cache="off")
+    # engine="reference" so every node reports its comparison counts
+    # (the default engine runs the packed-code kernels, which count nothing).
+    cfg = ExecutionConfig(cache="off", engine="reference")
     source = random_sorted_table(
         SCHEMA, BASE, 20_000, domains=[8, 32, 64, 28], seed=7
     )

@@ -10,14 +10,9 @@ Regenerates the paper's measured artifacts as text tables:
 * ``bench`` — reference vs fast engine across the fig10/fig11 cells
   (``--json PATH`` writes the machine-readable trajectory artifact);
   with ``--workers 1,2,4`` it instead sweeps the parallel subsystem
-  (serial vs worker pools) over the Figure 11 many-segment workload;
-  with ``--cache`` it instead measures the order cache — cold sort vs
-  modify-from-cached-order vs exact hit over the Table 1 order pairs —
-  and fails if any cache-served cell is slower than the cold sort;
-  with ``--serve`` it instead runs the duplicate-heavy closed-loop
-  serving benchmark (16 threads over 4 orders by default) and fails
-  unless duplicates coalesced, executions < requests, and every
-  response matched serial uncached execution bit for bit;
+  (serial vs worker pools) over the Figure 11 many-segment workload
+  (cache, planner and serving performance are measured end to end by
+  ``benchmarks/e2e/run.py``, not here);
 * ``trace`` — run one Table 1 case under the span tracer and metrics
   registry (``--case N``, ``--trace-workers W``), write the trace
   artifact (Chrome trace-event JSON by default, JSON-lines for
@@ -30,8 +25,10 @@ Regenerates the paper's measured artifacts as text tables:
   interrupted); ``--load`` instead drives an
   :class:`~repro.serve.OrderService` with the closed-loop
   duplicate-heavy mix (``--load-threads`` / ``--load-requests`` /
-  ``--load-orders``) while telemetry is live, prints the coalescing
-  report, and exits non-zero if the service failed to share work;
+  ``--load-orders``; 16 threads over 4 orders by default) while
+  telemetry is live, prints the coalescing report, and exits non-zero
+  unless duplicates coalesced, executions < requests, and every
+  response matched serial uncached execution bit for bit;
 * ``all`` — everything above except ``bench``, ``trace`` and ``serve``.
 
 Both bench modes verify bit-identical rows and codes in every cell and
@@ -264,34 +261,7 @@ def _bench(
     return 0
 
 
-def _bench_cache(n_rows: int, seed: int, json_path: str | None) -> int:
-    from .bench.cache_bench import (
-        check_cache_record,
-        format_cache_cells,
-        run_cache_trajectory,
-        write_cache_trajectory,
-    )
-
-    record = run_cache_trajectory(n_rows, seed=seed)
-    print(
-        format_table(
-            format_cache_cells(record),
-            f"cold sort vs cached modify ({n_rows:,} rows; "
-            f"{record['cells_served']}/{len(record['cells'])} cells "
-            f"cache-served, min speedup {record['min_speedup']}x, "
-            f"geomean {record['geomean_speedup']}x)",
-        )
-    )
-    if json_path:
-        write_cache_trajectory(json_path, record)
-        print(f"wrote {json_path}")
-    problems = check_cache_record(record)
-    for problem in problems:
-        print(f"CACHE BENCH FAILURE: {problem}")
-    return 1 if problems else 0
-
-
-def _bench_serve(
+def _serve_load(
     n_rows: int, seed: int, json_path: str | None,
     cfg: ExecutionConfig, args,
 ) -> int:
@@ -302,8 +272,8 @@ def _bench_serve(
         write_serve_trajectory,
     )
 
-    # The serving benchmark exercises the full sharing stack, so the
-    # order cache defaults on unless the invocation said otherwise.
+    # The load exercises the full sharing stack, so the order cache
+    # defaults on unless the invocation said otherwise.
     config = cfg if cfg.cache != "off" else cfg.with_(cache="on")
     record = run_serve_trajectory(
         n_rows,
@@ -326,37 +296,7 @@ def _bench_serve(
         print(f"wrote {json_path}")
     problems = check_serve_record(record)
     for problem in problems:
-        print(f"SERVE BENCH FAILURE: {problem}")
-    return 1 if problems else 0
-
-
-def _bench_plan(
-    n_rows: int, seed: int, json_path: str | None, cfg: ExecutionConfig,
-) -> int:
-    from .bench.plan_bench import (
-        check_plan_record,
-        format_plan_summary,
-        run_plan_trajectory,
-        write_plan_trajectory,
-    )
-
-    # The planner's win is sharing across the batch itself; the cache
-    # stays out of the measurement unless the invocation asked for it.
-    record = run_plan_trajectory(n_rows, seed=seed, config=cfg)
-    print(
-        format_table(
-            format_plan_summary(record),
-            f"batched derivation vs independent execution "
-            f"({n_rows:,} rows; geomean {record['geomean_speedup']}x, "
-            f"min {record['min_speedup']}x)",
-        )
-    )
-    if json_path:
-        write_plan_trajectory(json_path, record)
-        print(f"wrote {json_path}")
-    problems = check_plan_record(record)
-    for problem in problems:
-        print(f"PLAN BENCH FAILURE: {problem}")
+        print(f"SERVE LOAD FAILURE: {problem}")
     return 1 if problems else 0
 
 
@@ -521,7 +461,7 @@ def _serve(args, cfg: ExecutionConfig) -> int:
     try:
         if args.load:
             n_rows = 1 << args.log2_rows
-            return _bench_serve(n_rows, args.seed, args.json, cfg, args)
+            return _serve_load(n_rows, args.seed, args.json, cfg, args)
         if args.duration is not None:
             time.sleep(args.duration)
         else:
@@ -559,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         "--json",
         metavar="PATH",
         default=None,
-        help="with 'bench': also write the JSON trajectory artifact",
+        help="with 'bench' or 'serve --load': also write the JSON record",
     )
     parser.add_argument(
         "--workers",
@@ -638,9 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         const="on",
         choices=["off", "on", "auto"],
         default=None,
-        help="order-cache mode for the run; with 'bench', run the"
-        " cold-sort vs cached-modify sweep over the Table 1 orders"
-        " instead of the engine cells (bare --cache means on)",
+        help="order-cache mode for the run (bare --cache means on)",
     )
     parser.add_argument(
         "--cache-budget",
@@ -661,8 +599,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         metavar="N",
         default=None,
-        help="order-service scheduler threads (with 'serve --load' and"
-        " 'bench --serve'; default 4)",
+        help="order-service scheduler threads (with 'serve --load';"
+        " default 4)",
     )
     parser.add_argument(
         "--service-queue-depth",
@@ -679,19 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="order-service default per-request deadline"
         " (default: none)",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="with 'bench': run the duplicate-heavy closed-loop serving"
-        " benchmark (coalescing + latency) instead of the engine cells",
-    )
-    parser.add_argument(
-        "--plan",
-        action="store_true",
-        help="with 'bench': run the batch derivation-planner benchmark"
-        " (shared derivation tree vs independent execution) instead of"
-        " the engine cells",
     )
     parser.add_argument(
         "--plan-window-ms",
@@ -816,13 +741,7 @@ def _dispatch(args, n_rows: int, cfg: ExecutionConfig) -> int:
         METRICS.enable(clear=True)
 
     if args.experiment == "bench":
-        if args.serve:
-            rc = _bench_serve(n_rows, args.seed, args.json, cfg, args)
-        elif args.plan:
-            rc = _bench_plan(n_rows, args.seed, args.json, cfg)
-        elif args.cache is not None:
-            rc = _bench_cache(n_rows, args.seed, args.json)
-        elif args.workers:
+        if args.workers:
             rc = _bench_parallel(
                 n_rows, args.seed, args.json, _parse_workers(args.workers),
                 collect_metrics=args.metrics,

@@ -1,4 +1,4 @@
-"""Order-service benchmark: duplicate-heavy closed-loop load.
+"""Order-service load check: duplicate-heavy closed-loop load.
 
 The serving layer's acceptance bar is work sharing under concurrency:
 with 16 closed-loop threads spread over 4 distinct target orders (so
@@ -6,9 +6,11 @@ each order is requested by 4 threads at once), the service must answer
 every request bit-identically to a serial uncached execution while
 running strictly fewer sorts than it admits requests — duplicates
 coalesce onto in-flight executions and sequential repeats hit the
-order cache.  This module measures exactly that and emits a
-machine-readable record, committed as ``BENCH_serve.json`` at the repo
-root.
+order cache.  This module checks exactly that and emits a
+machine-readable record (``serve --load --json PATH``).  It is a
+fidelity gate, not a performance baseline — serving latency and
+throughput are measured by ``benchmarks/e2e/run.py`` and judged by
+``compare.py``.
 
 The record carries:
 
@@ -23,7 +25,7 @@ The record carries:
   serial uncached :class:`~repro.engine.sort_op.Sort`.
 
 ``check_serve_record`` returns the CI-gate findings; the CLI
-(``python -m repro bench --serve``) exits non-zero on any.
+(``python -m repro serve --load``) exits non-zero on any.
 """
 
 from __future__ import annotations

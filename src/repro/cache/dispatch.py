@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from ..core.analysis import Strategy, analyze_order_modification
 from ..core.cost import CostModel, counts_to_structure
+from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, TRACER
@@ -46,9 +47,9 @@ from .fingerprint import Fingerprint, fingerprint_table
 from .store import CachedOrder, OrderCache, _offset_counts
 
 #: A cached candidate must beat the uncached baseline estimate by this
-#: factor before the dispatcher prefers it: close calls stay on the
-#: uncached-identical path, whose comparison counters the cache can
-#: later replay exactly.
+#: factor before the dispatcher prefers it.  Tuned on reference-engine
+#: timings; unchanged pending ROADMAP item 3 (re-pricing the dispatcher
+#: on the fast kernels).
 WIN_MARGIN = 0.9
 
 
@@ -99,7 +100,8 @@ def serve(
     ``source`` is the materialized child table (ordered with codes, or
     unordered).  ``stats`` is the operator's counter set: exact hits
     replay the entry's recorded delta into it; a modify-from-cache
-    execution counts its real work into it.
+    execution counts its real work into it (when ``config`` selects the
+    reference engine — the packed-code kernels count nothing).
     """
     fp = fingerprint_table(source)
     outcome = ServeOutcome(fp)
@@ -194,8 +196,6 @@ def _modify_from(
 ) -> Table | None:
     """Produce ``spec`` from a cached sibling order; ``None`` on failure
     (counters rolled back, caller falls through to cold execution)."""
-    from ..core.modify import modify_sort_order
-
     before = stats.snapshot()
     try:
         with TRACER.span(
@@ -204,12 +204,12 @@ def _modify_from(
             source=_names(chosen.spec),
             target=_names(spec),
         ):
-            result = modify_sort_order(
+            derived = enforce_order(
                 chosen.as_table(source.schema), spec,
-                method="auto", use_ovc=True, stats=stats, config=config,
-            )
+                stats=stats, config=config,
+            ).table
             rows, ovcs = _retiebreak(
-                result.rows, result.ovcs, spec.arity, source.rows
+                derived.rows, derived.ovcs, spec.arity, source.rows
             )
             result = Table(source.schema, rows, spec, ovcs)
     except (TypeError, IndexError):

@@ -1,0 +1,98 @@
+"""Order enforcement: passthrough, modify, or sort from scratch.
+
+:func:`enforce_order` is the one place that decides how a materialized
+input reaches a required sort order — pass through when its order
+already satisfies the request, :func:`~repro.core.modify.
+modify_sort_order` when it is ordered otherwise, a full sort when it is
+unordered — and on which engine (:func:`~repro.core.modify.
+resolve_engine`, with ``auto``'s reference fallback on the codec's
+``TypeError``).  The ``Sort`` operator, the batch planner's executor
+and the cache dispatcher all enforce orders through here, so none of
+them chooses an engine or a sort routine itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ..exec.config import ExecutionConfig
+from ..model import SortSpec, Table
+from ..ovc.derive import project_ovcs
+from ..ovc.stats import ComparisonStats
+from ..sorting.internal import tournament_sort
+from .modify import _modify_sort_order, resolve_engine
+
+
+@dataclass(frozen=True)
+class Enforced:
+    """What :func:`enforce_order` produced, and how."""
+
+    table: Table
+    #: ``passthrough`` | ``modify_sort_order`` | ``internal_sort``
+    #: (the vocabulary of ``Sort.executed``).
+    executed: str
+    #: EXPLAIN label: ``passthrough`` | ``modify(<input order>)`` |
+    #: ``full-sort``.
+    strategy: str
+    #: The engine that ran, ``fast`` | ``reference`` (``None``: nothing ran).
+    engine: str | None = None
+    #: ``auto`` met keys the packed codec cannot rank; reference ran.
+    fallback: bool = False
+
+
+def enforce_order(
+    source: Table,
+    spec: SortSpec,
+    *,
+    stats: ComparisonStats,
+    config: ExecutionConfig,
+    method: str = "auto",
+    use_ovc: bool = True,
+) -> Enforced:
+    """Produce ``source``'s rows in ``spec`` order, the cheapest way.
+
+    ``source.sort_spec`` (``None`` = unordered) picks the path; an
+    ordered source without codes runs without them.  ``stats`` receives
+    the comparison counts whenever the reference engine runs — under
+    ``engine="auto"`` that is only with ``use_ovc`` off or a fan-in
+    cap, so callers that want counters pass ``engine="reference"``.
+    ``method`` forces a modification strategy (ordered sources only).
+    A forced ``engine="fast"`` propagates the codec's ``TypeError``.
+    """
+    src_spec = source.sort_spec
+    if src_spec is not None and src_spec.satisfies(spec):
+        ovcs = None
+        if source.ovcs is not None:
+            ovcs = project_ovcs(source.ovcs, spec.arity)
+        table = Table(source.schema, list(source.rows), spec, ovcs)
+        return Enforced(table, "passthrough", "passthrough")
+
+    use_ovc = use_ovc and (src_spec is None or source.ovcs is not None)
+    engine = resolve_engine(config, use_ovc=use_ovc)
+    if src_spec is not None:
+        # A stats collector is itself a request for the reference
+        # engine, so it is handed over only when that engine was chosen.
+        table, engine, fallback = _modify_sort_order(
+            source, spec, method, use_ovc,
+            stats if engine == "reference" else None, config,
+        )
+        label = f"modify({','.join(str(c) for c in src_spec.columns)})"
+        return Enforced(table, "modify_sort_order", label, engine, fallback)
+
+    positions = spec.positions(source.schema)
+    fallback = False
+    if engine == "fast":
+        from ..fastpath.execute import fast_sort
+
+        try:
+            rows, ovcs = fast_sort(source.rows, positions, spec.directions)
+        except TypeError:
+            if config.engine == "fast":
+                raise
+            engine, fallback = "reference", True
+    if engine == "reference":
+        rows, ovcs = tournament_sort(
+            source.rows, positions, stats, spec.directions, use_ovc
+        )
+    table = Table(source.schema, rows, spec, ovcs)
+    return Enforced(table, "internal_sort", "full-sort", engine, fallback)

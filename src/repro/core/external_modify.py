@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..exec.buffers import GovernedSink
-from ..exec.compat import resolve_config
 from ..exec.config import ExecutionConfig
 from ..exec.memory import MemoryAccountant, activate
 from ..exec.spill import SpillManager
@@ -46,7 +45,7 @@ from ..storage.pages import PageManager
 from .analysis import Strategy, analyze_order_modification
 from .classify import split_segments
 from .merge_runs import merge_preexisting_runs
-from .modify import modify_sort_order
+from .modify import modify_sort_order, resolve_engine
 from .segmented import sort_segment
 
 
@@ -60,7 +59,6 @@ def modify_sort_order_external(
     stats: ComparisonStats | None = None,
     run_generation: str = "replacement",
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> Table:
     """Modify ``table``'s sort order within a row-count memory budget.
 
@@ -69,15 +67,16 @@ def modify_sort_order_external(
     the operation is fully internal — the hypothesis 1 scenario.
 
     ``config`` carries the execution knobs (engine, workers, byte
-    budget, retry policy — see :class:`repro.exec.ExecutionConfig`);
-    the removed standalone ``engine=``/``workers=`` kwargs raise a
-    ``TypeError``.  ``config.engine == "fast"`` executes the in-memory
-    segments through the packed-code kernels (:mod:`repro.fastpath`) —
-    same rows and codes, no comparison counts.  Oversized segments
-    always take the reference path: spill accounting and capped merge
-    waves are the point of this function, and the fast kernels do not
-    model them.  ``auto`` keeps everything on the instrumented
-    reference path.
+    budget, retry policy — see :class:`repro.exec.ExecutionConfig`).
+    The engine follows :func:`~repro.core.modify.resolve_engine`, as in
+    :func:`~repro.core.modify.modify_sort_order`: ``auto`` executes the
+    in-memory segments through the packed-code kernels
+    (:mod:`repro.fastpath`) — same rows and codes, no comparison counts
+    — unless a ``stats`` collector was passed, falling back to the
+    reference executors on keys the codec cannot rank.  Oversized
+    segments always take the reference path: spill accounting and
+    capped merge waves are the point of this function, and the fast
+    kernels do not model them.
 
     ``config.workers`` shards the segment loop across processes
     (:mod:`repro.parallel`) when *every* segment fits in memory — the
@@ -98,11 +97,10 @@ def modify_sort_order_external(
     """
     if memory_capacity < 2:
         raise ValueError("memory capacity must allow at least two rows")
-    cfg = resolve_config(config, "modify_sort_order_external", **legacy)
+    cfg = config if config is not None else ExecutionConfig.default()
     if table.sort_spec is None:
         raise ValueError("input table must declare its sort order")
     new_spec = new_order if isinstance(new_order, SortSpec) else SortSpec(new_order)
-    stats = stats if stats is not None else ComparisonStats()
     pages = page_manager if page_manager is not None else PageManager()
     table.with_ovcs()
 
@@ -110,25 +108,24 @@ def modify_sort_order_external(
     if plan.backward or plan.strategy is Strategy.NOOP:
         # Backward scans and no-ops never need memory beyond the scan;
         # delegate wholesale (modify_sort_order applies the governance
-        # itself, so no double activation here).
+        # and the engine rule itself, so no double activation here).
         return modify_sort_order(
-            table, new_spec, method=method, stats=stats,
-            config=cfg.with_(
-                engine="fast" if cfg.engine == "fast" else "reference"
-            ),
+            table, new_spec, method=method, stats=stats, config=cfg
         )
 
+    engine = resolve_engine(cfg, counters=stats is not None)
+    stats = stats if stats is not None else ComparisonStats()
     if not cfg.governed:
         return _modify_external(
             table, new_spec, memory_capacity, fan_in, pages, method,
-            stats, run_generation, cfg, None, None,
+            stats, run_generation, cfg, engine, None, None,
         )
     accountant = MemoryAccountant(cfg.memory_budget)
     with SpillManager(cfg.spill_dir) as spill, activate(accountant):
         sink = GovernedSink(accountant, spill, category="extmodify.output")
         return _modify_external(
             table, new_spec, memory_capacity, fan_in, pages, method,
-            stats, run_generation, cfg, accountant, sink,
+            stats, run_generation, cfg, engine, accountant, sink,
         )
 
 
@@ -142,6 +139,7 @@ def _modify_external(
     stats: ComparisonStats,
     run_generation: str,
     cfg: ExecutionConfig,
+    engine: str,
     accountant: MemoryAccountant | None,
     sink: GovernedSink | None,
 ) -> Table:
@@ -190,36 +188,37 @@ def _modify_external(
             )
             result = parallel_modify(
                 table, new_spec, plan, exec_strategy, cfg.workers,
-                stats=stats, segments=segments, sink=sink,
-                config=cfg.with_(
-                    engine="fast" if cfg.engine == "fast" else "reference"
-                ),
+                stats=stats if engine == "reference" else None,
+                segments=segments, sink=sink, config=cfg,
             )
             if result is not None:
                 return result
+
+    def fast_in_memory(lo: int, hi: int, seg_rows: list, seg_ovcs: list) -> bool:
+        """Run one in-memory segment on the packed-code kernels; False
+        is ``engine="auto"``'s cue to use the reference executors."""
+        from ..fastpath.execute import fast_segment
+
+        try:
+            fast_rows, fast_ovcs = fast_segment(
+                rows[lo:hi], ovcs[lo:hi], plan, new_spec, out_positions,
+                plan.strategy if use_merge else Strategy.SEGMENT_SORT,
+            )
+        except TypeError:
+            if cfg.engine == "fast":
+                raise
+            return False
+        seg_rows.extend(fast_rows)
+        seg_ovcs.extend(fast_ovcs)
+        return True
 
     for lo, hi in split_segments(ovcs, prefix_for_segments, len(rows)):
         size = hi - lo
         seg_rows: list[tuple] = out_rows if sink is None else []
         seg_ovcs: list[tuple] = out_ovcs if sink is None else []
         if size <= memory_capacity:
-            if cfg.engine == "fast":
-                from ..fastpath.execute import fast_segment
-
-                if use_merge:
-                    strategy = (
-                        Strategy.COMBINED
-                        if plan.strategy is Strategy.COMBINED
-                        else Strategy.MERGE_RUNS
-                    )
-                else:
-                    strategy = Strategy.SEGMENT_SORT
-                fast_rows, fast_ovcs = fast_segment(
-                    rows[lo:hi], ovcs[lo:hi], plan, new_spec, out_positions,
-                    strategy,
-                )
-                seg_rows.extend(fast_rows)
-                seg_ovcs.extend(fast_ovcs)
+            if engine == "fast" and fast_in_memory(lo, hi, seg_rows, seg_ovcs):
+                pass  # done; otherwise the reference executors below
             elif use_merge:
                 merge_preexisting_runs(
                     rows, ovcs, lo, hi, plan, out_project, in_project,

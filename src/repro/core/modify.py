@@ -23,9 +23,9 @@ budget with spill-to-disk, and the pool's retry/timeout policy::
     cfg = ExecutionConfig(workers=4, memory_budget="64MiB")
     result = modify_sort_order(table, new_order, config=cfg)
 
-The pre-4 ``engine=`` / ``workers=`` / ``max_fan_in=`` kwargs are
-gone after their one-release deprecation cycle; a stale call site gets
-a ``TypeError`` naming the config field (:mod:`repro.exec.compat`).
+Which engine ``engine="auto"`` means is decided in exactly one place,
+:func:`resolve_engine`; every operator, planner and cache module asks
+it (directly, or through :func:`repro.core.enforce.enforce_order`).
 
 With a memory budget, buffered output runs are charged to a
 :class:`~repro.exec.memory.MemoryAccountant` and spill to disk
@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..exec.buffers import GovernedSink
-from ..exec.compat import resolve_config
 from ..exec.config import ExecutionConfig
 from ..exec.memory import MemoryAccountant, activate
 from ..exec.spill import SpillManager
@@ -64,6 +63,27 @@ _METHODS = {
 }
 
 
+def resolve_engine(
+    cfg: ExecutionConfig, *, use_ovc: bool = True, counters: bool = False
+) -> str:
+    """The engine that runs under ``cfg``: ``"fast"`` or ``"reference"``.
+
+    The one meaning of ``engine="auto"``: the packed-code kernels,
+    unless something only the reference executors provide was asked
+    for — comparison ``counters`` (a ``stats=`` collector on
+    :func:`modify_sort_order`), execution without offset-value codes,
+    or a ``max_fan_in`` cap.  A forced engine is returned as is.  Where
+    a fast kernel then raises the codec's ``TypeError`` (mixed types in
+    one column, ``None``), ``auto`` callers fall back to the reference
+    executors and a forced ``fast`` re-raises.
+    """
+    if cfg.engine != "auto":
+        return cfg.engine
+    if counters or not use_ovc or cfg.max_fan_in is not None:
+        return "reference"
+    return "fast"
+
+
 def modify_sort_order(
     table: Table,
     new_order: SortSpec | Sequence[str],
@@ -71,7 +91,6 @@ def modify_sort_order(
     use_ovc: bool = True,
     stats: ComparisonStats | None = None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> Table:
     """Return ``table``'s rows sorted on ``new_order``.
 
@@ -91,14 +110,15 @@ def modify_sort_order(
 
     * ``engine`` — ``reference`` (instrumented), ``fast`` (packed-code
       kernels, bit-identical output, no counters), or ``auto`` — fast
-      exactly when no ``stats`` collector was passed, ``use_ovc`` is
-      set, and no fan-in cap is configured.  A forced ``fast`` engine
-      leaves any passed ``stats`` untouched and executes a fan-in cap
-      as a single-wave merge.  With ``engine="auto"``, key columns the
-      packed codec cannot rank (mixed value types, ``None``) fall back
-      to the reference executors — reusing the already-computed segment
-      boundaries, so classification runs exactly once per call; a
-      forced ``fast`` engine propagates the ``TypeError``.
+      unless a ``stats`` collector was passed, ``use_ovc`` is off, or a
+      fan-in cap is configured (:func:`resolve_engine`).  A forced
+      ``fast`` engine leaves any passed ``stats`` untouched and
+      executes a fan-in cap as a single-wave merge.  With
+      ``engine="auto"``, key columns the packed codec cannot rank
+      (mixed value types, ``None``) fall back to the reference
+      executors — reusing the already-computed segment boundaries, so
+      classification runs exactly once per call; a forced ``fast``
+      engine propagates the ``TypeError``.
     * ``workers`` — shards segment-parallel strategies across processes
       (:mod:`repro.parallel`) with the config's retry/timeout policy;
       output stays bit-identical, and tiny inputs, single-segment jobs,
@@ -108,14 +128,24 @@ def modify_sort_order(
     * ``memory_budget`` / ``spill_dir`` — buffered output runs spill to
       disk whenever live charges exceed the budget; rows, codes, and
       comparison counts are unaffected.
-
-    The standalone ``engine=`` / ``workers=`` / ``max_fan_in=`` kwargs
-    were removed after their deprecation release; passing one raises a
-    ``TypeError`` naming the config field to use instead.
     """
+    return _modify_sort_order(table, new_order, method, use_ovc, stats, config)[0]
+
+
+def _modify_sort_order(
+    table: Table,
+    new_order: SortSpec | Sequence[str],
+    method: str,
+    use_ovc: bool,
+    stats: ComparisonStats | None,
+    config: ExecutionConfig | None,
+) -> tuple[Table, str, bool]:
+    """:func:`modify_sort_order`, also reporting ``(engine, fallback)``:
+    the engine that produced the result, and whether it was
+    ``auto``'s reference fallback on unpackable keys."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
-    cfg = resolve_config(config, "modify_sort_order", **legacy)
+    cfg = config if config is not None else ExecutionConfig.default()
     if cfg.engine == "fast" and not use_ovc:
         raise ValueError("the fast engine requires offset-value codes (use_ovc=True)")
     if table.sort_spec is None:
@@ -127,31 +157,24 @@ def modify_sort_order(
             "modify",
             rows=len(table.rows),
             method=method,
-            engine=cfg.engine,
             use_ovc=use_ovc,
             governed=cfg.governed,
         ):
             if not cfg.governed:
-                result = _modify(table, new_spec, method, use_ovc, stats, cfg, None)
+                ran = _modify(table, new_spec, method, use_ovc, stats, cfg, None)
             else:
                 accountant = MemoryAccountant(cfg.memory_budget)
                 with SpillManager(cfg.spill_dir) as spill, activate(accountant):
                     sink = GovernedSink(accountant, spill)
-                    result = _modify(
+                    ran = _modify(
                         table, new_spec, method, use_ovc, stats, cfg, sink
                     )
-        if mark is not None:
-            # Slow path only: the structural strategy is a cheap pure
-            # function of the two specs.
-            strategy = method
-            if method == "auto":
-                plan = analyze_order_modification(table.sort_spec, new_spec)
-                strategy = plan.strategy.name.lower()
-            SLOWLOG.record(
-                mark, "modify", strategy=strategy, stats=stats,
-                rows=len(table.rows),
-            )
-        return result
+        result, strategy, engine, fallback = ran
+        SLOWLOG.record(
+            mark, "modify", strategy=strategy, stats=stats,
+            rows=len(table.rows), engine=engine, fallback=fallback,
+        )
+        return result, engine, fallback
 
 
 def _modify(
@@ -162,12 +185,11 @@ def _modify(
     stats: ComparisonStats | None,
     cfg: ExecutionConfig,
     sink: GovernedSink | None,
-) -> Table:
+) -> tuple[Table, str, str, bool]:
+    """Plan, pick the executor, run it; returns ``(table, strategy,
+    engine, fallback)`` with the last two as they turned out."""
     plan = analyze_order_modification(table.sort_spec, new_spec)
-    max_fan_in = cfg.max_fan_in
-    use_fast = cfg.engine == "fast" or (
-        cfg.engine == "auto" and use_ovc and stats is None and max_fan_in is None
-    )
+    engine = resolve_engine(cfg, use_ovc=use_ovc, counters=stats is not None)
     caller_stats = stats
     stats = stats if stats is not None else ComparisonStats()
 
@@ -193,24 +215,9 @@ def _modify(
         table.with_ovcs()
 
     strategy = _resolve_strategy(plan, method, table, stats)
-    TRACER.annotate(strategy=strategy.name.lower())
-    if LOG.enabled:
-        LOG.event(
-            "modify.strategy",
-            strategy=strategy.name.lower(),
-            method=method,
-            rows=len(table.rows),
-            engine=cfg.engine,
-            prefix_len=plan.prefix_len,
-            merge_len=plan.merge_len,
-        )
-
-    rows, ovcs = table.rows, table.ovcs
-    n = len(rows)
-    out_positions = new_spec.positions(table.schema)
-    out_project = _key_projector(out_positions, new_spec.directions)
-    in_positions = table.sort_spec.positions(table.schema)
-    in_project = _key_projector(in_positions, table.sort_spec.directions)
+    in_project = _key_projector(
+        table.sort_spec.positions(table.schema), table.sort_spec.directions
+    )
 
     # Segment boundaries are computed exactly once per call and shared
     # by every executor — the shard planner, the fast path, and the
@@ -220,6 +227,8 @@ def _modify(
     if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
         boundaries = _segments(table, plan, use_ovc, in_project, stats)
 
+    result = None
+    fallback = False
     if cfg.workers not in (None, 0, 1) and use_ovc:
         from ..parallel.api import parallel_modify
 
@@ -227,14 +236,11 @@ def _modify(
             table, new_spec, plan, strategy, cfg.workers,
             stats=caller_stats, config=cfg, segments=boundaries, sink=sink,
         )
-        if result is not None:
-            return result
-
-    if use_fast:
+    if result is None and engine == "fast":
         from ..fastpath.execute import fast_modify
 
         try:
-            return fast_modify(
+            result = fast_modify(
                 table, new_spec, plan, strategy,
                 segments=boundaries, sink=sink,
             )
@@ -243,10 +249,50 @@ def _modify(
                 raise
             # engine="auto" met key values the packed codec cannot rank
             # (mixed types in one column, None): the reference
-            # executors below compare only values that actually meet in
-            # a tournament, so they can still succeed — on the segment
+            # executors compare only values that actually meet in a
+            # tournament, so they can still succeed — on the segment
             # boundaries already computed above.
+            engine, fallback = "reference", True
+    if result is None:
+        result = _reference_modify(
+            table, new_spec, plan, strategy, boundaries, use_ovc, stats,
+            cfg.max_fan_in, in_project, sink,
+        )
 
+    name = strategy.name.lower()
+    TRACER.annotate(strategy=name, engine=engine, fallback=fallback)
+    if LOG.enabled:
+        LOG.event(
+            "modify.strategy",
+            strategy=name,
+            method=method,
+            rows=len(table.rows),
+            engine=engine,
+            fallback=fallback,
+            prefix_len=plan.prefix_len,
+            merge_len=plan.merge_len,
+        )
+    return result, name, engine, fallback
+
+
+def _reference_modify(
+    table: Table,
+    new_spec: SortSpec,
+    plan: ModificationPlan,
+    strategy: Strategy,
+    boundaries: list[tuple[int, int]] | None,
+    use_ovc: bool,
+    stats: ComparisonStats,
+    max_fan_in: int | None,
+    in_project,
+    sink: GovernedSink | None,
+) -> Table:
+    """Execute ``strategy`` on the instrumented reference executors."""
+    rows, ovcs = table.rows, table.ovcs
+    n = len(rows)
+    out_project = _key_projector(
+        new_spec.positions(table.schema), new_spec.directions
+    )
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] | None = [] if use_ovc else None
 

@@ -14,6 +14,7 @@ from typing import Callable, Iterator, Sequence
 
 from ..model import Schema, SortSpec
 from ..ovc.codes import max_merge, ovc_to_code, code_to_ovc
+from ..ovc.derive import project_ovc
 from ..sorting.merge import _key_projector
 from .operators import Operator
 
@@ -52,7 +53,7 @@ class Project(Operator):
     The output stays ordered — with its codes intact — exactly when the
     surviving columns include a prefix of the input ordering; the
     ordering is truncated to that prefix and codes are clamped the same
-    way :func:`repro.ovc.derive.project_ovcs` does.
+    way :func:`repro.ovc.derive.project_ovc` does.
     """
 
     def __init__(self, child: Operator, columns: Sequence[str]) -> None:
@@ -80,12 +81,7 @@ class Project(Operator):
         arity = self.ordering.arity
         for row, ovc in self._child:
             out = tuple(row[p] for p in positions)
-            if ovc is None:
-                yield out, None
-            elif ovc[0] >= arity:
-                yield out, (arity, 0)
-            else:
-                yield out, ovc
+            yield out, ovc if ovc is None else project_ovc(ovc, arity)
 
     def _children(self) -> list[Operator]:
         return [self._child]

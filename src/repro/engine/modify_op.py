@@ -12,11 +12,13 @@ sorting turns one external sort into many internal ones (hypothesis 1).
 For plans without a shared prefix (cases 2/3) the whole input is one
 segment and this operator degenerates to the materializing path.
 
-``config.engine == "fast"`` flushes each buffered segment through the
-packed-code kernels (:func:`repro.fastpath.execute.fast_segment`)
-instead of the instrumented executors: same rows and codes, no
-comparison counts.  ``auto`` keeps the reference path — a streaming
-operator's counters are part of its contract.
+``config.engine`` follows the one engine rule
+(:func:`repro.core.modify.resolve_engine`): ``auto`` flushes each
+buffered segment through the packed-code kernels
+(:func:`repro.fastpath.execute.fast_segment`) — same rows and codes,
+no comparison counts — with a per-segment fallback to the instrumented
+executors on keys the codec cannot rank; ``engine="reference"`` is how
+to ask for this operator's counters.
 
 ``config.workers`` pipelines segment execution across worker processes
 while preserving the streaming contract: consecutive segments are
@@ -33,13 +35,13 @@ from typing import Iterator
 
 from ..core.analysis import ModificationPlan, Strategy, analyze_order_modification
 from ..core.merge_runs import merge_preexisting_runs
+from ..core.modify import resolve_engine
 from ..core.segmented import sort_segment
 from ..exec import faults as faults_mod
-from ..exec.compat import resolve_config
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec
 from ..obs import METRICS, TRACER
-from ..ovc.derive import project_ovcs
+from ..ovc.derive import project_ovc
 from ..sorting.merge import _key_projector
 from .operators import Operator
 
@@ -57,15 +59,14 @@ class StreamingModify(Operator):
         spec: SortSpec,
         shard_rows: int = 4096,
         config: "ExecutionConfig | None" = None,
-        **legacy,
     ) -> None:
         if child.ordering is None:
             raise ValueError("streaming modification needs an ordered input")
         super().__init__(child.schema, spec, child.stats)
-        self._config = resolve_config(config, "StreamingModify", **legacy)
+        self._config = config if config is not None else ExecutionConfig.default()
         self._child = child
         self._spec = spec
-        self._engine = self._config.engine
+        self._engine = resolve_engine(self._config)
         self._workers = self._config.workers
         self._shard_rows = shard_rows
         self.plan: ModificationPlan = analyze_order_modification(
@@ -91,10 +92,7 @@ class StreamingModify(Operator):
         if plan.strategy is Strategy.NOOP:
             arity = spec.arity
             for row, ovc in self._child:
-                if ovc is None:
-                    yield row, None
-                else:
-                    yield row, project_ovcs([ovc], arity)[0]
+                yield row, ovc if ovc is None else project_ovc(ovc, arity)
             self.peak_segment_rows = 1
             return
 
@@ -123,29 +121,37 @@ class StreamingModify(Operator):
                 METRICS.gauge("streaming.buffered_rows").set(len(seg_rows))
             out_rows: list[tuple] = []
             out_ovcs: list[tuple] = []
+            engine = self._engine
             with TRACER.span(
-                "streaming.segment", rows=len(seg_rows), engine=self._engine
-            ):
-                if self._engine == "fast":
+                "streaming.segment", rows=len(seg_rows), engine=engine
+            ) as sp:
+                if engine == "fast":
                     from ..fastpath.execute import fast_segment
 
-                    out_rows, out_ovcs = fast_segment(
-                        seg_rows, seg_ovcs, plan, spec, out_positions,
-                        plan.strategy,
-                    )
-                elif plan.strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED):
-                    merge_preexisting_runs(
-                        seg_rows, seg_ovcs, 0, len(seg_rows), plan,
-                        out_project, in_project, self.stats, out_rows,
-                        out_ovcs, use_ovc=True,
-                        respect_prefix=plan.strategy is Strategy.COMBINED,
-                    )
-                else:
-                    sort_segment(
-                        seg_rows, seg_ovcs, 0, len(seg_rows), plan.prefix_len,
-                        spec.arity, out_project, self.stats, out_rows,
-                        out_ovcs, use_ovc=True,
-                    )
+                    try:
+                        out_rows, out_ovcs = fast_segment(
+                            seg_rows, seg_ovcs, plan, spec, out_positions,
+                            plan.strategy,
+                        )
+                    except TypeError:
+                        if self._config.engine == "fast":
+                            raise
+                        engine = "reference"
+                        sp.set(engine=engine, fallback=True)
+                if engine == "reference":
+                    if plan.strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED):
+                        merge_preexisting_runs(
+                            seg_rows, seg_ovcs, 0, len(seg_rows), plan,
+                            out_project, in_project, self.stats, out_rows,
+                            out_ovcs, use_ovc=True,
+                            respect_prefix=plan.strategy is Strategy.COMBINED,
+                        )
+                    else:
+                        sort_segment(
+                            seg_rows, seg_ovcs, 0, len(seg_rows),
+                            plan.prefix_len, spec.arity, out_project,
+                            self.stats, out_rows, out_ovcs, use_ovc=True,
+                        )
             yield from zip(out_rows, out_ovcs)
             seg_rows.clear()
             seg_ovcs.clear()

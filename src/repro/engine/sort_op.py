@@ -5,19 +5,18 @@ ordering and offset-value codes and picks the cheapest path through the
 paper's machinery:
 
 * child already satisfies the order -> pass through (case 0, possibly
-  re-coding onto the shorter key);
+  re-coding onto the shorter key), streaming;
 * related order -> :func:`repro.core.modify.modify_sort_order`
   (segmented sorting / merging pre-existing runs / combined);
-* unordered child -> internal tournament sort, or external merge sort
-  when a memory budget is configured and exceeded.
+* unordered child -> internal sort, or external merge sort when a
+  memory budget is configured and exceeded.
 
-An :class:`~repro.exec.ExecutionConfig` selects how the in-memory
-paths execute.  ``config.engine``: ``auto`` keeps the instrumented
-reference executors (an operator's comparison counters are part of its
-contract, so ``auto`` here means "reference"); ``fast`` routes order
-modification and the internal sort through the packed-code kernels of
-:mod:`repro.fastpath` — bit-identical rows and codes, counters left
-untouched.  The external merge sort has no fast twin (spill accounting
+The modify-or-sort choice and the engine it runs on belong to
+:func:`repro.core.enforce.enforce_order`: ``config.engine="auto"`` runs
+the packed-code kernels of :mod:`repro.fastpath` (reference fallback on
+keys the codec cannot rank), and ``engine="reference"`` is how to ask
+for this operator's comparison counters — the fast kernels count
+nothing.  The external merge sort has no fast twin (spill accounting
 is its point) and always runs the reference path.
 
 ``config.workers`` forwards to the order-modification path's parallel
@@ -25,9 +24,7 @@ subsystem (:mod:`repro.parallel`): segment-parallel strategies shard
 across processes (with the config's retry/timeout policy), with worker
 counters merged back into the operator's stats; everything else stays
 serial automatically.  ``config.memory_budget`` governs the order
-modification's buffered output (spill-to-disk under pressure).  The
-standalone ``engine=``/``workers=`` kwargs were removed after their
-deprecation release and now raise ``TypeError``.
+modification's buffered output (spill-to-disk under pressure).
 
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this
@@ -47,13 +44,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..exec.compat import resolve_config
+from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
-from ..core.modify import modify_sort_order
+from ..ovc.derive import project_ovc
 from ..sorting.external import ExternalMergeSort
-from ..sorting.internal import tournament_sort
 from .operators import Operator
 
 
@@ -69,10 +65,9 @@ class Sort(Operator):
         memory_capacity: int | None = None,
         fan_in: int = 16,
         config: ExecutionConfig | None = None,
-        **legacy,
     ) -> None:
         super().__init__(child.schema, spec, child.stats)
-        self._config = resolve_config(config, "Sort", **legacy)
+        self._config = config if config is not None else ExecutionConfig.default()
         if self._config.engine == "fast" and not use_ovc:
             raise ValueError(
                 "the fast engine requires offset-value codes (use_ovc=True)"
@@ -83,7 +78,6 @@ class Sort(Operator):
         self._use_ovc = use_ovc
         self._memory_capacity = memory_capacity
         self._fan_in = fan_in
-        self._engine = self._config.engine
         #: Strategy actually executed, for tests and EXPLAIN output.
         self.executed: str | None = None
         #: Human-readable order strategy for EXPLAIN: ``passthrough``,
@@ -135,22 +129,24 @@ class Sort(Operator):
                 cache, self._cache_fp, self._spec, result, delta
             )
 
-    def _observe(self, mark, before) -> None:
+    def _observe(self, mark, before, **ran) -> None:
         """Close this sort's slowlog watch and log the decision.
 
         Called once per executed (non-passthrough) path, after the
         heavy work and before emission — what the threshold times is
-        the sort, not the consumer.
+        the sort, not the consumer.  ``ran`` carries the engine that
+        executed and whether it was ``auto``'s reference fallback.
         """
         if LOG.enabled:
             LOG.event(
                 "sort.executed",
                 executed=self.executed,
                 strategy=self.order_strategy,
+                **ran,
             )
         SLOWLOG.record(
             mark, "sort", strategy=self.order_strategy,
-            stats=self.stats - before,
+            stats=self.stats - before, **ran,
         )
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
@@ -160,49 +156,22 @@ class Sort(Operator):
             self.order_strategy = "passthrough"
             arity = self._spec.arity
             for row, ovc in child:
-                if ovc is None:
-                    yield row, None
-                elif ovc[0] >= arity:
-                    yield row, (arity, 0)
-                else:
-                    yield row, ovc
+                yield row, ovc if ovc is None else project_ovc(ovc, arity)
             return
 
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()
         cache = self._cache()
 
-        if child.ordering is not None:
+        ordered = child.ordering is not None
+        if ordered:
             table = child.to_table()
-            if cache is not None and table.ovcs is not None:
-                served = self._serve(cache, table)
-                if served is not None:
-                    self._observe(mark, mark_before)
-                    yield from _emit(served)
-                    return
-            before = self.stats.snapshot()
-            result = modify_sort_order(
-                table,
-                self._spec,
-                method=self._method,
-                use_ovc=self._use_ovc and table.ovcs is not None,
-                stats=self.stats,
-                config=self._config.with_(
-                    engine="fast" if self._engine == "fast" else "reference"
-                ),
-            )
-            self.executed = "modify_sort_order"
-            self.order_strategy = (
-                f"modify({','.join(str(c) for c in child.ordering)})"
-            )
-            self._install(cache, result, self.stats - before)
-            self._observe(mark, mark_before)
-            yield from _emit(result)
-            return
-
-        rows = [row for row, _ovc in child]
+        else:
+            table = Table(self.schema, [row for row, _ovc in child])
+        rows = table.rows
         if (
-            self._memory_capacity is not None
+            not ordered
+            and self._memory_capacity is not None
             and len(rows) > self._memory_capacity
         ):
             sorter = ExternalMergeSort(
@@ -220,54 +189,29 @@ class Sort(Operator):
             yield from zip(result.rows, result.ovcs or (None,) * len(result.rows))
             return
 
-        if cache is not None:
-            served = self._serve(cache, Table(self.schema, rows))
+        if cache is not None and (not ordered or table.ovcs is not None):
+            served = self._serve(cache, table)
             if served is not None:
                 self._observe(mark, mark_before)
                 yield from _emit(served)
                 return
 
-        if self._engine == "fast":
-            from ..fastpath.execute import fast_sort
-
-            sorted_rows, ovcs = fast_sort(
-                rows, self._spec.positions(self.schema), self._spec.directions
-            )
-            self.executed = "internal_sort"
-            self.order_strategy = "full-sort"
-            from ..ovc.stats import ComparisonStats
-
-            self._install(
-                cache,
-                Table(self.schema, sorted_rows, self._spec, ovcs),
-                ComparisonStats(),
-            )
-            self._observe(mark, mark_before)
-            yield from zip(sorted_rows, ovcs)
-            return
-
         before = self.stats.snapshot()
-        sorted_rows, ovcs = tournament_sort(
-            rows,
-            self._spec.positions(self.schema),
-            self.stats,
-            self._spec.directions,
-            self._use_ovc,
+        done = enforce_order(
+            table,
+            self._spec,
+            method=self._method,
+            use_ovc=self._use_ovc,
+            stats=self.stats,
+            config=self._config,
         )
-        self.executed = "internal_sort"
-        self.order_strategy = "full-sort"
-        if ovcs is not None:
-            self._install(
-                cache,
-                Table(self.schema, sorted_rows, self._spec, ovcs),
-                self.stats - before,
-            )
-        self._observe(mark, mark_before)
-        if ovcs is None:
-            for row in sorted_rows:
-                yield row, None
-        else:
-            yield from zip(sorted_rows, ovcs)
+        self.executed = done.executed
+        self.order_strategy = done.strategy
+        self._install(cache, done.table, self.stats - before)
+        self._observe(
+            mark, mark_before, engine=done.engine, fallback=done.fallback
+        )
+        yield from _emit(done.table)
 
     def _children(self) -> list[Operator]:
         return [self._child]

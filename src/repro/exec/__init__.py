@@ -9,9 +9,6 @@ directory, retry/timeout policy, observability requests) through
 
 * :mod:`repro.exec.config` — ``ExecutionConfig`` / ``RetryPolicy`` /
   ``parse_memory``.
-* :mod:`repro.exec.compat` — the single rejection point for the
-  removed ``engine=``/``workers=``/``max_fan_in=`` kwargs (one clear
-  ``TypeError`` naming the ``ExecutionConfig`` replacement).
 * :mod:`repro.exec.memory` — ``MemoryAccountant``, the per-query byte
   ledger every buffering site charges.
 * :mod:`repro.exec.spill` — real spill-to-disk of buffered runs.
@@ -21,7 +18,6 @@ directory, retry/timeout policy, observability requests) through
   injection for the fault-tolerant worker pool.
 """
 
-from .compat import resolve_config
 from .config import ExecutionConfig, RetryPolicy, parse_memory
 from .faults import Fault, parse_faults
 from .memory import MemoryAccountant
@@ -31,7 +27,6 @@ __all__ = [
     "ExecutionConfig",
     "RetryPolicy",
     "parse_memory",
-    "resolve_config",
     "MemoryAccountant",
     "SpillManager",
     "Fault",

@@ -15,9 +15,8 @@ Construction patterns::
     cfg = ExecutionConfig.from_env()                 # REPRO_* variables
     low = cfg.with_(memory_budget="1MiB")            # derived variant
 
-The legacy kwargs still work for one release; they are folded into a
-config (with a ``DeprecationWarning``) in exactly one place,
-:func:`repro.exec.compat.resolve_config`.
+Entry points called without a config use :meth:`ExecutionConfig.
+default`, so ``REPRO_*`` variables govern bare calls.
 """
 
 from __future__ import annotations
@@ -109,8 +108,10 @@ class ExecutionConfig:
     Fields
     ------
     engine:
-        ``"auto"`` | ``"reference"`` | ``"fast"`` — executor selection,
-        exactly as the old ``engine=`` kwarg.
+        ``"auto"`` | ``"reference"`` | ``"fast"`` — executor selection;
+        ``auto`` means the packed-code kernels unless something
+        reference-only was requested (one rule for every entry point:
+        :func:`repro.core.modify.resolve_engine`).
     workers:
         ``None``/``0``/``1`` serial, ``"auto"`` for the core count, or
         an explicit worker-process count.

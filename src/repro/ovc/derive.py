@@ -104,23 +104,22 @@ def verify_ovcs(
     return all(tuple(a) == tuple(b) for a, b in zip(expected, ovcs))
 
 
-def project_ovcs(
-    ovcs: Sequence[tuple], new_arity: int
-) -> list[tuple]:
-    """Map codes for sort key ``K`` to codes for a prefix of ``K``.
+def project_ovc(ovc: tuple, new_arity: int) -> tuple:
+    """One code for sort key ``K`` as a code for a prefix of ``K``.
 
     Table 1 case 0 (e.g. ``A,B -> A``): data sorted on the longer key is
     already sorted on the prefix, and the codes translate without any
     column comparison — a row differing only beyond the prefix becomes
     an exact duplicate under the shorter key.
     """
-    projected: list[tuple] = []
-    for offset, value in ovcs:
-        if offset >= new_arity:
-            projected.append((new_arity, 0))
-        else:
-            projected.append((offset, value))
-    return projected
+    return (new_arity, 0) if ovc[0] >= new_arity else ovc
+
+
+def project_ovcs(
+    ovcs: Sequence[tuple], new_arity: int
+) -> list[tuple]:
+    """:func:`project_ovc` over a whole code list."""
+    return [project_ovc(ovc, new_arity) for ovc in ovcs]
 
 
 def segment_boundaries(

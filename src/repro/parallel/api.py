@@ -10,10 +10,11 @@ segment, unshardable strategy, one worker), leaving the caller on the
 serial path; callers therefore never pay pool overhead for jobs that
 cannot amortize it.
 
-Worker engine selection mirrors the serial dispatcher: shards run the
-packed-code fast kernels exactly when the caller's ``engine``/
-``stats``/``max_fan_in`` combination would have chosen them serially,
-and the instrumented reference executors otherwise.  Reference shards
+Worker engine selection is the serial dispatcher's
+(:func:`repro.core.modify.resolve_engine`): shards run the packed-code
+fast kernels exactly when the caller's ``engine``/``stats``/
+``max_fan_in`` combination would have chosen them serially, and the
+instrumented reference executors otherwise.  Reference shards
 ship their comparison counters home with their final chunk, so a
 caller-supplied :class:`~repro.ovc.stats.ComparisonStats` ends up with
 exactly the counts a serial reference run would have produced (the
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 
 from ..core.analysis import ModificationPlan, Strategy
+from ..core.modify import resolve_engine
 from ..exec import faults as faults_mod
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
@@ -55,13 +57,6 @@ def resolve_workers(workers: int | str | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
     return max(workers, 1)
-
-
-def _use_fast(engine: str, stats, max_fan_in) -> bool:
-    """The serial dispatcher's engine rule, applied to worker shards."""
-    if engine == "fast":
-        return True
-    return engine == "auto" and stats is None and max_fan_in is None
 
 
 def parallel_modify(
@@ -112,11 +107,12 @@ def parallel_modify(
     """
     retry_policy = None
     if config is not None:
-        engine = config.engine
         max_fan_in = config.max_fan_in
         retry_policy = config.retry_policy
         if data_plane is None:
             data_plane = config.data_plane
+    else:
+        config = ExecutionConfig(engine=engine, max_fan_in=max_fan_in)
     if data_plane is None:
         data_plane = os.environ.get("REPRO_DATA_PLANE") or "auto"
     n_workers = resolve_workers(workers)
@@ -143,7 +139,7 @@ def parallel_modify(
         output_spec=new_spec,
         plan=plan,
         strategy=strategy,
-        use_fast=_use_fast(engine, stats, max_fan_in),
+        use_fast=resolve_engine(config, counters=stats is not None) == "fast",
         collect_stats=stats is not None,
         max_fan_in=max_fan_in,
         trace=TRACER.enabled,

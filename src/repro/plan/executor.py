@@ -2,20 +2,21 @@
 
 Each requested node runs exactly the machinery an independent
 ``Sort(TableScan(source), spec)`` would have used for its chosen
-parent — passthrough re-coding, ``modify_sort_order``, the tournament
-sort, or the fastpath kernels — so rows and codes are bit-identical to
-per-request execution by construction.  Results derived from a parent
+parent — :func:`repro.core.enforce.enforce_order`, which also owns the
+engine choice — so rows and codes are bit-identical to per-request
+execution by construction.  Results derived from a parent
 other than the source are re-tie-broken against the live source's
 arrival order (the same :func:`~repro.cache.dispatch._retiebreak`
 contract the cache dispatcher relies on), which also makes sibling
 derivation safe: within a full-key tie group the codes do not depend
 on which member stands first.
 
-Counters are per-node deltas describing the work actually performed:
-a node derived straight from the source reports exactly what the solo
-execution would have, a node derived from a cached or sibling order
-reports its (cheaper) modification work — the same accounting the
-cache's modify-from-cache serves already use.
+Counters are per-node deltas describing the work actually performed
+— comparison counts under ``engine="reference"``, zeros when the
+packed-code kernels ran: a node derived straight from the source
+reports exactly what the solo execution would have, a node derived
+from a cached or sibling order reports its (cheaper) modification work
+— the same accounting the cache's modify-from-cache serves already use.
 
 Independent subtrees execute concurrently: nodes whose parents are
 materialized start immediately, each completion releases its children.
@@ -31,12 +32,11 @@ from dataclasses import dataclass, field
 
 from ..cache.dispatch import _names, _retiebreak, install_result
 from ..cache.fingerprint import fingerprint_table
-from ..core.modify import modify_sort_order
+from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
-from ..sorting.internal import tournament_sort
 from .planner import DerivationPlan, plan_batch
 
 
@@ -90,9 +90,6 @@ def execute_plan(
 ) -> dict[int, NodeResult]:
     """Materialize every requested node of ``plan``; see module docs."""
     cfg = config if config is not None else ExecutionConfig.default()
-    modify_cfg = cfg.with_(
-        engine="fast" if cfg.engine == "fast" else "reference"
-    )
     results: dict[int, NodeResult] = {}
 
     def _install(table: Table, delta, replayable: bool) -> None:
@@ -109,42 +106,10 @@ def execute_plan(
                     "plan.fallback", order=_names(spec),
                     planned=node.strategy,
                 )
-        src_spec = source.sort_spec
-        if src_spec is not None and src_spec.satisfies(spec):
-            arity = spec.arity
-            ovcs = None
-            if source.ovcs is not None:
-                ovcs = [
-                    (arity, 0) if o[0] >= arity else o for o in source.ovcs
-                ]
-            table = Table(source.schema, list(source.rows), spec, ovcs)
-            return NodeResult(node.index, spec, table, "passthrough",
-                              delta, fallback)
-        if src_spec is not None:
-            result = modify_sort_order(
-                source, spec, method="auto",
-                use_ovc=source.ovcs is not None,
-                stats=delta, config=modify_cfg,
-            )
-            label = f"modify({_names(src_spec)})"
-            _install(result, delta, replayable=True)
-            return NodeResult(node.index, spec, result, label,
-                              delta, fallback)
-        rows = list(source.rows)
-        if cfg.engine == "fast":
-            from ..fastpath.execute import fast_sort
-
-            sorted_rows, ovcs = fast_sort(
-                rows, spec.positions(source.schema), spec.directions
-            )
-        else:
-            sorted_rows, ovcs = tournament_sort(
-                rows, spec.positions(source.schema), delta,
-                spec.directions, True,
-            )
-        table = Table(source.schema, sorted_rows, spec, ovcs)
-        _install(table, delta, replayable=True)
-        return NodeResult(node.index, spec, table, "full-sort",
+        done = enforce_order(source, spec, stats=delta, config=cfg)
+        if done.executed != "passthrough":
+            _install(done.table, delta, replayable=True)
+        return NodeResult(node.index, spec, done.table, done.strategy,
                           delta, fallback)
 
     def _run(idx: int) -> NodeResult:
@@ -171,14 +136,10 @@ def execute_plan(
             ptable = results[node.parent].table
             label = f"plan-derive({_names(parent.spec)})"
         try:
-            result = modify_sort_order(
-                ptable, spec, method="auto",
-                use_ovc=ptable.ovcs is not None,
-                stats=delta, config=modify_cfg,
-            )
+            derived = enforce_order(ptable, spec, stats=delta, config=cfg).table
         except (TypeError, IndexError):
             return _from_source(node, delta, fallback=True)
-        rows, ovcs = result.rows, result.ovcs
+        rows, ovcs = derived.rows, derived.ovcs
         if ovcs is not None:
             rows, ovcs = _retiebreak(rows, ovcs, spec.arity, source.rows)
         table = Table(source.schema, rows, spec, ovcs)

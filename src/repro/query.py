@@ -31,7 +31,6 @@ from .engine.pivot import Pivot
 from .engine.scans import TableScan
 from .engine.set_ops import Except, Intersect, UnionAll, UnionDistinct
 from .engine.sort_op import Sort
-from .exec.compat import resolve_config
 from .exec.config import ExecutionConfig
 from .model import SortSpec, Table
 from .obs import LOG, SLOWLOG
@@ -87,14 +86,15 @@ class Query:
         *columns: str,
         method: str = "auto",
         config: "ExecutionConfig | None" = None,
-        **legacy,
     ) -> "Query":
         """Enforce a sort order, exploiting the input order if related.
 
         ``config`` (an :class:`~repro.exec.ExecutionConfig`) governs
-        execution: ``engine="fast"`` runs the sort through the
-        packed-code kernels (:mod:`repro.fastpath`) — same rows and
-        codes, no comparison counts on the operator's stats;
+        execution: the default ``engine="auto"`` runs the sort through
+        the packed-code kernels (:mod:`repro.fastpath`, reference
+        fallback on keys the codec cannot rank) — same rows and codes,
+        no comparison counts on the operator's stats;
+        ``engine="reference"`` is how to ask for those counts;
         ``workers`` (an int or ``"auto"``) shards segment-parallel
         order modification across processes (:mod:`repro.parallel`)
         with the config's retry/timeout policy — output is
@@ -104,13 +104,10 @@ class Query:
         same rows from the order cache (:mod:`repro.cache`) — exact
         repeats verbatim, related orders by modifying the best cached
         order — with the strategy shown per Sort node by
-        :meth:`explain` / ``explain_analyze`` after execution.  The
-        standalone ``engine=``/``workers=`` kwargs were removed after
-        their deprecation release and now raise ``TypeError``.
+        :meth:`explain` / ``explain_analyze`` after execution.
         """
-        cfg = resolve_config(config, "Query.order_by", **legacy)
         return self._wrap(
-            Sort(self._op, SortSpec.of(*columns), method=method, config=cfg)
+            Sort(self._op, SortSpec.of(*columns), method=method, config=config)
         )
 
     def order_by_many(
@@ -133,9 +130,8 @@ class Query:
         :class:`~repro.model.Table` per target, in request order,
         each bit-identical (rows and codes) to what
         ``.order_by(...)`` would have produced; derivation counters
-        merge into the plan's stats.
+        (``engine="reference"`` only) merge into the plan's stats.
         """
-        cfg = resolve_config(config, "Query.order_by_many")
         from .plan import derive_batch
 
         with LOG.query_scope():
@@ -145,7 +141,7 @@ class Query:
                 self._observe(mark, "query.order_by_many", len(source.rows))
                 return []
             result = derive_batch(
-                source, orders, config=cfg, max_concurrency=max_concurrency
+                source, orders, config=config, max_concurrency=max_concurrency
             )
             self._op.stats.merge(result.stats)
             if LOG.enabled:

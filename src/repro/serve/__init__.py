@@ -24,7 +24,7 @@ Module map: :mod:`.service` (OrderService/Ticket), :mod:`.queue`
 coalescing), :mod:`.request` (response/in-flight shapes),
 :mod:`.normalize` (unique-prefix order normalization),
 :mod:`.errors` (failure contract), :mod:`.load` (closed-loop load
-driver behind ``serve --load`` and ``BENCH_serve.json``).
+driver behind ``serve --load``).
 
 With ``ExecutionConfig.plan_window_ms`` set, scheduler threads drain
 the queue in micro-batches and execute same-source groups as one

@@ -10,9 +10,9 @@ coalesces the other three duplicates onto it.
 The driver is closed-loop (each thread waits for its response before
 issuing the next request), so offered load adapts to service speed and
 the interesting ratio is **executions per request** rather than
-throughput alone.  The report is a plain JSON-friendly dict; the bench
-harness snapshots it into ``BENCH_serve.json`` and the CLI prints it
-for ``serve --load``.
+throughput alone.  The report is a plain JSON-friendly dict; the CLI
+prints it for ``serve --load``.  (Serving latency and throughput are
+benchmarked end to end by ``benchmarks/e2e/run.py`` + ``compare.py``.)
 """
 
 from __future__ import annotations

@@ -11,12 +11,19 @@ reference path, while an explicit ``engine="fast"`` still raises.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.cache import reset_cache
 from repro.core.modify import modify_sort_order
+from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs, verify_ovcs
+from repro.plan import derive_batch
+from repro.serve import OrderService
 
 SCHEMA = Schema.of("A", "B", "C")
 IN_SPEC = SortSpec.of("A", "B", "C")
@@ -80,3 +87,118 @@ def test_auto_engine_still_uses_fast_kernels_for_packable_input():
     auto = modify_sort_order(table, OUT_SPEC, config=ExecutionConfig(engine="auto"))
     ref = modify_sort_order(table, OUT_SPEC, config=ExecutionConfig(engine="reference"))
     assert auto.rows == ref.rows and auto.ovcs == ref.ovcs
+
+
+# ---------------------------------------------------------------------------
+# The same guard on every path that enforces an order through
+# ``repro.core.enforce.enforce_order``: the Sort operator (ordered and
+# unordered child — the latter is the full-sort fallback), the batch
+# planner, and the order service; with the cache off and on.  One oracle
+# judges all of them: rows == stable ``sorted()``, codes == fresh
+# ``derive_ovcs``.
+# ---------------------------------------------------------------------------
+
+
+def _mixed_within_segment_table() -> Table:
+    """Sorted on A only.  Inside every A segment C is a str, except for
+    one pair of rows tied on B whose C is an int: sorting on A,B,C only
+    ever compares the C values of that pair."""
+    rows = []
+    for a in range(3):
+        segment = [(a, b, f"c{b}") for b in range(20)]
+        segment[6:8] = [(a, 6, 2), (a, 6, 1)]
+        random.Random(a).shuffle(segment)
+        rows += segment
+    table = Table(SCHEMA, rows, SortSpec.of("A"))
+    table.ovcs = derive_ovcs(rows, (0,))
+    return table
+
+
+#: name -> (table maker, requested order, a related order to ask for next)
+CASES = {
+    "mixed-across-segments": (_mixed_type_table, OUT_SPEC, IN_SPEC),
+    "none-segment": (_none_segment_table, OUT_SPEC, IN_SPEC),
+    "mixed-within-segment": (
+        _mixed_within_segment_table, IN_SPEC, SortSpec.of("A", "B DESC", "C"),
+    ),
+}
+
+
+@pytest.fixture(autouse=True)
+def _fresh_process_cache():
+    reset_cache()
+    yield
+    reset_cache()
+
+
+def _source(case: str, ordered: bool) -> Table:
+    table = CASES[case][0]()
+    if ordered:
+        return table
+    rows = list(table.rows)
+    random.Random(7).shuffle(rows)
+    return Table(SCHEMA, rows)
+
+
+def _via_sort(source, spec, cfg):
+    return [Sort(TableScan(source), spec, config=cfg).to_table()]
+
+
+def _via_derive_batch(source, spec, cfg):
+    # The sibling prefix order gives the planner something to share.
+    return derive_batch(source, [spec, spec.prefix(2)], config=cfg).tables()
+
+
+def _via_service(source, spec, cfg):
+    with OrderService(cfg) as service:
+        return [service.order_by(source, spec).table]
+
+
+PATHS = {
+    "sort": _via_sort,
+    "derive_batch": _via_derive_batch,
+    "service": _via_service,
+}
+
+
+def _assert_oracle(result: Table, source: Table, spec: SortSpec) -> None:
+    expected = sorted(source.rows, key=spec.key_for(SCHEMA))
+    assert result.rows == expected
+    assert result.ovcs == derive_ovcs(
+        expected, spec.positions(SCHEMA), spec.directions
+    )
+
+
+@pytest.mark.parametrize("cache", ["off", "on"])
+@pytest.mark.parametrize("engine", ["auto", "reference"])
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("case", CASES)
+def test_unpackable_keys_on_every_enforcement_path(
+    case, ordered, path, engine, cache
+):
+    source = _source(case, ordered)
+    spec = CASES[case][1]
+    cfg = ExecutionConfig(engine=engine, cache=cache)
+    # Twice: with the cache on, the second round is served from it.
+    for _round in range(2):
+        tables = PATHS[path](source, spec, cfg)
+        _assert_oracle(tables[0], source, spec)
+        for sibling in tables[1:]:
+            _assert_oracle(sibling, source, spec.prefix(2))
+    if cache == "on" and not ordered:
+        # A related order now modifies the cached one (modify-from-cache).
+        related = CASES[case][2]
+        op = Sort(TableScan(source), related, config=cfg)
+        _assert_oracle(op.to_table(), source, related)
+        assert op.order_strategy.startswith("modify-from-cache(")
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("case", CASES)
+def test_forced_fast_engine_raises_on_every_enforcement_path(case, ordered, path):
+    source = _source(case, ordered)
+    spec = CASES[case][1]
+    with pytest.raises(TypeError):
+        PATHS[path](source, spec, ExecutionConfig(engine="fast", cache="off"))

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.external_modify import modify_sort_order_external
+from repro.core.modify import modify_sort_order
+from repro.engine.modify_op import StreamingModify
+from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig, RetryPolicy, parse_memory
+from repro.model import Schema, SortSpec, Table
+from repro.ovc.derive import derive_ovcs
+from repro.query import Query
 
 
 # ------------------------------------------------------------ parse_memory
@@ -295,3 +303,49 @@ def test_precedence_env_under_flags(tmp_path):
     env_cfg = ExecutionConfig.from_env({"REPRO_WORKERS": "8"}, base=base)
     final = env_cfg.with_(workers=3)
     assert final.workers == 3
+
+
+# ------------------------------------------------- config= at entry points
+#
+# ``engine=``/``workers=``/``max_fan_in=`` kwargs were removed in favour
+# of ``config=``; a stale call site gets Python's own "unexpected
+# keyword argument" TypeError at every entry point that used to accept
+# them.
+
+
+def _entry_point_table():
+    schema = Schema.of("A", "B", "C")
+    rows = sorted((a % 3, b % 4, (a + b) % 5) for a in range(6) for b in range(5))
+    table = Table(schema, rows, SortSpec.of("A", "B", "C"))
+    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    return table
+
+
+def test_entry_points_reject_removed_kwargs():
+    table = _entry_point_table()
+    spec = SortSpec.of("A", "C", "B")
+    with pytest.raises(TypeError):
+        modify_sort_order(table, spec, engine="fast")
+    with pytest.raises(TypeError):
+        modify_sort_order_external(table, spec, memory_capacity=64, workers=2)
+    with pytest.raises(TypeError):
+        Sort(TableScan(table), spec, engine="fast")
+    with pytest.raises(TypeError):
+        StreamingModify(TableScan(table), spec, workers=2)
+    with pytest.raises(TypeError):
+        Query(table).order_by("A", "C", "B", workers=2)
+    with pytest.raises(TypeError):
+        Query(table).order_by("A", "C", "B", max_fan_in=4)
+
+
+def test_config_spelling_still_works_everywhere():
+    table = _entry_point_table()
+    spec = SortSpec.of("A", "C", "B")
+    cfg = ExecutionConfig(engine="fast")
+    ref = modify_sort_order(table, spec)
+    out = modify_sort_order(table, spec, config=cfg)
+    assert out.rows == ref.rows and out.ovcs == ref.ovcs
+    out = Sort(TableScan(table), spec, config=cfg).to_table()
+    assert out.rows == ref.rows and out.ovcs == ref.ovcs
+    out = Query(table).order_by("A", "C", "B", config=cfg).to_table()
+    assert out.rows == ref.rows and out.ovcs == ref.ovcs

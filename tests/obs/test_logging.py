@@ -6,8 +6,11 @@ import io
 import json
 
 from repro.core.modify import modify_sort_order
-from repro.model import Schema, SortSpec
-from repro.obs import LOG, METRICS, TRACER
+from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
+from repro.exec import ExecutionConfig
+from repro.model import Schema, SortSpec, Table
+from repro.obs import LOG, METRICS, SLOWLOG, TRACER
 from repro.obs.logging import read_log
 from repro.query import Query
 from repro.workloads.generators import random_sorted_table
@@ -118,6 +121,44 @@ def test_modify_logs_strategy_decision(tmp_path):
     )
     assert ev["rows"] == 300
     assert "qid" in ev
+
+
+def _ran(engine, table):
+    """What the telemetry says ran for ``Sort(table, A,C,B)``: the
+    modify span's attrs, both decision events, both slow-log entries."""
+    sink = io.StringIO()
+    LOG.enable(sink)
+    TRACER.enable(clear=True)
+    SLOWLOG.enable(0)
+    Sort(
+        TableScan(table), SortSpec.of("A", "C", "B"),
+        config=ExecutionConfig(engine=engine),
+    ).to_table()
+    LOG.disable()
+    events = {e["event"]: e for e in map(json.loads, sink.getvalue().splitlines())}
+    (span,) = [r for r in TRACER.drain() if r["name"] == "modify"]
+    entries = {e["kind"]: e for e in SLOWLOG.entries}
+    return [
+        span["attrs"], events["modify.strategy"], events["sort.executed"],
+        entries["modify"], entries["sort"],
+    ]
+
+
+def test_telemetry_reports_the_engine_that_ran_not_the_configured_one():
+    for record in _ran("auto", _table()):
+        assert record["engine"] == "fast" and record["fallback"] is False
+    for record in _ran("reference", _table()):
+        assert record["engine"] == "reference" and record["fallback"] is False
+
+
+def test_telemetry_flags_the_auto_fallback_to_reference():
+    # C is a str in segment A=0 and an int in A=1: the packed codec
+    # cannot rank the column, so engine="auto" runs the reference path.
+    rows = [(0, b, f"c{b % 3}") for b in range(9)]
+    rows += [(1, b, b % 3) for b in range(9)]
+    table = Table(SCHEMA, rows, SortSpec.of("A", "B", "C")).with_ovcs()
+    for record in _ran("auto", table):
+        assert record["engine"] == "reference" and record["fallback"] is True
 
 
 def test_query_events_share_one_qid(tmp_path):

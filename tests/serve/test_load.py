@@ -1,10 +1,10 @@
-"""Closed-loop load driver and the serving benchmark record.
+"""Closed-loop load driver and the serving load record.
 
-A scaled-down version of the acceptance load (``bench --serve`` runs
+A scaled-down version of the acceptance load (``serve --load`` runs
 the full 16-thread shape): duplicate-heavy traffic must coalesce,
 executions must undercut requests, and the record must carry the
-latency percentiles and the executions-per-request ratio the
-committed ``BENCH_serve.json`` artifact reports.
+latency percentiles and the executions-per-request ratio that
+``serve --load`` reports.
 """
 
 from __future__ import annotations

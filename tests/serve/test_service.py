@@ -1,6 +1,6 @@
 """OrderService behavior: coalescing, bit-identity, overload, deadlines.
 
-The acceptance bar (mirrored by ``bench --serve`` and CI):
+The acceptance bar (mirrored by ``serve --load`` and CI):
 
 * under 16-thread closed-loop load with 4 distinct orders each
   requested by 4 threads, ``serve.coalesced_requests > 0`` and

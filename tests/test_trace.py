@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import Filter, GroupBy, MergeJoin, Sort, TableScan
 from repro.engine.operators import Operator
+from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.query import Query
 from repro.trace import Probe, explain_analyze, instrument
@@ -13,6 +14,8 @@ from repro.workloads.generators import random_sorted_table
 
 SCHEMA = Schema.of("A", "B", "C")
 SPEC = SortSpec.of("A", "B", "C")
+#: Comparison counters are the reference engine's; ``auto`` counts nothing.
+COUNTED = ExecutionConfig(engine="reference")
 
 
 def make_table(n=200, seed=0) -> Table:
@@ -118,7 +121,7 @@ def test_probe_reports_inclusive_and_self_time():
 
 def test_probe_self_stats_subtract_children():
     table = make_table()
-    sort = Sort(TableScan(table), SortSpec.of("B", "A"))
+    sort = Sort(TableScan(table), SortSpec.of("B", "A"), config=COUNTED)
     root = instrument(sort)
     list(root)
     scan_probe = root.inner._children()[0]
@@ -131,7 +134,9 @@ def test_probe_self_stats_subtract_children():
 
 def test_report_shows_self_time_and_comparison_deltas():
     table = make_table()
-    _rows, report = explain_analyze(Sort(TableScan(table), SortSpec.of("C")))
+    _rows, report = explain_analyze(
+        Sort(TableScan(table), SortSpec.of("C"), config=COUNTED)
+    )
     sort_line = next(l for l in report.splitlines() if "Sort" in l)
     assert "(self " in sort_line
     assert "cols=" in sort_line or "codes=" in sort_line
