@@ -59,6 +59,7 @@ class ServeOutcome:
 
     fingerprint: Fingerprint
     #: The served result, or ``None`` for a miss (caller executes cold).
+    #: Its lists are the cache entry's own: copy before handing them on.
     table: Table | None = None
     #: ``"cache-hit(<order>)"`` or ``"modify-from-cache(<order>)"``.
     label: str | None = None
@@ -237,12 +238,17 @@ def install_result(
     table: Table,
     stats_delta: ComparisonStats,
     replayable: bool = True,
+    nbytes: int | None = None,
 ) -> bool:
-    """Register a cold execution's output (must carry codes)."""
+    """Register a cold execution's output (must carry codes).
+
+    ``nbytes`` is :meth:`OrderCache.install`'s pre-measured size hint.
+    """
     if table.ovcs is None:
         return False
     return cache.install(
-        fp, spec, table.rows, table.ovcs, stats_delta, replayable=replayable
+        fp, spec, table.rows, table.ovcs, stats_delta,
+        replayable=replayable, nbytes=nbytes,
     )
 
 

@@ -20,6 +20,15 @@ against the live input sequence otherwise (see
 
 Hashes are Python ``hash()`` values: stable within a process, which is
 exactly the cache's lifetime (it never persists fingerprints).
+
+A fingerprint is one O(n) pass over the rows, and the service, the
+cache dispatcher and the batch planner all ask for the same table's:
+:func:`fingerprint_table` therefore keeps its answer on the
+:class:`~repro.model.Table` and recomputes only when the table's row
+sequence no longer compares equal to the one it hashed (see
+:meth:`repro.model.Table._facts` — an exact check, so an edited table
+is never served from a stale key).  Passes actually run are counted as
+``cache.fingerprint_passes``; under repeat traffic it stays flat.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..model import Table
+from ..obs import METRICS
 
 _MASK = (1 << 64) - 1
 
@@ -58,6 +68,8 @@ def fingerprint_rows(
     rows: Sequence[tuple], schema_columns: tuple[str, ...]
 ) -> Fingerprint:
     """Fingerprint a row sequence (one pass, two hashes per row)."""
+    if METRICS.enabled:
+        METRICS.counter("cache.fingerprint_passes").inc()
     total = 0
     xor = 0
     seq = len(rows)
@@ -70,5 +82,12 @@ def fingerprint_rows(
 
 
 def fingerprint_table(table: Table) -> Fingerprint:
-    """Fingerprint a table's rows (sort order deliberately ignored)."""
-    return fingerprint_rows(table.rows, table.schema.columns)
+    """Fingerprint a table's rows (sort order deliberately ignored).
+
+    Memoized on the table: the pass runs once per distinct row
+    sequence, and again after any edit that changes it.
+    """
+    facts = table._facts()
+    if facts.fingerprint is None:
+        facts.fingerprint = fingerprint_rows(facts.rows, facts.schema.columns)
+    return facts.fingerprint

@@ -34,6 +34,13 @@ class TableScan(Operator):
         else:
             yield from zip(table.rows, table.ovcs)
 
+    def to_table(self) -> Table:
+        """The scanned table, not a copy: a consumer that materializes
+        its input (``Sort``, ``Query.order_by_many``) works on the
+        caller's :class:`Table` — and finds the facts memoized on it —
+        instead of rebuilding it row by row.  Treat it as read-only."""
+        return self._table
+
     def _explain_detail(self) -> str:
         return f"({len(self._table)} rows)" + super()._explain_detail()
 

@@ -38,6 +38,12 @@ output for future requests.  The strategy actually used is recorded in
 (``full-sort``, ``modify(<order>)``, ``cache-hit(<order>)``,
 ``modify-from-cache(<order>)``, ...).  The cache engages only on the
 in-memory ``method="auto"`` + ``use_ovc`` paths.
+
+Every non-passthrough path lives in :meth:`Sort._materialize`, which
+takes the child as a table (a ``TableScan`` child hands over the
+scanned table itself) and returns one; iteration and
+:meth:`Sort.to_table` are thin terminals over it, so a materialized
+result is never re-collected pair by pair.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from typing import Iterator
 
 from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
+from ..exec.memory import _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
 from ..ovc.derive import project_ovc
@@ -121,12 +128,15 @@ class Sort(Operator):
         self.order_strategy = outcome.label
         return outcome.table
 
-    def _install(self, cache, result: Table, delta) -> None:
+    def _install(self, cache, source: Table, result: Table, delta) -> None:
         from ..cache import install_result
 
         if cache is not None and self._cache_fp is not None:
+            # The output is a permutation of the source's rows, one code
+            # each: its size is the source's, already measured.
             install_result(
-                cache, self._cache_fp, self._spec, result, delta
+                cache, self._cache_fp, self._spec, result, delta,
+                nbytes=_table_nbytes(source, coded=True),
             )
 
     def _observe(self, mark, before, **ran) -> None:
@@ -149,30 +159,28 @@ class Sort(Operator):
             stats=self.stats - before, **ran,
         )
 
-    def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        child = self._child
-        if child.ordering is not None and child.ordering.satisfies(self._spec):
-            self.executed = "passthrough"
-            self.order_strategy = "passthrough"
-            arity = self._spec.arity
-            for row, ovc in child:
-                yield row, ovc if ovc is None else project_ovc(ovc, arity)
-            return
+    def _passes_through(self) -> bool:
+        ordering = self._child.ordering
+        return ordering is not None and ordering.satisfies(self._spec)
 
+    def _materialize(self) -> Table:
+        """Run the sort (any non-passthrough path) and return its output.
+
+        The returned lists may be the order cache's own (an exact hit
+        serves the entry as-is; an executed sort installs what it
+        returns): iteration hands out pairs, never the lists, and
+        :meth:`to_table` copies them.
+        """
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()
         cache = self._cache()
 
-        ordered = child.ordering is not None
-        if ordered:
-            table = child.to_table()
-        else:
-            table = Table(self.schema, [row for row, _ovc in child])
-        rows = table.rows
+        table = self._child.to_table()
+        ordered = table.sort_spec is not None
         if (
             not ordered
             and self._memory_capacity is not None
-            and len(rows) > self._memory_capacity
+            and len(table.rows) > self._memory_capacity
         ):
             sorter = ExternalMergeSort(
                 self._spec.positions(self.schema),
@@ -181,20 +189,18 @@ class Sort(Operator):
                 use_ovc=self._use_ovc,
                 directions=self._spec.directions,
             )
-            result = sorter.sort(rows)
+            result = sorter.sort(table.rows)
             self.executed = "external_sort"
             self.order_strategy = "external-sort"
             self.stats.merge(result.total_stats)
             self._observe(mark, mark_before)
-            yield from zip(result.rows, result.ovcs or (None,) * len(result.rows))
-            return
+            return Table(self.schema, result.rows, self._spec, result.ovcs)
 
         if cache is not None and (not ordered or table.ovcs is not None):
             served = self._serve(cache, table)
             if served is not None:
                 self._observe(mark, mark_before)
-                yield from _emit(served)
-                return
+                return served
 
         before = self.stats.snapshot()
         done = enforce_order(
@@ -207,11 +213,36 @@ class Sort(Operator):
         )
         self.executed = done.executed
         self.order_strategy = done.strategy
-        self._install(cache, done.table, self.stats - before)
+        self._install(cache, table, done.table, self.stats - before)
         self._observe(
             mark, mark_before, engine=done.engine, fallback=done.fallback
         )
-        yield from _emit(done.table)
+        return done.table
+
+    def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
+        if self._passes_through():
+            self.executed = "passthrough"
+            self.order_strategy = "passthrough"
+            arity = self._spec.arity
+            for row, ovc in self._child:
+                yield row, ovc if ovc is None else project_ovc(ovc, arity)
+            return
+        yield from _emit(self._materialize())
+
+    def to_table(self) -> Table:
+        """The sorted output as a table the caller owns.
+
+        A materialized result is handed over through two C-level list
+        slices rather than re-collected pair by pair from
+        :meth:`__iter__`; passthrough keeps streaming.
+        """
+        if self._passes_through():
+            return super().to_table()
+        out = self._materialize()
+        return Table(
+            self.schema, out.rows[:], self._spec,
+            None if out.ovcs is None else out.ovcs[:],
+        )
 
     def _children(self) -> list[Operator]:
         return [self._child]

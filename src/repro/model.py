@@ -261,6 +261,26 @@ class SortSpec:
 OVC = tuple
 
 
+class _Facts:
+    """Facts derived from one row sequence (see :meth:`Table._facts`).
+
+    ``rows`` is a shallow snapshot of the sequence the facts describe
+    and, with ``schema``, the witness they are revalidated against;
+    the other slots are filled by their owners on first use (``None``
+    = not computed yet): ``fingerprint`` by
+    :func:`repro.cache.fingerprint.fingerprint_table`, ``row_bytes`` by
+    :mod:`repro.exec.memory`.
+    """
+
+    __slots__ = ("rows", "schema", "fingerprint", "row_bytes")
+
+    def __init__(self, rows, schema: Schema) -> None:
+        self.rows = rows
+        self.schema = schema
+        self.fingerprint = None
+        self.row_bytes = None
+
+
 @dataclass
 class Table:
     """Rows plus optional sort order and per-row offset-value codes.
@@ -269,6 +289,13 @@ class Table:
     ``(offset, value)`` pairs relative to the preceding row under
     ``sort_spec``; the first row's code is ``(0, first sort column)``,
     mirroring Figure 5 of the paper.
+
+    A table is mutable: ``rows`` may be edited in place or re-assigned
+    at any time.  What the library derives from the row sequence and
+    keeps on the table (its content fingerprint, its accounted size) is
+    revalidated on every read against a snapshot of the rows it was
+    computed from, so an edit is never answered from stale facts — and
+    an unchanged table never pays for them twice.
     """
 
     schema: Schema
@@ -277,6 +304,7 @@ class Table:
     ovcs: list[OVC] | None = field(default=None)
 
     def __post_init__(self) -> None:
+        self._memo: _Facts | None = None
         if self.ovcs is not None and len(self.ovcs) != len(self.rows):
             raise ValueError(
                 f"{len(self.ovcs)} ovcs for {len(self.rows)} rows"
@@ -291,6 +319,28 @@ class Table:
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
+
+    def _facts(self) -> _Facts:
+        """The memo record for the rows as they are now.
+
+        The record is kept while ``self.rows`` compares equal to its
+        snapshot (a C-level list comparison that short-circuits on row
+        identity: microseconds for an untouched table) and the schema
+        is unchanged; anything else — an in-place edit, append, delete,
+        sort, or a re-assigned ``rows`` — starts a fresh, empty record.
+        Equal rows hash equally and are sized equally, so "compares
+        equal" is exactly the condition under which the facts hold.
+        Facts are computed from the snapshot, never from the live list,
+        so a record is always consistent with its own witness.
+        """
+        memo = self._memo
+        if (
+            memo is None
+            or memo.schema != self.schema
+            or self.rows != memo.rows
+        ):
+            memo = self._memo = _Facts(self.rows[:], self.schema)
+        return memo
 
     def column(self, name: str) -> list:
         p = self.schema.index_of(name)

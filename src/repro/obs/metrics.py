@@ -39,7 +39,9 @@ drift).  Counters:
   ``cache.rehydrates`` / ``cache.rejected`` — order-cache lifecycle;
   ``cache.modify_serves`` (related order produced by modifying a
   cached one) and ``cache.comparisons_saved`` (column comparisons
-  avoided by exact hits).
+  avoided by exact hits); ``cache.fingerprint_passes`` — O(n)
+  fingerprint passes actually run (flat under repeat traffic: a
+  table's fingerprint is memoized until its rows change).
 * ``exec.fan_in_reduced`` — merges split to honor ``max_fan_in``.
 * ``exec.mem.charged_bytes`` / ``exec.mem.spills`` /
   ``exec.mem.pressure_events`` — memory-accountant activity.

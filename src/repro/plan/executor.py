@@ -30,10 +30,11 @@ import concurrent.futures as cf
 import os
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _names, _retiebreak, install_result
+from ..cache.dispatch import _names, _retiebreak
 from ..cache.fingerprint import fingerprint_table
 from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
+from ..exec.memory import _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
@@ -93,9 +94,14 @@ def execute_plan(
     results: dict[int, NodeResult] = {}
 
     def _install(table: Table, delta, replayable: bool) -> None:
-        if cache is not None and fp is not None:
-            install_result(cache, fp, table.sort_spec, table, delta,
-                           replayable=replayable)
+        # ``table`` goes out in the response, so the cache keeps its own
+        # lists; sized from the source, whose rows these permute.
+        if cache is not None and fp is not None and table.ovcs is not None:
+            cache.install(
+                fp, table.sort_spec, table.rows[:], table.ovcs[:], delta,
+                replayable=replayable,
+                nbytes=_table_nbytes(source, coded=True),
+            )
 
     def _from_source(node, delta, fallback=False) -> NodeResult:
         spec = node.spec
@@ -124,7 +130,8 @@ def execute_plan(
             if hit is None:
                 return _from_source(node, delta, fallback=True)
             delta.merge(hit.stats_delta)
-            return NodeResult(idx, spec, hit.as_table(source.schema),
+            table = Table(source.schema, hit.rows[:], spec, hit.ovcs[:])
+            return NodeResult(idx, spec, table,
                               f"cache-hit({_names(spec)})", delta)
         if parent.kind == "cached":
             entry = cache.fetch(fp, parent.spec) if cache is not None else None

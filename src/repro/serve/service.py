@@ -40,6 +40,17 @@ in-flight source buffers are charged to the service's
 :class:`~repro.exec.memory.MemoryAccountant` under the
 ``serve.inflight`` category.
 
+What a request costs besides its execution: the coalescing key needs
+the source's content fingerprint and the ledger its accounted size —
+both O(n) over the rows, both memoized on the caller's
+:class:`~repro.model.Table` (revalidated against a snapshot of its
+rows, so tables may be edited between requests), so a submit over an
+unchanged table is O(1) bookkeeping.  The same ``Table`` object is what
+``Sort`` and the cache are handed, so they find the memo too, and a
+materialized result travels back as a table — the response's lists are
+C-level copies of the cache entry's, never a row-by-row re-collection.
+With the cache warm, a repeat request is a dictionary lookup.
+
 Observability: ``serve.*`` counters/gauges/histograms in the metrics
 registry, decision-grade ``serve.*`` structured-log events, and a
 ``service`` health check on ``/healthz``.
@@ -54,7 +65,7 @@ from ..cache.fingerprint import fingerprint_table
 from ..engine.scans import TableScan
 from ..engine.sort_op import Sort
 from ..exec.config import ExecutionConfig
-from ..exec.memory import MemoryAccountant, rows_nbytes
+from ..exec.memory import MemoryAccountant, _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
@@ -340,7 +351,7 @@ class OrderService:
                     f"admission queue full "
                     f"({self._queue.depth} pending executions)"
                 )
-            entry.nbytes = rows_nbytes(source.rows, source.ovcs)
+            entry.nbytes = _table_nbytes(source)
             self.accountant.charge("serve.inflight", entry.nbytes)
             return entry
 

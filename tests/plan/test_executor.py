@@ -112,6 +112,30 @@ def test_derive_batch_installs_into_cache():
     assert get_cache().counters()["hits"] >= 1
 
 
+def test_batch_responses_alias_neither_cache_nor_source():
+    """With the cache on, a batch installs every node and later batches
+    are exact hits: scribbling on any response must leave the source
+    and every later answer untouched."""
+    cfg = ExecutionConfig(cache="on")
+    configure_cache(budget=1 << 22)
+    source = _sorted_source(300)
+    rows, ovcs = list(source.rows), list(source.ovcs)
+    want = {spec: _solo(source, spec)[0] for spec in ORDERS}
+    labels = []
+    for _round in range(3):
+        result = derive_batch(source, ORDERS, config=cfg, max_concurrency=1)
+        for spec in ORDERS:
+            node = result.result_for(spec)
+            labels.append(node.label)
+            assert node.table.rows == want[spec].rows, (spec, node.label)
+            assert node.table.ovcs == want[spec].ovcs, (spec, node.label)
+            node.table.rows.reverse()
+            node.table.rows.pop()
+            node.table.ovcs.clear()
+        assert source.rows == rows and source.ovcs == ovcs
+    assert any(label.startswith("cache-hit(") for label in labels)
+
+
 def test_evicted_parent_falls_back_to_source():
     cfg = ExecutionConfig(cache="on")
     configure_cache(budget=1 << 22)

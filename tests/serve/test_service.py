@@ -381,6 +381,73 @@ def test_inflight_bytes_are_charged_and_released():
     assert svc.accountant.by_category.get("serve.inflight", 1) == 0
 
 
+def test_inflight_charge_equals_the_measured_size():
+    """The O(1) memo-backed charge is the number rows_nbytes would give."""
+    from repro.exec.memory import rows_nbytes
+
+    table = _table(300)
+    with OrderService(ExecutionConfig(service_threads=1)) as svc:
+        svc.order_by(table, "B", "A")
+        assert svc.accountant.peak == rows_nbytes(table.rows, table.ovcs)
+        table.rows.extend([(1, 2, 3, 4)] * 50)
+        peak_before = svc.accountant.peak
+        svc.order_by(table, "B", "A")
+        assert svc.accountant.peak == rows_nbytes(table.rows, table.ovcs)
+        assert svc.accountant.peak > peak_before
+
+
+def test_warm_hit_runs_no_per_row_pass(monkeypatch):
+    """The saving is structural: a repeat request over an unchanged
+    table on a warm cache neither fingerprints nor sizes a single row —
+    and the first request fingerprints exactly once, sizes exactly once."""
+    import repro.cache.fingerprint as fp_mod
+    import repro.storage.pages as pages_mod
+
+    passes, sized = [], []
+    real_fp, real_size = fp_mod.fingerprint_rows, pages_mod.row_size_bytes
+    monkeypatch.setattr(
+        fp_mod, "fingerprint_rows",
+        lambda rows, cols: passes.append(len(rows)) or real_fp(rows, cols),
+    )
+    monkeypatch.setattr(
+        pages_mod, "row_size_bytes",
+        lambda row: sized.append(1) or real_size(row),
+    )
+    METRICS.enable(clear=True)
+    table = _table(300)
+    spec = SortSpec.of("B", "A", "C", "D")
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        cold = svc.order_by(table, spec)
+        assert cold.label == "full-sort"
+        assert passes == [300] and len(sized) == 300
+        for _ in range(3):
+            warm = svc.order_by(table, spec)
+            assert warm.label == "cache-hit(B,A,C,D)"
+            assert (warm.table.rows, warm.table.ovcs) == \
+                (cold.table.rows, cold.table.ovcs)
+        assert passes == [300] and len(sized) == 300
+    assert METRICS.as_dict()["counters"]["cache.fingerprint_passes"] == 1
+
+
+@pytest.mark.parametrize("cache", ["off", "on"])
+def test_responses_alias_neither_cache_nor_source(cache):
+    table = _table(200)
+    rows = list(table.rows)
+    spec = SortSpec.of("C", "A")
+    want_rows, want_ovcs, _ = _serial_uncached(table, spec)
+    cfg = ExecutionConfig(cache=cache, service_threads=1)
+    with OrderService(cfg) as svc:
+        for _round in range(3):
+            resp = svc.order_by(table, spec)
+            assert resp.table.rows == want_rows
+            assert resp.table.ovcs == want_ovcs
+            resp.table.rows.reverse()
+            resp.table.rows.pop()
+            resp.table.ovcs.clear()
+            assert table.rows == rows
+
+
 def test_health_reflects_rejections(monkeypatch):
     frozen = _frozen(monkeypatch)
     monkeypatch.setattr(service_mod, "TableScan", _Scan)
