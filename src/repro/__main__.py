@@ -624,8 +624,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="MS",
         default=None,
         help="order-service micro-batch window: drain the admission"
-        " queue this long and plan same-source siblings as one shared"
-        " derivation tree (default: off)",
+        " queue at most this long (less when arrivals stop) and plan"
+        " same-source siblings as one shared derivation tree"
+        " (default: off)",
     )
     parser.add_argument(
         "--load",

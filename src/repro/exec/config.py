@@ -166,10 +166,12 @@ class ExecutionConfig:
     plan_window_ms:
         Micro-batch window of the serving layer's derivation planner
         (:mod:`repro.plan`): after picking up a request, a scheduler
-        thread keeps draining the admission queue for this many
-        milliseconds and plans same-source siblings as one shared
-        derivation tree.  ``None`` (default) disables batching —
-        every request executes independently on arrival.
+        thread keeps draining the admission queue for at most this
+        many milliseconds — less when arrivals stop: one wait of an
+        eighth of the window without an arrival closes it — and plans
+        same-source siblings as one shared derivation tree.  ``None``
+        (default) disables batching — every request executes
+        independently on arrival.
     """
 
     engine: str = "auto"

@@ -269,16 +269,22 @@ class _Facts:
     the other slots are filled by their owners on first use (``None``
     = not computed yet): ``fingerprint`` by
     :func:`repro.cache.fingerprint.fingerprint_table`, ``row_bytes`` by
-    :mod:`repro.exec.memory`.
+    :mod:`repro.exec.memory`, ``cardinality`` (the table's
+    :class:`~repro.plan.cardinality.CardinalityEstimator` and, inside
+    it, every distinct count estimated so far) by
+    :func:`repro.plan.planner.plan_batch`.  Each depends only on the
+    row multiset, its arrangement and the schema — what the witness
+    guards.
     """
 
-    __slots__ = ("rows", "schema", "fingerprint", "row_bytes")
+    __slots__ = ("rows", "schema", "fingerprint", "row_bytes", "cardinality")
 
     def __init__(self, rows, schema: Schema) -> None:
         self.rows = rows
         self.schema = schema
         self.fingerprint = None
         self.row_bytes = None
+        self.cardinality = None
 
 
 @dataclass
@@ -292,10 +298,11 @@ class Table:
 
     A table is mutable: ``rows`` may be edited in place or re-assigned
     at any time.  What the library derives from the row sequence and
-    keeps on the table (its content fingerprint, its accounted size) is
-    revalidated on every read against a snapshot of the rows it was
-    computed from, so an edit is never answered from stale facts — and
-    an unchanged table never pays for them twice.
+    keeps on the table (its content fingerprint, its accounted size,
+    the batch planner's distinct-count estimates) is revalidated on
+    every read against a snapshot of the rows it was computed from, so
+    an edit is never answered from stale facts — and an unchanged table
+    never pays for them twice.
     """
 
     schema: Schema

@@ -102,7 +102,9 @@ Histograms:
   ``plan.est_speedup`` — the plan's estimated comparisons saved vs
   independent execution.
 * ``serve.latency_ms`` — per-request submit-to-response latency;
-  ``serve.fanout`` — waiters served per execution (coalescing win).
+  ``serve.fanout`` — waiters served per execution (coalescing win);
+  ``serve.window_held_ms`` — how long a micro-batch window held its
+  first request before closing (at most ``plan_window_ms``).
 
 The ``comparisons.*`` family is dynamic (one counter per
 :class:`~repro.ovc.stats.ComparisonStats` field via

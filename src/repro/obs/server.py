@@ -220,13 +220,15 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
 
     def _respond(self, code: int, body: str, content_type: str) -> None:
         payload = body.encode("utf-8")
+        # Counted before the payload goes out, so a client that has its
+        # answer never reads a count that does not include its request.
+        if METRICS.enabled:
+            METRICS.counter("server.requests").inc()
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
-        if METRICS.enabled:
-            METRICS.counter("server.requests").inc()
 
     def _respond_json(self, code: int, obj: dict) -> None:
         self._respond(

@@ -11,7 +11,9 @@ instead of from the source N times.  Entry points:
 * :func:`derive_batch` — plan + execute in one call (what
   ``Query.order_by_many`` and the serving layer's micro-batching use);
 * :func:`plan_batch` / :func:`execute_plan` — the two halves, for
-  callers that want to inspect or EXPLAIN the plan first;
+  callers that want to inspect or EXPLAIN the plan first
+  (``on_node=`` on the executing half reports each order as soon as
+  it is derived);
 * :meth:`DerivationPlan.explain` — the chosen tree as text.
 
 Every node's rows and codes are bit-identical to what an independent

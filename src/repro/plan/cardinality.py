@@ -15,7 +15,10 @@ is the whole table the count is exact; when no doubletons exist the
 singleton density is scaled linearly.  Results are clamped to
 ``[d_s, n]`` and memoized per column set — distinct counts do not
 depend on column order or sort direction, so one probe serves every
-edge that touches the same columns.
+edge that touches the same columns.  They depend on nothing but the
+rows and the schema either, so the planner keeps one estimator per
+table, on the table (:func:`repro.plan.planner.plan_batch`), and the
+memo outlives the batch that filled it.
 """
 
 from __future__ import annotations

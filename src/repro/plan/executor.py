@@ -18,16 +18,21 @@ reports exactly what the solo execution would have, a node derived
 from a cached or sibling order reports its (cheaper) modification work
 — the same accounting the cache's modify-from-cache serves already use.
 
-Independent subtrees execute concurrently: nodes whose parents are
-materialized start immediately, each completion releases its children.
-A mispredicted parent (evicted cache entry, kernel type error) falls
-back to deriving from the source, never failing the batch.
+Nodes run one after another in the calling thread, parents first
+(``plan.order``); under the interpreter lock a thread pool bought
+nothing here.  Each finished node is handed to the caller's ``on_node``
+callback before the next one starts, so a server can answer the first
+order of a batch while the last is still being derived; a node that
+later nodes derive from is copied (two C-level list copies) before it
+is handed out, because from then on its lists belong to whoever the
+callback gave them to.  A mispredicted parent (evicted cache entry,
+kernel type error) falls back to deriving from the source, never
+failing the batch.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
+import time
 from dataclasses import dataclass, field
 
 from ..cache.dispatch import _names, _retiebreak
@@ -87,11 +92,19 @@ def execute_plan(
     cache=None,
     fp=None,
     config: ExecutionConfig | None = None,
-    max_concurrency: int | None = None,
+    on_node=None,
 ) -> dict[int, NodeResult]:
-    """Materialize every requested node of ``plan``; see module docs."""
+    """Materialize every requested node of ``plan``; see module docs.
+
+    ``on_node(result)`` is called with each :class:`NodeResult` as soon
+    as it exists; an exception it raises propagates like a kernel's.
+    """
     cfg = config if config is not None else ExecutionConfig.default()
     results: dict[int, NodeResult] = {}
+    #: Parent tables sibling derivations read: the node's own table, or
+    #: a private copy once ``on_node`` has given that table away.
+    parents: dict[int, Table] = {}
+    has_children = {plan.nodes[idx].parent for idx in plan.order}
 
     def _install(table: Table, delta, replayable: bool) -> None:
         # ``table`` goes out in the response, so the cache keeps its own
@@ -140,7 +153,7 @@ def execute_plan(
             ptable = entry.as_table(source.schema)
             label = f"modify-from-cache({_names(parent.spec)})"
         else:
-            ptable = results[node.parent].table
+            ptable = parents[node.parent]
             label = f"plan-derive({_names(parent.spec)})"
         try:
             derived = enforce_order(ptable, spec, stats=delta, config=cfg).table
@@ -153,33 +166,16 @@ def execute_plan(
         _install(table, delta, replayable=False)
         return NodeResult(idx, spec, table, label, delta)
 
-    workers = (
-        max_concurrency
-        if max_concurrency is not None
-        else min(4, os.cpu_count() or 1)
-    )
-    if workers <= 1 or len(plan.order) <= 1:
-        for idx in plan.order:
-            results[idx] = _run(idx)
-        return results
-
-    children: dict[int, list[int]] = {}
-    ready: list[int] = []
     for idx in plan.order:
-        parent = plan.nodes[idx].parent
-        if plan.nodes[parent].requested:
-            children.setdefault(parent, []).append(idx)
-        else:
-            ready.append(idx)
-    with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = {pool.submit(_run, idx): idx for idx in ready}
-        while pending:
-            done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
-            for fut in done:
-                idx = pending.pop(fut)
-                results[idx] = fut.result()
-                for child in children.get(idx, ()):  # parents release kids
-                    pending[pool.submit(_run, child)] = child
+        done = results[idx] = _run(idx)
+        if idx in has_children:
+            table = done.table
+            parents[idx] = table if on_node is None else Table(
+                table.schema, table.rows[:], table.sort_spec,
+                None if table.ovcs is None else table.ovcs[:],
+            )
+        if on_node is not None:
+            on_node(done)
     return results
 
 
@@ -188,14 +184,15 @@ def derive_batch(
     orders,
     *,
     config: ExecutionConfig | None = None,
-    max_concurrency: int | None = None,
+    on_node=None,
 ) -> BatchResult:
     """Plan and execute a batch of target orders over ``source``.
 
     ``orders`` accepts the same shapes as ``Query.order_by`` targets:
     :class:`SortSpec`, a column-name string, or an iterable of columns.
     Returns a :class:`BatchResult`; per-order tables come back in
-    request order from :meth:`BatchResult.tables`.
+    request order from :meth:`BatchResult.tables`.  ``on_node`` is
+    :func:`execute_plan`'s per-node completion callback.
     """
     cfg = config if config is not None else ExecutionConfig.default()
     specs = [_coerce(o) for o in orders]
@@ -215,23 +212,30 @@ def derive_batch(
     if cache is not None:
         fp = fingerprint_table(source)
 
+    started = time.perf_counter()
     plan = plan_batch(
         source, specs, cache=cache, fingerprint=fp, config=cfg
     )
-    if LOG.enabled:
-        LOG.event(
-            "plan.batch",
-            orders=len(plan.order),
-            nodes=len(plan.nodes),
-            sibling_edges=plan.sibling_edges(),
-            est_independent=round(plan.est_independent),
-            est_planned=round(plan.est_planned),
-            est_speedup=round(min(plan.est_speedup, 1e6), 3),
+    planned = time.perf_counter()
+    try:
+        results = execute_plan(
+            plan, source, cache=cache, fp=fp, config=cfg, on_node=on_node
         )
-    results = execute_plan(
-        plan, source, cache=cache, fp=fp, config=cfg,
-        max_concurrency=max_concurrency,
-    )
+    finally:
+        if LOG.enabled:
+            LOG.event(
+                "plan.batch",
+                orders=len(plan.order),
+                nodes=len(plan.nodes),
+                sibling_edges=plan.sibling_edges(),
+                est_independent=round(plan.est_independent),
+                est_planned=round(plan.est_planned),
+                est_speedup=round(min(plan.est_speedup, 1e6), 3),
+                plan_ms=round((planned - started) * 1000, 3),
+                execute_ms=round(
+                    (time.perf_counter() - planned) * 1000, 3
+                ),
+            )
     result.plan = plan
     result.results = results
     for node_result in results.values():

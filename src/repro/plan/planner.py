@@ -17,6 +17,12 @@ is itself only planned, and the dispatcher's ``WIN_MARGIN`` applied as
 a selection bias so near-ties resolve toward deriving straight from
 the source (estimates are noisy; the source is the safe parent).
 Reported costs are always the unbiased estimates.
+
+The estimator — and with it every distinct count estimated so far —
+is kept on the source :class:`~repro.model.Table` (its memo record,
+revalidated against a snapshot of the rows like the table's
+fingerprint), so only the first batch over a table pays the O(n)
+sampling passes; later batches price their edges in O(edges).
 """
 
 from __future__ import annotations
@@ -164,12 +170,13 @@ def plan_batch(
         nodes.append(PlanNode(idx, spec, "requested", True))
         spec_nodes[spec] = idx
 
-    estimator: list[CardinalityEstimator | None] = [None]
+    estimator: CardinalityEstimator | None = None
 
     def _distinct(names: tuple) -> int:
-        if estimator[0] is None:
-            estimator[0] = CardinalityEstimator(source.rows, source.schema)
-        return estimator[0].distinct(names)
+        nonlocal estimator
+        if estimator is None:
+            estimator = _table_estimator(source)
+        return estimator.distinct(names)
 
     def _pair_cost(u: int, child_spec: SortSpec) -> float:
         parent_spec = nodes[u].spec
@@ -250,6 +257,19 @@ def plan_batch(
         est_planned=sum(x.edge_cost for x in nodes if x.requested),
         spec_nodes=spec_nodes,
     )
+
+
+def _table_estimator(source: Table) -> CardinalityEstimator:
+    """``source``'s estimator, remembered on the table while its rows stand.
+
+    Built over the memo record's own row snapshot, so the estimates are
+    always consistent with the witness that revalidates them; two
+    threads racing here build equal estimators and either may win.
+    """
+    facts = source._facts()
+    if facts.cardinality is None:
+        facts.cardinality = CardinalityEstimator(facts.rows, facts.schema)
+    return facts.cardinality
 
 
 def _strategy_label(parent: PlanNode, node: PlanNode) -> str:

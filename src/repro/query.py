@@ -115,7 +115,6 @@ class Query:
         orders: Sequence,
         *,
         config: "ExecutionConfig | None" = None,
-        max_concurrency: int | None = None,
     ) -> list[Table]:
         """Materialize several sort orders of this query at once.
 
@@ -140,9 +139,7 @@ class Query:
             if not list(orders):
                 self._observe(mark, "query.order_by_many", len(source.rows))
                 return []
-            result = derive_batch(
-                source, orders, config=config, max_concurrency=max_concurrency
-            )
+            result = derive_batch(source, orders, config=config)
             self._op.stats.merge(result.stats)
             if LOG.enabled:
                 LOG.event(

@@ -27,8 +27,10 @@ coalescing), :mod:`.request` (response/in-flight shapes),
 driver behind ``serve --load``).
 
 With ``ExecutionConfig.plan_window_ms`` set, scheduler threads drain
-the queue in micro-batches and execute same-source groups as one
-shared derivation tree through :mod:`repro.plan`.
+the queue in micro-batches (held while arrivals keep coming, for the
+window at most) and execute same-source groups as one shared
+derivation tree through :mod:`repro.plan`, answering each request as
+soon as its order is derived.
 """
 
 from .errors import (

@@ -60,11 +60,16 @@ class AdmissionQueue:
         Pops from the front tenant of the rotation and moves that
         tenant to the back (if it still has pending work), so K tenants
         with backlogs are served 1/K each regardless of arrival rates.
+        ``timeout`` bounds the whole call: a getter that is woken only
+        to find the item already taken by another consumer waits for
+        what is left of it, not for all of it again.
         """
         with self._cond:
-            while self._size == 0:
-                if self._closed or not self._cond.wait(timeout=timeout):
-                    return None
+            self._cond.wait_for(
+                lambda: self._size > 0 or self._closed, timeout
+            )
+            if self._size == 0:
+                return None
             tenant, pending = next(iter(self._tenants.items()))
             item = pending.popleft()
             if pending:

@@ -25,11 +25,14 @@ One in-process service owns the workload-level concerns that a solo
   trivially equivalent targets (trailing keys implied by a unique
   prefix) coalesce instead of executing separately.
 * **Micro-batch planning** — with ``config.plan_window_ms`` set, a
-  scheduler thread holds its first request for that window, drains
-  concurrently pending work, and hands same-source groups of
+  scheduler thread holds its first request while more keep arriving —
+  the window is an upper bound, closed early by one wait of an eighth
+  of it that brings nothing — and hands same-source groups of
   *distinct-but-related* orders to the batch derivation planner
-  (:mod:`repro.plan`) as one shared derivation tree; rows and codes
-  stay bit-identical per request, at a fraction of the comparisons.
+  (:mod:`repro.plan`) as one shared derivation tree.  Each request is
+  answered the moment its own order is derived, not when the batch is
+  done; a batch that fails part-way re-runs solo only what it had not
+  yet answered.  Rows and codes stay bit-identical per request.
 
 Executions run on ``config.service_threads`` scheduler threads, each
 through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
@@ -82,6 +85,10 @@ from .request import Inflight, OrderResponse
 #: Sentinel: "use the service's default deadline" (``None`` means
 #: explicitly no deadline, so it cannot double as the default).
 _DEFAULT_DEADLINE = object()
+
+#: A micro-batch window closes early once this fraction of it (1/8)
+#: passes without an arrival; see :meth:`OrderService._drain_batch`.
+_IDLE_DIVISOR = 8
 
 #: The most recently created, not-yet-closed service (for /healthz).
 _CURRENT: "OrderService | None" = None
@@ -399,24 +406,35 @@ class OrderService:
             if window is None:
                 self._execute(entry)
             else:
-                self._execute_batch(self._drain_batch(entry, window / 1000.0))
+                self._execute_batch(*self._drain_batch(entry, window / 1000.0))
 
-    def _drain_batch(self, first: Inflight, window_s: float) -> list:
-        """Hold ``first`` for up to ``window_s`` while draining the
-        queue, collecting a micro-batch of concurrently pending work."""
+    def _drain_batch(self, first: Inflight, window_s: float) -> tuple:
+        """Collect a micro-batch: ``first`` plus what arrives behind it.
+
+        ``window_s`` is the longest ``first`` is held, not how long it
+        is held: the window closes as soon as one wait of
+        ``window_s / _IDLE_DIVISOR`` brings no arrival (a burst has
+        ended, or there never was one).  Returns the entries and the
+        milliseconds ``first`` was held.
+        """
         entries = [first]
-        deadline = self._clock() + window_s
+        start = self._clock()
+        deadline = start + window_s
+        idle = window_s / _IDLE_DIVISOR
         while True:
             remaining = deadline - self._clock()
             if remaining <= 0:
-                return entries
-            entry = self._queue.get(timeout=remaining)
-            if entry is not None:
-                entries.append(entry)
-            elif self._closed:
-                return entries
+                break
+            entry = self._queue.get(timeout=min(idle, remaining))
+            if entry is None:
+                break
+            entries.append(entry)
+        held_ms = (self._clock() - start) * 1000.0
+        if METRICS.enabled:
+            METRICS.histogram("serve.window_held_ms").observe(held_ms)
+        return entries, held_ms
 
-    def _execute_batch(self, entries: list) -> None:
+    def _execute_batch(self, entries: list, held_ms: float) -> None:
         """Execute one drained micro-batch: same-source groups of two
         or more go through the derivation planner as one shared tree,
         everything else takes the ordinary solo path."""
@@ -427,9 +445,9 @@ class OrderService:
             if len(group) == 1:
                 self._execute(group[0])
             else:
-                self._plan_group(group)
+                self._plan_group(group, held_ms)
 
-    def _plan_group(self, group: list) -> None:
+    def _plan_group(self, group: list, held_ms: float) -> None:
         from ..plan import derive_batch
 
         now = self._clock()
@@ -457,51 +475,62 @@ class OrderService:
             return
         with self._stats_lock:
             self._executing += len(live)
+        #: Entries not yet answered; a group's specs are distinct
+        #: (identical ones coalesced at admission).
+        pending = {entry.spec: entry for entry in live}
+
+        def _publish(node) -> None:
+            # One order of the batch is derived: answer its waiters now,
+            # not when the last order is.  Counted before the wake-up,
+            # so a client holding a response reads counters that
+            # include it.
+            first = len(pending) == len(live)
+            entry = pending.pop(node.spec)
+            entry.table = node.table
+            entry.label = node.label
+            entry.stats_delta = node.stats_delta
+            with self._stats_lock:
+                self._executing -= 1
+                self._counters["executions"] += 1
+                self._counters["planned"] += 1
+                if first:
+                    self._counters["planned_batches"] += 1
+            if METRICS.enabled:
+                METRICS.counter("serve.executions").inc()
+                METRICS.counter("serve.planned_requests").inc()
+                if first:
+                    METRICS.counter("serve.planned_batches").inc()
+                METRICS.histogram("serve.fanout").observe(entry.waiters)
+            self._finish(entry)
+
         try:
             with LOG.query_scope():
                 result = derive_batch(
                     live[0].source, [e.spec for e in live],
-                    config=self._config,
-                )
-            for entry in live:
-                node = result.result_for(entry.spec)
-                entry.table = node.table
-                entry.label = node.label
-                entry.stats_delta = node.stats_delta
-            self._count("executions", len(live))
-            self._count("planned", len(live))
-            self._count("planned_batches")
-            if METRICS.enabled:
-                METRICS.counter("serve.executions").inc(len(live))
-                METRICS.counter("serve.planned_requests").inc(len(live))
-                METRICS.counter("serve.planned_batches").inc()
-                for entry in live:
-                    METRICS.histogram("serve.fanout").observe(entry.waiters)
-            if LOG.enabled:
-                LOG.event(
-                    "serve.batch",
-                    orders=len(live),
-                    sibling_edges=result.plan.sibling_edges(),
-                    est_speedup=round(
-                        min(result.plan.est_speedup, 1e6), 3
-                    ),
-                    fallbacks=result.fallbacks,
+                    config=self._config, on_node=_publish,
                 )
         except BaseException as exc:  # noqa: BLE001 - solo path recovers
+            # Whatever was published stays answered; only the rest of
+            # the batch re-runs, each entry on the ordinary solo path.
             with self._stats_lock:
-                self._executing -= len(live)
+                self._executing -= len(pending)
             if LOG.enabled:
                 LOG.event(
-                    "serve.batch_fallback", orders=len(live),
-                    error=repr(exc),
+                    "serve.batch_fallback", orders=len(pending),
+                    published=len(live) - len(pending), error=repr(exc),
                 )
-            for entry in live:
+            for entry in pending.values():
                 self._execute(entry)
             return
-        with self._stats_lock:
-            self._executing -= len(live)
-        for entry in live:
-            self._finish(entry)
+        if LOG.enabled:
+            LOG.event(
+                "serve.batch",
+                orders=len(live),
+                sibling_edges=result.plan.sibling_edges(),
+                est_speedup=round(min(result.plan.est_speedup, 1e6), 3),
+                fallbacks=result.fallbacks,
+                held_ms=round(held_ms, 3),
+            )
 
     def _execute(self, entry: Inflight) -> None:
         now = self._clock()

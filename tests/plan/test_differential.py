@@ -5,7 +5,7 @@ codes must match what an independent ``Sort`` of the same order would
 produce, whatever parent the arborescence picked.  Hypothesis drives
 random tables (tiny domains, so duplicate groups and full-key ties are
 dense), random order batches drawn from permutations and prefixes,
-both engines, ordered and unordered sources, and thread counts.
+both engines, ordered and unordered sources.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ def _solo(source: Table, spec: SortSpec, cfg: ExecutionConfig):
     return op.to_table(), op.stats
 
 
-def _check(source: Table, specs, cfg: ExecutionConfig, workers: int):
-    result = derive_batch(
-        source, specs, config=cfg, max_concurrency=workers
-    )
+def _check(source: Table, specs, cfg: ExecutionConfig):
+    result = derive_batch(source, specs, config=cfg)
     for spec in specs:
         ref_table, ref_stats = _solo(source, spec, cfg)
         node = result.result_for(spec)
@@ -70,33 +68,33 @@ def _check(source: Table, specs, cfg: ExecutionConfig, workers: int):
             assert node.stats_delta.as_dict() == ref_stats.as_dict(), spec
 
 
-@given(rows_st, batch_st, st.sampled_from([1, 2, 4]))
+@given(rows_st, batch_st)
 @settings(max_examples=60, deadline=None)
-def test_unordered_source_reference_engine(rows, specs, workers):
+def test_unordered_source_reference_engine(rows, specs):
     source = Table(SCHEMA, rows, None, None)
-    _check(source, specs, ExecutionConfig(cache="off"), workers)
+    _check(source, specs, ExecutionConfig(cache="off"))
 
 
-@given(rows_st, batch_st, st.sampled_from([1, 2, 4]))
+@given(rows_st, batch_st)
 @settings(max_examples=60, deadline=None)
-def test_ordered_source_reference_engine(rows, specs, workers):
+def test_ordered_source_reference_engine(rows, specs):
     base = Table(SCHEMA, rows, None, None)
     source = Sort(
         TableScan(base), SortSpec.of("A", "B", "C"),
         config=ExecutionConfig(cache="off"),
     ).to_table()
-    _check(source, specs, ExecutionConfig(cache="off"), workers)
+    _check(source, specs, ExecutionConfig(cache="off"))
 
 
-@given(rows_st, batch_st, st.sampled_from([1, 4]))
+@given(rows_st, batch_st)
 @settings(max_examples=40, deadline=None)
-def test_ordered_source_fast_engine(rows, specs, workers):
+def test_ordered_source_fast_engine(rows, specs):
     cfg = ExecutionConfig(cache="off", engine="fast")
     base = Table(SCHEMA, rows, None, None)
     source = Sort(
         TableScan(base), SortSpec.of("A", "B", "C"), config=cfg
     ).to_table()
-    _check(source, specs, cfg, workers)
+    _check(source, specs, cfg)
 
 
 @given(rows_st, batch_st)
@@ -112,7 +110,7 @@ def test_batch_with_cache_enabled(rows, specs):
         source = Sort(
             TableScan(base), SortSpec.of("A", "B", "C"), config=cfg
         ).to_table()
-        result = derive_batch(source, specs, config=cfg, max_concurrency=1)
+        result = derive_batch(source, specs, config=cfg)
         solo_cfg = ExecutionConfig(cache="off")
         for spec in specs:
             ref_table, _ = _solo(source, spec, solo_cfg)

@@ -78,17 +78,47 @@ def test_unordered_source_full_sorts_once_then_derives():
         assert node.table.ovcs == ref_table.ovcs
 
 
-def test_concurrency_matches_serial():
+def test_on_node_gets_each_result_parents_first():
     source = _sorted_source(900, seed=2)
-    serial = derive_batch(source, ORDERS, config=CFG, max_concurrency=1)
-    threaded = derive_batch(source, ORDERS, config=CFG, max_concurrency=4)
+    seen = []
+    result = derive_batch(source, ORDERS, config=CFG, on_node=seen.append)
+    assert result.plan.sibling_edges() >= 1
+    assert [node.index for node in seen] == result.plan.order
+    for node in seen:
+        assert result.results[node.index] is node
+
+
+def test_published_parent_may_be_scribbled_on_mid_batch():
+    """Once ``on_node`` has a node, its lists are the callee's: later
+    nodes derive from the executor's own copy."""
+    source = _sorted_source(900, seed=2)
+    want = {spec: _solo(source, spec)[0] for spec in ORDERS}
+    got = {}
+
+    def _take(node):
+        got[node.spec] = (node.table.rows[:], node.table.ovcs[:])
+        node.table.rows.reverse()
+        node.table.ovcs.clear()
+
+    result = derive_batch(source, ORDERS, config=CFG, on_node=_take)
+    assert result.plan.sibling_edges() >= 1
+    assert result.fallbacks == 0  # not rescued by re-deriving from the source
     for spec in ORDERS:
-        a, b = serial.result_for(spec), threaded.result_for(spec)
-        assert a.table.rows == b.table.rows
-        assert a.table.ovcs == b.table.ovcs
-        assert a.stats_delta.as_dict() == b.stats_delta.as_dict()
-        assert a.label == b.label
-    assert serial.stats.as_dict() == threaded.stats.as_dict()
+        assert got[spec] == (want[spec].rows, want[spec].ovcs), spec
+
+
+def test_on_node_error_stops_the_batch():
+    source = _sorted_source(300)
+    seen = []
+
+    def _second_fails(node):
+        seen.append(node.spec)
+        if len(seen) == 2:
+            raise RuntimeError("callback failure")
+
+    with pytest.raises(RuntimeError, match="callback failure"):
+        derive_batch(source, ORDERS, config=CFG, on_node=_second_fails)
+    assert len(seen) == 2
 
 
 def test_empty_batch():
@@ -123,7 +153,7 @@ def test_batch_responses_alias_neither_cache_nor_source():
     want = {spec: _solo(source, spec)[0] for spec in ORDERS}
     labels = []
     for _round in range(3):
-        result = derive_batch(source, ORDERS, config=cfg, max_concurrency=1)
+        result = derive_batch(source, ORDERS, config=cfg)
         for spec in ORDERS:
             node = result.result_for(spec)
             labels.append(node.label)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import threading
+
 import pytest
+
+import repro.plan.cardinality as cardinality_mod
+import repro.plan.planner as planner_mod
 
 from repro.cache import (
     configure_cache,
@@ -12,9 +18,9 @@ from repro.cache import (
 )
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
-from repro.model import Schema, SortSpec
+from repro.model import Schema, SortSpec, Table
 from repro.ovc.stats import ComparisonStats
-from repro.plan import plan_batch
+from repro.plan import CardinalityEstimator, plan_batch
 from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
@@ -152,3 +158,103 @@ def test_planning_is_deterministic():
     ]
     assert first.order == second.order
     assert first.est_planned == pytest.approx(second.est_planned)
+
+
+# ----------------------------------------------- estimates kept on the table
+
+ROTATIONS = [
+    SortSpec.of("B", "C", "D", "A"),
+    SortSpec.of("C", "D", "A", "B"),
+    SortSpec.of("D", "A", "B", "C"),
+]
+
+
+def _costs(plan):
+    return [
+        (n.spec, n.parent, n.edge_cost, n.baseline_cost)
+        for n in _requested(plan)
+    ]
+
+
+def _fresh_costs(source):
+    """The plan of a table that remembers nothing about ``source``."""
+    twin = Table(source.schema, list(source.rows), source.sort_spec,
+                 list(source.ovcs))
+    return _costs(plan_batch(twin, ROTATIONS))
+
+
+def _count_estimation_work(monkeypatch):
+    """Count estimator constructions and full-sample ``Counter`` passes."""
+    work = {"estimators": 0, "passes": 0}
+
+    class CountingEstimator(CardinalityEstimator):
+        def __init__(self, *args, **kwargs):
+            work["estimators"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_counter(*args, **kwargs):
+        work["passes"] += 1
+        return collections.Counter(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod, "CardinalityEstimator", CountingEstimator)
+    monkeypatch.setattr(cardinality_mod, "Counter", counting_counter)
+    return work
+
+
+def test_estimates_are_computed_once_per_table(monkeypatch):
+    work = _count_estimation_work(monkeypatch)
+    source = _sorted_source()
+    first = plan_batch(source, ROTATIONS)
+    assert work["estimators"] == 1 and work["passes"] >= 1
+    after_first = dict(work)
+    second = plan_batch(source, ROTATIONS)
+    assert work == after_first  # priced from the table's memo
+    assert _costs(second) == _costs(first)
+    # A different batch over the same table adds only its new column sets.
+    plan_batch(source, [SortSpec.of("B", "A"), SortSpec.of("B", "D", "A")])
+    assert work["estimators"] == 1
+
+
+@pytest.mark.parametrize("edit", ["in-place", "re-assigned"])
+def test_row_edit_recomputes_estimates(monkeypatch, edit):
+    work = _count_estimation_work(monkeypatch)
+    source = _sorted_source()
+    before = _costs(plan_batch(source, ROTATIONS))
+    # Collapse all but a few rows onto one: every distinct count drops.
+    keep = 10
+    if edit == "in-place":
+        for i in range(keep, len(source.rows)):
+            source.rows[i] = source.rows[keep]
+    else:
+        source.rows = source.rows[:keep] + [source.rows[keep]] * (
+            len(source.rows) - keep
+        )
+    after = _costs(plan_batch(source, ROTATIONS))
+    assert work["estimators"] == 2
+    assert after != before
+    assert after == _fresh_costs(source)
+    memo = source._facts().cardinality
+    fresh = CardinalityEstimator(source.rows, source.schema)
+    assert memo._memo  # the estimator was consulted, so this compares something
+    for names, estimate in memo._memo.items():
+        assert estimate == fresh.distinct(tuple(names))
+
+
+def test_concurrent_planners_of_one_table_agree():
+    source = _sorted_source(2000)
+    want = _fresh_costs(source)
+    barrier = threading.Barrier(2)
+    got = []
+
+    def _plan():
+        barrier.wait(timeout=10)
+        got.append(_costs(plan_batch(source, ROTATIONS)))
+
+    threads = [threading.Thread(target=_plan) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want]
+    assert _costs(plan_batch(source, ROTATIONS)) == want

@@ -1,16 +1,19 @@
 """Micro-batch planning in the serving layer (``plan_window_ms``).
 
-With a window set, a scheduler thread holds its first dequeue for the
-window and hands same-source groups of distinct orders to the batch
-derivation planner.  The contract under test: every response stays
-bit-identical (rows and codes) to the unbatched path, the planner
-counters move, batch failure degrades to solo execution, and expired
-entries are shed before planning.
+With a window set, a scheduler thread holds its first dequeue while
+arrivals keep coming (at most for the window) and hands same-source
+groups of distinct orders to the batch derivation planner.  The
+contract under test: every response stays bit-identical (rows and
+codes) to the unbatched path, each order is answered as soon as it is
+derived, the planner counters move, batch failure degrades to solo
+execution for whatever was not yet answered, and expired entries are
+shed before planning.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -180,3 +183,114 @@ def test_sixteen_thread_batched_path_stays_bit_identical():
     assert counters["planned_batches"] >= 1
     assert counters["coalesced"] > 0
     assert counters["executions"] < counters["requests"]
+
+
+# ------------------------------------------ per-node publication and the window
+
+
+def _gate_executor_kernel(monkeypatch, on_call):
+    """Run ``on_call(n)`` before the batch executor's n-th derivation
+    (the solo path's kernel reference is left alone)."""
+    import repro.plan.executor as executor_mod
+
+    real = executor_mod.enforce_order
+    calls = []
+
+    def gated(*args, **kwargs):
+        calls.append(1)
+        on_call(len(calls))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "enforce_order", gated)
+
+
+def test_each_order_is_answered_the_moment_it_is_derived(monkeypatch):
+    second_started, release = threading.Event(), threading.Event()
+
+    def _block_second(n):
+        if n == 2:
+            second_started.set()
+            assert release.wait(timeout=60)
+
+    _gate_executor_kernel(monkeypatch, _block_second)
+    table = _table()
+    refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS}
+    cfg = ExecutionConfig(cache="off", service_threads=1,
+                          service_queue_depth=16, plan_window_ms=400.0)
+    with OrderService(cfg) as svc:
+        tickets = {spec: svc.submit(table, spec) for spec in ROTATIONS}
+        try:
+            assert second_started.wait(timeout=60)
+            # The first node is out while the second is still blocked.
+            done = [spec for spec, t in tickets.items() if t.done]
+            assert len(done) == 1
+            first = tickets[done[0]].result(timeout=60)
+            assert (first.table.rows, first.table.ovcs) == refs[done[0]][:2]
+            assert svc.counters()["planned_batches"] == 1
+        finally:
+            release.set()
+        for spec, ticket in tickets.items():
+            resp = ticket.result(timeout=60)
+            assert (resp.table.rows, resp.table.ovcs) == refs[spec][:2]
+        counters = svc.counters()
+    assert counters["planned"] == len(ROTATIONS)
+    assert counters["planned_batches"] == 1
+
+
+def test_mid_batch_failure_reruns_only_the_unpublished(monkeypatch):
+    def _third_raises(n):
+        if n == 3:
+            raise RuntimeError("synthetic kernel failure")
+
+    _gate_executor_kernel(monkeypatch, _third_raises)
+    table = _table()
+    refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS}
+    cfg = ExecutionConfig(cache="off", service_threads=1,
+                          service_queue_depth=16, plan_window_ms=400.0)
+    with OrderService(cfg) as svc:
+        tickets = [svc.submit(table, spec) for spec in ROTATIONS]
+        responses = [t.result(timeout=60) for t in tickets]
+        counters = svc.counters()
+        assert svc._executing == 0
+        assert svc.accountant.by_category["serve.inflight"] == 0
+
+    for spec, resp in zip(ROTATIONS, responses):
+        assert (resp.table.rows, resp.table.ovcs) == refs[spec][:2]
+    # Two nodes were published by the batch, two re-ran solo: each
+    # request is counted as one execution, never two.
+    assert counters["executions"] == len(ROTATIONS)
+    assert counters["planned"] == 2
+    assert counters["planned_batches"] == 1
+    assert counters["errors"] == 0
+    assert counters["inflight"] == 0 and counters["inflight_bytes"] == 0
+
+
+def test_window_is_an_upper_bound_for_a_lone_request():
+    table = _table()
+    cfg = ExecutionConfig(cache="off", service_threads=1,
+                          plan_window_ms=2000.0)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, ROTATIONS[0], timeout=60)  # fingerprint, imports
+        start = time.perf_counter()
+        resp = svc.order_by(table, ROTATIONS[1], timeout=60)
+        elapsed = time.perf_counter() - start
+    assert resp.table.rows == _serial_uncached(table, ROTATIONS[1])[0]
+    # Closed after one idle wait of window/8, not held for the window.
+    assert elapsed < 1.0
+
+
+def test_back_to_back_submits_still_form_one_batch():
+    METRICS.enable(clear=True)
+    table = _table()
+    cfg = ExecutionConfig(cache="off", service_threads=2,
+                          service_queue_depth=16, plan_window_ms=200.0)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, ROTATIONS[0], timeout=60)  # warm the table memo
+        tickets = [svc.submit(table, spec) for spec in ROTATIONS]
+        for t in tickets:
+            t.result(timeout=60)
+        counters = svc.counters()
+    assert counters["planned_batches"] == 1
+    assert counters["planned"] == len(ROTATIONS)
+    held = METRICS.as_dict()["histograms"]["serve.window_held_ms"]
+    assert held["count"] == 2  # the warm-up's window and the batch's

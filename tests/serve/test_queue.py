@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -88,3 +89,35 @@ def test_tenants_listing():
     assert q.tenants() == ["a", "b"]
     q.get(timeout=0)  # pops a's only item
     assert q.tenants() == ["b"]
+
+
+def test_get_timeout_is_not_restarted_by_a_stolen_wakeup():
+    """Two consumers: one is woken by a put, but the other takes the
+    item first.  The woken one must wait for what is left of its
+    timeout, not for all of it again."""
+    q = AdmissionQueue(4)
+    timeout = 0.4
+    waited = []
+
+    def _waiter():
+        start = time.monotonic()
+        item = q.get(timeout=timeout)
+        waited.append((item, time.monotonic() - start))
+
+    t = threading.Thread(target=_waiter)
+    t.start()
+    stolen = []
+    for _ in range(2):
+        time.sleep(0.25)
+        # Under the queue's (re-entrant) lock the put's wake-up and the
+        # second consumer's get are one step: the waiter wakes to nothing.
+        with q._cond:
+            q.put("x", "t")
+            stolen.append(q.get(timeout=0))
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert stolen == ["x", "x"]
+    (item, elapsed), = waited
+    assert item is None
+    # Restarted timeouts would end at 0.5 + 0.4 s.
+    assert timeout <= elapsed < 0.7
