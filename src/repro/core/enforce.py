@@ -5,7 +5,7 @@ input reaches a required sort order — pass through when its order
 already satisfies the request, :func:`~repro.core.modify.
 modify_sort_order` when it is ordered otherwise, a full sort when it is
 unordered — and on which engine (:func:`~repro.core.modify.
-resolve_engine`, with ``auto``'s reference fallback on the codec's
+resolve_engine`, with ``auto``'s reference fallback on the key packer's
 ``TypeError``).  The ``Sort`` operator, the batch planner's executor
 and the cache dispatcher all enforce orders through here, so none of
 them chooses an engine or a sort routine itself.
@@ -36,7 +36,7 @@ class Enforced:
     strategy: str
     #: The engine that ran, ``fast`` | ``reference`` (``None``: nothing ran).
     engine: str | None = None
-    #: ``auto`` met keys the packed codec cannot rank; reference ran.
+    #: ``auto`` met keys the key packer cannot rank; reference ran.
     fallback: bool = False
 
 
@@ -57,7 +57,7 @@ def enforce_order(
     ``engine="auto"`` that is only with ``use_ovc`` off or a fan-in
     cap, so callers that want counters pass ``engine="reference"``.
     ``method`` forces a modification strategy (ordered sources only).
-    A forced ``engine="fast"`` propagates the codec's ``TypeError``.
+    A forced ``engine="fast"`` propagates the key packer's ``TypeError``.
     """
     src_spec = source.sort_spec
     if src_spec is not None and src_spec.satisfies(spec):

@@ -73,7 +73,7 @@ def modify_sort_order_external(
     in-memory segments through the packed-code kernels
     (:mod:`repro.fastpath`) — same rows and codes, no comparison counts
     — unless a ``stats`` collector was passed, falling back to the
-    reference executors on keys the codec cannot rank.  Oversized
+    reference executors on keys the key packer cannot rank.  Oversized
     segments always take the reference path: spill accounting and
     capped merge waves are the point of this function, and the fast
     kernels do not model them.

@@ -48,7 +48,7 @@ from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
 from ..sorting.merge import _key_projector
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
-from .classify import split_segments
+from .classify import code_offsets, count_below, head_positions, split_segments
 from .cost import estimate_costs
 from .merge_runs import merge_preexisting_runs
 from .segmented import sort_segment
@@ -73,7 +73,7 @@ def resolve_engine(
     for — comparison ``counters`` (a ``stats=`` collector on
     :func:`modify_sort_order`), execution without offset-value codes,
     or a ``max_fan_in`` cap.  A forced engine is returned as is.  Where
-    a fast kernel then raises the codec's ``TypeError`` (mixed types in
+    a fast kernel then raises the key packer's ``TypeError`` (mixed types in
     one column, ``None``), ``auto`` callers fall back to the reference
     executors and a forced ``fast`` re-raises.
     """
@@ -114,7 +114,7 @@ def modify_sort_order(
       fan-in cap is configured (:func:`resolve_engine`).  A forced
       ``fast`` engine leaves any passed ``stats`` untouched and
       executes a fan-in cap as a single-wave merge.  With
-      ``engine="auto"``, key columns the packed codec cannot rank
+      ``engine="auto"``, key columns the key packer cannot rank
       (mixed value types, ``None``) fall back to the reference
       executors — reusing the already-computed segment boundaries, so
       classification runs exactly once per call; a forced ``fast``
@@ -214,10 +214,27 @@ def _modify(
     if use_ovc:
         table.with_ovcs()
 
-    strategy = _resolve_strategy(plan, method, table, stats)
+    # One pass over the old codes serves the strategy choice, the
+    # segment boundaries and the fast merge kernels' row classes.
+    offsets = None
+    if plan.merge_len and table.ovcs:
+        offsets = code_offsets(table.ovcs)
+    strategy = _resolve_strategy(plan, method, len(table), offsets)
     in_project = _key_projector(
         table.sort_spec.positions(table.schema), table.sort_spec.directions
     )
+
+    # The rows Figure 6 sends through the merge logic, for the fast
+    # merge kernels; segment starts are among them.
+    heads: list[int] | None = None
+    if (
+        engine == "fast"
+        and offsets is not None
+        and strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
+    ):
+        heads = head_positions(
+            offsets, plan.prefix_len + plan.infix_len + plan.merge_len
+        )
 
     # Segment boundaries are computed exactly once per call and shared
     # by every executor — the shard planner, the fast path, and the
@@ -225,7 +242,7 @@ def _modify(
     # which must not re-classify the input it already classified).
     boundaries: list[tuple[int, int]] | None = None
     if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
-        boundaries = _segments(table, plan, use_ovc, in_project, stats)
+        boundaries = _segments(table, plan, use_ovc, in_project, stats, heads)
 
     result = None
     fallback = False
@@ -242,12 +259,12 @@ def _modify(
         try:
             result = fast_modify(
                 table, new_spec, plan, strategy,
-                segments=boundaries, sink=sink,
+                segments=boundaries, sink=sink, heads=heads,
             )
         except TypeError:
             if cfg.engine == "fast":
                 raise
-            # engine="auto" met key values the packed codec cannot rank
+            # engine="auto" met key values the key packer cannot rank
             # (mixed types in one column, None): the reference
             # executors compare only values that actually meet in a
             # tournament, so they can still succeed — on the segment
@@ -388,8 +405,11 @@ def _materialized(sink, use_ovc):
 
 
 def _resolve_strategy(
-    plan: ModificationPlan, method: str, table: Table, stats: ComparisonStats
+    plan: ModificationPlan, method: str, n: int, offsets: Sequence[int] | None
 ) -> Strategy:
+    """The strategy to run on ``n`` rows whose old code offsets are
+    ``offsets`` (:func:`~repro.core.classify.code_offsets`; ``None``
+    without codes or without a merge decomposition)."""
     if method == "noop":
         if plan.strategy is not Strategy.NOOP:
             raise ValueError(
@@ -426,14 +446,11 @@ def _resolve_strategy(
     if plan.strategy is Strategy.MERGE_RUNS:
         return plan.strategy
     # COMBINED decompositions admit all four methods; estimate quickly.
-    n = len(table)
     if n == 0:
         return plan.strategy
-    ovcs = table.ovcs
-    if ovcs is not None:
-        p, px = plan.prefix_len, plan.prefix_len + plan.infix_len
-        n_segments = sum(1 for off, _v in ovcs if off < p)
-        n_runs = sum(1 for off, _v in ovcs if off < px)
+    if offsets is not None:
+        n_segments = count_below(offsets, plan.prefix_len)
+        n_runs = count_below(offsets, plan.prefix_len + plan.infix_len)
     else:
         n_segments = max(1, int(n ** 0.5))
         n_runs = n_segments
@@ -448,11 +465,14 @@ def _resolve_strategy(
     return Strategy.COMBINED
 
 
-def _segments(table, plan, use_ovc, in_project, stats):
-    """Segment boundaries — from codes when available, else by
-    comparing prefix columns of adjacent rows (counted)."""
+def _segments(table, plan, use_ovc, in_project, stats, heads=None):
+    """Segment boundaries — from codes when available (inspecting only
+    ``heads`` when the caller has them), else by comparing prefix
+    columns of adjacent rows (counted)."""
     with TRACER.span("modify.classify", prefix_len=plan.prefix_len) as sp:
-        boundaries = _segment_boundaries(table, plan, use_ovc, in_project, stats)
+        boundaries = _segment_boundaries(
+            table, plan, use_ovc, in_project, stats, heads
+        )
         sp.set(segments=len(boundaries))
     if METRICS.enabled:
         hist = METRICS.histogram("modify.segment_rows")
@@ -461,10 +481,10 @@ def _segments(table, plan, use_ovc, in_project, stats):
     return boundaries
 
 
-def _segment_boundaries(table, plan, use_ovc, in_project, stats):
+def _segment_boundaries(table, plan, use_ovc, in_project, stats, heads):
     n = len(table.rows)
     if use_ovc:
-        return list(split_segments(table.ovcs, plan.prefix_len, n))
+        return list(split_segments(table.ovcs, plan.prefix_len, n, heads))
     p = plan.prefix_len
     if p == 0 or n == 0:
         return [(0, n)] if n else []

@@ -17,7 +17,7 @@ segment and this operator degenerates to the materializing path.
 buffered segment through the packed-code kernels
 (:func:`repro.fastpath.execute.fast_segment`) — same rows and codes,
 no comparison counts — with a per-segment fallback to the instrumented
-executors on keys the codec cannot rank; ``engine="reference"`` is how
+executors on keys the key packer cannot rank; ``engine="reference"`` is how
 to ask for this operator's counters.
 
 ``config.workers`` pipelines segment execution across worker processes

@@ -14,7 +14,7 @@ paper's machinery:
 The modify-or-sort choice and the engine it runs on belong to
 :func:`repro.core.enforce.enforce_order`: ``config.engine="auto"`` runs
 the packed-code kernels of :mod:`repro.fastpath` (reference fallback on
-keys the codec cannot rank), and ``engine="reference"`` is how to ask
+keys the key packer cannot rank), and ``engine="reference"`` is how to ask
 for this operator's comparison counters — the fast kernels count
 nothing.  The external merge sort has no fast twin (spill accounting
 is its point) and always runs the reference path.

@@ -9,15 +9,16 @@ instrumentation is the point of the reference path — and it buries the
 paper's actual performance claim under per-row Python overhead.
 
 This package is the other half of the bargain: the same algorithms with
-every offset-value code folded into a **single Python int per row**
-(:mod:`repro.fastpath.packed`), executed by **batch kernels** over
-parallel lists (:mod:`repro.fastpath.kernels`) — stable ``sorted``
+every row's sort key folded into a **single machine word**
+(:mod:`repro.fastpath.packed`: each key column normalized once per
+table, whole columns packed at a time), executed by **batch kernels**
+over parallel lists (:mod:`repro.fastpath.kernels`) — stable ``sorted``
 over packed keys for segment sorting, and for pre-existing runs the
 same stable sort on the packed *restricted* key, which Timsort
-executes as a galloping natural-run merge in C.  Outputs (rows *and*
-offset-value codes)
-are bit-identical to the reference engine; the differential suite in
-``tests/fastpath/`` enforces that.
+executes as a galloping natural-run merge in C, with duplicate/tail
+rows moving behind their predecessors as slices.  Outputs (rows *and*
+offset-value codes) are bit-identical to the reference engine; the
+differential suite in ``tests/fastpath/`` enforces that.
 
 Select it via ``modify_sort_order(..., config=
 ExecutionConfig(engine="fast"))``, or let ``engine="auto"`` pick it
@@ -25,6 +26,5 @@ whenever the caller did not ask for comparison counters.
 """
 
 from .execute import fast_modify, fast_sort
-from .packed import PackedCodec
 
-__all__ = ["PackedCodec", "fast_modify", "fast_sort"]
+__all__ = ["fast_modify", "fast_sort"]

@@ -4,29 +4,33 @@
 in :func:`repro.core.modify.modify_sort_order`: same plan, same
 segment boundaries (from code offsets alone), same output — rows *and*
 offset-value codes bit-identical to the reference engine — but executed
-by the kernels in :mod:`repro.fastpath.kernels` over packed codes.
+by the kernels in :mod:`repro.fastpath.kernels` over packed keys.
 
-The per-column rank dictionaries (:class:`~repro.fastpath.packed.
-PackedCodec`) are built once per call and shared by every segment.
-When every output key column is ascending, the codec and kernels read
-key values straight out of the source rows; otherwise the keys are
-projected and normalized up front (:func:`project_keys`).
+Every entry point binds its input through :func:`_bind`: the key
+columns' fields (:mod:`repro.fastpath.packed` — remembered on the table
+when the key source is a table's own rows, built for the call
+otherwise) are packed once and shared by every segment.  When every
+output key column is ascending, fields and kernels read key values
+straight out of the source rows; otherwise the keys are projected and
+normalized up front (:func:`project_keys`).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
-from ..core.classify import split_segments
+from ..core.classify import code_offsets, head_positions, split_segments
 from ..exec import memory
 from ..model import SortSpec, Table
 from ..obs import TRACER
 from ..ovc.derive import project_ovcs
 from ..sorting.merge import _key_projector
-from .kernels import fast_merge_runs, fast_sort_segment
-from .packed import PackedCodec
+from .kernels import CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs, fast_sort_segment
+from .packed import key_fields, pack_fields, table_fields
 
 
 def project_keys(
@@ -50,24 +54,94 @@ def project_keys(
     return [project(row) for row in rows]
 
 
-def _key_access(
+def _bind(
     rows: Sequence[tuple],
+    ovcs: Sequence[tuple] | None,
     positions: Sequence[int],
     directions: Sequence[bool],
-    arity: int,
-) -> tuple:
-    """``(keysrc, codec, colpos)`` for one executor call.
+    plan: ModificationPlan | None,
+    strategy: Strategy,
+    table: Table | None = None,
+    heads: Sequence[int] | None = None,
+) -> Callable[..., None]:
+    """Pack the key once; return ``strategy``'s kernel bound to this
+    input as ``run(lo, hi, out_rows, out_ovcs, out_perm=None)``.
 
     All-ascending keys need no normalization, so the rows themselves
     serve as the key source (``colpos[d]`` maps key column ``d`` to its
-    row index) and no per-row key tuples are built.  Any descending
-    column forces the projected-tuple path (``colpos[d] == d``).
+    row index), no per-row key tuples are built, and with ``table``
+    (whose rows they are) the column fields are the table's remembered
+    ones.  Any descending column forces the projected-tuple path
+    (``colpos[d] == d``).  ``heads`` are the merge strategies' head
+    positions over the whole input when the caller already has them
+    (:func:`repro.core.classify.head_positions`).
     """
+    k_out = len(positions)
+    merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
+    # Segment-local strategies take the shared prefix as given.
+    p = (
+        plan.prefix_len
+        if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED) else 0
+    )
+    start = min(p, k_out)
+    # Runs are sorted on the output columns up to the merge-key
+    # boundary: that restricted key is all a merge compares.  Without
+    # segments, runs are distinct (P, X) combinations and it starts at
+    # column 0.
+    stop = plan.prefix_len + plan.merge_len if merging else k_out
     if all(directions):
+        keysrc = rows
         colpos = list(positions)
-        return rows, PackedCodec(rows, arity, colpos), colpos
-    keys = project_keys(rows, positions, directions)
-    return keys, PackedCodec(keys, arity), list(range(arity))
+        if table is not None:
+            fields = table_fields(table, colpos[start:stop])
+        else:
+            fields = key_fields(rows, colpos[start:stop], {})
+    else:
+        keysrc = project_keys(rows, positions, directions)
+        colpos = list(range(k_out))
+        fields = key_fields(keysrc, colpos[start:stop], {})
+    packed = pack_fields(fields, len(rows))
+    # The columns where two rows of this input can differ: a packed
+    # column unless constant (zero-width field), any column behind.
+    varying = [
+        (d, colpos[d])
+        for d in range(start, k_out)
+        if d >= stop or fields[d - start][1]
+    ]
+    pos0 = colpos[0]
+
+    if not merging:
+        packed = _listed(packed)
+
+        def run(lo, hi, out_rows, out_ovcs, out_perm=None):
+            fast_sort_segment(
+                rows, ovcs, keysrc, packed, varying, pos0, lo, hi, p, k_out,
+                out_rows, out_ovcs, out_perm,
+            )
+
+        return run
+
+    if heads is None:
+        heads = head_positions(code_offsets(ovcs), stop + plan.infix_len)
+    if len(heads) * CHUNK_MIN_ROWS_PER_HEAD > len(rows):
+        packed = _listed(packed)
+    respect_prefix = strategy is Strategy.COMBINED
+
+    def run(lo, hi, out_rows, out_ovcs, out_perm=None):
+        seg_heads = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
+        fast_merge_runs(
+            rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+            out_rows, out_ovcs, seg_heads, respect_prefix, out_perm,
+        )
+
+    return run
+
+
+def _listed(packed: Sequence[int]) -> Sequence[int]:
+    """``packed`` for a row-at-a-time kernel, which reads every word
+    twice: list items are ready objects, array items are made per read
+    (chunked input reads only its heads, so the array serves it)."""
+    return packed.tolist() if isinstance(packed, array) else packed
 
 
 def fast_modify(
@@ -77,17 +151,18 @@ def fast_modify(
     strategy: Strategy,
     segments: list[tuple[int, int]] | None = None,
     sink=None,
+    heads: Sequence[int] | None = None,
 ) -> Table:
     """Execute ``strategy`` on ``table`` without instrumentation.
 
     The table must carry offset-value codes (the caller guarantees it;
     classification, segmenting, and code reconstruction all read them).
-    ``segments`` supplies pre-computed segment boundaries (the
-    dispatcher classifies once and shares them); when omitted they are
-    derived here.  ``sink`` is an optional
-    :class:`~repro.exec.buffers.GovernedSink` — completed per-segment
-    outputs are absorbed (and spilled under budget pressure) instead of
-    accumulating in one list.
+    ``segments`` supplies pre-computed segment boundaries and ``heads``
+    the merge strategies' head positions (the dispatcher classifies
+    once and shares both); when omitted they are derived here.
+    ``sink`` is an optional :class:`~repro.exec.buffers.GovernedSink` —
+    completed per-segment outputs are absorbed (and spilled under
+    budget pressure) instead of accumulating in one list.
     """
     rows = table.rows
     ovcs = table.ovcs
@@ -106,91 +181,33 @@ def fast_modify(
     if n == 0:
         return Table(table.schema, out_rows, new_spec, out_ovcs)
 
-    with TRACER.span("fastpath.codec", rows=n):
-        keysrc, codec, colpos = _key_access(
-            rows, new_spec.positions(table.schema), new_spec.directions, k_out
+    with TRACER.span("fastpath.pack", rows=n):
+        run = _bind(
+            rows, ovcs, new_spec.positions(table.schema), new_spec.directions,
+            plan, strategy, table, heads,
         )
-    pos0 = colpos[0]
-    p = plan.prefix_len
     accountant = memory.current()
+    packed_bytes = _charge_packed(accountant, n)
 
-    def emit(run_segment, lo, hi, *extra):
-        """Run one segment executor, routing output through the sink."""
-        if sink is None:
-            run_segment(lo, hi, out_rows, out_ovcs, *extra)
-            return
-        seg_rows: list[tuple] = []
-        seg_ovcs: list[tuple] = []
-        run_segment(lo, hi, seg_rows, seg_ovcs, *extra)
-        sink.absorb(seg_rows, seg_ovcs)
-
-    if strategy is Strategy.FULL_SORT:
-        with TRACER.span("fastpath.pack", rows=n):
-            packed = codec.pack_range(0, k_out)
-        packed_bytes = _charge_packed(accountant, packed)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(0, k_out)]
-        with TRACER.span("fastpath.sort", rows=n, segments=1):
-            emit(
-                lambda lo, hi, o_rows, o_ovcs: fast_sort_segment(
-                    rows, ovcs, keysrc, packed, varying, pos0, lo, hi, 0,
-                    k_out, o_rows, o_ovcs,
-                ),
-                0, n,
-            )
-    elif strategy is Strategy.SEGMENT_SORT:
-        start = min(p, k_out)
-        with TRACER.span("fastpath.pack", rows=n):
-            packed = codec.pack_range(start, k_out)
-        packed_bytes = _charge_packed(accountant, packed)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(start, k_out)]
-        if segments is None:
-            segments = split_segments(ovcs, p, n)
-        with TRACER.span("fastpath.sort", rows=n) as sp:
-            count = 0
-            for lo, hi in segments:
-                count += 1
-                emit(
-                    lambda lo, hi, o_rows, o_ovcs: fast_sort_segment(
-                        rows, ovcs, keysrc, packed, varying, pos0, lo, hi,
-                        p, k_out, o_rows, o_ovcs,
-                    ),
-                    lo, hi,
-                )
-            sp.set(segments=count)
-    elif strategy is Strategy.MERGE_RUNS:
-        # One pass over the whole input; runs are distinct (P, X)
-        # combinations, so the restricted key starts at column 0.
-        with TRACER.span("fastpath.pack", rows=n):
-            packed = codec.pack_range(0, p + plan.merge_len)
-        packed_bytes = _charge_packed(accountant, packed)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(0, k_out)]
-        with TRACER.span("fastpath.merge", rows=n, segments=1):
-            emit(
-                lambda lo, hi, o_rows, o_ovcs: fast_merge_runs(
-                    rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-                    o_rows, o_ovcs, respect_prefix=False,
-                ),
-                0, n,
-            )
-    else:  # COMBINED
-        with TRACER.span("fastpath.pack", rows=n):
-            packed = codec.pack_range(p, p + plan.merge_len)
-        packed_bytes = _charge_packed(accountant, packed)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(p, k_out)]
-        if segments is None:
-            segments = split_segments(ovcs, p, n)
-        with TRACER.span("fastpath.merge", rows=n) as sp:
-            count = 0
-            for lo, hi in segments:
-                count += 1
-                emit(
-                    lambda lo, hi, o_rows, o_ovcs: fast_merge_runs(
-                        rows, ovcs, keysrc, packed, varying, pos0, lo, hi,
-                        plan, o_rows, o_ovcs, respect_prefix=True,
-                    ),
-                    lo, hi,
-                )
-            sp.set(segments=count)
+    if strategy in (Strategy.FULL_SORT, Strategy.MERGE_RUNS):
+        segments = [(0, n)]  # one pass over the whole input
+    elif segments is None:
+        segments = split_segments(ovcs, plan.prefix_len, n)
+    merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
+    with TRACER.span(
+        "fastpath.merge" if merging else "fastpath.sort", rows=n
+    ) as sp:
+        count = 0
+        for lo, hi in segments:
+            count += 1
+            if sink is None:
+                run(lo, hi, out_rows, out_ovcs)
+                continue
+            seg_rows: list[tuple] = []
+            seg_ovcs: list[tuple] = []
+            run(lo, hi, seg_rows, seg_ovcs)
+            sink.absorb(seg_rows, seg_ovcs)
+        sp.set(segments=count)
 
     if accountant is not None:
         accountant.release("fastpath.packed", packed_bytes)
@@ -218,47 +235,29 @@ def fast_modify_perm(
     crosses the process boundary.  Only the segment-parallel strategies
     are supported (the planner shards nothing else).
     """
-    n = len(rows)
-    k_out = new_spec.arity
+    if strategy not in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
+        raise ValueError(f"strategy {strategy} is not segment-shardable")
     perm: list[int] = []
     out_ovcs: list[tuple] = []
-    if n == 0:
+    if not len(rows):
         return perm, out_ovcs
-    keysrc, codec, colpos = _key_access(
-        rows, new_spec.positions(schema), new_spec.directions, k_out
+    run = _bind(
+        rows, ovcs, new_spec.positions(schema), new_spec.directions,
+        plan, strategy,
     )
-    pos0 = colpos[0]
-    p = plan.prefix_len
     if segments is None:
-        segments = split_segments(ovcs, p, n)
-
-    if strategy is Strategy.SEGMENT_SORT:
-        start = min(p, k_out)
-        packed = codec.pack_range(start, k_out)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(start, k_out)]
-        for lo, hi in segments:
-            fast_sort_segment(
-                rows, ovcs, keysrc, packed, varying, pos0, lo, hi, p,
-                k_out, None, out_ovcs, out_perm=perm,
-            )
-    elif strategy is Strategy.COMBINED:
-        packed = codec.pack_range(p, p + plan.merge_len)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(p, k_out)]
-        for lo, hi in segments:
-            fast_merge_runs(
-                rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-                None, out_ovcs, respect_prefix=True, out_perm=perm,
-            )
-    else:
-        raise ValueError(f"strategy {strategy} is not segment-shardable")
+        segments = split_segments(ovcs, plan.prefix_len, len(rows))
+    for lo, hi in segments:
+        run(lo, hi, None, out_ovcs, perm)
     return perm, out_ovcs
 
 
-def _charge_packed(accountant, packed) -> int:
-    """Charge a packed-code array to the active accountant (8B/code)."""
+def _charge_packed(accountant, n_rows: int) -> int:
+    """Charge the packed keys of ``n_rows`` rows to the active
+    accountant (8B/key)."""
     if accountant is None:
         return 0
-    n_bytes = 8 * len(packed)
+    n_bytes = 8 * n_rows
     accountant.charge("fastpath.packed", n_bytes)
     return n_bytes
 
@@ -273,35 +272,16 @@ def fast_segment(
 ) -> tuple[list[tuple], list[tuple]]:
     """Execute one buffered segment (the streaming operator's unit).
 
-    Returns ``(out_rows, out_ovcs)``; the codec is built per segment,
+    Returns ``(out_rows, out_ovcs)``; the fields are built per segment,
     which is exactly this call's comparison universe.
     """
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
-    n = len(seg_rows)
-    if n == 0:
-        return out_rows, out_ovcs
-    k_out = spec.arity
-    keysrc, codec, colpos = _key_access(seg_rows, positions, spec.directions, k_out)
-    pos0 = colpos[0]
-    if strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED):
-        respect = strategy is Strategy.COMBINED
-        start = plan.prefix_len if respect else 0
-        packed = codec.pack_range(start, plan.prefix_len + plan.merge_len)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(start, k_out)]
-        fast_merge_runs(
-            seg_rows, seg_ovcs, keysrc, packed, varying, pos0, 0, n, plan,
-            out_rows, out_ovcs, respect_prefix=respect,
+    if len(seg_rows):
+        run = _bind(
+            seg_rows, seg_ovcs, positions, spec.directions, plan, strategy
         )
-    else:
-        p = plan.prefix_len if strategy is Strategy.SEGMENT_SORT else 0
-        start = min(p, k_out)
-        packed = codec.pack_range(start, k_out)
-        varying = [(d, colpos[d]) for d in codec.varying_columns(start, k_out)]
-        fast_sort_segment(
-            seg_rows, seg_ovcs, keysrc, packed, varying, pos0, 0, n, p, k_out,
-            out_rows, out_ovcs,
-        )
+        run(0, len(seg_rows), out_rows, out_ovcs)
     return out_rows, out_ovcs
 
 
@@ -314,15 +294,7 @@ def fast_sort(
     :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``."""
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
-    n = len(rows)
-    if n == 0:
-        return out_rows, out_ovcs
-    arity = len(positions)
-    keysrc, codec, colpos = _key_access(rows, positions, directions, arity)
-    packed = codec.pack_range(0, arity)
-    varying = [(d, colpos[d]) for d in codec.varying_columns(0, arity)]
-    fast_sort_segment(
-        rows, None, keysrc, packed, varying, colpos[0], 0, n, 0, arity,
-        out_rows, out_ovcs,
-    )
+    if len(rows):
+        run = _bind(rows, None, positions, directions, None, Strategy.FULL_SORT)
+        run(0, len(rows), out_rows, out_ovcs)
     return out_rows, out_ovcs

@@ -36,6 +36,13 @@ just the columns that vary at all in this input.  Either way the result
 equals a fresh derivation against the output predecessor, which is what
 the reference tournament emits (its popped winners' codes are always
 relative to the previously popped winner).
+
+Figure 6's duplicate/tail rows "bypass the merge logic and immediately
+follow their predecessor", and the merge kernel takes that literally
+wherever such rows are at least half of a segment: only the other rows
+(*heads*: segment head, run heads, merge rows) are sorted and coded,
+and each moves the bypass rows behind it as one slice of rows and one
+slice of codes (:func:`_merge_chunks`).
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ def _fast_sort_segment(
     if out_perm is not None:
         out_perm.extend(order)
     else:
-        out_rows.extend([rows[i] for i in order])
+        out_rows.extend(map(rows.__getitem__, order))
 
     first = order[0]
     # The segment's first output row inherits the saved segment-head
@@ -156,6 +163,12 @@ def _fast_sort_segment(
         prev_keys = keys
 
 
+#: A segment takes the chunk path when it holds at least this many rows
+#: per head; below that, slicing per head costs more than the per-row
+#: loop it replaces (measured, see docs/ALGORITHMS.md).
+CHUNK_MIN_ROWS_PER_HEAD = 2
+
+
 def fast_merge_runs(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple],
@@ -168,6 +181,7 @@ def fast_merge_runs(
     plan: ModificationPlan,
     out_rows: list[tuple] | None,
     out_ovcs: list[tuple],
+    heads: Sequence[int],
     respect_prefix: bool = True,
     out_perm: list[int] | None = None,
 ) -> None:
@@ -186,52 +200,71 @@ def fast_merge_runs(
     exactly (see module docstring).  Mirrors
     :func:`repro.core.merge_runs.merge_preexisting_runs` with
     ``use_ovc=True``.
+
+    ``heads`` are the ascending positions in ``[lo, hi)`` of the rows
+    Figure 6 sends through the merge logic — old offset below
+    ``|P|+|X|+|M|``: the segment head, run heads and merge rows.  Every
+    other row is a duplicate/tail row that "bypasses the merge logic
+    and immediately follows its predecessor".  Where such rows are at
+    least half of the segment, only the heads are sorted and coded and
+    each moves the rows behind it as one slice (:func:`_merge_chunks`);
+    otherwise every row takes the row-at-a-time loop
+    (:func:`_merge_rowwise`).  The choice reads nothing but this
+    segment's head count.
     """
     if hi <= lo:
         return
+    if not heads or heads[0] != lo:
+        # The segment's first row leads a chunk whatever its code says.
+        heads = [lo, *heads]
+    chunked = len(heads) * CHUNK_MIN_ROWS_PER_HEAD <= hi - lo
+    kernel = _merge_chunks if chunked else _merge_rowwise
+    # out_ovcs stays in lockstep with the emitted rows (or permutation
+    # entries), so its length marks this segment's first output slot.
+    first_out = len(out_ovcs)
     if TRACER.enabled:
-        with TRACER.span("fastpath.merge_segment", rows=hi - lo):
-            _fast_merge_runs(
-                rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-                out_rows, out_ovcs, respect_prefix, out_perm,
-            )
-        return
-    _fast_merge_runs(
-        rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-        out_rows, out_ovcs, respect_prefix, out_perm,
-    )
+        with TRACER.span(
+            "fastpath.merge_segment", rows=hi - lo, heads=len(heads),
+            chunked=chunked,
+        ):
+            kernel(rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+                   out_rows, out_ovcs, heads, out_perm)
+    else:
+        kernel(rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+               out_rows, out_ovcs, heads, out_perm)
+    if respect_prefix and plan.prefix_len > 0:
+        # The segment's first output row inherits the code saved from
+        # the segment's first input row: both describe the same prefix
+        # difference against the preceding segment.
+        out_ovcs[first_out] = ovcs[lo]
 
 
-def _fast_merge_runs(
+def _merge_rowwise(
     rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-    out_rows, out_ovcs, respect_prefix, out_perm=None,
+    out_rows, out_ovcs, heads, out_perm,
 ) -> None:
+    """Sort and code every row of the segment, one at a time."""
     x = plan.infix_len
-    k_out = plan.output_arity
+    duplicate = (plan.output_arity, 0)
     dropped = plan.infix_dropped
-    head_offset = plan.prefix_len if respect_prefix else 0
     run_boundary = plan.prefix_len + x
     dup_boundary = run_boundary + plan.merge_len
     tail_boundary = dup_boundary + plan.tail_len
 
-    # out_ovcs stays in lockstep with the emitted rows (or permutation
-    # entries), so its length marks this segment's first output slot.
-    first_out = len(out_ovcs)
     order = sorted(range(lo, hi), key=packed.__getitem__)
     if out_perm is not None:
         out_perm.extend(order)
     else:
-        out_rows.extend([rows[i] for i in order])
+        out_rows.extend(map(rows.__getitem__, order))
 
     out_ovcs.append((0, keysrc[order[0]][pos0]))
     append = out_ovcs.append
-    duplicate = (k_out, 0)
     prev = order[0]
     for i in order[1:]:
-        offset, value = ovcs[i]
-        if prev == i - 1 and offset >= run_boundary:
+        if prev == i - 1 and ovcs[i][0] >= run_boundary:
             # The output predecessor is this row's own run predecessor:
             # the old code adjusts without touching any column value.
+            offset, value = ovcs[i]
             if offset < dup_boundary:
                 # Merge row: the infix left its place between the
                 # prefix and the merge keys; offset drops by |X|.
@@ -252,8 +285,66 @@ def _fast_merge_runs(
                 append(duplicate)
         prev = i
 
-    if head_offset > 0:
-        # The segment's first output row inherits the code saved from
-        # the segment's first input row: both describe the same prefix
-        # difference against the preceding segment.
-        out_ovcs[first_out] = ovcs[lo]
+
+def _merge_chunks(
+    rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+    out_rows, out_ovcs, heads, out_perm,
+) -> None:
+    """Sort and code the heads; move each head's followers as a slice.
+
+    The rows between two heads equal their head through the prefix,
+    infix and merge keys, so a stable sort keeps them behind it in
+    input order: chunk ``[h, e)`` moves whole, and inside it every
+    row's output predecessor is its input predecessor — the bypass
+    mapping of :func:`repro.core.adjust.map_bypass_ovc` applies to the
+    slice ``ovcs[h+1:e]`` without looking at a row.
+    """
+    x = plan.infix_len
+    duplicate = (plan.output_arity, 0)
+    dropped = plan.infix_dropped
+    run_boundary = plan.prefix_len + x
+    tail_boundary = run_boundary + plan.merge_len + plan.tail_len
+    # With no input key column beyond the tail, old tail codes (and the
+    # old duplicate code) are the new ones: the same tuples move over.
+    positional = not dropped and plan.input_arity == tail_boundary
+
+    ends = [*heads[1:], hi]
+    order = sorted(range(len(heads)), key=[packed[h] for h in heads].__getitem__)
+    append = out_ovcs.append
+    extend = out_ovcs.extend
+    prev_end = -1
+    for j in order:
+        h = heads[j]
+        e = ends[j]
+        if prev_end < 0:
+            append((0, keysrc[h][pos0]))
+        elif prev_end == h and ovcs[h][0] >= run_boundary:
+            # Merge row behind its own run predecessor: the infix left
+            # its place before the merge keys; offset drops by |X|.
+            offset, value = ovcs[h]
+            append((offset - x, value))
+        else:
+            # Cross-run adjacency: the one place column values meet.
+            prev_keys = keysrc[prev_end - 1]
+            keys = keysrc[h]
+            for d, pd in varying:
+                if prev_keys[pd] != keys[pd]:
+                    append((d, keys[pd]))
+                    break
+            else:
+                append(duplicate)
+        if e - h > 1:
+            if dropped:
+                extend([duplicate] * (e - h - 1))
+            elif positional:
+                extend(ovcs[h + 1 : e])
+            else:
+                extend([
+                    code if code[0] < tail_boundary else duplicate
+                    for code in ovcs[h + 1 : e]
+                ])
+        if out_perm is not None:
+            out_perm.extend(range(h, e))
+        else:
+            out_rows.extend(rows[h:e])
+        prev_end = e

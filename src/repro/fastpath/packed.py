@@ -1,48 +1,39 @@
-"""Packed offset-value codes: one Python int per row.
+"""Column fields and packed sort keys: one machine word per row.
 
 The paper's Figure 1 folds an offset-value code into a single machine
-word — ``(arity - offset) * domain + value`` for the ascending encoding
-(:func:`repro.ovc.codes.ascending_integer_code`) — but that needs a
-bounded integer domain per column.  The runtime's canonical ascending
-*tuple* code ``(arity - offset, value)`` lifted that restriction so
-strings and descending columns work, at the price of a tuple allocation
-and a polymorphic comparison per decision.
+word, which needs a bounded integer domain per column.  The fast
+kernels get that domain by *normalizing each key column once*: a
+column's **field** is an unsigned ``array`` holding, per row, a small
+int that orders exactly like the column's values — ``value - min`` for
+a pure-``int`` column, the dense rank among the distinct values
+otherwise — together with the bit width of the largest surrogate.
+Fields are facts of the rows, not of a request, so for a table's own
+rows they live on its memo record (:func:`table_fields`) and every
+later order over the same table reuses them.
 
-This codec restores the single-word form for arbitrary values: it
-builds, once per executor call, a **rank dictionary** per key column —
-each distinct normalized value mapped to its dense rank — and packs
-codes and key ranges over ranks instead of raw values:
+Packing a requested order is then word arithmetic over whole columns
+(:func:`pack_fields`): each field, read as one long integer whose
+fixed-width cells are the rows' surrogates, is shifted to its place in
+the cell and or-ed in — a few C-level passes, no per-row Python.  The
+result compares like the normalized key slices (normalized-key sorting
+as in Do & Graefe, PAPERS.md), in the fewest bits the observed values
+allow, so Timsort usually compares single-digit ints.
 
-* ``pack_ovc((offset, value))`` is exactly the paper's ascending
-  integer encoding with ``domain`` = the largest column cardinality:
-  lower packed int == lower ascending tuple code.
-* ``pack_range(start, stop)`` packs key columns ``[start, stop)`` of
-  every row into one mixed-radix int per row; comparing two packed ints
-  equals comparing the two normalized key slices lexicographically.
-
-Rank dictionaries are built lazily per column, so kernels that only
-touch the merge-key region never rank infix or tail columns.  Two
-further shortcuts keep the per-call setup cheap:
-
-* Whether a column varies at all is decided by an early-exit scan
-  (:meth:`PackedCodec.varies`), not by building its rank table —
-  constant columns are detected in O(n) equality checks and varying
-  ones usually at the second row.
-* Pure-``int`` columns pack as ``value - min`` (order-isomorphic to
-  the dense rank, radix ``max - min + 1``), replacing the sort + dict
-  build + per-row dict lookup with C-level ``min``/``max`` and a
-  subtraction.  Python's unbounded ints absorb the sparser radix.
-
-When every output key column is ascending, the codec can read key
-values straight out of the source rows (``positions`` maps key column
--> row index), skipping the per-row key-tuple projection entirely;
-normalization only matters for descending columns.
+A column whose values cannot be ranked (mixed ``int``/``str``,
+``None`` beside values) raises ``TypeError`` from :func:`column_field`;
+``engine="auto"`` callers fall back to the reference executors.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from operator import itemgetter
 from typing import Sequence
+
+#: A column's surrogates and the bit width of the largest one; a
+#: zero-width field is a constant column.
+Field = tuple[array, int]
 
 
 def pack_codes(ovcs: Sequence[tuple]) -> tuple[array, array]:
@@ -65,128 +56,88 @@ def unpack_codes(offsets, values) -> list[tuple]:
     return list(zip(offsets, values))
 
 
-class PackedCodec:
-    """Per-column rank dictionaries over normalized key tuples.
+def column_field(values: Sequence) -> Field:
+    """One key column's order-preserving surrogates and their bit width.
 
-    ``keys`` are the projected, direction-normalized sort-key tuples of
-    all rows participating in one executor call (the comparison
-    universe); ``arity`` is the sort key's column count.  Ranks are
-    dense within that universe, which is all order preservation needs.
-
-    ``positions`` (optional) lets ``keys`` be the source *rows*
-    themselves: key column ``c`` is read as ``row[positions[c]]``.
-    Only valid when no column needs direction normalization (all
-    ascending).
+    ``values`` are the column's (direction-normalized) values, one per
+    row.  Cells are 32 bits wide unless a surrogate needs more.
     """
+    if values and type(values[0]) is int:
+        try:
+            low, high = min(values), max(values)
+            if type(low) is int and type(high) is int and high - low < 1 << 64:
+                return _field(
+                    values if low == 0 else [v - low for v in values],
+                    high - low,
+                )
+            # Sparser than a machine word: rank like any other column.
+        except TypeError:
+            pass  # not all ints after all: rank them (or fail there)
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return _field(map(rank.__getitem__, values), max(len(rank) - 1, 0))
 
-    __slots__ = ("_keys", "arity", "_pos", "_ranks", "_by_rank", "_varies")
 
-    def __init__(
-        self,
-        keys: Sequence[tuple],
-        arity: int,
-        positions: Sequence[int] | None = None,
-    ) -> None:
-        self._keys = keys
-        self.arity = arity
-        self._pos = list(positions) if positions is not None else list(range(arity))
-        self._ranks: list[dict | None] = [None] * arity
-        self._by_rank: list[list | None] = [None] * arity
-        self._varies: list[bool | None] = [None] * arity
+def _field(surrogates, top: int) -> Field:
+    """``surrogates`` (largest: ``top``) in the narrowest cells."""
+    return array("I" if top < 1 << 32 else "Q", surrogates), top.bit_length()
 
-    def column(self, column: int) -> list:
-        """All rows' normalized values of key column ``column``."""
-        pc = self._pos[column]
-        return [k[pc] for k in self._keys]
 
-    def ranks(self, column: int) -> dict:
-        """value -> dense rank for ``column`` (built on first use)."""
-        got = self._ranks[column]
-        if got is None:
-            distinct = sorted(set(self.column(column)))
-            got = {v: r for r, v in enumerate(distinct)}
-            self._ranks[column] = got
-            self._by_rank[column] = distinct
-            self._varies[column] = len(got) > 1
-        return got
+def key_fields(
+    keysrc: Sequence[tuple], columns: Sequence[int], memo: dict
+) -> list[Field]:
+    """The fields of ``keysrc`` entries' positions ``columns``, in order.
 
-    def varies(self, column: int) -> bool:
-        """Whether ``column`` has more than one distinct value.
+    ``memo`` maps a position to its field; missing ones are built and
+    stored whole, so a reader of a shared memo sees a finished field or
+    none.
+    """
+    fields = []
+    for pc in columns:
+        field = memo.get(pc)
+        if field is None:
+            field = memo[pc] = column_field(list(map(itemgetter(pc), keysrc)))
+        fields.append(field)
+    return fields
 
-        Early-exit equality scan: no rank table is built, so asking
-        about a column the kernels never pack stays cheap.
-        """
-        got = self._varies[column]
-        if got is None:
-            keys = self._keys
-            if not keys:
-                got = False
-            else:
-                pc = self._pos[column]
-                first = keys[0][pc]
-                got = any(k[pc] != first for k in keys)
-            self._varies[column] = got
-        return got
 
-    def radix(self, column: int) -> int:
-        """Domain size of ``column`` in rank space (at least 1)."""
-        return max(1, len(self.ranks(column)))
+def table_fields(table, columns: Sequence[int]) -> list[Field]:
+    """:func:`key_fields` of ``table``'s own rows (ascending), kept on
+    the table's memo record: built from the record's row snapshot and
+    discarded with it when the rows or the schema change.  Racing
+    threads may each build a field; the builds are equal."""
+    facts = table._facts()
+    memo = facts.fields
+    if memo is None:
+        memo = facts.fields = {}
+    return key_fields(facts.rows, columns, memo)
 
-    @property
-    def code_radix(self) -> int:
-        """Uniform domain for single-code packing: the largest column
-        cardinality plus one (so every rank fits strictly below it)."""
-        if self.arity == 0:
-            return 1
-        return 1 + max(self.radix(c) for c in range(self.arity))
 
-    def pack_ovc(self, ovc: tuple) -> int:
-        """Paper-form ``(offset, value)`` -> single ascending int.
+def pack_fields(fields: Sequence[Field], n: int) -> Sequence[int]:
+    """One int per row that orders like the rows' field tuples.
 
-        Exact duplicates (``offset >= arity``) pack to 0, mirroring the
-        paper's ascending integer encoding; otherwise the packed code is
-        ``(arity - offset) * code_radix + rank(value)``.
-        """
-        offset, value = ovc
-        if offset >= self.arity:
-            return 0
-        return (self.arity - offset) * self.code_radix + self.ranks(offset)[value]
-
-    def unpack_ovc(self, packed: int) -> tuple:
-        """Invert :meth:`pack_ovc` back to paper form."""
-        if packed == 0:
-            return (self.arity, 0)
-        remaining, rank = divmod(packed, self.code_radix)
-        column = self.arity - remaining
-        self.ranks(column)  # ensure the inverse table exists
-        return (column, self._by_rank[column][rank])
-
-    def pack_range(self, start: int, stop: int) -> list[int]:
-        """One mixed-radix int per row over key columns ``[start, stop)``.
-
-        Works column-at-a-time so the per-row cost is a dict lookup (or
-        an int subtraction) and a multiply-add inside a list
-        comprehension.  Columns with a single distinct value contribute
-        nothing to the packing (radix 1, rank 0) and are skipped
-        outright; pure-``int`` columns pack by offset from their
-        minimum instead of by rank.
-        """
-        packed = [0] * len(self._keys)
-        for c in range(start, stop):
-            if not self.varies(c):
-                continue
-            col = self.column(c)
-            if set(map(type, col)) == {int}:
-                mn = min(col)
-                radix = max(col) - mn + 1
-                packed = [p * radix + (v - mn) for p, v in zip(packed, col)]
-            else:
-                rc = self.ranks(c)
-                radix = len(rc)
-                packed = [p * radix + rc[v] for p, v in zip(packed, col)]
+    ``fields`` run from the most to the least significant column and
+    each spans ``n`` rows.  Up to 64 key bits pack into 32- or 64-bit
+    cells by shifting and or-ing whole columns; wider keys fall back to
+    a per-row shift-or over Python's unbounded ints.
+    """
+    fields = [field for field in fields if field[1]]
+    if not fields:
+        return [0] * n
+    if len(fields) == 1:
+        return fields[0][0]
+    total = sum(bits for _, bits in fields)
+    if total > 64:
+        packed = fields[0][0].tolist()
+        for cells, bits in fields[1:]:
+            packed = [(p << bits) | v for p, v in zip(packed, cells)]
         return packed
-
-    def varying_columns(self, start: int, stop: int) -> list[int]:
-        """Key columns in ``[start, stop)`` with more than one distinct
-        value — the only positions where two rows can ever differ."""
-        return [c for c in range(start, stop) if self.varies(c)]
+    code = "I" if total <= 32 else "Q"
+    order = sys.byteorder  # cells round-trip in the host's own layout
+    word = 0
+    for cells, bits in fields:
+        if cells.typecode != code:
+            cells = array(code, cells)
+        word = (word << bits) | int.from_bytes(cells, order)
+    packed = array(code)
+    packed.frombytes(word.to_bytes(n * packed.itemsize, order))
+    return packed

@@ -272,12 +272,17 @@ class _Facts:
     :mod:`repro.exec.memory`, ``cardinality`` (the table's
     :class:`~repro.plan.cardinality.CardinalityEstimator` and, inside
     it, every distinct count estimated so far) by
-    :func:`repro.plan.planner.plan_batch`.  Each depends only on the
-    row multiset, its arrangement and the schema — what the witness
+    :func:`repro.plan.planner.plan_batch`, ``fields`` (column position
+    -> that column's order-preserving surrogate array and bit width,
+    one entry per key column a fast kernel has packed so far) by
+    :func:`repro.fastpath.packed.table_fields`.  Each depends only on
+    the row multiset, its arrangement and the schema — what the witness
     guards.
     """
 
-    __slots__ = ("rows", "schema", "fingerprint", "row_bytes", "cardinality")
+    __slots__ = (
+        "rows", "schema", "fingerprint", "row_bytes", "cardinality", "fields",
+    )
 
     def __init__(self, rows, schema: Schema) -> None:
         self.rows = rows
@@ -285,6 +290,7 @@ class _Facts:
         self.fingerprint = None
         self.row_bytes = None
         self.cardinality = None
+        self.fields = None
 
 
 @dataclass
@@ -299,7 +305,8 @@ class Table:
     A table is mutable: ``rows`` may be edited in place or re-assigned
     at any time.  What the library derives from the row sequence and
     keeps on the table (its content fingerprint, its accounted size,
-    the batch planner's distinct-count estimates) is revalidated on
+    the batch planner's distinct-count estimates, the fast kernels'
+    normalized key columns) is revalidated on
     every read against a snapshot of the rows it was computed from, so
     an edit is never answered from stale facts — and an unchanged table
     never pays for them twice.

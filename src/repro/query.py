@@ -92,7 +92,7 @@ class Query:
         ``config`` (an :class:`~repro.exec.ExecutionConfig`) governs
         execution: the default ``engine="auto"`` runs the sort through
         the packed-code kernels (:mod:`repro.fastpath`, reference
-        fallback on keys the codec cannot rank) — same rows and codes,
+        fallback on keys the key packer cannot rank) — same rows and codes,
         no comparison counts on the operator's stats;
         ``engine="reference"`` is how to ask for those counts;
         ``workers`` (an int or ``"auto"``) shards segment-parallel

@@ -7,7 +7,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analysis import Strategy, analyze_order_modification
-from repro.core.classify import RowClass, classify_row, split_segments
+from repro.core.classify import (
+    RowClass,
+    classify_row,
+    code_offsets,
+    count_below,
+    head_positions,
+    split_segments,
+)
 from repro.core.modify import modify_sort_order
 from repro.model import SortSpec
 from repro.ovc.stats import ComparisonStats
@@ -65,6 +72,23 @@ def test_figure6_row_classification():
 def test_segments_found_from_codes_alone():
     table = paper_example_table()
     assert list(split_segments(table.ovcs, 1)) == [(0, 1), (1, 8), (8, 9)]
+
+
+def test_row_classes_located_from_one_pass_over_the_offsets():
+    table = paper_example_table()
+    offsets = code_offsets(table.ovcs)
+    # |P|+|X|+|M| = 3: every row but the duplicate (Figure 6's row 7).
+    heads = head_positions(offsets, 3)
+    assert heads == [0, 1, 2, 3, 4, 5, 7, 8]
+    assert count_below(offsets, 1) == 3  # segments
+    assert count_below(offsets, 2) == 5  # runs
+    assert list(split_segments(table.ovcs, 1, candidates=heads)) == [
+        (0, 1), (1, 8), (8, 9),
+    ]
+    # A sort key too wide for byte-sized offsets takes the same calls.
+    wide = [(0, "a"), (300, "b"), (2, "c"), (300, "d")]
+    assert head_positions(code_offsets(wide), 3) == [0, 2]
+    assert count_below(code_offsets(wide), 3) == 2
 
 
 def test_figures8_and_9_merge_output():

@@ -6,6 +6,14 @@ edges — asserting *identical* rows AND output offset-value codes, not
 just a correct sort.  The generators mirror
 ``tests/test_fuzz_differential.py`` so the two suites cover the same
 input distribution.
+
+The merge kernels move duplicate/tail rows behind their predecessor as
+slices wherever such rows are at least half of a segment, and code row
+by row elsewhere; the domain shapes put segments on both sides of that
+choice, the cases cover all three tail mappings (positional: cases
+3/5/7; dropped infix: 2/4/6; clamped: ``CLAMPED``), and every
+comparison also runs through a governed sink and — for the
+segment-shardable plans — the permutation-emitting entry point.
 """
 
 from __future__ import annotations
@@ -14,12 +22,15 @@ import random
 
 import pytest
 
+from repro.core.analysis import Strategy, analyze_order_modification
 from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
 from repro.exec import ExecutionConfig
 from repro.engine.sort_op import Sort
+from repro.fastpath import kernels
+from repro.fastpath.execute import fast_modify_perm
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
@@ -48,7 +59,20 @@ TABLE1 = {
     7: (("A", "B", "C", "D"), ("A", "C", "B", "D")),
 }
 
+# Retained infix with input key columns beyond the output key: the
+# codes of duplicate/tail rows past the output key clamp to "duplicate".
+CLAMPED = {
+    8: (("A", "B", "C"), ("B", "A")),
+    9: (("A", "B", "C", "D"), ("A", "C", "B")),
+}
+CASES = {**TABLE1, **CLAMPED}
+
 METHODS = ["auto", "noop", "segment_sort", "merge_runs", "combined", "full_sort"]
+
+FAST = ExecutionConfig(engine="fast")
+REFERENCE = ExecutionConfig(engine="reference")
+# A budget every 700-row output overflows: completed segments spill.
+GOVERNED = ExecutionConfig(engine="fast", memory_budget="8KiB")
 
 
 def _make_table(in_columns, seed, n, desc=False, strings=False):
@@ -74,23 +98,56 @@ def _make_table(in_columns, seed, n, desc=False, strings=False):
 def _assert_identical(table, spec, method):
     """Fast output == reference output, bit for bit, or both reject."""
     try:
-        ref = modify_sort_order(table, spec, method=method, config=ExecutionConfig(engine="reference"))
+        ref = modify_sort_order(table, spec, method=method, config=REFERENCE)
     except ValueError:
         with pytest.raises(ValueError):
-            modify_sort_order(table, spec, method=method, config=ExecutionConfig(engine="fast"))
+            modify_sort_order(table, spec, method=method, config=FAST)
         return
-    fast = modify_sort_order(table, spec, method=method, config=ExecutionConfig(engine="fast"))
-    assert fast.rows == ref.rows
-    assert fast.ovcs == ref.ovcs
+    for config in (FAST, GOVERNED):
+        fast = modify_sort_order(table, spec, method=method, config=config)
+        assert fast.rows == ref.rows
+        assert fast.ovcs == ref.ovcs
+    plan = analyze_order_modification(table.sort_spec, spec)
+    if method == "auto" and not plan.backward and plan.strategy in (
+        Strategy.SEGMENT_SORT, Strategy.COMBINED
+    ):
+        perm, ovcs = fast_modify_perm(
+            table.schema, table.rows, table.ovcs, spec, plan, plan.strategy
+        )
+        assert [table.rows[i] for i in perm] == ref.rows
+        assert ovcs == ref.ovcs
 
 
-@pytest.mark.parametrize("case", sorted(TABLE1))
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(len(SHAPES)))
 def test_table1_cases_bit_identical(case, method, seed):
-    in_cols, out_cols = TABLE1[case]
+    in_cols, out_cols = CASES[case]
     table = _make_table(in_cols, seed, n=700)
     _assert_identical(table, SortSpec(out_cols), method)
+
+
+@pytest.mark.parametrize(
+    "singles, chunked", [(0, True), (1, False)],
+    ids=["two-rows-per-head", "one-head-more"],
+)
+def test_both_sides_of_the_head_count_threshold(monkeypatch, singles, chunked):
+    """Exactly two rows per head moves slices; one more head and the
+    segment is coded row by row — same bits either way."""
+    ran = []
+    for name in ("_merge_chunks", "_merge_rowwise"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name,
+            lambda *a, _real=real, _name=name: ran.append(_name) or _real(*a),
+        )
+    rows = [(a, b, 0, 0) for a in range(6) for b in range(10)] * 2
+    rows += [(9, 9 + i, 0, 0) for i in range(singles)]
+    rows.sort()
+    in_spec = SortSpec(("A", "B"))
+    table = Table(SCHEMA, rows, in_spec, derive_ovcs(rows, in_spec.positions(SCHEMA)))
+    _assert_identical(table, SortSpec(("B", "A")), "merge_runs")
+    assert set(ran) == {"_merge_chunks" if chunked else "_merge_rowwise"}
 
 
 @pytest.mark.parametrize("case", sorted(TABLE1))

@@ -1,4 +1,4 @@
-"""Unit tests for the packed-code codec."""
+"""Unit tests for column fields and the packed-key packer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from repro.fastpath.packed import PackedCodec
+from repro.fastpath.packed import (
+    column_field,
+    key_fields,
+    pack_fields,
+    table_fields,
+)
+from repro.model import Schema, Table
 
 
 def _keys(seed=0, n=200, shape=(5, 3, 40)):
@@ -14,91 +20,115 @@ def _keys(seed=0, n=200, shape=(5, 3, 40)):
     return [tuple(rng.randrange(d) for d in shape) for _ in range(n)]
 
 
-def test_pack_ovc_orders_like_ascending_tuple_codes():
-    """Lower ascending tuple code (arity - offset, value) == lower
-    packed int, across offsets and values."""
-    keys = _keys()
-    arity = 3
-    codec = PackedCodec(keys, arity)
-    codes = [(o, v) for o in range(arity) for v in sorted({k[o] for k in keys})]
-    codes.append((arity, 0))  # the duplicate code
-    packed = [codec.pack_ovc(c) for c in codes]
-    tuple_form = [(arity - o, v if o < arity else 0) for o, v in codes]
-    order_by_packed = sorted(range(len(codes)), key=packed.__getitem__)
-    order_by_tuple = sorted(range(len(codes)), key=tuple_form.__getitem__)
-    assert order_by_packed == order_by_tuple
+def pack_range(keys, start, stop):
+    """Key columns ``[start, stop)`` of ``keys``, one packed int per row."""
+    return pack_fields(key_fields(keys, range(start, stop), {}), len(keys))
 
 
-def test_pack_unpack_roundtrip():
-    keys = _keys(1)
-    codec = PackedCodec(keys, 3)
-    for offset in range(3):
-        for value in sorted({k[offset] for k in keys}):
-            assert codec.unpack_ovc(codec.pack_ovc((offset, value))) == (
-                offset,
-                value,
-            )
-    assert codec.unpack_ovc(codec.pack_ovc((3, 0))) == (3, 0)
+def _assert_orders_like(keys, packed):
+    """Stable order by packed word == stable order by key tuple."""
+    positions = range(len(keys))
+    assert sorted(positions, key=packed.__getitem__) == sorted(
+        positions, key=keys.__getitem__
+    )
 
 
 def test_pack_range_orders_like_key_slices():
     keys = _keys(2, shape=(4, 1, 9, 2))  # includes a constant column
-    codec = PackedCodec(keys, 4)
-    for start, stop in [(0, 4), (1, 3), (2, 4), (0, 2)]:
-        packed = codec.pack_range(start, stop)
-        by_packed = sorted(range(len(keys)), key=packed.__getitem__)
-        by_slice = sorted(range(len(keys)), key=lambda i: keys[i][start:stop])
-        assert [keys[i][start:stop] for i in by_packed] == [
-            keys[i][start:stop] for i in by_slice
-        ]
+    for start, stop in [(0, 4), (1, 3), (2, 4), (0, 2), (1, 2)]:
+        packed = pack_range(keys, start, stop)
+        _assert_orders_like([k[start:stop] for k in keys], packed)
 
 
 def test_pack_range_handles_strings_and_negatives():
     keys = [("b", -5), ("a", 10), ("b", 0), ("a", -5), ("c", 3)]
-    codec = PackedCodec(keys, 2)
-    packed = codec.pack_range(0, 2)
+    packed = pack_range(keys, 0, 2)
     by_packed = sorted(range(len(keys)), key=packed.__getitem__)
     assert [keys[i] for i in by_packed] == sorted(keys)
 
 
+def test_fields_are_order_preserving_and_tight():
+    ints, bits = column_field([7, -3, 7, 0, 12])
+    assert list(ints) == [10, 0, 10, 3, 15] and bits == 4  # v - min
+    ranks, bits = column_field(["pear", "fig", "pear", "apple"])
+    assert list(ranks) == [2, 1, 2, 0] and bits == 2  # dense ranks
+    flags, bits = column_field([True, False, True])
+    assert list(flags) == [1, 0, 1] and bits == 1
+    # bool is an int: a mixed column ranks by value, True beside 1.
+    mixed, _ = column_field([2, True, 0, 1])
+    assert list(mixed) == [2, 1, 0, 1]
+
+
+def test_unrankable_columns_raise_type_error():
+    with pytest.raises(TypeError):
+        column_field([1, "a", 2])
+    with pytest.raises(TypeError):
+        column_field([None, 3])
+    with pytest.raises(TypeError):
+        pack_range([(1, "x"), ("y", 2)], 0, 2)
+
+
 def test_varying_columns_and_varies():
+    """A zero-width field is a constant column; it adds nothing to the
+    packed word."""
     keys = [(1, 7, x, "s") for x in range(5)]
-    codec = PackedCodec(keys, 4)
-    assert codec.varying_columns(0, 4) == [2]
-    assert not codec.varies(0)
-    assert codec.varies(2)
-    assert not codec.varies(3)
+    fields = key_fields(keys, range(4), {})
+    assert [bits for _, bits in fields] == [0, 0, 3, 0]
+    assert list(pack_fields(fields, 5)) == list(range(5))
+    assert pack_fields(fields[:2], 5) == [0] * 5
 
 
 def test_positions_indirection_reads_rows():
-    """With ``positions``, the codec reads key columns out of rows."""
+    """Fields are read out of rows by position, in the order asked."""
     rows = [(i % 3, "pad", 10 - i) for i in range(10)]
-    direct = PackedCodec([(r[2], r[0]) for r in rows], 2)
-    indirect = PackedCodec(rows, 2, positions=[2, 0])
-    assert indirect.pack_range(0, 2) == direct.pack_range(0, 2)
-    assert indirect.varying_columns(0, 2) == direct.varying_columns(0, 2)
+    direct = pack_range([(r[2], r[0]) for r in rows], 0, 2)
+    indirect = pack_fields(key_fields(rows, [2, 0], {}), len(rows))
+    assert list(indirect) == list(direct)
 
 
 def test_empty_universe():
-    codec = PackedCodec([], 3)
-    assert codec.pack_range(0, 3) == []
-    assert codec.varying_columns(0, 3) == []
-    assert not codec.varies(1)
-
-
-def test_radix_and_code_radix():
-    keys = [(0, "x"), (1, "x"), (2, "y")]
-    codec = PackedCodec(keys, 2)
-    assert codec.radix(0) == 3
-    assert codec.radix(1) == 2
-    assert codec.code_radix == 4  # 1 + max cardinality
+    assert list(pack_range([], 0, 3)) == []
+    assert [bits for _, bits in key_fields([], range(3), {})] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (1, 50), (7, 7)])
 def test_pack_range_full_width_matches_total_order(shape):
     keys = _keys(3, n=120, shape=shape)
-    codec = PackedCodec(keys, len(shape))
-    packed = codec.pack_range(0, len(shape))
+    packed = pack_range(keys, 0, len(shape))
     assert sorted(keys) == [
         keys[i] for i in sorted(range(len(keys)), key=packed.__getitem__)
     ]
+
+
+@pytest.mark.parametrize(
+    "domains",
+    [
+        (1 << 20, 1 << 20),           # 40 bits: 64-bit cells
+        (1 << 33, 5),                 # one field beyond 32 bits
+        (1 << 40, 1 << 40),           # 80 bits: per-row fallback
+        (1 << 70, 3),                 # int span beyond a machine word
+    ],
+    ids=["q-cells", "wide-field", "beyond-64-bits", "sparse-ints"],
+)
+def test_wide_keys_order_like_tuples(domains):
+    rng = random.Random(5)
+    keys = [tuple(rng.randrange(d) - d // 2 for d in domains) for _ in range(300)]
+    keys += keys[:40]  # ties must stay ties
+    _assert_orders_like(keys, pack_range(keys, 0, len(domains)))
+
+
+def test_packed_words_use_the_fewest_bits():
+    """Tight cells keep ordinary keys single-digit ints for Timsort."""
+    keys = _keys(4, n=500, shape=(8, 8, 16, 256))
+    assert max(pack_range(keys, 0, 4)) < 1 << 18
+
+
+def test_table_fields_are_remembered_until_the_rows_change():
+    table = Table(Schema.of("A", "B"), [(3, "x"), (1, "y"), (2, "x")])
+    assert table._facts().fields is None  # nothing allocated before use
+    first = table_fields(table, [1, 0])
+    assert table_fields(table, [0])[0] is first[1]
+    assert sorted(table._facts().fields) == [0, 1]
+    table.rows[0] = (0, "z")
+    again = table_fields(table, [0, 1])
+    assert list(again[0][0]) == [0, 1, 2] and list(again[1][0]) == [2, 1, 0]

@@ -1,0 +1,115 @@
+"""Column fields are remembered per table — and never outlive its rows.
+
+The fast kernels keep each key column's surrogates on the table's memo
+record (``Table._facts().fields``).  Every test here changes a served
+table between two requests in a way a stale field would get wrong, and
+checks the second answer against the one oracle: stable ``sorted()``
+plus freshly derived codes.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+
+from repro import ExecutionConfig, Schema, SortSpec, Table, modify_sort_order
+from repro.ovc.derive import derive_ovcs
+
+SCHEMA = Schema.of("A", "B", "C")
+BASE = SortSpec.of("A", "B", "C")
+FAST = ExecutionConfig(engine="fast")
+
+
+def _source(rows, schema=SCHEMA) -> Table:
+    rows = sorted(rows)
+    return Table(schema, rows, BASE, derive_ovcs(rows, BASE.positions(schema)))
+
+
+def _rows(n=240):
+    return [(i % 4, (i * 7) % 12, (i * 5) % 9) for i in range(n)]
+
+
+def _assert_oracle(table, order):
+    spec = SortSpec.of(*order)
+    got = modify_sort_order(table, spec, config=FAST)
+    rows = sorted(table.rows, key=spec.key_for(table.schema))
+    assert got.rows == rows
+    assert got.ovcs == derive_ovcs(rows, spec.positions(table.schema))
+
+
+def _edit_in_place(table):
+    # Last row of the table: a B beyond every remembered surrogate.
+    a, _, c = table.rows[-1]
+    table.rows[-1] = (a, 99, c)
+
+
+def _append(table):
+    table.rows.append((table.rows[-1][0] + 1, -5, 0))
+
+
+def _reassign(table):
+    table.rows = sorted((a, 11 - b, c) for a, b, c in table.rows)
+
+
+def _swap_schema(table):
+    # Same tuples, other names: the rows must be sorted under the
+    # renamed key too, so mirror the columns the names trade.
+    table.schema = Schema.of("C", "B", "A")
+    table.rows = sorted(table.rows, key=lambda r: (r[2], r[1], r[0]))
+
+
+@pytest.mark.parametrize(
+    "change", [_edit_in_place, _append, _reassign, _swap_schema],
+    ids=lambda f: f.__name__.strip("_"),
+)
+@pytest.mark.parametrize("order", ["BAC", "ACB", "CBA"])
+def test_second_request_sees_the_changed_rows(change, order):
+    table = _source(_rows())
+    _assert_oracle(table, order)
+    assert table._facts().fields  # the first request left fields behind
+    change(table)
+    table.ovcs = derive_ovcs(table.rows, BASE.positions(table.schema))
+    _assert_oracle(table, order)
+
+
+def test_equal_rows_keep_the_fields():
+    table = _source(_rows())
+    _assert_oracle(table, "BAC")
+    remembered = table._facts().fields
+    table.rows[3] = tuple(table.rows[3])  # equal tuple: nothing changed
+    _assert_oracle(table, "CBA")
+    assert table._facts().fields is remembered
+    assert sorted(remembered) == [0, 1, 2]
+
+
+def test_two_threads_on_one_cold_table_agree_with_the_oracle():
+    """Racing first requests may each build a field (equal builds);
+    neither may ever read a half-built one."""
+    orders = ("BAC", "CBA")
+    failures: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            table = _source(_rows(600))
+            barrier = threading.Barrier(len(orders))
+
+            def work(order):
+                barrier.wait(timeout=10)
+                try:
+                    for _ in range(3):
+                        _assert_oracle(table, order)
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append((order, exc))
+
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
