@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
 """Regression sentinel: did this PR make the measured claims worse?
 
-The committed ``BENCH_fastpath.json`` / ``BENCH_parallel.json``
-artifacts record the repo's kernel-level performance trajectory; this
-sentinel checks a fresh run against them, so a PR cannot silently
-halve the fast path's advantage.  (Cache, planner and serving
-performance are judged end to end by ``benchmarks/e2e/run.py`` +
-``compare.py``, not here.)
+The committed ``BENCH_fastpath.json`` artifact records the repo's
+kernel-level performance trajectory; this sentinel checks a fresh run
+against it, so a PR cannot silently halve the fast path's advantage.
+(Cache, planner and serving performance are judged end to end by
+``benchmarks/e2e/run.py`` + ``compare.py``, not here.)
 
 * **fastpath** — a fresh reference-vs-fast sweep is compared per cell
   (matched by ``label``) against the committed record: each cell's
   *speedup* (a dimensionless ratio, far more host-portable than raw
   seconds) must stay within the noise band of the committed value, and
   so must the geomean.
-* **parallel** — fidelity only: the committed record's speedups are
-  core-count-dependent (the committed host's numbers mean nothing
-  here), but ``fidelity_ok`` must be true in the committed record and
-  in a fresh record when one is supplied.
 * **overhead** (optional, ``--overhead FILE``) — consume the JSON that
   ``check_trace_overhead.py --json`` writes and require both telemetry
   budgets to hold.
@@ -24,9 +19,9 @@ performance are judged end to end by ``benchmarks/e2e/run.py`` +
 Fresh records normally come from live runs at ``--log2-rows`` (smaller
 than the committed artifacts' row counts — speedups grow with input
 size, which is why the default noise bands are one-sided and generous:
-the gate catches *collapses*, not flutter).  ``--fresh-* FILE`` swaps a
-live run for a pre-computed record, which is how tests prove the gate
-fires on a synthetically slowed record.
+the gate catches *collapses*, not flutter).  ``--fresh-fastpath FILE``
+swaps the live run for a pre-computed record, which is how tests prove
+the gate fires on a synthetically slowed record.
 
 ``--smoke`` selects the CI configuration: small inputs and wide bands.
 Exit status is non-zero on any regression finding.
@@ -43,10 +38,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-COMMITTED = {
-    "fastpath": "BENCH_fastpath.json",
-    "parallel": "BENCH_parallel.json",
-}
+COMMITTED = "BENCH_fastpath.json"
 
 #: Default one-sided noise bands: a fresh speedup may fall this far
 #: (fractionally) below the committed one before the gate fires.  The
@@ -105,16 +97,6 @@ def compare_fastpath(
     return problems
 
 
-def check_parallel(committed: dict, fresh: dict | None) -> list[str]:
-    """Fidelity-only: parallel speedups are core-count-dependent."""
-    problems: list[str] = []
-    if not committed.get("fidelity_ok", False):
-        problems.append("parallel: committed record reports fidelity failure")
-    if fresh is not None and not fresh.get("fidelity_ok", False):
-        problems.append("parallel: fresh record reports fidelity failure")
-    return problems
-
-
 def check_overhead(report: dict) -> list[str]:
     """Gate on the overhead artifact check_trace_overhead.py wrote."""
     problems: list[str] = []
@@ -162,10 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         " sweep; how tests feed the gate a synthetic regression)",
     )
     parser.add_argument(
-        "--fresh-parallel", metavar="FILE", default=None,
-        help="check this record's fidelity alongside the committed one",
-    )
-    parser.add_argument(
         "--overhead", metavar="FILE", default=None,
         help="also gate on a check_trace_overhead.py --json artifact",
     )
@@ -189,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
 
     problems: list[str] = []
 
-    committed_fast = _load(COMMITTED["fastpath"])
+    committed_fast = _load(COMMITTED)
     if args.fresh_fastpath:
         fresh_fast = _load(args.fresh_fastpath)
         print(f"fastpath: comparing {args.fresh_fastpath} (pre-computed)")
@@ -203,12 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     problems += compare_fastpath(
         committed_fast, fresh_fast, noise, geomean_noise
     )
-
-    committed_parallel = _load(COMMITTED["parallel"])
-    fresh_parallel = (
-        _load(args.fresh_parallel) if args.fresh_parallel else None
-    )
-    problems += check_parallel(committed_parallel, fresh_parallel)
 
     if args.overhead:
         problems += check_overhead(_load(args.overhead))

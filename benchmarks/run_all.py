@@ -1,20 +1,15 @@
-"""Bench trajectories: ``python benchmarks/run_all.py``.
+"""Bench trajectory: ``python benchmarks/run_all.py``.
 
-Default mode runs the Figure 10 / Figure 11 cells with both engines,
-checks bit-identical output, and writes the JSON artifact (default
+Runs the Figure 10 / Figure 11 cells with both engines, checks
+bit-identical output, and writes the JSON artifact (default
 ``BENCH_fastpath.json`` at the repo root) — equivalent to
-``python -m repro bench --json``.  With ``--workers`` it instead sweeps
-the parallel subsystem (serial vs each worker count) over the Figure 11
-many-segment workload and writes ``BENCH_parallel.json``.
-
-Either mode exits non-zero if any cell's fidelity check (bit-identical
-rows and codes) fails.
+``python -m repro bench --json``.  Exits non-zero if any cell's
+fidelity check (bit-identical rows and codes) fails.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py                 # 2^16 rows
     PYTHONPATH=src python benchmarks/run_all.py --log2-rows 12
-    PYTHONPATH=src python benchmarks/run_all.py --workers 1,2,4 --log2-rows 17
 """
 
 from __future__ import annotations
@@ -31,42 +26,6 @@ from repro.bench.trajectory import run_trajectory, write_trajectory  # noqa: E40
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_fastpath.json"
 )
-DEFAULT_PARALLEL_OUTPUT = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_parallel.json"
-)
-
-
-def _parallel_sweep(args) -> int:
-    from repro.bench.parallel_bench import (
-        format_parallel_cells,
-        run_parallel_trajectory,
-        write_parallel_trajectory,
-    )
-
-    workers = [
-        w.strip() if w.strip() == "auto" else int(w)
-        for w in args.workers.split(",")
-        if w.strip()
-    ]
-    record = run_parallel_trajectory(
-        1 << args.log2_rows, workers=workers, seed=args.seed,
-        repeats=args.repeats,
-    )
-    output = args.output or DEFAULT_PARALLEL_OUTPUT
-    write_parallel_trajectory(output, record)
-    print(
-        format_table(
-            format_parallel_cells(record),
-            f"serial vs parallel, {record['n_rows']:,} rows "
-            f"({record['cpu_count']} cpus; "
-            f"best speedup {record['best_speedup']}x)",
-        )
-    )
-    print(f"\nwrote {os.path.abspath(output)}")
-    if not record["fidelity_ok"]:
-        print("FIDELITY FAILURE: parallel output diverged from serial")
-        return 1
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,18 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--output", default=None)
-    parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="N[,N|auto...]",
-        help="sweep the parallel subsystem at these worker counts"
-        " ('auto' keeps adaptive dispatch) and write"
-        " BENCH_parallel.json instead of the fast-path cells",
-    )
     args = parser.parse_args(argv)
-
-    if args.workers:
-        return _parallel_sweep(args)
 
     record = run_trajectory(
         1 << args.log2_rows, seed=args.seed, repeats=args.repeats

@@ -1,29 +1,23 @@
 #!/usr/bin/env python3
-"""Resource-governed order modification: budgets, spills, fault recovery.
+"""Resource-governed order modification: budgets and spills.
 
 One :class:`repro.exec.ExecutionConfig` carries every execution knob —
-engine, workers, memory budget, spill directory, retry policy.  This
-demo runs the same Table 1 modification three ways:
+engine, memory budget, spill directory.  This demo runs the same
+Table 1 modification two ways:
 
 1. ungoverned (the baseline);
 2. under a deliberately tiny memory budget, so the governed output
    sink spills completed segments to disk and reloads them in order —
    the result is bit-identical, rows *and* codes, because governance
-   only moves completed buffers around and never touches a comparison;
-3. with two workers and an injected worker crash, showing the pool
-   retrying the shard and, when retries are exhausted, quarantining it
-   to in-driver serial execution (``pool.shard_degraded``) — still
-   bit-identical output.
+   only moves completed buffers around and never touches a comparison.
 
 Run:  python examples/resource_governance.py
 """
 
 from __future__ import annotations
 
-import repro.parallel.planner as planner
 from repro import modify_sort_order
 from repro import ExecutionConfig
-from repro.exec import parse_faults
 from repro import Schema, SortSpec
 from repro.obs import METRICS
 from repro import ComparisonStats
@@ -59,33 +53,7 @@ def main() -> None:
     assert gov_stats.as_dict() == base_stats.as_dict()
     spills = snapshot.get("counters", {}).get("exec.spill.runs", 0)
     print(f"budget 64 KiB over {n_rows:,} rows: {spills} spills,")
-    print("  rows, codes, and comparison counts identical to ungoverned run\n")
-
-    # 3. Kill the worker handling shard 0 on its first attempt; the
-    # retry also dies, so the pool quarantines the shard and runs it
-    # serially in the driver.  Output is still bit-identical.
-    planner.MIN_PARALLEL_ROWS = 0
-    METRICS.enable(clear=True)
-    from repro import analyze_order_modification, parallel_modify
-
-    plan = analyze_order_modification(table.sort_spec, spec)
-    fault_cfg = ExecutionConfig(workers=2, shard_retries=1)
-    recovered = parallel_modify(
-        table, spec, plan, plan.strategy, 2,
-        config=fault_cfg, faults=parse_faults("kill@0x2"),
-    )
-    snapshot = METRICS.as_dict()
-    METRICS.disable()
-    METRICS.reset()
-
-    assert recovered is not None
-    assert recovered.rows == baseline.rows
-    assert recovered.ovcs == baseline.ovcs
-    counters = snapshot.get("counters", {})
-    print("injected fault kill@0x2 (shard 0 dies twice):")
-    print(f"  pool.shard_retries  = {counters.get('pool.shard_retries', 0)}")
-    print(f"  pool.shard_degraded = {counters.get('pool.shard_degraded', 0)}")
-    print("  output bit-identical to the serial baseline")
+    print("  rows, codes, and comparison counts identical to ungoverned run")
 
 
 if __name__ == "__main__":

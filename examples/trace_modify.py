@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Trace a Table 1 order modification across worker processes.
+"""Trace a Table 1 order modification.
 
 Runs case 5 of the paper's Table 1 — (A,B,C) -> (A,C,B), the canonical
-shared-prefix modification — with two worker processes, under the span
-tracer and metrics registry from ``repro.obs``.  Each worker records
-its own spans (tagged with its pid and shard index) and ships them home
-with its final result chunk; the ordered collector stitches them into
-one timeline in shard order, which is global output order.
+shared-prefix modification — under the span tracer and metrics registry
+from ``repro.obs``.
 
-The script prints the stitched per-shard timeline, the merged metrics
+The script prints the span tree (inclusive and self time), the metrics
 in Prometheus text format, and writes a Chrome trace-event artifact
 loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
@@ -20,9 +17,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-import repro.parallel.planner as planner
 from repro import modify_sort_order
-from repro import ExecutionConfig
 from repro import Schema, SortSpec
 from repro.obs import METRICS, TRACER
 from repro.obs.exporters import (
@@ -36,37 +31,25 @@ from repro.workloads.generators import random_sorted_table
 
 def main() -> None:
     # Table 1, case 5: rows sorted on (A, B, C), wanted on (A, C, B).
-    # Every distinct A value opens an independent segment, which is
-    # what the planner shards across workers.
+    # Every distinct A value opens an independent segment.
     schema = Schema.of("A", "B", "C", "D")
     n_rows = 1 << 14
     table = random_sorted_table(
         schema, SortSpec.of("A", "B", "C"), n_rows,
         domains=[32, 64, 256, 8], seed=0,
     )
-    planner.MIN_PARALLEL_ROWS = 0  # always exercise the pool in the demo
 
-    print(
-        f"tracing case 5: A,B,C -> A,C,B over {n_rows:,} rows, "
-        f"workers=2 (main pid {os.getpid()})\n"
-    )
+    print(f"tracing case 5: A,B,C -> A,C,B over {n_rows:,} rows\n")
     TRACER.enable(clear=True)
     METRICS.enable(clear=True)
-    modify_sort_order(
-        table, SortSpec.of("A", "C", "B"), config=ExecutionConfig(workers=2)
-    )
+    modify_sort_order(table, SortSpec.of("A", "C", "B"))
     records = TRACER.drain()
     snapshot = METRICS.as_dict()
     TRACER.disable()
     METRICS.disable()
     METRICS.reset()
 
-    shard_spans = [r for r in records if r["name"] == "shard.execute"]
-    pids = sorted({r["pid"] for r in shard_spans})
-    print(
-        f"stitched timeline: {len(records)} spans, "
-        f"{len(shard_spans)} shards from worker pids {pids}\n"
-    )
+    print(f"{len(records)} spans recorded\n")
     print(render_tree(records, max_children=4))
     print()
     print(prometheus_text(snapshot))

@@ -34,11 +34,10 @@ from .ovc.stats import ComparisonStats
 from .core.analysis import ModificationPlan, Strategy, analyze_order_modification
 from .core.modify import modify_sort_order
 from .core.external_modify import modify_sort_order_external
-from .exec import ExecutionConfig, RetryPolicy
+from .exec import ExecutionConfig
 from .cache import OrderCache, configure_cache, reset_cache
 from .engine.sort_op import Sort
 from .engine.modify_op import StreamingModify
-from .parallel.api import parallel_modify, resolve_workers
 from .query import Query
 from .serve import (
     DeadlineExceededError,
@@ -68,9 +67,6 @@ __all__ = [
     "modify_sort_order_external",
     # execution
     "ExecutionConfig",
-    "RetryPolicy",
-    "parallel_modify",
-    "resolve_workers",
     # query & operators
     "Query",
     "Sort",

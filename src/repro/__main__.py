@@ -8,16 +8,13 @@ Regenerates the paper's measured artifacts as text tables:
 * ``design`` — physical design + join planning with/without modification
   (hypothesis 10);
 * ``bench`` — reference vs fast engine across the fig10/fig11 cells
-  (``--json PATH`` writes the machine-readable trajectory artifact);
-  with ``--workers 1,2,4`` it instead sweeps the parallel subsystem
-  (serial vs worker pools) over the Figure 11 many-segment workload
-  (cache, planner and serving performance are measured end to end by
+  (``--json PATH`` writes the machine-readable trajectory artifact;
+  cache, planner and serving performance are measured end to end by
   ``benchmarks/e2e/run.py``, not here);
 * ``trace`` — run one Table 1 case under the span tracer and metrics
-  registry (``--case N``, ``--trace-workers W``), write the trace
-  artifact (Chrome trace-event JSON by default, JSON-lines for
-  ``*.jsonl`` paths), validate it, and print the stitched span tree
-  plus Prometheus-format metrics;
+  registry (``--case N``), write the trace artifact (Chrome
+  trace-event JSON by default, JSON-lines for ``*.jsonl`` paths),
+  validate it, and print the span tree plus Prometheus-format metrics;
 * ``serve`` — run the live telemetry endpoint (``--telemetry-port P``;
   ``/metrics``, ``/healthz``, ``/varz``) as a standalone process:
   ``--warm`` runs one small modify first so ``/metrics`` has non-zero
@@ -31,15 +28,14 @@ Regenerates the paper's measured artifacts as text tables:
   response matched serial uncached execution bit for bit;
 * ``all`` — everything above except ``bench``, ``trace`` and ``serve``.
 
-Both bench modes verify bit-identical rows and codes in every cell and
-exit non-zero on any fidelity failure, so CI smoke runs gate
+``bench`` verifies bit-identical rows and codes in every cell and
+exits non-zero on any fidelity failure, so CI smoke runs gate
 correctness, not just completion.
 
-Options: ``--rows 2**N`` via ``--log2-rows N`` (default 14), ``--seed``,
-``--workers N[,N...]`` (bench sweep / parallel execution).
+Options: ``--rows 2**N`` via ``--log2-rows N`` (default 14), ``--seed``.
 Observability: ``--trace FILE`` records spans for any experiment and
 writes the artifact; ``--metrics`` embeds per-cell metric snapshots in
-the bench artifacts (prints Prometheus text elsewhere);
+the bench artifact (prints Prometheus text elsewhere);
 ``--telemetry-port P`` serves ``/metrics`` + ``/healthz`` + ``/varz``
 live while any experiment runs (0 picks a free port); ``--profile
 FILE`` samples the run's stacks and writes a collapsed-stack
@@ -47,18 +43,16 @@ FILE`` samples the run's stacks and writes a collapsed-stack
 
 Resource governance (:mod:`repro.exec`): ``--memory-budget 64MiB``
 caps the per-query buffered bytes (excess spills to disk, output
-bit-identical), ``--spill-dir`` picks where spill files land,
-``--shard-timeout-s``/``--shard-retries`` set the worker pool's fault
-policy.  The order cache (:mod:`repro.cache`) is governed by
+bit-identical), ``--spill-dir`` picks where spill files land.  The
+order cache (:mod:`repro.cache`) is governed by
 ``--cache off|on|auto``, ``--cache-budget``, and ``--cache-ttl``; the
 order service by ``--service-threads``, ``--service-queue-depth``,
 and ``--service-deadline-ms``.  Every flag is named after the
 :class:`~repro.exec.ExecutionConfig` field it sets, and the same
 fields resolve with precedence **file < environment < flags**: a
 ``--config FILE`` JSON object is the base, ``REPRO_*`` variables
-(``REPRO_MEMORY_BUDGET``, ``REPRO_SPILL_DIR``, ``REPRO_SHARD_TIMEOUT``,
-``REPRO_SHARD_RETRIES``, ``REPRO_CACHE``, ``REPRO_CACHE_BUDGET``,
-``REPRO_CACHE_TTL``, ``REPRO_SERVICE_THREADS``,
+(``REPRO_MEMORY_BUDGET``, ``REPRO_SPILL_DIR``, ``REPRO_CACHE``,
+``REPRO_CACHE_BUDGET``, ``REPRO_CACHE_TTL``, ``REPRO_SERVICE_THREADS``,
 ``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_DEADLINE_MS``)
 override it, and explicit command-line flags win.
 """
@@ -85,14 +79,13 @@ from .workloads.generators import random_sorted_table
 from .model import Schema
 
 
-def _exec_config(args, workers: int | str | None = None) -> ExecutionConfig:
+def _exec_config(args) -> ExecutionConfig:
     """The run's ExecutionConfig.
 
     Precedence (lowest to highest): ``--config FILE`` values, then
     ``REPRO_*`` environment variables, then explicit flags — each flag
     is named after the config field it sets (``--memory-budget`` ->
-    ``memory_budget``, ``--shard-timeout-s`` -> ``shard_timeout_s``,
-    ``--service-threads`` -> ``service_threads``, ...).
+    ``memory_budget``, ``--service-threads`` -> ``service_threads``, ...).
     """
     base = (
         ExecutionConfig.from_file(args.config)
@@ -101,12 +94,10 @@ def _exec_config(args, workers: int | str | None = None) -> ExecutionConfig:
     )
     cfg = ExecutionConfig.from_env(base=base)
     overrides: dict = {}
-    if workers is not None:
-        overrides["workers"] = workers
     for field in (
-        "memory_budget", "spill_dir", "shard_timeout_s", "shard_retries",
-        "cache", "cache_budget", "cache_ttl", "service_threads",
-        "service_queue_depth", "service_deadline_ms", "plan_window_ms",
+        "memory_budget", "spill_dir", "cache", "cache_budget", "cache_ttl",
+        "service_threads", "service_queue_depth", "service_deadline_ms",
+        "plan_window_ms",
     ):
         value = getattr(args, field, None)
         if value is not None:
@@ -326,48 +317,6 @@ def _serve_load(
     return 1 if problems else 0
 
 
-def _parse_workers(spec: str) -> list[int]:
-    try:
-        workers = [int(w) for w in spec.split(",") if w.strip()]
-    except ValueError:
-        raise SystemExit(
-            f"--workers expects N or N,N,... (e.g. 1,2,4); got {spec!r}"
-        )
-    if not workers:
-        raise SystemExit("--workers expects at least one worker count")
-    return workers
-
-
-def _bench_parallel(
-    n_rows: int, seed: int, json_path: str | None, workers: list[int],
-    collect_metrics: bool = False,
-) -> int:
-    from .bench.parallel_bench import (
-        format_parallel_cells,
-        run_parallel_trajectory,
-        write_parallel_trajectory,
-    )
-
-    record = run_parallel_trajectory(
-        n_rows, workers=workers, seed=seed, collect_metrics=collect_metrics
-    )
-    print(
-        format_table(
-            format_parallel_cells(record),
-            f"serial vs parallel workers ({n_rows:,} rows; "
-            f"{record['cpu_count']} cpus; "
-            f"best speedup {record['best_speedup']}x)",
-        )
-    )
-    if json_path:
-        write_parallel_trajectory(json_path, record)
-        print(f"wrote {json_path}")
-    if not record["fidelity_ok"]:
-        print("FIDELITY FAILURE: parallel output diverged from serial")
-        return 1
-    return 0
-
-
 def _write_trace_artifact(path: str, records: list[dict],
                           metrics: dict | None, meta: dict) -> int:
     """Write (and for Chrome traces validate) a span artifact."""
@@ -383,11 +332,7 @@ def _write_trace_artifact(path: str, records: list[dict],
         return 0
     obj = write_chrome_trace(path, records, metrics=metrics)
     errors = validate_chrome_trace(obj)
-    pids = {r["pid"] for r in records}
-    print(
-        f"wrote {path} ({len(records)} spans from "
-        f"{len(pids)} process(es), chrome trace)"
-    )
+    print(f"wrote {path} ({len(records)} spans, chrome trace)")
     if errors:
         for err in errors:
             print(f"INVALID TRACE: {err}")
@@ -396,7 +341,7 @@ def _write_trace_artifact(path: str, records: list[dict],
 
 
 def _trace(
-    case: int, n_rows: int, seed: int, workers: int, out: str,
+    case: int, n_rows: int, seed: int, out: str,
     cfg: ExecutionConfig | None = None,
 ) -> int:
     """Trace one Table 1 case end to end and report the timeline."""
@@ -419,10 +364,7 @@ def _trace(
     METRICS.enable(clear=True)
     try:
         start = time.perf_counter()
-        run_cfg = (cfg or ExecutionConfig.from_env()).with_(
-            workers=workers if workers > 1 else None
-        )
-        modify_sort_order(table, SortSpec(out_cols), config=run_cfg)
+        modify_sort_order(table, SortSpec(out_cols), config=cfg)
         elapsed = time.perf_counter() - start
         records = TRACER.drain()
         snapshot = METRICS.as_dict()
@@ -434,7 +376,7 @@ def _trace(
 
     print(
         f"case {case}: {','.join(inp)} -> {','.join(out_cols)}  "
-        f"({n_rows:,} rows, workers={workers}, {elapsed:.4f}s)"
+        f"({n_rows:,} rows, {elapsed:.4f}s)"
     )
     print()
     print(render_tree(records))
@@ -446,7 +388,6 @@ def _trace(
         "from": ",".join(inp),
         "to": ",".join(out_cols),
         "n_rows": n_rows,
-        "workers": workers,
         "seed": seed,
     }
     return _write_trace_artifact(out, records, snapshot, meta)
@@ -528,13 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'bench' or 'serve --load': also write the JSON record",
     )
     parser.add_argument(
-        "--workers",
-        metavar="N[,N...]",
-        default=None,
-        help="with 'bench': sweep the parallel subsystem at these worker"
-        " counts (e.g. 1,2,4) instead of the reference-vs-fast cells",
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE",
         default=None,
@@ -552,13 +486,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=5,
         help="with 'trace': the Table 1 case to trace (default 5)",
-    )
-    parser.add_argument(
-        "--trace-workers",
-        type=int,
-        default=2,
-        help="with 'trace': worker processes for the traced run"
-        " (default 2)",
     )
     parser.add_argument(
         "--out",
@@ -579,24 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="directory for budget-triggered spill files"
         " (default: system temp)",
-    )
-    parser.add_argument(
-        "--shard-timeout-s",
-        "--shard-timeout",  # legacy spelling, kept as an alias
-        dest="shard_timeout_s",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-shard execution deadline for parallel runs; a shard"
-        " past it is retried on a fresh worker",
-    )
-    parser.add_argument(
-        "--shard-retries",
-        type=int,
-        metavar="N",
-        default=None,
-        help="pooled attempts to retry a failed shard before it is"
-        " quarantined to serial execution (default 1)",
     )
     parser.add_argument(
         "--cache",
@@ -753,10 +662,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args, n_rows: int, cfg: ExecutionConfig) -> int:
     """Run the chosen experiment; shared by every main() entry path."""
     if args.experiment == "trace":
-        return _trace(
-            args.case, n_rows, args.seed, args.trace_workers, args.out,
-            cfg=cfg,
-        )
+        return _trace(args.case, n_rows, args.seed, args.out, cfg=cfg)
 
     from .obs import METRICS, TRACER
 
@@ -768,15 +674,9 @@ def _dispatch(args, n_rows: int, cfg: ExecutionConfig) -> int:
         METRICS.enable(clear=True)
 
     if args.experiment == "bench":
-        if args.workers:
-            rc = _bench_parallel(
-                n_rows, args.seed, args.json, _parse_workers(args.workers),
-                collect_metrics=args.metrics,
-            )
-        else:
-            rc = _bench(
-                n_rows, args.seed, args.json, collect_metrics=args.metrics
-            )
+        rc = _bench(
+            n_rows, args.seed, args.json, collect_metrics=args.metrics
+        )
     else:
         rc = 0
         if args.experiment in ("fig10", "all"):

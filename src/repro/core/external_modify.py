@@ -66,8 +66,8 @@ def modify_sort_order_external(
     ``page_manager``.  With segments smaller than ``memory_capacity``
     the operation is fully internal — the hypothesis 1 scenario.
 
-    ``config`` carries the execution knobs (engine, workers, byte
-    budget, retry policy — see :class:`repro.exec.ExecutionConfig`).
+    ``config`` carries the execution knobs (engine, byte budget — see
+    :class:`repro.exec.ExecutionConfig`).
     The engine follows :func:`~repro.core.modify.resolve_engine`, as in
     :func:`~repro.core.modify.modify_sort_order`: ``auto`` executes the
     in-memory segments through the packed-code kernels
@@ -77,12 +77,6 @@ def modify_sort_order_external(
     segments always take the reference path: spill accounting and
     capped merge waves are the point of this function, and the fast
     kernels do not model them.
-
-    ``config.workers`` shards the segment loop across processes
-    (:mod:`repro.parallel`) when *every* segment fits in memory — the
-    hypothesis 1 regime, where execution is fully internal and spill
-    accounting has nothing to record.  Any oversized segment keeps the
-    whole job on the serial path so its spills are charged faithfully.
 
     ``config.memory_budget`` (bytes, the *process* budget — distinct
     from the simulated row-count ``memory_capacity``) activates real
@@ -175,24 +169,6 @@ def _modify_external(
         method in ("auto", "combined", "merge_runs")
     )
     prefix_for_segments = plan.prefix_len if plan.strategy is not Strategy.MERGE_RUNS else 0
-
-    if cfg.workers not in (None, 0, 1) and prefix_for_segments > 0:
-        segments = list(split_segments(ovcs, prefix_for_segments, len(rows)))
-        if segments and max(hi - lo for lo, hi in segments) <= memory_capacity:
-            # Fully internal execution: every segment fits, no spills to
-            # account for, so the in-memory parallel path applies as-is.
-            from ..parallel.api import parallel_modify
-
-            exec_strategy = (
-                Strategy.COMBINED if use_merge else Strategy.SEGMENT_SORT
-            )
-            result = parallel_modify(
-                table, new_spec, plan, exec_strategy, cfg.workers,
-                stats=stats if engine == "reference" else None,
-                segments=segments, sink=sink, config=cfg,
-            )
-            if result is not None:
-                return result
 
     def fast_in_memory(lo: int, hi: int, seg_rows: list, seg_ovcs: list) -> bool:
         """Run one in-memory segment on the packed-code kernels; False

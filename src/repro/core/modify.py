@@ -15,12 +15,12 @@ orders, picks (or is told) a strategy, and executes it:
 
 Orthogonal to the strategy, an :class:`~repro.exec.ExecutionConfig`
 selects *how* the chosen strategy executes — engine (reference vs.
-packed-code fast path), worker processes, merge fan-in cap, memory
-budget with spill-to-disk, and the pool's retry/timeout policy::
+packed-code fast path), merge fan-in cap, memory budget with
+spill-to-disk::
 
     from repro.exec import ExecutionConfig
 
-    cfg = ExecutionConfig(workers=4, memory_budget="64MiB")
+    cfg = ExecutionConfig(engine="fast", memory_budget="64MiB")
     result = modify_sort_order(table, new_order, config=cfg)
 
 Which engine ``engine="auto"`` means is decided in exactly one place,
@@ -119,10 +119,6 @@ def modify_sort_order(
       executors — reusing the already-computed segment boundaries, so
       classification runs exactly once per call; a forced ``fast``
       engine propagates the ``TypeError``.
-    * ``workers`` — shards segment-parallel strategies across processes
-      (:mod:`repro.parallel`) with the config's retry/timeout policy;
-      output stays bit-identical, and tiny inputs, single-segment jobs,
-      and unshardable strategies fall back to serial automatically.
     * ``max_fan_in`` — caps the runs merged per step (graceful
       degradation to multi-step merges beyond it).
     * ``memory_budget`` / ``spill_dir`` — buffered output runs spill to
@@ -190,7 +186,6 @@ def _modify(
     engine, fallback)`` with the last two as they turned out."""
     plan = analyze_order_modification(table.sort_spec, new_spec)
     engine = resolve_engine(cfg, use_ovc=use_ovc, counters=stats is not None)
-    caller_stats = stats
     stats = stats if stats is not None else ComparisonStats()
 
     if plan.backward:
@@ -237,23 +232,16 @@ def _modify(
         )
 
     # Segment boundaries are computed exactly once per call and shared
-    # by every executor — the shard planner, the fast path, and the
-    # reference path (including the engine="auto" TypeError fallback,
-    # which must not re-classify the input it already classified).
+    # by every executor — the fast path and the reference path
+    # (including the engine="auto" TypeError fallback, which must not
+    # re-classify the input it already classified).
     boundaries: list[tuple[int, int]] | None = None
     if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
         boundaries = _segments(table, plan, use_ovc, in_project, stats, heads)
 
     result = None
     fallback = False
-    if cfg.workers not in (None, 0, 1) and use_ovc:
-        from ..parallel.api import parallel_modify
-
-        result = parallel_modify(
-            table, new_spec, plan, strategy, cfg.workers,
-            stats=caller_stats, config=cfg, segments=boundaries, sink=sink,
-        )
-    if result is None and engine == "fast":
+    if engine == "fast":
         from ..fastpath.execute import fast_modify
 
         try:

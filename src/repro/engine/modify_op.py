@@ -19,14 +19,6 @@ buffered segment through the packed-code kernels
 no comparison counts — with a per-segment fallback to the instrumented
 executors on keys the key packer cannot rank; ``engine="reference"`` is how
 to ask for this operator's counters.
-
-``config.workers`` pipelines segment execution across worker processes
-while preserving the streaming contract: consecutive segments are
-batched into shards, dispatched to the pool as the input is consumed,
-and re-emitted in segment order by the bounded ordered collector
-(:mod:`repro.parallel`), so memory stays bounded by the shard size
-times the in-flight cap rather than the whole input.  Reference-path
-worker counters are merged into the operator's stats at end of stream.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from ..core.analysis import ModificationPlan, Strategy, analyze_order_modificati
 from ..core.merge_runs import merge_preexisting_runs
 from ..core.modify import resolve_engine
 from ..core.segmented import sort_segment
-from ..exec import faults as faults_mod
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec
 from ..obs import METRICS, TRACER
@@ -57,7 +48,6 @@ class StreamingModify(Operator):
         self,
         child: Operator,
         spec: SortSpec,
-        shard_rows: int = 4096,
         config: "ExecutionConfig | None" = None,
     ) -> None:
         if child.ordering is None:
@@ -67,8 +57,6 @@ class StreamingModify(Operator):
         self._child = child
         self._spec = spec
         self._engine = resolve_engine(self._config)
-        self._workers = self._config.workers
-        self._shard_rows = shard_rows
         self.plan: ModificationPlan = analyze_order_modification(
             child.ordering, spec
         )
@@ -97,18 +85,6 @@ class StreamingModify(Operator):
             return
 
         boundary = plan.prefix_len if plan.strategy is not Strategy.FULL_SORT else 0
-
-        if (
-            self._workers not in (None, 0, 1)
-            and boundary > 0
-            and plan.strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED)
-        ):
-            from ..parallel.api import resolve_workers
-
-            n_workers = resolve_workers(self._workers)
-            if n_workers > 1:
-                yield from self._iter_parallel(plan, spec, boundary, n_workers)
-                return
 
         seg_rows: list[tuple] = []
         seg_ovcs: list[tuple] = []
@@ -166,73 +142,6 @@ class StreamingModify(Operator):
             seg_rows.append(row)
             seg_ovcs.append(ovc)
         yield from flush()
-
-    def _iter_parallel(
-        self, plan: ModificationPlan, spec: SortSpec, boundary: int,
-        n_workers: int,
-    ) -> Iterator[tuple[tuple, tuple]]:
-        """Pipeline segments through the worker pool, in segment order.
-
-        Consecutive segments accumulate into shards of at least
-        ``shard_rows`` rows (whole segments only) so tiny segments do
-        not drown the pool in per-task IPC; the ordered collector then
-        streams shard outputs back in global order.
-        """
-        from ..parallel.pool import ShardExecutor
-        from ..parallel.worker import ShardContext
-
-        ctx = ShardContext(
-            schema=self.schema,
-            input_spec=self._child.ordering,
-            output_spec=spec,
-            plan=plan,
-            strategy=plan.strategy,
-            use_fast=self._engine == "fast",
-            collect_stats=self._engine != "fast",
-            trace=TRACER.enabled,
-            collect_metrics=METRICS.enabled,
-            faults=faults_mod.from_env(),
-        )
-        shard_rows = max(1, self._shard_rows)
-
-        def shards() -> Iterator[tuple[list[tuple], list[tuple]]]:
-            buf_rows: list[tuple] = []
-            buf_ovcs: list[tuple] = []
-            seg_start = 0
-            for row, ovc in self._child:
-                if ovc is None:
-                    raise ValueError(
-                        "streaming modification requires offset-value codes"
-                    )
-                if buf_rows and ovc[0] < boundary:
-                    self.peak_segment_rows = max(
-                        self.peak_segment_rows, len(buf_rows) - seg_start
-                    )
-                    if len(buf_rows) >= shard_rows:
-                        yield buf_rows, buf_ovcs
-                        buf_rows, buf_ovcs = [], []
-                    seg_start = len(buf_rows)
-                buf_rows.append(row)
-                buf_ovcs.append(ovc)
-            if buf_rows:
-                self.peak_segment_rows = max(
-                    self.peak_segment_rows, len(buf_rows) - seg_start
-                )
-                yield buf_rows, buf_ovcs
-
-        executor = ShardExecutor(
-            ctx, n_workers, retry_policy=self._config.retry_policy
-        )
-        with TRACER.span(
-            "streaming.parallel", workers=n_workers, engine=self._engine
-        ):
-            for rows_chunk, ovcs_chunk in executor.run(shards()):
-                yield from zip(rows_chunk, ovcs_chunk)
-        if executor.stats is not None:
-            self.stats.merge(executor.stats)
-        from ..parallel.api import stitch_telemetry
-
-        stitch_telemetry(executor.telemetry)
 
     def _children(self) -> list[Operator]:
         return [self._child]

@@ -19,12 +19,8 @@ for this operator's comparison counters — the fast kernels count
 nothing.  The external merge sort has no fast twin (spill accounting
 is its point) and always runs the reference path.
 
-``config.workers`` forwards to the order-modification path's parallel
-subsystem (:mod:`repro.parallel`): segment-parallel strategies shard
-across processes (with the config's retry/timeout policy), with worker
-counters merged back into the operator's stats; everything else stays
-serial automatically.  ``config.memory_budget`` governs the order
-modification's buffered output (spill-to-disk under pressure).
+``config.memory_budget`` governs the order modification's buffered
+output (spill-to-disk under pressure).
 
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this

@@ -1,17 +1,16 @@
 """Unified execution configuration: one object instead of kwarg sprawl.
 
-PRs 1-3 each added their own knob to every entry point — ``engine=``
-(fast path), ``workers=`` (parallel pool), ``max_fan_in=`` (graceful
-merge degradation) — and PR 4 adds a memory budget, a spill directory,
-and a retry/timeout policy.  Threading six loose kwargs through
-``modify_sort_order``, ``modify_sort_order_external``, ``Sort``,
+Early PRs each added their own knob to every entry point — ``engine=``
+(fast path), ``max_fan_in=`` (graceful merge degradation) — and PR 4
+added a memory budget and a spill directory.  Threading loose kwargs
+through ``modify_sort_order``, ``modify_sort_order_external``, ``Sort``,
 ``StreamingModify``, ``Query.order_by``, and the CLI does not scale;
 :class:`ExecutionConfig` carries all of them as one frozen value.
 
 Construction patterns::
 
     cfg = ExecutionConfig.default()                  # env-aware defaults
-    cfg = ExecutionConfig(workers=4, engine="fast")
+    cfg = ExecutionConfig(engine="fast", cache="on")
     cfg = ExecutionConfig.from_env()                 # REPRO_* variables
     low = cfg.with_(memory_budget="1MiB")            # derived variant
 
@@ -28,8 +27,6 @@ from dataclasses import dataclass
 
 _ENGINES = ("auto", "fast", "reference")
 
-_DATA_PLANES = ("auto", "shm", "pickle")
-
 _CACHE_MODES = ("off", "on", "auto")
 
 #: Multipliers for the memory-size suffixes :func:`parse_memory` accepts.
@@ -39,6 +36,23 @@ _UNITS = {
     "m": 1024 ** 2, "mb": 1000 ** 2, "mib": 1024 ** 2,
     "g": 1024 ** 3, "gb": 1000 ** 3, "gib": 1024 ** 3,
 }
+
+#: ``(variable, field, conversion)`` read by
+#: :meth:`ExecutionConfig.from_env`; ``str`` leaves the value to the
+#: field's own validation.
+_ENV_FIELDS = (
+    ("REPRO_ENGINE", "engine", str),
+    ("REPRO_MAX_FAN_IN", "max_fan_in", int),
+    ("REPRO_MEMORY_BUDGET", "memory_budget", str),
+    ("REPRO_SPILL_DIR", "spill_dir", str),
+    ("REPRO_CACHE", "cache", str),
+    ("REPRO_CACHE_BUDGET", "cache_budget", str),
+    ("REPRO_CACHE_TTL", "cache_ttl", float),
+    ("REPRO_SERVICE_THREADS", "service_threads", int),
+    ("REPRO_SERVICE_QUEUE_DEPTH", "service_queue_depth", int),
+    ("REPRO_SERVICE_DEADLINE_MS", "service_deadline_ms", float),
+    ("REPRO_PLAN_WINDOW_MS", "plan_window_ms", float),
+)
 
 
 def parse_memory(value: int | str | None) -> int | None:
@@ -82,26 +96,6 @@ def parse_memory(value: int | str | None) -> int | None:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Fault-tolerance policy for the parallel worker pool.
-
-    ``timeout_s`` is the per-shard wall-clock deadline (``None`` means
-    no deadline: only worker death triggers recovery).  ``retries`` is
-    how many times a failed shard is re-dispatched to the pool before it
-    is quarantined and executed serially in the driver process.
-    """
-
-    timeout_s: float | None = None
-    retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be non-negative, got {self.retries}")
-
-
-@dataclass(frozen=True)
 class ExecutionConfig:
     """Every execution knob of the engine, as one frozen value.
 
@@ -112,9 +106,6 @@ class ExecutionConfig:
         ``auto`` means the packed-code kernels unless something
         reference-only was requested (one rule for every entry point:
         :func:`repro.core.modify.resolve_engine`).
-    workers:
-        ``None``/``0``/``1`` serial, ``"auto"`` for the core count, or
-        an explicit worker-process count.
     max_fan_in:
         Cap on runs merged per step in the reference merge executors
         (graceful degradation to multi-step merges beyond it).
@@ -125,14 +116,6 @@ class ExecutionConfig:
         under pressure.  ``None`` disables governance entirely.
     spill_dir:
         Directory for spill files; ``None`` uses the system temp dir.
-    shard_timeout_s / shard_retries:
-        The pool's :class:`RetryPolicy` (see there).
-    data_plane:
-        Worker IPC protocol: ``"auto"`` (shared-memory plane whenever
-        the job qualifies — fast-path engine under ``fork``), ``"shm"``
-        (force the plane; error when impossible), or ``"pickle"``
-        (force the legacy pickled-chunk protocol).  See
-        :mod:`repro.parallel.shm`.
     trace / metrics:
         Tri-state observability requests: ``True`` force-enables the
         span tracer / metrics registry for governed runs, ``False``
@@ -175,13 +158,9 @@ class ExecutionConfig:
     """
 
     engine: str = "auto"
-    workers: int | str | None = None
     max_fan_in: int | None = None
     memory_budget: int | None = None
     spill_dir: str | None = None
-    shard_timeout_s: float | None = None
-    shard_retries: int = 1
-    data_plane: str = "auto"
     trace: bool | None = None
     metrics: bool | None = None
     cache: str = "off"
@@ -197,21 +176,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {sorted(_ENGINES)}"
             )
-        if self.data_plane not in _DATA_PLANES:
-            raise ValueError(
-                f"unknown data plane {self.data_plane!r}; "
-                f"choose from {sorted(_DATA_PLANES)}"
-            )
-        if self.workers is not None and self.workers != "auto":
-            if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-                raise ValueError(
-                    "workers must be an int, 'auto', or None; "
-                    f"got {self.workers!r}"
-                )
-            if self.workers < 0:
-                raise ValueError(
-                    f"workers must be non-negative, got {self.workers}"
-                )
         if self.max_fan_in is not None and self.max_fan_in < 2:
             raise ValueError(
                 f"max_fan_in must be at least 2, got {self.max_fan_in}"
@@ -219,14 +183,6 @@ class ExecutionConfig:
         object.__setattr__(
             self, "memory_budget", parse_memory(self.memory_budget)
         )
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ValueError(
-                f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
-            )
-        if self.shard_retries < 0:
-            raise ValueError(
-                f"shard_retries must be non-negative, got {self.shard_retries}"
-            )
         if self.cache not in _CACHE_MODES:
             raise ValueError(
                 f"unknown cache mode {self.cache!r}; "
@@ -292,55 +248,36 @@ class ExecutionConfig:
     ) -> "ExecutionConfig":
         """Build a config from ``REPRO_*`` environment variables.
 
-        Recognized: ``REPRO_ENGINE``, ``REPRO_WORKERS`` (int or
-        ``auto``), ``REPRO_MAX_FAN_IN``, ``REPRO_MEMORY_BUDGET``
-        (``parse_memory`` syntax), ``REPRO_SPILL_DIR``,
-        ``REPRO_SHARD_TIMEOUT`` (seconds), ``REPRO_SHARD_RETRIES``,
-        ``REPRO_DATA_PLANE`` (``auto``/``shm``/``pickle``),
-        ``REPRO_CACHE`` (``off``/``on``/``auto``; ``1``/``0`` are
-        accepted as ``on``/``off``), ``REPRO_CACHE_BUDGET``
-        (``parse_memory`` syntax), ``REPRO_CACHE_TTL`` (seconds),
-        ``REPRO_SERVICE_THREADS``, ``REPRO_SERVICE_QUEUE_DEPTH``,
-        ``REPRO_SERVICE_DEADLINE_MS``, ``REPRO_PLAN_WINDOW_MS``.
-        Unset variables keep the field
+        Recognized: ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``,
+        ``REPRO_MEMORY_BUDGET`` (``parse_memory`` syntax),
+        ``REPRO_SPILL_DIR``, ``REPRO_CACHE`` (``off``/``on``/``auto``;
+        ``1``/``0`` are accepted as ``on``/``off``),
+        ``REPRO_CACHE_BUDGET`` (``parse_memory`` syntax),
+        ``REPRO_CACHE_TTL`` (seconds), ``REPRO_SERVICE_THREADS``,
+        ``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_DEADLINE_MS``,
+        ``REPRO_PLAN_WINDOW_MS``.  Any other ``REPRO_*`` variable is
+        ignored here, and a malformed number is a ``ValueError`` that
+        names the variable.  Unset variables keep the field
         defaults — or ``base``'s values when a base config is given
         (the config-precedence rule *file < env < flags* hangs off
         this parameter: pass :meth:`from_file`'s result as ``base``).
         """
         e = os.environ if env is None else env
         kwargs: dict = {}
-        if e.get("REPRO_ENGINE"):
-            kwargs["engine"] = e["REPRO_ENGINE"]
-        if e.get("REPRO_WORKERS"):
-            raw = e["REPRO_WORKERS"]
-            kwargs["workers"] = raw if raw == "auto" else int(raw)
-        if e.get("REPRO_MAX_FAN_IN"):
-            kwargs["max_fan_in"] = int(e["REPRO_MAX_FAN_IN"])
-        if e.get("REPRO_MEMORY_BUDGET"):
-            kwargs["memory_budget"] = e["REPRO_MEMORY_BUDGET"]
-        if e.get("REPRO_SPILL_DIR"):
-            kwargs["spill_dir"] = e["REPRO_SPILL_DIR"]
-        if e.get("REPRO_SHARD_TIMEOUT"):
-            kwargs["shard_timeout_s"] = float(e["REPRO_SHARD_TIMEOUT"])
-        if e.get("REPRO_SHARD_RETRIES"):
-            kwargs["shard_retries"] = int(e["REPRO_SHARD_RETRIES"])
-        if e.get("REPRO_DATA_PLANE"):
-            kwargs["data_plane"] = e["REPRO_DATA_PLANE"]
-        if e.get("REPRO_CACHE"):
-            raw = e["REPRO_CACHE"].strip().lower()
+        for var, field, convert in _ENV_FIELDS:
+            raw = e.get(var)
+            if not raw:
+                continue
+            try:
+                kwargs[field] = convert(raw)
+            except ValueError:
+                raise ValueError(
+                    f"environment variable {var}={raw!r} is not a valid "
+                    f"{convert.__name__} for ExecutionConfig.{field}"
+                ) from None
+        if "cache" in kwargs:
+            raw = kwargs["cache"].strip().lower()
             kwargs["cache"] = {"1": "on", "0": "off"}.get(raw, raw)
-        if e.get("REPRO_CACHE_BUDGET"):
-            kwargs["cache_budget"] = e["REPRO_CACHE_BUDGET"]
-        if e.get("REPRO_CACHE_TTL"):
-            kwargs["cache_ttl"] = float(e["REPRO_CACHE_TTL"])
-        if e.get("REPRO_SERVICE_THREADS"):
-            kwargs["service_threads"] = int(e["REPRO_SERVICE_THREADS"])
-        if e.get("REPRO_SERVICE_QUEUE_DEPTH"):
-            kwargs["service_queue_depth"] = int(e["REPRO_SERVICE_QUEUE_DEPTH"])
-        if e.get("REPRO_SERVICE_DEADLINE_MS"):
-            kwargs["service_deadline_ms"] = float(e["REPRO_SERVICE_DEADLINE_MS"])
-        if e.get("REPRO_PLAN_WINDOW_MS"):
-            kwargs["plan_window_ms"] = float(e["REPRO_PLAN_WINDOW_MS"])
         if base is not None:
             return base.with_(**kwargs) if kwargs else base
         return cls(**kwargs)
@@ -350,7 +287,7 @@ class ExecutionConfig:
         """Load a config from a JSON file of field name/value pairs.
 
         The file is a single JSON object whose keys are
-        :class:`ExecutionConfig` field names (``{"workers": 4,
+        :class:`ExecutionConfig` field names (``{"engine": "fast",
         "memory_budget": "64MiB", "cache": "on"}``); values pass
         through the same validation as keyword construction, so
         ``parse_memory`` strings work for the byte-sized fields.
@@ -386,13 +323,6 @@ class ExecutionConfig:
         return dataclasses.replace(self, **overrides)
 
     # --------------------------------------------------------- accessors
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The pool fault-tolerance policy implied by this config."""
-        return RetryPolicy(
-            timeout_s=self.shard_timeout_s, retries=self.shard_retries
-        )
 
     @property
     def governed(self) -> bool:

@@ -2,8 +2,8 @@
 
 A :class:`MemoryAccountant` is charged, in bytes, by everything that
 buffers rows during a governed query — run generation, merge output
-buffers, the fast path's packed-code arrays, the parallel collector's
-reorder buffer — and answers one question for all of them:
+buffers, the fast path's packed-code arrays, the order cache, the
+service's in-flight tables — and answers one question for all of them:
 :meth:`MemoryAccountant.over_budget`.  Charging is bookkeeping only;
 the *reaction* (spilling buffered runs, shrinking merge fan-in) lives
 with whoever owns the memory, which keeps the accountant loss-free:
@@ -58,7 +58,7 @@ class MemoryAccountant:
     ``budget`` is the per-query byte budget (``None`` = unlimited:
     charges are tracked but :meth:`over_budget` never fires).
     Categories are free-form dotted names (``"modify.output"``,
-    ``"extsort.runs"``, ``"fastpath.packed"``, ``"pool.reorder"``);
+    ``"extsort.runs"``, ``"fastpath.packed"``, ``"serve.inflight"``);
     they exist for attribution in metrics and tests, not for separate
     sub-budgets.
     """

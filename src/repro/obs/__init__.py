@@ -2,15 +2,14 @@
 
 The paper's claims are *work* claims — comparisons avoided, time spent
 per method — so this package gives every layer (core modify pipeline,
-fastpath kernels, external sort, engine operators, parallel workers)
-one way to say where the work went:
+fastpath kernels, external sort, engine operators, the service) one
+way to say where the work went:
 
 * :data:`TRACER` (:mod:`repro.obs.spans`) — nestable, monotonic-clock
   spans with a no-op singleton fast path when disabled;
 * :data:`METRICS` (:mod:`repro.obs.metrics`) — named counters, gauges,
   and histograms generalizing
-  :class:`~repro.ovc.stats.ComparisonStats`, merged across worker
-  processes;
+  :class:`~repro.ovc.stats.ComparisonStats`;
 * :mod:`repro.obs.exporters` — JSON-lines, Chrome trace-event (loads
   in Perfetto), Prometheus text exposition, and a human tree view;
 * :data:`LOG` (:mod:`repro.obs.logging`) — structured JSON-lines

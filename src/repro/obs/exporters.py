@@ -7,14 +7,12 @@ Four consumers, four formats:
   "meta", ...}``), streamable and diff-able.
 * :func:`chrome_trace` — the Chrome trace-event format (``ph: "X"``
   complete events, microsecond timestamps), loadable in Perfetto or
-  ``chrome://tracing``; per-process metadata events name the main
-  process and each worker, and worker processes sort in first-shard
-  order so the stitched timeline reads top to bottom in output order.
+  ``chrome://tracing``; a metadata event names each process.
 * :func:`prometheus_text` — Prometheus text exposition of the metrics
   registry (counters, gauges, histograms with power-of-two ``le``
   buckets).
 * :func:`render_tree` — the human view: the span call tree with
-  inclusive *and* self time per node, worker/shard tags inline.
+  inclusive *and* self time per node.
 
 :func:`validate_chrome_trace` is the schema check CI and tests run
 against emitted artifacts.
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re as _re
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .metrics import MetricsRegistry
@@ -76,27 +75,14 @@ def chrome_trace(records: Iterable[dict], metrics: dict | None = None) -> dict:
 
     Timestamps are microseconds relative to the earliest span, so the
     viewer opens at t=0 regardless of wall-clock epoch.  Every process
-    gets a ``process_name`` metadata event; worker processes (spans
-    tagged with a shard) additionally get a ``process_sort_index`` of
-    their first shard, stitching workers in shard order.
+    gets a ``process_name`` metadata event.
     """
     records = list(records)
     events: list[dict] = []
     if not records:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
     t0 = min(r["start"] for r in records)
-    pids: dict[int, dict] = {}
     for r in records:
-        tags = r.get("tags", {})
-        info = pids.setdefault(r["pid"], {"worker": None, "first_shard": None})
-        if "worker" in tags:
-            info["worker"] = tags["worker"]
-        if "shard" in tags:
-            shard = tags["shard"]
-            if info["first_shard"] is None or shard < info["first_shard"]:
-                info["first_shard"] = shard
-        args: dict[str, Any] = dict(r.get("attrs", {}))
-        args.update(tags)
         events.append(
             {
                 "name": r["name"],
@@ -106,32 +92,18 @@ def chrome_trace(records: Iterable[dict], metrics: dict | None = None) -> dict:
                 "dur": round(r["dur"] * 1e6, 3),
                 "pid": r["pid"],
                 "tid": 0,
-                "args": args,
+                "args": dict(r.get("attrs", {})),
             }
         )
-    for pid, info in pids.items():
-        if info["first_shard"] is not None:
-            label = f"worker pid={pid} (first shard {info['first_shard']})"
-            sort_index = 1 + info["first_shard"]
-        else:
-            label = f"main pid={pid}"
-            sort_index = 0
+    pids = sorted({r["pid"] for r in records})
+    for pid in pids:
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": label},
-            }
-        )
-        events.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": sort_index},
+                "args": {"name": f"main pid={pid}"},
             }
         )
     if metrics is not None:
@@ -139,7 +111,7 @@ def chrome_trace(records: Iterable[dict], metrics: dict | None = None) -> dict:
             {
                 "name": "metrics",
                 "ph": "M",
-                "pid": min(pids),
+                "pid": pids[0],
                 "tid": 0,
                 "args": {"metrics": metrics},
             }
@@ -393,11 +365,6 @@ def _fmt_seconds(s: float) -> str:
 
 def _label(record: dict) -> str:
     parts = [record["name"]]
-    tags = record.get("tags")
-    if tags:
-        parts.append(
-            "[" + " ".join(f"{k}={v}" for k, v in sorted(tags.items())) + "]"
-        )
     attrs = record.get("attrs")
     if attrs:
         parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
@@ -407,10 +374,9 @@ def _label(record: dict) -> str:
 def render_tree(records: Iterable[dict], max_children: int = 64) -> str:
     """Render spans as an indented tree with inclusive and self time.
 
-    Spans nest by their parent links within each process; processes are
-    ordered main first, then workers by first shard.  Self time is the
-    span's duration minus its direct children's durations — the work
-    the phase did itself rather than delegated.
+    Spans nest by their parent links, siblings in start order.  Self
+    time is the span's duration minus its direct children's durations —
+    the work the phase did itself rather than delegated.
     """
     records = list(records)
     if not records:
@@ -426,14 +392,11 @@ def render_tree(records: Iterable[dict], max_children: int = 64) -> str:
         else:
             roots.append(r)
 
-    def sort_key(r: dict) -> tuple:
-        tags = r.get("tags", {})
-        return (tags.get("shard", -1), r["start"])
-
+    by_start = itemgetter("start")
     lines: list[str] = []
 
     def emit(r: dict, depth: int) -> None:
-        kids = sorted(children.get((r["pid"], r["id"]), []), key=sort_key)
+        kids = sorted(children.get((r["pid"], r["id"]), []), key=by_start)
         self_s = r["dur"] - sum(k["dur"] for k in kids)
         timing = _fmt_seconds(r["dur"])
         if kids:
@@ -449,6 +412,6 @@ def render_tree(records: Iterable[dict], max_children: int = 64) -> str:
                 f"({_fmt_seconds(sum(k['dur'] for k in rest))} total)"
             )
 
-    for root in sorted(roots, key=sort_key):
+    for root in sorted(roots, key=by_start):
         emit(root, 0)
     return "\n".join(lines)

@@ -4,8 +4,7 @@ Spans answer *where time went*; metrics answer *how much work
 happened*; this module answers *what the system decided* — the
 discrete, low-frequency events an operator greps when a query behaved
 strangely: which strategy a modify resolved to, why the cache declined
-to serve, which shard was retried and for what reason, when the memory
-budget tipped into pressure.  One event is one JSON object on one line,
+to serve, when the memory budget tipped into pressure.  One event is one JSON object on one line,
 so the log tails, greps, and loads into any log pipeline without a
 parser.
 
@@ -28,9 +27,8 @@ cost is one attribute check.  ``REPRO_LOG=PATH`` (or ``stderr`` /
 ``stdout``) enables it at import.
 
 Events are deliberately *decision-grade*, never per row: strategies
-chosen, cache verdicts, shard retries/quarantines, spills, pressure
-transitions, slow-query captures.  Volume stays proportional to
-queries and faults, not to data.
+chosen, cache verdicts, spills, pressure transitions, slow-query
+captures.  Volume stays proportional to queries, not to data.
 """
 
 from __future__ import annotations

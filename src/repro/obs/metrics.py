@@ -2,24 +2,21 @@
 
 :class:`~repro.ovc.stats.ComparisonStats` counts the paper's five
 comparison-economy measures, but it is a closed dataclass — every new
-measurement (merge fan-in, run lengths, segment sizes, pool depth,
-backpressure waits) would mean another field threaded through every
+measurement (merge fan-in, run lengths, segment sizes, queue depth,
+spill traffic) would mean another field threaded through every
 executor signature.  The registry generalizes it: any instrumented site
-names a metric and bumps it, and the whole set merges across processes
-as one plain dict (the parallel workers ship their registry deltas home
-with their final result chunk).
+names a metric and bumps it, and the whole set snapshots as one plain
+dict.
 
 Three instrument kinds:
 
-* :class:`Counter` — monotonically increasing total (int or float,
-  e.g. backpressure seconds).
-* :class:`Gauge` — a level that moves both ways (pool in-flight depth);
-  tracks its high-water mark, which is what merges meaningfully across
-  processes.
+* :class:`Counter` — monotonically increasing total (int or float).
+* :class:`Gauge` — a level that moves both ways (admission-queue
+  depth); also tracks its high-water mark.
 * :class:`Histogram` — a distribution summarized as count/sum/min/max
   plus power-of-two buckets (bucket ``k`` counts observations with
   ``2**(k-1) < v <= 2**k``), which is exact enough for fan-ins and
-  segment sizes and merges by simple addition.
+  segment sizes.
 
 Like the tracer, the registry is off by default and every hot call site
 gates on :attr:`MetricsRegistry.enabled`, so the disabled cost is one
@@ -50,13 +47,6 @@ drift).  Counters:
 * ``extsort.respilled_rows`` — external-sort rows spilled again.
 * ``log.events`` — structured-log lines emitted.
 * ``merge.degraded_merges`` — merges that fell back to column compares.
-* ``pool.pack_seconds`` / ``pool.compute_seconds`` /
-  ``pool.ipc_seconds`` / ``pool.ipc_bytes`` — pool phase accounting;
-  ``pool.backpressure_wait_seconds`` — producer stalls;
-  ``pool.shard_retries`` / ``pool.shard_degraded`` — fault recovery;
-  ``pool.shm_blocks`` / ``pool.shm_bytes`` — shared-memory data plane;
-  ``pool.adaptive_serial`` — auto dispatch stayed serial below the
-  calibrated break-even.
 * ``plan.batches`` / ``plan.nodes`` — batch derivation-planner runs
   and orders they produced; ``plan.sibling_derivations`` — orders
   derived from another *requested* order's fresh result;
@@ -81,12 +71,7 @@ drift).  Counters:
 Gauges:
 
 * ``cache.bytes_resident`` / ``cache.entries`` — order-cache footprint.
-* ``calibrate.kernel_ns_row`` / ``calibrate.pickle_ns_row`` /
-  ``calibrate.plane_ns_row`` / ``calibrate.min_parallel_rows_w2`` /
-  ``calibrate.chunk_rows`` — what per-host calibration measured.
 * ``exec.mem.used_bytes`` / ``exec.mem.peak_bytes`` — accountant level.
-* ``pool.inflight_shards`` / ``pool.reorder_buffered_rows`` — pool
-  depth and reorder-buffer size.
 * ``serve.queue_depth`` / ``serve.inflight`` /
   ``serve.inflight_bytes`` — order-service admission-queue depth,
   in-flight executions, and bytes of source buffers held.
@@ -171,7 +156,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Create-on-demand metric store with cross-process merging."""
+    """Create-on-demand metric store."""
 
     __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
 
@@ -216,7 +201,7 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
 
-    # Serialization / merging ------------------------------------------------
+    # Serialization ----------------------------------------------------------
 
     def absorb_stats(
         self, stats: ComparisonStats, prefix: str = "comparisons."
@@ -226,7 +211,7 @@ class MetricsRegistry:
             self.counter(prefix + name).inc(value)
 
     def as_dict(self) -> dict:
-        """Picklable/JSON-ready snapshot of every metric.
+        """JSON-ready snapshot of every metric.
 
         Safe to call from a scraper thread while instrumented code
         keeps bumping: each dict (and each histogram's buckets) is
@@ -253,34 +238,6 @@ class MetricsRegistry:
                 for k, h in list(self._histograms.items())
             },
         }
-
-    def merge(self, snapshot: dict | None) -> None:
-        """Fold another registry's :meth:`as_dict` into this one.
-
-        Counters and histograms add; gauges keep the highest level seen
-        anywhere (per-process levels are not meaningfully summable).
-        """
-        if not snapshot:
-            return
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, g in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            if g["max"] > gauge.max:
-                gauge.max = g["max"]
-            if g["value"] > gauge.value:
-                gauge.value = g["value"]
-        for name, h in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name)
-            hist.count += h["count"]
-            hist.total += h["sum"]
-            if h["min"] is not None and (hist.min is None or h["min"] < hist.min):
-                hist.min = h["min"]
-            if h["max"] is not None and (hist.max is None or h["max"] > hist.max):
-                hist.max = h["max"]
-            for bucket, n in h["buckets"].items():
-                b = int(bucket)
-                hist.buckets[b] = hist.buckets.get(b, 0) + n
 
 
 #: The process-wide registry; ``REPRO_METRICS=1`` enables at import.

@@ -15,8 +15,8 @@ the collapsed-stack format every flamegraph tool eats directly::
 Two timers:
 
 * ``mode="thread"`` (default) — a daemon thread samples the *other*
-  threads; works everywhere (any thread, any platform, workers too)
-  and observes wall-clock time, so blocking I/O and lock waits show up.
+  threads; works everywhere (any thread, any platform) and observes
+  wall-clock time, so blocking I/O and lock waits show up.
 * ``mode="signal"`` — ``signal.setitimer(ITIMER_PROF)`` + ``SIGPROF``
   samples on *CPU* time; main-thread-only and POSIX-only, but immune
   to wall-clock skew from sleeps.

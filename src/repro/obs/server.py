@@ -11,11 +11,12 @@ background daemon thread that any entry point can start
   registry (with ``# HELP``/``# TYPE`` lines), scrapeable mid-query:
   the registry snapshot is taken atomically enough that concurrent
   metric bumps never break a scrape.
-* ``GET /healthz`` — liveness plus derived health: worker-pool
-  degradation (``pool.shard_degraded``), memory-budget pressure (from
-  the active :class:`~repro.exec.memory.MemoryAccountant`), and spill
-  activity.  Always ``200`` while the process serves (a degraded pool
-  is an *observation*, not a death sentence); the JSON body carries
+* ``GET /healthz`` — liveness plus derived health: memory-budget
+  pressure (from the active
+  :class:`~repro.exec.memory.MemoryAccountant`), spill activity, and
+  order-service overload.  Always ``200`` while the process serves
+  (degradation is an *observation*, not a death sentence); the JSON
+  body carries
   ``status: "ok" | "degraded"`` with per-check detail.
 * ``GET /varz`` — the kitchen sink as JSON: the full metrics snapshot,
   tracer state (span counts plus the open span chain), the governing
@@ -56,7 +57,7 @@ def health_snapshot(config: Any = None) -> dict:
 
     ``status`` is ``"ok"`` or ``"degraded"``; each check reports its
     own status plus the numbers it judged.  Degraded means "serving,
-    but something needed fault recovery or budget pressure" — the
+    but under budget pressure or shedding requests" — the
     process is alive either way (that is what the HTTP 200 says).
     """
     from ..exec import memory
@@ -64,14 +65,6 @@ def health_snapshot(config: Any = None) -> dict:
     snap = METRICS.as_dict()
     counters = snap.get("counters", {})
     checks: dict[str, dict] = {}
-
-    degraded = counters.get("pool.shard_degraded", 0)
-    retries = counters.get("pool.shard_retries", 0)
-    checks["pool"] = {
-        "status": "degraded" if degraded else "ok",
-        "shard_degraded": degraded,
-        "shard_retries": retries,
-    }
 
     accountant = memory.current()
     if accountant is not None:

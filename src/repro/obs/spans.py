@@ -1,7 +1,7 @@
 """Low-overhead span tracer: nested, monotonic-clock timed intervals.
 
 A *span* is one timed interval of work — a modify phase, a segment
-sort, a merge pass, a worker shard — with a name, free-form attributes,
+sort, a merge pass — with a name, free-form attributes,
 and a parent link, so finished spans reassemble into a call tree.  The
 paper's headline claims are work claims (Figure 10 counts comparisons,
 Figure 11 splits time across methods); spans are how that work is
@@ -13,24 +13,22 @@ Design constraints, in order:
    tracer returns a shared no-op singleton without allocating anything;
    the total cost is one attribute check plus a context-manager
    protocol round trip.  Call sites therefore instrument at *phase*
-   granularity (per segment, per merge pass, per shard) — never per
+   granularity (per segment, per merge pass) — never per
    row — and the bench smoke stays within its 5% budget (enforced by
    ``benchmarks/check_trace_overhead.py``).
 2. **Durations are monotonic.**  Spans are timed with
    ``time.perf_counter``; a wall-clock anchor captured at enable time
-   converts start times to epoch seconds only on export, so spans from
-   different processes land on one comparable timeline without any
-   process ever reading the wall clock on the hot path.
-3. **Records are plain dicts.**  Finished spans pickle across the
-   parallel worker boundary and dump to JSON without conversion.
+   converts start times to epoch seconds only on export, so no span
+   ever reads the wall clock on the hot path.
+3. **Records are plain dicts.**  Finished spans dump to JSON without
+   conversion.
 
 Record schema::
 
     {"name": str, "start": float,  # epoch seconds
      "dur": float,                 # seconds
      "pid": int, "id": int, "parent": int | None,
-     "attrs": {...},               # only if non-empty
-     "tags": {...}}                # worker/shard labels, added on stitch
+     "attrs": {...}}               # only if non-empty
 """
 
 from __future__ import annotations
@@ -112,8 +110,7 @@ class Tracer:
     """Per-process span collector.
 
     One module-level instance (:data:`TRACER`) serves the whole
-    process; parallel workers reset and re-enable their (inherited or
-    fresh) instance per job, so records never leak across processes.
+    process.
     """
 
     __slots__ = ("enabled", "records", "_current", "_next_id", "_epoch", "_pid")
@@ -166,8 +163,7 @@ class Tracer:
     def enable(self, clear: bool = True) -> None:
         """Turn tracing on; by default dropping any stale records.
 
-        The wall-clock anchor is (re)captured here, so spans recorded
-        after a fork still export comparable epoch start times.
+        The wall-clock anchor is (re)captured here.
         """
         if clear:
             self.reset()
@@ -187,10 +183,6 @@ class Tracer:
         """Return all finished span records and clear the buffer."""
         records, self.records = self.records, []
         return records
-
-    def add_records(self, records: list[dict]) -> None:
-        """Stitch externally produced records (worker spans) in."""
-        self.records.extend(records)
 
 
 #: The process-wide tracer.  ``REPRO_TRACE=1`` enables it at import so

@@ -95,12 +95,8 @@ class Query:
         fallback on keys the key packer cannot rank) — same rows and codes,
         no comparison counts on the operator's stats;
         ``engine="reference"`` is how to ask for those counts;
-        ``workers`` (an int or ``"auto"``) shards segment-parallel
-        order modification across processes (:mod:`repro.parallel`)
-        with the config's retry/timeout policy — output is
-        bit-identical and small or unshardable jobs fall back to serial
-        automatically; ``memory_budget`` spills buffered output to disk
-        under pressure; ``cache="on"`` serves repeat orders over the
+        ``memory_budget`` spills buffered output to disk under
+        pressure; ``cache="on"`` serves repeat orders over the
         same rows from the order cache (:mod:`repro.cache`) — exact
         repeats verbatim, related orders by modifying the best cached
         order — with the strategy shown per Sort node by

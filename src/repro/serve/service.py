@@ -37,8 +37,7 @@ One in-process service owns the workload-level concerns that a solo
 Executions run on ``config.service_threads`` scheduler threads, each
 through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
 the service's :class:`~repro.exec.ExecutionConfig` — which means the
-order cache (``config.cache``), the parallel pool, governance, and all
-telemetry engage exactly as they would for a direct call.  Queue and
+order cache (``config.cache``), governance, and all telemetry engage exactly as they would for a direct call.  Queue and
 in-flight source buffers are charged to the service's
 :class:`~repro.exec.memory.MemoryAccountant` under the
 ``serve.inflight`` category.
@@ -198,7 +197,7 @@ class OrderService:
         The :class:`~repro.exec.ExecutionConfig` governing both the
         service shape (``service_threads`` / ``service_queue_depth`` /
         ``service_deadline_ms``) and every execution it runs (engine,
-        workers, cache, memory budget, ...).  ``None`` uses the
+        cache, memory budget, ...).  ``None`` uses the
         environment-aware default.
     clock:
         Injectable monotonic clock for deadline tests.

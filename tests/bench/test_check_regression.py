@@ -34,8 +34,7 @@ def _args(tmp_path, fastpath: dict, **extra: str) -> list[str]:
 def test_green_on_committed_artifacts(tmp_path, capsys):
     rc = check_regression.main(
         _args(tmp_path, _committed("BENCH_fastpath.json"))
-        + ["--fresh-parallel", "BENCH_parallel.json",
-           "--json", str(tmp_path / "report.json")]
+        + ["--json", str(tmp_path / "report.json")]
     )
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -81,18 +80,6 @@ def test_noise_band_tolerates_flutter(tmp_path):
         cell["speedup"] *= 0.9  # within the 25% default band
     rc = check_regression.main(_args(tmp_path, flutter))
     assert rc == 0
-
-
-def test_parallel_fidelity_failure_detected(tmp_path):
-    broken = _committed("BENCH_parallel.json")
-    broken["fidelity_ok"] = False
-    path = tmp_path / "fresh_parallel.json"
-    path.write_text(json.dumps(broken))
-    rc = check_regression.main(
-        _args(tmp_path, _committed("BENCH_fastpath.json"))
-        + ["--fresh-parallel", str(path)]
-    )
-    assert rc == 1
 
 
 def test_overhead_gate(tmp_path):

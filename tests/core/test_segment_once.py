@@ -3,9 +3,8 @@
 ``engine="auto"`` first tries the packed-code fast path; when the codec
 refuses the input (mixed types, ``None``) a ``TypeError`` sends the job
 to the reference executors.  The segment boundaries were already
-computed for the fast attempt — the fallback (and the parallel
-dispatcher, and the fast path itself) must reuse them instead of
-re-classifying the input.
+computed for the fast attempt — the fallback (and the fast path
+itself) must reuse them instead of re-classifying the input.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 import repro.core.classify as classify
 import repro.core.modify as modify_mod
 import repro.fastpath.execute as fast_mod
-import repro.parallel.planner as planner_mod
 from repro.core.modify import modify_sort_order
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
@@ -59,7 +57,7 @@ def count_splits(monkeypatch):
         calls.append(1)
         return real(*args)
 
-    for mod in (classify, modify_mod, fast_mod, planner_mod):
+    for mod in (classify, modify_mod, fast_mod):
         if getattr(mod, "split_segments", None) is not None:
             monkeypatch.setattr(mod, "split_segments", counting)
     return calls
@@ -83,11 +81,4 @@ def test_reference_path_classifies_exactly_once(count_splits):
     modify_sort_order(
         table, OUT_SPEC, config=ExecutionConfig(engine="reference")
     )
-    assert len(count_splits) == 1
-
-
-def test_parallel_dispatch_shares_boundaries(count_splits, monkeypatch):
-    monkeypatch.setattr(planner_mod, "MIN_PARALLEL_ROWS", 0)
-    table = _packable_table()
-    modify_sort_order(table, OUT_SPEC, config=ExecutionConfig(workers=2))
     assert len(count_splits) == 1

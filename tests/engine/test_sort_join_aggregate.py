@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import reset_cache
 from repro.engine.aggregate import Aggregate, Distinct, GroupBy
 from repro.engine.merge_join import MergeJoin
 from repro.engine.scans import TableScan
@@ -44,6 +45,9 @@ def test_sort_passthrough_when_satisfied(rows):
 @given(rows_st)
 @settings(max_examples=40, deadline=None)
 def test_sort_modifies_related_order(rows):
+    # Under REPRO_CACHE=on a repeated example would be served from the
+    # process-wide cache and report executed == "cache".
+    reset_cache()
     table = make_table(rows)
     op = Sort(TableScan(table), SortSpec.of("A", "C", "B"))
     out = list(op)
@@ -56,6 +60,7 @@ def test_sort_modifies_related_order(rows):
 @given(rows_st)
 @settings(max_examples=40, deadline=None)
 def test_sort_unordered_input(rows):
+    reset_cache()  # see test_sort_modifies_related_order
     table = make_table(rows, sort=False)
     op = Sort(TableScan(table), SortSpec.of("B", "C"))
     got = [row for row, _ovc in op]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.external_modify import modify_sort_order_external
@@ -9,7 +11,7 @@ from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
 from repro.engine.sort_op import Sort
-from repro.exec import ExecutionConfig, RetryPolicy, parse_memory
+from repro.exec import ExecutionConfig, parse_memory
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.query import Query
@@ -54,11 +56,30 @@ def test_parse_memory_rejects(value):
 def test_defaults_are_ungoverned_serial_auto():
     cfg = ExecutionConfig()
     assert cfg.engine == "auto"
-    assert cfg.workers is None
     assert cfg.max_fan_in is None
     assert cfg.memory_budget is None
     assert not cfg.governed
-    assert cfg.retry_policy == RetryPolicy(timeout_s=None, retries=1)
+
+
+#: The worker pool's four knobs, removed with the pool in PR 22.
+_REMOVED_FIELDS = ("workers", "data_plane", "shard_timeout_s", "shard_retries")
+
+
+def test_field_count_is_thirteen():
+    names = {f.name for f in dataclasses.fields(ExecutionConfig)}
+    assert len(names) == 13
+    assert names.isdisjoint(_REMOVED_FIELDS)
+
+
+@pytest.mark.parametrize("name", _REMOVED_FIELDS)
+def test_removed_pool_fields_are_plain_errors(name, tmp_path):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ExecutionConfig(**{name: 1})
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ExecutionConfig().with_(**{name: 1})
+    path = _write_config(tmp_path, {name: 1})
+    with pytest.raises(ValueError, match=f"unknown field.*{name}"):
+        ExecutionConfig.from_file(path)
 
 
 def test_memory_budget_string_is_parsed_at_construction():
@@ -71,13 +92,8 @@ def test_memory_budget_string_is_parsed_at_construction():
     "kwargs",
     [
         {"engine": "turbo"},
-        {"workers": -1},
-        {"workers": 1.5},
-        {"workers": True},
         {"max_fan_in": 1},
         {"memory_budget": 0},
-        {"shard_timeout_s": 0},
-        {"shard_retries": -1},
     ],
 )
 def test_invalid_fields_raise(kwargs):
@@ -92,9 +108,9 @@ def test_frozen():
 
 
 def test_with_returns_validated_copy():
-    cfg = ExecutionConfig(workers=2)
+    cfg = ExecutionConfig(max_fan_in=4)
     derived = cfg.with_(memory_budget="4KiB", engine="reference")
-    assert derived.workers == 2
+    assert derived.max_fan_in == 4
     assert derived.memory_budget == 4096
     assert derived.engine == "reference"
     assert cfg.memory_budget is None  # original untouched
@@ -105,37 +121,52 @@ def test_with_returns_validated_copy():
 def test_from_env_reads_all_fields():
     env = {
         "REPRO_ENGINE": "reference",
-        "REPRO_WORKERS": "4",
         "REPRO_MAX_FAN_IN": "8",
         "REPRO_MEMORY_BUDGET": "1MiB",
         "REPRO_SPILL_DIR": "/tmp/spills",
-        "REPRO_SHARD_TIMEOUT": "2.5",
-        "REPRO_SHARD_RETRIES": "3",
     }
     cfg = ExecutionConfig.from_env(env)
     assert cfg.engine == "reference"
-    assert cfg.workers == 4
     assert cfg.max_fan_in == 8
     assert cfg.memory_budget == 1024 ** 2
     assert cfg.spill_dir == "/tmp/spills"
-    assert cfg.retry_policy == RetryPolicy(timeout_s=2.5, retries=3)
 
 
-def test_from_env_auto_workers_and_empty_env():
-    assert ExecutionConfig.from_env({"REPRO_WORKERS": "auto"}).workers == "auto"
+def test_from_env_ignores_removed_variables_and_empty_env():
     assert ExecutionConfig.from_env({}) == ExecutionConfig()
+    # A leftover pool variable from an old deployment configures
+    # nothing and breaks nothing — whatever it holds.
+    leftovers = {
+        "REPRO_WORKERS": "auto",
+        "REPRO_DATA_PLANE": "shm",
+        "REPRO_SHARD_TIMEOUT": "soon",
+        "REPRO_SHARD_RETRIES": "3",
+        "REPRO_FAULTS": "kill@0x1",
+    }
+    assert ExecutionConfig.from_env(leftovers) == ExecutionConfig()
+
+
+@pytest.mark.parametrize(
+    "var,field",
+    [
+        ("REPRO_MAX_FAN_IN", "max_fan_in"),
+        ("REPRO_CACHE_TTL", "cache_ttl"),
+        ("REPRO_SERVICE_THREADS", "service_threads"),
+        ("REPRO_SERVICE_QUEUE_DEPTH", "service_queue_depth"),
+        ("REPRO_SERVICE_DEADLINE_MS", "service_deadline_ms"),
+        ("REPRO_PLAN_WINDOW_MS", "plan_window_ms"),
+    ],
+)
+def test_from_env_malformed_number_names_the_variable(var, field):
+    with pytest.raises(ValueError) as exc:
+        ExecutionConfig.from_env({var: "abc"})
+    message = str(exc.value)
+    assert var in message and "'abc'" in message and field in message
 
 
 def test_default_respects_environment(monkeypatch):
     monkeypatch.setenv("REPRO_MEMORY_BUDGET", "2KiB")
     assert ExecutionConfig.default().memory_budget == 2048
-
-
-def test_retry_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(timeout_s=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(retries=-2)
 
 
 # ------------------------------------------------------------ order cache
@@ -247,13 +278,13 @@ def _write_config(tmp_path, obj):
 
 def test_from_file_round_trips_fields(tmp_path):
     path = _write_config(tmp_path, {
-        "workers": 4,
+        "max_fan_in": 4,
         "memory_budget": "64KiB",
         "cache": "on",
         "service_threads": 2,
     })
     cfg = ExecutionConfig.from_file(path)
-    assert cfg.workers == 4
+    assert cfg.max_fan_in == 4
     assert cfg.memory_budget == 64 * 1024
     assert cfg.cache == "on"
     assert cfg.service_threads == 2
@@ -286,10 +317,10 @@ def test_from_file_values_are_validated(tmp_path):
 
 def test_precedence_file_under_env(tmp_path):
     # file < env: env wins where set, file survives where not.
-    path = _write_config(tmp_path, {"workers": 2, "service_threads": 6})
+    path = _write_config(tmp_path, {"max_fan_in": 2, "service_threads": 6})
     base = ExecutionConfig.from_file(path)
-    cfg = ExecutionConfig.from_env({"REPRO_WORKERS": "8"}, base=base)
-    assert cfg.workers == 8          # env overrode the file
+    cfg = ExecutionConfig.from_env({"REPRO_MAX_FAN_IN": "8"}, base=base)
+    assert cfg.max_fan_in == 8       # env overrode the file
     assert cfg.service_threads == 6  # file value survived
 
     # empty env returns the base untouched
@@ -298,11 +329,11 @@ def test_precedence_file_under_env(tmp_path):
 
 def test_precedence_env_under_flags(tmp_path):
     # env < flags: with_() (the flag layer) wins last.
-    path = _write_config(tmp_path, {"workers": 2})
+    path = _write_config(tmp_path, {"max_fan_in": 2})
     base = ExecutionConfig.from_file(path)
-    env_cfg = ExecutionConfig.from_env({"REPRO_WORKERS": "8"}, base=base)
-    final = env_cfg.with_(workers=3)
-    assert final.workers == 3
+    env_cfg = ExecutionConfig.from_env({"REPRO_MAX_FAN_IN": "8"}, base=base)
+    final = env_cfg.with_(max_fan_in=3)
+    assert final.max_fan_in == 3
 
 
 # ------------------------------------------------- config= at entry points

@@ -116,21 +116,6 @@ def test_budget_identity_fast_engine(tmp_path):
     assert snapshot.get("counters", {}).get("exec.spill.runs", 0) > 0
 
 
-def test_budget_identity_parallel(tmp_path, monkeypatch):
-    import repro.parallel.planner as planner
-
-    monkeypatch.setattr(planner, "MIN_PARALLEL_ROWS", 0)
-    table = _table(("A", "B", "C"))
-    spec = SortSpec.of("A", "C", "B")
-    baseline = modify_sort_order(table, spec)
-    cfg = ExecutionConfig(
-        workers=2, memory_budget="1KiB", spill_dir=str(tmp_path)
-    )
-    governed = modify_sort_order(table, spec, config=cfg)
-    assert governed.rows == baseline.rows
-    assert governed.ovcs == baseline.ovcs
-
-
 def test_budget_identity_external_modify(tmp_path):
     table = _table(("A", "B", "C"))
     spec = SortSpec.of("A", "C", "B")

@@ -24,18 +24,13 @@ def _spans() -> list[dict]:
             pass
         with tracer.span("segment.sort", rows=60):
             pass
-    worker_span = {
-        "name": "shard.execute", "start": tracer.records[0]["start"],
-        "dur": 0.01, "pid": 9999, "id": 1, "parent": None,
-        "tags": {"worker": 9999, "shard": 0},
-    }
-    return tracer.drain() + [worker_span]
+    return tracer.drain()
 
 
 def _metrics() -> dict:
     reg = MetricsRegistry()
     reg.counter("merge.degraded_merges").inc(2)
-    reg.gauge("pool.inflight_shards").set(3)
+    reg.gauge("serve.queue_depth").set(3)
     for v in (1, 2, 16):
         reg.histogram("merge.fan_in").observe(v)
     return reg.as_dict()
@@ -65,23 +60,16 @@ def test_chrome_trace_structure_and_process_metadata(tmp_path):
     assert reloaded == obj
     events = obj["traceEvents"]
     x_events = [e for e in events if e["ph"] == "X"]
-    assert {e["name"] for e in x_events} == {
-        "modify", "segment.sort", "shard.execute"
-    }
+    assert {e["name"] for e in x_events} == {"modify", "segment.sort"}
     assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in x_events)
-    names = {
-        e["pid"]: e["args"]["name"]
+    [modify] = [e for e in x_events if e["name"] == "modify"]
+    assert modify["args"] == {"rows": 100}
+    [(pid, name)] = [
+        (e["pid"], e["args"]["name"])
         for e in events
         if e["name"] == "process_name"
-    }
-    assert any(v.startswith("main") for v in names.values())
-    assert names[9999] == "worker pid=9999 (first shard 0)"
-    sort_keys = {
-        e["pid"]: e["args"]["sort_index"]
-        for e in events
-        if e["name"] == "process_sort_index"
-    }
-    assert sort_keys[9999] == 1  # 1 + first shard
+    ]
+    assert name == f"main pid={pid}"
 
 
 def test_validate_chrome_trace_flags_malformed_input():
@@ -101,7 +89,7 @@ def test_prometheus_text_format():
     text = prometheus_text(_metrics())
     assert "# TYPE repro_merge_degraded_merges counter" in text
     assert "repro_merge_degraded_merges 2" in text
-    assert "repro_pool_inflight_shards_max 3" in text
+    assert "repro_serve_queue_depth_max 3" in text
     # Cumulative power-of-two buckets: le=2 covers the 1 and 2 observations.
     assert 'repro_merge_fan_in_bucket{le="2"} 2' in text
     assert 'repro_merge_fan_in_bucket{le="+Inf"} 3' in text
@@ -114,7 +102,7 @@ def test_render_tree_shows_nesting_and_self_time():
     assert lines[0].startswith("modify")
     assert "(self " in lines[0]  # inclusive and self time on parents
     assert lines[1].startswith("  segment.sort")
-    assert any("shard.execute" in l and "worker=9999" in l for l in lines)
+    assert "rows=40" in lines[1] and "rows=60" in lines[2]
     assert render_tree([]) == "(no spans recorded)"
 
 

@@ -29,31 +29,6 @@ def test_counter_gauge_histogram_basics():
     assert h.buckets == {0: 1, 1: 1, 2: 1, 10: 1}
 
 
-def test_as_dict_round_trips_through_merge():
-    a = MetricsRegistry()
-    a.counter("n").inc(3)
-    a.gauge("depth").set(5)
-    a.histogram("rows").observe(10)
-
-    b = MetricsRegistry()
-    b.counter("n").inc(4)
-    b.gauge("depth").set(2)
-    b.histogram("rows").observe(100)
-    b.histogram("rows").observe(1)
-
-    merged = MetricsRegistry()
-    merged.merge(a.as_dict())
-    merged.merge(b.as_dict())
-    assert merged.counter("n").value == 7
-    assert merged.gauge("depth").max == 5  # gauges keep the high-water
-    h = merged.histogram("rows")
-    assert h.count == 3 and h.total == 111
-    assert h.min == 1 and h.max == 100
-    assert merged.histogram("rows").buckets == {0: 1, 4: 1, 7: 1}
-    merged.merge(None)  # tolerated: workers without metrics ship None
-    assert merged.counter("n").value == 7
-
-
 def test_absorb_stats_publishes_comparison_counters():
     reg = MetricsRegistry()
     stats = ComparisonStats()

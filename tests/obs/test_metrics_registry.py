@@ -33,7 +33,7 @@ def test_source_tree_uses_metrics():
     names = _names_used_in_src()
     # A floor, not a ceiling: the telemetry plane should keep growing.
     assert len(names) >= 40
-    assert "pool.shard_degraded" in names
+    assert "serve.rejected_overload" in names
     assert "exec.spill.runs" in names
     assert "server.requests" in names
 

@@ -13,7 +13,7 @@ from repro.obs.exporters import (
 def _populated_registry():
     METRICS.enable(clear=True)
     METRICS.counter("cache.hits").inc(5)
-    METRICS.counter("pool.shard_retries").inc()
+    METRICS.counter("exec.spill.runs").inc()
     METRICS.gauge("exec.mem.used_bytes").set(4096)
     hist = METRICS.histogram("merge.fan_in")
     for v in (1, 2, 2, 8, 8, 8, 512):
@@ -25,7 +25,7 @@ def test_every_family_has_help_and_type():
     text = prometheus_text(_populated_registry())
     for family in (
         "repro_cache_hits",
-        "repro_pool_shard_retries",
+        "repro_exec_spill_runs",
         "repro_exec_mem_used_bytes",
         "repro_merge_fan_in",
     ):

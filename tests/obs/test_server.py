@@ -58,20 +58,20 @@ def test_healthz_reports_ok(server):
     health = json.loads(body)
     assert health["status"] == "ok"
     assert health["degraded_checks"] == []
-    assert "pool" in health["checks"]
+    assert "pool" not in health["checks"]
     assert "memory" in health["checks"]
     assert "cache" in health["checks"]
 
 
 def test_varz_exposes_config_metrics_and_health(server):
     METRICS.enable(clear=True)
-    METRICS.counter("pool.shard_retries").inc()
+    METRICS.counter("exec.spill.runs").inc()
     status, _, body = _get(server.url + "/varz")
     assert status == 200
     varz = json.loads(body)
     assert varz["pid"] > 0
     assert "engine" in varz["config"]
-    assert varz["metrics"]["counters"]["pool.shard_retries"] == 1
+    assert varz["metrics"]["counters"]["exec.spill.runs"] == 1
     assert varz["health"]["status"] in ("ok", "degraded")
 
 
@@ -95,13 +95,13 @@ def test_request_counter_bumps(server):
     assert METRICS.as_dict()["counters"]["server.requests"] >= 2
 
 
-def test_health_snapshot_degrades_on_quarantined_shard():
+def test_health_snapshot_degrades_on_shed_requests():
     METRICS.enable(clear=True)
-    METRICS.counter("pool.shard_degraded").inc()
+    METRICS.counter("serve.rejected_overload").inc()
     health = health_snapshot()
     assert health["status"] == "degraded"
-    assert "pool" in health["degraded_checks"]
-    assert health["checks"]["pool"]["shard_degraded"] >= 1
+    assert health["degraded_checks"] == ["service"]
+    assert health["checks"]["service"]["rejected"] >= 1
 
 
 def test_varz_snapshot_includes_slowlog_tail():

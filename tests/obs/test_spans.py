@@ -88,7 +88,7 @@ def test_annotate_enriches_the_innermost_open_span():
     tracer.annotate(ignored=True)  # no open span: a no-op
 
 
-def test_drain_empties_and_add_records_stitches():
+def test_drain_empties():
     tracer = Tracer()
     tracer.enable()
     with tracer.span("a"):
@@ -96,9 +96,6 @@ def test_drain_empties_and_add_records_stitches():
     drained = tracer.drain()
     assert [r["name"] for r in drained] == ["a"]
     assert tracer.records == []
-    tracer.add_records([{"name": "foreign", "start": 1.0, "dur": 0.1,
-                         "pid": 999, "id": 1, "parent": None}])
-    assert tracer.records[0]["pid"] == 999
 
 
 def test_enable_clears_stale_records_by_default():

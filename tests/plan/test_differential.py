@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.plan import derive_batch
-from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B", "C")
 
@@ -119,25 +117,3 @@ def test_batch_with_cache_enabled(rows, specs):
             assert node.table.ovcs == ref_table.ovcs, spec
     finally:
         reset_cache()
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_process_parallel_modification_in_batch(workers):
-    """The config's process pool composes with the batch executor."""
-    cfg = ExecutionConfig(cache="off", workers=workers)
-    table = random_table(Schema.of("A", "B", "C", "D"), 4096,
-                         domains=[6, 8, 24, 4], seed=11)
-    source = Sort(
-        TableScan(table), SortSpec.of("A", "B", "C", "D"), config=cfg
-    ).to_table()
-    specs = [
-        SortSpec.of("A", "B", "D", "C"),
-        SortSpec.of("B", "C", "D", "A"),
-        SortSpec.of("C", "D", "A", "B"),
-    ]
-    result = derive_batch(source, specs, config=cfg)
-    for spec in specs:
-        ref_table, _ = _solo(source, spec, cfg)
-        node = result.result_for(spec)
-        assert node.table.rows == ref_table.rows
-        assert node.table.ovcs == ref_table.ovcs

@@ -65,6 +65,24 @@ def test_facade_all_resolves():
         assert getattr(repro, name, None) is not None, name
 
 
+def test_removed_pool_surface_is_off_the_facade_and_the_table():
+    # PR 22 deleted the worker pool; its names must not linger in
+    # ``__all__``, on ``repro.exec``, or in the stability table.
+    import repro.exec
+
+    for name in ("parallel_modify", "resolve_workers", "RetryPolicy"):
+        assert name not in repro.__all__
+        assert not hasattr(repro, name)
+    for name in ("RetryPolicy", "Fault", "parse_faults"):
+        assert not hasattr(repro.exec, name)
+    assert not any(m.startswith("repro.parallel") for m in stable_modules())
+    row = next(
+        line for line in API_MD.read_text().splitlines()
+        if line.startswith("| `repro.exec` |")
+    )
+    assert "RetryPolicy" not in row and "parse_faults" not in row
+
+
 def test_serve_surface_is_on_the_facade():
     from repro.serve import OrderService, ServiceOverloadError
 

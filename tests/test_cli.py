@@ -75,65 +75,41 @@ def test_cli_bench_exits_nonzero_on_fidelity_failure(capsys, monkeypatch):
     assert "FIDELITY FAILURE" in capsys.readouterr().out
 
 
-def test_cli_bench_workers_writes_json(capsys, tmp_path):
-    out_path = tmp_path / "bench_parallel.json"
-    assert (
-        main(
-            [
-                "bench", "--log2-rows", "8",
-                "--workers", "1,2", "--json", str(out_path),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "serial vs parallel workers" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--workers", "1,2"],
+        ["trace", "--trace-workers", "2"],
+        ["table1", "--shard-timeout-s", "1.5"],
+        ["table1", "--shard-timeout", "1.5"],
+        ["table1", "--shard-retries", "2"],
+    ],
+)
+def test_cli_rejects_removed_pool_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [1, 5])
+def test_cli_trace_writes_validated_single_process_artifact(
+    case, capsys, tmp_path
+):
     import json
 
-    record = json.loads(out_path.read_text())
-    assert record["n_rows"] == 256
-    assert record["workers"] == [1, 2]
-    assert record["cpu_count"] >= 1
-    assert record["fidelity_ok"] is True
-    for cell in record["cells"]:
-        assert cell["serial_seconds"] > 0
-        entry = cell["workers"]["2"]
-        assert entry["seconds"] > 0
-        assert entry["fidelity_ok"] is True
+    from repro.obs.exporters import validate_chrome_trace
 
-
-def test_cli_bench_workers_exits_nonzero_on_fidelity_failure(
-    capsys, monkeypatch
-):
-    import repro.bench.parallel_bench as parallel_bench
-
-    record = {
-        "n_rows": 256,
-        "cpu_count": 1,
-        "fidelity_ok": False,
-        "best_speedup": 1.0,
-        "cells": [
-            {
-                "label": "fake",
-                "serial_seconds": 0.1,
-                "workers": {"2": {"seconds": 0.1, "speedup": 1.0,
-                                  "fidelity_ok": False}},
-                "fidelity_ok": False,
-            },
-        ],
-    }
-    monkeypatch.setattr(
-        parallel_bench, "run_parallel_trajectory", lambda *a, **k: record
-    )
-    assert main(["bench", "--log2-rows", "8", "--workers", "2"]) == 1
-    assert "FIDELITY FAILURE" in capsys.readouterr().out
-
-
-def test_cli_bench_rejects_malformed_workers():
-    with pytest.raises(SystemExit):
-        main(["bench", "--workers", "two"])
-    with pytest.raises(SystemExit):
-        main(["bench", "--workers", ","])
+    out_path = tmp_path / "trace.json"
+    argv = ["trace", "--case", str(case), "--log2-rows", "10",
+            "--out", str(out_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"case {case}:" in out and "modify" in out
+    obj = json.loads(out_path.read_text())
+    assert validate_chrome_trace(obj) == []
+    spans = [e for e in obj["traceEvents"] if e["ph"] == "X"]
+    assert spans and len({e["pid"] for e in spans}) == 1
 
 
 def test_cli_serve_exits_after_duration(capsys):
