@@ -3,7 +3,7 @@
 This is the cache's brain.  Given the live source table and a desired
 order, :func:`serve` decides between three outcomes:
 
-* **Exact hit** — the requested order is cached for this row multiset:
+* **Exact hit** — the requested order is cached for this row sequence:
   the entry's rows and codes are returned as-is, and the comparison
   counters its producing execution recorded are *replayed* into the
   caller's :class:`~repro.ovc.stats.ComparisonStats`.  Replay keeps the
@@ -12,7 +12,7 @@ order, :func:`serve` decides between three outcomes:
   uncached-identical execution — while the actually avoided work is
   published as ``cache.comparisons_saved``.
 * **Modify from the best cached order** — the requested order is not
-  cached, but sibling orders of the same multiset are: each candidate
+  cached, but sibling orders of the same sequence are: each candidate
   is priced with :meth:`repro.core.cost.CostModel.modify_from` (segment
   and run counts read from the candidate's stored code-offset
   histogram, no data scan) and compared against the uncached baseline
@@ -20,10 +20,11 @@ order, :func:`serve` decides between three outcomes:
   is unordered).  A candidate that wins by a clear margin is fed —
   rows and codes, zero copies — straight into
   :func:`~repro.core.modify.modify_sort_order`; the result is
-  re-tie-broken against the live input sequence (sorting here is
-  stable, so equal-key rows must leave in *arrival* order for the
-  output to stay bit-identical to uncached execution) and installed as
-  a new entry.
+  re-tie-broken against the source sequence (sorting here is stable, so
+  rows equal under the requested key must leave in *arrival* order, not
+  in the candidate's, for the output to stay bit-identical to uncached
+  execution — in permutation space, each tie group's indices sorted
+  ascending) and installed as a new entry.
 * **Miss** — nothing cached is worth using; the caller executes its
   normal path and registers the output via :func:`install_result`.
 
@@ -33,18 +34,18 @@ to what the uncached execution would have produced.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..core.analysis import Strategy, analyze_order_modification
 from ..core.cost import CostModel, counts_to_structure
-from ..core.enforce import enforce_order
+from ..core.enforce import Enforced, enforce_order
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, TRACER
 from ..ovc.stats import ComparisonStats
 from .fingerprint import Fingerprint, fingerprint_table
-from .store import CachedOrder, OrderCache, _offset_counts
+from .store import CachedOrder, OrderCache, _offset_counts, _perm_of
 
 #: A cached candidate must beat the uncached baseline estimate by this
 #: factor before the dispatcher prefers it.  Tuned on reference-engine
@@ -119,7 +120,8 @@ def serve(
         if LOG.enabled:
             LOG.event(
                 "cache.serve", decision="hit", order=_names(spec),
-                rows=len(source.rows),
+                rows=len(source.rows), entry=hit.state,
+                entry_bytes=hit.nbytes,
             )
         return outcome
 
@@ -182,6 +184,7 @@ def serve(
             "cache.serve", decision="modify-from-cache",
             order=_names(spec), candidate=_names(best.spec), rows=n,
             est_cost=round(best_cost, 1), baseline_cost=round(baseline, 1),
+            entry=chosen.state, entry_bytes=chosen.nbytes,
         )
     return outcome
 
@@ -204,21 +207,20 @@ def _modify_from(
             rows=len(chosen.rows),
             source=_names(chosen.spec),
             target=_names(spec),
+            entry=chosen.state,
+            entry_bytes=chosen.nbytes,
         ):
-            derived = enforce_order(
-                chosen.as_table(source.schema), spec,
-                stats=stats, config=config,
-            ).table
-            rows, ovcs = _retiebreak(
-                derived.rows, derived.ovcs, spec.arity, source.rows
+            parent = chosen.as_table(source.schema)
+            done = enforce_order(
+                parent, spec, stats=stats, config=config, want_perm=True
             )
-            result = Table(source.schema, rows, spec, ovcs)
-    except (TypeError, IndexError):
+            result, perm = _rebase(done, parent, chosen.perm, fp.rows)
+    except (TypeError, LookupError):
         # TypeError: a forced fast engine met unpackable keys.
-        # IndexError: the tie-break found a row missing from the live
-        # source — a fingerprint collision delivered foreign data.
-        # Either way the cold path is the answer; undo the partial
-        # counter damage.
+        # LookupError: a row of the result is missing from the
+        # candidate or the source — a fingerprint collision delivered
+        # foreign data.  Either way the cold path is the answer; undo
+        # the partial counter damage.
         stats.reset()
         stats.merge(before)
         return None
@@ -226,9 +228,32 @@ def _modify_from(
         METRICS.counter("cache.modify_serves").inc()
     cache.install(
         fp, spec, result.rows, result.ovcs, stats - before,
-        replayable=False, nbytes=chosen.nbytes,
+        replayable=False, perm=perm,
     )
     return result
+
+
+def _rebase(
+    done: Enforced, parent: Table, parent_perm, source_rows
+) -> tuple[Table, list[int]]:
+    """``done`` — an order enforced on ``parent`` (``want_perm=True``),
+    itself ``source_rows`` permuted by ``parent_perm`` (derived by value
+    when ``None``) — as a sort of the source itself would have left it:
+    rows equal under the whole key in source arrival order.  Returns
+    the table and its permutation of ``source_rows``.  ``LookupError``:
+    ``parent`` holds rows the source does not."""
+    rows, ovcs, spec = done.table.rows, done.table.ovcs, done.table.sort_spec
+    step = done.perm
+    if step is None:
+        step = _perm_of(parent.rows, rows)
+    if parent_perm is None:
+        parent_perm = _perm_of(source_rows, parent.rows)
+    perm = list(map(list(parent_perm).__getitem__, step))
+    if ovcs is not None and _retiebreak(
+        perm, list(map(itemgetter(0), ovcs)), spec.arity
+    ):
+        rows = list(map(source_rows.__getitem__, perm))
+    return Table(parent.schema, rows, spec, ovcs), perm
 
 
 def install_result(
@@ -238,55 +263,32 @@ def install_result(
     table: Table,
     stats_delta: ComparisonStats,
     replayable: bool = True,
-    nbytes: int | None = None,
+    perm: list[int] | None = None,
 ) -> bool:
     """Register a cold execution's output (must carry codes).
 
-    ``nbytes`` is :meth:`OrderCache.install`'s pre-measured size hint.
+    ``perm`` is :meth:`OrderCache.install`'s: the output as indices
+    into the fingerprinted rows, when the kernel that produced it said.
     """
     if table.ovcs is None:
         return False
     return cache.install(
         fp, spec, table.rows, table.ovcs, stats_delta,
-        replayable=replayable, nbytes=nbytes,
+        replayable=replayable, perm=perm,
     )
 
 
-def _retiebreak(
-    rows: list,
-    ovcs: list,
-    arity: int,
-    source_rows: list,
-) -> tuple[list, list]:
-    """Reorder full-key duplicates into live-source arrival order.
-
-    Stable sorting leaves rows equal under the entire sort key in input
-    order; a result modified from a *cached* order therefore carries
-    the cache entry's arrival order inside such tie groups, while the
-    uncached execution would carry the live child's.  Codes are
-    untouched — every row in a tie group agrees on all sort columns,
-    so the group's codes do not depend on which member stands first.
-    """
-    n = len(rows)
-    groups: list[tuple[int, int]] = []
-    i = 1
-    while i < n:
-        if ovcs[i][0] >= arity:
-            start = i - 1
-            while i < n and ovcs[i][0] >= arity:
+def _retiebreak(perm: list[int], offsets: list[int], arity: int) -> bool:
+    """Sort each full-key tie group's slice of ``perm`` ascending — rows
+    equal under the whole sort key leave a stable sort in arrival order,
+    whatever order the candidate held them in.  Codes inside a group do
+    not depend on which member stands first.  True if any group exists."""
+    n, i = len(perm), 1
+    try:
+        while True:
+            start = i = offsets.index(arity, i)
+            while i < n and offsets[i] == arity:
                 i += 1
-            groups.append((start, i))
-        else:
-            i += 1
-    if not groups:
-        return rows, ovcs
-    tied = {row for s, e in groups for row in rows[s:e]}
-    where: dict = defaultdict(deque)
-    for idx, row in enumerate(source_rows):
-        if row in tied:
-            where[row].append(idx)
-    out = list(rows)
-    for s, e in groups:
-        tagged = sorted((where[row].popleft(), row) for row in out[s:e])
-        out[s:e] = [row for _i, row in tagged]
-    return out, ovcs
+            perm[start - 1:i] = sorted(perm[start - 1:i])
+    except ValueError:  # no further duplicate code
+        return i > 1

@@ -1,22 +1,21 @@
 """Content fingerprints: the order cache's keying scheme.
 
 A cache that answers "I have already sorted *this data* on *that
-order*" needs a key naming the data independently of how it happens to
-be arranged right now — the whole point is that one multiset of rows,
-cached sorted on order A, can serve a request for order B.  The
-fingerprint is therefore **order-insensitive**: a commutative combine
-(count, sum, xor) of per-row hashes, so every permutation of the same
-rows maps to the same :attr:`Fingerprint.source_key`.
+order*" needs a key naming the data.  What it stores of a sorted order
+is a permutation — output position -> position in the source — and a
+permutation means something only against the row *sequence* it was
+taken from, so the fingerprint is **order-sensitive**: a chained hash
+of the per-row hashes, in arrival order, plus the schema and the row
+count (:attr:`Fingerprint.source_key`).  The same rows in another
+arrangement are another source; a key over the row *multiset* would let
+such a request reuse an entry by re-breaking its ties, a match no
+request of the benchmark workloads ever made (EXPERIMENTS.md "What a
+cache entry costs").
 
-Ties need one more bit of information.  Sorting here is stable, so
-rows *equal under the whole sort key* leave a sort in their arrival
-order — an output containing such duplicates is a function of the
-input's *sequence*, not just its multiset.  The fingerprint carries an
-order-sensitive :attr:`Fingerprint.sequence` hash alongside the
-content key; the store uses it to decide when a cached output with
-duplicates may be reused verbatim, and the dispatcher re-breaks ties
-against the live input sequence otherwise (see
-:mod:`repro.cache.dispatch`).
+The fingerprint also carries the rows it hashed (:attr:`Fingerprint.
+rows`, not part of its identity): a cached permutation is turned back
+into rows by gathering through *them*, never through a list the caller
+may have edited since.
 
 Hashes are Python ``hash()`` values: stable within a process, which is
 exactly the cache's lifetime (it never persists fingerprints).
@@ -33,52 +32,41 @@ is never served from a stale key).  Passes actually run are counted as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..model import Table
 from ..obs import METRICS
 
-_MASK = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Identity of one row multiset (plus its current arrangement).
-
-    ``schema`` / ``n_rows`` / ``content_sum`` / ``content_xor`` are
-    order-insensitive and form :attr:`source_key`; ``sequence`` hashes
-    the actual row sequence and only matters for outputs containing
-    full-key duplicates.
-    """
+    """Identity of one row sequence, and the sequence itself."""
 
     schema: tuple[str, ...]
     n_rows: int
-    content_sum: int
-    content_xor: int
+    #: Chained hash of the row hashes in arrival order.
     sequence: int
+    #: The rows that were hashed (a snapshot; excluded from ``==``).
+    rows: tuple = field(compare=False, repr=False)
 
     @property
     def source_key(self) -> tuple:
-        """The order-insensitive cache key for this row multiset."""
-        return (self.schema, self.n_rows, self.content_sum, self.content_xor)
+        """The cache key for this row sequence."""
+        return (self.schema, self.n_rows, self.sequence)
 
 
 def fingerprint_rows(
     rows: Sequence[tuple], schema_columns: tuple[str, ...]
 ) -> Fingerprint:
-    """Fingerprint a row sequence (one pass, two hashes per row)."""
+    """Fingerprint a row sequence (one pass, one hash per row)."""
     if METRICS.enabled:
         METRICS.counter("cache.fingerprint_passes").inc()
-    total = 0
-    xor = 0
+    rows = tuple(rows)
     seq = len(rows)
-    for row in rows:
-        h = hash(row) & _MASK
-        total = (total + h) & _MASK
-        xor ^= h
+    for h in map(hash, rows):
         seq = hash((seq, h))
-    return Fingerprint(schema_columns, len(rows), total, xor, seq)
+    return Fingerprint(schema_columns, len(rows), seq, rows)
 
 
 def fingerprint_table(table: Table) -> Fingerprint:

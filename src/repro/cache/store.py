@@ -1,25 +1,46 @@
 """The order cache's store: a thread-safe LRU/TTL map of sorted orders.
 
-One entry is one previously produced sort order — the output rows of a
-``Sort`` *with their offset-value codes* — keyed by the content
-fingerprint of the source multiset plus the :class:`~repro.model.
-SortSpec` that was enforced.  The store is deliberately dumb about
-*how* entries get used: exact-hit serving, candidate selection, and
-the modify-from-cached-order dispatch all live in
-:mod:`repro.cache.dispatch`; here live the mechanics every policy
-shares:
+One entry is one previously produced sort order of one row *sequence*,
+keyed by that sequence's fingerprint plus the :class:`~repro.model.
+SortSpec` that was enforced.  A stable sort's output is a permutation of
+its input, so an entry does not keep the rows: it keeps
 
-* **Thread safety** — one re-entrant lock around every map operation;
-  readers get immutable snapshots (:class:`CachedOrder`) assembled
-  under the lock, so a concurrent eviction can never tear an entry.
-* **Memory accounting** — resident bytes are charged to a
-  :class:`~repro.exec.memory.MemoryAccountant` (category
-  ``cache.entries``); exceeding the budget triggers the pressure loop.
-* **Spill / rehydrate** — under pressure, cold entries are written
-  through a :class:`~repro.exec.spill.SpillManager` and their lists
-  released; a later hit rehydrates them bit-identically.  With
-  spilling disabled (no budget relief possible) cold entries are
-  evicted outright.
+* ``perm`` — output position -> index into the source sequence, in the
+  narrowest unsigned ``array`` that holds ``n``;
+* ``offsets`` / ``values`` — the offset-value codes as two flat word
+  arrays (:func:`repro.fastpath.packed.pack_codes`; ``values`` stays a
+  plain list only when a code value is not a machine-word ``int``,
+  counted as ``cache.unpacked_installs``);
+
+4-13 bytes a row.  The row list and the ``(offset, value)`` tuple list
+readers are handed are a *memo* of that form — one ``map`` through
+``perm`` over the rows the request's fingerprint hashed, one ``zip`` —
+kept while the budget has room and dropped for free when it has not.
+An entry is therefore in one of three states: ``memo`` (arrays and both
+lists: a read hands the lists out), ``flat`` (arrays: a read gathers
+and zips, ~0.3 ms at 2^12, outside the lock) or ``spilled`` (a spill
+file: one small unpickle, then as ``flat``).
+
+The store is deliberately dumb about *how* entries get used: exact-hit
+serving, candidate selection, and the modify-from-cached-order dispatch
+all live in :mod:`repro.cache.dispatch`; here live the mechanics every
+policy shares:
+
+* **Thread safety** — one re-entrant lock around every map operation
+  and the snapshot of an entry's (immutable) arrays; the gather and zip
+  of a flat read run outside it, on that snapshot, so a concurrent
+  spill or eviction can never tear a read.
+* **Memory accounting** — an entry's fixed overhead
+  (:data:`ENTRY_BYTES`), its flat bytes while they are resident and its
+  memo's while it has one are charged to a :class:`~repro.exec.memory.
+  MemoryAccountant` (category ``cache.entries``); exceeding the budget
+  triggers the pressure loop.
+* **Pressure** — memos are released first, least recently used first;
+  only when the flat forms alone exceed the budget are those written
+  through a :class:`~repro.exec.spill.SpillManager` (three arrays, not
+  a tuple per row) and rehydrated bit-identically by a later read.
+  With spilling disabled cold entries are evicted outright.  ``spills``
+  / ``rehydrates`` count disk writes / reads; a memo drop is neither.
 * **TTL** — entries older than ``ttl`` seconds are expired lazily on
   access and on install.
 
@@ -35,11 +56,14 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from array import array
+from collections import Counter, OrderedDict, defaultdict, deque
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
-from ..exec.memory import MemoryAccountant, rows_nbytes
+from ..exec.memory import MemoryAccountant
 from ..exec.spill import SpillHandle, SpillManager
+from ..fastpath.packed import _word_array, pack_codes, unpack_codes
 from ..model import Schema, SortSpec, Table
 from ..obs import METRICS
 from ..ovc.stats import ComparisonStats
@@ -48,31 +72,41 @@ from .fingerprint import Fingerprint
 #: Accounting category for resident entry bytes.
 CATEGORY = "cache.entries"
 
+#: Charged for every entry while it exists, whatever its state: the
+#: entry object, three array headers, its counters and its slots in the
+#: four maps (measured 1.1 KB an entry).  Next to nothing at 2^12 rows,
+#: most of an entry at 2^8.
+ENTRY_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class CachedOrder:
     """Immutable reader snapshot of one cache entry.
 
-    ``rows`` / ``ovcs`` are the entry's lists, shared (never copied) —
-    treat them as frozen.  ``offset_counts[k]`` is the number of codes
-    with offset exactly ``k`` (length ``arity + 1``), from which the
-    dispatcher derives segment and run counts without rescanning.
-    ``stats_delta`` is the comparison work the producing execution
-    spent; ``replayable`` marks entries whose producing execution was
-    identical to what an uncached ``Sort`` would have run, i.e. whose
-    delta can be replayed for exact count parity with ``cache=off``.
+    ``rows`` / ``ovcs`` are plain lists, complete when the snapshot is
+    handed out — the entry's memo when it has one (shared, never
+    copied: treat them as frozen), else freshly gathered; ``None`` only
+    in the metadata-only snapshots of :meth:`OrderCache.candidates`.
+    ``perm`` maps output position to source index.
+    ``offset_counts[k]`` is the number of codes with offset exactly
+    ``k`` (length ``arity + 1``), from which the dispatcher derives
+    segment and run counts without rescanning.  ``stats_delta`` is the
+    comparison work the producing execution spent; ``replayable`` marks
+    entries whose producing execution was identical to what an uncached
+    ``Sort`` would have run, i.e. whose delta can be replayed for exact
+    count parity with ``cache=off``.
     """
 
     spec: SortSpec
-    rows: list
-    ovcs: list
+    rows: list | None
+    ovcs: list | None
+    perm: array | None
     stats_delta: ComparisonStats
     offset_counts: tuple
-    tie_free: bool
-    sequence: int
     replayable: bool
-    #: Accounted size — reusable as the install hint for any result
-    #: whose rows are a permutation of this entry's.
+    #: ``memo`` | ``flat`` | ``spilled`` — what the read found.
+    state: str
+    #: Bytes the entry had charged to the budget at that moment.
     nbytes: int
 
     def as_table(self, schema: Schema) -> Table:
@@ -80,47 +114,93 @@ class CachedOrder:
 
 
 class _Entry:
+    """One stored order; hashable by identity (the LRU orders key on it)."""
+
     __slots__ = (
-        "source_key", "spec", "rows", "ovcs", "stats_delta",
-        "offset_counts", "tie_free", "sequence", "replayable",
-        "nbytes", "built_at", "handle",
+        "key", "spec", "perm", "offsets", "values", "rows", "ovcs",
+        "stats_delta", "offset_counts", "replayable", "flat_bytes",
+        "memo_bytes", "built_at", "handle",
     )
 
-    def __init__(self, source_key, spec, rows, ovcs, stats_delta,
-                 offset_counts, tie_free, sequence, replayable,
-                 nbytes, built_at) -> None:
-        self.source_key = source_key
+    def __init__(self, key, spec, perm, offsets, values, rows, ovcs,
+                 stats_delta, offset_counts, replayable, flat_bytes,
+                 memo_bytes, built_at) -> None:
+        self.key = key
         self.spec = spec
+        #: The flat form (``None`` while spilled); never mutated.
+        self.perm = perm
+        self.offsets = offsets
+        self.values = values
+        #: The memo lists (``None`` when dropped).
         self.rows = rows
         self.ovcs = ovcs
         self.stats_delta = stats_delta
         self.offset_counts = offset_counts
-        self.tie_free = tie_free
-        self.sequence = sequence
         self.replayable = replayable
-        self.nbytes = nbytes
+        self.flat_bytes = flat_bytes
+        self.memo_bytes = memo_bytes
         self.built_at = built_at
-        #: Spill handle while non-resident (rows/ovcs are then None).
+        #: Spill handle while the flat form is on disk.
         self.handle: SpillHandle | None = None
 
     @property
-    def resident(self) -> bool:
-        return self.rows is not None
+    def state(self) -> str:
+        if self.rows is not None:
+            return "memo"
+        return "flat" if self.perm is not None else "spilled"
+
+    @property
+    def charged(self) -> int:
+        return (
+            ENTRY_BYTES
+            + (self.flat_bytes if self.perm is not None else 0)
+            + (self.memo_bytes if self.rows is not None else 0)
+        )
 
     def snapshot(self) -> CachedOrder:
         return CachedOrder(
-            self.spec, self.rows, self.ovcs, self.stats_delta,
-            self.offset_counts, self.tie_free, self.sequence,
-            self.replayable, self.nbytes,
+            self.spec, self.rows, self.ovcs, self.perm, self.stats_delta,
+            self.offset_counts, self.replayable, self.state, self.charged,
         )
 
 
 def _offset_counts(ovcs: list, arity: int) -> tuple:
     """Per-offset code counts (offsets past the arity fold into it)."""
-    counts = [0] * (arity + 1)
-    for off, _v in ovcs:
-        counts[min(off, arity)] += 1
-    return tuple(counts)
+    seen = Counter(map(itemgetter(0), ovcs))
+    head = [seen[k] for k in range(arity)]
+    return (*head, len(ovcs) - sum(head))
+
+
+def _flat_offset_counts(offsets: array, arity: int) -> tuple:
+    """:func:`_offset_counts` of a flat offsets array."""
+    cells = offsets
+    if arity <= 256 and offsets.itemsize == 1:
+        # bytes.count is a memchr; array.count boxes every cell.
+        cells = offsets.tobytes()
+    head = [cells.count(k) for k in range(arity)]
+    return (*head, len(offsets) - sum(head))
+
+
+def _perm_of(source, rows: list) -> list[int]:
+    """``rows`` as indices into ``source``.
+
+    A sort moves references, so the rows are normally the source's own
+    tuple objects and matching them by identity is exact (and hashes no
+    row).  Rows that are equal but other objects (unpickled from a
+    spill, rebuilt by the caller) are matched by value, equal rows in
+    arrival order — where a stable sort leaves them.  Raises
+    ``LookupError`` when ``rows`` holds a row ``source`` does not.
+    """
+    where = dict(zip(map(id, source), range(len(source))))
+    if len(where) == len(source):
+        try:
+            return list(map(where.__getitem__, map(id, rows)))
+        except KeyError:
+            pass
+    slots: dict = defaultdict(deque)
+    for i, row in enumerate(source):
+        slots[row].append(i)
+    return [slots[row].popleft() for row in rows]
 
 
 class OrderCache:
@@ -129,16 +209,17 @@ class OrderCache:
     Parameters
     ----------
     budget:
-        Resident-byte budget (``parse_memory`` already applied by the
-        config layer; here an int or ``None`` for unlimited).
+        Resident-byte budget over flat forms and memos (``parse_memory``
+        already applied by the config layer; here an int or ``None``
+        for unlimited).
     ttl:
         Entry lifetime in seconds (``None`` = no expiry).
     spill_dir:
         Parent directory for the spill manager (system temp when
         ``None``).
     spill:
-        Whether budget pressure spills cold entries (default) or
-        evicts them outright.
+        Whether flat forms the budget cannot hold are spilled (default)
+        or evicted outright.
     max_entries:
         Hard cap on stored orders (spilled ones included); the LRU
         entry is evicted beyond it.
@@ -160,7 +241,13 @@ class OrderCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._entries: dict[tuple, _Entry] = {}
+        # Least recently used first: every entry, the ones holding a
+        # memo, the ones whose flat form is resident.  Keyed by entry
+        # (identity hash), so walking one never hashes a SortSpec.
+        self._lru: "OrderedDict[_Entry, None]" = OrderedDict()
+        self._memos: "OrderedDict[_Entry, None]" = OrderedDict()
+        self._flats: "OrderedDict[_Entry, None]" = OrderedDict()
         self.accountant = MemoryAccountant(budget)
         self.ttl = ttl
         self.spill_enabled = spill
@@ -197,12 +284,27 @@ class OrderCache:
         if METRICS.enabled:
             METRICS.counter("cache." + name).inc()
 
-    def _drop(self, key: tuple, entry: _Entry, reason: str) -> None:
+    def _drop_memo(self, entry: _Entry) -> None:
+        """Release an entry's row and code lists (lock held)."""
+        del self._memos[entry]
+        entry.rows = entry.ovcs = None
+        self.accountant.release(CATEGORY, entry.memo_bytes)
+
+    def _drop_flat(self, entry: _Entry) -> None:
+        """Release a memo-less entry's arrays (lock held)."""
+        del self._flats[entry]
+        entry.perm = entry.offsets = entry.values = None
+        self.accountant.release(CATEGORY, entry.flat_bytes)
+
+    def _drop(self, entry: _Entry, reason: str) -> None:
         """Remove one entry entirely (lock held)."""
-        del self._entries[key]
-        if entry.resident:
-            self.accountant.release(CATEGORY, entry.nbytes)
-            entry.rows = entry.ovcs = None
+        del self._entries[entry.key, entry.spec]
+        del self._lru[entry]
+        self.accountant.release(CATEGORY, ENTRY_BYTES)
+        if entry.rows is not None:
+            self._drop_memo(entry)
+        if entry.perm is not None:
+            self._drop_flat(entry)
         if entry.handle is not None:
             entry.handle.release()
             entry.handle = None
@@ -214,119 +316,133 @@ class OrderCache:
             self._count("evictions")
         self._publish_levels()
 
-    def _spill_entry(self, key: tuple, entry: _Entry) -> None:
-        """Write a resident entry out and release its lists (lock held)."""
+    def _spill_entry(self, entry: _Entry) -> None:
+        """Write a memo-less entry's arrays out and release them (lock
+        held)."""
         entry.handle = self._spill_manager().spill(
-            entry.rows, entry.ovcs, category="cache"
+            entry.perm, (entry.offsets, entry.values), category="cache"
         )
-        entry.rows = entry.ovcs = None
-        self.accountant.release(CATEGORY, entry.nbytes)
+        self._drop_flat(entry)
         self.spills += 1
         self._count("spills")
-        self._publish_levels()
 
     def _rehydrate(self, entry: _Entry) -> None:
-        """Load a spilled entry back in (lock held)."""
-        rows, ovcs = entry.handle.read()
+        """Load a spilled entry's arrays back in (lock held)."""
+        entry.perm, (entry.offsets, entry.values) = entry.handle.read()
         entry.handle.release()
         entry.handle = None
-        entry.rows, entry.ovcs = rows, ovcs
-        self.accountant.charge(CATEGORY, entry.nbytes)
+        self._flats[entry] = None
+        self.accountant.charge(CATEGORY, entry.flat_bytes)
         self.rehydrates += 1
         self._count("rehydrates")
 
-    def _pressure(self, protect: tuple | None = None) -> None:
-        """Spill (or evict) LRU-first until back under budget (lock held)."""
-        while self.accountant.over_budget():
-            victim_key = None
-            for key, entry in self._entries.items():  # LRU order
-                if key != protect and entry.resident:
-                    victim_key = key
-                    break
-            if victim_key is None:
-                break
-            entry = self._entries[victim_key]
+    def _pressure(self, protect: _Entry | None = None) -> None:
+        """Get back under budget (lock held): release memos, least
+        recently used first, and only then spill (or evict) flat forms,
+        likewise.  ``protect`` — the entry being read or installed, the
+        most recently used one — keeps its flat form."""
+        over = self.accountant.over_budget
+        while self._memos and over():
+            self._drop_memo(next(iter(self._memos)))
+        while self._flats and over():
+            victim = next(iter(self._flats))
+            if victim is protect:
+                break  # nothing older is left
             if self.spill_enabled:
-                self._spill_entry(victim_key, entry)
+                self._spill_entry(victim)
             else:
-                self._drop(victim_key, entry, "evicted")
+                self._drop(victim, "evicted")
         self._publish_levels()
 
     def _purge_expired(self, now: float) -> None:
-        for key in [
-            k for k, e in self._entries.items() if self._expired(e, now)
-        ]:
-            self._drop(key, self._entries[key], "expired")
+        if self.ttl is not None:
+            for entry in [e for e in self._lru if self._expired(e, now)]:
+                self._drop(entry, "expired")
 
     # ------------------------------------------------------------- reads
 
-    def lookup(self, fp: Fingerprint, spec: SortSpec) -> CachedOrder | None:
-        """Exact lookup: the requested order for this row multiset.
+    def _read(
+        self, fp: Fingerprint, spec: SortSpec, counted: bool
+    ) -> CachedOrder | None:
+        """The stored order for ``(fp, spec)`` with its lists built.
 
-        A valid entry must be unexpired and *sequence-safe*: an output
-        containing full-key duplicates depends on the source sequence,
-        so it is reusable verbatim only when the live source's sequence
-        hash matches the one it was built from (tie-free entries are
-        reusable from any arrangement).  Sequence-unsafe entries are
-        reported as misses here; the dispatcher may still reuse them as
-        modify candidates, re-breaking ties against the live sequence.
+        Under the lock: the map operations, the rehydrate of a spilled
+        entry and a snapshot of its arrays.  A flat entry's gather and
+        zip run outside it, over the rows ``fp`` hashed; the lists are
+        kept as the entry's memo only if the budget has room for them
+        as it stands — a memo is never worth a disk write.
         """
-        key = (fp.source_key, spec)
         with self._lock:
-            entry = self._entries.get(key)
-            now = self._clock()
-            if entry is not None and self._expired(entry, now):
-                self._drop(key, entry, "expired")
-                entry = None
-            if entry is not None and not entry.tie_free \
-                    and entry.sequence != fp.sequence:
+            entry = self._entries.get((fp.source_key, spec))
+            if entry is not None and self._expired(entry, self._clock()):
+                if counted:
+                    self._drop(entry, "expired")
                 entry = None
             if entry is None:
-                self.misses += 1
-                self._count("misses")
+                if counted:
+                    self.misses += 1
+                    self._count("misses")
                 return None
-            if not entry.resident:
-                self._rehydrate(entry)
-            self._entries.move_to_end(key)
+            if counted:
+                self.hits += 1
+                self._count("hits")
             snap = entry.snapshot()
-            self.hits += 1
-            self._count("hits")
-            self._pressure(protect=key)
+            if entry.perm is None:
+                self._rehydrate(entry)
+            self._lru.move_to_end(entry)
+            self._flats.move_to_end(entry)
+            if snap.rows is not None:
+                self._memos.move_to_end(entry)
+            perm, offsets, values = entry.perm, entry.offsets, entry.values
+            self._pressure(protect=entry)
+        if snap.rows is not None:
             return snap
+        rows = list(map(fp.rows.__getitem__, perm))
+        ovcs = unpack_codes(offsets, values)
+        with self._lock:
+            headroom = self.accountant.headroom()
+            if (
+                entry.perm is not None and entry.rows is None
+                and (headroom is None or entry.memo_bytes <= headroom)
+            ):
+                entry.rows, entry.ovcs = rows, ovcs
+                self._memos[entry] = None
+                self.accountant.charge(CATEGORY, entry.memo_bytes)
+                self._publish_levels()
+        return replace(snap, rows=rows, ovcs=ovcs, perm=perm)
+
+    def lookup(self, fp: Fingerprint, spec: SortSpec) -> CachedOrder | None:
+        """Exact lookup: the requested order of this row sequence.
+
+        An entry is a permutation of one row sequence, and
+        ``fp.source_key`` names the sequence: the same rows in another
+        arrangement are another source, and a miss.  Every call counts
+        as one hit or one miss.
+        """
+        return self._read(fp, spec, counted=True)
 
     def candidates(
         self, fp: Fingerprint, exclude: SortSpec | None = None
     ) -> list[CachedOrder]:
-        """Every unexpired order cached for this row multiset.
+        """Every unexpired order cached for this row sequence.
 
-        Metadata-only snapshots for cost estimation: spilled entries
-        are *not* rehydrated (their ``rows`` are ``None``); call
-        :meth:`fetch` once a candidate is chosen.
+        Metadata-only snapshots for cost estimation: nothing is
+        rehydrated or gathered (``rows`` / ``ovcs`` are ``None`` unless
+        the entry holds a memo); call :meth:`fetch` once a candidate is
+        chosen.
         """
-        out: list[CachedOrder] = []
         with self._lock:
-            now = self._clock()
-            self._purge_expired(now)
-            for (src, spec), entry in self._entries.items():
-                if src != fp.source_key or spec == exclude:
-                    continue
-                out.append(entry.snapshot())
-        return out
+            self._purge_expired(self._clock())
+            return [
+                entry.snapshot()
+                for (src, spec), entry in self._entries.items()
+                if src == fp.source_key and spec != exclude
+            ]
 
     def fetch(self, fp: Fingerprint, spec: SortSpec) -> CachedOrder | None:
         """Materialize one order for use as a modify source (LRU touch,
-        rehydrating if spilled; no hit/miss accounting)."""
-        key = (fp.source_key, spec)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or self._expired(entry, self._clock()):
-                return None
-            if not entry.resident:
-                self._rehydrate(entry)
-            self._entries.move_to_end(key)
-            snap = entry.snapshot()
-            self._pressure(protect=key)
-            return snap
+        rehydrating and gathering as needed; no hit/miss accounting)."""
+        return self._read(fp, spec, counted=False)
 
     # ------------------------------------------------------------ writes
 
@@ -338,64 +454,88 @@ class OrderCache:
         ovcs: list,
         stats_delta: ComparisonStats,
         replayable: bool = True,
-        nbytes: int | None = None,
+        perm=None,
     ) -> bool:
         """Insert (or refresh) the sorted output for ``(fp, spec)``.
 
-        ``nbytes`` is an optional pre-measured size (a result modified
-        from a cached entry is a permutation of that entry's rows, so
-        its accounted size carries over without an O(n) re-measure).
-        Returns False when the entry cannot be admitted (codes missing,
-        or it alone exceeds the whole budget).
+        ``rows`` must be a permutation of the rows ``fp`` hashed.
+        ``perm`` is that permutation (``rows[i] is fp.rows[perm[i]]``)
+        when the caller has it — the fast kernels do — and is derived
+        from the rows otherwise (:func:`_perm_of`).  ``rows`` / ``ovcs`` become the entry's first
+        memo (shared, not copied), sized by the page model's fixed-width
+        row: 8 bytes a column and 16 a code.  Returns False when the
+        entry cannot be admitted (codes missing, rows that are not the
+        fingerprinted ones, or a flat form that alone exceeds a
+        spill-less budget).
         """
-        if ovcs is None:
+        n = len(rows)
+        if ovcs is None or len(ovcs) != n:
             return False
-        if nbytes is None:
-            nbytes = rows_nbytes(rows, ovcs)
+        try:
+            if perm is None:
+                perm = _perm_of(fp.rows, rows)
+            perm = _word_array(perm)
+        except LookupError:
+            return self._reject()
+        try:
+            offsets, values = pack_codes(ovcs)
+        except (TypeError, OverflowError):
+            offsets = _word_array(list(map(itemgetter(0), ovcs)))
+            values = list(map(itemgetter(1), ovcs))
+            self._count("unpacked_installs")
+        value_size = values.itemsize if isinstance(values, array) else 8
+        flat_bytes = n * (perm.itemsize + offsets.itemsize + value_size)
+        memo_bytes = n * (8 * len(fp.schema) + 16)
         budget = self.accountant.budget
-        if budget is not None and nbytes > budget and not self.spill_enabled:
-            with self._lock:
-                self.rejected += 1
-                self._count("rejected")
-            return False
-        arity = spec.arity
-        counts = _offset_counts(ovcs, arity)
-        tie_free = len(rows) <= 1 or counts[arity] == 0
+        if not self.spill_enabled and budget is not None \
+                and ENTRY_BYTES + flat_bytes > budget:
+            return self._reject()
+        counts = _flat_offset_counts(offsets, spec.arity)
         key = (fp.source_key, spec)
         with self._lock:
             now = self._clock()
             self._purge_expired(now)
             old = self._entries.get(key)
             if old is not None:
-                self._drop(key, old, "evicted")
+                self._drop(old, "evicted")
             entry = _Entry(
-                fp.source_key, spec, rows, ovcs, stats_delta.snapshot(),
-                counts, tie_free, fp.sequence, replayable, nbytes, now,
+                fp.source_key, spec, perm, offsets, values, rows, ovcs,
+                stats_delta.snapshot(), counts, replayable, flat_bytes,
+                memo_bytes, now,
             )
             self._entries[key] = entry
-            self.accountant.charge(CATEGORY, nbytes)
+            self._lru[entry] = self._memos[entry] = self._flats[entry] = None
+            self.accountant.charge(
+                CATEGORY, ENTRY_BYTES + flat_bytes + memo_bytes
+            )
             self.installs += 1
             self._count("installs")
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
-                    k = next(iter(self._entries))
-                    if k == key:
+                    oldest = next(iter(self._lru))
+                    if oldest is entry:
                         break
-                    self._drop(k, self._entries[k], "evicted")
-            self._pressure(protect=key)
+                    self._drop(oldest, "evicted")
+            self._pressure(protect=entry)
         return True
+
+    def _reject(self) -> bool:
+        with self._lock:
+            self.rejected += 1
+            self._count("rejected")
+        return False
 
     def invalidate(self, source_key: tuple | None = None) -> int:
         """Drop every entry (or every entry of one source); returns the
         number removed."""
         with self._lock:
-            keys = [
-                k for k in self._entries
-                if source_key is None or k[0] == source_key
+            doomed = [
+                e for e in self._lru
+                if source_key is None or e.key == source_key
             ]
-            for k in keys:
-                self._drop(k, self._entries[k], "evicted")
-            return len(keys)
+            for entry in doomed:
+                self._drop(entry, "evicted")
+            return len(doomed)
 
     def close(self) -> None:
         """Invalidate everything and remove the spill directory."""
@@ -440,7 +580,8 @@ class OrderCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.counters()
         return (
-            f"OrderCache(entries={c['entries']}, "
+            f"OrderCache(entries={c['entries']} "
+            f"({len(self._memos)} memo, {len(self._flats)} flat), "
             f"resident={c['bytes_resident']:,}B, hits={c['hits']}, "
             f"misses={c['misses']}, spills={c['spills']})"
         )

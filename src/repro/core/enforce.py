@@ -38,6 +38,9 @@ class Enforced:
     engine: str | None = None
     #: ``auto`` met keys the key packer cannot rank; reference ran.
     fallback: bool = False
+    #: ``table.rows`` as indices into the source's rows, when asked for
+    #: (``want_perm``) and a fast kernel produced the output.
+    perm: list[int] | None = None
 
 
 def enforce_order(
@@ -48,6 +51,7 @@ def enforce_order(
     config: ExecutionConfig,
     method: str = "auto",
     use_ovc: bool = True,
+    want_perm: bool = False,
 ) -> Enforced:
     """Produce ``source``'s rows in ``spec`` order, the cheapest way.
 
@@ -58,6 +62,9 @@ def enforce_order(
     cap, so callers that want counters pass ``engine="reference"``.
     ``method`` forces a modification strategy (ordered sources only).
     A forced ``engine="fast"`` propagates the key packer's ``TypeError``.
+    ``want_perm`` asks the fast kernels for the permutation they sorted
+    through (callers that will install the result in the order cache;
+    nobody else pays for it).
     """
     src_spec = source.sort_spec
     if src_spec is not None and src_spec.satisfies(spec):
@@ -65,19 +72,26 @@ def enforce_order(
         if source.ovcs is not None:
             ovcs = project_ovcs(source.ovcs, spec.arity)
         table = Table(source.schema, list(source.rows), spec, ovcs)
-        return Enforced(table, "passthrough", "passthrough")
+        return Enforced(
+            table, "passthrough", "passthrough",
+            perm=list(range(len(table.rows))) if want_perm else None,
+        )
 
     use_ovc = use_ovc and (src_spec is None or source.ovcs is not None)
     engine = resolve_engine(config, use_ovc=use_ovc)
+    perm: list[int] | None = [] if want_perm else None
     if src_spec is not None:
         # A stats collector is itself a request for the reference
         # engine, so it is handed over only when that engine was chosen.
         table, engine, fallback = _modify_sort_order(
             source, spec, method, use_ovc,
-            stats if engine == "reference" else None, config,
+            stats if engine == "reference" else None, config, perm,
         )
         label = f"modify({','.join(str(c) for c in src_spec.columns)})"
-        return Enforced(table, "modify_sort_order", label, engine, fallback)
+        return Enforced(
+            table, "modify_sort_order", label, engine, fallback,
+            _whole(perm, table),
+        )
 
     positions = spec.positions(source.schema)
     fallback = False
@@ -85,7 +99,9 @@ def enforce_order(
         from ..fastpath.execute import fast_sort
 
         try:
-            rows, ovcs = fast_sort(source.rows, positions, spec.directions)
+            rows, ovcs = fast_sort(
+                source.rows, positions, spec.directions, perm
+            )
         except TypeError:
             if config.engine == "fast":
                 raise
@@ -95,4 +111,13 @@ def enforce_order(
             source.rows, positions, stats, spec.directions, use_ovc
         )
     table = Table(source.schema, rows, spec, ovcs)
-    return Enforced(table, "internal_sort", "full-sort", engine, fallback)
+    return Enforced(
+        table, "internal_sort", "full-sort", engine, fallback,
+        _whole(perm, table),
+    )
+
+
+def _whole(perm: list[int] | None, table: Table) -> list[int] | None:
+    """``perm`` if a kernel filled it for every output row, else ``None``
+    (not asked for, or the reference engine ran)."""
+    return perm if perm is not None and len(perm) == len(table.rows) else None

@@ -135,10 +135,13 @@ def _modify_sort_order(
     use_ovc: bool,
     stats: ComparisonStats | None,
     config: ExecutionConfig | None,
+    perm: list[int] | None = None,
 ) -> tuple[Table, str, bool]:
     """:func:`modify_sort_order`, also reporting ``(engine, fallback)``:
     the engine that produced the result, and whether it was
-    ``auto``'s reference fallback on unpackable keys."""
+    ``auto``'s reference fallback on unpackable keys.  A ``perm`` list
+    is filled with the output as indices into ``table.rows`` when a
+    fast kernel produced it on a forward scan, and left empty otherwise."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
     cfg = config if config is not None else ExecutionConfig.default()
@@ -157,13 +160,16 @@ def _modify_sort_order(
             governed=cfg.governed,
         ):
             if not cfg.governed:
-                ran = _modify(table, new_spec, method, use_ovc, stats, cfg, None)
+                ran = _modify(
+                    table, new_spec, method, use_ovc, stats, cfg, None, perm
+                )
             else:
                 accountant = MemoryAccountant(cfg.memory_budget)
                 with SpillManager(cfg.spill_dir) as spill, activate(accountant):
                     sink = GovernedSink(accountant, spill)
                     ran = _modify(
-                        table, new_spec, method, use_ovc, stats, cfg, sink
+                        table, new_spec, method, use_ovc, stats, cfg, sink,
+                        perm,
                     )
         result, strategy, engine, fallback = ran
         SLOWLOG.record(
@@ -181,6 +187,7 @@ def _modify(
     stats: ComparisonStats | None,
     cfg: ExecutionConfig,
     sink: GovernedSink | None,
+    perm: list[int] | None = None,
 ) -> tuple[Table, str, str, bool]:
     """Plan, pick the executor, run it; returns ``(table, strategy,
     engine, fallback)`` with the last two as they turned out."""
@@ -193,6 +200,7 @@ def _modify(
         # and re-plan against the reversed order.
         from .backward import reverse_table, reversed_spec
 
+        perm = None  # indices into the reversed copy would mean nothing
         with TRACER.span("modify.backward", rows=len(table.rows)):
             if use_ovc:
                 table = reverse_table(table.with_ovcs(), stats)
@@ -247,11 +255,13 @@ def _modify(
         try:
             result = fast_modify(
                 table, new_spec, plan, strategy,
-                segments=boundaries, sink=sink, heads=heads,
+                segments=boundaries, sink=sink, heads=heads, perm=perm,
             )
         except TypeError:
             if cfg.engine == "fast":
                 raise
+            if perm:
+                perm.clear()
             # engine="auto" met key values the key packer cannot rank
             # (mixed types in one column, None): the reference
             # executors compare only values that actually meet in a

@@ -48,7 +48,6 @@ from typing import Iterator
 
 from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
-from ..exec.memory import _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
 from ..ovc.derive import project_ovc
@@ -124,16 +123,13 @@ class Sort(Operator):
         self.order_strategy = outcome.label
         return outcome.table
 
-    def _install(self, cache, source: Table, result: Table, delta) -> None:
+    def _install(self, cache, done, delta) -> None:
         from ..cache import install_result
 
-        if cache is not None and self._cache_fp is not None:
-            # The output is a permutation of the source's rows, one code
-            # each: its size is the source's, already measured.
-            install_result(
-                cache, self._cache_fp, self._spec, result, delta,
-                nbytes=_table_nbytes(source, coded=True),
-            )
+        install_result(
+            cache, self._cache_fp, self._spec, done.table, delta,
+            perm=done.perm,
+        )
 
     def _observe(self, mark, before, **ran) -> None:
         """Close this sort's slowlog watch and log the decision.
@@ -199,6 +195,7 @@ class Sort(Operator):
                 return served
 
         before = self.stats.snapshot()
+        installs = cache is not None and self._cache_fp is not None
         done = enforce_order(
             table,
             self._spec,
@@ -206,10 +203,12 @@ class Sort(Operator):
             use_ovc=self._use_ovc,
             stats=self.stats,
             config=self._config,
+            want_perm=installs,
         )
         self.executed = done.executed
         self.order_strategy = done.strategy
-        self._install(cache, table, done.table, self.stats - before)
+        if installs:
+            self._install(cache, done, self.stats - before)
         self._observe(
             mark, mark_before, engine=done.engine, fallback=done.fallback
         )

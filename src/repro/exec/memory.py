@@ -163,18 +163,15 @@ def rows_nbytes(rows, ovcs=None) -> int:
     return total
 
 
-def _table_nbytes(table, coded: bool | None = None) -> int:
+def _table_nbytes(table) -> int:
     """:func:`rows_nbytes` of a table's rows and codes, in O(1).
 
     The row bytes are measured once per distinct row sequence and kept
     on the table (:meth:`repro.model.Table._facts`); codes add 16 bytes
-    each.  ``coded=True`` sizes the table as if every row carried a
-    code — the size of any sorted output of it, whose rows are a
-    permutation of these.
+    each.
     """
     facts = table._facts()
     if facts.row_bytes is None:
         facts.row_bytes = rows_nbytes(facts.rows)
-    if coded is None:
-        coded = table.ovcs is not None
+    coded = table.ovcs is not None
     return facts.row_bytes + (16 * len(facts.rows) if coded else 0)

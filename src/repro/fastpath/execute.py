@@ -13,6 +13,12 @@ otherwise) are packed once and shared by every segment.  When every
 output key column is ascending, fields and kernels read key values
 straight out of the source rows; otherwise the keys are projected and
 normalized up front (:func:`project_keys`).
+
+A stable sort's result is a permutation of its input, and the kernels
+have it in hand before they gather a row.  :func:`fast_modify` and
+:func:`fast_sort` append it to the caller's ``perm`` list (indices into
+the input rows, parallel to the output) when given one — the order
+cache stores that, not a second row list — and skip it otherwise.
 """
 
 from __future__ import annotations
@@ -152,6 +158,7 @@ def fast_modify(
     segments: list[tuple[int, int]] | None = None,
     sink=None,
     heads: Sequence[int] | None = None,
+    perm: list[int] | None = None,
 ) -> Table:
     """Execute ``strategy`` on ``table`` without instrumentation.
 
@@ -162,7 +169,8 @@ def fast_modify(
     once and shares both); when omitted they are derived here.
     ``sink`` is an optional :class:`~repro.exec.buffers.GovernedSink` —
     completed per-segment outputs are absorbed (and spilled under
-    budget pressure) instead of accumulating in one list.
+    budget pressure) instead of accumulating in one list.  ``perm``,
+    when given, receives the output as indices into ``table.rows``.
     """
     rows = table.rows
     ovcs = table.ovcs
@@ -170,6 +178,8 @@ def fast_modify(
     k_out = new_spec.arity
 
     if strategy is Strategy.NOOP:
+        if perm is not None:
+            perm.extend(range(n))
         if sink is not None:
             sink.absorb_iter(list(rows), project_ovcs(ovcs, k_out))
             out_rows, out_ovcs = sink.materialize()
@@ -201,11 +211,11 @@ def fast_modify(
         for lo, hi in segments:
             count += 1
             if sink is None:
-                run(lo, hi, out_rows, out_ovcs)
+                run(lo, hi, out_rows, out_ovcs, perm)
                 continue
             seg_rows: list[tuple] = []
             seg_ovcs: list[tuple] = []
-            run(lo, hi, seg_rows, seg_ovcs)
+            run(lo, hi, seg_rows, seg_ovcs, perm)
             sink.absorb(seg_rows, seg_ovcs)
         sp.set(segments=count)
 
@@ -214,42 +224,6 @@ def fast_modify(
     if sink is not None:
         out_rows, out_ovcs = sink.materialize()
     return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-
-def fast_modify_perm(
-    schema,
-    rows: Sequence[tuple],
-    ovcs: Sequence[tuple],
-    new_spec: SortSpec,
-    plan: ModificationPlan,
-    strategy: Strategy,
-    segments: Sequence[tuple[int, int]] | None = None,
-) -> tuple[list[int], list[tuple]]:
-    """Like :func:`fast_modify`, but emit a permutation, not rows.
-
-    Returns ``(perm, out_ovcs)`` where ``perm[i]`` is the index into
-    ``rows`` of the ``i``-th output row.  This is the shape the
-    shared-memory data plane ships: a worker writes ``perm`` and the
-    split codes into flat buffers and the driver materializes
-    ``rows[perm[i]]`` lazily against its own row objects — no row ever
-    crosses the process boundary.  Only the segment-parallel strategies
-    are supported (the planner shards nothing else).
-    """
-    if strategy not in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
-        raise ValueError(f"strategy {strategy} is not segment-shardable")
-    perm: list[int] = []
-    out_ovcs: list[tuple] = []
-    if not len(rows):
-        return perm, out_ovcs
-    run = _bind(
-        rows, ovcs, new_spec.positions(schema), new_spec.directions,
-        plan, strategy,
-    )
-    if segments is None:
-        segments = split_segments(ovcs, plan.prefix_len, len(rows))
-    for lo, hi in segments:
-        run(lo, hi, None, out_ovcs, perm)
-    return perm, out_ovcs
 
 
 def _charge_packed(accountant, n_rows: int) -> int:
@@ -289,12 +263,14 @@ def fast_sort(
     rows: Sequence[tuple],
     positions: Sequence[int],
     directions: Sequence[bool],
+    perm: list[int] | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
     """Stable full sort with fresh output codes — the fast twin of
-    :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``."""
+    :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``.
+    ``perm``, when given, receives the output as indices into ``rows``."""
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
     if len(rows):
         run = _bind(rows, None, positions, directions, None, Strategy.FULL_SORT)
-        run(0, len(rows), out_rows, out_ovcs)
+        run(0, len(rows), out_rows, out_ovcs, perm)
     return out_rows, out_ovcs

@@ -79,7 +79,7 @@ def fast_sort_segment(
     hi: int,
     prefix_len: int,
     output_arity: int,
-    out_rows: list[tuple] | None,
+    out_rows: list[tuple],
     out_ovcs: list[tuple],
     out_perm: list[int] | None = None,
 ) -> None:
@@ -91,10 +91,12 @@ def fast_sort_segment(
     column 0).  Mirrors :func:`repro.core.segmented.sort_segment` with
     ``use_ovc=True``.
 
-    With ``out_perm``, the kernel emits the segment's output as row
-    *indices* into ``rows`` instead of materializing row objects into
-    ``out_rows`` — the shared-memory data plane's output shape, where
-    a worker ships a permutation and the driver materializes lazily.
+    A stable sort's output *is* a permutation of its input — the
+    ``order`` list the rows are gathered through.  With ``out_perm``
+    the kernel also appends it (indices into ``rows``, parallel to
+    ``out_rows``): what the order cache keeps of a result in place of a
+    second row list.  Callers that will not install pass ``None`` and
+    pay nothing.
     """
     if hi <= lo:
         return
@@ -124,19 +126,17 @@ def _fast_sort_segment(
     if p >= k_out:
         # Shared prefix covers the whole desired key: all rows are
         # duplicates under the new order; copy through.
+        out_rows.extend(rows[lo:hi])
         if out_perm is not None:
             out_perm.extend(range(lo, hi))
-        else:
-            out_rows.extend(rows[lo:hi])
         out_ovcs.append(ovcs[lo])
         out_ovcs.extend([(k_out, 0)] * (hi - lo - 1))
         return
 
     order = sorted(range(lo, hi), key=packed.__getitem__)
+    out_rows.extend(map(rows.__getitem__, order))
     if out_perm is not None:
         out_perm.extend(order)
-    else:
-        out_rows.extend(map(rows.__getitem__, order))
 
     first = order[0]
     # The segment's first output row inherits the saved segment-head
@@ -179,7 +179,7 @@ def fast_merge_runs(
     lo: int,
     hi: int,
     plan: ModificationPlan,
-    out_rows: list[tuple] | None,
+    out_rows: list[tuple],
     out_ovcs: list[tuple],
     heads: Sequence[int],
     respect_prefix: bool = True,
@@ -187,8 +187,8 @@ def fast_merge_runs(
 ) -> None:
     """Merge the pre-existing runs of rows ``[lo, hi)`` into the output.
 
-    With ``out_perm``, output rows are emitted as indices into ``rows``
-    (see :func:`fast_sort_segment`).
+    With ``out_perm``, the output rows' indices into ``rows`` are
+    appended to it as well (see :func:`fast_sort_segment`).
 
     ``packed`` holds each row's restricted key — output key columns
     ``[head_offset, |P|+|M|)`` — folded into one int; ``keysrc``/
@@ -219,8 +219,8 @@ def fast_merge_runs(
         heads = [lo, *heads]
     chunked = len(heads) * CHUNK_MIN_ROWS_PER_HEAD <= hi - lo
     kernel = _merge_chunks if chunked else _merge_rowwise
-    # out_ovcs stays in lockstep with the emitted rows (or permutation
-    # entries), so its length marks this segment's first output slot.
+    # out_ovcs stays in lockstep with the emitted rows, so its length
+    # marks this segment's first output slot.
     first_out = len(out_ovcs)
     if TRACER.enabled:
         with TRACER.span(
@@ -252,10 +252,9 @@ def _merge_rowwise(
     tail_boundary = dup_boundary + plan.tail_len
 
     order = sorted(range(lo, hi), key=packed.__getitem__)
+    out_rows.extend(map(rows.__getitem__, order))
     if out_perm is not None:
         out_perm.extend(order)
-    else:
-        out_rows.extend(map(rows.__getitem__, order))
 
     out_ovcs.append((0, keysrc[order[0]][pos0]))
     append = out_ovcs.append
@@ -343,8 +342,7 @@ def _merge_chunks(
                     code if code[0] < tail_boundary else duplicate
                     for code in ovcs[h + 1 : e]
                 ])
+        out_rows.extend(rows[h:e])
         if out_perm is not None:
             out_perm.extend(range(h, e))
-        else:
-            out_rows.extend(rows[h:e])
         prev_end = e

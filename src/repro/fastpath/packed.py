@@ -36,23 +36,45 @@ from typing import Sequence
 Field = tuple[array, int]
 
 
+def _word_array(values: Sequence[int], signed: bool = False) -> array:
+    """``values`` in the narrowest machine-word ``array`` that holds them.
+
+    Typecodes are tried narrowest first (a cell too small fails at the
+    first value beyond it, so a miss costs next to nothing).  Raises
+    ``OverflowError`` past 64 bits (or for a negative value when
+    unsigned) and ``TypeError`` for anything but ints.
+    """
+    codes = "bhiq" if signed else "BHIQ"
+    for code in codes[:-1]:
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array(codes[-1], values)
+
+
 def pack_codes(ovcs: Sequence[tuple]) -> tuple[array, array]:
     """Split paper-form codes into flat ``(offsets, values)`` word arrays.
 
-    The shared-memory data plane (:mod:`repro.parallel.shm`) ships
-    codes as two ``array('q')`` regions instead of a pickled tuple
-    list.  Raises ``TypeError``/``OverflowError`` when a value is not a
-    machine-word int (strings, ``None``, big ints) — callers fall back
-    to the pickled protocol, which round-trips anything.
+    One fixed-width cell per code instead of one tuple: the form the
+    order cache keeps, and spills, an entry's codes in (4-13 bytes a row
+    with the permutation, against a tuple's 64).  Each array takes the
+    narrowest typecode its range allows (:func:`_word_array`).  Raises
+    ``TypeError``/``OverflowError`` when a value is not exactly a
+    machine-word ``int`` (strings, ``None``, floats, bools, big ints) —
+    such codes stay a plain list.
     """
-    offsets = array("q", [o for o, _ in ovcs])
-    values = array("q", [v for _, v in ovcs])
-    return offsets, values
+    if not ovcs:
+        return array("B"), array("b")
+    offsets, values = zip(*ovcs)
+    if set(map(type, values)) != {int}:
+        raise TypeError("code values are not all plain ints")
+    return _word_array(offsets), _word_array(values, signed=True)
 
 
 def unpack_codes(offsets, values) -> list[tuple]:
-    """Inverse of :func:`pack_codes` over any two int sequences
-    (typically ``memoryview`` slices of a shared-memory region)."""
+    """Inverse of :func:`pack_codes`: the ``(offset, value)`` tuple list
+    of two parallel sequences."""
     return list(zip(offsets, values))
 
 

@@ -154,9 +154,13 @@ class SortSpec:
     `` DESC``, or :class:`SortColumn` instances::
 
         SortSpec.of("A", "B DESC", SortColumn("C"))
+
+    A spec is immutable by convention, and a dictionary key on every
+    hot path (order cache, coalescing registry), so its hash is
+    computed once.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_hash")
 
     def __init__(self, columns: Iterable[SortColumn | str]) -> None:
         resolved: list[SortColumn] = []
@@ -177,6 +181,7 @@ class SortSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate sort columns: {names}")
         self.columns = tuple(resolved)
+        self._hash = hash(self.columns)
 
     @staticmethod
     def of(*columns: SortColumn | str) -> "SortSpec":
@@ -249,7 +254,12 @@ class SortSpec:
         return isinstance(other, SortSpec) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild (and re-hash) on unpickling: string hashes differ
+        # between processes.
+        return SortSpec, (self.columns,)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(c) for c in self.columns)

@@ -5,11 +5,12 @@ Each requested node runs exactly the machinery an independent
 parent — :func:`repro.core.enforce.enforce_order`, which also owns the
 engine choice — so rows and codes are bit-identical to per-request
 execution by construction.  Results derived from a parent
-other than the source are re-tie-broken against the live source's
-arrival order (the same :func:`~repro.cache.dispatch._retiebreak`
-contract the cache dispatcher relies on), which also makes sibling
-derivation safe: within a full-key tie group the codes do not depend
-on which member stands first.
+other than the source are re-tie-broken against the source's arrival
+order (:func:`~repro.cache.dispatch._rebase`, the contract the
+cache dispatcher relies on: every parent is known as a permutation of
+the source, so a tie group is re-broken by sorting its indices), which
+also makes sibling derivation safe: within a full-key tie group the
+codes do not depend on which member stands first.
 
 Counters are per-node deltas describing the work actually performed
 — comparison counts under ``engine="reference"``, zeros when the
@@ -35,11 +36,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _names, _retiebreak
+from ..cache.dispatch import _names, _rebase
 from ..cache.fingerprint import fingerprint_table
 from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
-from ..exec.memory import _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
@@ -104,16 +104,19 @@ def execute_plan(
     #: Parent tables sibling derivations read: the node's own table, or
     #: a private copy once ``on_node`` has given that table away.
     parents: dict[int, Table] = {}
+    #: Those tables as permutations of ``source.rows``, where a kernel
+    #: said (derived by value where none did).
+    perms: dict[int, list[int] | None] = {}
     has_children = {plan.nodes[idx].parent for idx in plan.order}
+    caching = cache is not None and fp is not None
 
-    def _install(table: Table, delta, replayable: bool) -> None:
+    def _install(table: Table, delta, replayable: bool, perm) -> None:
         # ``table`` goes out in the response, so the cache keeps its own
-        # lists; sized from the source, whose rows these permute.
-        if cache is not None and fp is not None and table.ovcs is not None:
+        # lists.
+        if caching and table.ovcs is not None:
             cache.install(
                 fp, table.sort_spec, table.rows[:], table.ovcs[:], delta,
-                replayable=replayable,
-                nbytes=_table_nbytes(source, coded=True),
+                replayable=replayable, perm=perm,
             )
 
     def _from_source(node, delta, fallback=False) -> NodeResult:
@@ -125,9 +128,13 @@ def execute_plan(
                     "plan.fallback", order=_names(spec),
                     planned=node.strategy,
                 )
-        done = enforce_order(source, spec, stats=delta, config=cfg)
+        done = enforce_order(
+            source, spec, stats=delta, config=cfg,
+            want_perm=caching or node.index in has_children,
+        )
+        perms[node.index] = done.perm
         if done.executed != "passthrough":
-            _install(done.table, delta, replayable=True)
+            _install(done.table, delta, replayable=True, perm=done.perm)
         return NodeResult(node.index, spec, done.table, done.strategy,
                           delta, fallback)
 
@@ -143,6 +150,7 @@ def execute_plan(
             if hit is None:
                 return _from_source(node, delta, fallback=True)
             delta.merge(hit.stats_delta)
+            perms[idx] = hit.perm
             table = Table(source.schema, hit.rows[:], spec, hit.ovcs[:])
             return NodeResult(idx, spec, table,
                               f"cache-hit({_names(spec)})", delta)
@@ -150,20 +158,20 @@ def execute_plan(
             entry = cache.fetch(fp, parent.spec) if cache is not None else None
             if entry is None:
                 return _from_source(node, delta, fallback=True)
-            ptable = entry.as_table(source.schema)
+            ptable, pperm = entry.as_table(source.schema), entry.perm
             label = f"modify-from-cache({_names(parent.spec)})"
         else:
-            ptable = parents[node.parent]
+            ptable, pperm = parents[node.parent], perms.get(node.parent)
             label = f"plan-derive({_names(parent.spec)})"
         try:
-            derived = enforce_order(ptable, spec, stats=delta, config=cfg).table
-        except (TypeError, IndexError):
+            done = enforce_order(
+                ptable, spec, stats=delta, config=cfg, want_perm=True
+            )
+            table, perm = _rebase(done, ptable, pperm, source.rows)
+        except (TypeError, LookupError):
             return _from_source(node, delta, fallback=True)
-        rows, ovcs = derived.rows, derived.ovcs
-        if ovcs is not None:
-            rows, ovcs = _retiebreak(rows, ovcs, spec.arity, source.rows)
-        table = Table(source.schema, rows, spec, ovcs)
-        _install(table, delta, replayable=False)
+        perms[idx] = perm
+        _install(table, delta, replayable=False, perm=perm)
         return NodeResult(idx, spec, table, label, delta)
 
     for idx in plan.order:

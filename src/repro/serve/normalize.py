@@ -12,9 +12,9 @@ The service therefore truncates each submitted order to its shortest
 row-unique prefix before building the coalescing key, so trivially
 equivalent variants attach to one in-flight execution (and one cache
 entry) instead of racing each other.  Uniqueness is a property of the
-source's row *multiset* and the prefix's column *set* — independent of
-arrangement, key order, and sort direction — so probes are memoized
-per ``(source_key, column set)``.
+source's rows and the prefix's column *set* — independent of key order
+and sort direction — so probes are memoized per ``(source_key, column
+set)``.
 """
 
 from __future__ import annotations

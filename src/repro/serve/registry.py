@@ -1,12 +1,11 @@
 """In-flight registry: duplicate-request coalescing.
 
 The serving layer's work-sharing point.  Requests are keyed by the
-order cache's content identity — the order-insensitive ``source_key``
-of the row multiset, the order-sensitive ``sequence`` hash (stable
-sorts make tie-group output a function of arrival order, so two
-requests share an execution only when their inputs are
+order cache's content identity — the ``source_key`` of the row
+*sequence* (stable sorts make tie-group output a function of arrival
+order, so two requests share an execution only when their inputs are
 arrangement-identical — that is what makes the fan-out bit-identical
-for *every* waiter), and the target :class:`~repro.model.SortSpec`.
+for *every* waiter) — and the target :class:`~repro.model.SortSpec`.
 
 A submit either *creates* the in-flight entry for its key (becoming
 the leader whose dequeue executes the sort) or *attaches* to an

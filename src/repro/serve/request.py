@@ -46,7 +46,7 @@ class Inflight:
     """One admitted execution and the waiters sharing it.
 
     Created by the service at admission, keyed in the in-flight
-    registry by ``(source_key, sequence, spec)``.  The leader's
+    registry by ``(source_key, spec)``.  The leader's
     execution fills :attr:`table` / :attr:`label` / :attr:`stats_delta`
     (or :attr:`error`) and sets :attr:`done`; every ticket then builds
     its own response from the shared result.  ``deadline_at`` is the

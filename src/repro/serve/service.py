@@ -338,7 +338,7 @@ class OrderService:
                     normalized=",".join(str(c) for c in normalized.columns),
                 )
             spec = normalized
-        key = (fp.source_key, fp.sequence, spec)
+        key = (fp.source_key, spec)
 
         def _create() -> Inflight:
             entry = Inflight(key, source, spec, tenant, now, deadline_at)
@@ -439,7 +439,7 @@ class OrderService:
         everything else takes the ordinary solo path."""
         groups: dict[tuple, list] = {}
         for entry in entries:
-            groups.setdefault(entry.key[:2], []).append(entry)
+            groups.setdefault(entry.key[0], []).append(entry)
         for group in groups.values():
             if len(group) == 1:
                 self._execute(group[0])

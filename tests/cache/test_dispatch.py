@@ -93,31 +93,57 @@ def test_modify_from_cached_sibling_bit_identical():
 
 
 def test_modify_reties_against_live_sequence():
-    # Heavy full-key duplication: domain product (12) << rows (240).
-    # The cached sibling was built from a *different* arrangement, so a
-    # blind modify would leak that arrangement's tie order.
+    # The requested key (A) is shorter than the rows: rows equal on A
+    # differ in B and C.  The cached sibling holds them in *its* order
+    # (B within A-ties); a stable sort of the live source leaves them in
+    # arrival order, so a blind modify would leak the sibling's.
     source = _source(n=240, domains=(2, 3, 2), seed=1)
-    shuffled = list(source.rows)
-    random.Random(99).shuffle(shuffled)
-    other = Table(SCHEMA, shuffled)
-
     cache = OrderCache()
-    cached_spec = SortSpec.of("A", "B", "C")
-    rows, ovcs, stats = _cold_sort(other, cached_spec)
+    cached_spec = SortSpec.of("B", "A")
+    rows, ovcs, stats = _cold_sort(source, cached_spec)
+    fp = fingerprint_table(source)
     install_result(
-        cache, fingerprint_table(other), cached_spec,
-        Table(SCHEMA, rows, cached_spec, ovcs), stats,
+        cache, fp, cached_spec, Table(SCHEMA, rows, cached_spec, ovcs), stats
     )
 
-    want = SortSpec.of("A", "C", "B")
+    want = SortSpec.of("A")
     cold_rows, cold_ovcs, _ = _cold_sort(source, want)
+    blind = modify_sort_order(Table(SCHEMA, rows, cached_spec, ovcs), want)
+    assert blind.rows != cold_rows  # the premise: ties come out B-ordered
     outcome = serve(
         cache, source, want, stats=ComparisonStats(), config=CFG
     )
     assert outcome.table is not None
-    assert outcome.label == "modify-from-cache(A,B,C)"
+    assert outcome.label == "modify-from-cache(B,A)"
     assert outcome.table.rows == cold_rows  # live arrival order in ties
     assert outcome.table.ovcs == cold_ovcs
+    # What was installed is the re-tie-broken order, as a permutation.
+    hit = cache.lookup(fp, want)
+    assert hit.rows == cold_rows and hit.ovcs == cold_ovcs
+    assert [source.rows[i] for i in hit.perm] == cold_rows
+    cache.close()
+
+
+def test_another_arrangement_of_the_same_rows_is_a_miss():
+    # An entry is a permutation of one row sequence; the same multiset
+    # in another arrangement neither hits nor offers a candidate.
+    source = _source(n=240, domains=(2, 3, 2), seed=1)
+    shuffled = list(source.rows)
+    random.Random(99).shuffle(shuffled)
+    other = Table(SCHEMA, shuffled)
+    cache = OrderCache()
+    spec = SortSpec.of("A", "B", "C")
+    rows, ovcs, stats = _cold_sort(other, spec)
+    install_result(
+        cache, fingerprint_table(other), spec,
+        Table(SCHEMA, rows, spec, ovcs), stats,
+    )
+    for want in (spec, SortSpec.of("A", "C", "B")):
+        outcome = serve(
+            cache, source, want, stats=ComparisonStats(), config=CFG
+        )
+        assert outcome.table is None
+    assert cache.candidates(fingerprint_table(source)) == []
     cache.close()
 
 
@@ -193,13 +219,15 @@ def test_retiebreak_reorders_ties_only():
     live = [(0, "x", 1), (1, "q", 2), (0, "y", 3), (1, "p", 4)]
     cached_order = [(0, "y", 3), (0, "x", 1), (1, "p", 4), (1, "q", 2)]
     rows = sorted(cached_order, key=lambda r: r[0])
-    ovcs = derive_ovcs([ (r[0],) for r in rows ], (0,))
-    fixed_rows, fixed_ovcs = _retiebreak(
-        [r for r in rows], ovcs, arity,
-        [ r for r in live ],
-    )
+    ovcs = derive_ovcs([(r[0],) for r in rows], (0,))
+    perm = [live.index(r) for r in rows]
+    assert _retiebreak(perm, [off for off, _ in ovcs], arity)
+    fixed_rows = [live[i] for i in perm]
     # Inside each A-group the live arrival order wins.
     assert [r[0] for r in fixed_rows] == [0, 0, 1, 1]
     assert fixed_rows[:2] == [(0, "x", 1), (0, "y", 3)]
     assert fixed_rows[2:] == [(1, "q", 2), (1, "p", 4)]
-    assert fixed_ovcs == ovcs  # codes untouched
+    # No tie group, nothing to do — and the answer says so.
+    untied = [2, 0, 1]
+    assert not _retiebreak(untied, [0, 0, 0], arity)
+    assert untied == [2, 0, 1]

@@ -1,4 +1,4 @@
-"""Content fingerprints: order-insensitive identity, order-sensitive sequence."""
+"""Content fingerprints: the identity of one row sequence."""
 
 from __future__ import annotations
 
@@ -18,28 +18,35 @@ from repro.serve import OrderService
 SCHEMA = ("A", "B")
 
 
-def test_same_multiset_same_source_key_any_arrangement():
+def test_source_key_names_one_arrangement():
+    # A cached order is a permutation of one row sequence: an equal
+    # sequence is the same source, any other arrangement is another.
     rows = [(1, 2), (3, 4), (1, 2), (5, 6)]
-    shuffled = list(rows)
-    random.Random(0).shuffle(shuffled)
     a = fingerprint_rows(rows, SCHEMA)
-    b = fingerprint_rows(shuffled, SCHEMA)
-    assert a.source_key == b.source_key
+    assert fingerprint_rows(list(rows), SCHEMA).source_key == a.source_key
+    shuffled, rng = list(rows), random.Random(0)
+    while shuffled == rows:
+        rng.shuffle(shuffled)
+    assert fingerprint_rows(shuffled, SCHEMA).source_key != a.source_key
+    # The fingerprint carries the rows it hashed, outside its identity.
+    assert a.rows == tuple(rows)
+    assert a == fingerprint_rows([tuple(r) for r in rows], SCHEMA)
 
 
 def test_sequence_distinguishes_arrangements():
     rows = [(1, 2), (3, 4), (5, 6)]
     a = fingerprint_rows(rows, SCHEMA)
     b = fingerprint_rows(list(reversed(rows)), SCHEMA)
-    assert a.source_key == b.source_key
+    assert (a.schema, a.n_rows) == (b.schema, b.n_rows)
     assert a.sequence != b.sequence
+    assert a.source_key != b.source_key
 
 
 def test_different_content_different_key():
     base = fingerprint_rows([(1, 2), (3, 4)], SCHEMA)
     assert fingerprint_rows([(1, 2), (3, 5)], SCHEMA).source_key \
         != base.source_key
-    # A duplicate added changes the count even if sum/xor could collide.
+    # A duplicate added changes the count.
     assert fingerprint_rows([(1, 2), (3, 4), (3, 4)], SCHEMA).source_key \
         != base.source_key
     # Same rows under a different schema are a different source.
@@ -91,7 +98,7 @@ def _edits():
     def reassign(t):
         t.rows = [(9, 9), (1, 2)]
 
-    def swap_unequal(t):  # sequence changes, source_key does not
+    def swap_unequal(t):  # same multiset, another sequence
         t.rows[0], t.rows[3] = t.rows[3], t.rows[0]
 
     return {
@@ -119,8 +126,8 @@ def test_memo_recomputes_after_every_kind_of_edit(edit, monkeypatch):
     assert after != before
     assert len(calls) == 2
     if edit in ("swap_unequal", "reverse", "sort"):
-        assert after.source_key == before.source_key
-        assert after.sequence != before.sequence
+        assert after.n_rows == before.n_rows
+        assert after.source_key != before.source_key
     # ... and the new answer is memoized in turn.
     assert fingerprint_table(table) is after
     assert len(calls) == 2
@@ -173,10 +180,11 @@ def test_size_shares_the_fingerprints_memo_record(monkeypatch):
     assert _table_nbytes(table) == rows_nbytes(table.rows)
     assert table._facts() is record
     assert len(sized) == 2 * 30  # one memoized pass + the check above
-    assert _table_nbytes(table, coded=True) == \
-        rows_nbytes(table.rows, [(0, 0)] * 30)
+    table.ovcs = [(0, 0)] * 30
+    assert _table_nbytes(table) == rows_nbytes(table.rows, table.ovcs)
     assert len(sized) == 3 * 30  # only the check's own pass
 
+    table.ovcs = None
     table.rows.append((1, "yyyy"))
     assert _table_nbytes(table) == rows_nbytes(table.rows)
     assert table._facts() is not record

@@ -110,12 +110,15 @@ def test_explain_analyze_shows_order_strategy():
 
 
 def test_eviction_and_spill_under_1mib_budget(tmp_path):
-    """Satellite: a 1 MiB budget over several multi-hundred-KiB orders
-    forces spill and rehydration; every re-request stays bit-identical
-    (rows, codes, counters) and no spill files leak."""
-    configure_cache(budget=1 << 20, spill_dir=str(tmp_path))
+    """Satellite: a budget far under 1 MiB — an entry is a permutation
+    plus flat code arrays, ~4 bytes a row, so 1 MiB would hold all nine
+    of these; 32 KiB holds two or three — forces memo drops, then disk
+    spill and rehydration; every re-request stays bit-identical (rows,
+    codes, counters) and no spill files leak."""
+    budget = 32 << 10
+    configure_cache(budget=budget, spill_dir=str(tmp_path))
     auto = ExecutionConfig(cache="auto")
-    # ~3 sources x 3 orders of 3000 rows: far beyond 1 MiB resident.
+    # ~3 sources x 3 orders of 3000 rows: 9 x ~12 KiB of flat forms.
     tables = [_table(n=3000, seed=s) for s in (1, 2, 3)]
     cold = {
         (i, o): _run(t, o, OFF)[0]
@@ -132,7 +135,7 @@ def test_eviction_and_spill_under_1mib_budget(tmp_path):
     cache = get_cache()
     counters = cache.counters()
     assert counters["spills"] > 0
-    assert cache.bytes_resident <= 1 << 20
+    assert cache.bytes_resident <= budget
 
     # Everything cached (resident or spilled) serves bit-identically.
     rehydrates_before = counters["rehydrates"]

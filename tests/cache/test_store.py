@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.cache import fingerprint_rows
-from repro.cache.store import OrderCache, _offset_counts
+from repro.cache.store import ENTRY_BYTES, OrderCache, _offset_counts
 from repro.model import SortSpec
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
@@ -113,22 +113,26 @@ def test_budget_spills_and_rehydrates_bit_identical(tmp_path):
     assert not _spill_files(tmp_path)  # no leaked spill files
 
 
-def test_budget_without_spill_evicts():
-    from repro.exec.memory import rows_nbytes
-
+def test_budget_without_spill_evicts(tmp_path):
     fp1, rows1, ovcs1 = _entry(n=256)
     fp2, rows2, ovcs2 = _entry(n=256, salt=50)
-    nbytes = rows_nbytes(rows1, ovcs1)
     cache = OrderCache(budget=1, spill=False)
     cache.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
     assert len(cache) == 0  # rejected: alone over the whole budget
     assert cache.counters()["rejected"] == 1
-    # Room for one entry but not two: the LRU one is evicted outright.
-    big = OrderCache(budget=int(1.5 * nbytes), spill=False)
+    # An entry's flat size: what a one-byte budget is left holding of
+    # the entry being installed (its memo goes, its arrays stay).
+    with OrderCache(budget=1, spill_dir=str(tmp_path)) as probe:
+        probe.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
+        flat = probe.bytes_resident
+    assert 0 < flat - ENTRY_BYTES <= 13 * 256
+    # Room for one flat form but not two: the LRU one is evicted outright.
+    big = OrderCache(budget=int(1.5 * flat), spill=False)
     big.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
     big.install(fp2, SPEC_AB, rows2, ovcs2, ComparisonStats())
     assert big.counters()["evictions"] >= 1
-    assert big.bytes_resident <= int(1.5 * nbytes)
+    assert big.counters()["spills"] == 0
+    assert big.bytes_resident <= int(1.5 * flat)
     assert big.lookup(fp1, SPEC_AB) is None
     assert big.lookup(fp2, SPEC_AB) is not None
     big.close()
@@ -168,22 +172,34 @@ def test_sequence_gating_for_tied_entries():
     cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
     assert cache.lookup(fp, SPEC_AB) is not None
     other = fingerprint_rows(list(reversed(rows)), SCHEMA)
-    assert other.source_key == fp.source_key
+    assert other.n_rows == fp.n_rows and other.source_key != fp.source_key
     assert cache.lookup(other, SPEC_AB) is None  # sequence mismatch
-    # But it still shows up as a modify candidate.
-    assert len(cache.candidates(other)) == 1
+    # Nor is it a modify candidate: its permutation indexes the other
+    # arrangement.
+    assert cache.candidates(other) == []
+    assert len(cache.candidates(fp)) == 1
     cache.close()
 
 
-def test_tie_free_entries_served_from_any_arrangement():
-    rows = sorted((i, i % 4) for i in range(12))  # unique full keys
+def test_entry_belongs_to_one_row_sequence():
+    # Even with unique full keys (the sorted output is the same list
+    # whatever the arrangement) an entry is a permutation of the
+    # sequence it was installed for: applied to another arrangement it
+    # would name other rows.  That arrangement misses and installs its own.
+    rows = sorted((i, i % 4) for i in range(12))
     ovcs = derive_ovcs(rows, (0, 1))
-    fp = fingerprint_rows(rows, SCHEMA)
+    arrangement = list(reversed(rows))
+    fp = fingerprint_rows(arrangement, SCHEMA)
     cache = OrderCache()
     cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
-    other = fingerprint_rows(list(reversed(rows)), SCHEMA)
-    hit = cache.lookup(other, SPEC_AB)
-    assert hit is not None and hit.rows == rows
+    hit = cache.lookup(fp, SPEC_AB)
+    assert hit.rows == rows and list(hit.perm) == list(range(11, -1, -1))
+    other = fingerprint_rows(rows, SCHEMA)
+    assert cache.lookup(other, SPEC_AB) is None
+    cache.install(other, SPEC_AB, list(rows), list(ovcs), ComparisonStats())
+    assert len(cache) == 2
+    assert list(cache.lookup(other, SPEC_AB).perm) == list(range(12))
+    assert cache.lookup(fp, SPEC_AB).rows == rows
     cache.close()
 
 

@@ -22,7 +22,8 @@ import random
 
 import pytest
 
-from repro.core.analysis import Strategy, analyze_order_modification
+from repro.core.analysis import analyze_order_modification
+from repro.core.enforce import enforce_order
 from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
@@ -30,7 +31,6 @@ from repro.engine.scans import TableScan
 from repro.exec import ExecutionConfig
 from repro.engine.sort_op import Sort
 from repro.fastpath import kernels
-from repro.fastpath.execute import fast_modify_perm
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
@@ -108,14 +108,16 @@ def _assert_identical(table, spec, method):
         assert fast.rows == ref.rows
         assert fast.ovcs == ref.ovcs
     plan = analyze_order_modification(table.sort_spec, spec)
-    if method == "auto" and not plan.backward and plan.strategy in (
-        Strategy.SEGMENT_SORT, Strategy.COMBINED
-    ):
-        perm, ovcs = fast_modify_perm(
-            table.schema, table.rows, table.ovcs, spec, plan, plan.strategy
-        )
-        assert [table.rows[i] for i in perm] == ref.rows
-        assert ovcs == ref.ovcs
+    if method == "auto" and not plan.backward:
+        # Every strategy emits its output as a permutation on request.
+        for config in (FAST, GOVERNED):
+            done = enforce_order(
+                table, spec, stats=ComparisonStats(), config=config,
+                want_perm=True,
+            )
+            assert [table.rows[i] for i in done.perm] == ref.rows
+            assert done.table.rows == ref.rows
+            assert done.table.ovcs == ref.ovcs
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -181,3 +181,49 @@ def test_log_events_counter_bumps():
     LOG.event("b")
     LOG.disable()
     assert METRICS.as_dict()["counters"]["log.events"] == 2
+
+
+def test_cache_telemetry_names_the_entry_state_and_its_charge(tmp_path):
+    """``cache.serve`` events and the ``cache.modify_from`` span say what
+    the lookup found — ``memo`` | ``flat`` | ``spilled`` — and the bytes
+    that entry had charged to the budget at that moment."""
+    from repro.cache import configure_cache, reset_cache
+    from repro.cache.store import ENTRY_BYTES
+    from repro.workloads.generators import random_table
+
+    source = random_table(SCHEMA, 300, domains=[8, 16, 32], seed=1)
+    other = random_table(SCHEMA, 300, domains=[8, 16, 32], seed=2)
+    cfg = ExecutionConfig(cache="on")
+    abc, acb, ba = (SortSpec.of(*cols) for cols in ("ABC", "ACB", "BA"))
+
+    def run(table, spec):
+        Sort(TableScan(table), spec, config=cfg).to_table()
+
+    sink = io.StringIO()
+    try:
+        configure_cache(spill_dir=str(tmp_path))
+        run(source, abc)
+        LOG.enable(sink)
+        TRACER.enable(clear=True)
+        run(source, abc)            # hit on a memo-holding entry
+        run(source, acb)            # derived from that entry
+        configure_cache(budget=1, spill_dir=str(tmp_path))
+        run(source, abc)            # miss; only the arrays stay
+        run(source, abc)            # hit on a flat entry
+        run(other, ba)              # pushes it to disk
+        run(source, abc)            # hit on a spilled entry
+        LOG.disable()
+    finally:
+        reset_cache()
+    events = [e for e in map(json.loads, sink.getvalue().splitlines())
+              if e["event"] == "cache.serve" and e["decision"] != "miss"]
+    assert [(e["decision"], e["entry"]) for e in events] == [
+        ("hit", "memo"), ("modify-from-cache", "memo"),
+        ("hit", "flat"), ("hit", "spilled"),
+    ]
+    memo, derived, flat, spilled = (e["entry_bytes"] for e in events)
+    assert memo == derived == flat + 300 * (8 * 3 + 16)
+    assert 0 < flat - ENTRY_BYTES <= 13 * 300 and spilled == ENTRY_BYTES
+    (span,) = [r for r in TRACER.drain() if r["name"] == "cache.modify_from"]
+    assert span["attrs"]["entry"] == "memo"
+    assert span["attrs"]["entry_bytes"] == memo
