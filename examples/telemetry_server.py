@@ -1,7 +1,7 @@
 """The live telemetry plane, end to end, in one process.
 
 Starts the `/metrics` + `/healthz` + `/varz` endpoint, turns on every
-collector (metrics, structured log, slow-query log), runs a governed
+collector (metrics, structured log, slow-query log), runs an
 order modification, and scrapes the server the way a
 monitoring stack would — showing the Prometheus series, the health
 verdict, and the slow-query capture that one workload produced.
@@ -36,7 +36,7 @@ def main() -> None:
     METRICS.enable(clear=True)
     LOG.enable(log_path)
     SLOWLOG.enable(0)  # capture everything for the demo
-    cfg = ExecutionConfig(memory_budget="64MiB")
+    cfg = ExecutionConfig()
     server = start_telemetry_server(port=0, config=cfg)
     print(f"telemetry serving on {server.url}")
 

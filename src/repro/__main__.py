@@ -41,18 +41,17 @@ live while any experiment runs (0 picks a free port); ``--profile
 FILE`` samples the run's stacks and writes a collapsed-stack
 (flamegraph) profile.
 
-Resource governance (:mod:`repro.exec`): ``--memory-budget 64MiB``
-caps the per-query buffered bytes (excess spills to disk, output
-bit-identical), ``--spill-dir`` picks where spill files land.  The
-order cache (:mod:`repro.cache`) is governed by
-``--cache off|on|auto``, ``--cache-budget``, and ``--cache-ttl``; the
-order service by ``--service-threads``, ``--service-queue-depth``,
-and ``--service-deadline-ms``.  Every flag is named after the
+Execution configuration (:mod:`repro.exec`): the order cache
+(:mod:`repro.cache`) is governed by ``--cache off|on|auto``,
+``--cache-budget``, ``--cache-ttl`` and ``--spill-dir`` (where the
+entries its budget cannot hold are spilled); the order service by
+``--service-threads``, ``--service-queue-depth``, and
+``--service-deadline-ms``.  Every flag is named after the
 :class:`~repro.exec.ExecutionConfig` field it sets, and the same
 fields resolve with precedence **file < environment < flags**: a
 ``--config FILE`` JSON object is the base, ``REPRO_*`` variables
-(``REPRO_MEMORY_BUDGET``, ``REPRO_SPILL_DIR``, ``REPRO_CACHE``,
-``REPRO_CACHE_BUDGET``, ``REPRO_CACHE_TTL``, ``REPRO_SERVICE_THREADS``,
+(``REPRO_SPILL_DIR``, ``REPRO_CACHE``, ``REPRO_CACHE_BUDGET``,
+``REPRO_CACHE_TTL``, ``REPRO_SERVICE_THREADS``,
 ``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_DEADLINE_MS``)
 override it, and explicit command-line flags win.
 """
@@ -84,8 +83,8 @@ def _exec_config(args) -> ExecutionConfig:
 
     Precedence (lowest to highest): ``--config FILE`` values, then
     ``REPRO_*`` environment variables, then explicit flags — each flag
-    is named after the config field it sets (``--memory-budget`` ->
-    ``memory_budget``, ``--service-threads`` -> ``service_threads``, ...).
+    is named after the config field it sets (``--cache-budget`` ->
+    ``cache_budget``, ``--service-threads`` -> ``service_threads``, ...).
     """
     base = (
         ExecutionConfig.from_file(args.config)
@@ -95,7 +94,7 @@ def _exec_config(args) -> ExecutionConfig:
     cfg = ExecutionConfig.from_env(base=base)
     overrides: dict = {}
     for field in (
-        "memory_budget", "spill_dir", "cache", "cache_budget", "cache_ttl",
+        "spill_dir", "cache", "cache_budget", "cache_ttl",
         "service_threads", "service_queue_depth", "service_deadline_ms",
         "plan_window_ms",
     ):
@@ -494,17 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'trace': artifact path (default trace.json)",
     )
     parser.add_argument(
-        "--memory-budget",
-        metavar="BYTES",
-        default=None,
-        help="per-query memory budget (e.g. 64MiB); buffered output"
-        " beyond it spills to disk, output stays bit-identical",
-    )
-    parser.add_argument(
         "--spill-dir",
         metavar="DIR",
         default=None,
-        help="directory for budget-triggered spill files"
+        help="directory for the order cache's spill files"
         " (default: system temp)",
     )
     parser.add_argument(

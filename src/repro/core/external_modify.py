@@ -19,30 +19,24 @@ level, even turning external merge sort into internal sorting").
 
 All spill traffic lands in the supplied :class:`PageManager`.
 
-Two memory models coexist here deliberately.  ``memory_capacity`` is
-the *simulated* sort-memory size (in rows) whose spill economics the
-paper's hypotheses are about; an :class:`~repro.exec.ExecutionConfig`
-``memory_budget`` is the *actual* byte budget of this process — when
-set, buffered output spills to real disk via the governed sink, run
-generation and merge buffers are charged to the accountant, and merge
-waves shrink (never below binary) while the budget is exceeded.
+There is one memory model here: ``memory_capacity`` is the *simulated*
+sort-memory size (in rows) whose spill economics the paper's hypotheses
+are about, and the page manager counts the I/O it implies.  The input
+table and the result are resident Python lists either way.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from ..exec.buffers import GovernedSink
 from ..exec.config import ExecutionConfig
-from ..exec.memory import MemoryAccountant, activate
-from ..exec.spill import SpillManager
 from ..model import SortSpec, Table
-from ..obs import METRICS
 from ..ovc.stats import ComparisonStats
 from ..sorting.external import ExternalMergeSort
 from ..sorting.merge import _key_projector
 from ..storage.pages import PageManager
-from .analysis import Strategy, analyze_order_modification
+from .analysis import ModificationPlan, Strategy, analyze_order_modification
 from .classify import split_segments
 from .merge_runs import merge_preexisting_runs
 from .modify import modify_sort_order, resolve_engine
@@ -66,7 +60,7 @@ def modify_sort_order_external(
     ``page_manager``.  With segments smaller than ``memory_capacity``
     the operation is fully internal — the hypothesis 1 scenario.
 
-    ``config`` carries the execution knobs (engine, byte budget — see
+    ``config`` carries the execution knobs (the engine — see
     :class:`repro.exec.ExecutionConfig`).
     The engine follows :func:`~repro.core.modify.resolve_engine`, as in
     :func:`~repro.core.modify.modify_sort_order`: ``auto`` executes the
@@ -77,12 +71,6 @@ def modify_sort_order_external(
     segments always take the reference path: spill accounting and
     capped merge waves are the point of this function, and the fast
     kernels do not model them.
-
-    ``config.memory_budget`` (bytes, the *process* budget — distinct
-    from the simulated row-count ``memory_capacity``) activates real
-    governance: buffered output spills to disk when the budget is
-    exceeded, and oversized-segment merge waves shrink to half the
-    configured ``fan_in`` (never below 2) while under pressure.
 
     Stability: the structural strategies (merge/segment paths) are
     stable like their in-memory counterparts; segments or inputs that
@@ -101,31 +89,24 @@ def modify_sort_order_external(
     plan = analyze_order_modification(table.sort_spec, new_spec)
     if plan.backward or plan.strategy is Strategy.NOOP:
         # Backward scans and no-ops never need memory beyond the scan;
-        # delegate wholesale (modify_sort_order applies the governance
-        # and the engine rule itself, so no double activation here).
+        # delegate wholesale (modify_sort_order applies the engine rule
+        # itself).
         return modify_sort_order(
             table, new_spec, method=method, stats=stats, config=cfg
         )
 
     engine = resolve_engine(cfg, counters=stats is not None)
     stats = stats if stats is not None else ComparisonStats()
-    if not cfg.governed:
-        return _modify_external(
-            table, new_spec, memory_capacity, fan_in, pages, method,
-            stats, run_generation, cfg, engine, None, None,
-        )
-    accountant = MemoryAccountant(cfg.memory_budget)
-    with SpillManager(cfg.spill_dir) as spill, activate(accountant):
-        sink = GovernedSink(accountant, spill, category="extmodify.output")
-        return _modify_external(
-            table, new_spec, memory_capacity, fan_in, pages, method,
-            stats, run_generation, cfg, engine, accountant, sink,
-        )
+    return _modify_external(
+        table, new_spec, plan, memory_capacity, fan_in, pages, method,
+        stats, run_generation, cfg, engine,
+    )
 
 
 def _modify_external(
     table: Table,
     new_spec: SortSpec,
+    plan: ModificationPlan,
     memory_capacity: int,
     fan_in: int,
     pages: PageManager,
@@ -134,11 +115,7 @@ def _modify_external(
     run_generation: str,
     cfg: ExecutionConfig,
     engine: str,
-    accountant: MemoryAccountant | None,
-    sink: GovernedSink | None,
 ) -> Table:
-    plan = analyze_order_modification(table.sort_spec, new_spec)
-
     if plan.strategy is Strategy.FULL_SORT or method == "full_sort":
         sorter = ExternalMergeSort(
             new_spec.positions(table.schema),
@@ -150,10 +127,6 @@ def _modify_external(
         )
         result = sorter.sort(table.rows)
         stats.merge(result.total_stats)
-        if sink is not None:
-            sink.absorb_iter(result.rows, result.ovcs)
-            out_rows, out_ovcs = sink.materialize()
-            return Table(table.schema, out_rows, new_spec, out_ovcs)
         return Table(table.schema, result.rows, new_spec, result.ovcs)
 
     out_positions = new_spec.positions(table.schema)
@@ -170,7 +143,7 @@ def _modify_external(
     )
     prefix_for_segments = plan.prefix_len if plan.strategy is not Strategy.MERGE_RUNS else 0
 
-    def fast_in_memory(lo: int, hi: int, seg_rows: list, seg_ovcs: list) -> bool:
+    def fast_in_memory(lo: int, hi: int) -> bool:
         """Run one in-memory segment on the packed-code kernels; False
         is ``engine="auto"``'s cue to use the reference executors."""
         from ..fastpath.execute import fast_segment
@@ -184,57 +157,44 @@ def _modify_external(
             if cfg.engine == "fast":
                 raise
             return False
-        seg_rows.extend(fast_rows)
-        seg_ovcs.extend(fast_ovcs)
+        out_rows.extend(fast_rows)
+        out_ovcs.extend(fast_ovcs)
         return True
 
     for lo, hi in split_segments(ovcs, prefix_for_segments, len(rows)):
         size = hi - lo
-        seg_rows: list[tuple] = out_rows if sink is None else []
-        seg_ovcs: list[tuple] = out_ovcs if sink is None else []
         if size <= memory_capacity:
-            if engine == "fast" and fast_in_memory(lo, hi, seg_rows, seg_ovcs):
+            if engine == "fast" and fast_in_memory(lo, hi):
                 pass  # done; otherwise the reference executors below
             elif use_merge:
                 merge_preexisting_runs(
                     rows, ovcs, lo, hi, plan, out_project, in_project,
-                    stats, seg_rows, seg_ovcs,
+                    stats, out_rows, out_ovcs,
                     respect_prefix=plan.strategy is Strategy.COMBINED,
                 )
             else:
                 sort_segment(
                     rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
-                    out_project, stats, seg_rows, seg_ovcs,
+                    out_project, stats, out_rows, out_ovcs,
                 )
-            if sink is not None:
-                sink.absorb(seg_rows, seg_ovcs)
             continue
         # Oversized segment.
         if use_merge:
             # Pre-existing runs merge in waves of the fan-in; every
             # intermediate wave writes its output and reads it back.
-            # Under byte-budget pressure the wave width halves (never
-            # below binary), trading extra merge levels for footprint.
-            import math
-
-            effective_fan_in = fan_in
-            if accountant is not None and accountant.over_budget():
-                effective_fan_in = max(2, fan_in // 2)
-                if METRICS.enabled:
-                    METRICS.counter("exec.fan_in_reduced").inc()
             run_boundary = plan.prefix_len + plan.infix_len
             n_runs = sum(
                 1 for i in range(lo + 1, hi) if ovcs[i][0] < run_boundary
             ) + 1
-            if n_runs > effective_fan_in:
-                levels = math.ceil(math.log(n_runs, effective_fan_in))
+            if n_runs > fan_in:
+                levels = math.ceil(math.log(n_runs, fan_in))
                 for _ in range(max(levels - 1, 0)):
                     pages.spill_run(rows[lo:hi]).read()
             merge_preexisting_runs(
                 rows, ovcs, lo, hi, plan, out_project, in_project,
-                stats, seg_rows, seg_ovcs,
+                stats, out_rows, out_ovcs,
                 respect_prefix=plan.strategy is Strategy.COMBINED,
-                max_fan_in=effective_fan_in,
+                max_fan_in=fan_in,
             )
         else:
             head_ovc = ovcs[lo]
@@ -248,15 +208,9 @@ def _modify_external(
             )
             result = sorter.sort(rows[lo:hi])
             stats.merge(result.total_stats)
-            seg_rows.extend(result.rows)
+            out_rows.extend(result.rows)
             sorted_ovcs = list(result.ovcs)
             if sorted_ovcs and plan.prefix_len > 0:
                 sorted_ovcs[0] = head_ovc
-            seg_ovcs.extend(sorted_ovcs)
-        if sink is not None:
-            sink.absorb(seg_rows, seg_ovcs)
-    if sink is not None:
-        out_rows, out_ovcs = sink.materialize()
-        if out_ovcs is None:
-            out_ovcs = []  # empty governed input: match the ungoverned contract
+            out_ovcs.extend(sorted_ovcs)
     return Table(table.schema, out_rows, new_spec, out_ovcs)

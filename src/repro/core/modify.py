@@ -15,33 +15,29 @@ orders, picks (or is told) a strategy, and executes it:
 
 Orthogonal to the strategy, an :class:`~repro.exec.ExecutionConfig`
 selects *how* the chosen strategy executes — engine (reference vs.
-packed-code fast path), merge fan-in cap, memory budget with
-spill-to-disk::
+packed-code fast path) and merge fan-in cap::
 
     from repro.exec import ExecutionConfig
 
-    cfg = ExecutionConfig(engine="fast", memory_budget="64MiB")
+    cfg = ExecutionConfig(engine="fast")
     result = modify_sort_order(table, new_order, config=cfg)
 
 Which engine ``engine="auto"`` means is decided in exactly one place,
 :func:`resolve_engine`; every operator, planner and cache module asks
 it (directly, or through :func:`repro.core.enforce.enforce_order`).
 
-With a memory budget, buffered output runs are charged to a
-:class:`~repro.exec.memory.MemoryAccountant` and spill to disk
-whenever the budget is exceeded; governed runs return bit-identical
-rows, codes, *and* comparison counts — the budget changes where bytes
-live, never what work happens.
+Input and output are both resident: the result's rows are the input's
+own tuple objects in a new list.  Memory is bounded elsewhere — one
+segment at a time in :class:`repro.engine.modify_op.StreamingModify`,
+by ``memory_capacity`` in :func:`repro.core.external_modify.
+modify_sort_order_external`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..exec.buffers import GovernedSink
 from ..exec.config import ExecutionConfig
-from ..exec.memory import MemoryAccountant, activate
-from ..exec.spill import SpillManager
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, SLOWLOG, TRACER
 from ..ovc.derive import project_ovcs
@@ -121,9 +117,6 @@ def modify_sort_order(
       engine propagates the ``TypeError``.
     * ``max_fan_in`` — caps the runs merged per step (graceful
       degradation to multi-step merges beyond it).
-    * ``memory_budget`` / ``spill_dir`` — buffered output runs spill to
-      disk whenever live charges exceed the budget; rows, codes, and
-      comparison counts are unaffected.
     """
     return _modify_sort_order(table, new_order, method, use_ovc, stats, config)[0]
 
@@ -157,21 +150,10 @@ def _modify_sort_order(
             rows=len(table.rows),
             method=method,
             use_ovc=use_ovc,
-            governed=cfg.governed,
         ):
-            if not cfg.governed:
-                ran = _modify(
-                    table, new_spec, method, use_ovc, stats, cfg, None, perm
-                )
-            else:
-                accountant = MemoryAccountant(cfg.memory_budget)
-                with SpillManager(cfg.spill_dir) as spill, activate(accountant):
-                    sink = GovernedSink(accountant, spill)
-                    ran = _modify(
-                        table, new_spec, method, use_ovc, stats, cfg, sink,
-                        perm,
-                    )
-        result, strategy, engine, fallback = ran
+            result, strategy, engine, fallback = _modify(
+                table, new_spec, method, use_ovc, stats, cfg, perm
+            )
         SLOWLOG.record(
             mark, "modify", strategy=strategy, stats=stats,
             rows=len(table.rows), engine=engine, fallback=fallback,
@@ -186,7 +168,6 @@ def _modify(
     use_ovc: bool,
     stats: ComparisonStats | None,
     cfg: ExecutionConfig,
-    sink: GovernedSink | None,
     perm: list[int] | None = None,
 ) -> tuple[Table, str, str, bool]:
     """Plan, pick the executor, run it; returns ``(table, strategy,
@@ -255,7 +236,7 @@ def _modify(
         try:
             result = fast_modify(
                 table, new_spec, plan, strategy,
-                segments=boundaries, sink=sink, heads=heads, perm=perm,
+                segments=boundaries, heads=heads, perm=perm,
             )
         except TypeError:
             if cfg.engine == "fast":
@@ -271,7 +252,7 @@ def _modify(
     if result is None:
         result = _reference_modify(
             table, new_spec, plan, strategy, boundaries, use_ovc, stats,
-            cfg.max_fan_in, in_project, sink,
+            cfg.max_fan_in, in_project,
         )
 
     name = strategy.name.lower()
@@ -300,7 +281,6 @@ def _reference_modify(
     stats: ComparisonStats,
     max_fan_in: int | None,
     in_project,
-    sink: GovernedSink | None,
 ) -> Table:
     """Execute ``strategy`` on the instrumented reference executors."""
     rows, ovcs = table.rows, table.ovcs
@@ -312,12 +292,6 @@ def _reference_modify(
     out_ovcs: list[tuple] | None = [] if use_ovc else None
 
     if strategy is Strategy.NOOP:
-        if sink is not None:
-            sink.absorb_iter(
-                list(rows), project_ovcs(ovcs, new_spec.arity) if use_ovc else None
-            )
-            out_rows, out_ovcs = _materialized(sink, use_ovc)
-            return Table(table.schema, out_rows, new_spec, out_ovcs)
         out_rows = list(rows)
         if use_ovc:
             out_ovcs = project_ovcs(ovcs, new_spec.arity)
@@ -330,29 +304,15 @@ def _reference_modify(
                     rows, ovcs, lo, hi, 0, new_spec.arity, out_project,
                     stats, out_rows, out_ovcs, use_ovc,
                 )
-        if sink is not None:
-            sink.absorb_iter(out_rows, out_ovcs)
-            out_rows, out_ovcs = _materialized(sink, use_ovc)
         return Table(table.schema, out_rows, new_spec, out_ovcs)
 
     if strategy is Strategy.SEGMENT_SORT:
         with TRACER.span("modify.segment_sort", segments=len(boundaries)):
             for lo, hi in boundaries:
-                if sink is not None:
-                    seg_rows: list[tuple] = []
-                    seg_ovcs: list[tuple] | None = [] if use_ovc else None
-                    sort_segment(
-                        rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
-                        out_project, stats, seg_rows, seg_ovcs, use_ovc,
-                    )
-                    sink.absorb(seg_rows, seg_ovcs)
-                else:
-                    sort_segment(
-                        rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
-                        out_project, stats, out_rows, out_ovcs, use_ovc,
-                    )
-        if sink is not None:
-            out_rows, out_ovcs = _materialized(sink, use_ovc)
+                sort_segment(
+                    rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
+                    out_project, stats, out_rows, out_ovcs, use_ovc,
+                )
         return Table(table.schema, out_rows, new_spec, out_ovcs)
 
     if strategy is Strategy.MERGE_RUNS:
@@ -365,41 +325,17 @@ def _reference_modify(
                     stats, out_rows, out_ovcs, use_ovc, respect_prefix=False,
                     max_fan_in=max_fan_in,
                 )
-        if sink is not None:
-            sink.absorb_iter(out_rows, out_ovcs)
-            out_rows, out_ovcs = _materialized(sink, use_ovc)
         return Table(table.schema, out_rows, new_spec, out_ovcs)
 
     # COMBINED: segments from the prefix, merge runs within each.
     with TRACER.span("modify.combined", segments=len(boundaries)):
         for lo, hi in boundaries:
-            if sink is not None:
-                seg_rows = []
-                seg_ovcs = [] if use_ovc else None
-                merge_preexisting_runs(
-                    rows, ovcs, lo, hi, plan, out_project, in_project,
-                    stats, seg_rows, seg_ovcs, use_ovc, respect_prefix=True,
-                    max_fan_in=max_fan_in,
-                )
-                sink.absorb(seg_rows, seg_ovcs)
-            else:
-                merge_preexisting_runs(
-                    rows, ovcs, lo, hi, plan, out_project, in_project,
-                    stats, out_rows, out_ovcs, use_ovc, respect_prefix=True,
-                    max_fan_in=max_fan_in,
-                )
-    if sink is not None:
-        out_rows, out_ovcs = _materialized(sink, use_ovc)
+            merge_preexisting_runs(
+                rows, ovcs, lo, hi, plan, out_project, in_project,
+                stats, out_rows, out_ovcs, use_ovc, respect_prefix=True,
+                max_fan_in=max_fan_in,
+            )
     return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-
-def _materialized(sink, use_ovc):
-    """Materialize the sink, preserving the ungoverned empty-input
-    contract: codes requested -> an empty list, never ``None``."""
-    out_rows, out_ovcs = sink.materialize()
-    if use_ovc and out_ovcs is None:
-        out_ovcs = []
-    return out_rows, out_ovcs
 
 
 def _resolve_strategy(

@@ -8,8 +8,8 @@ paper's machinery:
   re-coding onto the shorter key), streaming;
 * related order -> :func:`repro.core.modify.modify_sort_order`
   (segmented sorting / merging pre-existing runs / combined);
-* unordered child -> internal sort, or external merge sort when a
-  memory budget is configured and exceeded.
+* unordered child -> internal sort, or external merge sort when the
+  input exceeds a configured ``memory_capacity`` (rows).
 
 The modify-or-sort choice and the engine it runs on belong to
 :func:`repro.core.enforce.enforce_order`: ``config.engine="auto"`` runs
@@ -18,9 +18,6 @@ keys the key packer cannot rank), and ``engine="reference"`` is how to ask
 for this operator's comparison counters — the fast kernels count
 nothing.  The external merge sort has no fast twin (spill accounting
 is its point) and always runs the reference path.
-
-``config.memory_budget`` governs the order modification's buffered
-output (spill-to-disk under pressure).
 
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this

@@ -1,18 +1,17 @@
-"""repro.exec — resource-governed execution.
+"""repro.exec — execution configuration and byte accounting.
 
-The governance layer added in PR 4: one
-:class:`~repro.exec.config.ExecutionConfig` carries every execution
-knob (engine, merge fan-in cap, memory budget, spill directory,
-observability requests, cache and service settings) through
-``modify_sort_order``, ``modify_sort_order_external``, ``Sort``,
-``StreamingModify``, ``Query.order_by``, and the CLI.
+One :class:`~repro.exec.config.ExecutionConfig` carries every execution
+knob (engine, merge fan-in cap, spill directory, cache and service
+settings) through ``modify_sort_order``, ``modify_sort_order_external``,
+``Sort``, ``StreamingModify``, ``Query.order_by``, ``OrderService`` and
+the CLI.
 
 * :mod:`repro.exec.config` — ``ExecutionConfig`` / ``parse_memory``.
-* :mod:`repro.exec.memory` — ``MemoryAccountant``, the per-query byte
-  ledger every buffering site charges.
-* :mod:`repro.exec.spill` — real spill-to-disk of buffered runs.
-* :mod:`repro.exec.buffers` — ``GovernedSink``, the budget-governed
-  output buffer (spills when over budget, restores bit-identically).
+* :mod:`repro.exec.memory` — ``MemoryAccountant``, the byte ledger of
+  the order cache (budgeted by ``cache_budget``) and of the service's
+  in-flight tables; ``rows_nbytes``, their size model.
+* :mod:`repro.exec.spill` — ``SpillManager``, the spill files the order
+  cache moves cold entries to.
 """
 
 from .config import ExecutionConfig, parse_memory

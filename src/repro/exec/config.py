@@ -1,8 +1,6 @@
 """Unified execution configuration: one object instead of kwarg sprawl.
 
-Early PRs each added their own knob to every entry point — ``engine=``
-(fast path), ``max_fan_in=`` (graceful merge degradation) — and PR 4
-added a memory budget and a spill directory.  Threading loose kwargs
+Threading loose kwargs (engine, fan-in cap, cache and service settings)
 through ``modify_sort_order``, ``modify_sort_order_external``, ``Sort``,
 ``StreamingModify``, ``Query.order_by``, and the CLI does not scale;
 :class:`ExecutionConfig` carries all of them as one frozen value.
@@ -12,7 +10,7 @@ Construction patterns::
     cfg = ExecutionConfig.default()                  # env-aware defaults
     cfg = ExecutionConfig(engine="fast", cache="on")
     cfg = ExecutionConfig.from_env()                 # REPRO_* variables
-    low = cfg.with_(memory_budget="1MiB")            # derived variant
+    low = cfg.with_(cache_budget="1MiB")             # derived variant
 
 Entry points called without a config use :meth:`ExecutionConfig.
 default`, so ``REPRO_*`` variables govern bare calls.
@@ -43,7 +41,6 @@ _UNITS = {
 _ENV_FIELDS = (
     ("REPRO_ENGINE", "engine", str),
     ("REPRO_MAX_FAN_IN", "max_fan_in", int),
-    ("REPRO_MEMORY_BUDGET", "memory_budget", str),
     ("REPRO_SPILL_DIR", "spill_dir", str),
     ("REPRO_CACHE", "cache", str),
     ("REPRO_CACHE_BUDGET", "cache_budget", str),
@@ -109,25 +106,15 @@ class ExecutionConfig:
     max_fan_in:
         Cap on runs merged per step in the reference merge executors
         (graceful degradation to multi-step merges beyond it).
-    memory_budget:
-        Per-query budget in bytes (or a string like ``"1MiB"``) charged
-        through :class:`repro.exec.memory.MemoryAccountant`; exceeding
-        it spills buffered output runs to disk and reduces merge fan-in
-        under pressure.  ``None`` disables governance entirely.
     spill_dir:
-        Directory for spill files; ``None`` uses the system temp dir.
-    trace / metrics:
-        Tri-state observability requests: ``True`` force-enables the
-        span tracer / metrics registry for governed runs, ``False``
-        keeps them off, ``None`` (default) follows whatever the process
-        singletons are set to.
+        Directory for the order cache's spill files; ``None`` uses the
+        system temp dir.
     cache:
         Order-cache mode (:mod:`repro.cache`): ``"off"`` (default)
         never consults it, ``"on"`` uses the process-wide cache
         (created on first use with this config's ``cache_budget`` /
         ``cache_ttl`` / ``spill_dir``), ``"auto"`` uses it only when
-        something already created one — the same follow-the-singleton
-        tri-state as ``trace``/``metrics``.
+        something already created one.
     cache_budget:
         Resident-byte budget for the order cache (int bytes or a
         ``parse_memory`` string); cold entries spill to disk beyond
@@ -159,10 +146,7 @@ class ExecutionConfig:
 
     engine: str = "auto"
     max_fan_in: int | None = None
-    memory_budget: int | None = None
     spill_dir: str | None = None
-    trace: bool | None = None
-    metrics: bool | None = None
     cache: str = "off"
     cache_budget: int | None = None
     cache_ttl: float | None = None
@@ -180,9 +164,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"max_fan_in must be at least 2, got {self.max_fan_in}"
             )
-        object.__setattr__(
-            self, "memory_budget", parse_memory(self.memory_budget)
-        )
         if self.cache not in _CACHE_MODES:
             raise ValueError(
                 f"unknown cache mode {self.cache!r}; "
@@ -235,7 +216,7 @@ class ExecutionConfig:
 
         Equivalent to :meth:`from_env`: a plain ``ExecutionConfig()``
         unless ``REPRO_*`` variables override fields, so a test matrix
-        (e.g. ``REPRO_MEMORY_BUDGET=1MiB pytest``) governs every entry
+        (e.g. ``REPRO_ENGINE=reference pytest``) reaches every entry
         point without touching call sites.
         """
         return cls.from_env()
@@ -249,7 +230,6 @@ class ExecutionConfig:
         """Build a config from ``REPRO_*`` environment variables.
 
         Recognized: ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``,
-        ``REPRO_MEMORY_BUDGET`` (``parse_memory`` syntax),
         ``REPRO_SPILL_DIR``, ``REPRO_CACHE`` (``off``/``on``/``auto``;
         ``1``/``0`` are accepted as ``on``/``off``),
         ``REPRO_CACHE_BUDGET`` (``parse_memory`` syntax),
@@ -288,7 +268,7 @@ class ExecutionConfig:
 
         The file is a single JSON object whose keys are
         :class:`ExecutionConfig` field names (``{"engine": "fast",
-        "memory_budget": "64MiB", "cache": "on"}``); values pass
+        "cache_budget": "64MiB", "cache": "on"}``); values pass
         through the same validation as keyword construction, so
         ``parse_memory`` strings work for the byte-sized fields.
         Unknown keys are an error — a typo in a config file should
@@ -321,10 +301,3 @@ class ExecutionConfig:
     def with_(self, **overrides) -> "ExecutionConfig":
         """A copy with the given fields replaced (validated anew)."""
         return dataclasses.replace(self, **overrides)
-
-    # --------------------------------------------------------- accessors
-
-    @property
-    def governed(self) -> bool:
-        """True when a memory budget is set (accountant + spill active)."""
-        return self.memory_budget is not None

@@ -1,71 +1,34 @@
-"""Per-query memory accounting: the budget behind spill decisions.
+"""Byte ledgers: what a long-lived holder of rows has resident.
 
-A :class:`MemoryAccountant` is charged, in bytes, by everything that
-buffers rows during a governed query — run generation, merge output
-buffers, the fast path's packed-code arrays, the order cache, the
-service's in-flight tables — and answers one question for all of them:
-:meth:`MemoryAccountant.over_budget`.  Charging is bookkeeping only;
-the *reaction* (spilling buffered runs, shrinking merge fan-in) lives
-with whoever owns the memory, which keeps the accountant loss-free:
-it never drops data, so governed runs stay bit-identical to
-ungoverned ones.
+A :class:`MemoryAccountant` is charged, in bytes, by an owner that keeps
+rows alive across requests and answers one question for it:
+:meth:`MemoryAccountant.over_budget`.  There are two, each created and
+held by its owner: the order cache's (:class:`repro.cache.store.
+OrderCache`, budgeted by ``cache_budget``) and the order service's
+in-flight ledger (:class:`repro.serve.OrderService`, unbudgeted).
+Charging is bookkeeping only; the *reaction* (dropping memos, spilling
+or evicting cold entries) lives with the owner, so the accountant never
+drops data.
 
-The accountant reaches the executors the same way the tracer and the
-metrics registry do — through a process-level current instance
-(:func:`activate` / :func:`current`) — so deep call chains
-(``merge_preexisting_runs``, the external sort's run generation) charge
-without a parameter threaded through every signature.  Hot call sites
-gate on ``current() is not None``; ungoverned runs pay one module
-lookup and one ``is None`` check.
+:func:`rows_nbytes` is the size model both use.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from ..obs import LOG, METRICS
-
-#: The process's active accountant (``None`` outside governed queries).
-_CURRENT: "MemoryAccountant | None" = None
-
-
-def current() -> "MemoryAccountant | None":
-    """The accountant governing the current query, if any."""
-    return _CURRENT
-
-
-@contextmanager
-def activate(accountant: "MemoryAccountant | None") -> Iterator[None]:
-    """Install ``accountant`` as the process's current one for a scope.
-
-    Nested activations restore the outer accountant on exit; activating
-    ``None`` is a no-op scope (so callers need no conditional).
-    """
-    global _CURRENT
-    previous = _CURRENT
-    if accountant is not None:
-        _CURRENT = accountant
-    try:
-        yield
-    finally:
-        _CURRENT = previous
 
 
 class MemoryAccountant:
     """Byte-granular budget ledger with per-category attribution.
 
-    ``budget`` is the per-query byte budget (``None`` = unlimited:
+    ``budget`` is the owner's byte budget (``None`` = unlimited:
     charges are tracked but :meth:`over_budget` never fires).
-    Categories are free-form dotted names (``"modify.output"``,
-    ``"extsort.runs"``, ``"fastpath.packed"``, ``"serve.inflight"``);
-    they exist for attribution in metrics and tests, not for separate
-    sub-budgets.
+    Categories are free-form dotted names (``"cache.entries"``,
+    ``"serve.inflight"``); they exist for attribution in metrics and
+    tests, not for separate sub-budgets.
     """
 
-    __slots__ = (
-        "budget", "used", "peak", "by_category", "spill_count", "_over",
-    )
+    __slots__ = ("budget", "used", "peak", "by_category", "_over")
 
     def __init__(self, budget: int | None) -> None:
         if budget is not None and budget <= 0:
@@ -74,9 +37,6 @@ class MemoryAccountant:
         self.used = 0
         self.peak = 0
         self.by_category: dict[str, int] = {}
-        #: Spills triggered under this accountant (bumped by the owners
-        #: of spilled memory, e.g. :class:`repro.exec.buffers.GovernedSink`).
-        self.spill_count = 0
         #: Whether the last charge/release left us over budget — tracked
         #: so pressure *transitions* (not every over-budget charge) are
         #: observable.
@@ -133,17 +93,11 @@ class MemoryAccountant:
             return None
         return max(0, self.budget - self.used)
 
-    def note_spill(self) -> None:
-        """Record that a spill was triggered under this budget."""
-        self.spill_count += 1
-        if METRICS.enabled:
-            METRICS.counter("exec.mem.spills").inc()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "unlimited" if self.budget is None else f"{self.budget:,}B"
         return (
             f"MemoryAccountant(used={self.used:,}B, peak={self.peak:,}B, "
-            f"budget={cap}, spills={self.spill_count})"
+            f"budget={cap})"
         )
 
 

@@ -1,9 +1,10 @@
-"""Disk spill for governed queries: real files, not simulated pages.
+"""Disk spill: real files, not simulated pages.
 
 The storage layer's :class:`~repro.storage.pages.PageManager` *accounts
 for* hypothetical I/O while keeping everything in memory — the right
 tool for the paper's comparison-economy experiments, and useless for an
-actual memory budget.  :class:`SpillManager` is the real thing: a
+actual memory budget.  :class:`SpillManager` is the real thing, used by
+the order cache for entries its budget cannot hold: a
 sorted run handed to :meth:`SpillManager.spill` is pickled to a file in
 the spill directory and its in-memory lists are released; reading the
 handle back restores it.  Spilled data is immutable, written once and
@@ -61,11 +62,11 @@ class SpillHandle:
 
 
 class SpillManager:
-    """Owns one query's spill directory and its spill/restore traffic.
+    """Owns one spill directory and its spill/restore traffic.
 
     ``spill_dir`` is the *parent* directory (system temp dir when
     ``None``); each manager creates a private ``repro-spill-*``
-    subdirectory so concurrent queries never collide, and
+    subdirectory so two managers never collide, and
     :meth:`cleanup` (or context-manager exit) removes it wholesale.
     """
 

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
 from ..core.classify import code_offsets, head_positions, split_segments
-from ..exec import memory
 from ..model import SortSpec, Table
 from ..obs import TRACER
 from ..ovc.derive import project_ovcs
@@ -156,7 +155,6 @@ def fast_modify(
     plan: ModificationPlan,
     strategy: Strategy,
     segments: list[tuple[int, int]] | None = None,
-    sink=None,
     heads: Sequence[int] | None = None,
     perm: list[int] | None = None,
 ) -> Table:
@@ -167,10 +165,8 @@ def fast_modify(
     ``segments`` supplies pre-computed segment boundaries and ``heads``
     the merge strategies' head positions (the dispatcher classifies
     once and shares both); when omitted they are derived here.
-    ``sink`` is an optional :class:`~repro.exec.buffers.GovernedSink` —
-    completed per-segment outputs are absorbed (and spilled under
-    budget pressure) instead of accumulating in one list.  ``perm``,
-    when given, receives the output as indices into ``table.rows``.
+    ``perm``, when given, receives the output as indices into
+    ``table.rows``.
     """
     rows = table.rows
     ovcs = table.ovcs
@@ -180,10 +176,6 @@ def fast_modify(
     if strategy is Strategy.NOOP:
         if perm is not None:
             perm.extend(range(n))
-        if sink is not None:
-            sink.absorb_iter(list(rows), project_ovcs(ovcs, k_out))
-            out_rows, out_ovcs = sink.materialize()
-            return Table(table.schema, out_rows, new_spec, out_ovcs)
         return Table(table.schema, list(rows), new_spec, project_ovcs(ovcs, k_out))
 
     out_rows: list[tuple] = []
@@ -196,8 +188,6 @@ def fast_modify(
             rows, ovcs, new_spec.positions(table.schema), new_spec.directions,
             plan, strategy, table, heads,
         )
-    accountant = memory.current()
-    packed_bytes = _charge_packed(accountant, n)
 
     if strategy in (Strategy.FULL_SORT, Strategy.MERGE_RUNS):
         segments = [(0, n)]  # one pass over the whole input
@@ -210,30 +200,10 @@ def fast_modify(
         count = 0
         for lo, hi in segments:
             count += 1
-            if sink is None:
-                run(lo, hi, out_rows, out_ovcs, perm)
-                continue
-            seg_rows: list[tuple] = []
-            seg_ovcs: list[tuple] = []
-            run(lo, hi, seg_rows, seg_ovcs, perm)
-            sink.absorb(seg_rows, seg_ovcs)
+            run(lo, hi, out_rows, out_ovcs, perm)
         sp.set(segments=count)
 
-    if accountant is not None:
-        accountant.release("fastpath.packed", packed_bytes)
-    if sink is not None:
-        out_rows, out_ovcs = sink.materialize()
     return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-
-def _charge_packed(accountant, n_rows: int) -> int:
-    """Charge the packed keys of ``n_rows`` rows to the active
-    accountant (8B/key)."""
-    if accountant is None:
-        return 0
-    n_bytes = 8 * n_rows
-    accountant.charge("fastpath.packed", n_bytes)
-    return n_bytes
 
 
 def fast_segment(

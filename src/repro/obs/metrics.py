@@ -39,9 +39,8 @@ drift).  Counters:
   avoided by exact hits); ``cache.fingerprint_passes`` — O(n)
   fingerprint passes actually run (flat under repeat traffic: a
   table's fingerprint is memoized until its rows change).
-* ``exec.fan_in_reduced`` — merges split to honor ``max_fan_in``.
-* ``exec.mem.charged_bytes`` / ``exec.mem.spills`` /
-  ``exec.mem.pressure_events`` — memory-accountant activity.
+* ``exec.mem.charged_bytes`` / ``exec.mem.pressure_events`` —
+  memory-accountant activity.
 * ``exec.spill.runs`` / ``exec.spill.bytes_written`` /
   ``exec.spill.bytes_read`` — spill-file traffic.
 * ``extsort.respilled_rows`` — external-sort rows spilled again.

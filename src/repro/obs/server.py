@@ -12,7 +12,7 @@ background daemon thread that any entry point can start
   the registry snapshot is taken atomically enough that concurrent
   metric bumps never break a scrape.
 * ``GET /healthz`` — liveness plus derived health: memory-budget
-  pressure (from the active
+  pressure (from the process-wide order cache's
   :class:`~repro.exec.memory.MemoryAccountant`), spill activity, and
   order-service overload.  Always ``200`` while the process serves
   (degradation is an *observation*, not a death sentence); the JSON
@@ -53,36 +53,31 @@ _EPOCH = time.time()
 
 
 def health_snapshot(config: Any = None) -> dict:
-    """Derive process health from the live registry and accountant.
+    """Derive process health from the live registry and the order
+    cache's byte ledger.
 
     ``status`` is ``"ok"`` or ``"degraded"``; each check reports its
     own status plus the numbers it judged.  Degraded means "serving,
     but under budget pressure or shedding requests" — the
     process is alive either way (that is what the HTTP 200 says).
     """
-    from ..exec import memory
+    from ..cache import get_cache
 
     snap = METRICS.as_dict()
     counters = snap.get("counters", {})
     checks: dict[str, dict] = {}
 
-    accountant = memory.current()
-    if accountant is not None:
+    cache = get_cache()
+    if cache is not None:
+        accountant = cache.accountant
         checks["memory"] = {
             "status": "pressure" if accountant.over_budget() else "ok",
             "used_bytes": accountant.used,
             "peak_bytes": accountant.peak,
             "budget_bytes": accountant.budget,
-            "spills": accountant.spill_count,
         }
     else:
-        checks["memory"] = {
-            "status": "ok",
-            "governed": False,
-            "peak_bytes": snap.get("gauges", {})
-            .get("exec.mem.peak_bytes", {})
-            .get("max", 0),
-        }
+        checks["memory"] = {"status": "ok", "governed": False}
 
     checks["spill"] = {
         "status": "ok",

@@ -95,12 +95,11 @@ class Query:
         fallback on keys the key packer cannot rank) — same rows and codes,
         no comparison counts on the operator's stats;
         ``engine="reference"`` is how to ask for those counts;
-        ``memory_budget`` spills buffered output to disk under
-        pressure; ``cache="on"`` serves repeat orders over the
-        same rows from the order cache (:mod:`repro.cache`) — exact
-        repeats verbatim, related orders by modifying the best cached
-        order — with the strategy shown per Sort node by
-        :meth:`explain` / ``explain_analyze`` after execution.
+        ``cache="on"`` serves repeat orders over the same rows from
+        the order cache (:mod:`repro.cache`) — exact repeats verbatim,
+        related orders by modifying the best cached order — with the
+        strategy shown per Sort node by :meth:`explain` /
+        ``explain_analyze`` after execution.
         """
         return self._wrap(
             Sort(self._op, SortSpec.of(*columns), method=method, config=config)

@@ -197,7 +197,7 @@ class OrderService:
         The :class:`~repro.exec.ExecutionConfig` governing both the
         service shape (``service_threads`` / ``service_queue_depth`` /
         ``service_deadline_ms``) and every execution it runs (engine,
-        cache, memory budget, ...).  ``None`` uses the
+        cache, cache budget, ...).  ``None`` uses the
         environment-aware default.
     clock:
         Injectable monotonic clock for deadline tests.

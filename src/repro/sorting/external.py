@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..exec import memory
 from ..obs import METRICS, TRACER
 from ..ovc.stats import ComparisonStats
 from ..storage.pages import IoStats, PageManager
@@ -137,36 +136,15 @@ class ExternalMergeSort:
                 0,
             )
 
-        # Spill initial runs (run generation writes them out).  Under a
-        # memory budget the buffered runs are charged while live and
-        # released as they move to storage — run generation is one of
-        # the big buffering sites the accountant watches.
-        accountant = memory.current()
-        if accountant is not None:
-            for run, run_ovcs in runs:
-                accountant.charge(
-                    "extsort.runs", memory.rows_nbytes(run, run_ovcs)
-                )
-        spilled = []
-        for run, run_ovcs in runs:
-            spilled.append(self.pages.spill_run(run, run_ovcs))
-            if accountant is not None:
-                accountant.release(
-                    "extsort.runs", memory.rows_nbytes(run, run_ovcs)
-                )
+        # Spill initial runs (run generation writes them out).
+        spilled = [
+            self.pages.spill_run(run, run_ovcs) for run, run_ovcs in runs
+        ]
 
+        fan_in = self.fan_in
         levels = 0
         while len(spilled) > 1:
             levels += 1
-            fan_in = self.fan_in
-            if accountant is not None and accountant.over_budget():
-                # Graceful degradation under budget pressure: halve the
-                # merge wave (never below binary) so a step's working
-                # set — fan_in run buffers plus the merged output —
-                # shrinks, at the price of extra merge levels.
-                fan_in = max(2, self.fan_in // 2)
-                if METRICS.enabled:
-                    METRICS.counter("exec.fan_in_reduced").inc()
             final_pass = len(spilled) <= fan_in
             with TRACER.span(
                 "extsort.merge_pass",
@@ -181,12 +159,6 @@ class ExternalMergeSort:
                         METRICS.histogram("extsort.fan_in").observe(len(group))
                     with TRACER.span("extsort.merge_step", fan_in=len(group)):
                         run_data = [run.read() for run in group]
-                        step_bytes = 0
-                        if accountant is not None:
-                            step_bytes = sum(
-                                memory.rows_nbytes(r, o) for r, o in run_data
-                            )
-                            accountant.charge("extsort.merge", step_bytes)
                         merged_rows, merged_ovcs = kway_merge(
                             run_data,
                             self.key_positions,
@@ -194,8 +166,6 @@ class ExternalMergeSort:
                             self.directions,
                             self.use_ovc,
                         )
-                        if accountant is not None:
-                            accountant.release("extsort.merge", step_bytes)
                     if not final_pass:
                         # Intermediate merge step: result goes back to
                         # storage.

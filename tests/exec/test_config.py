@@ -57,17 +57,20 @@ def test_defaults_are_ungoverned_serial_auto():
     cfg = ExecutionConfig()
     assert cfg.engine == "auto"
     assert cfg.max_fan_in is None
-    assert cfg.memory_budget is None
-    assert not cfg.governed
+    assert cfg.cache_budget is None
 
 
-#: The worker pool's four knobs, removed with the pool in PR 22.
-_REMOVED_FIELDS = ("workers", "data_plane", "shard_timeout_s", "shard_retries")
+#: Removed knobs: the worker pool's four, then the output byte budget
+#: and the two observability requests nothing read.
+_REMOVED_FIELDS = (
+    "workers", "data_plane", "shard_timeout_s", "shard_retries",
+    "memory_budget", "trace", "metrics",
+)
 
 
-def test_field_count_is_thirteen():
+def test_field_count_is_ten():
     names = {f.name for f in dataclasses.fields(ExecutionConfig)}
-    assert len(names) == 13
+    assert len(names) == 10
     assert names.isdisjoint(_REMOVED_FIELDS)
 
 
@@ -78,14 +81,15 @@ def test_removed_pool_fields_are_plain_errors(name, tmp_path):
     with pytest.raises(TypeError, match="unexpected keyword"):
         ExecutionConfig().with_(**{name: 1})
     path = _write_config(tmp_path, {name: 1})
-    with pytest.raises(ValueError, match=f"unknown field.*{name}"):
+    with pytest.raises(
+        ValueError, match=f"unknown field.*{name}.*valid fields: .*engine"
+    ):
         ExecutionConfig.from_file(path)
 
 
 def test_memory_budget_string_is_parsed_at_construction():
-    cfg = ExecutionConfig(memory_budget="1MiB")
-    assert cfg.memory_budget == 1024 ** 2
-    assert cfg.governed
+    cfg = ExecutionConfig(cache_budget="1MiB")
+    assert cfg.cache_budget == 1024 ** 2
 
 
 @pytest.mark.parametrize(
@@ -93,7 +97,7 @@ def test_memory_budget_string_is_parsed_at_construction():
     [
         {"engine": "turbo"},
         {"max_fan_in": 1},
-        {"memory_budget": 0},
+        {"cache_budget": 0},
     ],
 )
 def test_invalid_fields_raise(kwargs):
@@ -109,11 +113,11 @@ def test_frozen():
 
 def test_with_returns_validated_copy():
     cfg = ExecutionConfig(max_fan_in=4)
-    derived = cfg.with_(memory_budget="4KiB", engine="reference")
+    derived = cfg.with_(cache_budget="4KiB", engine="reference")
     assert derived.max_fan_in == 4
-    assert derived.memory_budget == 4096
+    assert derived.cache_budget == 4096
     assert derived.engine == "reference"
-    assert cfg.memory_budget is None  # original untouched
+    assert cfg.cache_budget is None  # original untouched
     with pytest.raises(ValueError):
         cfg.with_(engine="bogus")
 
@@ -122,21 +126,22 @@ def test_from_env_reads_all_fields():
     env = {
         "REPRO_ENGINE": "reference",
         "REPRO_MAX_FAN_IN": "8",
-        "REPRO_MEMORY_BUDGET": "1MiB",
+        "REPRO_CACHE_BUDGET": "1MiB",
         "REPRO_SPILL_DIR": "/tmp/spills",
     }
     cfg = ExecutionConfig.from_env(env)
     assert cfg.engine == "reference"
     assert cfg.max_fan_in == 8
-    assert cfg.memory_budget == 1024 ** 2
+    assert cfg.cache_budget == 1024 ** 2
     assert cfg.spill_dir == "/tmp/spills"
 
 
 def test_from_env_ignores_removed_variables_and_empty_env():
     assert ExecutionConfig.from_env({}) == ExecutionConfig()
-    # A leftover pool variable from an old deployment configures
-    # nothing and breaks nothing — whatever it holds.
+    # A leftover variable of a removed knob from an old deployment
+    # configures nothing and breaks nothing — whatever it holds.
     leftovers = {
+        "REPRO_MEMORY_BUDGET": "1MiB",
         "REPRO_WORKERS": "auto",
         "REPRO_DATA_PLANE": "shm",
         "REPRO_SHARD_TIMEOUT": "soon",
@@ -165,8 +170,8 @@ def test_from_env_malformed_number_names_the_variable(var, field):
 
 
 def test_default_respects_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "2KiB")
-    assert ExecutionConfig.default().memory_budget == 2048
+    monkeypatch.setenv("REPRO_CACHE_BUDGET", "2KiB")
+    assert ExecutionConfig.default().cache_budget == 2048
 
 
 # ------------------------------------------------------------ order cache
@@ -279,13 +284,13 @@ def _write_config(tmp_path, obj):
 def test_from_file_round_trips_fields(tmp_path):
     path = _write_config(tmp_path, {
         "max_fan_in": 4,
-        "memory_budget": "64KiB",
+        "cache_budget": "64KiB",
         "cache": "on",
         "service_threads": 2,
     })
     cfg = ExecutionConfig.from_file(path)
     assert cfg.max_fan_in == 4
-    assert cfg.memory_budget == 64 * 1024
+    assert cfg.cache_budget == 64 * 1024
     assert cfg.cache == "on"
     assert cfg.service_threads == 2
 

@@ -1,16 +1,10 @@
-"""MemoryAccountant, the activation scope, spill files, and the sink."""
+"""MemoryAccountant, the row size model, and spill files."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec.buffers import GovernedSink
-from repro.exec.memory import (
-    MemoryAccountant,
-    activate,
-    current,
-    rows_nbytes,
-)
+from repro.exec.memory import MemoryAccountant, rows_nbytes
 from repro.exec.spill import SpillManager
 
 
@@ -51,28 +45,6 @@ def test_invalid_budget_rejected():
         MemoryAccountant(0)
 
 
-def test_activate_scopes_and_restores():
-    assert current() is None
-    outer = MemoryAccountant(100)
-    inner = MemoryAccountant(200)
-    with activate(outer):
-        assert current() is outer
-        with activate(inner):
-            assert current() is inner
-        assert current() is outer
-        with activate(None):  # no-op scope
-            assert current() is outer
-    assert current() is None
-
-
-def test_activate_restores_on_exception():
-    acct = MemoryAccountant(100)
-    with pytest.raises(RuntimeError):
-        with activate(acct):
-            raise RuntimeError("boom")
-    assert current() is None
-
-
 def test_rows_nbytes_counts_rows_and_codes():
     rows = [(1, 2), (3, 4)]
     bare = rows_nbytes(rows)
@@ -92,34 +64,3 @@ def test_spill_manager_round_trip(tmp_path):
         handle.release()
     # Context exit removes the spill directory's contents.
     assert not list(tmp_path.glob("repro-spill-*"))
-
-
-def test_sink_spills_under_pressure_and_restores_order(tmp_path):
-    acct = MemoryAccountant(256)
-    with SpillManager(str(tmp_path)) as spill:
-        sink = GovernedSink(acct, spill, chunk_rows=8)
-        all_rows, all_ovcs = [], []
-        for seg in range(10):
-            rows = [(seg, i) for i in range(20)]
-            ovcs = [(0 if i == 0 else 1, i) for i in range(20)]
-            sink.absorb(rows, ovcs)
-            all_rows.extend(rows)
-            all_ovcs.extend(ovcs)
-        assert sink.spill_count > 0
-        assert acct.spill_count == sink.spill_count
-        out_rows, out_ovcs = sink.materialize()
-    assert out_rows == all_rows
-    assert out_ovcs == all_ovcs
-    assert acct.used == 0  # every charge released
-
-
-def test_sink_without_pressure_keeps_everything_in_memory(tmp_path):
-    acct = MemoryAccountant(10**9)
-    with SpillManager(str(tmp_path)) as spill:
-        sink = GovernedSink(acct, spill)
-        sink.absorb([(1,), (2,)], [(0, 1), (1, 2)])
-        assert sink.spill_count == 0
-        rows, ovcs = sink.materialize()
-    assert rows == [(1,), (2,)]
-    assert ovcs == [(0, 1), (1, 2)]
-    assert acct.used == 0

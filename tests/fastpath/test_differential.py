@@ -12,8 +12,9 @@ slices wherever such rows are at least half of a segment, and code row
 by row elsewhere; the domain shapes put segments on both sides of that
 choice, the cases cover all three tail mappings (positional: cases
 3/5/7; dropped infix: 2/4/6; clamped: ``CLAMPED``), and every
-comparison also runs through a governed sink and — for the
-segment-shardable plans — the permutation-emitting entry point.
+comparison also runs through the permutation-emitting entry point.
+Both engines hand back the input's own tuple objects, which is what
+lets the order cache recover a permutation by identity.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ METHODS = ["auto", "noop", "segment_sort", "merge_runs", "combined", "full_sort"
 
 FAST = ExecutionConfig(engine="fast")
 REFERENCE = ExecutionConfig(engine="reference")
-# A budget every 700-row output overflows: completed segments spill.
-GOVERNED = ExecutionConfig(engine="fast", memory_budget="8KiB")
 
 
 def _make_table(in_columns, seed, n, desc=False, strings=False):
@@ -103,21 +102,33 @@ def _assert_identical(table, spec, method):
         with pytest.raises(ValueError):
             modify_sort_order(table, spec, method=method, config=FAST)
         return
-    for config in (FAST, GOVERNED):
-        fast = modify_sort_order(table, spec, method=method, config=config)
-        assert fast.rows == ref.rows
-        assert fast.ovcs == ref.ovcs
+    fast = modify_sort_order(table, spec, method=method, config=FAST)
+    assert fast.rows == ref.rows
+    assert fast.ovcs == ref.ovcs
+    _assert_inputs_own_rows(table, ref, fast)
     plan = analyze_order_modification(table.sort_spec, spec)
     if method == "auto" and not plan.backward:
-        # Every strategy emits its output as a permutation on request.
-        for config in (FAST, GOVERNED):
+        for config in (REFERENCE, FAST):
             done = enforce_order(
                 table, spec, stats=ComparisonStats(), config=config,
                 want_perm=True,
             )
-            assert [table.rows[i] for i in done.perm] == ref.rows
             assert done.table.rows == ref.rows
             assert done.table.ovcs == ref.ovcs
+            _assert_inputs_own_rows(table, done.table)
+            if config is FAST:
+                # Every strategy emits its output as a permutation on
+                # request.
+                assert [table.rows[i] for i in done.perm] == ref.rows
+
+
+def _assert_inputs_own_rows(table, *results):
+    """Each output row *is* one of the input's tuple objects — no
+    executor copies or rebuilds a row."""
+    own = {id(row) for row in table.rows}
+    for result in results:
+        assert len(result.rows) == len(table.rows)
+        assert all(id(row) in own for row in result.rows)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -252,3 +263,4 @@ def test_external_modify_engines_agree():
         )
         assert fast.rows == ref.rows
         assert fast.ovcs == ref.ovcs
+        _assert_inputs_own_rows(table, ref, fast)

@@ -8,7 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro.cache import get_cache, reset_cache
 from repro.exec import ExecutionConfig
+from repro.model import Schema, SortSpec
 from repro.obs import METRICS, SLOWLOG, TRACER
 from repro.obs.exporters import validate_prometheus_text
 from repro.obs.server import (
@@ -18,6 +20,8 @@ from repro.obs.server import (
     stop_telemetry_server,
     varz_snapshot,
 )
+from repro.query import Query
+from repro.workloads.generators import random_sorted_table
 
 
 @pytest.fixture
@@ -52,6 +56,7 @@ def test_metrics_endpoint_with_registry_disabled(server):
 
 
 def test_healthz_reports_ok(server):
+    reset_cache()
     status, ctype, body = _get(server.url + "/healthz")
     assert status == 200
     assert "json" in ctype
@@ -59,8 +64,37 @@ def test_healthz_reports_ok(server):
     assert health["status"] == "ok"
     assert health["degraded_checks"] == []
     assert "pool" not in health["checks"]
-    assert "memory" in health["checks"]
+    assert health["checks"]["memory"] == {"status": "ok", "governed": False}
     assert "cache" in health["checks"]
+
+
+def test_healthz_memory_check_is_the_order_caches_ledger(server, tmp_path):
+    reset_cache()
+    cfg = ExecutionConfig(
+        cache="on", cache_budget="1KiB", spill_dir=str(tmp_path)
+    )
+    table = random_sorted_table(
+        Schema.of("A", "B", "C"), SortSpec.of("A", "B", "C"), 500,
+        domains=[8, 8, 64], seed=0,
+    )
+    try:
+        # Two installs of ~2 KB each: the second pushes the first to
+        # disk and is itself more than the budget holds.
+        Query(table).order_by("A", "C", "B", config=cfg).to_table()
+        Query(table).order_by("B", "A", config=cfg).to_table()
+        ledger = get_cache().accountant
+        health = json.loads(_get(server.url + "/healthz")[2])
+        assert health["checks"]["memory"] == {
+            "status": "pressure",
+            "used_bytes": ledger.used,
+            "peak_bytes": ledger.peak,
+            "budget_bytes": 1024,
+        }
+        assert ledger.peak >= ledger.used > 1024
+        assert health["status"] == "degraded"
+        assert health["degraded_checks"] == ["memory"]
+    finally:
+        reset_cache()
 
 
 def test_varz_exposes_config_metrics_and_health(server):

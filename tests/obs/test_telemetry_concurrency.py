@@ -1,12 +1,12 @@
 """Scraping the telemetry plane mid-query must never fail.
 
 The acceptance bar for the live endpoint: eight client threads hammer
-``/metrics``, ``/healthz`` and ``/varz`` while governed (spilling)
-modifies run back to back and an :class:`~repro.serve.OrderService`
-answers a duplicate-heavy load — and every single response is a 200
-with a parseable body, including the ones served mid-run while counters
-are being bumped from the modify, the spill path and the scheduler
-threads.
+``/metrics``, ``/healthz`` and ``/varz`` while modifies run back to
+back and an :class:`~repro.serve.OrderService` answers a duplicate-heavy
+load through an order cache whose budget makes every install spill —
+and every single response is a 200 with a parseable body, including the
+ones served mid-run while counters are being bumped from the modify,
+the spill path and the scheduler threads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import threading
 import urllib.request
 
+from repro.cache import reset_cache
 from repro.core.modify import modify_sort_order
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec
@@ -65,13 +66,16 @@ def test_eight_scrapers_during_governed_modify_and_service_load(tmp_path):
         SCHEMA, SPEC_IN, 1200, domains=DOMAINS, seed=0
     )
     baseline = modify_sort_order(table, SPEC_OUT)
-    governed = ExecutionConfig(memory_budget="1KiB", spill_dir=str(tmp_path))
-    serving = ExecutionConfig(cache="off", service_threads=2)
+    reset_cache()
+    serving = ExecutionConfig(
+        cache="on", cache_budget="1KiB", spill_dir=str(tmp_path),
+        service_threads=2,
+    )
 
     stop = threading.Event()
     failures: list[str] = []
     scrapes: list[str] = []
-    with TelemetryServer(port=0, config=governed) as server:
+    with TelemetryServer(port=0, config=serving) as server:
         threads = [
             threading.Thread(
                 target=_scrape_loop,
@@ -83,10 +87,7 @@ def test_eight_scrapers_during_governed_modify_and_service_load(tmp_path):
         for t in threads:
             t.start()
         try:
-            results = [
-                modify_sort_order(table, SPEC_OUT, config=governed)
-                for _ in range(3)
-            ]
+            results = [modify_sort_order(table, SPEC_OUT) for _ in range(3)]
             with OrderService(serving) as svc:
                 report = run_load(
                     svc, table, default_orders(table, 4),
@@ -96,6 +97,7 @@ def test_eight_scrapers_during_governed_modify_and_service_load(tmp_path):
             stop.set()
             for t in threads:
                 t.join(timeout=10)
+            reset_cache()
 
     assert not failures, failures[:5]
     assert len(scrapes) >= 24  # all eight threads scraped every endpoint

@@ -83,6 +83,7 @@ def test_cli_bench_exits_nonzero_on_fidelity_failure(capsys, monkeypatch):
         ["table1", "--shard-timeout-s", "1.5"],
         ["table1", "--shard-timeout", "1.5"],
         ["table1", "--shard-retries", "2"],
+        ["table1", "--memory-budget", "1MiB"],
     ],
 )
 def test_cli_rejects_removed_pool_flags(argv, capsys):
