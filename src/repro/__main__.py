@@ -552,8 +552,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="order-service micro-batch window: drain the admission"
         " queue at most this long (less when arrivals stop) and plan"
-        " same-source siblings as one shared derivation tree"
-        " (default: off)",
+        " each same-source group once, every order from its cheapest"
+        " materialized parent (default: off)",
     )
     parser.add_argument(
         "--load",

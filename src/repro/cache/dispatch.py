@@ -89,6 +89,49 @@ def _estimate(
     return model.modify_from(plan).total
 
 
+def _source_counts(source: Table) -> tuple | None:
+    """``source``'s offset-count histogram (``None``: no order or codes)."""
+    if source.sort_spec is None or source.ovcs is None:
+        return None
+    return _offset_counts(source.ovcs, source.sort_spec.arity)
+
+
+def _cheapest_parent(
+    source: Table,
+    spec: SortSpec,
+    candidates: list[CachedOrder],
+    counts: tuple | None = None,
+) -> tuple[CachedOrder | None, float, float]:
+    """Where ``spec`` is cheapest to derive from, among the materialized
+    orders of ``source``'s rows: ``(candidate, its estimated cost,
+    baseline)``.
+
+    The baseline is the uncached execution — modifying ``source``'s own
+    order (``counts`` is its :func:`_source_counts` when the caller
+    already has them), or a full sort when it is unordered.  A candidate
+    of ``spec`` itself is an exact hit and costs nothing; any other must
+    beat the baseline by ``WIN_MARGIN``.  ``candidate`` is ``None`` when
+    none does.  One rule for a solo request (:func:`serve`) and for
+    every order of a planned batch (:func:`repro.plan.plan_batch`).
+    """
+    n = len(source.rows)
+    if counts is None:
+        counts = _source_counts(source)
+    if counts is not None:
+        baseline = _estimate(source.sort_spec, spec, n, counts)
+    else:
+        baseline = CostModel(n, 1, 1).full_sort().total
+    best: CachedOrder | None = None
+    best_cost = WIN_MARGIN * baseline
+    for cand in candidates:
+        if cand.spec == spec:
+            return cand, 0.0, baseline
+        cost = _estimate(cand.spec, spec, n, cand.offset_counts)
+        if cost < best_cost:
+            best, best_cost = cand, cost
+    return best, best_cost if best is not None else baseline, baseline
+
+
 def serve(
     cache: OrderCache,
     source: Table,
@@ -135,20 +178,7 @@ def serve(
         return outcome
 
     n = len(source.rows)
-    if source.sort_spec is not None and source.ovcs is not None:
-        baseline = _estimate(
-            source.sort_spec, spec, n,
-            _offset_counts(source.ovcs, source.sort_spec.arity),
-        )
-    else:
-        baseline = CostModel(n, 1, 1).full_sort().total
-
-    best: CachedOrder | None = None
-    best_cost = WIN_MARGIN * baseline
-    for cand in candidates:
-        cost = _estimate(cand.spec, spec, n, cand.offset_counts)
-        if cost < best_cost:
-            best, best_cost = cand, cost
+    best, best_cost, baseline = _cheapest_parent(source, spec, candidates)
     if best is None:
         if LOG.enabled:
             LOG.event(

@@ -100,7 +100,7 @@ def enforce_order(
 
         try:
             rows, ovcs = fast_sort(
-                source.rows, positions, spec.directions, perm
+                source.rows, positions, spec.directions, perm, source
             )
         except TypeError:
             if config.engine == "fast":

@@ -139,7 +139,9 @@ class ExecutionConfig:
         thread keeps draining the admission queue for at most this
         many milliseconds — less when arrivals stop: one wait of an
         eighth of the window without an arrival closes it — and plans
-        same-source siblings as one shared derivation tree.  ``None``
+        each same-source group once, every order derived from its
+        cheapest materialized parent (the source or a cached order).
+        ``None``
         (default) disables batching — every request executes
         independently on arrival.
     """

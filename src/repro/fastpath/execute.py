@@ -234,13 +234,17 @@ def fast_sort(
     positions: Sequence[int],
     directions: Sequence[bool],
     perm: list[int] | None = None,
+    table: Table | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
     """Stable full sort with fresh output codes — the fast twin of
     :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``.
-    ``perm``, when given, receives the output as indices into ``rows``."""
+    ``perm``, when given, receives the output as indices into ``rows``;
+    ``table``, whose rows ``rows`` are, lends its remembered fields."""
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
     if len(rows):
-        run = _bind(rows, None, positions, directions, None, Strategy.FULL_SORT)
+        run = _bind(
+            rows, None, positions, directions, None, Strategy.FULL_SORT, table
+        )
         run(0, len(rows), out_rows, out_ovcs, perm)
     return out_rows, out_ovcs

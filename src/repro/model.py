@@ -279,10 +279,7 @@ class _Facts:
     the other slots are filled by their owners on first use (``None``
     = not computed yet): ``fingerprint`` by
     :func:`repro.cache.fingerprint.fingerprint_table`, ``row_bytes`` by
-    :mod:`repro.exec.memory`, ``cardinality`` (the table's
-    :class:`~repro.plan.cardinality.CardinalityEstimator` and, inside
-    it, every distinct count estimated so far) by
-    :func:`repro.plan.planner.plan_batch`, ``fields`` (column position
+    :mod:`repro.exec.memory`, ``fields`` (column position
     -> that column's order-preserving surrogate array and bit width,
     one entry per key column a fast kernel has packed so far) by
     :func:`repro.fastpath.packed.table_fields`.  Each depends only on
@@ -291,7 +288,7 @@ class _Facts:
     """
 
     __slots__ = (
-        "rows", "schema", "fingerprint", "row_bytes", "cardinality", "fields",
+        "rows", "schema", "fingerprint", "row_bytes", "fields",
     )
 
     def __init__(self, rows, schema: Schema) -> None:
@@ -299,7 +296,6 @@ class _Facts:
         self.schema = schema
         self.fingerprint = None
         self.row_bytes = None
-        self.cardinality = None
         self.fields = None
 
 
@@ -315,9 +311,8 @@ class Table:
     A table is mutable: ``rows`` may be edited in place or re-assigned
     at any time.  What the library derives from the row sequence and
     keeps on the table (its content fingerprint, its accounted size,
-    the batch planner's distinct-count estimates, the fast kernels'
-    normalized key columns) is revalidated on
-    every read against a snapshot of the rows it was computed from, so
+    the fast kernels' normalized key columns) is revalidated on every
+    read against a snapshot of the rows it was computed from, so
     an edit is never answered from stale facts — and an unchanged table
     never pays for them twice.
     """

@@ -47,11 +47,9 @@ drift).  Counters:
 * ``log.events`` — structured-log lines emitted.
 * ``merge.degraded_merges`` — merges that fell back to column compares.
 * ``plan.batches`` / ``plan.nodes`` — batch derivation-planner runs
-  and orders they produced; ``plan.sibling_derivations`` — orders
-  derived from another *requested* order's fresh result;
-  ``plan.fallbacks`` — planned parents that were unusable at
-  execution (evicted entry, kernel type error) and re-derived from
-  the source.
+  and orders they produced; ``plan.fallbacks`` — planned parents
+  that were unusable at execution (evicted entry, kernel type error)
+  and re-derived from the source.
 * ``profile.samples`` — stacks collected by the sampling profiler.
 * ``serve.requests`` / ``serve.executions`` /
   ``serve.coalesced_requests`` — order-service traffic (requests

@@ -1,34 +1,29 @@
 """Execute a :class:`~repro.plan.planner.DerivationPlan`.
 
-Each requested node runs exactly the machinery an independent
+Each requested node runs exactly the machinery a solo
 ``Sort(TableScan(source), spec)`` would have used for its chosen
-parent — :func:`repro.core.enforce.enforce_order`, which also owns the
-engine choice — so rows and codes are bit-identical to per-request
-execution by construction.  Results derived from a parent
-other than the source are re-tie-broken against the source's arrival
-order (:func:`~repro.cache.dispatch._rebase`, the contract the
-cache dispatcher relies on: every parent is known as a permutation of
-the source, so a tie group is re-broken by sorting its indices), which
-also makes sibling derivation safe: within a full-key tie group the
-codes do not depend on which member stands first.
+parent — :func:`repro.core.enforce.enforce_order` from the source (which
+also owns the engine choice), an exact cache hit, or the cache
+dispatcher's modify-from-cache path (:func:`~repro.cache.dispatch.
+_modify_from`, re-tie-broken against the source's arrival order) — so
+rows and codes are bit-identical to per-request execution by
+construction.
 
 Counters are per-node deltas describing the work actually performed
 — comparison counts under ``engine="reference"``, zeros when the
 packed-code kernels ran: a node derived straight from the source
 reports exactly what the solo execution would have, a node derived
-from a cached or sibling order reports its (cheaper) modification work
-— the same accounting the cache's modify-from-cache serves already use.
+from a cached order reports its (cheaper) modification work — the same
+accounting the cache's modify-from-cache serves already use.
 
-Nodes run one after another in the calling thread, parents first
-(``plan.order``); under the interpreter lock a thread pool bought
-nothing here.  Each finished node is handed to the caller's ``on_node``
-callback before the next one starts, so a server can answer the first
-order of a batch while the last is still being derived; a node that
-later nodes derive from is copied (two C-level list copies) before it
-is handed out, because from then on its lists belong to whoever the
-callback gave them to.  A mispredicted parent (evicted cache entry,
-kernel type error) falls back to deriving from the source, never
-failing the batch.
+Nodes run one after another in the calling thread, in request order;
+under the interpreter lock a thread pool bought nothing here.  Each
+finished node is handed to the caller's ``on_node`` callback before the
+next one starts, so a server can answer the first order of a batch
+while the last is still being derived; no node reads another's result,
+so what the callback does with its lists is its own business.  A
+mispredicted parent (evicted cache entry, kernel type error) falls back
+to deriving from the source, never failing the batch.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _names, _rebase
+from ..cache.dispatch import _modify_from, _names
 from ..cache.fingerprint import fingerprint_table
 from ..core.enforce import enforce_order
 from ..exec.config import ExecutionConfig
@@ -53,8 +48,7 @@ class NodeResult:
     index: int
     spec: SortSpec
     table: Table
-    #: Same vocabulary as ``Sort.order_strategy`` plus
-    #: ``plan-derive(<parent order>)`` for sibling-derived nodes.
+    #: Same vocabulary as ``Sort.order_strategy``.
     label: str
     stats_delta: ComparisonStats
     #: True when the planned parent was unusable and the node was
@@ -101,23 +95,7 @@ def execute_plan(
     """
     cfg = config if config is not None else ExecutionConfig.default()
     results: dict[int, NodeResult] = {}
-    #: Parent tables sibling derivations read: the node's own table, or
-    #: a private copy once ``on_node`` has given that table away.
-    parents: dict[int, Table] = {}
-    #: Those tables as permutations of ``source.rows``, where a kernel
-    #: said (derived by value where none did).
-    perms: dict[int, list[int] | None] = {}
-    has_children = {plan.nodes[idx].parent for idx in plan.order}
     caching = cache is not None and fp is not None
-
-    def _install(table: Table, delta, replayable: bool, perm) -> None:
-        # ``table`` goes out in the response, so the cache keeps its own
-        # lists.
-        if caching and table.ovcs is not None:
-            cache.install(
-                fp, table.sort_spec, table.rows[:], table.ovcs[:], delta,
-                replayable=replayable, perm=perm,
-            )
 
     def _from_source(node, delta, fallback=False) -> NodeResult:
         spec = node.spec
@@ -129,59 +107,46 @@ def execute_plan(
                     planned=node.strategy,
                 )
         done = enforce_order(
-            source, spec, stats=delta, config=cfg,
-            want_perm=caching or node.index in has_children,
+            source, spec, stats=delta, config=cfg, want_perm=caching
         )
-        perms[node.index] = done.perm
-        if done.executed != "passthrough":
-            _install(done.table, delta, replayable=True, perm=done.perm)
-        return NodeResult(node.index, spec, done.table, done.strategy,
-                          delta, fallback)
+        table = done.table
+        if caching and done.executed != "passthrough" and table.ovcs is not None:
+            # ``table`` goes out in the response; the cache keeps its own
+            # lists.
+            cache.install(
+                fp, spec, table.rows[:], table.ovcs[:], delta,
+                replayable=True, perm=done.perm,
+            )
+        return NodeResult(node.index, spec, table, done.strategy, delta,
+                          fallback)
 
-    def _run(idx: int) -> NodeResult:
-        node = plan.nodes[idx]
+    def _run(node) -> NodeResult:
         spec = node.spec
         delta = ComparisonStats()
         parent = plan.nodes[node.parent]
         if parent.kind == "source":
             return _from_source(node, delta)
-        if parent.kind == "cached" and parent.spec == spec:
+        if parent.spec == spec:
             hit = cache.lookup(fp, spec) if cache is not None else None
             if hit is None:
                 return _from_source(node, delta, fallback=True)
             delta.merge(hit.stats_delta)
-            perms[idx] = hit.perm
             table = Table(source.schema, hit.rows[:], spec, hit.ovcs[:])
-            return NodeResult(idx, spec, table,
+            return NodeResult(node.index, spec, table,
                               f"cache-hit({_names(spec)})", delta)
-        if parent.kind == "cached":
-            entry = cache.fetch(fp, parent.spec) if cache is not None else None
-            if entry is None:
-                return _from_source(node, delta, fallback=True)
-            ptable, pperm = entry.as_table(source.schema), entry.perm
-            label = f"modify-from-cache({_names(parent.spec)})"
-        else:
-            ptable, pperm = parents[node.parent], perms.get(node.parent)
-            label = f"plan-derive({_names(parent.spec)})"
-        try:
-            done = enforce_order(
-                ptable, spec, stats=delta, config=cfg, want_perm=True
-            )
-            table, perm = _rebase(done, ptable, pperm, source.rows)
-        except (TypeError, LookupError):
+        entry = cache.fetch(fp, parent.spec) if cache is not None else None
+        served = None if entry is None else _modify_from(
+            cache, fp, source, entry, spec, delta, cfg
+        )
+        if served is None:
             return _from_source(node, delta, fallback=True)
-        perms[idx] = perm
-        _install(table, delta, replayable=False, perm=perm)
-        return NodeResult(idx, spec, table, label, delta)
+        # ``served`` holds the lists the cache just installed.
+        table = Table(source.schema, served.rows[:], spec, served.ovcs[:])
+        return NodeResult(node.index, spec, table,
+                          f"modify-from-cache({_names(parent.spec)})", delta)
 
     for idx in plan.order:
-        done = results[idx] = _run(idx)
-        if idx in has_children:
-            table = done.table
-            parents[idx] = table if on_node is None else Table(
-                table.schema, table.rows[:], table.sort_spec,
-                None if table.ovcs is None else table.ovcs[:],
-            )
+        done = results[idx] = _run(plan.nodes[idx])
         if on_node is not None:
             on_node(done)
     return results
@@ -235,7 +200,6 @@ def derive_batch(
                 "plan.batch",
                 orders=len(plan.order),
                 nodes=len(plan.nodes),
-                sibling_edges=plan.sibling_edges(),
                 est_independent=round(plan.est_independent),
                 est_planned=round(plan.est_planned),
                 est_speedup=round(min(plan.est_speedup, 1e6), 3),
@@ -251,9 +215,6 @@ def derive_batch(
     if METRICS.enabled:
         METRICS.counter("plan.batches").inc()
         METRICS.counter("plan.nodes").inc(len(results))
-        METRICS.counter("plan.sibling_derivations").inc(
-            plan.sibling_edges()
-        )
         if result.fallbacks:
             METRICS.counter("plan.fallbacks").inc(result.fallbacks)
         METRICS.histogram("plan.batch_size").observe(len(plan.order))

@@ -1,41 +1,30 @@
 """Batch order-derivation planning.
 
 Given N pending target orders over one source table, pick for every
-target the cheapest parent to derive it from — the source itself, a
-cache-resident order, or one of the *other* targets once it has been
-produced — and return the result as a derivation tree.  Nodes are
-orders, the weight of edge ``u -> v`` is the cost model's estimate of
-producing ``v`` by modifying a materialization of ``u`` (vs. a full
-sort), and the optimal assignment is the minimum spanning arborescence
-rooted at a virtual node with zero-cost edges to everything already
-materialized.
+target the cheapest *materialized* parent to derive it from — the
+source itself or a cache-resident order of the same row sequence —
+by the very rule a solo cached ``Sort`` follows
+(:func:`repro.cache.dispatch._cheapest_parent`: exact offset-count
+histograms priced by the cost model, an exact hit first, any other
+cached order only when it beats the source by ``WIN_MARGIN``).  A
+planned order is therefore derived exactly as it would have been on its
+own, and reported costs are the dispatcher's estimates.
 
-Edge pricing mirrors the cache dispatcher: exact offset-count
-histograms when the parent is materialized with codes, the sampled
-:class:`~repro.plan.cardinality.CardinalityEstimator` when the parent
-is itself only planned, and the dispatcher's ``WIN_MARGIN`` applied as
-a selection bias so near-ties resolve toward deriving straight from
-the source (estimates are noisy; the source is the safe parent).
-Reported costs are always the unbiased estimates.
-
-The estimator — and with it every distinct count estimated so far —
-is kept on the source :class:`~repro.model.Table` (its memo record,
-revalidated against a snapshot of the rows like the table's
-fingerprint), so only the first batch over a table pays the O(n)
-sampling passes; later batches price their edges in O(edges).
+A requested order is never the parent of another: on the fast kernels,
+deriving from a just-derived sibling costs more than deriving from the
+source (a fresh parent table whose key columns are normalized anew,
+plus a tie re-break onto the source; EXPERIMENTS.md, "The batch-planner
+verdict").  With every parent materialized, each order's choice is
+independent of the others, so the cheapest derivation tree is every
+order's cheapest parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.analysis import Strategy, analyze_order_modification
-from ..core.cost import CostModel, counts_to_structure
-from ..cache.dispatch import WIN_MARGIN, _names
-from ..cache.store import _offset_counts
+from ..cache.dispatch import _cheapest_parent, _names, _source_counts
 from ..model import SortSpec, Table
-from .arborescence import minimum_arborescence
-from .cardinality import CardinalityEstimator
 
 
 @dataclass
@@ -51,22 +40,22 @@ class PlanNode:
     requested: bool
     #: Chosen parent node index (``None`` for materialized nodes).
     parent: int | None = None
-    #: Unbiased cost estimate of the chosen edge into this node.
+    #: Cost estimate of the chosen edge into this node.
     edge_cost: float = 0.0
     #: Cost of deriving this node straight from the source.
     baseline_cost: float = 0.0
     #: Planned execution path: ``passthrough``, ``full-sort``,
-    #: ``modify``, ``cache-hit``, ``modify-from-cache``, ``derive``.
+    #: ``modify``, ``cache-hit``, ``modify-from-cache``.
     strategy: str = ""
 
 
 @dataclass
 class DerivationPlan:
-    """The chosen arborescence plus its cost accounting."""
+    """Every requested order's chosen parent plus the cost accounting."""
 
     nodes: list[PlanNode]
     source_index: int
-    #: Requested node indexes in execution order (parents first).
+    #: Requested node indexes in execution (request) order.
     order: list[int]
     n_rows: int
     #: Estimated comparisons if every target derived from the source.
@@ -93,8 +82,8 @@ class DerivationPlan:
         )
 
     def explain(self) -> str:
-        """Human-readable tree of the chosen arborescence."""
-        children: dict[int | None, list[int]] = {}
+        """Human-readable tree: each materialized parent, its orders."""
+        children: dict[int, list[int]] = {}
         for n in self.nodes:
             if n.requested:
                 children.setdefault(n.parent, []).append(n.index)
@@ -111,27 +100,18 @@ class DerivationPlan:
             )
 
         lines = [
-            f"derivation plan: {sum(n.requested for n in self.nodes)}"
+            f"derivation plan: {len(self.order)}"
             f" order(s) over {self.n_rows} rows,"
             f" est {self.est_speedup:.2f}x vs independent"
         ]
-
-        def walk(idx: int, prefix: str) -> None:
-            kids = children.get(idx, [])
+        for n in self.nodes:
+            if n.requested or (n.index not in children and n.kind != "source"):
+                continue
+            lines.append(label(n))
+            kids = children.get(n.index, [])
             for i, child in enumerate(kids):
-                last = i == len(kids) - 1
-                branch = "└─ " if last else "├─ "
-                lines.append(prefix + branch + label(self.nodes[child]))
-                walk(child, prefix + ("   " if last else "│  "))
-
-        roots = [
-            n.index
-            for n in self.nodes
-            if not n.requested and (n.index in children or n.kind == "source")
-        ]
-        for idx in roots:
-            lines.append(label(self.nodes[idx]))
-            walk(idx, "")
+                branch = "└─ " if i == len(kids) - 1 else "├─ "
+                lines.append(branch + label(self.nodes[child]))
         return "\n".join(lines)
 
 
@@ -146,141 +126,58 @@ def plan_batch(
     """Plan the cheapest derivation of ``specs`` from ``source``.
 
     ``cache``/``fingerprint`` (both optional) bring the cache's
-    resident orders for this source in as candidate parents.  The
-    returned plan's :attr:`~DerivationPlan.order` lists requested
-    nodes parents-first, ready for :func:`~repro.plan.execute_plan`.
+    resident orders for this source in as candidate parents — unless
+    ``source`` is ordered without codes, where a solo ``Sort`` would not
+    consult the cache either.  The returned plan's
+    :attr:`~DerivationPlan.order` is ready for
+    :func:`~repro.plan.execute_plan`.
     """
-    n = len(source.rows)
-    deduped = list(dict.fromkeys(specs))
-
     nodes = [PlanNode(0, source.sort_spec, "source", False)]
-    offset_counts: dict[int, tuple | None] = {0: None}
-    if source.sort_spec is not None and source.ovcs is not None:
-        offset_counts[0] = _offset_counts(source.ovcs, source.sort_spec.arity)
-    if cache is not None and fingerprint is not None:
-        for cand in cache.candidates(fingerprint):
-            if source.sort_spec is not None and cand.spec == source.sort_spec:
-                continue
-            idx = len(nodes)
-            nodes.append(PlanNode(idx, cand.spec, "cached", False))
-            offset_counts[idx] = cand.offset_counts
-    spec_nodes: dict[SortSpec, int] = {}
-    for spec in deduped:
-        idx = len(nodes)
-        nodes.append(PlanNode(idx, spec, "requested", True))
-        spec_nodes[spec] = idx
+    candidates = []
+    if (
+        cache is not None
+        and fingerprint is not None
+        and (source.sort_spec is None or source.ovcs is not None)
+    ):
+        candidates = cache.candidates(fingerprint)
+    node_of = {}
+    for cand in candidates:
+        node_of[id(cand)] = len(nodes)
+        nodes.append(PlanNode(len(nodes), cand.spec, "cached", False))
+    counts = _source_counts(source)
 
-    estimator: CardinalityEstimator | None = None
-
-    def _distinct(names: tuple) -> int:
-        nonlocal estimator
-        if estimator is None:
-            estimator = _table_estimator(source)
-        return estimator.distinct(names)
-
-    def _pair_cost(u: int, child_spec: SortSpec) -> float:
-        parent_spec = nodes[u].spec
-        if parent_spec is None:
-            return CostModel(n, 1, 1).full_sort().total
-        mplan = analyze_order_modification(parent_spec, child_spec)
-        if mplan.strategy is Strategy.NOOP:
-            return 0.0
-        counts = offset_counts.get(u)
-        if counts is not None:
-            segs, runs = counts_to_structure(
-                counts, mplan.prefix_len, mplan.infix_len
-            )
-        else:
-            names = mplan.input_spec.names
-            segs = _distinct(names[: mplan.prefix_len])
-            runs = max(
-                segs, _distinct(names[: mplan.prefix_len + mplan.infix_len])
-            )
-        model = CostModel(n, segs, runs)
-        if mplan.strategy is Strategy.FULL_SORT:
-            return model.full_sort().total
-        return model.modify_from(mplan).total
-
-    root = len(nodes)
-    edges: list[tuple[int, int, float]] = []
-    true_cost: dict[tuple[int, int], float] = {}
-    for node in nodes:
-        if not node.requested:
-            edges.append((root, node.index, 0.0))
-    for node in nodes:
-        if not node.requested:
-            continue
-        v = node.index
-        for parent in nodes:
-            u = parent.index
-            if u == v:
-                continue
-            w = _pair_cost(u, node.spec)
-            true_cost[(u, v)] = w
-            # Bias selection toward the source parent on near-ties —
-            # same philosophy as the dispatcher's WIN_MARGIN: a cached
-            # or planned parent must *clearly* beat deriving from the
-            # source before we stake the request's latency on it.
-            edges.append((u, v, w if u == 0 else w / WIN_MARGIN))
-        node.baseline_cost = true_cost[(0, v)]
-
-    chosen = minimum_arborescence(len(nodes) + 1, root, edges)
-    for node in nodes:
-        if not node.requested:
-            continue
-        parent = chosen[node.index][0]
-        node.parent = parent
-        node.edge_cost = true_cost[(parent, node.index)]
-        node.strategy = _strategy_label(nodes[parent], node)
-
-    children: dict[int, list[int]] = {}
-    ready: list[int] = []
-    for node in nodes:
-        if not node.requested:
-            continue
-        if nodes[node.parent].requested:
-            children.setdefault(node.parent, []).append(node.index)
-        else:
-            ready.append(node.index)
     order: list[int] = []
-    while ready:
-        idx = ready.pop(0)
+    spec_nodes: dict[SortSpec, int] = {}
+    for spec in dict.fromkeys(specs):
+        idx = len(nodes)
+        node = PlanNode(idx, spec, "requested", True)
+        if source.sort_spec is not None and source.sort_spec.satisfies(spec):
+            # A solo Sort passes through before it asks the cache.
+            node.parent, node.strategy = 0, "passthrough"
+        else:
+            best, node.edge_cost, node.baseline_cost = _cheapest_parent(
+                source, spec, candidates, counts
+            )
+            node.parent = 0 if best is None else node_of[id(best)]
+            node.strategy = _strategy_label(nodes[node.parent], spec)
+        nodes.append(node)
         order.append(idx)
-        ready.extend(children.get(idx, []))
+        spec_nodes[spec] = idx
 
     return DerivationPlan(
         nodes=nodes,
         source_index=0,
         order=order,
-        n_rows=n,
-        est_independent=sum(x.baseline_cost for x in nodes if x.requested),
-        est_planned=sum(x.edge_cost for x in nodes if x.requested),
+        n_rows=len(source.rows),
+        est_independent=sum(nodes[i].baseline_cost for i in order),
+        est_planned=sum(nodes[i].edge_cost for i in order),
         spec_nodes=spec_nodes,
     )
 
 
-def _table_estimator(source: Table) -> CardinalityEstimator:
-    """``source``'s estimator, remembered on the table while its rows stand.
-
-    Built over the memo record's own row snapshot, so the estimates are
-    always consistent with the witness that revalidates them; two
-    threads racing here build equal estimators and either may win.
-    """
-    facts = source._facts()
-    if facts.cardinality is None:
-        facts.cardinality = CardinalityEstimator(facts.rows, facts.schema)
-    return facts.cardinality
-
-
-def _strategy_label(parent: PlanNode, node: PlanNode) -> str:
+def _strategy_label(parent: PlanNode, spec: SortSpec) -> str:
     if parent.kind == "source":
-        if parent.spec is None:
-            return "full-sort"
-        if parent.spec.satisfies(node.spec):
-            return "passthrough"
-        return "modify"
-    if parent.kind == "cached":
-        if parent.spec == node.spec:
-            return "cache-hit"
-        return "modify-from-cache"
-    return "derive"
+        return "full-sort" if parent.spec is None else "modify"
+    if parent.spec == spec:
+        return "cache-hit"
+    return "modify-from-cache"

@@ -117,10 +117,10 @@ class Query:
         :class:`~repro.model.SortSpec`, a column-name string, or an
         iterable of columns).  This is a *terminal*: the plan runs
         once, and the batch derivation planner (:mod:`repro.plan`)
-        derives each order from its cheapest parent — the
-        materialized result, a cache-resident order when
-        ``config.cache`` is on, or one of the other requested orders
-        — instead of sorting from scratch N times.  Returns one
+        derives each order from its cheapest materialized parent —
+        the query's result, or a cache-resident order when
+        ``config.cache`` is on — exactly as ``.order_by(...)`` would
+        have chosen it.  Returns one
         :class:`~repro.model.Table` per target, in request order,
         each bit-identical (rows and codes) to what
         ``.order_by(...)`` would have produced; derivation counters
@@ -140,7 +140,6 @@ class Query:
                 LOG.event(
                     "plan.order_by_many",
                     orders=len(result.specs),
-                    sibling_edges=result.plan.sibling_edges(),
                     est_speedup=round(
                         min(result.plan.est_speedup, 1e6), 3
                     ),

@@ -27,12 +27,14 @@ One in-process service owns the workload-level concerns that a solo
 * **Micro-batch planning** — with ``config.plan_window_ms`` set, a
   scheduler thread holds its first request while more keep arriving —
   the window is an upper bound, closed early by one wait of an eighth
-  of it that brings nothing — and hands same-source groups of
-  *distinct-but-related* orders to the batch derivation planner
-  (:mod:`repro.plan`) as one shared derivation tree.  Each request is
-  answered the moment its own order is derived, not when the batch is
-  done; a batch that fails part-way re-runs solo only what it had not
-  yet answered.  Rows and codes stay bit-identical per request.
+  of it that brings nothing — and hands same-source groups of distinct
+  orders to the batch derivation planner (:mod:`repro.plan`), which
+  plans the group once and derives each order from its cheapest
+  materialized parent (the source or a cached order), by the rule a
+  solo request follows.  Each request is answered the moment its own
+  order is derived, not when the batch is done; a batch that fails
+  part-way re-runs solo only what it had not yet answered.  Rows and
+  codes stay bit-identical per request.
 
 Executions run on ``config.service_threads`` scheduler threads, each
 through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
@@ -435,7 +437,7 @@ class OrderService:
 
     def _execute_batch(self, entries: list, held_ms: float) -> None:
         """Execute one drained micro-batch: same-source groups of two
-        or more go through the derivation planner as one shared tree,
+        or more go through the derivation planner as one batch,
         everything else takes the ordinary solo path."""
         groups: dict[tuple, list] = {}
         for entry in entries:
@@ -525,7 +527,6 @@ class OrderService:
             LOG.event(
                 "serve.batch",
                 orders=len(live),
-                sibling_edges=result.plan.sibling_edges(),
                 est_speedup=round(min(result.plan.est_speedup, 1e6), 3),
                 fallbacks=result.fallbacks,
                 held_ms=round(held_ms, 3),

@@ -145,7 +145,8 @@ def _via_sort(source, spec, cfg):
 
 
 def _via_derive_batch(source, spec, cfg):
-    # The sibling prefix order gives the planner something to share.
+    # Two orders in one batch; with the cache on, the second round is
+    # answered from the entries the first installed.
     return derive_batch(source, [spec, spec.prefix(2)], config=cfg).tables()
 
 

@@ -14,7 +14,11 @@ import threading
 
 import pytest
 
-from repro import ExecutionConfig, Schema, SortSpec, Table, modify_sort_order
+from repro import (
+    ExecutionConfig, Query, Schema, SortSpec, Table, modify_sort_order,
+)
+from repro.fastpath import packed
+from repro.fastpath.packed import column_field
 from repro.ovc.derive import derive_ovcs
 
 SCHEMA = Schema.of("A", "B", "C")
@@ -82,6 +86,33 @@ def test_equal_rows_keep_the_fields():
     _assert_oracle(table, "CBA")
     assert table._facts().fields is remembered
     assert sorted(remembered) == [0, 1, 2]
+
+
+def test_full_sorts_of_one_unordered_table_build_fields_once(monkeypatch):
+    built = []
+
+    def counting(values):
+        built.append(len(values))
+        return column_field(values)
+
+    monkeypatch.setattr(packed, "column_field", counting)
+    table = Table(SCHEMA, _rows())
+    spec = SortSpec.of("C", "A", "B")
+
+    def full_sort():
+        got = Query(table).order_by(*spec.names, config=FAST).to_table()
+        rows = sorted(table.rows, key=spec.key_for(SCHEMA))
+        assert got.rows == rows
+        assert got.ovcs == derive_ovcs(rows, spec.positions(SCHEMA))
+
+    full_sort()
+    assert len(built) == 3
+    full_sort()
+    full_sort()
+    assert len(built) == 3  # the table's remembered fields
+    _edit_in_place(table)
+    full_sort()
+    assert len(built) == 6
 
 
 def test_two_threads_on_one_cold_table_agree_with_the_oracle():

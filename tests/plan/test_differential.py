@@ -2,7 +2,7 @@
 
 The planner's whole contract is bit-identity — every node's rows and
 codes must match what an independent ``Sort`` of the same order would
-produce, whatever parent the arborescence picked.  Hypothesis drives
+produce, whatever parent the planner picked.  Hypothesis drives
 random tables (tiny domains, so duplicate groups and full-key ties are
 dense), random order batches drawn from permutations and prefixes,
 both engines, ordered and unordered sources.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
-from repro.plan import derive_batch
+from repro.plan import derive_batch, plan_batch
 
 SCHEMA = Schema.of("A", "B", "C")
 
@@ -115,5 +115,39 @@ def test_batch_with_cache_enabled(rows, specs):
             node = result.result_for(spec)
             assert node.table.rows == ref_table.rows, spec
             assert node.table.ovcs == ref_table.ovcs, spec
+    finally:
+        reset_cache()
+
+
+@given(rows_st, batch_st, st.lists(st.sampled_from(ORDER_POOL), max_size=3),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_no_plan_has_a_requested_parent(rows, specs, cached, ordered):
+    """Every parent is materialized — the source or a cached order — and
+    each order's is the one it would get planned alone."""
+    from repro.cache import configure_cache, fingerprint_table, reset_cache
+
+    cache = configure_cache(budget=1 << 22)
+    try:
+        cfg = ExecutionConfig(cache="on")
+        source = Table(SCHEMA, rows, None, None)
+        if ordered:
+            source = Sort(
+                TableScan(source), SortSpec.of("A", "B", "C"), config=cfg
+            ).to_table()
+        for spec in cached:
+            Sort(TableScan(source), spec, config=cfg).to_table()
+        fp = fingerprint_table(source)
+        plan = plan_batch(source, specs, cache=cache, fingerprint=fp)
+        assert plan.sibling_edges() == 0
+        for idx in plan.order:
+            node = plan.nodes[idx]
+            parent = plan.nodes[node.parent]
+            assert parent.kind in ("source", "cached") and not parent.requested
+            alone = plan_batch(
+                source, [node.spec], cache=cache, fingerprint=fp
+            )
+            single = alone.nodes[alone.nodes[alone.order[0]].parent]
+            assert (single.kind, single.spec) == (parent.kind, parent.spec)
     finally:
         reset_cache()

@@ -65,46 +65,32 @@ def test_duplicate_orders_share_one_node():
     assert tables[0] is tables[1]
 
 
-def test_unordered_source_full_sorts_once_then_derives():
+def test_unordered_source_full_sorts_every_order():
     table = random_table(SCHEMA, 500, domains=DOMAINS, seed=5)
     specs = [SortSpec.of("A", "B", "C", "D"), SortSpec.of("B", "C", "D", "A")]
     result = derive_batch(table, specs, config=CFG)
-    labels = {result.result_for(s).label for s in specs}
-    assert "full-sort" in labels
     for spec in specs:
         ref_table, _ = _solo(table, spec)
         node = result.result_for(spec)
+        assert node.label == "full-sort"
         assert node.table.rows == ref_table.rows
         assert node.table.ovcs == ref_table.ovcs
 
 
 def test_on_node_gets_each_result_parents_first():
+    """Every parent is materialized before the batch starts, so the
+    callback sees the orders in request order."""
     source = _sorted_source(900, seed=2)
     seen = []
     result = derive_batch(source, ORDERS, config=CFG, on_node=seen.append)
-    assert result.plan.sibling_edges() >= 1
+    assert all(
+        not result.plan.nodes[result.plan.nodes[idx].parent].requested
+        for idx in result.plan.order
+    )
+    assert [node.spec for node in seen] == ORDERS
     assert [node.index for node in seen] == result.plan.order
     for node in seen:
         assert result.results[node.index] is node
-
-
-def test_published_parent_may_be_scribbled_on_mid_batch():
-    """Once ``on_node`` has a node, its lists are the callee's: later
-    nodes derive from the executor's own copy."""
-    source = _sorted_source(900, seed=2)
-    want = {spec: _solo(source, spec)[0] for spec in ORDERS}
-    got = {}
-
-    def _take(node):
-        got[node.spec] = (node.table.rows[:], node.table.ovcs[:])
-        node.table.rows.reverse()
-        node.table.ovcs.clear()
-
-    result = derive_batch(source, ORDERS, config=CFG, on_node=_take)
-    assert result.plan.sibling_edges() >= 1
-    assert result.fallbacks == 0  # not rescued by re-deriving from the source
-    for spec in ORDERS:
-        assert got[spec] == (want[spec].rows, want[spec].ovcs), spec
 
 
 def test_on_node_error_stops_the_batch():
@@ -195,13 +181,10 @@ def test_evicted_parent_falls_back_to_source():
 def test_metrics_counters_published():
     METRICS.enable(clear=True)
     source = _sorted_source(300)
-    result = derive_batch(source, ORDERS[:2], config=CFG)
+    derive_batch(source, ORDERS[:2], config=CFG)
     snap = METRICS.as_dict()
     assert snap["counters"]["plan.batches"] == 1
     assert snap["counters"]["plan.nodes"] == 2
-    assert snap["counters"]["plan.sibling_derivations"] == (
-        result.plan.sibling_edges()
-    )
     assert snap["histograms"]["plan.batch_size"]["count"] == 1
 
 
