@@ -3,9 +3,11 @@
 Several clients want different sort orders of the same table.  The
 batch planner prices, for each order, everything that already exists
 for those rows — the table's own order and any order the cache holds —
-and derives the order from the cheapest of them, exactly as a solo
-``Sort`` would have: same parent, same label, bit-identical rows and
-codes.
+and predicts the cheapest parent by the rule a solo ``Sort`` follows.
+``derive_batch`` then runs every order through that very ``Sort``, so
+each answer has the solo run's path, label, rows and codes; an order
+whose ``Sort`` took another path than predicted is flagged
+``fallback``.
 
 Run:  PYTHONPATH=src python examples/order_plan.py
 """
@@ -57,12 +59,13 @@ def main() -> None:
     print(plan.explain())
     print()
 
-    # --- 2. plan + execute in one call ------------------------------
+    # --- 2. plan + run every order through Sort ---------------------
     result = derive_batch(source, ORDERS, config=cfg)
     for spec in ORDERS:
         node = result.result_for(spec)
         print(f"{','.join(spec.names):24s} via {node.label:40s} "
               f"{node.stats_delta.row_comparisons:>8,} row comparisons")
+    assert result.fallbacks == 0  # every order ran as planned
 
     # Every output is bit-identical to an independent, uncached run.
     solo = cfg.with_(cache="off")

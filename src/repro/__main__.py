@@ -551,9 +551,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="MS",
         default=None,
         help="order-service micro-batch window: drain the admission"
-        " queue at most this long (less when arrivals stop) and plan"
-        " each same-source group once, every order from its cheapest"
-        " materialized parent (default: off)",
+        " queue at most this long (less when arrivals stop), then run"
+        " every drained request as a solo one (default: off)",
     )
     parser.add_argument(
         "--load",

@@ -122,10 +122,10 @@ def run_serve_trajectory(
             with OrderService(cfg.with_(cache="off")) as bare:
                 fidelity_problems += verify_fidelity(bare, table, orders)
         # Batched phase: the same load through the micro-batching
-        # planner path against a fresh cache, for latency deltas.
-        # Rows and codes stay bit-identical; counters describe the
-        # (cheaper) derivation work, so check_stats stays off — the
-        # same contract as the warm-cache path above.
+        # window against a fresh cache, for latency deltas.  Rows and
+        # codes stay bit-identical; with the cache on, counters are
+        # replays of the installing execution, so check_stats stays
+        # off — the same contract as the warm-cache path above.
         if cfg.cache != "off":
             reset_cache()
             configure_cache(budget=cfg.cache_budget, ttl=cfg.cache_ttl)

@@ -49,8 +49,9 @@ from .store import CachedOrder, OrderCache, _offset_counts, _perm_of
 
 #: A cached candidate must beat the uncached baseline estimate by this
 #: factor before the dispatcher prefers it.  Tuned on reference-engine
-#: timings; unchanged pending ROADMAP item 3 (re-pricing the dispatcher
-#: on the fast kernels).
+#: timings; unchanged pending the modify-from-cache verdict (ROADMAP
+#: item 4), which either deletes the modify-from-cache path or prices it
+#: from measured fast-kernel costs.
 WIN_MARGIN = 0.9
 
 
@@ -256,10 +257,8 @@ def _modify_from(
         return None
     if METRICS.enabled:
         METRICS.counter("cache.modify_serves").inc()
-    cache.install(
-        fp, spec, result.rows, result.ovcs, stats - before,
-        replayable=False, perm=perm,
-    )
+    cache.install(fp, spec, result.rows, result.ovcs, stats - before,
+                  perm=perm)
     return result
 
 
@@ -292,7 +291,6 @@ def install_result(
     spec: SortSpec,
     table: Table,
     stats_delta: ComparisonStats,
-    replayable: bool = True,
     perm: list[int] | None = None,
 ) -> bool:
     """Register a cold execution's output (must carry codes).
@@ -303,8 +301,7 @@ def install_result(
     if table.ovcs is None:
         return False
     return cache.install(
-        fp, spec, table.rows, table.ovcs, stats_delta,
-        replayable=replayable, perm=perm,
+        fp, spec, table.rows, table.ovcs, stats_delta, perm=perm
     )
 
 

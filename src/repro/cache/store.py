@@ -91,10 +91,7 @@ class CachedOrder:
     ``offset_counts[k]`` is the number of codes with offset exactly
     ``k`` (length ``arity + 1``), from which the dispatcher derives
     segment and run counts without rescanning.  ``stats_delta`` is the
-    comparison work the producing execution spent; ``replayable`` marks
-    entries whose producing execution was identical to what an uncached
-    ``Sort`` would have run, i.e. whose delta can be replayed for exact
-    count parity with ``cache=off``.
+    comparison work the producing execution spent.
     """
 
     spec: SortSpec
@@ -103,7 +100,6 @@ class CachedOrder:
     perm: array | None
     stats_delta: ComparisonStats
     offset_counts: tuple
-    replayable: bool
     #: ``memo`` | ``flat`` | ``spilled`` — what the read found.
     state: str
     #: Bytes the entry had charged to the budget at that moment.
@@ -118,13 +114,13 @@ class _Entry:
 
     __slots__ = (
         "key", "spec", "perm", "offsets", "values", "rows", "ovcs",
-        "stats_delta", "offset_counts", "replayable", "flat_bytes",
-        "memo_bytes", "built_at", "handle",
+        "stats_delta", "offset_counts", "flat_bytes", "memo_bytes",
+        "built_at", "handle",
     )
 
     def __init__(self, key, spec, perm, offsets, values, rows, ovcs,
-                 stats_delta, offset_counts, replayable, flat_bytes,
-                 memo_bytes, built_at) -> None:
+                 stats_delta, offset_counts, flat_bytes, memo_bytes,
+                 built_at) -> None:
         self.key = key
         self.spec = spec
         #: The flat form (``None`` while spilled); never mutated.
@@ -136,7 +132,6 @@ class _Entry:
         self.ovcs = ovcs
         self.stats_delta = stats_delta
         self.offset_counts = offset_counts
-        self.replayable = replayable
         self.flat_bytes = flat_bytes
         self.memo_bytes = memo_bytes
         self.built_at = built_at
@@ -160,7 +155,7 @@ class _Entry:
     def snapshot(self) -> CachedOrder:
         return CachedOrder(
             self.spec, self.rows, self.ovcs, self.perm, self.stats_delta,
-            self.offset_counts, self.replayable, self.state, self.charged,
+            self.offset_counts, self.state, self.charged,
         )
 
 
@@ -453,7 +448,6 @@ class OrderCache:
         rows: list,
         ovcs: list,
         stats_delta: ComparisonStats,
-        replayable: bool = True,
         perm=None,
     ) -> bool:
         """Insert (or refresh) the sorted output for ``(fp, spec)``.
@@ -500,8 +494,8 @@ class OrderCache:
                 self._drop(old, "evicted")
             entry = _Entry(
                 fp.source_key, spec, perm, offsets, values, rows, ovcs,
-                stats_delta.snapshot(), counts, replayable, flat_bytes,
-                memo_bytes, now,
+                stats_delta.snapshot(), counts, flat_bytes, memo_bytes,
+                now,
             )
             self._entries[key] = entry
             self._lru[entry] = self._memos[entry] = self._flats[entry] = None

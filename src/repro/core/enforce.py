@@ -6,9 +6,9 @@ already satisfies the request, :func:`~repro.core.modify.
 modify_sort_order` when it is ordered otherwise, a full sort when it is
 unordered — and on which engine (:func:`~repro.core.modify.
 resolve_engine`, with ``auto``'s reference fallback on the key packer's
-``TypeError``).  The ``Sort`` operator, the batch planner's executor
-and the cache dispatcher all enforce orders through here, so none of
-them chooses an engine or a sort routine itself.
+``TypeError``).  The ``Sort`` operator and the cache dispatcher enforce
+orders through here (the batch planner and the service run ``Sort``),
+so none of them chooses an engine or a sort routine itself.
 """
 
 from __future__ import annotations

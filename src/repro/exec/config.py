@@ -134,13 +134,11 @@ class ExecutionConfig:
         deadline); requests that cannot be answered in time fail with
         :class:`~repro.serve.DeadlineExceededError`.
     plan_window_ms:
-        Micro-batch window of the serving layer's derivation planner
-        (:mod:`repro.plan`): after picking up a request, a scheduler
-        thread keeps draining the admission queue for at most this
-        many milliseconds — less when arrivals stop: one wait of an
-        eighth of the window without an arrival closes it — and plans
-        each same-source group once, every order derived from its
-        cheapest materialized parent (the source or a cached order).
+        Micro-batch window of the serving layer: after picking up a
+        request, a scheduler thread keeps draining the admission queue
+        for at most this many milliseconds — less when arrivals stop:
+        one wait of an eighth of the window without an arrival closes
+        it — and then runs every drained request as a solo one.
         ``None``
         (default) disables batching — every request executes
         independently on arrival.

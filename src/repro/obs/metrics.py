@@ -47,9 +47,9 @@ drift).  Counters:
 * ``log.events`` — structured-log lines emitted.
 * ``merge.degraded_merges`` — merges that fell back to column compares.
 * ``plan.batches`` / ``plan.nodes`` — batch derivation-planner runs
-  and orders they produced; ``plan.fallbacks`` — planned parents
-  that were unusable at execution (evicted entry, kernel type error)
-  and re-derived from the source.
+  and orders they produced; ``plan.fallbacks`` — orders whose
+  executing ``Sort`` took another strategy than the planned one (a
+  planned cached parent evicted before its turn).
 * ``profile.samples`` — stacks collected by the sampling profiler.
 * ``serve.requests`` / ``serve.executions`` /
   ``serve.coalesced_requests`` — order-service traffic (requests
@@ -59,8 +59,8 @@ drift).  Counters:
   missed their deadline (queued-expired or waited-too-long);
   ``serve.errors`` — executions that failed;
   ``serve.planned_requests`` / ``serve.planned_batches`` — requests
-  answered through the micro-batch derivation planner and the
-  batches formed; ``serve.normalized_orders`` — submitted orders
+  drained in same-source micro-batch groups of two or more, and the
+  groups; ``serve.normalized_orders`` — submitted orders
   truncated to their row-unique prefix.
 * ``server.requests`` / ``server.errors`` — telemetry-endpoint traffic.
 * ``slowlog.entries`` — slow-query captures.

@@ -1,29 +1,14 @@
-"""Execute a :class:`~repro.plan.planner.DerivationPlan`.
+"""Run a batch of orders: plan it once, then ``Sort`` every order.
 
-Each requested node runs exactly the machinery a solo
-``Sort(TableScan(source), spec)`` would have used for its chosen
-parent — :func:`repro.core.enforce.enforce_order` from the source (which
-also owns the engine choice), an exact cache hit, or the cache
-dispatcher's modify-from-cache path (:func:`~repro.cache.dispatch.
-_modify_from`, re-tie-broken against the source's arrival order) — so
-rows and codes are bit-identical to per-request execution by
-construction.
-
-Counters are per-node deltas describing the work actually performed
-— comparison counts under ``engine="reference"``, zeros when the
-packed-code kernels ran: a node derived straight from the source
-reports exactly what the solo execution would have, a node derived
-from a cached order reports its (cheaper) modification work — the same
-accounting the cache's modify-from-cache serves already use.
-
-Nodes run one after another in the calling thread, in request order;
-under the interpreter lock a thread pool bought nothing here.  Each
-finished node is handed to the caller's ``on_node`` callback before the
-next one starts, so a server can answer the first order of a batch
-while the last is still being derived; no node reads another's result,
-so what the callback does with its lists is its own business.  A
-mispredicted parent (evicted cache entry, kernel type error) falls back
-to deriving from the source, never failing the batch.
+:func:`plan_batch` is the batch's *prediction* — every order's cheapest
+materialized parent by the cache dispatcher's own rule, for EXPLAIN,
+the ``plan.*`` telemetry and the cost accounting.  Execution owns no
+path of its own: each deduplicated order is materialized by
+``Sort(TableScan(source), spec, config=cfg).to_table()``, in request
+order, so its rows, codes, counters, cache traffic and label are a solo
+request's by construction.  An order whose executed strategy differs
+from the planned one (a planned cached parent was evicted first, say)
+is flagged :attr:`NodeResult.fallback`.
 """
 
 from __future__ import annotations
@@ -31,28 +16,28 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _modify_from, _names
+from ..cache.dispatch import _names
 from ..cache.fingerprint import fingerprint_table
-from ..core.enforce import enforce_order
+from ..engine.scans import TableScan
+from ..engine.sort_op import Sort
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
-from .planner import DerivationPlan, plan_batch
+from .planner import DerivationPlan, PlanNode, plan_batch
 
 
 @dataclass
 class NodeResult:
-    """One executed node: the order, its table, and its accounting."""
+    """One executed order: its table and its accounting."""
 
     index: int
     spec: SortSpec
     table: Table
-    #: Same vocabulary as ``Sort.order_strategy``.
+    #: The executing ``Sort``'s ``order_strategy``.
     label: str
     stats_delta: ComparisonStats
-    #: True when the planned parent was unusable and the node was
-    #: re-derived from the source.
+    #: True when the executed strategy is not the planned one.
     fallback: bool = False
 
 
@@ -79,93 +64,18 @@ class BatchResult:
         return sum(1 for r in self.results.values() if r.fallback)
 
 
-def execute_plan(
-    plan: DerivationPlan,
-    source: Table,
-    *,
-    cache=None,
-    fp=None,
-    config: ExecutionConfig | None = None,
-    on_node=None,
-) -> dict[int, NodeResult]:
-    """Materialize every requested node of ``plan``; see module docs.
-
-    ``on_node(result)`` is called with each :class:`NodeResult` as soon
-    as it exists; an exception it raises propagates like a kernel's.
-    """
-    cfg = config if config is not None else ExecutionConfig.default()
-    results: dict[int, NodeResult] = {}
-    caching = cache is not None and fp is not None
-
-    def _from_source(node, delta, fallback=False) -> NodeResult:
-        spec = node.spec
-        if fallback:
-            delta.reset()
-            if LOG.enabled:
-                LOG.event(
-                    "plan.fallback", order=_names(spec),
-                    planned=node.strategy,
-                )
-        done = enforce_order(
-            source, spec, stats=delta, config=cfg, want_perm=caching
-        )
-        table = done.table
-        if caching and done.executed != "passthrough" and table.ovcs is not None:
-            # ``table`` goes out in the response; the cache keeps its own
-            # lists.
-            cache.install(
-                fp, spec, table.rows[:], table.ovcs[:], delta,
-                replayable=True, perm=done.perm,
-            )
-        return NodeResult(node.index, spec, table, done.strategy, delta,
-                          fallback)
-
-    def _run(node) -> NodeResult:
-        spec = node.spec
-        delta = ComparisonStats()
-        parent = plan.nodes[node.parent]
-        if parent.kind == "source":
-            return _from_source(node, delta)
-        if parent.spec == spec:
-            hit = cache.lookup(fp, spec) if cache is not None else None
-            if hit is None:
-                return _from_source(node, delta, fallback=True)
-            delta.merge(hit.stats_delta)
-            table = Table(source.schema, hit.rows[:], spec, hit.ovcs[:])
-            return NodeResult(node.index, spec, table,
-                              f"cache-hit({_names(spec)})", delta)
-        entry = cache.fetch(fp, parent.spec) if cache is not None else None
-        served = None if entry is None else _modify_from(
-            cache, fp, source, entry, spec, delta, cfg
-        )
-        if served is None:
-            return _from_source(node, delta, fallback=True)
-        # ``served`` holds the lists the cache just installed.
-        table = Table(source.schema, served.rows[:], spec, served.ovcs[:])
-        return NodeResult(node.index, spec, table,
-                          f"modify-from-cache({_names(parent.spec)})", delta)
-
-    for idx in plan.order:
-        done = results[idx] = _run(plan.nodes[idx])
-        if on_node is not None:
-            on_node(done)
-    return results
-
-
 def derive_batch(
     source: Table,
     orders,
     *,
     config: ExecutionConfig | None = None,
-    on_node=None,
 ) -> BatchResult:
     """Plan and execute a batch of target orders over ``source``.
 
     ``orders`` accepts the same shapes as ``Query.order_by`` targets:
     :class:`SortSpec`, a column-name string, or an iterable of columns.
     Returns a :class:`BatchResult`; per-order tables come back in
-    request order from :meth:`BatchResult.tables`.  ``on_node`` is
-    :func:`execute_plan`'s per-node completion callback.
+    request order from :meth:`BatchResult.tables`.
     """
     cfg = config if config is not None else ExecutionConfig.default()
     specs = [_coerce(o) for o in orders]
@@ -176,8 +86,7 @@ def derive_batch(
     if not specs:
         return result
 
-    cache = None
-    fp = None
+    cache = fp = None
     if cfg.cache != "off":
         from ..cache import resolve_cache
 
@@ -191,9 +100,15 @@ def derive_batch(
     )
     planned = time.perf_counter()
     try:
-        results = execute_plan(
-            plan, source, cache=cache, fp=fp, config=cfg, on_node=on_node
-        )
+        for idx in plan.order:
+            node = plan.nodes[idx]
+            op = Sort(TableScan(source), node.spec, config=cfg)
+            table = op.to_table()
+            result.results[idx] = NodeResult(
+                idx, node.spec, table, op.order_strategy, op.stats,
+                op.order_strategy != _planned_label(plan, node),
+            )
+            result.stats.merge(op.stats)
     finally:
         if LOG.enabled:
             LOG.event(
@@ -209,12 +124,9 @@ def derive_batch(
                 ),
             )
     result.plan = plan
-    result.results = results
-    for node_result in results.values():
-        result.stats.merge(node_result.stats_delta)
     if METRICS.enabled:
         METRICS.counter("plan.batches").inc()
-        METRICS.counter("plan.nodes").inc(len(results))
+        METRICS.counter("plan.nodes").inc(len(result.results))
         if result.fallbacks:
             METRICS.counter("plan.fallbacks").inc(result.fallbacks)
         METRICS.histogram("plan.batch_size").observe(len(plan.order))
@@ -222,6 +134,13 @@ def derive_batch(
             min(plan.est_speedup, 1e6)
         )
     return result
+
+
+def _planned_label(plan: DerivationPlan, node: PlanNode) -> str:
+    """The ``Sort.order_strategy`` the plan predicts for ``node``."""
+    if node.strategy in ("passthrough", "full-sort"):
+        return node.strategy
+    return f"{node.strategy}({_names(plan.nodes[node.parent].spec)})"
 
 
 def _coerce(order) -> SortSpec:

@@ -128,9 +128,9 @@ def plan_batch(
     ``cache``/``fingerprint`` (both optional) bring the cache's
     resident orders for this source in as candidate parents — unless
     ``source`` is ordered without codes, where a solo ``Sort`` would not
-    consult the cache either.  The returned plan's
-    :attr:`~DerivationPlan.order` is ready for
-    :func:`~repro.plan.execute_plan`.
+    consult the cache either.  A node's ``strategy`` and parent predict
+    the ``Sort.order_strategy`` that :func:`~repro.plan.derive_batch`
+    will execute it with.
     """
     nodes = [PlanNode(0, source.sort_spec, "source", False)]
     candidates = []

@@ -116,11 +116,10 @@ class Query:
         ``orders`` is a sequence of targets (each a
         :class:`~repro.model.SortSpec`, a column-name string, or an
         iterable of columns).  This is a *terminal*: the plan runs
-        once, and the batch derivation planner (:mod:`repro.plan`)
-        derives each order from its cheapest materialized parent —
-        the query's result, or a cache-resident order when
-        ``config.cache`` is on — exactly as ``.order_by(...)`` would
-        have chosen it.  Returns one
+        once, and :func:`repro.plan.derive_batch` runs every order
+        through the ``Sort`` that ``.order_by(...)`` would have used
+        over the query's result (consulting the order cache when
+        ``config.cache`` is on).  Returns one
         :class:`~repro.model.Table` per target, in request order,
         each bit-identical (rows and codes) to what
         ``.order_by(...)`` would have produced; derivation counters

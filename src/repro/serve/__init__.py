@@ -28,10 +28,9 @@ driver behind ``serve --load``).
 
 With ``ExecutionConfig.plan_window_ms`` set, scheduler threads drain
 the queue in micro-batches (held while arrivals keep coming, for the
-window at most) and execute same-source groups as one planned batch
-through :mod:`repro.plan` — each order derived from its cheapest
-materialized parent, as a solo request would be — answering each
-request as soon as its order is derived.
+window at most) and run each drained request exactly as a solo one,
+answering it as soon as its order is derived; a same-source group of
+two or more counts as one ``planned_batches``.
 """
 
 from .errors import (

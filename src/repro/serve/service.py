@@ -24,22 +24,20 @@ One in-process service owns the workload-level concerns that a solo
   shortest row-unique prefix (:mod:`repro.serve.normalize`), so
   trivially equivalent targets (trailing keys implied by a unique
   prefix) coalesce instead of executing separately.
-* **Micro-batch planning** — with ``config.plan_window_ms`` set, a
-  scheduler thread holds its first request while more keep arriving —
-  the window is an upper bound, closed early by one wait of an eighth
-  of it that brings nothing — and hands same-source groups of distinct
-  orders to the batch derivation planner (:mod:`repro.plan`), which
-  plans the group once and derives each order from its cheapest
-  materialized parent (the source or a cached order), by the rule a
-  solo request follows.  Each request is answered the moment its own
-  order is derived, not when the batch is done; a batch that fails
-  part-way re-runs solo only what it had not yet answered.  Rows and
-  codes stay bit-identical per request.
+* **Micro-batching** — with ``config.plan_window_ms`` set, a scheduler
+  thread holds its first request while more keep arriving — the window
+  is an upper bound, closed early by one wait of an eighth of it that
+  brings nothing — and then runs what it drained one request after
+  another, each exactly as a solo request (a same-source group of two
+  or more counts as one ``planned_batches``).  Each request is answered
+  the moment its own order is derived, and a failing order fails only
+  its own waiters.
 
 Executions run on ``config.service_threads`` scheduler threads, each
 through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
 the service's :class:`~repro.exec.ExecutionConfig` — which means the
-order cache (``config.cache``), governance, and all telemetry engage exactly as they would for a direct call.  Queue and
+order cache (``config.cache``) and all telemetry engage exactly as they
+would for a direct call.  Queue and
 in-flight source buffers are charged to the service's
 :class:`~repro.exec.memory.MemoryAccountant` under the
 ``serve.inflight`` category.
@@ -299,8 +297,8 @@ class OrderService:
         """Admit one order request; returns a :class:`Ticket`.
 
         ``order`` is a :class:`~repro.model.SortSpec` or column names.
-        Duplicate in-flight requests (same row multiset, same
-        arrangement, same target order) coalesce onto one execution.
+        Duplicate in-flight requests (same row sequence, same target
+        order) coalesce onto one execution.
         Raises :class:`ServiceOverloadError` when the admission queue
         is full and :class:`ServiceClosedError` after :meth:`close`.
         """
@@ -436,101 +434,31 @@ class OrderService:
         return entries, held_ms
 
     def _execute_batch(self, entries: list, held_ms: float) -> None:
-        """Execute one drained micro-batch: same-source groups of two
-        or more go through the derivation planner as one batch,
-        everything else takes the ordinary solo path."""
+        """Execute one drained micro-batch, every entry through
+        :meth:`_execute`.  A same-source group of two or more live
+        (unexpired) entries counts as one planned batch — before any of
+        it runs, so a client holding its response reads counters that
+        include it."""
         groups: dict[tuple, list] = {}
         for entry in entries:
             groups.setdefault(entry.key[0], []).append(entry)
-        for group in groups.values():
-            if len(group) == 1:
-                self._execute(group[0])
-            else:
-                self._plan_group(group, held_ms)
-
-    def _plan_group(self, group: list, held_ms: float) -> None:
-        from ..plan import derive_batch
-
         now = self._clock()
-        live = []
-        for entry in group:
-            if entry.expired(now):
-                entry.error = DeadlineExceededError(
-                    f"request expired in queue after "
-                    f"{(now - entry.submitted_at) * 1000:.0f}ms"
-                )
+        for group in groups.values():
+            live = sum(1 for entry in group if not entry.expired(now))
+            if live >= 2:
+                with self._stats_lock:
+                    self._counters["planned"] += live
+                    self._counters["planned_batches"] += 1
+                if METRICS.enabled:
+                    METRICS.counter("serve.planned_requests").inc(live)
+                    METRICS.counter("serve.planned_batches").inc()
                 if LOG.enabled:
                     LOG.event(
-                        "serve.expired", tenant=entry.tenant,
-                        waiters=entry.waiters,
-                        queued_ms=round(
-                            (now - entry.submitted_at) * 1000, 1
-                        ),
+                        "serve.batch", orders=live,
+                        held_ms=round(held_ms, 3),
                     )
-                self._finish(entry)
-            else:
-                live.append(entry)
-        if len(live) < 2:
-            for entry in live:
+            for entry in group:
                 self._execute(entry)
-            return
-        with self._stats_lock:
-            self._executing += len(live)
-        #: Entries not yet answered; a group's specs are distinct
-        #: (identical ones coalesced at admission).
-        pending = {entry.spec: entry for entry in live}
-
-        def _publish(node) -> None:
-            # One order of the batch is derived: answer its waiters now,
-            # not when the last order is.  Counted before the wake-up,
-            # so a client holding a response reads counters that
-            # include it.
-            first = len(pending) == len(live)
-            entry = pending.pop(node.spec)
-            entry.table = node.table
-            entry.label = node.label
-            entry.stats_delta = node.stats_delta
-            with self._stats_lock:
-                self._executing -= 1
-                self._counters["executions"] += 1
-                self._counters["planned"] += 1
-                if first:
-                    self._counters["planned_batches"] += 1
-            if METRICS.enabled:
-                METRICS.counter("serve.executions").inc()
-                METRICS.counter("serve.planned_requests").inc()
-                if first:
-                    METRICS.counter("serve.planned_batches").inc()
-                METRICS.histogram("serve.fanout").observe(entry.waiters)
-            self._finish(entry)
-
-        try:
-            with LOG.query_scope():
-                result = derive_batch(
-                    live[0].source, [e.spec for e in live],
-                    config=self._config, on_node=_publish,
-                )
-        except BaseException as exc:  # noqa: BLE001 - solo path recovers
-            # Whatever was published stays answered; only the rest of
-            # the batch re-runs, each entry on the ordinary solo path.
-            with self._stats_lock:
-                self._executing -= len(pending)
-            if LOG.enabled:
-                LOG.event(
-                    "serve.batch_fallback", orders=len(pending),
-                    published=len(live) - len(pending), error=repr(exc),
-                )
-            for entry in pending.values():
-                self._execute(entry)
-            return
-        if LOG.enabled:
-            LOG.event(
-                "serve.batch",
-                orders=len(live),
-                est_speedup=round(min(result.plan.est_speedup, 1e6), 3),
-                fallbacks=result.fallbacks,
-                held_ms=round(held_ms, 3),
-            )
 
     def _execute(self, entry: Inflight) -> None:
         now = self._clock()

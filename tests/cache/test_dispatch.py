@@ -1,5 +1,5 @@
 """Dispatcher correctness: every served result is bit-identical to a
-cold execution — rows, codes, and (for replayable hits) counters."""
+cold execution — rows, codes, and (for exact hits) counters."""
 
 from __future__ import annotations
 
@@ -85,10 +85,8 @@ def test_modify_from_cached_sibling_bit_identical():
     assert outcome.label == "modify-from-cache(A,B,C)"
     assert outcome.table.rows == cold_rows
     assert outcome.table.ovcs == cold_ovcs
-    # The produced order was installed for future exact hits,
-    # marked non-replayable (its counters are the modify path's).
-    entry = cache.lookup(fp, want)
-    assert entry is not None and not entry.replayable
+    # The produced order was installed for future exact hits.
+    assert cache.lookup(fp, want) is not None
     cache.close()
 
 
@@ -168,7 +166,7 @@ def test_unrelated_candidate_is_not_used():
 def test_ordered_source_baseline_prefers_own_order():
     # The live input already carries a related order at least as good
     # as any cached sibling: serve must miss so the caller's own
-    # (replayable) modify path runs.
+    # modify path runs.
     source = _source()
     spec_abc = SortSpec.of("A", "B", "C")
     rows, ovcs, stats = _cold_sort(source, spec_abc)

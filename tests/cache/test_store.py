@@ -43,7 +43,6 @@ def test_install_lookup_roundtrip_identity():
     assert hit is not None
     assert hit.rows == rows and hit.ovcs == ovcs
     assert hit.stats_delta.column_comparisons == 123
-    assert hit.replayable
     # Wrong order, wrong data: misses.
     assert cache.lookup(fp, SPEC_BA) is None
     other_fp, _, _ = _entry(salt=100)

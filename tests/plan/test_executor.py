@@ -1,15 +1,14 @@
-"""Plan execution: fidelity, fallback, cache interplay, order_by_many."""
+"""Batch execution: every order through ``Sort`` — fidelity, fallback,
+cache interplay, order_by_many."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cache import configure_cache, fingerprint_table, get_cache
+from repro.cache import configure_cache, get_cache
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec
 from repro.obs import METRICS
-from repro.plan import derive_batch, execute_plan, plan_batch
+from repro.plan import derive_batch
 from repro.query import Query
 from repro.workloads.generators import random_table
 
@@ -77,36 +76,6 @@ def test_unordered_source_full_sorts_every_order():
         assert node.table.ovcs == ref_table.ovcs
 
 
-def test_on_node_gets_each_result_parents_first():
-    """Every parent is materialized before the batch starts, so the
-    callback sees the orders in request order."""
-    source = _sorted_source(900, seed=2)
-    seen = []
-    result = derive_batch(source, ORDERS, config=CFG, on_node=seen.append)
-    assert all(
-        not result.plan.nodes[result.plan.nodes[idx].parent].requested
-        for idx in result.plan.order
-    )
-    assert [node.spec for node in seen] == ORDERS
-    assert [node.index for node in seen] == result.plan.order
-    for node in seen:
-        assert result.results[node.index] is node
-
-
-def test_on_node_error_stops_the_batch():
-    source = _sorted_source(300)
-    seen = []
-
-    def _second_fails(node):
-        seen.append(node.spec)
-        if len(seen) == 2:
-            raise RuntimeError("callback failure")
-
-    with pytest.raises(RuntimeError, match="callback failure"):
-        derive_batch(source, ORDERS, config=CFG, on_node=_second_fails)
-    assert len(seen) == 2
-
-
 def test_empty_batch():
     source = _sorted_source(100)
     result = derive_batch(source, [], config=CFG)
@@ -152,30 +121,39 @@ def test_batch_responses_alias_neither_cache_nor_source():
     assert any(label.startswith("cache-hit(") for label in labels)
 
 
-def test_evicted_parent_falls_back_to_source():
+def test_parent_invalidated_before_its_turn_is_a_fallback(monkeypatch):
+    """The plan picks a cached parent that is gone by the time its
+    order runs: that order's ``Sort`` takes another path, and the batch
+    says so — with the answer a solo run gives."""
+    import repro.engine.sort_op as sort_op
+
     cfg = ExecutionConfig(cache="on")
-    configure_cache(budget=1 << 22)
-    cache = get_cache()
+    cache = configure_cache(budget=1 << 22)
     source = _sorted_source(400)
-    fp = fingerprint_table(source)
     cached_spec = SortSpec.of("C", "D", "A", "B")
     Sort(TableScan(source), cached_spec, config=cfg).to_table()
-    assert cache.lookup(fp, cached_spec) is not None
+    first, target = ORDERS[0], SortSpec.of("C", "D", "B", "A")
+    want = _solo(source, target)[0]
 
-    target = SortSpec.of("C", "D", "B", "A")
-    plan = plan_batch(source, [target], cache=cache, fingerprint=fp)
-    (node,) = [n for n in plan.nodes if n.requested]
-    assert plan.nodes[node.parent].kind == "cached"
+    real = sort_op.enforce_order
 
-    # The parent vanishes between planning and execution.
-    cache.invalidate()
-    results = execute_plan(plan, source, cache=cache, fp=fp, config=cfg)
-    got = results[plan.spec_nodes[target]]
-    assert got.fallback
-    ref_table, ref_stats = _solo(source, target)
-    assert got.table.rows == ref_table.rows
-    assert got.table.ovcs == ref_table.ovcs
-    assert got.stats_delta.as_dict() == ref_stats.as_dict()
+    def _invalidating(*args, **kwargs):
+        cache.invalidate()  # every cold execution empties the cache first
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sort_op, "enforce_order", _invalidating)
+    result = derive_batch(source, [first, target], config=cfg)
+
+    nodes = result.plan.nodes
+    planned = nodes[result.plan.spec_nodes[target]]
+    assert nodes[result.plan.spec_nodes[first]].strategy == "modify"
+    assert nodes[planned.parent].kind == "cached"
+    assert not result.result_for(first).fallback
+    got = result.result_for(target)
+    assert got.fallback and result.fallbacks == 1
+    assert got.label != "modify-from-cache(C,D,A,B)"
+    assert got.table.rows == want.rows
+    assert got.table.ovcs == want.ovcs
 
 
 def test_metrics_counters_published():

@@ -1,13 +1,12 @@
-"""Micro-batch planning in the serving layer (``plan_window_ms``).
+"""Micro-batching in the serving layer (``plan_window_ms``).
 
 With a window set, a scheduler thread holds its first dequeue while
-arrivals keep coming (at most for the window) and hands same-source
-groups of distinct orders to the batch derivation planner.  The
-contract under test: every response stays bit-identical (rows and
-codes) to the unbatched path, each order is answered as soon as it is
-derived, the planner counters move, batch failure degrades to solo
-execution for whatever was not yet answered, and expired entries are
-shed before planning.
+arrivals keep coming (at most for the window), then runs every drained
+request exactly as a solo one.  The contract under test: every response
+stays bit-identical (rows and codes) to the unbatched path, each order
+is answered as soon as it is derived, same-source groups move the
+``planned*`` counters, a failing order fails only its own waiters, and
+expired entries are shed without counting as planned.
 """
 
 from __future__ import annotations
@@ -101,32 +100,6 @@ def test_window_off_by_default():
     assert counters["executions"] == 2
 
 
-def test_planner_failure_degrades_to_solo_execution(monkeypatch):
-    import repro.plan as plan_mod
-
-    def _boom(*args, **kwargs):
-        raise RuntimeError("synthetic planner failure")
-
-    monkeypatch.setattr(plan_mod, "derive_batch", _boom)
-    table = _table()
-    refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS[:2]}
-    cfg = ExecutionConfig(cache="off", service_threads=1,
-                          service_queue_depth=16, plan_window_ms=300.0)
-    with OrderService(cfg) as svc:
-        tickets = [svc.submit(table, spec) for spec in ROTATIONS[:2]]
-        responses = [t.result(timeout=60) for t in tickets]
-        counters = svc.counters()
-
-    for spec, resp in zip(ROTATIONS[:2], responses):
-        rows, ovcs, stats = refs[spec]
-        assert resp.table.rows == rows
-        assert resp.table.ovcs == ovcs
-        assert resp.stats.as_dict() == stats  # solo path: full fidelity
-    assert counters["planned_batches"] == 0
-    assert counters["executions"] == 2
-    assert counters["errors"] == 0
-
-
 def test_expired_entry_shed_before_planning():
     table = _table()
     cfg = ExecutionConfig(cache="off", service_threads=1,
@@ -185,15 +158,15 @@ def test_sixteen_thread_batched_path_stays_bit_identical():
     assert counters["executions"] < counters["requests"]
 
 
-# ------------------------------------------ per-node publication and the window
+# ------------------------------------------ per-order publication and the window
 
 
 def _gate_executor_kernel(monkeypatch, on_call):
-    """Run ``on_call(n)`` before the batch executor's n-th derivation
-    (the solo path's kernel reference is left alone)."""
-    import repro.plan.executor as executor_mod
+    """Run ``on_call(n)`` before the n-th order a ``Sort`` enforces —
+    every drained request of a micro-batch runs through one."""
+    import repro.engine.sort_op as sort_op
 
-    real = executor_mod.enforce_order
+    real = sort_op.enforce_order
     calls = []
 
     def gated(*args, **kwargs):
@@ -201,7 +174,7 @@ def _gate_executor_kernel(monkeypatch, on_call):
         on_call(len(calls))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "enforce_order", gated)
+    monkeypatch.setattr(sort_op, "enforce_order", gated)
 
 
 def test_each_order_is_answered_the_moment_it_is_derived(monkeypatch):
@@ -212,16 +185,16 @@ def test_each_order_is_answered_the_moment_it_is_derived(monkeypatch):
             second_started.set()
             assert release.wait(timeout=60)
 
-    _gate_executor_kernel(monkeypatch, _block_second)
     table = _table()
     refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS}
+    _gate_executor_kernel(monkeypatch, _block_second)
     cfg = ExecutionConfig(cache="off", service_threads=1,
                           service_queue_depth=16, plan_window_ms=400.0)
     with OrderService(cfg) as svc:
         tickets = {spec: svc.submit(table, spec) for spec in ROTATIONS}
         try:
             assert second_started.wait(timeout=60)
-            # The first node is out while the second is still blocked.
+            # The first order is out while the second is still blocked.
             done = [spec for spec, t in tickets.items() if t.done]
             assert len(done) == 1
             first = tickets[done[0]].result(timeout=60)
@@ -237,31 +210,37 @@ def test_each_order_is_answered_the_moment_it_is_derived(monkeypatch):
     assert counters["planned_batches"] == 1
 
 
-def test_mid_batch_failure_reruns_only_the_unpublished(monkeypatch):
+def test_a_failing_order_fails_only_its_own_waiters(monkeypatch):
+    table = _table()
+    refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS}
+
     def _third_raises(n):
         if n == 3:
             raise RuntimeError("synthetic kernel failure")
 
     _gate_executor_kernel(monkeypatch, _third_raises)
-    table = _table()
-    refs = {spec: _serial_uncached(table, spec) for spec in ROTATIONS}
     cfg = ExecutionConfig(cache="off", service_threads=1,
                           service_queue_depth=16, plan_window_ms=400.0)
     with OrderService(cfg) as svc:
         tickets = [svc.submit(table, spec) for spec in ROTATIONS]
-        responses = [t.result(timeout=60) for t in tickets]
+        with pytest.raises(RuntimeError, match="synthetic kernel failure"):
+            tickets[2].result(timeout=60)
+        responses = {
+            spec: ticket.result(timeout=60)
+            for spec, ticket in zip(ROTATIONS, tickets)
+            if ticket is not tickets[2]
+        }
         counters = svc.counters()
         assert svc._executing == 0
         assert svc.accountant.by_category["serve.inflight"] == 0
 
-    for spec, resp in zip(ROTATIONS, responses):
+    assert len(responses) == 3
+    for spec, resp in responses.items():
         assert (resp.table.rows, resp.table.ovcs) == refs[spec][:2]
-    # Two nodes were published by the batch, two re-ran solo: each
-    # request is counted as one execution, never two.
-    assert counters["executions"] == len(ROTATIONS)
-    assert counters["planned"] == 2
+    assert counters["errors"] == 1
+    assert counters["executions"] == len(ROTATIONS) - 1
+    assert counters["planned"] == len(ROTATIONS)
     assert counters["planned_batches"] == 1
-    assert counters["errors"] == 0
     assert counters["inflight"] == 0 and counters["inflight_bytes"] == 0
 
 
