@@ -4,7 +4,9 @@
 The paper's machinery makes a sorted order plus its offset-value codes
 a reusable asset *within* one call; the order cache
 (:mod:`repro.cache`) extends that **across requests**.  This demo
-issues three related sort orders over the same rows twice:
+issues three related sort orders over the same unordered rows twice (a
+table already sorted with codes is its own parent: a sibling order is
+derived from it, not from the cache):
 
 * round one: the first order pays a full sort; the cache then serves
   each *sibling* order by feeding the cached rows and codes through

@@ -10,9 +10,10 @@ installs its output (rows *and* codes) into an in-process
 :class:`OrderCache` keyed by a content fingerprint of the source rows
 plus the requested :class:`~repro.model.SortSpec`, and later requests
 against the same data are answered from the cache — verbatim for the
-same order, or through the paper's order-modification machinery for a
-related one (:mod:`repro.cache.dispatch` picks the cheapest cached
-starting point with the cost model).
+same order, or, when the source is unordered, through the paper's
+order-modification machinery for a related one
+(:mod:`repro.cache.dispatch` picks the cheapest cached starting point
+with the cost model; a source sorted with codes is its own parent).
 
 Usage is governed by :class:`~repro.exec.ExecutionConfig`:
 

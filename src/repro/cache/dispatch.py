@@ -1,7 +1,8 @@
-"""Cost-based serving: exact hits, modify-from-best-cached-order, or cold.
+"""Serving from the cache: exact hits, modify-from-cached-order, or cold.
 
 This is the cache's brain.  Given the live source table and a desired
-order, :func:`serve` decides between three outcomes:
+order, :func:`serve` decides between three outcomes (the parent rule,
+:func:`_cheapest_parent`, is shared with the batch planner):
 
 * **Exact hit** — the requested order is cached for this row sequence:
   the entry's rows and codes are returned as-is, and the comparison
@@ -11,15 +12,20 @@ order, :func:`serve` decides between three outcomes:
   and without the cache whenever the entry was produced by an
   uncached-identical execution — while the actually avoided work is
   published as ``cache.comparisons_saved``.
-* **Modify from the best cached order** — the requested order is not
+* **Modify from the best cached order** — only for an *unordered*
+  source (or one without codes).  An ordered, coded source is its own
+  parent: modifying it is the paper's algorithm on the fast kernels,
+  and deriving from a cached sibling instead (a fresh parent table, its
+  key fields normalized anew, then the tie re-break below) cost
+  1.13-1.30x a miss in the median of the pairs the cost model picked on
+  the benchmark's orders (EXPERIMENTS.md, "The modify-from-cache
+  verdict").  For an unordered source the requested order is not
   cached, but sibling orders of the same sequence are: each candidate
   is priced with :meth:`repro.core.cost.CostModel.modify_from` (segment
   and run counts read from the candidate's stored code-offset
-  histogram, no data scan) and compared against the uncached baseline
-  (modifying the live input's own order, or a full sort when the input
-  is unordered).  A candidate that wins by a clear margin is fed —
-  rows and codes, zero copies — straight into
-  :func:`~repro.core.modify.modify_sort_order`; the result is
+  histogram, no data scan) against a full sort.  A candidate that wins
+  by ``WIN_MARGIN`` is fed — rows and codes, zero copies — straight
+  into :func:`~repro.core.modify.modify_sort_order`; the result is
   re-tie-broken against the source sequence (sorting here is stable, so
   rows equal under the requested key must leave in *arrival* order, not
   in the candidate's, for the output to stay bit-identical to uncached
@@ -45,13 +51,15 @@ from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, TRACER
 from ..ovc.stats import ComparisonStats
 from .fingerprint import Fingerprint, fingerprint_table
-from .store import CachedOrder, OrderCache, _offset_counts, _perm_of
+from .store import CachedOrder, OrderCache, _perm_of
 
-#: A cached candidate must beat the uncached baseline estimate by this
-#: factor before the dispatcher prefers it.  Tuned on reference-engine
-#: timings; unchanged pending the modify-from-cache verdict (ROADMAP
-#: item 4), which either deletes the modify-from-cache path or prices it
-#: from measured fast-kernel costs.
+#: A cached candidate must beat a full sort's estimate by this factor
+#: before the dispatcher derives an unordered source's order from it.
+#: Tuned on reference-engine timings: on the fast kernels it picks the
+#: sibling in 28 of the benchmark's 64 (target, sibling) pairs, and 3 of
+#: those beat a miss by more than 5 % at 2^12, 6 at 2^16 (EXPERIMENTS.md,
+#: "The modify-from-cache verdict").  Pricing it from measured costs is
+#: ROADMAP item 4.
 WIN_MARGIN = 0.9
 
 
@@ -90,38 +98,27 @@ def _estimate(
     return model.modify_from(plan).total
 
 
-def _source_counts(source: Table) -> tuple | None:
-    """``source``'s offset-count histogram (``None``: no order or codes)."""
-    if source.sort_spec is None or source.ovcs is None:
-        return None
-    return _offset_counts(source.ovcs, source.sort_spec.arity)
-
-
 def _cheapest_parent(
     source: Table,
     spec: SortSpec,
     candidates: list[CachedOrder],
-    counts: tuple | None = None,
 ) -> tuple[CachedOrder | None, float, float]:
     """Where ``spec`` is cheapest to derive from, among the materialized
     orders of ``source``'s rows: ``(candidate, its estimated cost,
-    baseline)``.
+    baseline)``; ``candidate`` is ``None`` for ``source`` itself.
 
-    The baseline is the uncached execution — modifying ``source``'s own
-    order (``counts`` is its :func:`_source_counts` when the caller
-    already has them), or a full sort when it is unordered.  A candidate
-    of ``spec`` itself is an exact hit and costs nothing; any other must
-    beat the baseline by ``WIN_MARGIN``.  ``candidate`` is ``None`` when
-    none does.  One rule for a solo request (:func:`serve`) and for
-    every order of a planned batch (:func:`repro.plan.plan_batch`).
+    A candidate of ``spec`` itself is an exact hit and costs nothing.
+    Otherwise an ordered source with codes is its own parent and nothing
+    is priced (both costs 0.0).  An unordered one is priced as a full
+    sort, and a cached order must beat that baseline by ``WIN_MARGIN``.
+    One rule for a solo request (:func:`serve`) and for every order of a
+    planned batch (:func:`repro.plan.plan_batch`).
     """
+    if source.sort_spec is not None and source.ovcs is not None:
+        hit = next((c for c in candidates if c.spec == spec), None)
+        return hit, 0.0, 0.0
     n = len(source.rows)
-    if counts is None:
-        counts = _source_counts(source)
-    if counts is not None:
-        baseline = _estimate(source.sort_spec, spec, n, counts)
-    else:
-        baseline = CostModel(n, 1, 1).full_sort().total
+    baseline = CostModel(n, 1, 1).full_sort().total
     best: CachedOrder | None = None
     best_cost = WIN_MARGIN * baseline
     for cand in candidates:
@@ -183,8 +180,9 @@ def serve(
     if best is None:
         if LOG.enabled:
             LOG.event(
-                "cache.serve", decision="miss", order=_names(spec),
-                rows=n, reason="no-candidate-beats-baseline",
+                "cache.serve", decision="miss", order=_names(spec), rows=n,
+                reason="no-candidate-beats-baseline"
+                if source.sort_spec is None else "source-is-parent",
                 baseline_cost=round(baseline, 1),
                 candidates=len(candidates),
             )

@@ -7,19 +7,26 @@ its input, so an entry does not keep the rows: it keeps
 
 * ``perm`` — output position -> index into the source sequence, in the
   narrowest unsigned ``array`` that holds ``n``;
-* ``offsets`` / ``values`` — the offset-value codes as two flat word
-  arrays (:func:`repro.fastpath.packed.pack_codes`; ``values`` stays a
-  plain list only when a code value is not a machine-word ``int``,
-  counted as ``cache.unpacked_installs``);
+* a *code book* of the offset-value codes (:func:`_code_book`): the
+  distinct codes as two small word arrays ``offsets`` / ``values``
+  (:func:`repro.fastpath.packed.pack_codes`) and one id into them per
+  row, ``ids``, in the narrowest unsigned typecode.  An order of 4 096
+  rows has about a hundred distinct codes (18 on heavy ties).  When a
+  code value is not a machine-word ``int`` (strings, ``None``, floats,
+  bools, big ints) there is no book: ``ids`` is ``None`` and
+  ``offsets`` / ``values`` hold one code per row, ``values`` a plain
+  list (counted as ``cache.unpacked_installs``);
 
-4-13 bytes a row.  The row list and the ``(offset, value)`` tuple list
-readers are handed are a *memo* of that form — one ``map`` through
-``perm`` over the rows the request's fingerprint hashed, one ``zip`` —
-kept while the budget has room and dropped for free when it has not.
-An entry is therefore in one of three states: ``memo`` (arrays and both
-lists: a read hands the lists out), ``flat`` (arrays: a read gathers
-and zips, ~0.3 ms at 2^12, outside the lock) or ``spilled`` (a spill
-file: one small unpickle, then as ``flat``).
+3-13 bytes a row (3.05 on the benchmark's orders at 2^12).  The row
+list and the ``(offset, value)`` tuple list readers are handed are a
+*memo* of that form — one ``map`` through ``perm`` over the rows the
+request's fingerprint hashed, one through ``ids`` over the book's
+tuples, each built once and shared by every row and response that
+carries it — kept while the budget has room and dropped for free when
+it has not.  An entry is therefore in one of three states: ``memo``
+(arrays and both lists: a read hands the lists out), ``flat`` (arrays:
+a read gathers both lists, ~0.35 ms at 2^12, outside the lock) or
+``spilled`` (a spill file: one small unpickle, then as ``flat``).
 
 The store is deliberately dumb about *how* entries get used: exact-hit
 serving, candidate selection, and the modify-from-cached-order dispatch
@@ -27,7 +34,7 @@ all live in :mod:`repro.cache.dispatch`; here live the mechanics every
 policy shares:
 
 * **Thread safety** — one re-entrant lock around every map operation
-  and the snapshot of an entry's (immutable) arrays; the gather and zip
+  and the snapshot of an entry's (immutable) arrays; the two gathers
   of a flat read run outside it, on that snapshot, so a concurrent
   spill or eviction can never tear a read.
 * **Memory accounting** — an entry's fixed overhead
@@ -37,10 +44,11 @@ policy shares:
   triggers the pressure loop.
 * **Pressure** — memos are released first, least recently used first;
   only when the flat forms alone exceed the budget are those written
-  through a :class:`~repro.exec.spill.SpillManager` (three arrays, not
-  a tuple per row) and rehydrated bit-identically by a later read.
-  With spilling disabled cold entries are evicted outright.  ``spills``
-  / ``rehydrates`` count disk writes / reads; a memo drop is neither.
+  through a :class:`~repro.exec.spill.SpillManager` (``perm``, ``ids``
+  and the book's two arrays, not a tuple per row) and rehydrated
+  bit-identically by a later read.  With spilling disabled cold entries
+  are evicted outright.  ``spills`` / ``rehydrates`` count disk writes
+  / reads; a memo drop is neither.
 * **TTL** — entries older than ``ttl`` seconds are expired lazily on
   access and on install.
 
@@ -48,8 +56,9 @@ Counters (``hits``, ``misses``, ``installs``, ``evictions``,
 ``expirations``, ``spills``, ``rehydrates``) are maintained under the
 same lock, so ``hits + misses`` always equals the number of exact
 lookups — the monotonic-consistency property the concurrency tests
-pin down.  When the global metrics registry is enabled the same
-events are published under ``cache.*`` names.
+pin down.  Re-installing a key replaces its entry and is neither an
+eviction nor an expiration.  When the global metrics registry is
+enabled the same events are published under ``cache.*`` names.
 """
 
 from __future__ import annotations
@@ -57,8 +66,9 @@ from __future__ import annotations
 import threading
 import time
 from array import array
-from collections import Counter, OrderedDict, defaultdict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from operator import itemgetter
 
 from ..exec.memory import MemoryAccountant
@@ -73,7 +83,7 @@ from .fingerprint import Fingerprint
 CATEGORY = "cache.entries"
 
 #: Charged for every entry while it exists, whatever its state: the
-#: entry object, three array headers, its counters and its slots in the
+#: entry object, its array headers, its counters and its slots in the
 #: four maps (measured 1.1 KB an entry).  Next to nothing at 2^12 rows,
 #: most of an entry at 2^8.
 ENTRY_BYTES = 1024
@@ -113,20 +123,20 @@ class _Entry:
     """One stored order; hashable by identity (the LRU orders key on it)."""
 
     __slots__ = (
-        "key", "spec", "perm", "offsets", "values", "rows", "ovcs",
+        "key", "spec", "perm", "codes", "rows", "ovcs",
         "stats_delta", "offset_counts", "flat_bytes", "memo_bytes",
         "built_at", "handle",
     )
 
-    def __init__(self, key, spec, perm, offsets, values, rows, ovcs,
+    def __init__(self, key, spec, perm, codes, rows, ovcs,
                  stats_delta, offset_counts, flat_bytes, memo_bytes,
                  built_at) -> None:
         self.key = key
         self.spec = spec
         #: The flat form (``None`` while spilled); never mutated.
         self.perm = perm
-        self.offsets = offsets
-        self.values = values
+        #: The code book, ``(ids, offsets, values)`` (:func:`_code_book`).
+        self.codes = codes
         #: The memo lists (``None`` when dropped).
         self.rows = rows
         self.ovcs = ovcs
@@ -159,21 +169,56 @@ class _Entry:
         )
 
 
-def _offset_counts(ovcs: list, arity: int) -> tuple:
-    """Per-offset code counts (offsets past the arity fold into it)."""
-    seen = Counter(map(itemgetter(0), ovcs))
-    head = [seen[k] for k in range(arity)]
-    return (*head, len(ovcs) - sum(head))
+def _code_book(ovcs: list) -> tuple:
+    """``ovcs`` as a code book ``(ids, offsets, values)``.
+
+    ``offsets[k]`` / ``values[k]`` is the ``k``-th distinct code, packed
+    by :func:`pack_codes`, and ``ids[i]`` is row ``i``'s ``k``.
+    ``(d, 1)``, ``(d, 1.0)`` and ``(d, True)`` are equal and hash alike,
+    so codes are merged only when *every* value, not just every distinct
+    one, is a plain ``int``.  Otherwise, and past 64 bits, ``ids`` is
+    ``None`` and the book holds every row's code: an offsets array and a
+    value list.
+    """
+    if set(map(type, map(itemgetter(1), ovcs))) <= {int}:
+        # One hashing pass: map pulls len(index) before each setdefault,
+        # so a new code gets the next id and a known one its own.
+        index: dict = {}
+        ids = list(map(index.setdefault, ovcs, map(len, repeat(index))))
+        try:
+            offsets, values = pack_codes(list(index))
+        except (TypeError, OverflowError):
+            pass
+        else:
+            return _word_array(ids), offsets, values
+    offsets = _word_array(list(map(itemgetter(0), ovcs)))
+    return None, offsets, list(map(itemgetter(1), ovcs))
 
 
-def _flat_offset_counts(offsets: array, arity: int) -> tuple:
-    """:func:`_offset_counts` of a flat offsets array."""
-    cells = offsets
-    if arity <= 256 and offsets.itemsize == 1:
+def _codes(ids, offsets, values) -> list[tuple]:
+    """The ``(offset, value)`` list of a code book: every distinct code
+    is built once and each row gets a reference to it."""
+    book = unpack_codes(offsets, values)
+    return book if ids is None else list(map(book.__getitem__, ids))
+
+
+def _offset_counts(ids, offsets, arity: int) -> tuple:
+    """Per-offset code counts of a code book (offsets past the arity
+    fold into it): row ``i``'s offset is ``offsets[ids[i]]``, or
+    ``offsets[i]`` when ``ids`` is ``None``."""
+    if ids is None:
+        cells = offsets
+    elif ids.itemsize == 1 and arity < 256:
+        # One C-level pass turns every id byte into its code's offset.
+        clamped = bytes(min(off, arity) for off in offsets)
+        cells = ids.tobytes().translate(clamped.ljust(256, b"\0"))
+    else:
+        cells = array(offsets.typecode, map(offsets.__getitem__, ids))
+    if isinstance(cells, array) and cells.itemsize == 1 and arity <= 256:
         # bytes.count is a memchr; array.count boxes every cell.
-        cells = offsets.tobytes()
+        cells = cells.tobytes()
     head = [cells.count(k) for k in range(arity)]
-    return (*head, len(offsets) - sum(head))
+    return (*head, len(cells) - sum(head))
 
 
 def _perm_of(source, rows: list) -> list[int]:
@@ -288,11 +333,13 @@ class OrderCache:
     def _drop_flat(self, entry: _Entry) -> None:
         """Release a memo-less entry's arrays (lock held)."""
         del self._flats[entry]
-        entry.perm = entry.offsets = entry.values = None
+        entry.perm = entry.codes = None
         self.accountant.release(CATEGORY, entry.flat_bytes)
 
     def _drop(self, entry: _Entry, reason: str) -> None:
-        """Remove one entry entirely (lock held)."""
+        """Remove one entry entirely (lock held); ``reason`` is
+        ``"expired"``, ``"evicted"`` or ``"replaced"`` (counted as
+        neither)."""
         del self._entries[entry.key, entry.spec]
         del self._lru[entry]
         self.accountant.release(CATEGORY, ENTRY_BYTES)
@@ -306,7 +353,7 @@ class OrderCache:
         if reason == "expired":
             self.expirations += 1
             self._count("expirations")
-        else:
+        elif reason == "evicted":
             self.evictions += 1
             self._count("evictions")
         self._publish_levels()
@@ -315,7 +362,7 @@ class OrderCache:
         """Write a memo-less entry's arrays out and release them (lock
         held)."""
         entry.handle = self._spill_manager().spill(
-            entry.perm, (entry.offsets, entry.values), category="cache"
+            entry.perm, entry.codes, category="cache"
         )
         self._drop_flat(entry)
         self.spills += 1
@@ -323,7 +370,7 @@ class OrderCache:
 
     def _rehydrate(self, entry: _Entry) -> None:
         """Load a spilled entry's arrays back in (lock held)."""
-        entry.perm, (entry.offsets, entry.values) = entry.handle.read()
+        entry.perm, entry.codes = entry.handle.read()
         entry.handle.release()
         entry.handle = None
         self._flats[entry] = None
@@ -362,8 +409,8 @@ class OrderCache:
         """The stored order for ``(fp, spec)`` with its lists built.
 
         Under the lock: the map operations, the rehydrate of a spilled
-        entry and a snapshot of its arrays.  A flat entry's gather and
-        zip run outside it, over the rows ``fp`` hashed; the lists are
+        entry and a snapshot of its arrays.  A flat entry's two gathers
+        run outside it, over the rows ``fp`` hashed; the lists are
         kept as the entry's memo only if the budget has room for them
         as it stands — a memo is never worth a disk write.
         """
@@ -388,12 +435,12 @@ class OrderCache:
             self._flats.move_to_end(entry)
             if snap.rows is not None:
                 self._memos.move_to_end(entry)
-            perm, offsets, values = entry.perm, entry.offsets, entry.values
+            perm, codes = entry.perm, entry.codes
             self._pressure(protect=entry)
         if snap.rows is not None:
             return snap
         rows = list(map(fp.rows.__getitem__, perm))
-        ovcs = unpack_codes(offsets, values)
+        ovcs = _codes(*codes)
         with self._lock:
             headroom = self.accountant.headroom()
             if (
@@ -471,29 +518,29 @@ class OrderCache:
             perm = _word_array(perm)
         except LookupError:
             return self._reject()
-        try:
-            offsets, values = pack_codes(ovcs)
-        except (TypeError, OverflowError):
-            offsets = _word_array(list(map(itemgetter(0), ovcs)))
-            values = list(map(itemgetter(1), ovcs))
+        ids, offsets, values = codes = _code_book(ovcs)
+        if ids is None:
             self._count("unpacked_installs")
         value_size = values.itemsize if isinstance(values, array) else 8
-        flat_bytes = n * (perm.itemsize + offsets.itemsize + value_size)
+        flat_bytes = (
+            n * (perm.itemsize + (0 if ids is None else ids.itemsize))
+            + len(offsets) * (offsets.itemsize + value_size)
+        )
         memo_bytes = n * (8 * len(fp.schema) + 16)
         budget = self.accountant.budget
         if not self.spill_enabled and budget is not None \
                 and ENTRY_BYTES + flat_bytes > budget:
             return self._reject()
-        counts = _flat_offset_counts(offsets, spec.arity)
+        counts = _offset_counts(ids, offsets, spec.arity)
         key = (fp.source_key, spec)
         with self._lock:
             now = self._clock()
             self._purge_expired(now)
             old = self._entries.get(key)
             if old is not None:
-                self._drop(old, "evicted")
+                self._drop(old, "replaced")
             entry = _Entry(
-                fp.source_key, spec, perm, offsets, values, rows, ovcs,
+                fp.source_key, spec, perm, codes, rows, ovcs,
                 stats_delta.snapshot(), counts, flat_bytes, memo_bytes,
                 now,
             )

@@ -56,10 +56,10 @@ def _word_array(values: Sequence[int], signed: bool = False) -> array:
 def pack_codes(ovcs: Sequence[tuple]) -> tuple[array, array]:
     """Split paper-form codes into flat ``(offsets, values)`` word arrays.
 
-    One fixed-width cell per code instead of one tuple: the form the
-    order cache keeps, and spills, an entry's codes in (4-13 bytes a row
-    with the permutation, against a tuple's 64).  Each array takes the
-    narrowest typecode its range allows (:func:`_word_array`).  Raises
+    One fixed-width cell per code instead of one tuple.  The order cache
+    packs an entry's *distinct* codes this way, its code book, and keeps
+    one id into it per row.  Each array takes the narrowest typecode its
+    range allows (:func:`_word_array`).  Raises
     ``TypeError``/``OverflowError`` when a value is not exactly a
     machine-word ``int`` (strings, ``None``, floats, bools, big ints) —
     such codes stay a plain list.
@@ -74,7 +74,8 @@ def pack_codes(ovcs: Sequence[tuple]) -> tuple[array, array]:
 
 def unpack_codes(offsets, values) -> list[tuple]:
     """Inverse of :func:`pack_codes`: the ``(offset, value)`` tuple list
-    of two parallel sequences."""
+    of two parallel sequences (a code book's distinct codes, built once
+    a read)."""
     return list(zip(offsets, values))
 
 

@@ -4,9 +4,10 @@ Given N pending target orders over one source table, pick for every
 target the cheapest *materialized* parent to derive it from — the
 source itself or a cache-resident order of the same row sequence —
 by the very rule a solo cached ``Sort`` follows
-(:func:`repro.cache.dispatch._cheapest_parent`: exact offset-count
-histograms priced by the cost model, an exact hit first, any other
-cached order only when it beats the source by ``WIN_MARGIN``).  A
+(:func:`repro.cache.dispatch._cheapest_parent`: an exact hit first; an
+ordered source with codes is otherwise its own parent, unpriced; an
+unordered one takes a cached order only when, priced from its exact
+offset-count histogram, it beats a full sort by ``WIN_MARGIN``).  A
 planned order is therefore derived exactly as it would have been on its
 own, and reported costs are the dispatcher's estimates.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _cheapest_parent, _names, _source_counts
+from ..cache.dispatch import _cheapest_parent, _names
 from ..model import SortSpec, Table
 
 
@@ -40,9 +41,10 @@ class PlanNode:
     requested: bool
     #: Chosen parent node index (``None`` for materialized nodes).
     parent: int | None = None
-    #: Cost estimate of the chosen edge into this node.
+    #: Cost estimate of the chosen edge into this node (0.0 over an
+    #: ordered, coded source, whose orders are not priced).
     edge_cost: float = 0.0
-    #: Cost of deriving this node straight from the source.
+    #: Cost of deriving this node straight from the source (likewise).
     baseline_cost: float = 0.0
     #: Planned execution path: ``passthrough``, ``full-sort``,
     #: ``modify``, ``cache-hit``, ``modify-from-cache``.
@@ -94,10 +96,11 @@ class DerivationPlan:
                 return f"source({order})"
             if n.kind == "cached":
                 return f"cached({_names(n.spec)})"
-            return (
-                f"{_names(n.spec)}  [{n.strategy}]"
-                f"  est={n.edge_cost:.0f} vs solo={n.baseline_cost:.0f}"
-            )
+            text = f"{_names(n.spec)}  [{n.strategy}]"
+            if n.baseline_cost:  # priced: an unordered source's order
+                text += (f"  est={n.edge_cost:.0f}"
+                         f" vs solo={n.baseline_cost:.0f}")
+            return text
 
         lines = [
             f"derivation plan: {len(self.order)}"
@@ -144,7 +147,6 @@ def plan_batch(
     for cand in candidates:
         node_of[id(cand)] = len(nodes)
         nodes.append(PlanNode(len(nodes), cand.spec, "cached", False))
-    counts = _source_counts(source)
 
     order: list[int] = []
     spec_nodes: dict[SortSpec, int] = {}
@@ -156,7 +158,7 @@ def plan_batch(
             node.parent, node.strategy = 0, "passthrough"
         else:
             best, node.edge_cost, node.baseline_cost = _cheapest_parent(
-                source, spec, candidates, counts
+                source, spec, candidates
             )
             node.parent = 0 if best is None else node_of[id(best)]
             node.strategy = _strategy_label(nodes[node.parent], spec)

@@ -1,7 +1,8 @@
 """Differential suite for the order cache's entry form.
 
-An entry is a permutation of the request's row sequence plus flat code
-arrays; the row and code lists are a droppable memo of that.  Whatever
+An entry is a permutation of the request's row sequence plus a code
+book (the distinct codes, one id per row); the row and code lists are a
+droppable memo of that.  Whatever
 state an entry is read in — memo, flat, spilled — and whichever way a
 request is answered (miss, exact hit, modify-from-cache), the response
 must equal the one right answer: a stable ``sorted()`` of the source
@@ -10,6 +11,7 @@ and codes derived from scratch, handed over as plain lists of tuples.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import sys
@@ -25,7 +27,7 @@ from repro.cache import (
     configure_cache, fingerprint_rows, fingerprint_table, get_cache,
 )
 from repro.cache.store import (
-    ENTRY_BYTES, OrderCache, _flat_offset_counts, _offset_counts, _perm_of,
+    ENTRY_BYTES, OrderCache, _code_book, _codes, _offset_counts, _perm_of,
 )
 from repro.core.enforce import enforce_order
 from repro.engine.scans import TableScan
@@ -95,6 +97,14 @@ def _rows(variant: str, seed: int) -> list[tuple]:
         return [row(rng.randrange(4), (1 << 70) + rng.randrange(5),
                     rng.randrange(4), -(1 << 66) - rng.randrange(7))
                 for _ in range(N)]
+    if variant == "int-float-bool":
+        # 1, 1.0 and True are equal and hash alike: codes (d, 1),
+        # (d, 1.0) and (d, True) must each come back as they were.
+        pool = (0, 1, 1.0, True, 2)
+        return [row(*(rng.choice(pool) for _ in range(4))) for _ in range(N)]
+    if variant == "all-distinct":  # every code of every order distinct
+        columns = [rng.sample(range(1000), N) for _ in range(4)]
+        return [row(*cells) for cells in zip(*columns)]
     assert variant == "normal"
     return [row(rng.randrange(5), rng.randrange(5), rng.randrange(4),
                 rng.randrange(30)) for _ in range(N)]
@@ -102,7 +112,7 @@ def _rows(variant: str, seed: int) -> list[tuple]:
 
 VARIANTS = (
     "normal", "heavy-tie", "desc-strings", "mixed", "nan", "big-values",
-    "empty", "one-row", "one-segment",
+    "int-float-bool", "all-distinct", "empty", "one-row", "one-segment",
 )
 
 
@@ -137,14 +147,40 @@ def _nan_free(ovcs: list) -> list:
     return [(off, "nan" if value != value else value) for off, value in ovcs]
 
 
-def _same(table: Table, want) -> None:
+def _types(ovcs: list) -> list:
+    return [type(value) for _off, value in ovcs]
+
+
+def _same(table: Table, want, types: bool = True) -> None:
     _honest(table)
     rows, ovcs = want
-    # NaN is unequal to itself.  Rows are the source's own tuples, which
-    # compare equal through the containers' identity test; a code value
-    # that went through a spill file is another float object.
-    assert table.rows == rows
+    # Rows are the source's own tuple objects, whatever the entry's
+    # state.  NaN is unequal to itself, and a code value that went
+    # through a spill file is another float object.  Equal values of
+    # other types (1, 1.0, True) must not stand in for each other.
+    assert len(table.rows) == len(rows)
+    assert all(map(operator.is_, table.rows, rows))
     assert _nan_free(table.ovcs) == _nan_free(ovcs)
+    if types:
+        assert _types(table.ovcs) == _types(ovcs)
+
+
+#: Variants answered against the engine's own cold run.  Where a NaN
+#: lands depends on the comparisons an algorithm makes.  Of rows equal
+#: under a key that hold 1, 1.0 or True, which one's value a code
+#: carries does too; those codes still equal a fresh derivation.
+COLD_ORACLE = ("nan", "int-float-bool")
+
+
+def _want(source: Table, spec: SortSpec, variant: str, engine: str):
+    """The answer a request must get: the oracle's, or for
+    :data:`COLD_ORACLE` variants the engine's uncached one."""
+    if variant not in COLD_ORACLE:
+        return _oracle(source.rows, spec)
+    out = _request(source, spec, ExecutionConfig(engine=engine))[0]
+    if variant != "nan":
+        _same(out, _oracle(source.rows, spec), types=False)
+    return out.rows, out.ovcs
 
 
 def _request(source: Table, spec: SortSpec, cfg: ExecutionConfig):
@@ -180,11 +216,7 @@ def test_every_entry_state_serves_the_oracle(case, variant, engine, tmp_path):
     # A NaN key has no place in a sorted input; it arrives unordered.
     source = _source(rows, None if variant == "nan" else in_spec)
     cfg = ExecutionConfig(cache="on", engine=engine)
-    if variant == "nan":
-        cold = _request(source, out_spec, ExecutionConfig(engine=engine))[0]
-        want = (cold.rows, cold.ovcs)
-    else:
-        want = _oracle(source.rows, out_spec)
+    want = _want(source, out_spec, variant, engine)
     passthrough = source.sort_spec is not None \
         and source.sort_spec.satisfies(out_spec)
 
@@ -255,12 +287,7 @@ def test_modify_from_a_cached_order_in_every_state(
     in_spec, out_spec = _spec(in_cols, variant), _spec(out_cols, variant)
     source = _source(_rows(variant, seed=10 + case), None)
     cfg = ExecutionConfig(cache="on", engine=engine)
-    cold = ExecutionConfig(engine=engine)
-    if variant == "nan":
-        want = {s: (t.rows, t.ovcs) for s in (in_spec, out_spec)
-                for t in [_request(source, s, cold)[0]]}
-    else:
-        want = {s: _oracle(source.rows, s) for s in (in_spec, out_spec)}
+    want = {s: _want(source, s, variant, engine) for s in (in_spec, out_spec)}
     other = _source(_rows("normal", seed=98), None)
     served = Counter()
 
@@ -274,20 +301,27 @@ def test_modify_from_a_cached_order_in_every_state(
         if source.rows:
             assert _state(source, in_spec) == state
         out, op = _request(source, out_spec, cfg)
-        _same(out, want[out_spec])
+        derived = op.order_strategy.startswith("modify-from-cache")
+        # A derived order's codes may carry a tied row's 1.0 where a
+        # cold sort's carry its 1: equal, of another type.
+        _same(out, want[out_spec], types=not derived)
         served[op.order_strategy.split("(")[0]] += 1
-        if op.order_strategy.startswith("modify-from-cache"):
+        if derived:
             # The derived order was installed, as a permutation of the
             # same source, and serves the next request verbatim.
             hit = cache.lookup(fingerprint_table(source), out_spec)
             assert [source.rows[i] for i in hit.perm] == want[out_spec][0]
-            out, op = _request(source, out_spec, cfg)
+            again, op = _request(source, out_spec, cfg)
             assert op.order_strategy.startswith("cache-hit(")
-            _same(out, want[out_spec])
+            _same(again, (out.rows, out.ovcs))
     # The dispatcher's choice is the cost model's, the same in every
     # state: priced from the entry's stored histogram, never its rows.
     assert len(served) == 1
-    if case != 0 and len(source.rows) > 1 and variant != "one-segment":
+    # A cached order lends structure unless there is none to lend: one
+    # segment, or all-distinct values under another leading column.
+    barren = variant == "one-segment" or (
+        variant == "all-distinct" and in_cols[0] != out_cols[0])
+    if case != 0 and len(source.rows) > 1 and not barren:
         assert "modify-from-cache" in served or "cache-hit" in served
 
 
@@ -471,6 +505,38 @@ def test_unpackable_code_values_stay_a_list_and_are_counted(tmp_path):
         METRICS.reset()
 
 
+@pytest.mark.parametrize("pool, book", [
+    ((1, 2, 3), True),          # plain ints: one book
+    ((1, 1.0, True), False),    # equal values of three types: no book
+])
+def test_a_code_book_never_merges_equal_values_of_other_types(
+    pool, book, tmp_path
+):
+    # Rows (a, 0), (a, x) code the second row of each pair (1, x): with
+    # x from 1, 1.0 and True those codes compare and hash alike.
+    rows = [(a, b) for a in range(8) for b in (0, pool[a % 3])]
+    spec = SortSpec.of("A", "B")
+    want = rows, derive_ovcs(rows, (0, 1))
+    ids, offsets, _values = _code_book(want[1])
+    assert (ids is not None) is book
+    if book:
+        assert len(offsets) == len(set(want[1])) < len(rows)
+    fp = fingerprint_rows(rows, ("A", "B"))
+    small = [(9, 9)]
+    with OrderCache(budget=1, spill_dir=str(tmp_path)) as cache:
+        assert cache.install(fp, spec, *want, ComparisonStats())
+        # Memo dropped, flat; then through a spill file and back.
+        for state in ("flat", "spilled"):
+            assert cache.candidates(fp)[0].state == state
+            hit = cache.lookup(fp, spec)
+            assert all(map(operator.is_, hit.rows, rows))
+            assert hit.ovcs == want[1]
+            assert _types(hit.ovcs) == _types(want[1])
+            cache.install(fingerprint_rows(small, ("A", "B")), spec, small,
+                          derive_ovcs(small, (0, 1)), ComparisonStats())
+        assert cache.counters()["rehydrates"] == 1
+
+
 # --------------------------------------------------- flat code helpers
 
 def _old_offset_counts(ovcs, arity):
@@ -492,9 +558,11 @@ def _old_offset_counts(ovcs, arity):
         "wide-offsets"])
 def test_offset_counts_agree_with_the_row_loop(ovcs, arity):
     want = _old_offset_counts(ovcs, arity)
-    assert _offset_counts(ovcs, arity) == want
-    offsets, _values = pack_codes(ovcs)
-    assert _flat_offset_counts(offsets, arity) == want
+    ids, offsets, _values = _code_book(ovcs)
+    assert ids is not None
+    assert _offset_counts(ids, offsets, arity) == want
+    # Without a book (ids None) the offsets are one per row.
+    assert _offset_counts(None, pack_codes(ovcs)[0], arity) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -512,7 +580,12 @@ def test_pack_codes_round_trips_and_counts(ovcs, arity):
             size for size in (1, 2, 4, 8)
             if -(1 << (8 * size - 1)) <= low and high < 1 << (8 * size - 1)
         )
-    assert _flat_offset_counts(offsets, arity) == _old_offset_counts(ovcs, arity)
+    want = _old_offset_counts(ovcs, arity)
+    assert _offset_counts(None, offsets, arity) == want
+    book = _code_book(ovcs)
+    assert _codes(*book) == ovcs
+    assert len(book[1]) == len(set(ovcs))
+    assert _offset_counts(book[0], book[1], arity) == want
 
 
 @pytest.mark.parametrize("bad", [

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.cache import fingerprint_rows
-from repro.cache.store import ENTRY_BYTES, OrderCache, _offset_counts
+from repro.cache.store import ENTRY_BYTES, OrderCache
 from repro.model import SortSpec
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
@@ -149,7 +149,10 @@ def test_candidates_and_fetch(tmp_path):
     cands = cache.candidates(fp)
     assert [c.spec for c in cands] == [SPEC_AB]
     assert cands[0].rows is None  # spilled: metadata only, no rehydrate
-    assert cands[0].offset_counts == tuple(_offset_counts(ovcs, 2))
+    counts = [0, 0, 0]
+    for offset, _value in ovcs:
+        counts[min(offset, 2)] += 1
+    assert cands[0].offset_counts == tuple(counts)
     before = cache.counters()
     chosen = cache.fetch(fp, SPEC_AB)
     assert chosen.rows == rows and chosen.ovcs == ovcs
@@ -225,6 +228,9 @@ def test_reinstall_replaces_and_accounts_once():
     cache.install(fp, SPEC_AB, list(rows), list(ovcs), ComparisonStats())
     assert cache.bytes_resident == used
     assert len(cache) == 1
+    # A replaced entry was neither evicted nor expired.
+    c = cache.counters()
+    assert (c["installs"], c["evictions"], c["expirations"]) == (2, 0, 0)
     cache.close()
 
 

@@ -11,13 +11,14 @@ from repro.cache import (
     fingerprint_table,
     get_cache,
     install_result,
+    serve,
 )
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.stats import ComparisonStats
 from repro.plan import derive_batch, plan_batch
-from repro.workloads.generators import random_table
+from repro.workloads.generators import random_sorted_table, random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
 DOMAINS = [8, 12, 30, 4]
@@ -57,7 +58,8 @@ def test_rotation_batch_derives_every_order_from_the_source():
     for node in _requested(plan):
         assert node.parent == 0
         assert node.strategy == "modify"
-        assert node.edge_cost == node.baseline_cost > 0
+        # An ordered, coded source is its own parent: nothing is priced.
+        assert node.edge_cost == node.baseline_cost == 0.0
     assert plan.est_planned == plan.est_independent
     assert plan.est_speedup == 1.0
 
@@ -107,14 +109,15 @@ def test_cached_order_becomes_parent():
 def test_cached_relative_priced_with_exact_counts():
     configure_cache(budget=1 << 22)
     cache = get_cache()
-    source = _sorted_source()
+    source = random_table(SCHEMA, 600, domains=DOMAINS, seed=0)
     fp = fingerprint_table(source)
     cached_spec = SortSpec.of("C", "D", "A", "B")
     cached_table = Sort(TableScan(source), cached_spec, config=CFG).to_table()
     install_result(cache, fp, cached_spec, cached_table, ComparisonStats())
 
-    # C,D,B,A shares a 2-column prefix with the cached order but none
-    # with the source — the cached parent must win despite WIN_MARGIN.
+    # C,D,B,A shares a 2-column prefix with the cached order, and the
+    # source is unordered — the cached parent must beat a full sort
+    # despite WIN_MARGIN.
     target = SortSpec.of("C", "D", "B", "A")
     plan = plan_batch(source, [target], cache=cache, fingerprint=fp)
     (node,) = _requested(plan)
@@ -230,9 +233,69 @@ def test_parent_choice_is_the_dispatchers(state, ordered, tmp_path):
         assert planned == node.label.split("(")[0], spec
         assert node.table.rows == solo.rows and node.table.ovcs == solo.ovcs
         kinds.add(node.label.split("(")[0])
-    want = {"cache-hit", "modify-from-cache"}
-    want |= {"passthrough", "modify"} if ordered else {"full-sort"}
-    assert want <= kinds
+    if ordered:  # the source is its own parent: only exact hits differ
+        assert kinds == {"cache-hit", "passthrough", "modify"}
+    else:
+        assert kinds == {"cache-hit", "modify-from-cache", "full-sort"}
+
+
+#: The end-to-end benchmark's source order and eight target orders.
+BENCH_BASE = SortSpec.of("A", "B", "C", "D")
+BENCH_ORDERS = [
+    SortSpec.of(*order) for order in
+    ("ABDC", "ACBD", "ACDB", "ADBC", "BACD", "BADC", "CDAB", "DCBA")
+]
+
+
+def _bench_source(ordered):
+    """2^12 rows over the benchmark's normal-source domains."""
+    domains = (8, 8, 16, 64)
+    if ordered:
+        return random_sorted_table(SCHEMA, BENCH_BASE, 4096, domains, seed=1)
+    return random_table(SCHEMA, 4096, domains=domains, seed=1)
+
+
+def _serve_label(cache, source, spec):
+    outcome = serve(cache, source, spec, stats=ComparisonStats(),
+                    config=ExecutionConfig(cache="on"))
+    return outcome.label
+
+
+def test_an_ordered_source_is_its_own_parent():
+    """Every benchmark target with every cached sibling, one sibling at
+    a time: an exact hit or a miss, never modify-from-cache, through
+    the solo dispatcher and the batch planner alike."""
+    source = _bench_source(ordered=True)
+    cfg = ExecutionConfig(cache="on")
+    fp = fingerprint_table(source)
+    for sibling in BENCH_ORDERS:
+        cache = configure_cache()
+        Sort(TableScan(source), sibling, config=cfg).to_table()
+        for target in BENCH_ORDERS:
+            exact = target == sibling
+            label = _serve_label(cache, source, target)
+            assert label == (f"cache-hit({','.join(target.names)})"
+                             if exact else None), (sibling, target)
+            plan = plan_batch(source, [target], cache=cache, fingerprint=fp)
+            (node,) = _requested(plan)
+            assert node.strategy == ("cache-hit" if exact else "modify")
+        assert cache.counters()["installs"] == 1  # nothing was derived
+
+
+def test_an_unordered_source_still_modifies_a_cached_order():
+    """The benchmark's ``cache.modify_from`` layer probe: BASE cached
+    for an unordered source, then ABDC is derived from it, not sorted."""
+    source = _bench_source(ordered=False)
+    cache = configure_cache()
+    Sort(TableScan(source), BENCH_BASE,
+         config=ExecutionConfig(cache="on")).to_table()
+    target = SortSpec.of("A", "B", "D", "C")
+    plan = plan_batch(source, [target], cache=cache,
+                      fingerprint=fingerprint_table(source))
+    (node,) = _requested(plan)
+    assert node.strategy == "modify-from-cache"
+    assert node.edge_cost < node.baseline_cost
+    assert _serve_label(cache, source, target) == "modify-from-cache(A,B,C,D)"
 
 
 @pytest.mark.parametrize("edit", ["in-place", "re-assigned"])
