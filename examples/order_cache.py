@@ -12,8 +12,8 @@ derived from it, not from the cache):
   each *sibling* order by feeding the cached rows and codes through
   ``modify_sort_order`` — the paper's segment/merge machinery — after
   the cost model prices that cheaper than sorting from scratch;
-* round two: every order is an exact hit, rows and codes verbatim,
-  with the producing execution's comparison counters replayed.
+* round two: every order is an exact hit, rows and codes verbatim; a
+  hit compares nothing, so it counts nothing.
 
 Every response is bit-identical (rows *and* codes) to what an uncached
 execution would produce, checked below against ``cache="off"`` runs.

@@ -42,7 +42,7 @@ FILE`` samples the run's stacks and writes a collapsed-stack
 (flamegraph) profile.
 
 Execution configuration (:mod:`repro.exec`): the order cache
-(:mod:`repro.cache`) is governed by ``--cache off|on|auto``,
+(:mod:`repro.cache`) is governed by ``--cache off|on``,
 ``--cache-budget``, ``--cache-ttl`` and ``--spill-dir`` (where the
 entries its budget cannot hold are spilled); the order service by
 ``--service-threads``, ``--service-queue-depth``, and
@@ -503,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache",
         nargs="?",
         const="on",
-        choices=["off", "on", "auto"],
+        choices=["off", "on"],
         default=None,
         help="order-cache mode for the run (bare --cache means on)",
     )

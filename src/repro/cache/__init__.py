@@ -18,19 +18,15 @@ with the cost model; a source sorted with codes is its own parent).
 Usage is governed by :class:`~repro.exec.ExecutionConfig`:
 
 * ``cache="off"`` (default) — never touch the cache;
-* ``cache="on"`` — use the process-wide cache, creating it on first
-  use with the config's ``cache_budget`` / ``cache_ttl`` /
-  ``spill_dir``;
-* ``cache="auto"`` — use the process-wide cache only if something
-  already created it (mirrors the ``trace``/``metrics`` tri-state).
+* ``cache="on"`` — use the process-wide cache: the one
+  :func:`configure_cache` made, or else one created on first use with
+  the config's ``cache_budget`` / ``cache_ttl`` / ``spill_dir``.
 
 Environment: ``REPRO_CACHE`` / ``REPRO_CACHE_BUDGET`` /
 ``REPRO_CACHE_TTL``.  Observability: ``cache.hits`` / ``cache.misses``
 / ``cache.installs`` / ``cache.evictions`` / ``cache.expirations`` /
-``cache.spills`` / ``cache.rehydrates`` / ``cache.modify_serves`` /
-``cache.comparisons_saved`` counters, ``cache.bytes_resident`` /
-``cache.entries`` gauges, and a per-hit
-``cache.hit_comparisons_saved`` histogram.
+``cache.spills`` / ``cache.rehydrates`` / ``cache.modify_serves``
+counters and ``cache.bytes_resident`` / ``cache.entries`` gauges.
 """
 
 from __future__ import annotations
@@ -71,18 +67,13 @@ def configure_cache(
     budget: int | None = None,
     ttl: float | None = None,
     spill_dir: str | None = None,
-    spill: bool = True,
-    max_entries: int | None = None,
 ) -> OrderCache:
     """Create (replacing any previous) the process-wide order cache."""
     global _CACHE
     with _LOCK:
         if _CACHE is not None:
             _CACHE.close()
-        _CACHE = OrderCache(
-            budget=budget, ttl=ttl, spill_dir=spill_dir, spill=spill,
-            max_entries=max_entries,
-        )
+        _CACHE = OrderCache(budget=budget, ttl=ttl, spill_dir=spill_dir)
         return _CACHE
 
 
@@ -105,8 +96,6 @@ def resolve_cache(config: ExecutionConfig) -> OrderCache | None:
     """
     if config.cache == "off":
         return None
-    if config.cache == "auto":
-        return _CACHE
     with _LOCK:
         if _CACHE is None:
             return configure_cache(

@@ -5,13 +5,9 @@ order, :func:`serve` decides between three outcomes (the parent rule,
 :func:`_cheapest_parent`, is shared with the batch planner):
 
 * **Exact hit** — the requested order is cached for this row sequence:
-  the entry's rows and codes are returned as-is, and the comparison
-  counters its producing execution recorded are *replayed* into the
-  caller's :class:`~repro.ovc.stats.ComparisonStats`.  Replay keeps the
-  engine's instrumentation deterministic — a plan reads the same with
-  and without the cache whenever the entry was produced by an
-  uncached-identical execution — while the actually avoided work is
-  published as ``cache.comparisons_saved``.
+  the entry's rows and codes are returned as-is.  A hit compares
+  nothing, so it adds nothing to the caller's
+  :class:`~repro.ovc.stats.ComparisonStats`.
 * **Modify from the best cached order** — only for an *unordered*
   source (or one without codes).  An ordered, coded source is its own
   parent: modifying it is the paper's algorithm on the fast kernels,
@@ -35,7 +31,9 @@ order, :func:`serve` decides between three outcomes (the parent rule,
   normal path and registers the output via :func:`install_result`.
 
 Everything returned to callers is bit-identical — rows *and* codes —
-to what the uncached execution would have produced.
+to what the uncached execution would have produced.  Comparison counts
+are not: they are the work *this* call did (none for a hit, the
+modify's own for a modify-from-cache).
 """
 
 from __future__ import annotations
@@ -141,21 +139,16 @@ def serve(
     """Try to answer ``Sort(source, spec)`` from the cache.
 
     ``source`` is the materialized child table (ordered with codes, or
-    unordered).  ``stats`` is the operator's counter set: exact hits
-    replay the entry's recorded delta into it; a modify-from-cache
-    execution counts its real work into it (when ``config`` selects the
-    reference engine — the packed-code kernels count nothing).
+    unordered).  ``stats`` counts the comparisons *this* call makes on
+    the reference engine: an exact hit makes none and adds nothing;
+    a modify-from-cache counts its own modify into it (the
+    packed-code kernels count nothing), and rolls it back on failure.
     """
     fp = fingerprint_table(source)
     outcome = ServeOutcome(fp)
 
     hit = cache.lookup(fp, spec)
     if hit is not None:
-        stats.merge(hit.stats_delta)
-        if METRICS.enabled:
-            saved = hit.stats_delta.column_comparisons
-            METRICS.counter("cache.comparisons_saved").inc(saved)
-            METRICS.histogram("cache.hit_comparisons_saved").observe(saved)
         outcome.table = hit.as_table(source.schema)
         outcome.label = f"cache-hit({_names(spec)})"
         if LOG.enabled:
@@ -255,8 +248,7 @@ def _modify_from(
         return None
     if METRICS.enabled:
         METRICS.counter("cache.modify_serves").inc()
-    cache.install(fp, spec, result.rows, result.ovcs, stats - before,
-                  perm=perm)
+    cache.install(fp, spec, result.rows, result.ovcs, perm=perm)
     return result
 
 
@@ -288,7 +280,6 @@ def install_result(
     fp: Fingerprint,
     spec: SortSpec,
     table: Table,
-    stats_delta: ComparisonStats,
     perm: list[int] | None = None,
 ) -> bool:
     """Register a cold execution's output (must carry codes).
@@ -298,9 +289,7 @@ def install_result(
     """
     if table.ovcs is None:
         return False
-    return cache.install(
-        fp, spec, table.rows, table.ovcs, stats_delta, perm=perm
-    )
+    return cache.install(fp, spec, table.rows, table.ovcs, perm=perm)
 
 
 def _retiebreak(perm: list[int], offsets: list[int], arity: int) -> bool:

@@ -46,9 +46,8 @@ policy shares:
   only when the flat forms alone exceed the budget are those written
   through a :class:`~repro.exec.spill.SpillManager` (``perm``, ``ids``
   and the book's two arrays, not a tuple per row) and rehydrated
-  bit-identically by a later read.  With spilling disabled cold entries
-  are evicted outright.  ``spills`` / ``rehydrates`` count disk writes
-  / reads; a memo drop is neither.
+  bit-identically by a later read.  ``spills`` / ``rehydrates`` count
+  disk writes / reads; a memo drop is neither.
 * **TTL** — entries older than ``ttl`` seconds are expired lazily on
   access and on install.
 
@@ -76,7 +75,6 @@ from ..exec.spill import SpillHandle, SpillManager
 from ..fastpath.packed import _word_array, pack_codes, unpack_codes
 from ..model import Schema, SortSpec, Table
 from ..obs import METRICS
-from ..ovc.stats import ComparisonStats
 from .fingerprint import Fingerprint
 
 #: Accounting category for resident entry bytes.
@@ -100,15 +98,13 @@ class CachedOrder:
     ``perm`` maps output position to source index.
     ``offset_counts[k]`` is the number of codes with offset exactly
     ``k`` (length ``arity + 1``), from which the dispatcher derives
-    segment and run counts without rescanning.  ``stats_delta`` is the
-    comparison work the producing execution spent.
+    segment and run counts without rescanning.
     """
 
     spec: SortSpec
     rows: list | None
     ovcs: list | None
     perm: array | None
-    stats_delta: ComparisonStats
     offset_counts: tuple
     #: ``memo`` | ``flat`` | ``spilled`` — what the read found.
     state: str
@@ -124,13 +120,11 @@ class _Entry:
 
     __slots__ = (
         "key", "spec", "perm", "codes", "rows", "ovcs",
-        "stats_delta", "offset_counts", "flat_bytes", "memo_bytes",
-        "built_at", "handle",
+        "offset_counts", "flat_bytes", "memo_bytes", "built_at", "handle",
     )
 
     def __init__(self, key, spec, perm, codes, rows, ovcs,
-                 stats_delta, offset_counts, flat_bytes, memo_bytes,
-                 built_at) -> None:
+                 offset_counts, flat_bytes, memo_bytes, built_at) -> None:
         self.key = key
         self.spec = spec
         #: The flat form (``None`` while spilled); never mutated.
@@ -140,7 +134,6 @@ class _Entry:
         #: The memo lists (``None`` when dropped).
         self.rows = rows
         self.ovcs = ovcs
-        self.stats_delta = stats_delta
         self.offset_counts = offset_counts
         self.flat_bytes = flat_bytes
         self.memo_bytes = memo_bytes
@@ -164,7 +157,7 @@ class _Entry:
 
     def snapshot(self) -> CachedOrder:
         return CachedOrder(
-            self.spec, self.rows, self.ovcs, self.perm, self.stats_delta,
+            self.spec, self.rows, self.ovcs, self.perm,
             self.offset_counts, self.state, self.charged,
         )
 
@@ -257,12 +250,6 @@ class OrderCache:
     spill_dir:
         Parent directory for the spill manager (system temp when
         ``None``).
-    spill:
-        Whether flat forms the budget cannot hold are spilled (default)
-        or evicted outright.
-    max_entries:
-        Hard cap on stored orders (spilled ones included); the LRU
-        entry is evicted beyond it.
     clock:
         Injectable monotonic clock for TTL tests.
     """
@@ -272,14 +259,10 @@ class OrderCache:
         budget: int | None = None,
         ttl: float | None = None,
         spill_dir: str | None = None,
-        spill: bool = True,
-        max_entries: int | None = None,
         clock=time.monotonic,
     ) -> None:
         if ttl is not None and ttl <= 0:
             raise ValueError(f"ttl must be positive, got {ttl}")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._lock = threading.RLock()
         self._entries: dict[tuple, _Entry] = {}
         # Least recently used first: every entry, the ones holding a
@@ -290,8 +273,6 @@ class OrderCache:
         self._flats: "OrderedDict[_Entry, None]" = OrderedDict()
         self.accountant = MemoryAccountant(budget)
         self.ttl = ttl
-        self.spill_enabled = spill
-        self.max_entries = max_entries
         self._clock = clock
         self._spill_dir = spill_dir
         self._spill: SpillManager | None = None
@@ -380,8 +361,7 @@ class OrderCache:
 
     def _pressure(self, protect: _Entry | None = None) -> None:
         """Get back under budget (lock held): release memos, least
-        recently used first, and only then spill (or evict) flat forms,
-        likewise.  ``protect`` — the entry being read or installed, the
+        recently used first, and only then spill flat forms, likewise.  ``protect`` — the entry being read or installed, the
         most recently used one — keeps its flat form."""
         over = self.accountant.over_budget
         while self._memos and over():
@@ -390,10 +370,7 @@ class OrderCache:
             victim = next(iter(self._flats))
             if victim is protect:
                 break  # nothing older is left
-            if self.spill_enabled:
-                self._spill_entry(victim)
-            else:
-                self._drop(victim, "evicted")
+            self._spill_entry(victim)
         self._publish_levels()
 
     def _purge_expired(self, now: float) -> None:
@@ -494,7 +471,7 @@ class OrderCache:
         spec: SortSpec,
         rows: list,
         ovcs: list,
-        stats_delta: ComparisonStats,
+        stats_delta=None,
         perm=None,
     ) -> bool:
         """Insert (or refresh) the sorted output for ``(fp, spec)``.
@@ -502,12 +479,16 @@ class OrderCache:
         ``rows`` must be a permutation of the rows ``fp`` hashed.
         ``perm`` is that permutation (``rows[i] is fp.rows[perm[i]]``)
         when the caller has it — the fast kernels do — and is derived
-        from the rows otherwise (:func:`_perm_of`).  ``rows`` / ``ovcs`` become the entry's first
-        memo (shared, not copied), sized by the page model's fixed-width
-        row: 8 bytes a column and 16 a code.  Returns False when the
-        entry cannot be admitted (codes missing, rows that are not the
-        fingerprinted ones, or a flat form that alone exceeds a
-        spill-less budget).
+        from the rows otherwise (:func:`_perm_of`).  ``rows`` / ``ovcs``
+        become the entry's first memo (shared, not copied), sized by the
+        page model's fixed-width row: 8 bytes a column and 16 a code.
+        Returns False when the entry cannot be admitted (codes missing,
+        or rows that are not the fingerprinted ones).
+
+        ``stats_delta`` is accepted and ignored: an entry keeps no
+        comparison counts (a hit makes no comparisons).  The parameter
+        stays only because the frozen end-to-end benchmark passes one;
+        it goes with that benchmark's repair (ROADMAP item 1).
         """
         n = len(rows)
         if ovcs is None or len(ovcs) != n:
@@ -527,10 +508,6 @@ class OrderCache:
             + len(offsets) * (offsets.itemsize + value_size)
         )
         memo_bytes = n * (8 * len(fp.schema) + 16)
-        budget = self.accountant.budget
-        if not self.spill_enabled and budget is not None \
-                and ENTRY_BYTES + flat_bytes > budget:
-            return self._reject()
         counts = _offset_counts(ids, offsets, spec.arity)
         key = (fp.source_key, spec)
         with self._lock:
@@ -540,9 +517,8 @@ class OrderCache:
             if old is not None:
                 self._drop(old, "replaced")
             entry = _Entry(
-                fp.source_key, spec, perm, codes, rows, ovcs,
-                stats_delta.snapshot(), counts, flat_bytes, memo_bytes,
-                now,
+                fp.source_key, spec, perm, codes, rows, ovcs, counts,
+                flat_bytes, memo_bytes, now,
             )
             self._entries[key] = entry
             self._lru[entry] = self._memos[entry] = self._flats[entry] = None
@@ -551,12 +527,6 @@ class OrderCache:
             )
             self.installs += 1
             self._count("installs")
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    oldest = next(iter(self._lru))
-                    if oldest is entry:
-                        break
-                    self._drop(oldest, "evicted")
             self._pressure(protect=entry)
         return True
 

@@ -57,9 +57,11 @@ def enforce_order(
 
     ``source.sort_spec`` (``None`` = unordered) picks the path; an
     ordered source without codes runs without them.  ``stats`` receives
-    the comparison counts whenever the reference engine runs — under
-    ``engine="auto"`` that is only with ``use_ovc`` off or a fan-in
-    cap, so callers that want counters pass ``engine="reference"``.
+    the comparisons *this* call makes whenever the reference engine
+    runs — under ``engine="auto"`` that is only with ``use_ovc`` off or
+    a fan-in cap, so callers that want counters pass
+    ``engine="reference"``.  A caller that answers from the order cache
+    instead never calls this and counts nothing.
     ``method`` forces a modification strategy (ordered sources only).
     A forced ``engine="fast"`` propagates the key packer's ``TypeError``.
     ``want_perm`` asks the fast kernels for the permutation they sorted

@@ -22,8 +22,7 @@ is its point) and always runs the reference path.
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this
 exact (source rows, order) pair — a hit serves the cached rows and
-codes verbatim (recorded comparison counters replayed) — or for a
-*related* cached order that the cost model prices cheaper to modify
+codes verbatim — or for a *related* cached order that the cost model prices cheaper to modify
 than the uncached execution; either way the served output is
 bit-identical to an uncached run.  Every executed sort installs its
 output for future requests.  The strategy actually used is recorded in
@@ -53,7 +52,12 @@ from .operators import Operator
 
 
 class Sort(Operator):
-    """Enforce ``spec`` on the child stream."""
+    """Enforce ``spec`` on the child stream.
+
+    ``op.stats`` counts the comparisons *this* call made on the
+    reference engine: a cache hit made none and reports zeros, and a
+    modify-from-cache counts its own modify.
+    """
 
     def __init__(
         self,
@@ -120,12 +124,11 @@ class Sort(Operator):
         self.order_strategy = outcome.label
         return outcome.table
 
-    def _install(self, cache, done, delta) -> None:
+    def _install(self, cache, done) -> None:
         from ..cache import install_result
 
         install_result(
-            cache, self._cache_fp, self._spec, done.table, delta,
-            perm=done.perm,
+            cache, self._cache_fp, self._spec, done.table, perm=done.perm
         )
 
     def _observe(self, mark, before, **ran) -> None:
@@ -191,7 +194,6 @@ class Sort(Operator):
                 self._observe(mark, mark_before)
                 return served
 
-        before = self.stats.snapshot()
         installs = cache is not None and self._cache_fp is not None
         done = enforce_order(
             table,
@@ -205,7 +207,7 @@ class Sort(Operator):
         self.executed = done.executed
         self.order_strategy = done.strategy
         if installs:
-            self._install(cache, done, self.stats - before)
+            self._install(cache, done)
         self._observe(
             mark, mark_before, engine=done.engine, fallback=done.fallback
         )

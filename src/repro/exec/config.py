@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 _ENGINES = ("auto", "fast", "reference")
 
-_CACHE_MODES = ("off", "on", "auto")
+_CACHE_MODES = ("off", "on")
 
 #: Multipliers for the memory-size suffixes :func:`parse_memory` accepts.
 _UNITS = {
@@ -113,8 +113,7 @@ class ExecutionConfig:
         Order-cache mode (:mod:`repro.cache`): ``"off"`` (default)
         never consults it, ``"on"`` uses the process-wide cache
         (created on first use with this config's ``cache_budget`` /
-        ``cache_ttl`` / ``spill_dir``), ``"auto"`` uses it only when
-        something already created one.
+        ``cache_ttl`` / ``spill_dir`` unless one exists already).
     cache_budget:
         Resident-byte budget for the order cache (int bytes or a
         ``parse_memory`` string); cold entries spill to disk beyond
@@ -230,7 +229,7 @@ class ExecutionConfig:
         """Build a config from ``REPRO_*`` environment variables.
 
         Recognized: ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``,
-        ``REPRO_SPILL_DIR``, ``REPRO_CACHE`` (``off``/``on``/``auto``;
+        ``REPRO_SPILL_DIR``, ``REPRO_CACHE`` (``off``/``on``;
         ``1``/``0`` are accepted as ``on``/``off``),
         ``REPRO_CACHE_BUDGET`` (``parse_memory`` syntax),
         ``REPRO_CACHE_TTL`` (seconds), ``REPRO_SERVICE_THREADS``,

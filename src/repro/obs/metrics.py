@@ -35,8 +35,7 @@ drift).  Counters:
   ``cache.evictions`` / ``cache.expirations`` / ``cache.spills`` /
   ``cache.rehydrates`` / ``cache.rejected`` — order-cache lifecycle;
   ``cache.modify_serves`` (related order produced by modifying a
-  cached one) and ``cache.comparisons_saved`` (column comparisons
-  avoided by exact hits); ``cache.fingerprint_passes`` — O(n)
+  cached one); ``cache.fingerprint_passes`` — O(n)
   fingerprint passes actually run (flat under repeat traffic: a
   table's fingerprint is memoized until its rows change).
 * ``exec.mem.charged_bytes`` / ``exec.mem.pressure_events`` —
@@ -76,7 +75,6 @@ Gauges:
 
 Histograms:
 
-* ``cache.hit_comparisons_saved`` — per-hit savings distribution.
 * ``extsort.fan_in`` / ``extsort.run_rows`` — external-sort shape.
 * ``merge.fan_in`` / ``merge.run_rows`` — merge-of-runs shape.
 * ``modify.segment_rows`` / ``segment.rows`` — segment-sort sizes.

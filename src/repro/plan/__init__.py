@@ -13,8 +13,8 @@ cache-resident order, chosen by the rule a solo cached ``Sort`` follows
   inspect or EXPLAIN it;
 * :meth:`DerivationPlan.explain` — the chosen parents as text.
 
-Every order's rows, codes and counters are exactly what an independent
-``Sort`` of that order produces, because that ``Sort`` is what runs.
+Every order's rows and codes are exactly what an independent ``Sort``
+of that order produces, because that ``Sort`` is what runs.
 """
 
 from .executor import BatchResult, NodeResult, derive_batch

@@ -5,7 +5,7 @@ materialized parent by the cache dispatcher's own rule, for EXPLAIN,
 the ``plan.*`` telemetry and the cost accounting.  Execution owns no
 path of its own: each deduplicated order is materialized by
 ``Sort(TableScan(source), spec, config=cfg).to_table()``, in request
-order, so its rows, codes, counters, cache traffic and label are a solo
+order, so its rows, codes, cache traffic and label are a solo
 request's by construction.  An order whose executed strategy differs
 from the planned one (a planned cached parent was evicted first, say)
 is flagged :attr:`NodeResult.fallback`.
@@ -36,7 +36,6 @@ class NodeResult:
     table: Table
     #: The executing ``Sort``'s ``order_strategy``.
     label: str
-    stats_delta: ComparisonStats
     #: True when the executed strategy is not the planned one.
     fallback: bool = False
 
@@ -49,7 +48,7 @@ class BatchResult:
     results: dict[int, NodeResult]
     #: The request list as given (duplicates preserved).
     specs: list[SortSpec]
-    #: Merged counters across every executed node.
+    #: The sum of every executed order's own ``Sort.stats``.
     stats: ComparisonStats = field(default_factory=ComparisonStats)
 
     def result_for(self, spec: SortSpec) -> NodeResult:
@@ -105,7 +104,7 @@ def derive_batch(
             op = Sort(TableScan(source), node.spec, config=cfg)
             table = op.to_table()
             result.results[idx] = NodeResult(
-                idx, node.spec, table, op.order_strategy, op.stats,
+                idx, node.spec, table, op.order_strategy,
                 op.order_strategy != _planned_label(plan, node),
             )
             result.stats.merge(op.stats)

@@ -4,9 +4,9 @@ This package is the **stable serving API** (re-exported from
 :mod:`repro`): an in-process :class:`OrderService` that admits
 concurrent ``order_by`` requests through a bounded queue, coalesces
 duplicates onto shared executions, enforces per-request deadlines, and
-dequeues fairly across tenants — while every response stays
-bit-identical (rows, offset-value codes, comparison counters) to what
-a serial uncached execution would return.
+dequeues fairly across tenants — while every response's rows and
+offset-value codes stay bit-identical to what a serial uncached
+execution would return.
 
 Typical use::
 
@@ -16,7 +16,7 @@ Typical use::
     with OrderService(cfg) as svc:
         resp = svc.order_by(table, "A", "C", "B")
         resp.table      # sorted rows + offset-value codes
-        resp.stats      # comparison counters, as if run solo
+        resp.label      # the strategy that produced them
         resp.coalesced  # True when served by another request's run
 
 Module map: :mod:`.service` (OrderService/Ticket), :mod:`.queue`

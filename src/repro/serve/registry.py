@@ -10,7 +10,7 @@ for *every* waiter) — and the target :class:`~repro.model.SortSpec`.
 A submit either *creates* the in-flight entry for its key (becoming
 the leader whose dequeue executes the sort) or *attaches* to an
 existing one (a coalesced waiter: zero queue slots, zero executions —
-it just shares the leader's result and replays its counters).  The
+it just shares the leader's result).  The
 entry leaves the registry the moment its result is published, so a
 request arriving after completion starts a fresh execution — which the
 order cache, not the registry, is then free to serve cheaply.

@@ -1,14 +1,13 @@
 """Request/response shapes of the order service.
 
 An :class:`~repro.serve.OrderService` request is "enforce this sort
-order on this table"; the response carries exactly what a direct
-:class:`~repro.engine.sort_op.Sort` execution would have produced —
-the sorted :class:`~repro.model.Table` (rows *and* offset-value
-codes), the resolved order strategy, and the comparison counters —
-plus serving metadata (was this request coalesced onto another
-execution, how long did it wait).  Bit-identity with serial uncached
-execution is the service's core contract; the serving tests assert it
-field by field.
+order on this table"; the response carries the sorted
+:class:`~repro.model.Table` (rows *and* offset-value codes) and the
+resolved order strategy of the :class:`~repro.engine.sort_op.Sort`
+that produced it, plus serving metadata (was this request coalesced
+onto another execution, how long did it wait).  Rows and codes
+bit-identical to a serial uncached execution are the service's core
+contract; the serving tests assert them.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import threading
 from dataclasses import dataclass, field
 
 from ..model import SortSpec, Table
-from ..ovc.stats import ComparisonStats
 
 
 @dataclass
@@ -30,10 +28,6 @@ class OrderResponse:
     #: The executed Sort's resolved strategy (``full-sort``,
     #: ``modify(...)``, ``cache-hit(...)``, ...).
     label: str | None
-    #: The comparison counters of the (shared) execution, replayed
-    #: per-waiter: every coalesced response reports the same counts a
-    #: solo execution would have.
-    stats: ComparisonStats
     #: True when this request rode on another request's execution.
     coalesced: bool
     #: Tenant the request was accounted to.
@@ -47,8 +41,7 @@ class Inflight:
 
     Created by the service at admission, keyed in the in-flight
     registry by ``(source_key, spec)``.  The leader's
-    execution fills :attr:`table` / :attr:`label` / :attr:`stats_delta`
-    (or :attr:`error`) and sets :attr:`done`; every ticket then builds
+    execution fills :attr:`table` / :attr:`label` (or :attr:`error`) and sets :attr:`done`; every ticket then builds
     its own response from the shared result.  ``deadline_at`` is the
     *most generous* waiter deadline (``None`` once any waiter has no
     deadline): the scheduler skips execution only when nobody could
@@ -58,7 +51,7 @@ class Inflight:
     __slots__ = (
         "key", "source", "spec", "tenant", "submitted_at", "deadline_at",
         "unbounded", "waiters", "nbytes", "done", "table", "label",
-        "stats_delta", "error",
+        "error",
     )
 
     def __init__(
@@ -83,7 +76,6 @@ class Inflight:
         self.done = threading.Event()
         self.table: Table | None = None
         self.label: str | None = None
-        self.stats_delta: ComparisonStats | None = None
         self.error: BaseException | None = None
 
     def add_waiter(self, deadline_at: float | None) -> None:

@@ -11,9 +11,8 @@ One in-process service owns the workload-level concerns that a solo
 * **Duplicate coalescing** — an in-flight registry keyed by the order
   cache's content fingerprint plus the target order: N concurrent
   identical requests cost *one* execution, whose result fans out to
-  every waiter with the execution's comparison counters replayed — so
-  each response is bit-identical (rows, codes, counters) to a solo
-  serial uncached run.
+  every waiter — so each response's rows and codes are bit-identical
+  to a solo serial uncached run.
 * **Deadlines** — per-request deadlines (default
   ``config.service_deadline_ms``); requests that expire in the queue
   are skipped without execution, and waiters that outlive their
@@ -70,7 +69,6 @@ from ..exec.config import ExecutionConfig
 from ..exec.memory import MemoryAccountant, _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
-from ..ovc.stats import ComparisonStats
 from .errors import (
     DeadlineExceededError,
     ServiceClosedError,
@@ -143,11 +141,9 @@ class Ticket:
 
         Raises :class:`DeadlineExceededError` past the request's
         deadline, ``TimeoutError`` past an explicit ``timeout``, or the
-        execution's own error.  On success the response replays the
-        execution's comparison counters into a fresh
-        :class:`~repro.ovc.stats.ComparisonStats`, so every coalesced
-        waiter reads the counts its own solo execution would have
-        produced.
+        execution's own error.  On success every waiter gets the shared
+        execution's table and label; a response carries no comparison
+        counts.
         """
         entry = self._entry
         clock = self._service._clock
@@ -173,15 +169,12 @@ class Ticket:
             raise self._deadline_exceeded(
                 "execution completed after the request deadline"
             )
-        stats = ComparisonStats()
-        stats.merge(entry.stats_delta)
         latency = now - self.submitted_at
         if METRICS.enabled:
             METRICS.histogram("serve.latency_ms").observe(latency * 1000.0)
         return OrderResponse(
             table=entry.table,
             label=entry.label,
-            stats=stats,
             coalesced=self.coalesced,
             tenant=self.tenant,
             latency_s=latency,
@@ -486,7 +479,6 @@ class OrderService:
                 table = op.to_table()
             entry.table = table
             entry.label = op.order_strategy
-            entry.stats_delta = op.stats
             self._count("executions")
             if METRICS.enabled:
                 METRICS.counter("serve.executions").inc()

@@ -10,7 +10,6 @@ from repro.cache import fingerprint_rows
 from repro.cache.store import OrderCache
 from repro.model import SortSpec
 from repro.ovc.derive import derive_ovcs
-from repro.ovc.stats import ComparisonStats
 
 
 SCHEMA = ("A", "B")
@@ -50,10 +49,7 @@ def test_concurrent_mixed_traffic_consistent():
             rows, ovcs = orders[spec]
             op = rng.random()
             if op < 0.25:
-                cache.install(
-                    fp, spec, rows, ovcs,
-                    ComparisonStats(column_comparisons=tid),
-                )
+                cache.install(fp, spec, rows, ovcs)
             elif op < 0.90:
                 lookups[tid] += 1
                 hit = cache.lookup(fp, spec)

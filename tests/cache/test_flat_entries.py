@@ -385,7 +385,7 @@ def test_perm_of_rejects_foreign_rows():
     fp = fingerprint_rows(source, ("A", "B"))
     rows = [(1, 2), (3, 4), (9, 9)]
     assert not cache.install(
-        fp, SortSpec.of("A"), rows, derive_ovcs(rows, (0,)), ComparisonStats()
+        fp, SortSpec.of("A"), rows, derive_ovcs(rows, (0,))
     )
     assert cache.counters()["rejected"] == 1 and len(cache) == 0
 
@@ -423,7 +423,7 @@ def test_readers_never_see_a_torn_entry_under_pressure(tmp_path):
     want_rows, want_ovcs = _oracle(rows, spec)
     fp = fingerprint_rows(rows, SCHEMA.columns)
     cache = OrderCache(budget=1, spill_dir=str(tmp_path))
-    cache.install(fp, spec, list(want_rows), list(want_ovcs), ComparisonStats())
+    cache.install(fp, spec, list(want_rows), list(want_ovcs))
     others = []
     for seed in range(4):
         o_rows = _rows("normal", seed=50 + seed)
@@ -447,7 +447,7 @@ def test_readers_never_see_a_torn_entry_under_pressure(tmp_path):
         try:
             while not stop.is_set():
                 for o_fp, o_rows, o_ovcs in others:
-                    cache.install(o_fp, spec, o_rows, o_ovcs, ComparisonStats())
+                    cache.install(o_fp, spec, o_rows, o_ovcs)
                     cache.accountant.budget = random.choice((1, 4096, None))
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
@@ -489,7 +489,7 @@ def test_unpackable_code_values_stay_a_list_and_are_counted(tmp_path):
     METRICS.enable()
     try:
         with OrderCache(budget=1, spill_dir=str(tmp_path)) as cache:
-            assert cache.install(fp, spec, *want, ComparisonStats())
+            assert cache.install(fp, spec, *want)
             assert METRICS.counter("cache.unpacked_installs").value == 1
             # Flat, then through a spill file: the values come back whole.
             for _ in range(2):
@@ -497,7 +497,7 @@ def test_unpackable_code_values_stay_a_list_and_are_counted(tmp_path):
                 assert (hit.rows, hit.ovcs) == want
                 cache.install(
                     fingerprint_rows(rows[:9], SCHEMA.columns), spec,
-                    *_oracle(rows[:9], spec), ComparisonStats(),
+                    *_oracle(rows[:9], spec),
                 )
             assert cache.counters()["rehydrates"] == 1
     finally:
@@ -524,7 +524,7 @@ def test_a_code_book_never_merges_equal_values_of_other_types(
     fp = fingerprint_rows(rows, ("A", "B"))
     small = [(9, 9)]
     with OrderCache(budget=1, spill_dir=str(tmp_path)) as cache:
-        assert cache.install(fp, spec, *want, ComparisonStats())
+        assert cache.install(fp, spec, *want)
         # Memo dropped, flat; then through a spill file and back.
         for state in ("flat", "spilled"):
             assert cache.candidates(fp)[0].state == state
@@ -533,7 +533,7 @@ def test_a_code_book_never_merges_equal_values_of_other_types(
             assert hit.ovcs == want[1]
             assert _types(hit.ovcs) == _types(want[1])
             cache.install(fingerprint_rows(small, ("A", "B")), spec, small,
-                          derive_ovcs(small, (0, 1)), ComparisonStats())
+                          derive_ovcs(small, (0, 1)))
         assert cache.counters()["rehydrates"] == 1
 
 

@@ -37,12 +37,15 @@ def _spill_files(tmp_path):
 def test_install_lookup_roundtrip_identity():
     cache = OrderCache()
     fp, rows, ovcs = _entry()
-    delta = ComparisonStats(column_comparisons=123)
-    assert cache.install(fp, SPEC_AB, rows, ovcs, delta)
+    # A fifth positional argument (a counter set) is accepted and
+    # ignored: an entry is rows and codes, it keeps no counts.
+    assert cache.install(
+        fp, SPEC_AB, rows, ovcs, ComparisonStats(column_comparisons=123)
+    )
     hit = cache.lookup(fp, SPEC_AB)
     assert hit is not None
     assert hit.rows == rows and hit.ovcs == ovcs
-    assert hit.stats_delta.column_comparisons == 123
+    assert not hasattr(hit, "stats_delta")
     # Wrong order, wrong data: misses.
     assert cache.lookup(fp, SPEC_BA) is None
     other_fp, _, _ = _entry(salt=100)
@@ -56,7 +59,7 @@ def test_install_lookup_roundtrip_identity():
 def test_install_rejects_missing_codes():
     cache = OrderCache()
     fp, rows, _ = _entry()
-    assert not cache.install(fp, SPEC_AB, rows, None, ComparisonStats())
+    assert not cache.install(fp, SPEC_AB, rows, None)
     assert len(cache) == 0
     cache.close()
 
@@ -65,7 +68,7 @@ def test_ttl_expiry_with_injected_clock():
     now = [0.0]
     cache = OrderCache(ttl=10.0, clock=lambda: now[0])
     fp, rows, ovcs = _entry()
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
+    cache.install(fp, SPEC_AB, rows, ovcs)
     now[0] = 5.0
     assert cache.lookup(fp, SPEC_AB) is not None
     now[0] = 10.5
@@ -75,77 +78,37 @@ def test_ttl_expiry_with_injected_clock():
     cache.close()
 
 
-def test_max_entries_evicts_lru():
-    cache = OrderCache(max_entries=2)
-    entries = [_entry(salt=s) for s in range(3)]
-    for fp, rows, ovcs in entries[:2]:
-        cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
-    # Touch the first so the second becomes LRU.
-    assert cache.lookup(entries[0][0], SPEC_AB) is not None
-    fp, rows, ovcs = entries[2]
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
-    assert len(cache) == 2
-    assert cache.lookup(entries[0][0], SPEC_AB) is not None
-    assert cache.lookup(entries[1][0], SPEC_AB) is None  # evicted
-    assert cache.counters()["evictions"] == 1
-    cache.close()
-
-
 def test_budget_spills_and_rehydrates_bit_identical(tmp_path):
     fp1, rows1, ovcs1 = _entry(n=256, salt=0)
     fp2, rows2, ovcs2 = _entry(n=256, salt=50)
     cache = OrderCache(budget=1, spill_dir=str(tmp_path))
-    cache.install(fp1, SPEC_AB, rows1, ovcs1,
-                  ComparisonStats(column_comparisons=7))
-    cache.install(fp2, SPEC_AB, rows2, ovcs2, ComparisonStats())
-    # Budget of one byte: everything must have been pushed to disk.
+    cache.install(fp1, SPEC_AB, rows1, ovcs1)
+    # What a one-byte budget is left holding of the entry being
+    # installed: its flat form (the memo goes, the arrays stay).
+    flat = cache.bytes_resident - ENTRY_BYTES
+    assert 0 < flat <= 13 * 256
+    cache.install(fp2, SPEC_AB, rows2, ovcs2)
+    # Budget of one byte: everything else must have been pushed to disk.
     c = cache.counters()
     assert c["spills"] >= 1
     assert _spill_files(tmp_path)
     hit = cache.lookup(fp1, SPEC_AB)
     assert hit is not None
     assert hit.rows == rows1 and hit.ovcs == ovcs1
-    assert hit.stats_delta.column_comparisons == 7
     assert cache.counters()["rehydrates"] >= 1
     assert len(cache) == 2  # spilled entries still count
     cache.close()
     assert not _spill_files(tmp_path)  # no leaked spill files
 
 
-def test_budget_without_spill_evicts(tmp_path):
-    fp1, rows1, ovcs1 = _entry(n=256)
-    fp2, rows2, ovcs2 = _entry(n=256, salt=50)
-    cache = OrderCache(budget=1, spill=False)
-    cache.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
-    assert len(cache) == 0  # rejected: alone over the whole budget
-    assert cache.counters()["rejected"] == 1
-    # An entry's flat size: what a one-byte budget is left holding of
-    # the entry being installed (its memo goes, its arrays stay).
-    with OrderCache(budget=1, spill_dir=str(tmp_path)) as probe:
-        probe.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
-        flat = probe.bytes_resident
-    assert 0 < flat - ENTRY_BYTES <= 13 * 256
-    # Room for one flat form but not two: the LRU one is evicted outright.
-    big = OrderCache(budget=int(1.5 * flat), spill=False)
-    big.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
-    big.install(fp2, SPEC_AB, rows2, ovcs2, ComparisonStats())
-    assert big.counters()["evictions"] >= 1
-    assert big.counters()["spills"] == 0
-    assert big.bytes_resident <= int(1.5 * flat)
-    assert big.lookup(fp1, SPEC_AB) is None
-    assert big.lookup(fp2, SPEC_AB) is not None
-    big.close()
-    cache.close()
-
-
 def test_candidates_and_fetch(tmp_path):
     cache = OrderCache(budget=1, spill_dir=str(tmp_path))
     fp, rows, ovcs = _entry(n=128)
     fp2, rows2, ovcs2 = _entry(n=128, salt=50)
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
+    cache.install(fp, SPEC_AB, rows, ovcs)
     # Installing a second source pushes the first out to disk (the
     # entry being installed is protected from its own pressure pass).
-    cache.install(fp2, SPEC_AB, rows2, ovcs2, ComparisonStats())
+    cache.install(fp2, SPEC_AB, rows2, ovcs2)
     cands = cache.candidates(fp)
     assert [c.spec for c in cands] == [SPEC_AB]
     assert cands[0].rows is None  # spilled: metadata only, no rehydrate
@@ -171,7 +134,7 @@ def test_sequence_gating_for_tied_entries():
     ovcs = derive_ovcs(rows, (0, 1))
     fp = fingerprint_rows(rows, SCHEMA)
     cache = OrderCache()
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
+    cache.install(fp, SPEC_AB, rows, ovcs)
     assert cache.lookup(fp, SPEC_AB) is not None
     other = fingerprint_rows(list(reversed(rows)), SCHEMA)
     assert other.n_rows == fp.n_rows and other.source_key != fp.source_key
@@ -193,12 +156,12 @@ def test_entry_belongs_to_one_row_sequence():
     arrangement = list(reversed(rows))
     fp = fingerprint_rows(arrangement, SCHEMA)
     cache = OrderCache()
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
+    cache.install(fp, SPEC_AB, rows, ovcs)
     hit = cache.lookup(fp, SPEC_AB)
     assert hit.rows == rows and list(hit.perm) == list(range(11, -1, -1))
     other = fingerprint_rows(rows, SCHEMA)
     assert cache.lookup(other, SPEC_AB) is None
-    cache.install(other, SPEC_AB, list(rows), list(ovcs), ComparisonStats())
+    cache.install(other, SPEC_AB, list(rows), list(ovcs))
     assert len(cache) == 2
     assert list(cache.lookup(other, SPEC_AB).perm) == list(range(12))
     assert cache.lookup(fp, SPEC_AB).rows == rows
@@ -209,9 +172,9 @@ def test_invalidate_by_source_and_wholesale():
     cache = OrderCache()
     fp1, rows1, ovcs1 = _entry(salt=0)
     fp2, rows2, ovcs2 = _entry(salt=9)
-    cache.install(fp1, SPEC_AB, rows1, ovcs1, ComparisonStats())
-    cache.install(fp1, SPEC_BA, list(rows1), list(ovcs1), ComparisonStats())
-    cache.install(fp2, SPEC_AB, rows2, ovcs2, ComparisonStats())
+    cache.install(fp1, SPEC_AB, rows1, ovcs1)
+    cache.install(fp1, SPEC_BA, list(rows1), list(ovcs1))
+    cache.install(fp2, SPEC_AB, rows2, ovcs2)
     assert cache.invalidate(fp1.source_key) == 2
     assert len(cache) == 1
     assert cache.invalidate() == 1
@@ -223,9 +186,9 @@ def test_invalidate_by_source_and_wholesale():
 def test_reinstall_replaces_and_accounts_once():
     cache = OrderCache()
     fp, rows, ovcs = _entry()
-    cache.install(fp, SPEC_AB, rows, ovcs, ComparisonStats())
+    cache.install(fp, SPEC_AB, rows, ovcs)
     used = cache.bytes_resident
-    cache.install(fp, SPEC_AB, list(rows), list(ovcs), ComparisonStats())
+    cache.install(fp, SPEC_AB, list(rows), list(ovcs))
     assert cache.bytes_resident == used
     assert len(cache) == 1
     # A replaced entry was neither evicted nor expired.
@@ -237,5 +200,3 @@ def test_reinstall_replaces_and_accounts_once():
 def test_validation():
     with pytest.raises(ValueError):
         OrderCache(ttl=0)
-    with pytest.raises(ValueError):
-        OrderCache(max_entries=0)

@@ -95,7 +95,7 @@ def test_cached_order_becomes_parent():
     fp = fingerprint_table(source)
     cached_spec = SortSpec.of("C", "D", "A", "B")
     cached_table = Sort(TableScan(source), cached_spec, config=CFG).to_table()
-    assert install_result(cache, fp, cached_spec, cached_table, ComparisonStats())
+    assert install_result(cache, fp, cached_spec, cached_table)
 
     plan = plan_batch(
         source, [cached_spec], cache=cache, fingerprint=fp
@@ -113,7 +113,7 @@ def test_cached_relative_priced_with_exact_counts():
     fp = fingerprint_table(source)
     cached_spec = SortSpec.of("C", "D", "A", "B")
     cached_table = Sort(TableScan(source), cached_spec, config=CFG).to_table()
-    install_result(cache, fp, cached_spec, cached_table, ComparisonStats())
+    install_result(cache, fp, cached_spec, cached_table)
 
     # C,D,B,A shares a 2-column prefix with the cached order, and the
     # source is unordered — the cached parent must beat a full sort

@@ -41,7 +41,7 @@ def _table(n_rows=400, seed=0):
 def _serial_uncached(table, spec):
     op = Sort(TableScan(table), spec, config=ExecutionConfig(cache="off"))
     out = op.to_table()
-    return out.rows, out.ovcs, op.stats.as_dict()
+    return out.rows, out.ovcs
 
 
 def test_sibling_orders_form_one_planned_batch():
@@ -56,7 +56,7 @@ def test_sibling_orders_form_one_planned_batch():
         counters = svc.counters()
 
     for spec, resp in zip(ROTATIONS, responses):
-        rows, ovcs, _stats = refs[spec]
+        rows, ovcs = refs[spec]
         assert resp.table.rows == rows
         assert resp.table.ovcs == ovcs
     assert counters["planned_batches"] == 1
@@ -129,7 +129,7 @@ def test_sixteen_thread_batched_path_stays_bit_identical():
 
     def _client(t):
         spec = ROTATIONS[t % len(ROTATIONS)]
-        rows, ovcs, _stats = refs[spec]
+        rows, ovcs = refs[spec]
         for _ in range(waves):
             barrier.wait()
             resp = svc.order_by(table, spec, tenant=f"t{t}", timeout=120)

@@ -4,8 +4,8 @@ Two hazards the serving layer must neutralize:
 
 * two threads sharing one :class:`~repro.query.Query`/table and
   ordering it concurrently must not cross-contaminate each other's
-  comparison counters (each service execution builds its own operator
-  over its own fresh ``ComparisonStats``);
+  output, nor the comparison counters of their own reference-engine
+  operators (each operator owns its ``ComparisonStats``);
 * concurrent executions with the order cache on must leave the cache
   in a consistent state — later requests served from it are still
   bit-identical.
@@ -25,13 +25,15 @@ from repro.serve import OrderService
 from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
+REFERENCE = ExecutionConfig(engine="reference")
 
 
 def _refs(table, orders):
+    """Per order: rows, codes and reference-engine counts of a solo
+    uncached ``Sort``."""
     out = {}
     for spec in orders:
-        op = Sort(TableScan(table), spec,
-                  config=ExecutionConfig(cache="off"))
+        op = Sort(TableScan(table), spec, config=REFERENCE)
         t = op.to_table()
         out[str(spec.columns)] = (t.rows, t.ovcs, op.stats.as_dict())
     return out
@@ -52,7 +54,9 @@ def test_two_threads_sharing_one_source_keep_counters_isolated():
             resp = svc.order_by(table, spec, timeout=60)
             if resp.table.rows != rows or resp.table.ovcs != ovcs:
                 failures.append(f"{spec.columns}: output diverged")
-            if resp.stats.as_dict() != stats:
+            op = Sort(TableScan(table), spec, config=REFERENCE)
+            op.to_table()
+            if op.stats.as_dict() != stats:
                 # Cross-contamination would double counters or mix the
                 # two orders' counts.
                 failures.append(f"{spec.columns}: counters corrupted")

@@ -112,9 +112,6 @@ class _FrozenSort:
         self._child = child
         self._spec = spec
         self.order_strategy = "frozen"
-        from repro.ovc.stats import ComparisonStats
-
-        self.stats = ComparisonStats()
 
     def to_table(self):
         type(self).started.set()
