@@ -72,9 +72,13 @@ def main() -> None:
             assert r.table.rows == prev.table.rows
             assert r.table.ovcs == prev.table.ovcs
 
+        # Requests whose order was already cached were answered inside
+        # submit() on the client's thread; the rest ran on the pool or
+        # rode on a duplicate's execution.
         c = service.counters()
-        print(f"burst: {c['requests']} requests -> {c['executions']} "
-              f"executions ({c['coalesced']} coalesced)")
+        print(f"burst: {c['requests']} requests -> {c['cache_hits']} hits "
+              f"at submit, {c['executions']} executions, "
+              f"{c['coalesced']} coalesced")
         print(f"health: {service.health()['status']}")
 
 

@@ -303,8 +303,10 @@ def _serve_load(
         format_table(
             format_serve_summary(record),
             f"order service, duplicate-heavy closed loop ({n_rows:,} rows; "
-            f"{record['executions']} executions for {record['requests']} "
-            f"requests, p99 {record['latency_ms']['p99']}ms)",
+            f"{record['requests']} requests: {record['cache_hits']} hits, "
+            f"{record['executions']} executions, "
+            f"{record['coalesced_requests']} coalesced; "
+            f"p99 {record['latency_ms']['p99']}ms)",
         )
     )
     if json_path:

@@ -4,20 +4,25 @@ The serving layer's acceptance bar is work sharing under concurrency:
 with 16 closed-loop threads spread over 4 distinct target orders (so
 each order is requested by 4 threads at once), the service must answer
 every request bit-identically to a serial uncached execution while
-running strictly fewer sorts than it admits requests — duplicates
-coalesce onto in-flight executions and sequential repeats hit the
-order cache.  This module checks exactly that and emits a
+running strictly fewer sorts than it admits requests — repeats are
+answered from the order cache at submit, and duplicates coalesce onto
+in-flight executions.  A warm cached service leaves almost nothing to
+coalesce, so the load runs twice: through the configured (cached)
+service, then through an uncached one, where coalescing is the only way
+to share work.  This module checks exactly that and emits a
 machine-readable record (``serve --load --json PATH``).  It is a
 fidelity gate, not a performance baseline — serving latency and
 throughput are measured by ``benchmarks/e2e/run.py`` and judged by
 ``compare.py``.
 
-The record carries:
+The record carries the cached pass's report and, under ``uncached``,
+the uncached pass's:
 
 * **executions_per_request** — the headline ratio (1.0 means no
-  sharing at all; the gate requires < 1.0);
+  sharing at all; the gate requires < 1.0 on the cached pass);
+* **cache_hits** — requests answered at submit from the order cache;
 * **coalesced_requests** — duplicates that rode on another request's
-  in-flight execution (the gate requires > 0);
+  in-flight execution (the gate requires > 0 on the uncached pass);
 * **latency_ms p50/p99** — per-request submit-to-response latency
   under the duplicate-heavy load;
 * **fidelity_ok** — one served response per order, from the warm
@@ -86,23 +91,30 @@ def run_serve_trajectory(
     )
     from ..cache import configure_cache, reset_cache
 
+    def _load(service: OrderService) -> dict:
+        return run_load(
+            service, table, orders,
+            threads=threads, requests_per_thread=requests_per_thread,
+        )
+
     if cfg.cache != "off":
         configure_cache(budget=cfg.cache_budget, ttl=cfg.cache_ttl)
     try:
         with OrderService(cfg) as service:
-            report = run_load(
-                service, table, orders,
-                threads=threads, requests_per_thread=requests_per_thread,
-            )
+            report = _load(service)
             # Warm-path fidelity, then through a service that cannot be
             # cache-assisted.
             fidelity_problems = verify_fidelity(service, table, orders)
-        if cfg.cache != "off":
-            with OrderService(cfg.with_(cache="off")) as bare:
-                fidelity_problems += verify_fidelity(bare, table, orders)
     finally:
         if cfg.cache != "off":
             reset_cache()
+    # Warm, a cached service answers repeats at submit and has little
+    # left to coalesce; without the cache, coalescing is the only way
+    # to share work, so that pass is what the coalescing gate reads.
+    with OrderService(cfg.with_(cache="off")) as bare:
+        uncached = _load(bare)
+        if cfg.cache != "off":
+            fidelity_problems += verify_fidelity(bare, table, orders)
     return {
         "n_rows": n_rows,
         "seed": seed,
@@ -110,21 +122,27 @@ def run_serve_trajectory(
         "fidelity_ok": not fidelity_problems,
         "fidelity_problems": fidelity_problems,
         **report,
+        "uncached": uncached,
     }
 
 
 def check_serve_record(record: dict) -> list[str]:
     """CI-gate findings for a serving record (empty = pass)."""
     problems = list(record.get("fidelity_problems", []))
-    if record["errors"]:
-        problems.append(f"{record['errors']} request(s) failed")
+    uncached = record["uncached"]
+    for name, run in (("cached", record), ("uncached", uncached)):
+        if run["errors"]:
+            problems.append(f"{run['errors']} {name} request(s) failed")
     if record["requests"] and record["executions"] >= record["requests"]:
         problems.append(
             f"no work sharing: {record['executions']} executions for "
             f"{record['requests']} requests"
         )
-    if record["coalesced_requests"] <= 0:
-        problems.append("no requests were coalesced under duplicate load")
+    if uncached["coalesced_requests"] <= 0:
+        problems.append(
+            "no requests were coalesced under duplicate load without the "
+            "cache"
+        )
     return problems
 
 
@@ -141,9 +159,11 @@ def format_serve_summary(record: dict) -> list[dict]:
             "threads": record["threads"],
             "orders": len(record["orders"]),
             "requests": record["requests"],
+            "hits": record["cache_hits"],
             "executions": record["executions"],
             "exec/req": record["executions_per_request"],
             "coalesced": record["coalesced_requests"],
+            "coalesced_uncached": record["uncached"]["coalesced_requests"],
             "p50_ms": record["latency_ms"]["p50"],
             "p99_ms": record["latency_ms"]["p99"],
             "rps": record["throughput_rps"],

@@ -7,7 +7,9 @@ order, :func:`serve` decides between three outcomes (the parent rule,
 * **Exact hit** — the requested order is cached for this row sequence:
   the entry's rows and codes are returned as-is.  A hit compares
   nothing, so it adds nothing to the caller's
-  :class:`~repro.ovc.stats.ComparisonStats`.
+  :class:`~repro.ovc.stats.ComparisonStats`.  The order service asks
+  this branch alone (:func:`_exact_hit`) on the caller's thread at
+  submit, and queues only what it does not answer.
 * **Modify from the best cached order** — only for an *unordered*
   source (or one without codes).  An ordered, coded source is its own
   parent: modifying it is the paper's algorithm on the fast kernels,
@@ -128,6 +130,32 @@ def _cheapest_parent(
     return best, best_cost if best is not None else baseline, baseline
 
 
+def _exact_hit(
+    cache: OrderCache,
+    fp: Fingerprint,
+    source: Table,
+    spec: SortSpec,
+    count_miss: bool = True,
+) -> ServeOutcome:
+    """The exact-hit branch of :func:`serve`, also the order service's
+    probe at submit: ``spec`` of ``fp``'s rows as the cache holds it
+    (``table is None`` on a miss).  A miss is counted unless
+    ``count_miss`` is false (:meth:`OrderCache.lookup`)."""
+    outcome = ServeOutcome(fp)
+    hit = cache.lookup(fp, spec, count_miss=count_miss)
+    if hit is None:
+        return outcome
+    outcome.table = hit.as_table(source.schema)
+    outcome.label = f"cache-hit({_names(spec)})"
+    if LOG.enabled:
+        LOG.event(
+            "cache.serve", decision="hit", order=_names(spec),
+            rows=len(source.rows), entry=hit.state,
+            entry_bytes=hit.nbytes,
+        )
+    return outcome
+
+
 def serve(
     cache: OrderCache,
     source: Table,
@@ -145,18 +173,8 @@ def serve(
     packed-code kernels count nothing), and rolls it back on failure.
     """
     fp = fingerprint_table(source)
-    outcome = ServeOutcome(fp)
-
-    hit = cache.lookup(fp, spec)
-    if hit is not None:
-        outcome.table = hit.as_table(source.schema)
-        outcome.label = f"cache-hit({_names(spec)})"
-        if LOG.enabled:
-            LOG.event(
-                "cache.serve", decision="hit", order=_names(spec),
-                rows=len(source.rows), entry=hit.state,
-                entry_bytes=hit.nbytes,
-            )
+    outcome = _exact_hit(cache, fp, source, spec)
+    if outcome.table is not None:
         return outcome
 
     candidates = cache.candidates(fp)

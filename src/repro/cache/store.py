@@ -54,7 +54,8 @@ policy shares:
 Counters (``hits``, ``misses``, ``installs``, ``evictions``,
 ``expirations``, ``spills``, ``rehydrates``) are maintained under the
 same lock, so ``hits + misses`` always equals the number of exact
-lookups — the monotonic-consistency property the concurrency tests
+lookups (less the misses of uncounted probes, :meth:`OrderCache.
+lookup`) — the monotonic-consistency property the concurrency tests
 pin down.  Re-installing a key replaces its entry and is neither an
 eviction nor an expiration.  When the global metrics registry is
 enabled the same events are published under ``cache.*`` names.
@@ -381,28 +382,30 @@ class OrderCache:
     # ------------------------------------------------------------- reads
 
     def _read(
-        self, fp: Fingerprint, spec: SortSpec, counted: bool
+        self, fp: Fingerprint, spec: SortSpec, hits: bool, misses: bool
     ) -> CachedOrder | None:
         """The stored order for ``(fp, spec)`` with its lists built.
 
-        Under the lock: the map operations, the rehydrate of a spilled
-        entry and a snapshot of its arrays.  A flat entry's two gathers
-        run outside it, over the rows ``fp`` hashed; the lists are
-        kept as the entry's memo only if the budget has room for them
-        as it stands — a memo is never worth a disk write.
+        ``hits`` / ``misses``: whether a found / absent entry counts as
+        a lookup's hit / miss (a counted read also drops an expired
+        entry).  Under the lock: the map operations, the rehydrate of a
+        spilled entry and a snapshot of its arrays.  A flat entry's two
+        gathers run outside it, over the rows ``fp`` hashed; the lists
+        are kept as the entry's memo only if the budget has room for
+        them as it stands — a memo is never worth a disk write.
         """
         with self._lock:
             entry = self._entries.get((fp.source_key, spec))
             if entry is not None and self._expired(entry, self._clock()):
-                if counted:
+                if hits:
                     self._drop(entry, "expired")
                 entry = None
             if entry is None:
-                if counted:
+                if misses:
                     self.misses += 1
                     self._count("misses")
                 return None
-            if counted:
+            if hits:
                 self.hits += 1
                 self._count("hits")
             snap = entry.snapshot()
@@ -430,15 +433,20 @@ class OrderCache:
                 self._publish_levels()
         return replace(snap, rows=rows, ovcs=ovcs, perm=perm)
 
-    def lookup(self, fp: Fingerprint, spec: SortSpec) -> CachedOrder | None:
+    def lookup(
+        self, fp: Fingerprint, spec: SortSpec, *, count_miss: bool = True
+    ) -> CachedOrder | None:
         """Exact lookup: the requested order of this row sequence.
 
         An entry is a permutation of one row sequence, and
         ``fp.source_key`` names the sequence: the same rows in another
         arrangement are another source, and a miss.  Every call counts
-        as one hit or one miss.
+        as one hit or one miss — except a miss with ``count_miss=False``,
+        which counts nothing: a probe whose request, on a miss, goes on
+        to a counted lookup of its own, so that each request still
+        counts exactly one outcome.
         """
-        return self._read(fp, spec, counted=True)
+        return self._read(fp, spec, hits=True, misses=count_miss)
 
     def candidates(
         self, fp: Fingerprint, exclude: SortSpec | None = None
@@ -461,7 +469,7 @@ class OrderCache:
     def fetch(self, fp: Fingerprint, spec: SortSpec) -> CachedOrder | None:
         """Materialize one order for use as a modify source (LRU touch,
         rehydrating and gathering as needed; no hit/miss accounting)."""
-        return self._read(fp, spec, counted=False)
+        return self._read(fp, spec, hits=False, misses=False)
 
     # ------------------------------------------------------------ writes
 

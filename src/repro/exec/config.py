@@ -124,10 +124,11 @@ class ExecutionConfig:
         Scheduler threads of an :class:`~repro.serve.OrderService`
         built from this config (concurrent executions).
     service_queue_depth:
-        Bound on the service's admission queue (pending executions,
-        coalesced waiters excluded).  A full queue rejects new work
-        with :class:`~repro.serve.ServiceOverloadError` instead of
-        buffering unboundedly.
+        Bound on the service's admission queue (pending executions;
+        coalesced waiters and exact cache hits, which are answered at
+        submit, take no slot).  A full queue rejects new work with
+        :class:`~repro.serve.ServiceOverloadError` instead of buffering
+        unboundedly.
     service_deadline_ms:
         Default per-request deadline in milliseconds (``None`` = no
         deadline); requests that cannot be answered in time fail with

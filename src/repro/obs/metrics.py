@@ -50,10 +50,11 @@ drift).  Counters:
   executing ``Sort`` took another strategy than the planned one (a
   planned cached parent evicted before its turn).
 * ``profile.samples`` — stacks collected by the sampling profiler.
-* ``serve.requests`` / ``serve.executions`` /
+* ``serve.requests`` / ``serve.cache_hits`` / ``serve.executions`` /
   ``serve.coalesced_requests`` — order-service traffic (requests
-  admitted, sorts actually run, duplicates that shared another
-  request's execution); ``serve.rejected_overload`` — admissions shed
+  submitted, exact cache hits answered at submit on the caller's
+  thread, sorts run by scheduler threads, duplicates that shared
+  another request's execution); ``serve.rejected_overload`` — admissions shed
   at the bounded queue; ``serve.deadline_exceeded`` — requests that
   missed their deadline (queued-expired or waited-too-long);
   ``serve.errors`` — executions that failed;

@@ -4,8 +4,10 @@ Drives an :class:`~repro.serve.OrderService` with a duplicate-heavy
 mix — ``threads`` worker threads, each bound to one of ``orders``
 distinct target orders, all requesting the *same* source table — and
 measures what the serving layer is for: with 16 threads spread over 4
-orders, a perfect service runs one execution per order per wave and
-coalesces the other three duplicates onto it.
+orders, a perfect uncached service runs one execution per order per
+wave and coalesces the other three duplicates onto it; with the order
+cache on, a wave that finds its orders cached is answered at submit
+(``cache_hits``) and executes nothing.
 
 The driver is closed-loop (each thread waits for its response before
 issuing the next request), so offered load adapts to service speed and
@@ -63,7 +65,9 @@ def run_load(
     so each order is requested by ``threads / len(orders)`` concurrent
     threads — the coalescing-friendly worst case for a naive server.  A
     barrier aligns each wave to maximise overlap.  Rejections and
-    deadline misses are counted, not raised.
+    deadline misses are counted, not raised.  ``cache_hits``,
+    ``executions`` and ``coalesced_requests`` are the service counters'
+    deltas over the run.
     """
     if threads < 1 or requests_per_thread < 1:
         raise ValueError("threads and requests_per_thread must be >= 1")
@@ -123,6 +127,7 @@ def run_load(
         "orders": [",".join(str(c) for c in o.columns) for o in orders],
         "rows": len(table.rows),
         "requests": requests,
+        "cache_hits": after["cache_hits"] - before["cache_hits"],
         "executions": executions,
         "executions_per_request": (
             round(executions / requests, 4) if requests else 0.0

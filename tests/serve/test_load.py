@@ -1,10 +1,11 @@
 """Closed-loop load driver and the serving load record.
 
 A scaled-down version of the acceptance load (``serve --load`` runs
-the full 16-thread shape): duplicate-heavy traffic must coalesce,
-executions must undercut requests, and the record must carry the
-latency percentiles and the executions-per-request ratio that
-``serve --load`` reports.
+the full 16-thread shape): executions must undercut requests on the
+cached pass, duplicate-heavy traffic must coalesce on the uncached
+one, and the record must carry the latency percentiles, the hits at
+submit and the executions-per-request ratio that ``serve --load``
+reports.
 """
 
 from __future__ import annotations
@@ -74,10 +75,22 @@ def test_serve_trajectory_record_passes_its_own_gate():
     )
     assert check_serve_record(record) == []
     assert record["fidelity_ok"] is True
+    # Cached pass: repeats are answered at submit, so executions stay
+    # under requests whether or not any duplicate happened to coalesce.
     assert record["executions"] < record["requests"]
-    assert record["coalesced_requests"] > 0
+    assert record["cache_hits"] > 0
+    assert record["requests"] == (
+        record["cache_hits"] + record["executions"]
+        + record["coalesced_requests"]
+    )
+    # Uncached pass: coalescing is the only sharing there is.
+    uncached = record["uncached"]
+    assert uncached["cache_hits"] == 0
+    assert uncached["coalesced_requests"] > 0
     (summary,) = format_serve_summary(record)
     assert summary["exec/req"] == record["executions_per_request"]
+    assert summary["hits"] == record["cache_hits"]
+    assert summary["coalesced_uncached"] == uncached["coalesced_requests"]
 
 
 def test_check_serve_record_flags_failures():
@@ -87,6 +100,16 @@ def test_check_serve_record_flags_failures():
         "requests": 10,
         "executions": 10,
         "coalesced_requests": 0,
+        "uncached": {"errors": 0, "coalesced_requests": 0},
     }
     problems = check_serve_record(bad)
     assert len(problems) == 4
+    # Coalescing is judged on the uncached pass only: a warm cached
+    # pass answers repeats at submit and may coalesce nothing.
+    good = {
+        **bad, "fidelity_problems": [], "errors": 0, "executions": 4,
+        "uncached": {"errors": 0, "coalesced_requests": 3},
+    }
+    assert check_serve_record(good) == []
+    failed = {**good, "uncached": {"errors": 2, "coalesced_requests": 3}}
+    assert check_serve_record(failed) == ["2 uncached request(s) failed"]

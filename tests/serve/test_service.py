@@ -27,6 +27,7 @@ from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec
 from repro.obs import METRICS
+from repro.ovc.derive import derive_ovcs
 from repro.serve import (
     DeadlineExceededError,
     OrderService,
@@ -457,3 +458,162 @@ def test_health_reflects_rejections(monkeypatch):
         frozen.release.set()
         first.result(timeout=30)
         second.result(timeout=30)
+
+
+# ------------------------------------------------------- hits at submit
+
+
+def _oracle(table, spec):
+    """Stable ``sorted()`` plus freshly derived codes."""
+    pos = spec.positions(table.schema)
+    rows = sorted(table.rows, key=lambda r: tuple(r[p] for p in pos))
+    return rows, derive_ovcs(rows, pos)
+
+
+def _block_worker(svc):
+    """Make the service's executions wait on a gate; returns
+    ``(gate, started)``.  Patching the instance reaches every
+    scheduler thread, which looks ``_execute`` up per entry."""
+    gate, started = threading.Event(), threading.Event()
+    execute = svc._execute
+
+    def _blocked(entry):
+        started.set()
+        assert gate.wait(timeout=30), "never released"
+        execute(entry)
+
+    svc._execute = _blocked
+    return gate, started
+
+
+def test_hit_is_answered_at_submit_while_the_only_worker_is_busy():
+    table = _table(300)
+    warm_spec, cold_spec = SortSpec.of("B", "A"), SortSpec.of("C", "D")
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, warm_spec)  # executes and installs
+        gate, started = _block_worker(svc)
+        cold = svc.submit(table, cold_spec)
+        assert started.wait(timeout=10)  # the only worker is now held
+        warm = svc.submit(table, warm_spec)
+        assert warm.done and not cold.done
+        resp = warm.result(timeout=0.5)
+        gate.set()
+        cold_resp = cold.result(timeout=30)
+        counters = svc.counters()
+    assert resp.label == "cache-hit(B,A)"
+    assert resp.coalesced is False
+    assert (resp.table.rows, resp.table.ovcs) == _oracle(table, warm_spec)
+    assert cold_resp.label == "full-sort"
+    assert (cold_resp.table.rows, cold_resp.table.ovcs) == \
+        _oracle(table, cold_spec)
+    assert counters["cache_hits"] == 1
+    assert counters["executions"] == 2
+
+
+def test_hit_needs_no_queue_slot():
+    table = _table(300)
+    warm_spec = SortSpec.of("B", "A")
+    cfg = ExecutionConfig(cache="on", service_threads=1,
+                          service_queue_depth=1)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, warm_spec)
+        gate, started = _block_worker(svc)
+        running = svc.submit(table, SortSpec.of("C", "D"))
+        assert started.wait(timeout=10)
+        queued = svc.submit(table, SortSpec.of("D", "C"))  # fills the queue
+        warm = svc.submit(table, warm_spec)
+        with pytest.raises(ServiceOverloadError):
+            svc.submit(table, SortSpec.of("A", "D"))
+        assert warm.done
+        resp = warm.result(timeout=0.5)
+        gate.set()
+        running.result(timeout=30)
+        queued.result(timeout=30)
+        counters = svc.counters()
+    assert (resp.table.rows, resp.table.ovcs) == _oracle(table, warm_spec)
+    assert counters["rejected"] == 1
+    assert counters["cache_hits"] == 1
+
+
+def test_mutating_a_hit_response_leaves_the_next_hit_unchanged():
+    table = _table(300)
+    spec = SortSpec.of("C", "A")
+    want = _oracle(table, spec)
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        svc.order_by(table, spec)
+        first = svc.order_by(table, spec)
+        assert first.label == "cache-hit(C,A)"
+        first.table.rows.reverse()
+        first.table.rows.pop()
+        first.table.ovcs.clear()
+        second = svc.order_by(table, spec)
+    assert second.label == "cache-hit(C,A)"
+    assert (second.table.rows, second.table.ovcs) == want
+
+
+def test_each_request_counts_one_cache_lookup_outcome():
+    from repro.cache import get_cache
+
+    tables = [_table(300, seed=1), _table(300, seed=2)]
+    specs = [SortSpec.of("B", "A"), SortSpec.of("C", "D"),
+             SortSpec.of("A", "C"), SortSpec.of("B", "D")]
+    # Cold, warm and modify-from-cache requests, interleaved.
+    mix = [(t, s) for _ in range(3) for t in (0, 1) for s in specs]
+    mix += [(0, SortSpec.of("D", "B")), (1, SortSpec.of("A", "B"))]
+    with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
+        for i, (t, spec) in enumerate(mix):
+            resp = svc.order_by(tables[t], spec)
+            assert (resp.table.rows, resp.table.ovcs) == \
+                _oracle(tables[t], spec)
+            cache = get_cache().counters()
+            assert cache["hits"] + cache["misses"] == i + 1
+        counters = svc.counters()
+    assert counters["cache_hits"] == cache["hits"] > 0
+    assert cache["misses"] == counters["executions"] > 0
+
+
+def test_a_source_that_satisfies_the_order_is_not_probed():
+    """Sort passes such a source through without asking the cache, so
+    the probe at submit must not ask it either."""
+    spec = SortSpec.of("A", "B", "C", "D")
+    table = Sort(TableScan(_table(200)), spec,
+                 config=ExecutionConfig(cache="off")).to_table()
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        for _ in range(2):
+            resp = svc.order_by(table, SortSpec.of("A", "B"))
+            assert resp.label == "passthrough"
+        counters = svc.counters()
+    from repro.cache import get_cache
+
+    assert get_cache() is None  # nothing ever asked for one
+    assert counters["cache_hits"] == 0 and counters["executions"] == 2
+
+
+def test_requests_are_hits_executions_or_coalesced():
+    from repro.serve import default_orders, run_load
+
+    METRICS.enable(clear=True)
+    table = _table(400)
+    cfg = ExecutionConfig(cache="on", service_threads=2,
+                          service_queue_depth=64)
+    with OrderService(cfg) as svc:
+        run_load(svc, table, default_orders(table, 4),
+                 threads=8, requests_per_thread=4)
+        counters = svc.counters()
+        health = svc.health()
+    assert counters["requests"] == 32
+    assert counters["rejected"] == counters["errors"] == 0
+    assert counters["deadline_exceeded"] == 0
+    assert counters["cache_hits"] > 0
+    assert counters["requests"] == (
+        counters["cache_hits"] + counters["executions"]
+        + counters["coalesced"]
+    )
+    assert health["cache_hits"] == counters["cache_hits"]
+    snap = METRICS.as_dict()["counters"]
+    assert snap["serve.cache_hits"] == counters["cache_hits"]
+    assert snap["serve.requests"] == (
+        snap["serve.cache_hits"] + snap["serve.executions"]
+        + snap.get("serve.coalesced_requests", 0)
+    )
