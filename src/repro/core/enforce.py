@@ -5,8 +5,10 @@ input reaches a required sort order — pass through when its order
 already satisfies the request, :func:`~repro.core.modify.
 modify_sort_order` when it is ordered otherwise, a full sort when it is
 unordered — and on which engine (:func:`~repro.core.modify.
-resolve_engine`, with ``auto``'s reference fallback on the key packer's
-``TypeError``).  The ``Sort`` operator and the cache dispatcher enforce
+resolve_engine`).  The full sort binds its executor like every modify
+path, through :func:`~repro.core.modify.bind_strategy` (packed-code
+kernels, or the tournament sort on ``auto``'s fallback and under the
+reference engine).  The ``Sort`` operator and the cache dispatcher enforce
 orders through here (the batch planner and the service run ``Sort``),
 so none of them chooses an engine or a sort routine itself.
 """
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
+from ..obs import TRACER
 from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
-from ..sorting.internal import tournament_sort
-from .modify import _modify_sort_order, resolve_engine
+from .analysis import Strategy
+from .modify import _modify_sort_order, bind_strategy, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -95,23 +98,16 @@ def enforce_order(
             _whole(perm, table),
         )
 
-    positions = spec.positions(source.schema)
-    fallback = False
-    if engine == "fast":
-        from ..fastpath.execute import fast_sort
-
-        try:
-            rows, ovcs = fast_sort(
-                source.rows, positions, spec.directions, perm, source
-            )
-        except TypeError:
-            if config.engine == "fast":
-                raise
-            engine, fallback = "reference", True
-    if engine == "reference":
-        rows, ovcs = tournament_sort(
-            source.rows, positions, stats, spec.directions, use_ovc
+    n = len(source.rows)
+    rows: list[tuple] = []
+    ovcs: list[tuple] | None = [] if use_ovc else None
+    with TRACER.span("modify.full_sort", rows=n, segments=1) as sp:
+        run, engine, fallback = bind_strategy(
+            source, spec, None, Strategy.FULL_SORT, engine=engine,
+            stats=stats, use_ovc=use_ovc, forced=config.engine == "fast",
         )
+        sp.set(engine=engine, fallback=fallback)
+        run(0, n, rows, ovcs, perm)
     table = Table(source.schema, rows, spec, ovcs)
     return Enforced(
         table, "internal_sort", "full-sort", engine, fallback,

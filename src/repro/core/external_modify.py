@@ -6,16 +6,19 @@ execution sorts one segment at a time — if every segment fits in
 memory, *no* spill happens at all ("segmented sorting can save a merge
 level, even turning external merge sort into internal sorting").
 
-:func:`modify_sort_order_external` wraps the in-memory executors:
+:func:`modify_sort_order_external` runs the paper's step segment by
+segment, with executors bound by :func:`repro.core.modify.bind_strategy`:
 
 * segments that fit in memory run exactly as in
-  :func:`repro.core.modify.modify_sort_order`;
+  :func:`repro.core.modify.modify_sort_order`, on the executor bound
+  (once, at the first such segment) for the resolved engine;
 * an oversized segment under ``segment_sort`` falls back to a true
   external merge sort of that segment (runs spilled and merged with
   the configured fan-in);
 * an oversized segment under ``combined``/``merge_runs`` merges its
-  pre-existing runs in waves of ``fan_in`` (graceful degradation),
-  charging intermediate wave outputs to the page manager.
+  pre-existing runs in waves of ``fan_in`` (graceful degradation) on
+  the reference merge bound with that cap, charging intermediate wave
+  outputs to the page manager.
 
 All spill traffic lands in the supplied :class:`PageManager`.
 
@@ -32,15 +35,19 @@ from typing import Sequence
 
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
+from ..obs import LOG, TRACER
 from ..ovc.stats import ComparisonStats
 from ..sorting.external import ExternalMergeSort
-from ..sorting.merge import _key_projector
 from ..storage.pages import PageManager
-from .analysis import ModificationPlan, Strategy, analyze_order_modification
+from .analysis import Strategy, analyze_order_modification
 from .classify import split_segments
-from .merge_runs import merge_preexisting_runs
-from .modify import modify_sort_order, resolve_engine
-from .segmented import sort_segment
+from .modify import (
+    _check_method,
+    _resolve_strategy,
+    bind_strategy,
+    modify_sort_order,
+    resolve_engine,
+)
 
 
 def modify_sort_order_external(
@@ -60,6 +67,12 @@ def modify_sort_order_external(
     ``page_manager``.  With segments smaller than ``memory_capacity``
     the operation is fully internal — the hypothesis 1 scenario.
 
+    ``method`` is checked as :func:`~repro.core.modify.modify_sort_order`
+    checks it: an unknown name, or a strategy the orders do not admit,
+    raises the same ``ValueError``.  ``auto`` runs the structural plan
+    (the cost model's full-sort pick would trade a stable merge for the
+    unstable external sort).
+
     ``config`` carries the execution knobs (the engine — see
     :class:`repro.exec.ExecutionConfig`).
     The engine follows :func:`~repro.core.modify.resolve_engine`, as in
@@ -67,10 +80,10 @@ def modify_sort_order_external(
     in-memory segments through the packed-code kernels
     (:mod:`repro.fastpath`) — same rows and codes, no comparison counts
     — unless a ``stats`` collector was passed, falling back to the
-    reference executors on keys the key packer cannot rank.  Oversized
-    segments always take the reference path: spill accounting and
-    capped merge waves are the point of this function, and the fast
-    kernels do not model them.
+    reference executors when the key packer cannot rank the input's
+    keys.  Oversized segments always take the reference path: spill
+    accounting and capped merge waves are the point of this function,
+    and the fast kernels do not model them.
 
     Stability: the structural strategies (merge/segment paths) are
     stable like their in-memory counterparts; segments or inputs that
@@ -79,6 +92,7 @@ def modify_sort_order_external(
     """
     if memory_capacity < 2:
         raise ValueError("memory capacity must allow at least two rows")
+    _check_method(method)
     cfg = config if config is not None else ExecutionConfig.default()
     if table.sort_spec is None:
         raise ValueError("input table must declare its sort order")
@@ -95,122 +109,75 @@ def modify_sort_order_external(
             table, new_spec, method=method, stats=stats, config=cfg
         )
 
+    if method == "auto":
+        strategy = plan.strategy
+    else:
+        strategy = _resolve_strategy(plan, method, len(table.rows), None)
     engine = resolve_engine(cfg, counters=stats is not None)
     stats = stats if stats is not None else ComparisonStats()
-    return _modify_external(
-        table, new_spec, plan, memory_capacity, fan_in, pages, method,
-        stats, run_generation, cfg, engine,
-    )
-
-
-def _modify_external(
-    table: Table,
-    new_spec: SortSpec,
-    plan: ModificationPlan,
-    memory_capacity: int,
-    fan_in: int,
-    pages: PageManager,
-    method: str,
-    stats: ComparisonStats,
-    run_generation: str,
-    cfg: ExecutionConfig,
-    engine: str,
-) -> Table:
-    if plan.strategy is Strategy.FULL_SORT or method == "full_sort":
-        sorter = ExternalMergeSort(
-            new_spec.positions(table.schema),
-            memory_capacity=memory_capacity,
-            fan_in=fan_in,
-            run_generation=run_generation,
-            directions=new_spec.directions,
-            page_manager=pages,
-        )
-        result = sorter.sort(table.rows)
-        stats.merge(result.total_stats)
-        return Table(table.schema, result.rows, new_spec, result.ovcs)
-
-    out_positions = new_spec.positions(table.schema)
-    out_project = _key_projector(out_positions, new_spec.directions)
-    in_positions = table.sort_spec.positions(table.schema)
-    in_project = _key_projector(in_positions, table.sort_spec.directions)
-
     rows, ovcs = table.rows, table.ovcs
+    name = strategy.name.lower()
+
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
-
-    use_merge = plan.strategy in (Strategy.COMBINED, Strategy.MERGE_RUNS) and (
-        method in ("auto", "combined", "merge_runs")
-    )
-    prefix_for_segments = plan.prefix_len if plan.strategy is not Strategy.MERGE_RUNS else 0
-
-    def fast_in_memory(lo: int, hi: int) -> bool:
-        """Run one in-memory segment on the packed-code kernels; False
-        is ``engine="auto"``'s cue to use the reference executors."""
-        from ..fastpath.execute import fast_segment
-
-        try:
-            fast_rows, fast_ovcs = fast_segment(
-                rows[lo:hi], ovcs[lo:hi], plan, new_spec, out_positions,
-                plan.strategy if use_merge else Strategy.SEGMENT_SORT,
-            )
-        except TypeError:
-            if cfg.engine == "fast":
-                raise
-            return False
-        out_rows.extend(fast_rows)
-        out_ovcs.extend(fast_ovcs)
-        return True
-
-    for lo, hi in split_segments(ovcs, prefix_for_segments, len(rows)):
-        size = hi - lo
-        if size <= memory_capacity:
-            if engine == "fast" and fast_in_memory(lo, hi):
-                pass  # done; otherwise the reference executors below
-            elif use_merge:
-                merge_preexisting_runs(
-                    rows, ovcs, lo, hi, plan, out_project, in_project,
-                    stats, out_rows, out_ovcs,
-                    respect_prefix=plan.strategy is Strategy.COMBINED,
-                )
+    merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
+    segmented = strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED)
+    prefix = plan.prefix_len if segmented else 0
+    # Bound at their first use: the in-memory executor on the resolved
+    # engine, and the reference merge with waves capped at the fan-in.
+    # The engine reported is the in-memory one (reference if none ran).
+    in_memory = capped = None
+    ran, fallback = "reference", False
+    with LOG.query_scope(), TRACER.span(
+        "modify.external", rows=len(rows), strategy=name,
+        memory_capacity=memory_capacity,
+    ) as sp:
+        for lo, hi in split_segments(ovcs, prefix, len(rows)):
+            if hi - lo <= memory_capacity and strategy is not Strategy.FULL_SORT:
+                if in_memory is None:
+                    in_memory, ran, fallback = bind_strategy(
+                        table, new_spec, plan, strategy, engine=engine,
+                        stats=stats, forced=cfg.engine == "fast",
+                    )
+                in_memory(lo, hi, out_rows, out_ovcs)
+            elif merging:
+                # Pre-existing runs merge in waves of the fan-in; every
+                # intermediate wave writes its output and reads it back.
+                run_boundary = plan.prefix_len + plan.infix_len
+                n_runs = sum(
+                    1 for i in range(lo + 1, hi) if ovcs[i][0] < run_boundary
+                ) + 1
+                if n_runs > fan_in:
+                    levels = math.ceil(math.log(n_runs, fan_in))
+                    for _ in range(max(levels - 1, 0)):
+                        pages.spill_run(rows[lo:hi]).read()
+                if capped is None:
+                    capped, _, _ = bind_strategy(
+                        table, new_spec, plan, strategy, engine="reference",
+                        stats=stats, max_fan_in=fan_in,
+                    )
+                capped(lo, hi, out_rows, out_ovcs)
             else:
-                sort_segment(
-                    rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
-                    out_project, stats, out_rows, out_ovcs,
-                )
-            continue
-        # Oversized segment.
-        if use_merge:
-            # Pre-existing runs merge in waves of the fan-in; every
-            # intermediate wave writes its output and reads it back.
-            run_boundary = plan.prefix_len + plan.infix_len
-            n_runs = sum(
-                1 for i in range(lo + 1, hi) if ovcs[i][0] < run_boundary
-            ) + 1
-            if n_runs > fan_in:
-                levels = math.ceil(math.log(n_runs, fan_in))
-                for _ in range(max(levels - 1, 0)):
-                    pages.spill_run(rows[lo:hi]).read()
-            merge_preexisting_runs(
-                rows, ovcs, lo, hi, plan, out_project, in_project,
-                stats, out_rows, out_ovcs,
-                respect_prefix=plan.strategy is Strategy.COMBINED,
-                max_fan_in=fan_in,
+                # A true external sort: runs spilled, merged by fan-in.
+                result = ExternalMergeSort(
+                    new_spec.positions(table.schema),
+                    memory_capacity=memory_capacity,
+                    fan_in=fan_in,
+                    run_generation=run_generation,
+                    directions=new_spec.directions,
+                    page_manager=pages,
+                ).sort(rows[lo:hi])
+                stats.merge(result.total_stats)
+                out_rows.extend(result.rows)
+                sorted_ovcs = list(result.ovcs)
+                if sorted_ovcs and prefix > 0:
+                    sorted_ovcs[0] = ovcs[lo]
+                out_ovcs.extend(sorted_ovcs)
+        sp.set(engine=ran, fallback=fallback)
+        if LOG.enabled:
+            LOG.event(
+                "modify.strategy", strategy=name, method=method,
+                rows=len(rows), engine=ran, fallback=fallback,
+                prefix_len=plan.prefix_len, merge_len=plan.merge_len,
             )
-        else:
-            head_ovc = ovcs[lo]
-            sorter = ExternalMergeSort(
-                out_positions,
-                memory_capacity=memory_capacity,
-                fan_in=fan_in,
-                run_generation=run_generation,
-                directions=new_spec.directions,
-                page_manager=pages,
-            )
-            result = sorter.sort(rows[lo:hi])
-            stats.merge(result.total_stats)
-            out_rows.extend(result.rows)
-            sorted_ovcs = list(result.ovcs)
-            if sorted_ovcs and plan.prefix_len > 0:
-                sorted_ovcs[0] = head_ovc
-            out_ovcs.extend(sorted_ovcs)
     return Table(table.schema, out_rows, new_spec, out_ovcs)

@@ -25,6 +25,12 @@ packed-code fast path) and merge fan-in cap::
 Which engine ``engine="auto"`` means is decided in exactly one place,
 :func:`resolve_engine`; every operator, planner and cache module asks
 it (directly, or through :func:`repro.core.enforce.enforce_order`).
+Which executor then runs is decided in one place too,
+:func:`bind_strategy`: it binds the packed-code kernels or, on auto's
+fallback and under the reference engine, the instrumented executors,
+and every path — this module, the enforcer's full sort, the external
+and the streaming variants — runs its segments through the ``run`` it
+returns.
 
 Input and output are both resident: the result's rows are the input's
 own tuple objects in a new list.  Memory is bounded elsewhere — one
@@ -35,13 +41,14 @@ modify_sort_order_external`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, SLOWLOG, TRACER
 from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
+from ..sorting.internal import tournament_sort
 from ..sorting.merge import _key_projector
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
 from .classify import code_offsets, count_below, head_positions, split_segments
@@ -69,9 +76,9 @@ def resolve_engine(
     for — comparison ``counters`` (a ``stats=`` collector on
     :func:`modify_sort_order`), execution without offset-value codes,
     or a ``max_fan_in`` cap.  A forced engine is returned as is.  Where
-    a fast kernel then raises the key packer's ``TypeError`` (mixed types in
-    one column, ``None``), ``auto`` callers fall back to the reference
-    executors and a forced ``fast`` re-raises.
+    the key packer then raises ``TypeError`` (mixed types in one column,
+    ``None``), :func:`bind_strategy` falls back to the reference
+    executors under ``auto`` and re-raises under a forced ``fast``.
     """
     if cfg.engine != "auto":
         return cfg.engine
@@ -135,8 +142,7 @@ def _modify_sort_order(
     ``auto``'s reference fallback on unpackable keys.  A ``perm`` list
     is filled with the output as indices into ``table.rows`` when a
     fast kernel produced it on a forward scan, and left empty otherwise."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
+    _check_method(method)
     cfg = config if config is not None else ExecutionConfig.default()
     if cfg.engine == "fast" and not use_ovc:
         raise ValueError("the fast engine requires offset-value codes (use_ovc=True)")
@@ -203,139 +209,152 @@ def _modify(
     offsets = None
     if plan.merge_len and table.ovcs:
         offsets = code_offsets(table.ovcs)
-    strategy = _resolve_strategy(plan, method, len(table), offsets)
-    in_project = _key_projector(
-        table.sort_spec.positions(table.schema), table.sort_spec.directions
-    )
-
-    # The rows Figure 6 sends through the merge logic, for the fast
-    # merge kernels; segment starts are among them.
-    heads: list[int] | None = None
-    if (
-        engine == "fast"
-        and offsets is not None
-        and strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
-    ):
-        heads = head_positions(
-            offsets, plan.prefix_len + plan.infix_len + plan.merge_len
-        )
-
-    # Segment boundaries are computed exactly once per call and shared
-    # by every executor — the fast path and the reference path
-    # (including the engine="auto" TypeError fallback, which must not
-    # re-classify the input it already classified).
-    boundaries: list[tuple[int, int]] | None = None
-    if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
-        boundaries = _segments(table, plan, use_ovc, in_project, stats, heads)
-
-    result = None
-    fallback = False
-    if engine == "fast":
-        from ..fastpath.execute import fast_modify
-
-        try:
-            result = fast_modify(
-                table, new_spec, plan, strategy,
-                segments=boundaries, heads=heads, perm=perm,
-            )
-        except TypeError:
-            if cfg.engine == "fast":
-                raise
-            if perm:
-                perm.clear()
-            # engine="auto" met key values the key packer cannot rank
-            # (mixed types in one column, None): the reference
-            # executors compare only values that actually meet in a
-            # tournament, so they can still succeed — on the segment
-            # boundaries already computed above.
-            engine, fallback = "reference", True
-    if result is None:
-        result = _reference_modify(
-            table, new_spec, plan, strategy, boundaries, use_ovc, stats,
-            cfg.max_fan_in, in_project,
-        )
-
+    n = len(table.rows)
+    strategy = _resolve_strategy(plan, method, n, offsets)
     name = strategy.name.lower()
+    out_ovcs: list[tuple] | None = [] if use_ovc else None
+    fallback = False
+
+    if strategy is Strategy.NOOP:
+        # Codes are projected onto the shorter key; nothing is compared.
+        out_rows = list(table.rows)
+        if use_ovc:
+            out_ovcs = project_ovcs(table.ovcs, new_spec.arity)
+        if perm is not None and engine == "fast":
+            perm.extend(range(n))
+    else:
+        # The rows Figure 6 sends through the merge logic, for the fast
+        # merge kernels; segment starts are among them.
+        heads: list[int] | None = None
+        if (
+            engine == "fast"
+            and offsets is not None
+            and strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
+        ):
+            heads = head_positions(
+                offsets, plan.prefix_len + plan.infix_len + plan.merge_len
+            )
+        # Segment boundaries are computed exactly once per call, before
+        # an executor is bound, so auto's fallback reuses them.
+        if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
+            boundaries = _segments(table, plan, use_ovc, stats, heads)
+        else:
+            boundaries = [(0, n)] if n else []  # one pass over the input
+        out_rows = []
+        with TRACER.span(
+            f"modify.{name}", rows=n, segments=len(boundaries)
+        ) as sp:
+            run, engine, fallback = bind_strategy(
+                table, new_spec, plan, strategy, engine=engine,
+                stats=stats, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in,
+                heads=heads, forced=cfg.engine == "fast",
+            )
+            sp.set(engine=engine, fallback=fallback)
+            for lo, hi in boundaries:
+                run(lo, hi, out_rows, out_ovcs, perm)
+    result = Table(table.schema, out_rows, new_spec, out_ovcs)
+
     TRACER.annotate(strategy=name, engine=engine, fallback=fallback)
     if LOG.enabled:
         LOG.event(
-            "modify.strategy",
-            strategy=name,
-            method=method,
-            rows=len(table.rows),
-            engine=engine,
-            fallback=fallback,
-            prefix_len=plan.prefix_len,
-            merge_len=plan.merge_len,
+            "modify.strategy", strategy=name, method=method,
+            rows=len(table.rows), engine=engine, fallback=fallback,
+            prefix_len=plan.prefix_len, merge_len=plan.merge_len,
         )
     return result, name, engine, fallback
 
 
-def _reference_modify(
+def bind_strategy(
     table: Table,
-    new_spec: SortSpec,
-    plan: ModificationPlan,
+    spec: SortSpec,
+    plan: ModificationPlan | None,
     strategy: Strategy,
-    boundaries: list[tuple[int, int]] | None,
-    use_ovc: bool,
+    *,
+    engine: str,
     stats: ComparisonStats,
-    max_fan_in: int | None,
-    in_project,
-) -> Table:
-    """Execute ``strategy`` on the instrumented reference executors."""
+    use_ovc: bool = True,
+    max_fan_in: int | None = None,
+    heads: Sequence[int] | None = None,
+    forced: bool = False,
+) -> tuple[Callable[..., None], str, bool]:
+    """The one place an executor is chosen: ``(run, engine, fallback)``.
+
+    ``run(lo, hi, out_rows, out_ovcs, perm=None)`` appends rows ``[lo,
+    hi)`` of ``table`` in ``spec`` order (and, from the packed-code
+    kernels, their indices to ``perm``).  ``engine`` is the resolved one.
+    ``"fast"`` packs the key here, so the packer's ``TypeError`` comes
+    before any row moves: re-raised when ``forced``, else the reference
+    executors are bound (``fallback``) — ``sort_segment`` /
+    ``merge_preexisting_runs`` counting into ``stats`` with merge steps
+    capped at ``max_fan_in``, or a tournament sort for an unordered
+    input (``plan=None``).  ``heads`` are the merge kernels' head
+    positions when the caller has them.
+    """
     rows, ovcs = table.rows, table.ovcs
-    n = len(rows)
-    out_project = _key_projector(
-        new_spec.positions(table.schema), new_spec.directions
-    )
-    out_rows: list[tuple] = []
-    out_ovcs: list[tuple] | None = [] if use_ovc else None
+    positions = spec.positions(table.schema)
+    fallback = False
+    if engine == "fast":
+        from ..fastpath.execute import bind
 
-    if strategy is Strategy.NOOP:
-        out_rows = list(rows)
-        if use_ovc:
-            out_ovcs = project_ovcs(ovcs, new_spec.arity)
-        return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-    if strategy is Strategy.FULL_SORT:
-        with TRACER.span("modify.full_sort", rows=n):
-            for lo, hi in ((0, n),) if n else ():
-                sort_segment(
-                    rows, ovcs, lo, hi, 0, new_spec.arity, out_project,
-                    stats, out_rows, out_ovcs, use_ovc,
-                )
-        return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-    if strategy is Strategy.SEGMENT_SORT:
-        with TRACER.span("modify.segment_sort", segments=len(boundaries)):
-            for lo, hi in boundaries:
-                sort_segment(
-                    rows, ovcs, lo, hi, plan.prefix_len, new_spec.arity,
-                    out_project, stats, out_rows, out_ovcs, use_ovc,
-                )
-        return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-    if strategy is Strategy.MERGE_RUNS:
-        # One pass over the whole input; prefix columns (if any) join
-        # the infix in defining runs.
-        with TRACER.span("modify.merge_runs", rows=n):
-            if n:
-                merge_preexisting_runs(
-                    rows, ovcs, 0, n, plan, out_project, in_project,
-                    stats, out_rows, out_ovcs, use_ovc, respect_prefix=False,
-                    max_fan_in=max_fan_in,
-                )
-        return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-    # COMBINED: segments from the prefix, merge runs within each.
-    with TRACER.span("modify.combined", segments=len(boundaries)):
-        for lo, hi in boundaries:
-            merge_preexisting_runs(
-                rows, ovcs, lo, hi, plan, out_project, in_project,
-                stats, out_rows, out_ovcs, use_ovc, respect_prefix=True,
-                max_fan_in=max_fan_in,
+        try:
+            run = bind(
+                rows, ovcs, positions, spec.directions, plan, strategy,
+                table, heads,
             )
-    return Table(table.schema, out_rows, new_spec, out_ovcs)
+        except TypeError:
+            if forced:
+                raise
+            # The reference executors compare only values that meet in
+            # a tournament, so they can still rank these keys.
+            engine, fallback = "reference", True
+        else:
+            return run, engine, fallback
+
+    if plan is None:
+
+        def run(lo, hi, out_rows, out_ovcs, perm=None):
+            got_rows, got_ovcs = tournament_sort(
+                rows[lo:hi], positions, stats, spec.directions, use_ovc
+            )
+            out_rows.extend(got_rows)
+            if out_ovcs is not None:
+                out_ovcs.extend(got_ovcs)
+
+        return run, engine, fallback
+
+    out_project = _key_projector(positions, spec.directions)
+    if strategy in (Strategy.SEGMENT_SORT, Strategy.FULL_SORT):
+        p = plan.prefix_len if strategy is Strategy.SEGMENT_SORT else 0
+
+        def run(lo, hi, out_rows, out_ovcs, perm=None):
+            sort_segment(
+                rows, ovcs, lo, hi, p, spec.arity, out_project, stats,
+                out_rows, out_ovcs, use_ovc,
+            )
+
+        return run, engine, fallback
+
+    in_spec = table.sort_spec
+    in_project = _key_projector(
+        in_spec.positions(table.schema), in_spec.directions
+    )
+    # MERGE_RUNS is one pass over the whole input, prefix columns (if
+    # any) joining the infix in defining runs; COMBINED merges within
+    # each prefix segment.
+    respect_prefix = strategy is Strategy.COMBINED
+
+    def run(lo, hi, out_rows, out_ovcs, perm=None):
+        merge_preexisting_runs(
+            rows, ovcs, lo, hi, plan, out_project, in_project, stats,
+            out_rows, out_ovcs, use_ovc, respect_prefix, max_fan_in,
+        )
+
+    return run, engine, fallback
+
+
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
 
 
 def _resolve_strategy(
@@ -373,14 +392,8 @@ def _resolve_strategy(
         return Strategy.COMBINED
     # auto: trust the structural analysis; consult the cost model when
     # several structural strategies apply.
-    if plan.strategy in (Strategy.NOOP, Strategy.FULL_SORT):
-        return plan.strategy
-    if plan.strategy is Strategy.SEGMENT_SORT:
-        return plan.strategy
-    if plan.strategy is Strategy.MERGE_RUNS:
-        return plan.strategy
     # COMBINED decompositions admit all four methods; estimate quickly.
-    if n == 0:
+    if plan.strategy is not Strategy.COMBINED or n == 0:
         return plan.strategy
     if offsets is not None:
         n_segments = count_below(offsets, plan.prefix_len)
@@ -399,14 +412,12 @@ def _resolve_strategy(
     return Strategy.COMBINED
 
 
-def _segments(table, plan, use_ovc, in_project, stats, heads=None):
+def _segments(table, plan, use_ovc, stats, heads=None):
     """Segment boundaries — from codes when available (inspecting only
     ``heads`` when the caller has them), else by comparing prefix
     columns of adjacent rows (counted)."""
     with TRACER.span("modify.classify", prefix_len=plan.prefix_len) as sp:
-        boundaries = _segment_boundaries(
-            table, plan, use_ovc, in_project, stats, heads
-        )
+        boundaries = _segment_boundaries(table, plan, use_ovc, stats, heads)
         sp.set(segments=len(boundaries))
     if METRICS.enabled:
         hist = METRICS.histogram("modify.segment_rows")
@@ -415,13 +426,17 @@ def _segments(table, plan, use_ovc, in_project, stats, heads=None):
     return boundaries
 
 
-def _segment_boundaries(table, plan, use_ovc, in_project, stats, heads):
+def _segment_boundaries(table, plan, use_ovc, stats, heads):
     n = len(table.rows)
     if use_ovc:
         return list(split_segments(table.ovcs, plan.prefix_len, n, heads))
     p = plan.prefix_len
     if p == 0 or n == 0:
         return [(0, n)] if n else []
+    in_spec = table.sort_spec
+    in_project = _key_projector(
+        in_spec.positions(table.schema), in_spec.directions
+    )
     boundaries = []
     start = 0
     prev = in_project(table.rows[0])

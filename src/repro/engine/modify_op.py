@@ -13,12 +13,13 @@ For plans without a shared prefix (cases 2/3) the whole input is one
 segment and this operator degenerates to the materializing path.
 
 ``config.engine`` follows the one engine rule
-(:func:`repro.core.modify.resolve_engine`): ``auto`` flushes each
-buffered segment through the packed-code kernels
-(:func:`repro.fastpath.execute.fast_segment`) — same rows and codes,
-no comparison counts — with a per-segment fallback to the instrumented
-executors on keys the key packer cannot rank; ``engine="reference"`` is how
-to ask for this operator's counters.
+(:func:`repro.core.modify.resolve_engine`), and each buffered segment
+is bound to its executor by :func:`repro.core.modify.bind_strategy`:
+``auto`` runs the packed-code kernels — same rows and codes, no
+comparison counts — packing one segment at a time, so its fallback to
+the instrumented executors on keys the key packer cannot rank is per
+segment too; ``engine="reference"`` is how to ask for this operator's
+counters.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..core.analysis import ModificationPlan, Strategy, analyze_order_modification
-from ..core.merge_runs import merge_preexisting_runs
-from ..core.modify import resolve_engine
-from ..core.segmented import sort_segment
+from ..core.modify import bind_strategy, resolve_engine
 from ..exec.config import ExecutionConfig
-from ..model import SortSpec
+from ..model import SortSpec, Table
 from ..obs import METRICS, TRACER
 from ..ovc.derive import project_ovc
-from ..sorting.merge import _key_projector
 from .operators import Operator
 
 
@@ -69,13 +67,6 @@ class StreamingModify(Operator):
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
         plan = self.plan
         spec = self._spec
-        schema = self.schema
-        out_positions = spec.positions(schema)
-        out_project = _key_projector(out_positions, spec.directions)
-        in_spec = self._child.ordering
-        in_project = _key_projector(
-            in_spec.positions(schema), in_spec.directions
-        )
 
         if plan.strategy is Strategy.NOOP:
             arity = spec.arity
@@ -97,37 +88,14 @@ class StreamingModify(Operator):
                 METRICS.gauge("streaming.buffered_rows").set(len(seg_rows))
             out_rows: list[tuple] = []
             out_ovcs: list[tuple] = []
-            engine = self._engine
-            with TRACER.span(
-                "streaming.segment", rows=len(seg_rows), engine=engine
-            ) as sp:
-                if engine == "fast":
-                    from ..fastpath.execute import fast_segment
-
-                    try:
-                        out_rows, out_ovcs = fast_segment(
-                            seg_rows, seg_ovcs, plan, spec, out_positions,
-                            plan.strategy,
-                        )
-                    except TypeError:
-                        if self._config.engine == "fast":
-                            raise
-                        engine = "reference"
-                        sp.set(engine=engine, fallback=True)
-                if engine == "reference":
-                    if plan.strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED):
-                        merge_preexisting_runs(
-                            seg_rows, seg_ovcs, 0, len(seg_rows), plan,
-                            out_project, in_project, self.stats, out_rows,
-                            out_ovcs, use_ovc=True,
-                            respect_prefix=plan.strategy is Strategy.COMBINED,
-                        )
-                    else:
-                        sort_segment(
-                            seg_rows, seg_ovcs, 0, len(seg_rows),
-                            plan.prefix_len, spec.arity, out_project,
-                            self.stats, out_rows, out_ovcs, use_ovc=True,
-                        )
+            segment = Table(self.schema, seg_rows, self._child.ordering, seg_ovcs)
+            with TRACER.span("streaming.segment", rows=len(seg_rows)) as sp:
+                run, engine, fallback = bind_strategy(
+                    segment, spec, plan, plan.strategy, engine=self._engine,
+                    stats=self.stats, forced=self._config.engine == "fast",
+                )
+                sp.set(engine=engine, fallback=fallback)
+                run(0, len(seg_rows), out_rows, out_ovcs)
             yield from zip(out_rows, out_ovcs)
             seg_rows.clear()
             seg_ovcs.clear()

@@ -22,9 +22,13 @@ differential suite in ``tests/fastpath/`` enforces that.
 
 Select it via ``modify_sort_order(..., config=
 ExecutionConfig(engine="fast"))``, or let ``engine="auto"`` pick it
-whenever the caller did not ask for comparison counters.
+whenever the caller did not ask for comparison counters.  Every modify
+path reaches the kernels through
+:func:`repro.core.modify.bind_strategy`, which binds them with
+:func:`~repro.fastpath.execute.bind`; :func:`fast_sort` is a full sort
+of bare rows over the same binding.
 """
 
-from .execute import fast_modify, fast_sort
+from .execute import fast_sort
 
-__all__ = ["fast_modify", "fast_sort"]
+__all__ = ["fast_sort"]

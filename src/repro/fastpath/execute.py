@@ -1,24 +1,26 @@
-"""Fast-path executor: strategy dispatch over the batch kernels.
+"""Fast-path executor: one strategy's kernel, bound to one input.
 
-:func:`fast_modify` is the uninstrumented twin of the strategy branches
-in :func:`repro.core.modify.modify_sort_order`: same plan, same
-segment boundaries (from code offsets alone), same output — rows *and*
-offset-value codes bit-identical to the reference engine — but executed
-by the kernels in :mod:`repro.fastpath.kernels` over packed keys.
+:func:`bind` is the packed-code half of
+:func:`repro.core.modify.bind_strategy`, the one place an executor is
+chosen: same plan, same segment boundaries (from code offsets alone),
+same output — rows *and* offset-value codes bit-identical to the
+reference engine — but executed by the kernels in
+:mod:`repro.fastpath.kernels` over packed keys.
 
-Every entry point binds its input through :func:`_bind`: the key
-columns' fields (:mod:`repro.fastpath.packed` — remembered on the table
-when the key source is a table's own rows, built for the call
-otherwise) are packed once and shared by every segment.  When every
+Binding packs the key once: the key columns' fields
+(:mod:`repro.fastpath.packed` — remembered on the table when the key
+source is a table's own rows, built for the call otherwise) are shared
+by every segment the bound ``run`` is then called on.  When every
 output key column is ascending, fields and kernels read key values
 straight out of the source rows; otherwise the keys are projected and
-normalized up front (:func:`project_keys`).
+normalized up front (:func:`project_keys`).  A key column the packer
+cannot rank raises ``TypeError`` here, before any row moves.
 
 A stable sort's result is a permutation of its input, and the kernels
-have it in hand before they gather a row.  :func:`fast_modify` and
-:func:`fast_sort` append it to the caller's ``perm`` list (indices into
-the input rows, parallel to the output) when given one — the order
-cache stores that, not a second row list — and skip it otherwise.
+have it in hand before they gather a row.  A bound ``run`` appends it
+to the caller's ``perm`` list (indices into the input rows, parallel to
+the output) when given one — the order cache stores that, not a second
+row list — and skips it otherwise.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
-from ..core.classify import code_offsets, head_positions, split_segments
-from ..model import SortSpec, Table
-from ..obs import TRACER
-from ..ovc.derive import project_ovcs
+from ..core.classify import code_offsets, head_positions
+from ..model import Table
 from ..sorting.merge import _key_projector
 from .kernels import CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs, fast_sort_segment
 from .packed import key_fields, pack_fields, table_fields
@@ -59,7 +59,7 @@ def project_keys(
     return [project(row) for row in rows]
 
 
-def _bind(
+def bind(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple] | None,
     positions: Sequence[int],
@@ -149,86 +149,6 @@ def _listed(packed: Sequence[int]) -> Sequence[int]:
     return packed.tolist() if isinstance(packed, array) else packed
 
 
-def fast_modify(
-    table: Table,
-    new_spec: SortSpec,
-    plan: ModificationPlan,
-    strategy: Strategy,
-    segments: list[tuple[int, int]] | None = None,
-    heads: Sequence[int] | None = None,
-    perm: list[int] | None = None,
-) -> Table:
-    """Execute ``strategy`` on ``table`` without instrumentation.
-
-    The table must carry offset-value codes (the caller guarantees it;
-    classification, segmenting, and code reconstruction all read them).
-    ``segments`` supplies pre-computed segment boundaries and ``heads``
-    the merge strategies' head positions (the dispatcher classifies
-    once and shares both); when omitted they are derived here.
-    ``perm``, when given, receives the output as indices into
-    ``table.rows``.
-    """
-    rows = table.rows
-    ovcs = table.ovcs
-    n = len(rows)
-    k_out = new_spec.arity
-
-    if strategy is Strategy.NOOP:
-        if perm is not None:
-            perm.extend(range(n))
-        return Table(table.schema, list(rows), new_spec, project_ovcs(ovcs, k_out))
-
-    out_rows: list[tuple] = []
-    out_ovcs: list[tuple] = []
-    if n == 0:
-        return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-    with TRACER.span("fastpath.pack", rows=n):
-        run = _bind(
-            rows, ovcs, new_spec.positions(table.schema), new_spec.directions,
-            plan, strategy, table, heads,
-        )
-
-    if strategy in (Strategy.FULL_SORT, Strategy.MERGE_RUNS):
-        segments = [(0, n)]  # one pass over the whole input
-    elif segments is None:
-        segments = split_segments(ovcs, plan.prefix_len, n)
-    merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
-    with TRACER.span(
-        "fastpath.merge" if merging else "fastpath.sort", rows=n
-    ) as sp:
-        count = 0
-        for lo, hi in segments:
-            count += 1
-            run(lo, hi, out_rows, out_ovcs, perm)
-        sp.set(segments=count)
-
-    return Table(table.schema, out_rows, new_spec, out_ovcs)
-
-
-def fast_segment(
-    seg_rows: Sequence[tuple],
-    seg_ovcs: Sequence[tuple],
-    plan: ModificationPlan,
-    spec: SortSpec,
-    positions: Sequence[int],
-    strategy: Strategy,
-) -> tuple[list[tuple], list[tuple]]:
-    """Execute one buffered segment (the streaming operator's unit).
-
-    Returns ``(out_rows, out_ovcs)``; the fields are built per segment,
-    which is exactly this call's comparison universe.
-    """
-    out_rows: list[tuple] = []
-    out_ovcs: list[tuple] = []
-    if len(seg_rows):
-        run = _bind(
-            seg_rows, seg_ovcs, positions, spec.directions, plan, strategy
-        )
-        run(0, len(seg_rows), out_rows, out_ovcs)
-    return out_rows, out_ovcs
-
-
 def fast_sort(
     rows: Sequence[tuple],
     positions: Sequence[int],
@@ -243,7 +163,7 @@ def fast_sort(
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
     if len(rows):
-        run = _bind(
+        run = bind(
             rows, None, positions, directions, None, Strategy.FULL_SORT, table
         )
         run(0, len(rows), out_rows, out_ovcs, perm)

@@ -16,7 +16,9 @@ import random
 import pytest
 
 from repro.cache import reset_cache
+from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
+from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
 from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig
@@ -203,3 +205,66 @@ def test_forced_fast_engine_raises_on_every_enforcement_path(case, ordered, path
     spec = CASES[case][1]
     with pytest.raises(TypeError):
         PATHS[path](source, spec, ExecutionConfig(engine="fast", cache="off"))
+
+
+# ---------------------------------------------------------------------------
+# The modify paths that take an ordered, coded source only: the streaming
+# operator and the memory-bounded variant, whose capacity is either below
+# every segment (each one spills) or above all of them (all in memory).
+# They bind their executors where every other path does, so the same
+# oracle holds.
+# ---------------------------------------------------------------------------
+
+
+def _via_streaming(source, spec, cfg):
+    out = list(StreamingModify(TableScan(source), spec, config=cfg))
+    return [Table(SCHEMA, [r for r, _ in out], spec, [c for _, c in out])]
+
+
+def _via_external(memory_capacity):
+    def via(source, spec, cfg):
+        return [modify_sort_order_external(
+            source, spec, memory_capacity=memory_capacity, config=cfg
+        )]
+
+    return via
+
+
+ORDERED_PATHS = {
+    "streaming": _via_streaming,
+    "external-spilling": _via_external(8),
+    "external-in-memory": _via_external(1000),
+}
+
+#: Where a forced ``fast`` engine packs no column that mixes types: the
+#: streaming operator packs one segment at a time (these segments are
+#: uniformly typed), and oversized segments never reach the kernels.
+PACKS_UNIFORM_KEYS = {
+    ("streaming", "mixed-across-segments"),
+    ("streaming", "none-segment"),
+    *(("external-spilling", case) for case in CASES),
+}
+
+
+@pytest.mark.parametrize("engine", ["auto", "reference"])
+@pytest.mark.parametrize("path", ORDERED_PATHS)
+@pytest.mark.parametrize("case", CASES)
+def test_unpackable_keys_on_every_ordered_modify_path(case, path, engine):
+    source = _source(case, ordered=True)
+    spec = CASES[case][1]
+    [result] = ORDERED_PATHS[path](source, spec, ExecutionConfig(engine=engine))
+    _assert_oracle(result, source, spec)
+
+
+@pytest.mark.parametrize("path", ORDERED_PATHS)
+@pytest.mark.parametrize("case", CASES)
+def test_forced_fast_engine_on_every_ordered_modify_path(case, path):
+    source = _source(case, ordered=True)
+    spec = CASES[case][1]
+    cfg = ExecutionConfig(engine="fast")
+    if (path, case) in PACKS_UNIFORM_KEYS:
+        [result] = ORDERED_PATHS[path](source, spec, cfg)
+        _assert_oracle(result, source, spec)
+        return
+    with pytest.raises(TypeError):
+        ORDERED_PATHS[path](source, spec, cfg)

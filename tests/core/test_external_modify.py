@@ -161,6 +161,70 @@ def test_noop_and_backward_paths():
     assert rev.rows == list(reversed(table.rows))
 
 
+#: One target per structural plan: combined, merge_runs, noop, full_sort,
+#: segment_sort, backward.
+TARGETS = [
+    ("A", "C", "B"), ("B", "A", "C"), ("A", "B", "C"), ("C", "B", "A"),
+    ("A", "B DESC", "C"), ("A DESC", "B DESC", "C DESC"),
+]
+METHODS = [
+    "auto", "noop", "segment_sort", "merge_runs", "combined", "full_sort",
+    "bogus",
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("target", TARGETS, ids=",".join)
+def test_method_is_honoured_as_in_memory(target, method):
+    """A forced method means what it means to ``modify_sort_order``:
+    both raise the same ``ValueError``, or both return the oracle.  The
+    rows are distinct on every target, so even the unstable external
+    sort has one right answer; a capacity of 20 lets some A segments
+    fit and spills others."""
+    rng = random.Random(11)
+    table = build(rng.sample(
+        [(a, b, c) for a in range(5) for b in range(6) for c in range(7)], 120
+    ))
+    spec = SortSpec(target)
+    try:
+        expected = modify_sort_order(table, spec, method=method)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            modify_sort_order_external(
+                table, spec, memory_capacity=20, method=method
+            )
+        assert str(got.value) == str(exc)
+        return
+    got = modify_sort_order_external(
+        table, spec, memory_capacity=20, method=method
+    )
+    oracle = sorted(table.rows, key=spec.key_for(SCHEMA))
+    assert expected.rows == got.rows == oracle
+    assert got.ovcs == derive_ovcs(
+        oracle, spec.positions(SCHEMA), spec.directions
+    )
+
+
+@pytest.mark.parametrize("method", ["merge_runs", "combined", "segment_sort"])
+def test_forced_method_runs_that_strategy(method):
+    """With every segment in memory a forced method costs exactly the
+    comparisons it costs ``modify_sort_order`` — ``merge_runs`` is one
+    merge over the whole input, not a merge per prefix segment."""
+    rng = random.Random(12)
+    table = build(
+        (rng.randrange(8), rng.randrange(8), rng.randrange(8))
+        for _ in range(400)
+    )
+    spec = SortSpec.of("A", "C", "B")
+    in_memory, external = ComparisonStats(), ComparisonStats()
+    expected = modify_sort_order(table, spec, method=method, stats=in_memory)
+    got = modify_sort_order_external(
+        table, spec, memory_capacity=1000, method=method, stats=external
+    )
+    assert got.rows == expected.rows and got.ovcs == expected.ovcs
+    assert external.as_dict() == in_memory.as_dict()
+
+
 def test_capacity_validation():
     table = build([(1, 1, 1)])
     with pytest.raises(ValueError):

@@ -161,6 +161,36 @@ def test_telemetry_flags_the_auto_fallback_to_reference():
         assert record["engine"] == "reference" and record["fallback"] is True
 
 
+def test_external_modify_reports_engine_and_fallback():
+    """``modify_sort_order_external`` names the engine that ran its
+    in-memory segments on a ``modify.external`` span and the
+    ``modify.strategy`` event, as ``modify_sort_order`` does."""
+    from repro.core.external_modify import modify_sort_order_external
+
+    rows = [(0, b, f"c{b % 3}") for b in range(9)]
+    rows += [(1, b, b % 3) for b in range(9)]
+    mixed = Table(SCHEMA, rows, SortSpec.of("A", "B", "C")).with_ovcs()
+    packable = _table().with_ovcs()
+    for table, engine, fallback in (
+        (packable, "fast", False), (mixed, "reference", True),
+    ):
+        sink = io.StringIO()
+        LOG.enable(sink)
+        TRACER.enable(clear=True)
+        modify_sort_order_external(
+            table, SortSpec.of("A", "C", "B"), memory_capacity=1000,
+            config=ExecutionConfig(engine="auto"),
+        )
+        LOG.disable()
+        (event,) = [e for e in map(json.loads, sink.getvalue().splitlines())
+                    if e["event"] == "modify.strategy"]
+        (span,) = [r for r in TRACER.drain() if r["name"] == "modify.external"]
+        for record in (event, span["attrs"]):
+            assert record["engine"] == engine
+            assert record["fallback"] is fallback
+        assert "qid" in event
+
+
 def test_query_events_share_one_qid(tmp_path):
     path = str(tmp_path / "log.jsonl")
     LOG.enable(path)
