@@ -30,7 +30,7 @@ def _late(rows, capacity, fan_in, stats, pages):
     """Baseline: full sort first, aggregate afterwards."""
     sorter = ExternalMergeSort(
         (0,), memory_capacity=capacity, fan_in=fan_in,
-        run_generation="load_sort", use_ovc=True, page_manager=pages,
+        run_generation="load_sort", page_manager=pages,
     )
     result = sorter.sort(rows)
     stats.merge(result.total_stats)

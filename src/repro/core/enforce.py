@@ -5,12 +5,13 @@ input reaches a required sort order — pass through when its order
 already satisfies the request, :func:`~repro.core.modify.
 modify_sort_order` when it is ordered otherwise, a full sort when it is
 unordered — and on which engine (:func:`~repro.core.modify.
-resolve_engine`).  The full sort binds its executor like every modify
-path, through :func:`~repro.core.modify.bind_strategy` (packed-code
-kernels, or the tournament sort on ``auto``'s fallback and under the
-reference engine).  The ``Sort`` operator and the cache dispatcher enforce
-orders through here (the batch planner and the service run ``Sort``),
-so none of them chooses an engine or a sort routine itself.
+resolve_engine`).  The full sort is :func:`~repro.core.external_modify.
+external_sort` on the executor :func:`~repro.core.modify.bind_strategy`
+binds (packed-code kernels, or the tournament sort on ``auto``'s
+fallback and under the reference engine).  The ``Sort`` operator and
+the cache dispatcher enforce orders through here (the batch planner and
+the service run ``Sort``), so none of them chooses an engine or a sort
+routine itself.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from ..model import SortSpec, Table
 from ..obs import TRACER
 from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
-from .analysis import Strategy
-from .modify import _modify_sort_order, bind_strategy, resolve_engine
+from ..storage.pages import PageManager
+from .external_modify import external_sort
+from .modify import _modify_sort_order, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,11 @@ class Enforced:
     """What :func:`enforce_order` produced, and how."""
 
     table: Table
-    #: ``passthrough`` | ``modify_sort_order`` | ``internal_sort``
-    #: (the vocabulary of ``Sort.executed``).
+    #: ``passthrough`` | ``modify_sort_order`` | ``internal_sort`` |
+    #: ``external_sort`` (the vocabulary of ``Sort.executed``).
     executed: str
     #: EXPLAIN label: ``passthrough`` | ``modify(<input order>)`` |
-    #: ``full-sort``.
+    #: ``full-sort`` | ``external-sort``.
     strategy: str
     #: The engine that ran, ``fast`` | ``reference`` (``None``: nothing ran).
     engine: str | None = None
@@ -55,6 +57,8 @@ def enforce_order(
     method: str = "auto",
     use_ovc: bool = True,
     want_perm: bool = False,
+    memory_capacity: int | None = None,
+    fan_in: int = 16,
 ) -> Enforced:
     """Produce ``source``'s rows in ``spec`` order, the cheapest way.
 
@@ -70,6 +74,8 @@ def enforce_order(
     ``want_perm`` asks the fast kernels for the permutation they sorted
     through (callers that will install the result in the order cache;
     nobody else pays for it).
+    ``memory_capacity`` (rows) bounds an unordered input's sort: past
+    it, runs spill and merge ``fan_in`` at a time (``external-sort``).
     """
     src_spec = source.sort_spec
     if src_spec is not None and src_spec.satisfies(spec):
@@ -99,20 +105,18 @@ def enforce_order(
         )
 
     n = len(source.rows)
-    rows: list[tuple] = []
-    ovcs: list[tuple] | None = [] if use_ovc else None
+    capacity = max(n, 1) if memory_capacity is None else memory_capacity
     with TRACER.span("modify.full_sort", rows=n, segments=1) as sp:
-        run, engine, fallback = bind_strategy(
-            source, spec, None, Strategy.FULL_SORT, engine=engine,
+        rows, ovcs, engine, fallback = external_sort(
+            source, spec, capacity, fan_in, PageManager(), engine=engine,
             stats=stats, use_ovc=use_ovc, forced=config.engine == "fast",
+            perm=perm,
         )
-        sp.set(engine=engine, fallback=fallback)
-        run(0, n, rows, ovcs, perm)
+        sp.set(engine=engine, fallback=fallback, runs=-(-n // capacity))
     table = Table(source.schema, rows, spec, ovcs)
-    return Enforced(
-        table, "internal_sort", "full-sort", engine, fallback,
-        _whole(perm, table),
-    )
+    executed = "external_sort" if n > capacity else "internal_sort"
+    label = "external-sort" if n > capacity else "full-sort"
+    return Enforced(table, executed, label, engine, fallback, _whole(perm, table))
 
 
 def _whole(perm: list[int] | None, table: Table) -> list[int] | None:

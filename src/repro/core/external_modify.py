@@ -6,15 +6,16 @@ execution sorts one segment at a time — if every segment fits in
 memory, *no* spill happens at all ("segmented sorting can save a merge
 level, even turning external merge sort into internal sorting").
 
-:func:`modify_sort_order_external` runs the paper's step segment by
-segment, with executors bound by :func:`repro.core.modify.bind_strategy`:
+:func:`external_sort` is the one stable external sort, behind both the
+enforcer's full sort (``Sort(memory_capacity=)``) and
+:func:`modify_sort_order_external`, which runs the paper's step segment
+by segment:
 
 * segments that fit in memory run exactly as in
   :func:`repro.core.modify.modify_sort_order`, on the executor bound
   (once, at the first such segment) for the resolved engine;
-* an oversized segment under ``segment_sort`` falls back to a true
-  external merge sort of that segment (runs spilled and merged with
-  the configured fan-in);
+* an oversized segment under ``segment_sort``/``full_sort`` is one
+  :func:`external_sort`;
 * an oversized segment under ``combined``/``merge_runs`` merges its
   pre-existing runs in waves of ``fan_in`` (graceful degradation) on
   the reference merge bound with that cap, charging intermediate wave
@@ -37,7 +38,7 @@ from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, TRACER
 from ..ovc.stats import ComparisonStats
-from ..sorting.external import ExternalMergeSort
+from ..sorting.external import merge_spilled
 from ..storage.pages import PageManager
 from .analysis import Strategy, analyze_order_modification
 from .classify import split_segments
@@ -58,7 +59,6 @@ def modify_sort_order_external(
     page_manager: PageManager | None = None,
     method: str = "auto",
     stats: ComparisonStats | None = None,
-    run_generation: str = "replacement",
     config: ExecutionConfig | None = None,
 ) -> Table:
     """Modify ``table``'s sort order within a row-count memory budget.
@@ -69,9 +69,7 @@ def modify_sort_order_external(
 
     ``method`` is checked as :func:`~repro.core.modify.modify_sort_order`
     checks it: an unknown name, or a strategy the orders do not admit,
-    raises the same ``ValueError``.  ``auto`` runs the structural plan
-    (the cost model's full-sort pick would trade a stable merge for the
-    unstable external sort).
+    raises the same ``ValueError``.  ``auto`` runs the structural plan.
 
     ``config`` carries the execution knobs (the engine — see
     :class:`repro.exec.ExecutionConfig`).
@@ -81,14 +79,10 @@ def modify_sort_order_external(
     (:mod:`repro.fastpath`) — same rows and codes, no comparison counts
     — unless a ``stats`` collector was passed, falling back to the
     reference executors when the key packer cannot rank the input's
-    keys.  Oversized segments always take the reference path: spill
-    accounting and capped merge waves are the point of this function,
-    and the fast kernels do not model them.
-
-    Stability: the structural strategies (merge/segment paths) are
-    stable like their in-memory counterparts; segments or inputs that
-    fall back to a true external sort inherit replacement selection's
-    lack of stability, as in classic external merge sorts.
+    keys.  An oversized sort segment's :func:`external_sort` follows
+    the same rule, packing that segment alone; an oversized merge segment
+    takes the capped reference merge.  Every path is stable.  The engine
+    reported is ``reference`` if any sort executor's was (or none ran).
     """
     if memory_capacity < 2:
         raise ValueError("memory capacity must allow at least two rows")
@@ -125,9 +119,9 @@ def modify_sort_order_external(
     prefix = plan.prefix_len if segmented else 0
     # Bound at their first use: the in-memory executor on the resolved
     # engine, and the reference merge with waves capped at the fan-in.
-    # The engine reported is the in-memory one (reference if none ran).
+    # ``bound``: (engine, fallback) of every sort executor bound.
     in_memory = capped = None
-    ran, fallback = "reference", False
+    bound: list[tuple[str, bool]] = []
     with LOG.query_scope(), TRACER.span(
         "modify.external", rows=len(rows), strategy=name,
         memory_capacity=memory_capacity,
@@ -139,6 +133,7 @@ def modify_sort_order_external(
                         table, new_spec, plan, strategy, engine=engine,
                         stats=stats, forced=cfg.engine == "fast",
                     )
+                    bound.append((ran, fallback))
                 in_memory(lo, hi, out_rows, out_ovcs)
             elif merging:
                 # Pre-existing runs merge in waves of the fan-in; every
@@ -158,21 +153,20 @@ def modify_sort_order_external(
                     )
                 capped(lo, hi, out_rows, out_ovcs)
             else:
-                # A true external sort: runs spilled, merged by fan-in.
-                result = ExternalMergeSort(
-                    new_spec.positions(table.schema),
-                    memory_capacity=memory_capacity,
-                    fan_in=fan_in,
-                    run_generation=run_generation,
-                    directions=new_spec.directions,
-                    page_manager=pages,
-                ).sort(rows[lo:hi])
-                stats.merge(result.total_stats)
-                out_rows.extend(result.rows)
-                sorted_ovcs = list(result.ovcs)
+                # The segment as its own table: its keys are packed (and
+                # a mix of types refused) for this segment alone.
+                sorted_rows, sorted_ovcs, ran, fallback = external_sort(
+                    Table(table.schema, rows[lo:hi]), new_spec,
+                    memory_capacity, fan_in, pages, engine=engine,
+                    stats=stats, forced=cfg.engine == "fast",
+                )
+                bound.append((ran, fallback))
                 if sorted_ovcs and prefix > 0:
                     sorted_ovcs[0] = ovcs[lo]
+                out_rows.extend(sorted_rows)
                 out_ovcs.extend(sorted_ovcs)
+        ran = max((e for e, _ in bound), default="reference")
+        fallback = any(f for _, f in bound)
         sp.set(engine=ran, fallback=fallback)
         if LOG.enabled:
             LOG.event(
@@ -181,3 +175,38 @@ def modify_sort_order_external(
                 prefix_len=plan.prefix_len, merge_len=plan.merge_len,
             )
     return Table(table.schema, out_rows, new_spec, out_ovcs)
+
+
+def external_sort(
+    table: Table, spec: SortSpec, memory_capacity: int, fan_in: int,
+    pages: PageManager, *, engine: str, stats: ComparisonStats,
+    use_ovc: bool = True, forced: bool = False, perm: list[int] | None = None,
+) -> tuple[list[tuple], list[tuple] | None, str, bool]:
+    """Stable sort of ``table.rows`` on ``spec``: ``(rows, ovcs, engine,
+    fallback)``.  ``memory_capacity``-row runs are sorted by the executor
+    :func:`~repro.core.modify.bind_strategy` binds for an unordered input;
+    one run is the answer (``perm`` gets its permutation), more spill to
+    ``pages`` and merge.  Only the reference engine counts into ``stats``.
+    """
+    run, engine, fallback = bind_strategy(
+        table, spec, None, Strategy.FULL_SORT, engine=engine, stats=stats,
+        use_ovc=use_ovc, forced=forced,
+    )
+    n = len(table.rows)
+
+    def sort_run(lo, out_perm=None):
+        rows, ovcs = [], [] if use_ovc else None
+        run(lo, min(lo + memory_capacity, n), rows, ovcs, out_perm)
+        return rows, ovcs
+
+    if n <= memory_capacity:
+        return (*sort_run(0, perm), engine, fallback)
+    spilled = [
+        pages.spill_run(*sort_run(lo)) for lo in range(0, n, memory_capacity)
+    ]
+    rows, ovcs, _levels = merge_spilled(
+        spilled, spec.positions(table.schema), fan_in, pages,
+        stats if engine == "reference" else ComparisonStats(),
+        spec.directions, use_ovc,
+    )
+    return rows, ovcs, engine, fallback

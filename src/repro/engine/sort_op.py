@@ -8,16 +8,15 @@ paper's machinery:
   re-coding onto the shorter key), streaming;
 * related order -> :func:`repro.core.modify.modify_sort_order`
   (segmented sorting / merging pre-existing runs / combined);
-* unordered child -> internal sort, or external merge sort when the
-  input exceeds a configured ``memory_capacity`` (rows).
+* unordered child -> internal sort, or a stable external merge sort
+  when the input exceeds a configured ``memory_capacity`` (rows).
 
 The modify-or-sort choice and the engine it runs on belong to
 :func:`repro.core.enforce.enforce_order`: ``config.engine="auto"`` runs
 the packed-code kernels of :mod:`repro.fastpath` (reference fallback on
 keys the key packer cannot rank), and ``engine="reference"`` is how to ask
 for this operator's comparison counters — the fast kernels count
-nothing.  The external merge sort has no fast twin (spill accounting
-is its point) and always runs the reference path.
+nothing, in memory or external.
 
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this
@@ -47,7 +46,6 @@ from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
 from ..ovc.derive import project_ovc
-from ..sorting.external import ExternalMergeSort
 from .operators import Operator
 
 
@@ -169,25 +167,6 @@ class Sort(Operator):
 
         table = self._child.to_table()
         ordered = table.sort_spec is not None
-        if (
-            not ordered
-            and self._memory_capacity is not None
-            and len(table.rows) > self._memory_capacity
-        ):
-            sorter = ExternalMergeSort(
-                self._spec.positions(self.schema),
-                memory_capacity=self._memory_capacity,
-                fan_in=self._fan_in,
-                use_ovc=self._use_ovc,
-                directions=self._spec.directions,
-            )
-            result = sorter.sort(table.rows)
-            self.executed = "external_sort"
-            self.order_strategy = "external-sort"
-            self.stats.merge(result.total_stats)
-            self._observe(mark, mark_before)
-            return Table(self.schema, result.rows, self._spec, result.ovcs)
-
         if cache is not None and (not ordered or table.ovcs is not None):
             served = self._serve(cache, table)
             if served is not None:
@@ -203,6 +182,8 @@ class Sort(Operator):
             stats=self.stats,
             config=self._config,
             want_perm=installs,
+            memory_capacity=self._memory_capacity,
+            fan_in=self._fan_in,
         )
         self.executed = done.executed
         self.order_strategy = done.strategy

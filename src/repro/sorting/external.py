@@ -6,16 +6,21 @@ at a time until one run remains.  Statistics are kept separately for
 the two phases because the paper's hypothesis 3 — *most comparisons
 happen during run generation* — and hypothesis 7 — *pre-existing runs
 save the run-generation I/O* — are phase-level claims.
+
+The merge phase, :func:`merge_spilled`, also serves the stable
+:func:`repro.core.external_modify.external_sort`; replacement selection
+(unstable on ties) is this class's alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from ..obs import METRICS, TRACER
 from ..ovc.stats import ComparisonStats
-from ..storage.pages import IoStats, PageManager
+from ..storage.pages import IoStats, PageManager, SpilledRun
 from .merge import kway_merge
 from .run_generation import (
     generate_runs_load_sort,
@@ -54,8 +59,6 @@ class ExternalMergeSort:
     run_generation:
         ``"replacement"`` (tree-of-losers replacement selection, runs
         about twice memory on random input) or ``"load_sort"``.
-    use_ovc:
-        Attach and exploit offset-value codes throughout.
     page_manager:
         Destination for spill accounting; a private one is created when
         omitted.
@@ -67,7 +70,6 @@ class ExternalMergeSort:
         memory_capacity: int = 4096,
         fan_in: int = 16,
         run_generation: str = "replacement",
-        use_ovc: bool = True,
         directions: Sequence[bool] | None = None,
         page_manager: PageManager | None = None,
     ) -> None:
@@ -79,7 +81,6 @@ class ExternalMergeSort:
         self.memory_capacity = memory_capacity
         self.fan_in = fan_in
         self.run_generation = run_generation
-        self.use_ovc = use_ovc
         self.directions = directions
         self.pages = page_manager if page_manager is not None else PageManager()
 
@@ -100,7 +101,7 @@ class ExternalMergeSort:
         with TRACER.span(
             "extsort.run_generation", mode=self.run_generation
         ) as span:
-            if self.run_generation == "replacement" and self.use_ovc:
+            if self.run_generation == "replacement":
                 runs = generate_runs_replacement_selection(
                     rows,
                     self.memory_capacity,
@@ -115,7 +116,6 @@ class ExternalMergeSort:
                     self.key_positions,
                     rungen_stats,
                     self.directions,
-                    self.use_ovc,
                 )
             span.set(runs=len(runs))
         initial_runs = len(runs)
@@ -125,72 +125,59 @@ class ExternalMergeSort:
                 run_rows.observe(len(run))
         if len(runs) <= 1:
             # Purely internal sort: no spill, no merge phase.
-            out_rows, out_ovcs = runs[0] if runs else ([], [] if self.use_ovc else None)
-            return SortResult(
-                list(out_rows),
-                list(out_ovcs) if out_ovcs is not None else None,
-                rungen_stats,
-                merge_stats,
-                IoStats(),
-                initial_runs,
-                0,
+            out_rows, out_ovcs = runs[0] if runs else ([], [])
+            levels = 0
+        else:
+            # Spill initial runs (run generation writes them out).
+            spilled = [
+                self.pages.spill_run(run, run_ovcs) for run, run_ovcs in runs
+            ]
+            out_rows, out_ovcs, levels = merge_spilled(
+                spilled, self.key_positions, self.fan_in, self.pages,
+                merge_stats, self.directions,
             )
-
-        # Spill initial runs (run generation writes them out).
-        spilled = [
-            self.pages.spill_run(run, run_ovcs) for run, run_ovcs in runs
-        ]
-
-        fan_in = self.fan_in
-        levels = 0
-        while len(spilled) > 1:
-            levels += 1
-            final_pass = len(spilled) <= fan_in
-            with TRACER.span(
-                "extsort.merge_pass",
-                level=levels,
-                runs_in=len(spilled),
-                fan_in=fan_in,
-            ):
-                next_level = []
-                for start in range(0, len(spilled), fan_in):
-                    group = spilled[start : start + fan_in]
-                    if METRICS.enabled:
-                        METRICS.histogram("extsort.fan_in").observe(len(group))
-                    with TRACER.span("extsort.merge_step", fan_in=len(group)):
-                        run_data = [run.read() for run in group]
-                        merged_rows, merged_ovcs = kway_merge(
-                            run_data,
-                            self.key_positions,
-                            merge_stats,
-                            self.directions,
-                            self.use_ovc,
-                        )
-                    if not final_pass:
-                        # Intermediate merge step: result goes back to
-                        # storage.
-                        next_level.append(
-                            self.pages.spill_run(merged_rows, merged_ovcs)
-                        )
-                        if METRICS.enabled:
-                            METRICS.counter("extsort.respilled_rows").inc(
-                                len(merged_rows)
-                            )
-                    else:
-                        # Final merge streams to the consumer — no
-                        # write-back.
-                        final = (merged_rows, merged_ovcs)
-            if not final_pass:
-                spilled = next_level
-            else:
-                break
-
         return SortResult(
-            final[0],
-            final[1],
+            out_rows,
+            out_ovcs,
             rungen_stats,
             merge_stats,
             self.pages.stats - io_before,
             initial_runs,
             levels,
         )
+
+
+def merge_spilled(
+    spilled: list[SpilledRun], key_positions: Sequence[int], fan_in: int,
+    pages: PageManager, stats: ComparisonStats,
+    directions: Sequence[bool] | None = None, use_ovc: bool = True,
+) -> tuple[list[tuple], list[tuple] | None, int]:
+    """Merge spilled runs ``fan_in`` at a time: ``(rows, ovcs, levels)``.
+    Intermediate waves write back to ``pages``; ties keep run order."""
+    if fan_in < 2:
+        raise ValueError("fan-in must be at least 2")
+    for levels in count(1):
+        final_pass = len(spilled) <= fan_in
+        with TRACER.span(
+            "extsort.merge_pass", level=levels, runs_in=len(spilled), fan_in=fan_in
+        ):
+            next_level = []
+            for start in range(0, len(spilled), fan_in):
+                group = spilled[start : start + fan_in]
+                if METRICS.enabled:
+                    METRICS.histogram("extsort.fan_in").observe(len(group))
+                with TRACER.span("extsort.merge_step", fan_in=len(group)):
+                    run_data = [run.read() for run in group]
+                    merged_rows, merged_ovcs = kway_merge(
+                        run_data, key_positions, stats, directions, use_ovc
+                    )
+                if final_pass:
+                    # Final merge streams to the consumer — no write-back.
+                    return merged_rows, merged_ovcs, levels
+                # Intermediate merge step: result goes back to storage.
+                next_level.append(pages.spill_run(merged_rows, merged_ovcs))
+                if METRICS.enabled:
+                    METRICS.counter("extsort.respilled_rows").inc(
+                        len(merged_rows)
+                    )
+        spilled = next_level

@@ -23,12 +23,6 @@ class IoStats:
     bytes_written: int = 0
     bytes_read: int = 0
 
-    def reset(self) -> None:
-        self.pages_written = 0
-        self.pages_read = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
-
     def __add__(self, other: "IoStats") -> "IoStats":
         return IoStats(
             self.pages_written + other.pages_written,

@@ -237,12 +237,14 @@ ORDERED_PATHS = {
 }
 
 #: Where a forced ``fast`` engine packs no column that mixes types: the
-#: streaming operator packs one segment at a time (these segments are
-#: uniformly typed), and oversized segments never reach the kernels.
+#: streaming operator and an oversized sort segment's external sort pack
+#: one segment at a time (uniformly typed here except within-segment),
+#: and oversized merge segments never reach the kernels.
 PACKS_UNIFORM_KEYS = {
     ("streaming", "mixed-across-segments"),
     ("streaming", "none-segment"),
-    *(("external-spilling", case) for case in CASES),
+    ("external-spilling", "mixed-across-segments"),
+    ("external-spilling", "none-segment"),
 }
 
 

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
+from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
+from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
+from repro.obs import TRACER
 from repro.ovc.derive import derive_ovcs, verify_ovcs
 from repro.ovc.stats import ComparisonStats
 from repro.storage.pages import PageManager
@@ -65,11 +69,8 @@ def test_hypothesis1_segments_fit_no_spill():
     assert result.is_sorted()
     assert pages_seg.stats.pages_written == 0
 
-    # The naive plan treats the input as unsorted; with load-sort run
-    # generation (quicksort runs of memory size) it must spill.
-    # (Replacement selection would exploit the near-sortedness and keep
-    # a single run — von Neumann's observation, worth a test of its
-    # own below.)
+    # The naive plan treats the input as unsorted: memory-sized runs,
+    # spilled and merged.
     pages_full = PageManager()
     modify_sort_order_external(
         table,
@@ -77,33 +78,8 @@ def test_hypothesis1_segments_fit_no_spill():
         memory_capacity=1000,
         page_manager=pages_full,
         method="full_sort",
-        run_generation="load_sort",
     )
     assert pages_full.stats.pages_written > 0
-
-
-def test_replacement_selection_exploits_near_sortedness():
-    """Related orders often yield a SINGLE run under replacement
-    selection when memory spans a couple of segments — the von Neumann
-    effect the paper's related-work section credits."""
-    rng = random.Random(7)
-    rows = sorted(
-        (rng.randrange(64), rng.randrange(1000), rng.randrange(1000))
-        for _ in range(8000)
-    )
-    table = Table(SCHEMA, rows, SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
-    pages = PageManager()
-    result = modify_sort_order_external(
-        table,
-        SortSpec.of("A", "C", "B"),
-        memory_capacity=1000,
-        page_manager=pages,
-        method="full_sort",
-        run_generation="replacement",
-    )
-    assert result.is_sorted()
-    assert pages.stats.pages_written == 0  # one run: purely internal
 
 
 def test_oversized_segment_sort_spills_and_is_correct():
@@ -116,15 +92,71 @@ def test_oversized_segment_sort_spills_and_is_correct():
     table = Table(SCHEMA, rows, SortSpec.of("A", "B"))
     table.ovcs = derive_ovcs(rows, (0, 1))
     pages = PageManager()
+    spec = SortSpec.of("A", "C")
     result = modify_sort_order_external(
-        table, SortSpec.of("A", "C"), memory_capacity=256,
-        page_manager=pages, run_generation="load_sort",
+        table, spec, memory_capacity=256, page_manager=pages,
     )
-    # (A, C) does not totally order the rows: compare keys and content.
-    keys = [(r[0], r[2]) for r in result.rows]
-    assert keys == sorted(keys)
-    assert sorted(result.rows) == sorted(rows)
+    # (A, C) does not totally order the rows: ties keep input order.
+    expected = sorted(rows, key=spec.key_for(SCHEMA))
+    assert result.rows == expected
+    assert result.ovcs == derive_ovcs(expected, (0, 2))
     assert pages.stats.pages_written > 0
+
+
+#: Four values per key column, a row id outside the key, and a
+#: descending string column: nearly every row has key-equal twins.
+TIES = Schema.of("A", "B", "S", "ID")
+TIE_ORDER = SortSpec.of("A", "S DESC", "B")
+
+
+def _tie_rows(n=300, seed=5):
+    rng = random.Random(seed)
+    return [
+        (rng.randrange(4), rng.randrange(4), f"s{rng.randrange(4)}", i)
+        for i in range(n)
+    ]
+
+
+def _extsort_levels():
+    return sum(1 for r in TRACER.drain() if r["name"] == "extsort.merge_pass")
+
+
+@pytest.mark.parametrize("engine", ["auto", "reference"])
+@pytest.mark.parametrize("capacity", [16, 1000], ids=["spilling", "in-memory"])
+@pytest.mark.parametrize("path", ["modify_external", "sort"])
+def test_external_paths_are_stable_on_ties(path, capacity, engine):
+    """Both memory-bounded paths equal stable ``sorted()`` plus fresh
+    codes: an oversized sort segment (segments hold ~75 rows) and an
+    unordered ``Sort`` input, with ``fan_in=2`` forcing merge levels."""
+    rows = _tie_rows()
+    cfg = ExecutionConfig(engine=engine)
+    TRACER.enable(clear=True)
+    try:
+        if path == "sort":
+            op = Sort(
+                TableScan(Table(TIES, rows)), TIE_ORDER,
+                memory_capacity=capacity, fan_in=2, config=cfg,
+            )
+            result = op.to_table()
+            counted = any(op.stats.as_dict().values())
+            assert counted is (engine == "reference")
+        else:
+            rows.sort(key=lambda r: (r[0], r[1]))
+            table = Table(TIES, rows, SortSpec.of("A", "B"))
+            table.ovcs = derive_ovcs(rows, (0, 1))
+            result = modify_sort_order_external(
+                table, TIE_ORDER, memory_capacity=capacity, fan_in=2,
+                config=cfg,
+            )
+        levels = _extsort_levels()
+    finally:
+        TRACER.disable()
+    expected = sorted(rows, key=TIE_ORDER.key_for(TIES))
+    assert result.rows == expected
+    assert result.ovcs == derive_ovcs(
+        expected, TIE_ORDER.positions(TIES), TIE_ORDER.directions
+    )
+    assert levels >= 2 if capacity == 16 else levels == 0
 
 
 def test_oversized_merge_charges_wave_io():
@@ -177,10 +209,8 @@ METHODS = [
 @pytest.mark.parametrize("target", TARGETS, ids=",".join)
 def test_method_is_honoured_as_in_memory(target, method):
     """A forced method means what it means to ``modify_sort_order``:
-    both raise the same ``ValueError``, or both return the oracle.  The
-    rows are distinct on every target, so even the unstable external
-    sort has one right answer; a capacity of 20 lets some A segments
-    fit and spills others."""
+    both raise the same ``ValueError``, or both return the oracle.  A
+    capacity of 20 lets some A segments fit and spills others."""
     rng = random.Random(11)
     table = build(rng.sample(
         [(a, b, c) for a in range(5) for b in range(6) for c in range(7)], 120

@@ -11,6 +11,11 @@ and the streaming variants).
 The key packer's own catch (``fastpath/packed.py``) and the cache's
 ``(TypeError, LookupError)`` are not engine fallbacks; they live outside
 the two packages checked here.
+
+Likewise there is one external sort on the serving paths,
+:func:`repro.core.external_modify.external_sort`: the replacement-
+selection ``ExternalMergeSort`` is paper substrate, used only inside
+``sorting/``.
 """
 
 from __future__ import annotations
@@ -75,3 +80,17 @@ def test_bind_strategy_is_the_only_engine_fallback():
     }
     found = {name: where for name, where in handlers.items() if where}
     assert found == {"core/modify.py": ["bind_strategy"]}
+
+
+def test_replacement_selection_stays_in_sorting():
+    substrate = {"ExternalMergeSort", "generate_runs_replacement_selection"}
+    found = set()
+    for name, tree in _modules("."):
+        if name.startswith("sorting/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and substrate & {
+                alias.name for alias in node.names
+            }:
+                found.add(name)
+    assert found == set()

@@ -41,10 +41,8 @@ def _passthrough(cfg):
 
 
 def _external(cfg):
-    # Whole-row key: the external merge sort does not promise arrival
-    # order among key-equal rows, so leave none that can be told apart.
-    return Sort(TableScan(_unsorted()), SortSpec.of("A", "C", "B", "D"),
-                memory_capacity=64, fan_in=4, config=cfg)
+    return Sort(TableScan(_unsorted()), TARGET, memory_capacity=64, fan_in=4,
+                config=cfg)
 
 
 def _cache_hit(cfg):

@@ -366,6 +366,10 @@ def test_entry_points_reject_removed_kwargs():
     with pytest.raises(TypeError):
         modify_sort_order_external(table, spec, memory_capacity=64, workers=2)
     with pytest.raises(TypeError):
+        modify_sort_order_external(
+            table, spec, memory_capacity=64, run_generation="load_sort"
+        )
+    with pytest.raises(TypeError):
         Sort(TableScan(table), spec, engine="fast")
     with pytest.raises(TypeError):
         StreamingModify(TableScan(table), spec, workers=2)

@@ -161,24 +161,40 @@ def test_telemetry_flags_the_auto_fallback_to_reference():
         assert record["engine"] == "reference" and record["fallback"] is True
 
 
+def _mixed_within_segments():
+    """Sorted on A; C is a str except in one pair tied on B, so sorting
+    on A,B,C compares C values only within that int pair."""
+    rows = []
+    for a in range(2):
+        segment = [(a, b, f"c{b}") for b in range(9)]
+        segment[6:8] = [(a, 6, 2), (a, 6, 1)]
+        rows += segment[::-1]
+    return Table(SCHEMA, rows, SortSpec.of("A")).with_ovcs()
+
+
 def test_external_modify_reports_engine_and_fallback():
     """``modify_sort_order_external`` names the engine that ran its
-    in-memory segments on a ``modify.external`` span and the
-    ``modify.strategy`` event, as ``modify_sort_order`` does."""
+    segments — in memory, or each oversized one's external sort — on a
+    ``modify.external`` span and the ``modify.strategy`` event, as
+    ``modify_sort_order`` does."""
     from repro.core.external_modify import modify_sort_order_external
 
     rows = [(0, b, f"c{b % 3}") for b in range(9)]
     rows += [(1, b, b % 3) for b in range(9)]
     mixed = Table(SCHEMA, rows, SortSpec.of("A", "B", "C")).with_ovcs()
     packable = _table().with_ovcs()
-    for table, engine, fallback in (
-        (packable, "fast", False), (mixed, "reference", True),
+    acb, abc = SortSpec.of("A", "C", "B"), SortSpec.of("A", "B", "C")
+    for table, spec, capacity, engine, fallback in (
+        (packable, acb, 1000, "fast", False),
+        (packable, acb, 8, "fast", False),
+        (mixed, acb, 1000, "reference", True),
+        (_mixed_within_segments(), abc, 4, "reference", True),
     ):
         sink = io.StringIO()
         LOG.enable(sink)
         TRACER.enable(clear=True)
         modify_sort_order_external(
-            table, SortSpec.of("A", "C", "B"), memory_capacity=1000,
+            table, spec, memory_capacity=capacity,
             config=ExecutionConfig(engine="auto"),
         )
         LOG.disable()
@@ -189,6 +205,36 @@ def test_external_modify_reports_engine_and_fallback():
             assert record["engine"] == engine
             assert record["fallback"] is fallback
         assert "qid" in event
+
+
+def test_external_sort_reports_engine_and_fallback():
+    """``Sort(memory_capacity=)`` over an unordered input: the
+    ``sort.executed`` event, the slow-log entry and the full sort's span
+    carry the engine that ran, and the span counts the spilled runs."""
+    unordered = Table(SCHEMA, list(reversed(_table().rows)))
+    mixed = _mixed_within_segments()
+    mixed = Table(SCHEMA, list(mixed.rows))
+    for table, spec, engine, fallback in (
+        (unordered, SortSpec.of("A", "C", "B"), "fast", False),
+        (mixed, SortSpec.of("A", "B", "C"), "reference", True),
+    ):
+        sink = io.StringIO()
+        LOG.enable(sink)
+        TRACER.enable(clear=True)
+        SLOWLOG.enable(0)
+        op = Sort(TableScan(table), spec, memory_capacity=8,
+                  config=ExecutionConfig(engine="auto"))
+        op.to_table()
+        LOG.disable()
+        (event,) = [e for e in map(json.loads, sink.getvalue().splitlines())
+                    if e["event"] == "sort.executed"]
+        (span,) = [r for r in TRACER.drain() if r["name"] == "modify.full_sort"]
+        entry = [e for e in SLOWLOG.entries if e["kind"] == "sort"][-1]
+        assert op.order_strategy == event["strategy"] == "external-sort"
+        for record in (event, entry, span["attrs"]):
+            assert record["engine"] == engine
+            assert record["fallback"] is fallback
+        assert span["attrs"]["runs"] == -(-len(table.rows) // 8)
 
 
 def test_query_events_share_one_qid(tmp_path):

@@ -141,3 +141,22 @@ def test_invalid_configuration_rejected():
         generate_runs_load_sort([], 0, (0,), ComparisonStats())
     with pytest.raises(ValueError):
         generate_runs_replacement_selection([], 0, (0,), ComparisonStats())
+
+
+def test_replacement_selection_exploits_near_sortedness():
+    """Related orders often yield a SINGLE run under replacement
+    selection when memory spans a couple of segments — the von Neumann
+    effect the paper's related-work section credits."""
+    rng = random.Random(7)
+    rows = sorted(
+        (rng.randrange(64), rng.randrange(1000), rng.randrange(1000))
+        for _ in range(8000)
+    )
+    pages = PageManager()
+    result = ExternalMergeSort(
+        (0, 2, 1), memory_capacity=1000, page_manager=pages,
+        run_generation="replacement",
+    ).sort(rows)
+    assert result.rows == sorted(rows, key=lambda r: (r[0], r[2], r[1]))
+    assert result.initial_runs == 1
+    assert pages.stats.pages_written == 0  # one run: purely internal

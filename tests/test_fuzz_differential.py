@@ -70,13 +70,9 @@ def test_all_paths_agree(seed, order):
     assert capped.rows == expected
     assert verify_ovcs(capped.rows, capped.ovcs, positions)
 
-    # The external path's full-sort fallback (replacement selection) is
-    # NOT stable, so on orders that do not totally determine the rows it
-    # may legally reorder ties: compare keys and contents, not identity.
     external = modify_sort_order_external(table, spec, memory_capacity=257)
-    assert [key(r) for r in external.rows] == [key(r) for r in expected]
-    assert sorted(external.rows) == sorted(expected)
-    assert verify_ovcs(external.rows, external.ovcs, positions)
+    assert external.rows == expected
+    assert external.ovcs == derive_ovcs(expected, positions)
 
     streamed = StreamingModify(TableScan(table), spec)
     got = [row for row, _ovc in streamed]
