@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate: telemetry must cost < 5% of the bench wall time, on and off.
+"""Gate: telemetry must cost < 5% of a modify's wall time, on and off.
 
 Two claims are enforced, each with its own measurement:
 
@@ -8,8 +8,8 @@ Two claims are enforced, each with its own measurement:
 no-op context-manager round trip per *phase* (never per row).  Verified
 without cross-commit timing (which is flaky on shared CI hosts):
 
-1. time the bench smoke workload with tracing disabled (the shipping
-   configuration) — ``T`` seconds;
+1. time the smoke workload (Table 1 case 5 on both engines) with
+   tracing disabled (the shipping configuration) — ``T`` seconds;
 2. run it once with tracing enabled and count the spans it records —
    ``S`` spans, an upper bound on disabled-path span() calls since the
    kernels gate extra spans on ``TRACER.enabled``;
@@ -24,9 +24,8 @@ min-of-three with telemetry off and again with everything on, and the
 ratio must hold.  Decision-grade events and per-phase counters are the
 design contract that makes this cheap; this check keeps it true.
 
-``--json PATH`` records every measured number (the regression sentinel
-tracks the budget over time from this artifact).  Exit status is
-non-zero on any budget violation, so CI can gate on it.
+``--json PATH`` records every measured number as a JSON artifact.  Exit
+status is non-zero on any budget violation, so CI can gate on it.
 
 Run:  python benchmarks/check_trace_overhead.py [--json overhead.json]
                                                 [--log2-rows N]
@@ -117,7 +116,7 @@ def check_disabled(n_rows: int, report: dict) -> bool:
 
     overhead_s = n_spans * per_call_s
     ratio = overhead_s / disabled_s
-    print(f"bench smoke (tracing disabled): {disabled_s * 1e3:.1f} ms")
+    print(f"smoke (tracing disabled):       {disabled_s * 1e3:.1f} ms")
     print(f"spans recorded when enabled:    {n_spans}")
     print(f"disabled span() no-op cost:     {per_call_s * 1e9:.0f} ns/call")
     print(

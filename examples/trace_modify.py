@@ -5,9 +5,9 @@ Runs case 5 of the paper's Table 1 — (A,B,C) -> (A,C,B), the canonical
 shared-prefix modification — under the span tracer and metrics registry
 from ``repro.obs``.
 
-The script prints the span tree (inclusive and self time), the metrics
-in Prometheus text format, and writes a Chrome trace-event artifact
-loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+The script writes the spans and metrics as a JSON-lines artifact, reads
+it back, and prints the span tree (inclusive and self time) and the
+metrics in Prometheus text format.
 
 Run:  python examples/trace_modify.py
 """
@@ -22,9 +22,9 @@ from repro import Schema, SortSpec
 from repro.obs import METRICS, TRACER
 from repro.obs.exporters import (
     prometheus_text,
+    read_jsonl,
     render_tree,
-    validate_chrome_trace,
-    write_chrome_trace,
+    write_jsonl,
 )
 from repro.workloads.generators import random_sorted_table
 
@@ -49,17 +49,13 @@ def main() -> None:
     METRICS.disable()
     METRICS.reset()
 
-    print(f"{len(records)} spans recorded\n")
-    print(render_tree(records, max_children=4))
+    out = os.path.join(tempfile.gettempdir(), "repro_trace_modify.jsonl")
+    write_jsonl(out, records, metrics=snapshot, meta={"case": 5})
+    spans, metrics, _meta = read_jsonl(out)
+    print(f"{len(spans)} spans written to {out} (JSON-lines)\n")
+    print(render_tree(spans, max_children=4))
     print()
-    print(prometheus_text(snapshot))
-
-    out = os.path.join(tempfile.gettempdir(), "repro_trace_modify.json")
-    obj = write_chrome_trace(out, records, metrics=snapshot)
-    problems = validate_chrome_trace(obj)
-    assert not problems, problems
-    print(f"chrome trace written to {out} — load it in ui.perfetto.dev")
-
+    print(prometheus_text(metrics))
 
 if __name__ == "__main__":
     main()

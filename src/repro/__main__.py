@@ -7,14 +7,9 @@ Regenerates the paper's measured artifacts as text tables:
 * ``table1`` — the eight prototype cases, auto strategy vs full sort;
 * ``design`` — physical design + join planning with/without modification
   (hypothesis 10);
-* ``bench`` — reference vs fast engine across the fig10/fig11 cells
-  (``--json PATH`` writes the machine-readable trajectory artifact;
-  cache, planner and serving performance are measured end to end by
-  ``benchmarks/e2e/run.py``, not here);
 * ``trace`` — run one Table 1 case under the span tracer and metrics
-  registry (``--case N``), write the trace artifact (Chrome
-  trace-event JSON by default, JSON-lines for ``*.jsonl`` paths),
-  validate it, and print the span tree plus Prometheus-format metrics;
+  registry (``--case N``), write the JSON-lines trace artifact, and
+  print the span tree plus Prometheus-format metrics;
 * ``serve`` — run the live telemetry endpoint (``--telemetry-port P``;
   ``/metrics``, ``/healthz``, ``/varz``) as a standalone process:
   ``--warm`` runs one small modify first so ``/metrics`` has non-zero
@@ -26,20 +21,20 @@ Regenerates the paper's measured artifacts as text tables:
   telemetry is live, prints the coalescing report, and exits non-zero
   unless duplicates coalesced, executions < requests, and every
   response matched serial uncached execution bit for bit;
-* ``all`` — everything above except ``bench``, ``trace`` and ``serve``.
+* ``all`` — everything above except ``trace`` and ``serve``.
 
-``bench`` verifies bit-identical rows and codes in every cell and
-exits non-zero on any fidelity failure, so CI smoke runs gate
-correctness, not just completion.
+Wall time is quoted against the fastest baseline: ``table1`` prints the
+kernel beside bare ``sorted()`` and ``sorted()`` + ``derive_ovcs``;
+cache, planner and serving performance are measured end to end by
+``benchmarks/e2e/run.py``.
 
 Options: ``--rows 2**N`` via ``--log2-rows N`` (default 14), ``--seed``.
 Observability: ``--trace FILE`` records spans for any experiment and
-writes the artifact; ``--metrics`` embeds per-cell metric snapshots in
-the bench artifact (prints Prometheus text elsewhere);
-``--telemetry-port P`` serves ``/metrics`` + ``/healthz`` + ``/varz``
-live while any experiment runs (0 picks a free port); ``--profile
-FILE`` samples the run's stacks and writes a collapsed-stack
-(flamegraph) profile.
+writes them as JSON-lines; ``--metrics`` prints Prometheus-format
+metrics after the run; ``--telemetry-port P`` serves ``/metrics`` +
+``/healthz`` + ``/varz`` live while any experiment runs (0 picks a
+free port).  To profile, use the standard library:
+``python -m cProfile -s cumtime -m repro table1``.
 
 Execution configuration (:mod:`repro.exec`): the order cache
 (:mod:`repro.cache`) is governed by ``--cache off|on``,
@@ -249,34 +244,6 @@ def _design(n_rows: int) -> None:
     )
 
 
-def _bench(
-    n_rows: int, seed: int, json_path: str | None,
-    collect_metrics: bool = False,
-) -> int:
-    from .bench.trajectory import run_trajectory, write_trajectory
-
-    record = run_trajectory(n_rows, seed=seed, collect_metrics=collect_metrics)
-    display = [
-        {k: v for k, v in cell.items() if k != "metrics"}
-        for cell in record["cells"]
-    ]
-    print(
-        format_table(
-            display,
-            f"reference vs fast engines ({n_rows:,} rows; "
-            f"min speedup {record['min_speedup']}x, "
-            f"geomean {record['geomean_speedup']}x)",
-        )
-    )
-    if json_path:
-        write_trajectory(json_path, record)
-        print(f"wrote {json_path}")
-    if not record["fidelity_ok"]:
-        print("FIDELITY FAILURE: fast engine diverged from reference")
-        return 1
-    return 0
-
-
 def _serve_load(
     n_rows: int, seed: int, json_path: str | None,
     cfg: ExecutionConfig, args,
@@ -319,26 +286,12 @@ def _serve_load(
 
 
 def _write_trace_artifact(path: str, records: list[dict],
-                          metrics: dict | None, meta: dict) -> int:
-    """Write (and for Chrome traces validate) a span artifact."""
-    from .obs.exporters import (
-        validate_chrome_trace,
-        write_chrome_trace,
-        write_jsonl,
-    )
+                          metrics: dict | None, meta: dict) -> None:
+    """Write a JSON-lines span artifact."""
+    from .obs.exporters import write_jsonl
 
-    if path.endswith(".jsonl"):
-        write_jsonl(path, records, metrics=metrics, meta=meta)
-        print(f"wrote {path} ({len(records)} spans, jsonl)")
-        return 0
-    obj = write_chrome_trace(path, records, metrics=metrics)
-    errors = validate_chrome_trace(obj)
-    print(f"wrote {path} ({len(records)} spans, chrome trace)")
-    if errors:
-        for err in errors:
-            print(f"INVALID TRACE: {err}")
-        return 1
-    return 0
+    write_jsonl(path, records, metrics=metrics, meta=meta)
+    print(f"wrote {path} ({len(records)} spans, jsonl)")
 
 
 def _trace(
@@ -391,7 +344,8 @@ def _trace(
         "n_rows": n_rows,
         "seed": seed,
     }
-    return _write_trace_artifact(out, records, snapshot, meta)
+    _write_trace_artifact(out, records, snapshot, meta)
+    return 0
 
 
 def _warm_workload(cfg: ExecutionConfig) -> None:
@@ -450,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=[
-            "fig10", "fig11", "table1", "design", "bench", "trace",
-            "serve", "all",
+            "fig10", "fig11", "table1", "design", "trace", "serve", "all",
         ],
     )
     parser.add_argument("--log2-rows", type=int, default=14)
@@ -467,20 +420,18 @@ def main(argv: list[str] | None = None) -> int:
         "--json",
         metavar="PATH",
         default=None,
-        help="with 'bench' or 'serve --load': also write the JSON record",
+        help="with 'serve --load': also write the JSON record",
     )
     parser.add_argument(
         "--trace",
         metavar="FILE",
         default=None,
-        help="record spans for the run and write the artifact"
-        " (Chrome trace JSON, or JSON-lines for *.jsonl paths)",
+        help="record spans for the run and write them as JSON-lines",
     )
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="with 'bench': embed per-cell metric snapshots in the"
-        " artifact; otherwise print Prometheus-format metrics",
+        help="print Prometheus-format metrics after the run",
     )
     parser.add_argument(
         "--case",
@@ -491,8 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         metavar="FILE",
-        default="trace.json",
-        help="with 'trace': artifact path (default trace.json)",
+        default="trace.jsonl",
+        help="with 'trace': JSON-lines artifact path (default trace.jsonl)",
     )
     parser.add_argument(
         "--spill-dir",
@@ -608,13 +559,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'serve': run one small Table 1 modify first so"
         " /metrics exposes non-zero series immediately",
     )
-    parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=None,
-        help="sample the run's stacks (~200 Hz) and write a"
-        " collapsed-stack profile to FILE (flamegraph.pl input)",
-    )
     args = parser.parse_args(argv)
     n_rows = 1 << args.log2_rows
     cfg = _exec_config(args)
@@ -634,18 +578,9 @@ def main(argv: list[str] | None = None) -> int:
             f"telemetry serving on {server.url} (/metrics /healthz /varz)",
             flush=True,
         )
-    profiler = None
-    if args.profile is not None:
-        from .obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler().start()
     try:
         return _dispatch(args, n_rows, cfg)
     finally:
-        if profiler is not None:
-            profiler.stop()
-            n = profiler.write_collapsed(args.profile)
-            print(f"wrote {args.profile} ({n} samples, collapsed stacks)")
         if server is not None:
             from .obs.server import stop_telemetry_server
 
@@ -662,29 +597,22 @@ def _dispatch(args, n_rows: int, cfg: ExecutionConfig) -> int:
     tracing = args.trace is not None
     if tracing:
         TRACER.enable(clear=True)
-    plain_metrics = args.metrics and args.experiment != "bench"
-    if plain_metrics:
+    if args.metrics:
         METRICS.enable(clear=True)
 
-    if args.experiment == "bench":
-        rc = _bench(
-            n_rows, args.seed, args.json, collect_metrics=args.metrics
-        )
-    else:
-        rc = 0
-        if args.experiment in ("fig10", "all"):
-            _fig10(n_rows, args.seed)
-            print()
-        if args.experiment in ("fig11", "all"):
-            _fig11(n_rows, args.seed)
-            print()
-        if args.experiment in ("table1", "all"):
-            _table1(n_rows, args.seed, cfg=cfg)
-            print()
-        if args.experiment in ("design", "all"):
-            _design(n_rows)
+    if args.experiment in ("fig10", "all"):
+        _fig10(n_rows, args.seed)
+        print()
+    if args.experiment in ("fig11", "all"):
+        _fig11(n_rows, args.seed)
+        print()
+    if args.experiment in ("table1", "all"):
+        _table1(n_rows, args.seed, cfg=cfg)
+        print()
+    if args.experiment in ("design", "all"):
+        _design(n_rows)
 
-    if plain_metrics:
+    if args.metrics:
         from .obs.exporters import prometheus_text
 
         print()
@@ -696,8 +624,8 @@ def _dispatch(args, n_rows: int, cfg: ExecutionConfig) -> int:
         TRACER.disable()
         meta = {"experiment": args.experiment, "n_rows": n_rows,
                 "seed": args.seed}
-        rc = max(rc, _write_trace_artifact(args.trace, records, None, meta))
-    return rc
+        _write_trace_artifact(args.trace, records, None, meta)
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,11 +14,8 @@ from .figures import (
     run_fig11_cell,
     run_fig11_experiment,
 )
-from .trajectory import run_trajectory, write_trajectory
 
 __all__ = [
-    "run_trajectory",
-    "write_trajectory",
     "BenchResult",
     "bench_scale",
     "format_table",

@@ -10,34 +10,33 @@ way to say where the work went:
 * :data:`METRICS` (:mod:`repro.obs.metrics`) — named counters, gauges,
   and histograms generalizing
   :class:`~repro.ovc.stats.ComparisonStats`;
-* :mod:`repro.obs.exporters` — JSON-lines, Chrome trace-event (loads
-  in Perfetto), Prometheus text exposition, and a human tree view;
+* :mod:`repro.obs.exporters` — JSON-lines (the span artifact format),
+  Prometheus text exposition, and a human tree view;
 * :data:`LOG` (:mod:`repro.obs.logging`) — structured JSON-lines
   events with query-id/span-id correlation;
 * :data:`SLOWLOG` (:mod:`repro.obs.slowlog`) — threshold-gated
   slow-query captures (strategy, span tree, comparison counters);
 * :mod:`repro.obs.server` — the live ``/metrics`` + ``/healthz`` +
   ``/varz`` HTTP endpoint (:func:`~repro.obs.server.
-  start_telemetry_server`);
-* :mod:`repro.obs.profile` — a dependency-free sampling profiler with
-  collapsed-stack (flamegraph) export.
+  start_telemetry_server`).
 
 Quick use::
 
     from repro.obs import TRACER, METRICS
-    from repro.obs.exporters import render_tree, write_chrome_trace
+    from repro.obs.exporters import render_tree, write_jsonl
 
     TRACER.enable(); METRICS.enable()
     ... run a modify / query / sort ...
     print(render_tree(TRACER.records))
-    write_chrome_trace("trace.json", TRACER.drain(), METRICS.as_dict())
+    write_jsonl("trace.jsonl", TRACER.drain(), METRICS.as_dict())
 
 Environment knobs: ``REPRO_TRACE=1`` / ``REPRO_METRICS=1`` /
 ``REPRO_LOG=PATH`` / ``REPRO_SLOWLOG_MS=N`` enable collection at
-import; the CLI flags ``--trace FILE`` / ``--metrics`` / ``--profile
-FILE`` / ``--telemetry-port P`` (``python -m repro bench``, ``python
--m repro trace``, ``python -m repro serve``) do the same per run and
-export the artifacts.
+import; the CLI flags ``--trace FILE`` / ``--metrics`` /
+``--telemetry-port P`` (any experiment, ``python -m repro trace``,
+``python -m repro serve``) do the same per run and export the
+artifacts.  For *which code* inside a phase, profile with the standard
+library: ``python -m cProfile -s cumtime -m repro table1``.
 """
 
 from .logging import LOG, StructuredLogger

@@ -1,31 +1,26 @@
-"""Span and metric exporters: JSON-lines, Chrome trace, Prometheus, tree.
+"""Span and metric exporters: JSON-lines, Prometheus, tree.
 
-Four consumers, four formats:
+Three consumers, three formats:
 
-* :func:`write_jsonl` / :func:`read_jsonl` — the lossless archival
-  format: one JSON object per line (``{"type": "span"|"metrics"|
-  "meta", ...}``), streamable and diff-able.
-* :func:`chrome_trace` — the Chrome trace-event format (``ph: "X"``
-  complete events, microsecond timestamps), loadable in Perfetto or
-  ``chrome://tracing``; a metadata event names each process.
+* :func:`write_jsonl` / :func:`read_jsonl` — the one artifact format for
+  spans: one JSON object per line (``{"type": "span"|"metrics"|
+  "meta", ...}``), streamable and diff-able, like the structured log
+  and the slow log.
 * :func:`prometheus_text` — Prometheus text exposition of the metrics
   registry (counters, gauges, histograms with power-of-two ``le``
-  buckets).
+  buckets); :func:`validate_prometheus_text` is its grammar check.
 * :func:`render_tree` — the human view: the span call tree with
   inclusive *and* self time per node.
-
-:func:`validate_chrome_trace` is the schema check CI and tests run
-against emitted artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import re as _re
-from operator import itemgetter
 from typing import Any, Iterable
 
 from .metrics import MetricsRegistry
+from .spans import span_tree
 
 # JSON-lines --------------------------------------------------------------
 
@@ -65,99 +60,6 @@ def read_jsonl(path: str) -> tuple[list[dict], dict | None, dict | None]:
             elif kind == "meta":
                 meta = obj
     return spans, metrics, meta
-
-
-# Chrome trace-event format ----------------------------------------------
-
-
-def chrome_trace(records: Iterable[dict], metrics: dict | None = None) -> dict:
-    """Convert span records to a Chrome trace-event JSON object.
-
-    Timestamps are microseconds relative to the earliest span, so the
-    viewer opens at t=0 regardless of wall-clock epoch.  Every process
-    gets a ``process_name`` metadata event.
-    """
-    records = list(records)
-    events: list[dict] = []
-    if not records:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-    t0 = min(r["start"] for r in records)
-    for r in records:
-        events.append(
-            {
-                "name": r["name"],
-                "cat": "repro",
-                "ph": "X",
-                "ts": round((r["start"] - t0) * 1e6, 3),
-                "dur": round(r["dur"] * 1e6, 3),
-                "pid": r["pid"],
-                "tid": 0,
-                "args": dict(r.get("attrs", {})),
-            }
-        )
-    pids = sorted({r["pid"] for r in records})
-    for pid in pids:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"main pid={pid}"},
-            }
-        )
-    if metrics is not None:
-        events.append(
-            {
-                "name": "metrics",
-                "ph": "M",
-                "pid": pids[0],
-                "tid": 0,
-                "args": {"metrics": metrics},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(
-    path: str, records: Iterable[dict], metrics: dict | None = None
-) -> dict:
-    """Write :func:`chrome_trace` output to ``path``; returns the object."""
-    obj = chrome_trace(records, metrics)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-    return obj
-
-
-def validate_chrome_trace(obj: Any) -> list[str]:
-    """Schema-check a trace-event object; returns a list of problems."""
-    errors: list[str] = []
-    if not isinstance(obj, dict) or "traceEvents" not in obj:
-        return ["top level must be an object with a 'traceEvents' array"]
-    events = obj["traceEvents"]
-    if not isinstance(events, list):
-        return ["'traceEvents' must be an array"]
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            errors.append(f"event {i}: not an object")
-            continue
-        for key in ("name", "ph", "pid"):
-            if key not in ev:
-                errors.append(f"event {i}: missing {key!r}")
-        ph = ev.get("ph")
-        if ph == "X":
-            for key in ("ts", "dur"):
-                if not isinstance(ev.get(key), (int, float)):
-                    errors.append(f"event {i}: 'X' event needs numeric {key!r}")
-                elif ev[key] < 0:
-                    errors.append(f"event {i}: negative {key!r}")
-        elif ph == "M":
-            if not isinstance(ev.get("args"), dict):
-                errors.append(f"event {i}: metadata event needs 'args'")
-        elif ph is not None:
-            errors.append(f"event {i}: unsupported phase {ph!r}")
-    return errors
 
 
 # Prometheus text exposition ---------------------------------------------
@@ -357,15 +259,15 @@ def validate_prometheus_text(text: str) -> list[str]:
 # Human tree view ---------------------------------------------------------
 
 
-def _fmt_seconds(s: float) -> str:
-    if s >= 1.0:
-        return f"{s:.3f}s"
-    return f"{s * 1e3:.2f}ms"
+def _fmt_ms(ms: float) -> str:
+    if ms >= 1e3:
+        return f"{ms / 1e3:.3f}s"
+    return f"{ms:.2f}ms"
 
 
-def _label(record: dict) -> str:
-    parts = [record["name"]]
-    attrs = record.get("attrs")
+def _label(node: dict) -> str:
+    parts = [node["name"]]
+    attrs = node.get("attrs")
     if attrs:
         parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
     return "  ".join(parts)
@@ -374,44 +276,32 @@ def _label(record: dict) -> str:
 def render_tree(records: Iterable[dict], max_children: int = 64) -> str:
     """Render spans as an indented tree with inclusive and self time.
 
-    Spans nest by their parent links, siblings in start order.  Self
-    time is the span's duration minus its direct children's durations —
-    the work the phase did itself rather than delegated.
+    Spans nest as :func:`~repro.obs.spans.span_tree` nests them,
+    siblings in start order.  Self time is the span's duration minus its
+    direct children's durations — the work the phase did itself rather
+    than delegated.
     """
-    records = list(records)
-    if not records:
+    roots = span_tree(list(records))
+    if not roots:
         return "(no spans recorded)"
-    by_key = {(r["pid"], r["id"]): r for r in records}
-    children: dict[tuple, list[dict]] = {}
-    roots: list[dict] = []
-    for r in records:
-        parent = r.get("parent")
-        key = (r["pid"], parent)
-        if parent is not None and key in by_key:
-            children.setdefault(key, []).append(r)
-        else:
-            roots.append(r)
-
-    by_start = itemgetter("start")
     lines: list[str] = []
 
-    def emit(r: dict, depth: int) -> None:
-        kids = sorted(children.get((r["pid"], r["id"]), []), key=by_start)
-        self_s = r["dur"] - sum(k["dur"] for k in kids)
-        timing = _fmt_seconds(r["dur"])
+    def emit(node: dict, depth: int) -> None:
+        kids = node.get("children", [])
+        timing = _fmt_ms(node["ms"])
         if kids:
-            timing += f" (self {_fmt_seconds(max(self_s, 0.0))})"
-        lines.append(f"{'  ' * depth}{_label(r)}  {timing}")
-        shown = kids[:max_children]
-        for kid in shown:
+            self_ms = node["ms"] - sum(k["ms"] for k in kids)
+            timing += f" (self {_fmt_ms(max(self_ms, 0.0))})"
+        lines.append(f"{'  ' * depth}{_label(node)}  {timing}")
+        for kid in kids[:max_children]:
             emit(kid, depth + 1)
-        if len(kids) > len(shown):
-            rest = kids[len(shown):]
+        rest = kids[max_children:]
+        if rest:
             lines.append(
                 f"{'  ' * (depth + 1)}... {len(rest)} more spans "
-                f"({_fmt_seconds(sum(k['dur'] for k in rest))} total)"
+                f"({_fmt_ms(sum(k['ms'] for k in rest))} total)"
             )
 
-    for root in sorted(roots, key=by_start):
+    for root in roots:
         emit(root, 0)
     return "\n".join(lines)

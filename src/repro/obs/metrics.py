@@ -15,8 +15,8 @@ Three instrument kinds:
   depth); also tracks its high-water mark.
 * :class:`Histogram` — a distribution summarized as count/sum/min/max
   plus power-of-two buckets (bucket ``k`` counts observations with
-  ``2**(k-1) < v <= 2**k``), which is exact enough for fan-ins and
-  segment sizes.
+  ``2**(k-1) < v <= 2**k``, bucket 0 those in ``[0, 1]``), which is
+  exact enough for fan-ins, segment sizes and millisecond latencies.
 
 Like the tracer, the registry is off by default and every hot call site
 gates on :attr:`MetricsRegistry.enabled`, so the disabled cost is one
@@ -49,7 +49,6 @@ drift).  Counters:
   and orders they produced; ``plan.fallbacks`` — orders whose
   executing ``Sort`` took another strategy than the planned one (a
   planned cached parent evicted before its turn).
-* ``profile.samples`` — stacks collected by the sampling profiler.
 * ``serve.requests`` / ``serve.cache_hits`` / ``serve.executions`` /
   ``serve.coalesced_requests`` — order-service traffic (requests
   submitted, exact cache hits answered at submit on the caller's
@@ -94,6 +93,7 @@ The ``comparisons.*`` family is dynamic (one counter per
 
 from __future__ import annotations
 
+import math
 import os
 
 from ..ovc.stats import ComparisonStats
@@ -143,7 +143,7 @@ class Histogram:
             self.min = v
         if self.max is None or v > self.max:
             self.max = v
-        bucket = max(0, int(v) - 1).bit_length() if v >= 0 else -1
+        bucket = max(0, math.ceil(v) - 1).bit_length() if v >= 0 else -1
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property

@@ -31,54 +31,13 @@ from collections import deque
 from typing import Any
 
 from .metrics import METRICS
-from .spans import TRACER
+from .spans import TRACER, span_tree
 
 #: Ring-buffer capacity for in-memory entries.
 DEFAULT_CAPACITY = 256
 
 #: Span-tree nodes kept per entry (forensics, not an archive).
 MAX_TREE_NODES = 200
-
-
-def span_tree(records: list[dict]) -> list[dict]:
-    """Nest flat span records into ``{name, ms, children}`` trees.
-
-    Works on the plain-dict records the tracer produces; parents link
-    by ``(pid, id)``.  Durations are rounded to microsecond-ish
-    precision — the tree is for reading, not re-timing.
-    """
-    by_key = {(r["pid"], r["id"]): r for r in records}
-    children: dict[tuple, list[dict]] = {}
-    roots: list[dict] = []
-    for r in records:
-        key = (r["pid"], r.get("parent"))
-        if r.get("parent") is not None and key in by_key:
-            children.setdefault(key, []).append(r)
-        else:
-            roots.append(r)
-    budget = [MAX_TREE_NODES]
-
-    def build(r: dict) -> dict | None:
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        node: dict[str, Any] = {
-            "name": r["name"],
-            "ms": round(r["dur"] * 1e3, 3),
-        }
-        attrs = r.get("attrs")
-        if attrs:
-            node["attrs"] = attrs
-        kids = sorted(
-            children.get((r["pid"], r["id"]), []), key=lambda k: k["start"]
-        )
-        built = [b for b in (build(k) for k in kids) if b is not None]
-        if built:
-            node["children"] = built
-        return node
-
-    return [b for b in (build(r) for r in sorted(roots, key=lambda x: x["start"]))
-            if b is not None]
 
 
 class SlowQueryLog:
@@ -173,7 +132,9 @@ class SlowQueryLog:
         if stats is not None:
             entry["comparisons"] = stats.as_dict()
         if spans_at >= 0 and TRACER.enabled:
-            entry["phases"] = span_tree(TRACER.records[spans_at:])
+            entry["phases"] = span_tree(
+                TRACER.records[spans_at:], max_nodes=MAX_TREE_NODES
+            )
         entry.update(info)
         with self._lock:
             self.entries.append(entry)

@@ -14,14 +14,14 @@ Design constraints, in order:
    the total cost is one attribute check plus a context-manager
    protocol round trip.  Call sites therefore instrument at *phase*
    granularity (per segment, per merge pass) — never per
-   row — and the bench smoke stays within its 5% budget (enforced by
+   row — and a Table 1 modify stays within its 5% budget (enforced by
    ``benchmarks/check_trace_overhead.py``).
 2. **Durations are monotonic.**  Spans are timed with
    ``time.perf_counter``; a wall-clock anchor captured at enable time
    converts start times to epoch seconds only on export, so no span
    ever reads the wall clock on the hot path.
 3. **Records are plain dicts.**  Finished spans dump to JSON without
-   conversion.
+   conversion; :func:`span_tree` nests them back into a call tree.
 
 Record schema::
 
@@ -33,10 +33,10 @@ Record schema::
 
 from __future__ import annotations
 
-import functools
 import os
 import time
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any
 
 
 class _NullSpan:
@@ -133,23 +133,6 @@ class Tracer:
             return NULL_SPAN
         return _LiveSpan(self, name, attrs)
 
-    def traced(self, name: str | None = None) -> Callable:
-        """Decorator form: time every call of the wrapped function."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name if name is not None else fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(span_name):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to the innermost open span, if any.
 
@@ -183,6 +166,44 @@ class Tracer:
         """Return all finished span records and clear the buffer."""
         records, self.records = self.records, []
         return records
+
+
+def span_tree(records: list[dict], max_nodes: int | None = None) -> list[dict]:
+    """Nest flat span records into ``{name, ms, attrs, children}`` trees.
+
+    Parents link by ``id`` (one process, one tracer); a span whose
+    parent is not among ``records`` is a root.  Roots and siblings are in
+    start order, ``attrs`` and ``children`` appear only when non-empty,
+    and at most ``max_nodes`` nodes are built, depth first.  Durations
+    are rounded to the microsecond — the tree is for reading, not
+    re-timing.
+    """
+    ids = {r["id"] for r in records}
+    children: dict[int, list[dict]] = {}
+    roots: list[dict] = []
+    for r in records:
+        parent = r.get("parent")
+        if parent is not None and parent in ids:
+            children.setdefault(parent, []).append(r)
+        else:
+            roots.append(r)
+    budget = [len(records) if max_nodes is None else max_nodes]
+    by_start = itemgetter("start")
+
+    def build(r: dict) -> dict | None:
+        if budget[0] <= 0:
+            return None
+        budget[0] -= 1
+        node: dict[str, Any] = {"name": r["name"], "ms": round(r["dur"] * 1e3, 3)}
+        if r.get("attrs"):
+            node["attrs"] = r["attrs"]
+        kids = sorted(children.get(r["id"], ()), key=by_start)
+        built = [b for b in map(build, kids) if b is not None]
+        if built:
+            node["children"] = built
+        return node
+
+    return [b for b in map(build, sorted(roots, key=by_start)) if b is not None]
 
 
 #: The process-wide tracer.  ``REPRO_TRACE=1`` enables it at import so

@@ -35,6 +35,12 @@ from repro.fastpath import kernels
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
+from repro.workloads.generators import (
+    fig10_output_spec,
+    fig10_table,
+    fig11_output_spec,
+    fig11_table,
+)
 
 SCHEMA = Schema.of("A", "B", "C", "D")
 
@@ -180,6 +186,31 @@ def test_string_columns_bit_identical(case):
     in_cols, out_cols = TABLE1[case]
     table = _make_table(in_cols, 2, n=500, strings=True)
     _assert_identical(table, SortSpec(out_cols), "auto")
+
+
+# The paper's figure workloads: 2-, 8- and 16-column lists (Figure 10,
+# A,B -> B,A) and 24-column keys (Figure 11, A,B,C -> A,C,B).
+FIGURE_CELLS = [
+    ("fig10", decide, list_len, "merge_runs")
+    for decide in ("first", "last")
+    for list_len in (2, 8, 16)
+] + [
+    ("fig11", None, n_segments, method)
+    for n_segments in (2, 512)
+    for method in ("segment_sort", "merge_runs", "combined")
+]
+
+
+@pytest.mark.parametrize("figure, decide, size, method", FIGURE_CELLS)
+def test_figure_workloads_bit_identical(figure, decide, size, method):
+    n_rows = 1 << 11
+    if figure == "fig10":
+        table = fig10_table(n_rows, size, decide=decide)
+        spec = fig10_output_spec(size)
+    else:
+        table = fig11_table(n_rows, size)
+        spec = fig11_output_spec(8)
+    _assert_identical(table, spec, method)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

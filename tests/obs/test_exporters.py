@@ -1,17 +1,12 @@
-"""Exporters: JSONL round-trip, Chrome trace schema, Prometheus, tree."""
+"""Exporters: JSONL round-trip, Prometheus, tree."""
 
 from __future__ import annotations
 
-import json
-
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.exporters import (
-    chrome_trace,
     prometheus_text,
     read_jsonl,
     render_tree,
-    validate_chrome_trace,
-    write_chrome_trace,
     write_jsonl,
 )
 
@@ -44,45 +39,6 @@ def test_jsonl_round_trip_preserves_spans_metrics_meta(tmp_path):
     assert got_spans == spans
     assert got_metrics == metrics
     assert got_meta == {"case": 5}
-
-
-def test_jsonl_reloaded_spans_make_a_valid_chrome_trace(tmp_path):
-    path = str(tmp_path / "trace.jsonl")
-    write_jsonl(path, _spans(), metrics=_metrics())
-    spans, metrics, _meta = read_jsonl(path)
-    obj = chrome_trace(spans, metrics)
-    assert validate_chrome_trace(obj) == []
-
-
-def test_chrome_trace_structure_and_process_metadata(tmp_path):
-    obj = write_chrome_trace(str(tmp_path / "trace.json"), _spans())
-    reloaded = json.load(open(tmp_path / "trace.json"))
-    assert reloaded == obj
-    events = obj["traceEvents"]
-    x_events = [e for e in events if e["ph"] == "X"]
-    assert {e["name"] for e in x_events} == {"modify", "segment.sort"}
-    assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in x_events)
-    [modify] = [e for e in x_events if e["name"] == "modify"]
-    assert modify["args"] == {"rows": 100}
-    [(pid, name)] = [
-        (e["pid"], e["args"]["name"])
-        for e in events
-        if e["name"] == "process_name"
-    ]
-    assert name == f"main pid={pid}"
-
-
-def test_validate_chrome_trace_flags_malformed_input():
-    assert validate_chrome_trace([]) != []
-    assert validate_chrome_trace({"traceEvents": "nope"}) != []
-    errors = validate_chrome_trace(
-        {"traceEvents": [{"ph": "X", "pid": 1}, {"name": "m", "ph": "M",
-                         "pid": 1}]}
-    )
-    assert any("missing 'name'" in e for e in errors)
-    assert any("needs numeric" in e for e in errors)
-    assert any("needs 'args'" in e for e in errors)
-    assert validate_chrome_trace({"traceEvents": []}) == []
 
 
 def test_prometheus_text_format():

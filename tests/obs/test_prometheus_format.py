@@ -55,6 +55,16 @@ def test_histogram_buckets_are_cumulative_and_end_at_inf():
     assert lines[-1].startswith('repro_merge_fan_in_bucket{le="+Inf"}')
     assert counts[-1] == 7
 
+    # Fractional observations land in the bucket of their ceiling:
+    # 1.5 is above le="1", 2.5 is above le="2".
+    latency = METRICS.histogram("serve.latency_ms")
+    for v in (0.3, 1.5, 2.5, 3.9, 1000.7):
+        latency.observe(v)
+    text = prometheus_text(METRICS)
+    assert 'repro_serve_latency_ms_bucket{le="1"} 1' in text
+    assert 'repro_serve_latency_ms_bucket{le="2"} 2' in text
+    assert 'repro_serve_latency_ms_bucket{le="4"} 4' in text
+
 
 def test_metric_names_are_sanitized_to_grammar():
     METRICS.enable(clear=True)

@@ -1,4 +1,4 @@
-"""Span tracer: nesting, no-op path, decorator, annotate, drain."""
+"""Span tracer: nesting, no-op path, annotate, drain."""
 
 from __future__ import annotations
 
@@ -62,20 +62,6 @@ def test_out_of_order_exit_does_not_corrupt_the_stack():
     with tracer.span("after"):
         pass
     assert [r["name"] for r in tracer.records][-1] == "after"
-
-
-def test_traced_decorator_times_calls_only_when_enabled():
-    tracer = Tracer()
-
-    @tracer.traced("fn")
-    def fn(x):
-        return x + 1
-
-    assert fn(1) == 2
-    assert tracer.records == []
-    tracer.enable()
-    assert fn(2) == 3
-    assert [r["name"] for r in tracer.records] == ["fn"]
 
 
 def test_annotate_enriches_the_innermost_open_span():

@@ -41,76 +41,51 @@ def test_cli_design(capsys):
     assert "Three-table join planning" in out
 
 
-def test_cli_bench_writes_json(capsys, tmp_path):
-    out_path = tmp_path / "bench.json"
-    assert main(["bench", "--log2-rows", "8", "--json", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "reference vs fast" in out
-    assert "speedup" in out
-    import json
-
-    record = json.loads(out_path.read_text())
-    assert record["n_rows"] == 256
-    assert record["cells"]
-    for cell in record["cells"]:
-        assert cell["fast_seconds"] > 0
-        assert cell["reference_seconds"] > 0
-        assert cell["row_comparisons"] >= 0
-
-
-def test_cli_bench_exits_nonzero_on_fidelity_failure(capsys, monkeypatch):
-    import repro.bench.trajectory as trajectory
-
-    record = {
-        "n_rows": 256,
-        "fidelity_ok": False,
-        "min_speedup": 1.0,
-        "geomean_speedup": 1.0,
-        "cells": [
-            {"label": "fake", "speedup": 1.0, "fidelity_ok": False},
-        ],
-    }
-    monkeypatch.setattr(trajectory, "run_trajectory", lambda *a, **k: record)
-    assert main(["bench", "--log2-rows", "8"]) == 1
-    assert "FIDELITY FAILURE" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--workers", "1,2"],
+        ["table1", "--workers", "1,2"],
         ["trace", "--trace-workers", "2"],
         ["table1", "--shard-timeout-s", "1.5"],
         ["table1", "--shard-timeout", "1.5"],
         ["table1", "--shard-retries", "2"],
         ["table1", "--memory-budget", "1MiB"],
+        ["bench"],
+        ["table1", "--profile", "x"],
     ],
 )
 def test_cli_rejects_removed_pool_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 @pytest.mark.parametrize("case", [1, 5])
 def test_cli_trace_writes_validated_single_process_artifact(
-    case, capsys, tmp_path
+    case, capsys, monkeypatch, tmp_path
 ):
-    import json
+    import repro.obs.exporters as exporters
 
-    from repro.obs.exporters import validate_chrome_trace
+    written = []
+    write_jsonl = exporters.write_jsonl
 
-    out_path = tmp_path / "trace.json"
+    def capture(path, records, **kwargs):
+        written.extend(records)
+        write_jsonl(path, records, **kwargs)
+
+    monkeypatch.setattr(exporters, "write_jsonl", capture)
+    out_path = tmp_path / "trace.jsonl"
     argv = ["trace", "--case", str(case), "--log2-rows", "10",
             "--out", str(out_path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert f"case {case}:" in out and "modify" in out
-    obj = json.loads(out_path.read_text())
-    assert validate_chrome_trace(obj) == []
-    spans = [e for e in obj["traceEvents"] if e["ph"] == "X"]
-    assert spans and len({e["pid"] for e in spans}) == 1
+    spans, metrics, meta = exporters.read_jsonl(str(out_path))
+    assert spans and spans == written
+    assert len({s["pid"] for s in spans}) == 1
+    assert metrics is not None and meta["case"] == case
 
 
 def test_cli_serve_exits_after_duration(capsys):
@@ -173,16 +148,3 @@ def test_cli_experiment_with_telemetry_port(capsys):
     assert "telemetry serving on http://" in out
     assert "Table 1 cases" in out
 
-
-def test_cli_profile_writes_collapsed_stacks(capsys, tmp_path):
-    path = tmp_path / "profile.folded"
-    assert main(
-        ["table1", "--log2-rows", "10", "--profile", str(path)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "collapsed stacks" in out
-    text = path.read_text()
-    if text:  # tiny runs can fall under the sampling interval
-        stack, count = text.splitlines()[0].rsplit(" ", 1)
-        assert int(count) >= 1
-        assert "repro" in stack
