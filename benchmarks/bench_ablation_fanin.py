@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.harness import format_table
 from repro.core.modify import modify_sort_order
+from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec
 from repro.ovc.stats import ComparisonStats
 from repro.workloads.generators import random_sorted_table
@@ -39,7 +40,7 @@ def test_fanin_degradation_curve(n_rows_small):
         stats = ComparisonStats()
         result = modify_sort_order(
             table, SPEC_OUT, method="merge_runs", stats=stats,
-            max_fan_in=fan_in,
+            config=ExecutionConfig(max_fan_in=fan_in),
         )
         if baseline_rows is None:
             baseline_rows = result.rows
@@ -74,6 +75,7 @@ def test_fanin_runtime(benchmark, n_rows_small, fan_in):
     table = _table(n_rows_small)
     benchmark.group = "ablation: merge fan-in"
     result = benchmark(
-        modify_sort_order, table, SPEC_OUT, "merge_runs", True, None, fan_in
+        modify_sort_order, table, SPEC_OUT, "merge_runs",
+        config=ExecutionConfig(max_fan_in=fan_in),
     )
     assert len(result) == len(table)

@@ -33,12 +33,11 @@ def main() -> None:
         cache="on",            # repeat orders served from the order cache
         service_threads=4,     # scheduler pool
         service_queue_depth=32,  # beyond this, submit() rejects
-        service_deadline_ms=5_000,
     )
 
     with OrderService(config) as service:
         # --- one-shot convenience -----------------------------------
-        resp = service.order_by(table, ("sku", "day"))
+        resp = service.order_by(table, ("sku", "day"), deadline_ms=5_000)
         print(f"one-shot: {len(resp.table.rows)} rows via {resp.label}")
 
         # --- a burst of duplicate requests from many threads --------
@@ -49,7 +48,9 @@ def main() -> None:
         def client(i: int) -> None:
             spec = orders[i % len(orders)]
             try:
-                r = service.order_by(table, spec, tenant=f"team-{i % 3}")
+                r = service.order_by(
+                    table, spec, tenant=f"team-{i % 3}", deadline_ms=5_000
+                )
             except ServiceOverloadError as exc:
                 print(f"client {i}: shed by admission control: {exc}")
                 return

@@ -16,11 +16,10 @@ Regenerates the paper's measured artifacts as text tables:
   series, ``--duration S`` exits after S seconds (default: serve until
   interrupted); ``--load`` instead drives an
   :class:`~repro.serve.OrderService` with the closed-loop
-  duplicate-heavy mix (``--load-threads`` / ``--load-requests`` /
-  ``--load-orders``; 16 threads over 4 orders by default) while
-  telemetry is live, prints the coalescing report, and exits non-zero
-  unless duplicates coalesced, executions < requests, and every
-  response matched serial uncached execution bit for bit;
+  duplicate-heavy mix (16 threads over 4 orders, 8 requests each)
+  while telemetry is live, prints the coalescing report, and exits
+  non-zero unless duplicates coalesced, executions < requests, and
+  every response matched serial uncached execution bit for bit;
 * ``all`` — everything above except ``trace`` and ``serve``.
 
 Wall time is quoted against the fastest baseline: ``table1`` prints the
@@ -36,19 +35,11 @@ metrics after the run; ``--telemetry-port P`` serves ``/metrics`` +
 free port).  To profile, use the standard library:
 ``python -m cProfile -s cumtime -m repro table1``.
 
-Execution configuration (:mod:`repro.exec`): the order cache
-(:mod:`repro.cache`) is governed by ``--cache off|on``,
-``--cache-budget``, ``--cache-ttl`` and ``--spill-dir`` (where the
-entries its budget cannot hold are spilled); the order service by
-``--service-threads``, ``--service-queue-depth``, and
-``--service-deadline-ms``.  Every flag is named after the
-:class:`~repro.exec.ExecutionConfig` field it sets, and the same
-fields resolve with precedence **file < environment < flags**: a
-``--config FILE`` JSON object is the base, ``REPRO_*`` variables
-(``REPRO_SPILL_DIR``, ``REPRO_CACHE``, ``REPRO_CACHE_BUDGET``,
-``REPRO_CACHE_TTL``, ``REPRO_SERVICE_THREADS``,
-``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_DEADLINE_MS``)
-override it, and explicit command-line flags win.
+Execution configuration (:mod:`repro.exec`) comes from the ``REPRO_*``
+environment variables alone (:meth:`~repro.exec.ExecutionConfig.
+from_env`): ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``, ``REPRO_SPILL_DIR``,
+``REPRO_CACHE``, ``REPRO_CACHE_BUDGET``, ``REPRO_SERVICE_THREADS``,
+``REPRO_SERVICE_QUEUE_DEPTH`` and ``REPRO_PLAN_WINDOW_MS``.
 """
 
 from __future__ import annotations
@@ -71,32 +62,6 @@ from .ovc.derive import derive_ovcs
 from .ovc.stats import ComparisonStats
 from .workloads.generators import random_sorted_table
 from .model import Schema
-
-
-def _exec_config(args) -> ExecutionConfig:
-    """The run's ExecutionConfig.
-
-    Precedence (lowest to highest): ``--config FILE`` values, then
-    ``REPRO_*`` environment variables, then explicit flags — each flag
-    is named after the config field it sets (``--cache-budget`` ->
-    ``cache_budget``, ``--service-threads`` -> ``service_threads``, ...).
-    """
-    base = (
-        ExecutionConfig.from_file(args.config)
-        if getattr(args, "config", None) is not None
-        else None
-    )
-    cfg = ExecutionConfig.from_env(base=base)
-    overrides: dict = {}
-    for field in (
-        "spill_dir", "cache", "cache_budget", "cache_ttl",
-        "service_threads", "service_queue_depth", "service_deadline_ms",
-        "plan_window_ms",
-    ):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    return cfg.with_(**overrides) if overrides else cfg
 
 
 def _fig10(n_rows: int, seed: int) -> None:
@@ -245,8 +210,7 @@ def _design(n_rows: int) -> None:
 
 
 def _serve_load(
-    n_rows: int, seed: int, json_path: str | None,
-    cfg: ExecutionConfig, args,
+    n_rows: int, seed: int, json_path: str | None, cfg: ExecutionConfig,
 ) -> int:
     from .bench.serve_bench import (
         check_serve_record,
@@ -255,16 +219,15 @@ def _serve_load(
         write_serve_trajectory,
     )
 
-    # The load exercises the full sharing stack, so the order cache
-    # defaults on unless the invocation said otherwise.
-    config = cfg if cfg.cache != "off" else cfg.with_(cache="on")
+    # The load exercises the full sharing stack, so the order cache is
+    # always on: the configured budget and spill directory apply.
     record = run_serve_trajectory(
         n_rows,
         seed=seed,
-        threads=args.load_threads,
-        requests_per_thread=args.load_requests,
-        n_orders=args.load_orders,
-        config=config,
+        threads=16,
+        requests_per_thread=8,
+        n_orders=4,
+        config=cfg.with_(cache="on"),
     )
     print(
         format_table(
@@ -383,7 +346,7 @@ def _serve(args, cfg: ExecutionConfig) -> int:
     try:
         if args.load:
             n_rows = 1 << args.log2_rows
-            return _serve_load(n_rows, args.seed, args.json, cfg, args)
+            return _serve_load(n_rows, args.seed, args.json, cfg)
         if args.duration is not None:
             time.sleep(args.duration)
         else:
@@ -409,13 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--log2-rows", type=int, default=14)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--config",
-        metavar="FILE",
-        default=None,
-        help="JSON file of ExecutionConfig fields; precedence is"
-        " file < REPRO_* environment < explicit flags",
-    )
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -446,95 +402,10 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'trace': JSON-lines artifact path (default trace.jsonl)",
     )
     parser.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help="directory for the order cache's spill files"
-        " (default: system temp)",
-    )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const="on",
-        choices=["off", "on"],
-        default=None,
-        help="order-cache mode for the run (bare --cache means on)",
-    )
-    parser.add_argument(
-        "--cache-budget",
-        metavar="BYTES",
-        default=None,
-        help="order-cache resident budget (e.g. 8MiB); cold entries"
-        " spill to disk beyond it",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="order-cache entry lifetime (default: no expiry)",
-    )
-    parser.add_argument(
-        "--service-threads",
-        type=int,
-        metavar="N",
-        default=None,
-        help="order-service scheduler threads (with 'serve --load';"
-        " default 4)",
-    )
-    parser.add_argument(
-        "--service-queue-depth",
-        type=int,
-        metavar="N",
-        default=None,
-        help="order-service admission-queue bound; a full queue rejects"
-        " with ServiceOverloadError (default 64)",
-    )
-    parser.add_argument(
-        "--service-deadline-ms",
-        type=float,
-        metavar="MS",
-        default=None,
-        help="order-service default per-request deadline"
-        " (default: none)",
-    )
-    parser.add_argument(
-        "--plan-window-ms",
-        type=float,
-        metavar="MS",
-        default=None,
-        help="order-service micro-batch window: drain the admission"
-        " queue at most this long (less when arrivals stop), then run"
-        " every drained request as a solo one (default: off)",
-    )
-    parser.add_argument(
         "--load",
         action="store_true",
         help="with 'serve': drive the order service with a closed-loop"
         " duplicate-heavy load and print the report, instead of idling",
-    )
-    parser.add_argument(
-        "--load-threads",
-        type=int,
-        metavar="N",
-        default=16,
-        help="closed-loop load: concurrent client threads (default 16)",
-    )
-    parser.add_argument(
-        "--load-requests",
-        type=int,
-        metavar="N",
-        default=8,
-        help="closed-loop load: requests per thread (default 8)",
-    )
-    parser.add_argument(
-        "--load-orders",
-        type=int,
-        metavar="N",
-        default=4,
-        help="closed-loop load: distinct target orders; threads spread"
-        " over them round-robin, so N threads / N orders duplicates"
-        " per wave (default 4)",
     )
     parser.add_argument(
         "--telemetry-port",
@@ -561,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     n_rows = 1 << args.log2_rows
-    cfg = _exec_config(args)
+    cfg = ExecutionConfig.from_env()
 
     if args.experiment == "serve":
         return _serve(args, cfg)

@@ -98,7 +98,7 @@ def run_serve_trajectory(
         )
 
     if cfg.cache != "off":
-        configure_cache(budget=cfg.cache_budget, ttl=cfg.cache_ttl)
+        configure_cache(budget=cfg.cache_budget, spill_dir=cfg.spill_dir)
     try:
         with OrderService(cfg) as service:
             report = _load(service)

@@ -20,12 +20,14 @@ Usage is governed by :class:`~repro.exec.ExecutionConfig`:
 * ``cache="off"`` (default) — never touch the cache;
 * ``cache="on"`` — use the process-wide cache: the one
   :func:`configure_cache` made, or else one created on first use with
-  the config's ``cache_budget`` / ``cache_ttl`` / ``spill_dir``.
+  the config's ``cache_budget`` / ``spill_dir``.
+
+An entry is keyed by the exact row sequence it permutes, so it never
+goes stale and has no lifetime; the byte budget bounds memory.
 
 Environment: ``REPRO_CACHE`` / ``REPRO_CACHE_BUDGET`` /
-``REPRO_CACHE_TTL``.  Observability: ``cache.hits`` / ``cache.misses``
-/ ``cache.installs`` / ``cache.evictions`` / ``cache.expirations`` /
-``cache.spills`` / ``cache.rehydrates`` / ``cache.modify_serves``
+``REPRO_SPILL_DIR``.  Observability: ``cache.hits`` / ``cache.misses``
+/ ``cache.installs`` / ``cache.evictions`` / ``cache.spills`` / ``cache.rehydrates`` / ``cache.modify_serves``
 counters and ``cache.bytes_resident`` / ``cache.entries`` gauges.
 """
 
@@ -65,7 +67,6 @@ def get_cache() -> OrderCache | None:
 
 def configure_cache(
     budget: int | None = None,
-    ttl: float | None = None,
     spill_dir: str | None = None,
 ) -> OrderCache:
     """Create (replacing any previous) the process-wide order cache."""
@@ -73,7 +74,7 @@ def configure_cache(
     with _LOCK:
         if _CACHE is not None:
             _CACHE.close()
-        _CACHE = OrderCache(budget=budget, ttl=ttl, spill_dir=spill_dir)
+        _CACHE = OrderCache(budget=budget, spill_dir=spill_dir)
         return _CACHE
 
 
@@ -90,7 +91,7 @@ def resolve_cache(config: ExecutionConfig) -> OrderCache | None:
     """The cache a given config asks for (``None`` = stay cold).
 
     ``"on"`` lazily creates the process-wide cache from the config's
-    ``cache_budget`` / ``cache_ttl`` / ``spill_dir`` the first time;
+    ``cache_budget`` / ``spill_dir`` the first time;
     an existing cache is reused as-is (first configuration wins —
     reconfigure explicitly via :func:`configure_cache`).
     """
@@ -99,9 +100,7 @@ def resolve_cache(config: ExecutionConfig) -> OrderCache | None:
     with _LOCK:
         if _CACHE is None:
             return configure_cache(
-                budget=config.cache_budget,
-                ttl=config.cache_ttl,
-                spill_dir=config.spill_dir,
+                budget=config.cache_budget, spill_dir=config.spill_dir
             )
         return _CACHE
 

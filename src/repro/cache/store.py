@@ -1,4 +1,4 @@
-"""The order cache's store: a thread-safe LRU/TTL map of sorted orders.
+"""The order cache's store: a thread-safe LRU map of sorted orders.
 
 One entry is one previously produced sort order of one row *sequence*,
 keyed by that sequence's fingerprint plus the :class:`~repro.model.
@@ -48,23 +48,24 @@ policy shares:
   and the book's two arrays, not a tuple per row) and rehydrated
   bit-identically by a later read.  ``spills`` / ``rehydrates`` count
   disk writes / reads; a memo drop is neither.
-* **TTL** — entries older than ``ttl`` seconds are expired lazily on
-  access and on install.
+
+An entry never goes stale — its key names the exact row sequence it
+permutes — so entries have no lifetime: the budget bounds memory, and
+:meth:`OrderCache.invalidate` drops entries on request.
 
 Counters (``hits``, ``misses``, ``installs``, ``evictions``,
-``expirations``, ``spills``, ``rehydrates``) are maintained under the
-same lock, so ``hits + misses`` always equals the number of exact
-lookups (less the misses of uncounted probes, :meth:`OrderCache.
-lookup`) — the monotonic-consistency property the concurrency tests
-pin down.  Re-installing a key replaces its entry and is neither an
-eviction nor an expiration.  When the global metrics registry is
-enabled the same events are published under ``cache.*`` names.
+``spills``, ``rehydrates``) are maintained under the same lock, so
+``hits + misses`` always equals the number of exact lookups (less the
+misses of uncounted probes, :meth:`OrderCache.lookup`) — the
+monotonic-consistency property the concurrency tests pin down.
+Re-installing a key replaces its entry and is not an eviction.  When
+the global metrics registry is enabled the same events are published
+under ``cache.*`` names.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from array import array
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, replace
@@ -121,11 +122,11 @@ class _Entry:
 
     __slots__ = (
         "key", "spec", "perm", "codes", "rows", "ovcs",
-        "offset_counts", "flat_bytes", "memo_bytes", "built_at", "handle",
+        "offset_counts", "flat_bytes", "memo_bytes", "handle",
     )
 
     def __init__(self, key, spec, perm, codes, rows, ovcs,
-                 offset_counts, flat_bytes, memo_bytes, built_at) -> None:
+                 offset_counts, flat_bytes, memo_bytes) -> None:
         self.key = key
         self.spec = spec
         #: The flat form (``None`` while spilled); never mutated.
@@ -138,7 +139,6 @@ class _Entry:
         self.offset_counts = offset_counts
         self.flat_bytes = flat_bytes
         self.memo_bytes = memo_bytes
-        self.built_at = built_at
         #: Spill handle while the flat form is on disk.
         self.handle: SpillHandle | None = None
 
@@ -238,7 +238,7 @@ def _perm_of(source, rows: list) -> list[int]:
 
 
 class OrderCache:
-    """In-process cache of sorted outputs, LRU + TTL + budget-governed.
+    """In-process cache of sorted outputs, LRU + budget-governed.
 
     Parameters
     ----------
@@ -246,24 +246,16 @@ class OrderCache:
         Resident-byte budget over flat forms and memos (``parse_memory``
         already applied by the config layer; here an int or ``None``
         for unlimited).
-    ttl:
-        Entry lifetime in seconds (``None`` = no expiry).
     spill_dir:
         Parent directory for the spill manager (system temp when
         ``None``).
-    clock:
-        Injectable monotonic clock for TTL tests.
     """
 
     def __init__(
         self,
         budget: int | None = None,
-        ttl: float | None = None,
         spill_dir: str | None = None,
-        clock=time.monotonic,
     ) -> None:
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
         self._lock = threading.RLock()
         self._entries: dict[tuple, _Entry] = {}
         # Least recently used first: every entry, the ones holding a
@@ -273,8 +265,6 @@ class OrderCache:
         self._memos: "OrderedDict[_Entry, None]" = OrderedDict()
         self._flats: "OrderedDict[_Entry, None]" = OrderedDict()
         self.accountant = MemoryAccountant(budget)
-        self.ttl = ttl
-        self._clock = clock
         self._spill_dir = spill_dir
         self._spill: SpillManager | None = None
         # Event counters (all mutated under the lock).
@@ -282,7 +272,6 @@ class OrderCache:
         self.misses = 0
         self.installs = 0
         self.evictions = 0
-        self.expirations = 0
         self.spills = 0
         self.rehydrates = 0
         self.rejected = 0
@@ -293,9 +282,6 @@ class OrderCache:
         if self._spill is None:
             self._spill = SpillManager(self._spill_dir)
         return self._spill
-
-    def _expired(self, entry: _Entry, now: float) -> bool:
-        return self.ttl is not None and now - entry.built_at > self.ttl
 
     def _publish_levels(self) -> None:
         if METRICS.enabled:
@@ -320,8 +306,7 @@ class OrderCache:
 
     def _drop(self, entry: _Entry, reason: str) -> None:
         """Remove one entry entirely (lock held); ``reason`` is
-        ``"expired"``, ``"evicted"`` or ``"replaced"`` (counted as
-        neither)."""
+        ``"evicted"`` or ``"replaced"`` (not counted)."""
         del self._entries[entry.key, entry.spec]
         del self._lru[entry]
         self.accountant.release(CATEGORY, ENTRY_BYTES)
@@ -332,10 +317,7 @@ class OrderCache:
         if entry.handle is not None:
             entry.handle.release()
             entry.handle = None
-        if reason == "expired":
-            self.expirations += 1
-            self._count("expirations")
-        elif reason == "evicted":
+        if reason == "evicted":
             self.evictions += 1
             self._count("evictions")
         self._publish_levels()
@@ -374,11 +356,6 @@ class OrderCache:
             self._spill_entry(victim)
         self._publish_levels()
 
-    def _purge_expired(self, now: float) -> None:
-        if self.ttl is not None:
-            for entry in [e for e in self._lru if self._expired(e, now)]:
-                self._drop(entry, "expired")
-
     # ------------------------------------------------------------- reads
 
     def _read(
@@ -387,19 +364,15 @@ class OrderCache:
         """The stored order for ``(fp, spec)`` with its lists built.
 
         ``hits`` / ``misses``: whether a found / absent entry counts as
-        a lookup's hit / miss (a counted read also drops an expired
-        entry).  Under the lock: the map operations, the rehydrate of a
-        spilled entry and a snapshot of its arrays.  A flat entry's two
-        gathers run outside it, over the rows ``fp`` hashed; the lists
-        are kept as the entry's memo only if the budget has room for
-        them as it stands — a memo is never worth a disk write.
+        a lookup's hit / miss.  Under the lock: the map operations, the
+        rehydrate of a spilled entry and a snapshot of its arrays.  A
+        flat entry's two gathers run outside it, over the rows ``fp``
+        hashed; the lists are kept as the entry's memo only if the
+        budget has room for them as it stands — a memo is never worth a
+        disk write.
         """
         with self._lock:
             entry = self._entries.get((fp.source_key, spec))
-            if entry is not None and self._expired(entry, self._clock()):
-                if hits:
-                    self._drop(entry, "expired")
-                entry = None
             if entry is None:
                 if misses:
                     self.misses += 1
@@ -451,7 +424,7 @@ class OrderCache:
     def candidates(
         self, fp: Fingerprint, exclude: SortSpec | None = None
     ) -> list[CachedOrder]:
-        """Every unexpired order cached for this row sequence.
+        """Every order cached for this row sequence.
 
         Metadata-only snapshots for cost estimation: nothing is
         rehydrated or gathered (``rows`` / ``ovcs`` are ``None`` unless
@@ -459,7 +432,6 @@ class OrderCache:
         chosen.
         """
         with self._lock:
-            self._purge_expired(self._clock())
             return [
                 entry.snapshot()
                 for (src, spec), entry in self._entries.items()
@@ -519,14 +491,12 @@ class OrderCache:
         counts = _offset_counts(ids, offsets, spec.arity)
         key = (fp.source_key, spec)
         with self._lock:
-            now = self._clock()
-            self._purge_expired(now)
             old = self._entries.get(key)
             if old is not None:
                 self._drop(old, "replaced")
             entry = _Entry(
                 fp.source_key, spec, perm, codes, rows, ovcs, counts,
-                flat_bytes, memo_bytes, now,
+                flat_bytes, memo_bytes,
             )
             self._entries[key] = entry
             self._lru[entry] = self._memos[entry] = self._flats[entry] = None
@@ -588,7 +558,6 @@ class OrderCache:
                 "misses": self.misses,
                 "installs": self.installs,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "spills": self.spills,
                 "rehydrates": self.rehydrates,
                 "rejected": self.rejected,

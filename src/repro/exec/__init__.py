@@ -7,9 +7,9 @@ settings) through ``modify_sort_order``, ``modify_sort_order_external``,
 the CLI.
 
 * :mod:`repro.exec.config` — ``ExecutionConfig`` / ``parse_memory``.
-* :mod:`repro.exec.memory` — ``MemoryAccountant``, the byte ledger of
-  the order cache (budgeted by ``cache_budget``) and of the service's
-  in-flight tables; ``rows_nbytes``, their size model.
+* :mod:`repro.exec.memory` — ``MemoryAccountant``, the order cache's
+  byte ledger (budgeted by ``cache_budget``); ``rows_nbytes``, the page
+  model's size of a row batch.
 * :mod:`repro.exec.spill` — ``SpillManager``, the spill files the order
   cache moves cold entries to.
 """

@@ -12,14 +12,17 @@ Construction patterns::
     cfg = ExecutionConfig.from_env()                 # REPRO_* variables
     low = cfg.with_(cache_budget="1MiB")             # derived variant
 
-Entry points called without a config use :meth:`ExecutionConfig.
-default`, so ``REPRO_*`` variables govern bare calls.
+A config comes from exactly two places: code (the constructor and
+:meth:`~ExecutionConfig.with_`) and the ``REPRO_*`` variables
+(:meth:`~ExecutionConfig.from_env`).  Entry points called without a
+config use :meth:`ExecutionConfig.default`, so ``REPRO_*`` variables
+govern bare calls — the CLI's included.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,10 +47,8 @@ _ENV_FIELDS = (
     ("REPRO_SPILL_DIR", "spill_dir", str),
     ("REPRO_CACHE", "cache", str),
     ("REPRO_CACHE_BUDGET", "cache_budget", str),
-    ("REPRO_CACHE_TTL", "cache_ttl", float),
     ("REPRO_SERVICE_THREADS", "service_threads", int),
     ("REPRO_SERVICE_QUEUE_DEPTH", "service_queue_depth", int),
-    ("REPRO_SERVICE_DEADLINE_MS", "service_deadline_ms", float),
     ("REPRO_PLAN_WINDOW_MS", "plan_window_ms", float),
 )
 
@@ -62,7 +63,7 @@ def parse_memory(value: int | str | None) -> int | None:
     """
     if value is None:
         return None
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"memory size must be an int or string, got {value!r}")
     if isinstance(value, int):
         if value <= 0:
@@ -105,7 +106,8 @@ class ExecutionConfig:
         :func:`repro.core.modify.resolve_engine`).
     max_fan_in:
         Cap on runs merged per step in the reference merge executors
-        (graceful degradation to multi-step merges beyond it).
+        (graceful degradation to multi-step merges beyond it); an
+        ``int`` of at least 2.
     spill_dir:
         Directory for the order cache's spill files; ``None`` uses the
         system temp dir.
@@ -113,13 +115,11 @@ class ExecutionConfig:
         Order-cache mode (:mod:`repro.cache`): ``"off"`` (default)
         never consults it, ``"on"`` uses the process-wide cache
         (created on first use with this config's ``cache_budget`` /
-        ``cache_ttl`` / ``spill_dir`` unless one exists already).
+        ``spill_dir`` unless one exists already).
     cache_budget:
         Resident-byte budget for the order cache (int bytes or a
         ``parse_memory`` string); cold entries spill to disk beyond
         it.  ``None`` means unlimited.
-    cache_ttl:
-        Order-cache entry lifetime in seconds (``None`` = no expiry).
     service_threads:
         Scheduler threads of an :class:`~repro.serve.OrderService`
         built from this config (concurrent executions).
@@ -129,19 +129,14 @@ class ExecutionConfig:
         submit, take no slot).  A full queue rejects new work with
         :class:`~repro.serve.ServiceOverloadError` instead of buffering
         unboundedly.
-    service_deadline_ms:
-        Default per-request deadline in milliseconds (``None`` = no
-        deadline); requests that cannot be answered in time fail with
-        :class:`~repro.serve.DeadlineExceededError`.
     plan_window_ms:
         Micro-batch window of the serving layer: after picking up a
         request, a scheduler thread keeps draining the admission queue
         for at most this many milliseconds — less when arrivals stop:
         one wait of an eighth of the window without an arrival closes
-        it — and then runs every drained request as a solo one.
-        ``None``
-        (default) disables batching — every request executes
-        independently on arrival.
+        it — and then runs every drained request as a solo one.  Must
+        be finite and positive; ``None`` (default) disables batching —
+        every request executes independently on arrival.
     """
 
     engine: str = "auto"
@@ -149,10 +144,8 @@ class ExecutionConfig:
     spill_dir: str | None = None
     cache: str = "off"
     cache_budget: int | None = None
-    cache_ttl: float | None = None
     service_threads: int = 4
     service_queue_depth: int = 64
-    service_deadline_ms: float | None = None
     plan_window_ms: float | None = None
 
     def __post_init__(self) -> None:
@@ -160,9 +153,14 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {sorted(_ENGINES)}"
             )
-        if self.max_fan_in is not None and self.max_fan_in < 2:
+        if self.max_fan_in is not None and (
+            isinstance(self.max_fan_in, bool)
+            or not isinstance(self.max_fan_in, int)
+            or self.max_fan_in < 2
+        ):
             raise ValueError(
-                f"max_fan_in must be at least 2, got {self.max_fan_in}"
+                f"max_fan_in must be an int of at least 2, "
+                f"got {self.max_fan_in!r}"
             )
         if self.cache not in _CACHE_MODES:
             raise ValueError(
@@ -172,10 +170,6 @@ class ExecutionConfig:
         object.__setattr__(
             self, "cache_budget", parse_memory(self.cache_budget)
         )
-        if self.cache_ttl is not None and self.cache_ttl <= 0:
-            raise ValueError(
-                f"cache_ttl must be positive, got {self.cache_ttl}"
-            )
         if (
             isinstance(self.service_threads, bool)
             or not isinstance(self.service_threads, int)
@@ -194,17 +188,11 @@ class ExecutionConfig:
                 f"service_queue_depth must be a positive int, "
                 f"got {self.service_queue_depth!r}"
             )
-        if (
-            self.service_deadline_ms is not None
-            and self.service_deadline_ms <= 0
+        if self.plan_window_ms is not None and not (
+            math.isfinite(self.plan_window_ms) and self.plan_window_ms > 0
         ):
             raise ValueError(
-                f"service_deadline_ms must be positive, "
-                f"got {self.service_deadline_ms}"
-            )
-        if self.plan_window_ms is not None and self.plan_window_ms <= 0:
-            raise ValueError(
-                f"plan_window_ms must be positive, "
+                f"plan_window_ms must be finite and positive, "
                 f"got {self.plan_window_ms}"
             )
 
@@ -222,25 +210,17 @@ class ExecutionConfig:
         return cls.from_env()
 
     @classmethod
-    def from_env(
-        cls,
-        env: dict | None = None,
-        base: "ExecutionConfig | None" = None,
-    ) -> "ExecutionConfig":
+    def from_env(cls, env: dict | None = None) -> "ExecutionConfig":
         """Build a config from ``REPRO_*`` environment variables.
 
         Recognized: ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``,
         ``REPRO_SPILL_DIR``, ``REPRO_CACHE`` (``off``/``on``;
         ``1``/``0`` are accepted as ``on``/``off``),
         ``REPRO_CACHE_BUDGET`` (``parse_memory`` syntax),
-        ``REPRO_CACHE_TTL`` (seconds), ``REPRO_SERVICE_THREADS``,
-        ``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_DEADLINE_MS``,
+        ``REPRO_SERVICE_THREADS``, ``REPRO_SERVICE_QUEUE_DEPTH``,
         ``REPRO_PLAN_WINDOW_MS``.  Any other ``REPRO_*`` variable is
         ignored here, and a malformed number is a ``ValueError`` that
-        names the variable.  Unset variables keep the field
-        defaults — or ``base``'s values when a base config is given
-        (the config-precedence rule *file < env < flags* hangs off
-        this parameter: pass :meth:`from_file`'s result as ``base``).
+        names the variable.  Unset variables keep the field defaults.
         """
         e = os.environ if env is None else env
         kwargs: dict = {}
@@ -258,45 +238,7 @@ class ExecutionConfig:
         if "cache" in kwargs:
             raw = kwargs["cache"].strip().lower()
             kwargs["cache"] = {"1": "on", "0": "off"}.get(raw, raw)
-        if base is not None:
-            return base.with_(**kwargs) if kwargs else base
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExecutionConfig":
-        """Load a config from a JSON file of field name/value pairs.
-
-        The file is a single JSON object whose keys are
-        :class:`ExecutionConfig` field names (``{"engine": "fast",
-        "cache_budget": "64MiB", "cache": "on"}``); values pass
-        through the same validation as keyword construction, so
-        ``parse_memory`` strings work for the byte-sized fields.
-        Unknown keys are an error — a typo in a config file should
-        fail loudly, not silently configure nothing.
-
-        This is the *file* layer of the precedence chain **file < env
-        < flags**: CLI entry points load it first, lay ``REPRO_*``
-        variables over it via ``from_env(base=...)``, and apply
-        explicit flags last via :meth:`with_`.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {path!r} is not valid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"config file {path!r} must hold a JSON object of "
-                f"ExecutionConfig fields, got {type(obj).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise ValueError(
-                f"config file {path!r} has unknown field(s) "
-                f"{', '.join(unknown)}; valid fields: {', '.join(sorted(known))}"
-            )
-        return cls(**obj)
 
     def with_(self, **overrides) -> "ExecutionConfig":
         """A copy with the given fields replaced (validated anew)."""

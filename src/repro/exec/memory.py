@@ -2,15 +2,13 @@
 
 A :class:`MemoryAccountant` is charged, in bytes, by an owner that keeps
 rows alive across requests and answers one question for it:
-:meth:`MemoryAccountant.over_budget`.  There are two, each created and
-held by its owner: the order cache's (:class:`repro.cache.store.
-OrderCache`, budgeted by ``cache_budget``) and the order service's
-in-flight ledger (:class:`repro.serve.OrderService`, unbudgeted).
-Charging is bookkeeping only; the *reaction* (dropping memos, spilling
-or evicting cold entries) lives with the owner, so the accountant never
-drops data.
+:meth:`MemoryAccountant.over_budget`.  There is one owner: the order
+cache (:class:`repro.cache.store.OrderCache`, budgeted by
+``cache_budget``), which creates and holds its accountant.  Charging is
+bookkeeping only; the *reaction* (dropping memos, spilling or evicting
+cold entries) lives with the owner, so the accountant never drops data.
 
-:func:`rows_nbytes` is the size model both use.
+:func:`rows_nbytes` is the page model's size of a row batch.
 """
 
 from __future__ import annotations
@@ -23,9 +21,9 @@ class MemoryAccountant:
 
     ``budget`` is the owner's byte budget (``None`` = unlimited:
     charges are tracked but :meth:`over_budget` never fires).
-    Categories are free-form dotted names (``"cache.entries"``,
-    ``"serve.inflight"``); they exist for attribution in metrics and
-    tests, not for separate sub-budgets.
+    Categories are free-form dotted names (``"cache.entries"``); they
+    exist for attribution in metrics and tests, not for separate
+    sub-budgets.
     """
 
     __slots__ = ("budget", "used", "peak", "by_category", "_over")
@@ -105,9 +103,8 @@ def rows_nbytes(rows, ovcs=None) -> int:
     """Accounting size of a row batch (plus optional codes).
 
     Uses the same per-row size model as the simulated page manager
-    (:func:`repro.storage.pages.row_size_bytes`) so spill accounting and
-    budget accounting agree; each offset-value code is charged 16 bytes
-    (two machine words).
+    (:func:`repro.storage.pages.row_size_bytes`); each offset-value code
+    is charged 16 bytes (two machine words).
     """
     from ..storage.pages import row_size_bytes
 
@@ -116,16 +113,3 @@ def rows_nbytes(rows, ovcs=None) -> int:
         total += 16 * len(ovcs)
     return total
 
-
-def _table_nbytes(table) -> int:
-    """:func:`rows_nbytes` of a table's rows and codes, in O(1).
-
-    The row bytes are measured once per distinct row sequence and kept
-    on the table (:meth:`repro.model.Table._facts`); codes add 16 bytes
-    each.
-    """
-    facts = table._facts()
-    if facts.row_bytes is None:
-        facts.row_bytes = rows_nbytes(facts.rows)
-    coded = table.ovcs is not None
-    return facts.row_bytes + (16 * len(facts.rows) if coded else 0)

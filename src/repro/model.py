@@ -278,24 +278,20 @@ class _Facts:
     and, with ``schema``, the witness they are revalidated against;
     the other slots are filled by their owners on first use (``None``
     = not computed yet): ``fingerprint`` by
-    :func:`repro.cache.fingerprint.fingerprint_table`, ``row_bytes`` by
-    :mod:`repro.exec.memory`, ``fields`` (column position
-    -> that column's order-preserving surrogate array and bit width,
-    one entry per key column a fast kernel has packed so far) by
-    :func:`repro.fastpath.packed.table_fields`.  Each depends only on
+    :func:`repro.cache.fingerprint.fingerprint_table`, ``fields``
+    (column position -> that column's order-preserving surrogate array
+    and bit width, one entry per key column a fast kernel has packed so
+    far) by :func:`repro.fastpath.packed.table_fields`.  Each depends only on
     the row multiset, its arrangement and the schema — what the witness
     guards.
     """
 
-    __slots__ = (
-        "rows", "schema", "fingerprint", "row_bytes", "fields",
-    )
+    __slots__ = ("rows", "schema", "fingerprint", "fields")
 
     def __init__(self, rows, schema: Schema) -> None:
         self.rows = rows
         self.schema = schema
         self.fingerprint = None
-        self.row_bytes = None
         self.fields = None
 
 
@@ -310,11 +306,11 @@ class Table:
 
     A table is mutable: ``rows`` may be edited in place or re-assigned
     at any time.  What the library derives from the row sequence and
-    keeps on the table (its content fingerprint, its accounted size,
-    the fast kernels' normalized key columns) is revalidated on every
-    read against a snapshot of the rows it was computed from, so
-    an edit is never answered from stale facts — and an unchanged table
-    never pays for them twice.
+    keeps on the table (its content fingerprint, the fast kernels'
+    normalized key columns) is revalidated on every read against a
+    snapshot of the rows it was computed from, so an edit is never
+    answered from stale facts — and an unchanged table never pays for
+    them twice.
     """
 
     schema: Schema

@@ -32,8 +32,8 @@ drift).  Counters:
 * ``adjust.derived_codes`` / ``adjust.saved_run_heads`` — OVC
   adjustment economy in merge-of-runs.
 * ``cache.hits`` / ``cache.misses`` / ``cache.installs`` /
-  ``cache.evictions`` / ``cache.expirations`` / ``cache.spills`` /
-  ``cache.rehydrates`` / ``cache.rejected`` — order-cache lifecycle;
+  ``cache.evictions`` / ``cache.spills`` / ``cache.rehydrates`` /
+  ``cache.rejected`` — order-cache lifecycle;
   ``cache.modify_serves`` (related order produced by modifying a
   cached one); ``cache.fingerprint_passes`` — O(n)
   fingerprint passes actually run (flat under repeat traffic: a
@@ -68,9 +68,8 @@ Gauges:
 
 * ``cache.bytes_resident`` / ``cache.entries`` — order-cache footprint.
 * ``exec.mem.used_bytes`` / ``exec.mem.peak_bytes`` — accountant level.
-* ``serve.queue_depth`` / ``serve.inflight`` /
-  ``serve.inflight_bytes`` — order-service admission-queue depth,
-  in-flight executions, and bytes of source buffers held.
+* ``serve.queue_depth`` / ``serve.inflight`` — order-service
+  admission-queue depth and in-flight executions.
 * ``streaming.buffered_rows`` — streaming-merge buffer depth.
 
 Histograms:

@@ -149,7 +149,6 @@ def run_load(
         "service": {
             "threads": service.config.service_threads,
             "queue_depth": service.config.service_queue_depth,
-            "deadline_ms": service.config.service_deadline_ms,
             "cache": service.config.cache,
             "plan_window_ms": service.config.plan_window_ms,
         },

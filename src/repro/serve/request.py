@@ -50,7 +50,7 @@ class Inflight:
 
     __slots__ = (
         "key", "source", "spec", "tenant", "submitted_at", "deadline_at",
-        "unbounded", "waiters", "nbytes", "done", "table", "label",
+        "unbounded", "waiters", "done", "table", "label",
         "error",
     )
 
@@ -71,8 +71,6 @@ class Inflight:
         self.deadline_at = deadline_at
         self.unbounded = deadline_at is None
         self.waiters = 1
-        #: Accounted queue/in-flight bytes (source rows + codes).
-        self.nbytes = 0
         self.done = threading.Event()
         self.table: Table | None = None
         self.label: str | None = None

@@ -20,10 +20,10 @@ One in-process service owns the workload-level concerns that a solo
   identical requests cost *one* execution, whose result fans out to
   every waiter — so each response's rows and codes are bit-identical
   to a solo serial uncached run.
-* **Deadlines** — per-request deadlines (default
-  ``config.service_deadline_ms``); requests that expire in the queue
-  are skipped without execution, and waiters that outlive their
-  deadline fail with :class:`~repro.serve.DeadlineExceededError`.
+* **Deadlines** — per-request deadlines (``submit(deadline_ms=)``;
+  none by default); requests that expire in the queue are skipped
+  without execution, and waiters that outlive their deadline fail with
+  :class:`~repro.serve.DeadlineExceededError`.
 * **Tenant fairness** — the queue round-robins across tenants, so one
   tenant's backlog cannot starve another's single request.
 * **Order normalization** — submitted orders are truncated to their
@@ -43,20 +43,18 @@ Executions run on ``config.service_threads`` scheduler threads, each
 through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
 the service's :class:`~repro.exec.ExecutionConfig` — which means the
 order cache (``config.cache``) and all telemetry engage exactly as they
-would for a direct call.  Queue and
-in-flight source buffers are charged to the service's
-:class:`~repro.exec.memory.MemoryAccountant` under the
-``serve.inflight`` category.
+would for a direct call.  A queued request holds a reference to the
+caller's source table, not a copy.
 
 What a request costs besides its execution: the coalescing key needs
-the source's content fingerprint and the ledger its accounted size —
-both O(n) over the rows, both memoized on the caller's
-:class:`~repro.model.Table` (revalidated against a snapshot of its
-rows, so tables may be edited between requests), so a submit over an
-unchanged table is O(1) bookkeeping.  The same ``Table`` object is what
-``Sort`` and the cache are handed, so they find the memo too, and a
-materialized result travels back as a table — the response's lists are
-C-level copies of the cache entry's, never a row-by-row re-collection.
+the source's content fingerprint — O(n) over the rows, memoized on the
+caller's :class:`~repro.model.Table` (revalidated against a snapshot of
+its rows, so tables may be edited between requests), so a submit over
+an unchanged table is O(1) bookkeeping.  The same ``Table`` object is
+what ``Sort`` and the cache are handed, so they find the memo too, and
+a materialized result travels back as a table — the response's lists
+are C-level copies of the cache entry's, never a row-by-row
+re-collection.
 With the cache warm, a repeat request is submit → cache → response: a
 dictionary lookup and two list copies on the caller's thread (plus a
 gather for a flat entry and a file read for a spilled one), with no
@@ -69,6 +67,7 @@ registry, decision-grade ``serve.*`` structured-log events, and a
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -78,7 +77,6 @@ from ..cache.fingerprint import fingerprint_table
 from ..engine.scans import TableScan
 from ..engine.sort_op import Sort
 from ..exec.config import ExecutionConfig
-from ..exec.memory import MemoryAccountant, _table_nbytes
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from .errors import (
@@ -90,10 +88,6 @@ from .normalize import SpecNormalizer
 from .queue import AdmissionQueue
 from .registry import InflightRegistry
 from .request import Inflight, OrderResponse
-
-#: Sentinel: "use the service's default deadline" (``None`` means
-#: explicitly no deadline, so it cannot double as the default).
-_DEFAULT_DEADLINE = object()
 
 #: A micro-batch window closes early once this fraction of it (1/8)
 #: passes without an arrival; see :meth:`OrderService._drain_batch`.
@@ -210,7 +204,7 @@ class OrderService:
     config:
         The :class:`~repro.exec.ExecutionConfig` governing both the
         service shape (``service_threads`` / ``service_queue_depth`` /
-        ``service_deadline_ms``) and every execution it runs (engine,
+        ``plan_window_ms``) and every execution it runs (engine,
         cache, cache budget, ...).  ``None`` uses the
         environment-aware default.
     clock:
@@ -235,10 +229,6 @@ class OrderService:
         self._clock = clock
         self._queue = AdmissionQueue(self._config.service_queue_depth)
         self._registry = InflightRegistry()
-        #: Byte ledger for queued/in-flight source buffers
-        #: (category ``serve.inflight``); attribution, not admission —
-        #: the queue depth is the admission bound.
-        self.accountant = MemoryAccountant(None)
         self._closed = False
         self._stats_lock = threading.Lock()
         self._counters = {
@@ -297,14 +287,12 @@ class OrderService:
             out = dict(self._counters)
         out["queued"] = len(self._queue)
         out["inflight"] = len(self._registry)
-        out["inflight_bytes"] = self.accountant.used
         return out
 
     def _publish_levels(self) -> None:
         if METRICS.enabled:
             METRICS.gauge("serve.queue_depth").set(len(self._queue))
             METRICS.gauge("serve.inflight").set(len(self._registry))
-            METRICS.gauge("serve.inflight_bytes").set(self.accountant.used)
 
     # ----------------------------------------------------------- admission
 
@@ -314,17 +302,19 @@ class OrderService:
         order: SortSpec | str | tuple,
         *more_columns: str,
         tenant: str = "default",
-        deadline_ms: object = _DEFAULT_DEADLINE,
+        deadline_ms: float | None = None,
     ) -> Ticket:
         """Admit one order request; returns a :class:`Ticket`.
 
         ``order`` is a :class:`~repro.model.SortSpec` or column names.
-        With ``config.cache`` on, an exact cache hit is answered here,
-        on the caller's thread, and the ticket returned is already
-        ``done``: that costs an O(1) lookup for an entry holding its
-        memo, one gather of rows and codes for a flat one (~0.3-1 ms
-        at 2^12 rows) plus one spill-file read for a spilled one, and
-        the two list copies the response owns.  Everything else is
+        ``deadline_ms`` bounds the request's time to an answer
+        (finite and positive; ``None``, the default, means no
+        deadline).  With ``config.cache`` on, an exact cache hit is
+        answered here, on the caller's thread, and the ticket returned
+        is already ``done``: that costs an O(1) lookup for an entry
+        holding its memo, one gather of rows and codes for a flat one
+        (~0.3-1 ms at 2^12 rows) plus one spill-file read for a spilled
+        one, and the two list copies the response owns.  Everything else is
         queued for a scheduler thread; duplicate in-flight requests
         (same row sequence, same target order) coalesce onto one
         execution.
@@ -344,10 +334,12 @@ class OrderService:
             spec = SortSpec(order)
         else:
             spec = SortSpec.of(order)
-        if deadline_ms is _DEFAULT_DEADLINE:
-            deadline_ms = self._config.service_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
+        if deadline_ms is not None and not (
+            math.isfinite(deadline_ms) and deadline_ms > 0
+        ):
+            raise ValueError(
+                f"deadline_ms must be finite and positive, got {deadline_ms}"
+            )
 
         self._count("requests")
         if METRICS.enabled:
@@ -399,8 +391,6 @@ class OrderService:
                     f"admission queue full "
                     f"({self._queue.depth} pending executions)"
                 )
-            entry.nbytes = _table_nbytes(source)
-            self.accountant.charge("serve.inflight", entry.nbytes)
             return entry
 
         entry, created = self._registry.attach_or_create(
@@ -450,7 +440,7 @@ class OrderService:
         order: SortSpec | str | tuple,
         *more_columns: str,
         tenant: str = "default",
-        deadline_ms: object = _DEFAULT_DEADLINE,
+        deadline_ms: float | None = None,
         timeout: float | None = None,
     ) -> OrderResponse:
         """Blocking convenience: :meth:`submit` + :meth:`Ticket.result`."""
@@ -587,8 +577,6 @@ class OrderService:
         the order cache, not the registry, serves *sequential* repeats.
         """
         self._registry.remove(entry.key)
-        if entry.nbytes:
-            self.accountant.release("serve.inflight", entry.nbytes)
         entry.done.set()
         self._publish_levels()
 

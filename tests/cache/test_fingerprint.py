@@ -163,33 +163,6 @@ def test_memo_is_per_table_not_per_row_list():
     assert a == Table(Schema.of(*SCHEMA), list(rows))  # memo not compared
 
 
-def test_size_shares_the_fingerprints_memo_record(monkeypatch):
-    """One record (one row snapshot) carries both facts, and the size
-    is revalidated by the same witness."""
-    import repro.storage.pages as pages
-    from repro.exec.memory import _table_nbytes, rows_nbytes
-
-    sized = []
-    real = pages.row_size_bytes
-    monkeypatch.setattr(
-        pages, "row_size_bytes", lambda r: sized.append(r) or real(r)
-    )
-    table = Table(Schema.of(*SCHEMA), [(i, "x" * i) for i in range(30)])
-    fingerprint_table(table)
-    record = table._facts()
-    assert _table_nbytes(table) == rows_nbytes(table.rows)
-    assert table._facts() is record
-    assert len(sized) == 2 * 30  # one memoized pass + the check above
-    table.ovcs = [(0, 0)] * 30
-    assert _table_nbytes(table) == rows_nbytes(table.rows, table.ovcs)
-    assert len(sized) == 3 * 30  # only the check's own pass
-
-    table.ovcs = None
-    table.rows.append((1, "yyyy"))
-    assert _table_nbytes(table) == rows_nbytes(table.rows)
-    assert table._facts() is not record
-
-
 def test_eight_threads_fingerprinting_one_table_agree():
     import sys
     import threading

@@ -64,20 +64,6 @@ def test_install_rejects_missing_codes():
     cache.close()
 
 
-def test_ttl_expiry_with_injected_clock():
-    now = [0.0]
-    cache = OrderCache(ttl=10.0, clock=lambda: now[0])
-    fp, rows, ovcs = _entry()
-    cache.install(fp, SPEC_AB, rows, ovcs)
-    now[0] = 5.0
-    assert cache.lookup(fp, SPEC_AB) is not None
-    now[0] = 10.5
-    assert cache.lookup(fp, SPEC_AB) is None
-    assert cache.counters()["expirations"] == 1
-    assert len(cache) == 0
-    cache.close()
-
-
 def test_budget_spills_and_rehydrates_bit_identical(tmp_path):
     fp1, rows1, ovcs1 = _entry(n=256, salt=0)
     fp2, rows2, ovcs2 = _entry(n=256, salt=50)
@@ -191,12 +177,18 @@ def test_reinstall_replaces_and_accounts_once():
     cache.install(fp, SPEC_AB, list(rows), list(ovcs))
     assert cache.bytes_resident == used
     assert len(cache) == 1
-    # A replaced entry was neither evicted nor expired.
+    # A replaced entry was not evicted.
     c = cache.counters()
-    assert (c["installs"], c["evictions"], c["expirations"]) == (2, 0, 0)
+    assert (c["installs"], c["evictions"]) == (2, 0)
     cache.close()
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        OrderCache(ttl=0)
+        OrderCache(budget=0)
+    # An entry is keyed by the exact rows it permutes, so it never goes
+    # stale: the cache has no lifetime (and no clock) to configure.
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        OrderCache(ttl=1)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        OrderCache(clock=lambda: 0.0)

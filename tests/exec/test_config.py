@@ -44,7 +44,9 @@ def test_parse_memory_accepts(value, expected):
     assert parse_memory(value) == expected
 
 
-@pytest.mark.parametrize("value", [0, -1, "0B", "-5MiB", "1TiB", "xMiB", True])
+@pytest.mark.parametrize(
+    "value", [0, -1, "0B", "-5MiB", "1TiB", "xMiB", True, 1.5, [1]]
+)
 def test_parse_memory_rejects(value):
     with pytest.raises(ValueError):
         parse_memory(value)
@@ -61,30 +63,34 @@ def test_defaults_are_ungoverned_serial_auto():
 
 
 #: Removed knobs: the worker pool's four, then the output byte budget
-#: and the two observability requests nothing read.
+#: and the two observability requests nothing read, then the cache TTL
+#: and the config-wide default deadline.
 _REMOVED_FIELDS = (
     "workers", "data_plane", "shard_timeout_s", "shard_retries",
-    "memory_budget", "trace", "metrics",
+    "memory_budget", "trace", "metrics", "cache_ttl", "service_deadline_ms",
 )
 
 
-def test_field_count_is_ten():
+def test_field_count_is_eight():
     names = {f.name for f in dataclasses.fields(ExecutionConfig)}
-    assert len(names) == 10
+    assert len(names) == 8
     assert names.isdisjoint(_REMOVED_FIELDS)
 
 
 @pytest.mark.parametrize("name", _REMOVED_FIELDS)
-def test_removed_pool_fields_are_plain_errors(name, tmp_path):
+def test_removed_pool_fields_are_plain_errors(name):
     with pytest.raises(TypeError, match="unexpected keyword"):
         ExecutionConfig(**{name: 1})
     with pytest.raises(TypeError, match="unexpected keyword"):
         ExecutionConfig().with_(**{name: 1})
-    path = _write_config(tmp_path, {name: 1})
-    with pytest.raises(
-        ValueError, match=f"unknown field.*{name}.*valid fields: .*engine"
-    ):
-        ExecutionConfig.from_file(path)
+
+
+def test_removed_config_layers_are_gone():
+    # A config comes from code or from the environment: there is no
+    # file layer and no base config under the environment.
+    assert not hasattr(ExecutionConfig, "from_file")
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ExecutionConfig.from_env({}, base=ExecutionConfig())
 
 
 def test_memory_budget_string_is_parsed_at_construction():
@@ -98,6 +104,11 @@ def test_memory_budget_string_is_parsed_at_construction():
         {"engine": "turbo"},
         {"max_fan_in": 1},
         {"cache_budget": 0},
+        {"max_fan_in": 2.5},
+        {"max_fan_in": 4.0},
+        {"max_fan_in": True},
+        {"max_fan_in": "8"},
+        {"cache_budget": 1.5},
     ],
 )
 def test_invalid_fields_raise(kwargs):
@@ -141,6 +152,8 @@ def test_from_env_ignores_removed_variables_and_empty_env():
     # A leftover variable of a removed knob from an old deployment
     # configures nothing and breaks nothing — whatever it holds.
     leftovers = {
+        "REPRO_CACHE_TTL": "soon",
+        "REPRO_SERVICE_DEADLINE_MS": "-1",
         "REPRO_MEMORY_BUDGET": "1MiB",
         "REPRO_WORKERS": "auto",
         "REPRO_DATA_PLANE": "shm",
@@ -155,10 +168,8 @@ def test_from_env_ignores_removed_variables_and_empty_env():
     "var,field",
     [
         ("REPRO_MAX_FAN_IN", "max_fan_in"),
-        ("REPRO_CACHE_TTL", "cache_ttl"),
         ("REPRO_SERVICE_THREADS", "service_threads"),
         ("REPRO_SERVICE_QUEUE_DEPTH", "service_queue_depth"),
-        ("REPRO_SERVICE_DEADLINE_MS", "service_deadline_ms"),
         ("REPRO_PLAN_WINDOW_MS", "plan_window_ms"),
     ],
 )
@@ -181,11 +192,9 @@ def test_cache_defaults_off_and_validates():
     cfg = ExecutionConfig()
     assert cfg.cache == "off"
     assert cfg.cache_budget is None
-    assert cfg.cache_ttl is None
-    on = ExecutionConfig(cache="on", cache_budget="8MiB", cache_ttl=60.0)
+    on = ExecutionConfig(cache="on", cache_budget="8MiB")
     assert on.cache == "on"
     assert on.cache_budget == 8 * 1024 ** 2
-    assert on.cache_ttl == 60.0
 
 
 @pytest.mark.parametrize(
@@ -195,8 +204,8 @@ def test_cache_defaults_off_and_validates():
         {"cache": "ON"},
         {"cache_budget": -1},
         {"cache_budget": "0B"},
-        {"cache_ttl": 0},
-        {"cache_ttl": -2.5},
+        {"cache_budget": 2.0},
+        {"cache_budget": b"1MiB"},
         {"cache": "auto"},
     ],
 )
@@ -210,12 +219,10 @@ def test_cache_from_env():
         {
             "REPRO_CACHE": "on",
             "REPRO_CACHE_BUDGET": "2MiB",
-            "REPRO_CACHE_TTL": "30",
         }
     )
     assert cfg.cache == "on"
     assert cfg.cache_budget == 2 * 1024 ** 2
-    assert cfg.cache_ttl == 30.0
     # 1/0 spellings and case-insensitivity.
     assert ExecutionConfig.from_env({"REPRO_CACHE": "1"}).cache == "on"
     assert ExecutionConfig.from_env({"REPRO_CACHE": "0"}).cache == "off"
@@ -240,7 +247,7 @@ def test_service_defaults():
     cfg = ExecutionConfig()
     assert cfg.service_threads == 4
     assert cfg.service_queue_depth == 64
-    assert cfg.service_deadline_ms is None
+    assert cfg.plan_window_ms is None
 
 
 @pytest.mark.parametrize(
@@ -251,8 +258,10 @@ def test_service_defaults():
         {"service_threads": 1.5},
         {"service_queue_depth": 0},
         {"service_queue_depth": False},
-        {"service_deadline_ms": 0},
-        {"service_deadline_ms": -5},
+        {"plan_window_ms": float("nan")},
+        {"plan_window_ms": float("inf")},
+        {"plan_window_ms": 0},
+        {"plan_window_ms": -5.0},
     ],
 )
 def test_service_knobs_validate(kwargs):
@@ -264,82 +273,14 @@ def test_service_knobs_from_env():
     cfg = ExecutionConfig.from_env({
         "REPRO_SERVICE_THREADS": "8",
         "REPRO_SERVICE_QUEUE_DEPTH": "128",
-        "REPRO_SERVICE_DEADLINE_MS": "750",
+        "REPRO_PLAN_WINDOW_MS": "2.5",
     })
     assert cfg.service_threads == 8
     assert cfg.service_queue_depth == 128
-    assert cfg.service_deadline_ms == 750.0
-
-
-# ------------------------------------------------- from_file + layering
-
-
-def _write_config(tmp_path, obj):
-    import json
-
-    path = tmp_path / "repro.json"
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-def test_from_file_round_trips_fields(tmp_path):
-    path = _write_config(tmp_path, {
-        "max_fan_in": 4,
-        "cache_budget": "64KiB",
-        "cache": "on",
-        "service_threads": 2,
-    })
-    cfg = ExecutionConfig.from_file(path)
-    assert cfg.max_fan_in == 4
-    assert cfg.cache_budget == 64 * 1024
-    assert cfg.cache == "on"
-    assert cfg.service_threads == 2
-
-
-def test_from_file_rejects_unknown_keys(tmp_path):
-    path = _write_config(tmp_path, {"worker_count": 4})
-    with pytest.raises(ValueError, match="unknown field.*worker_count"):
-        ExecutionConfig.from_file(path)
-
-
-def test_from_file_rejects_non_object(tmp_path):
-    path = _write_config(tmp_path, [1, 2, 3])
-    with pytest.raises(ValueError, match="JSON object"):
-        ExecutionConfig.from_file(path)
-
-
-def test_from_file_rejects_bad_json(tmp_path):
-    path = tmp_path / "repro.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="not valid JSON"):
-        ExecutionConfig.from_file(str(path))
-
-
-def test_from_file_values_are_validated(tmp_path):
-    path = _write_config(tmp_path, {"service_threads": 0})
-    with pytest.raises(ValueError, match="service_threads"):
-        ExecutionConfig.from_file(path)
-
-
-def test_precedence_file_under_env(tmp_path):
-    # file < env: env wins where set, file survives where not.
-    path = _write_config(tmp_path, {"max_fan_in": 2, "service_threads": 6})
-    base = ExecutionConfig.from_file(path)
-    cfg = ExecutionConfig.from_env({"REPRO_MAX_FAN_IN": "8"}, base=base)
-    assert cfg.max_fan_in == 8       # env overrode the file
-    assert cfg.service_threads == 6  # file value survived
-
-    # empty env returns the base untouched
-    assert ExecutionConfig.from_env({}, base=base) is base
-
-
-def test_precedence_env_under_flags(tmp_path):
-    # env < flags: with_() (the flag layer) wins last.
-    path = _write_config(tmp_path, {"max_fan_in": 2})
-    base = ExecutionConfig.from_file(path)
-    env_cfg = ExecutionConfig.from_env({"REPRO_MAX_FAN_IN": "8"}, base=base)
-    final = env_cfg.with_(max_fan_in=3)
-    assert final.max_fan_in == 3
+    assert cfg.plan_window_ms == 2.5
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="plan_window_ms"):
+            ExecutionConfig.from_env({"REPRO_PLAN_WINDOW_MS": raw})
 
 
 # ------------------------------------------------- config= at entry points

@@ -283,6 +283,19 @@ def test_coalesced_waiter_extends_the_entry_deadline(monkeypatch):
         blocker.result(timeout=30)
 
 
+@pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), 0, -5])
+def test_submit_rejects_a_deadline_that_is_not_finite_and_positive(
+    deadline_ms,
+):
+    # NaN compares false with everything, so unchecked it reads as "no
+    # deadline"; infinity overflows the wait.  Both are errors at submit,
+    # before the request counts or takes a queue slot.
+    with OrderService(ExecutionConfig(service_threads=1)) as svc:
+        with pytest.raises(ValueError, match="deadline_ms"):
+            svc.submit(_table(40), SortSpec.of("B",), deadline_ms=deadline_ms)
+        assert svc.counters()["requests"] == 0
+
+
 # -------------------------------------------------------------- fairness
 
 
@@ -363,38 +376,11 @@ def test_close_without_drain_fails_queued_waiters(monkeypatch):
         queued.result(timeout=30)
 
 
-# --------------------------------------------------------- accounting
-
-
-def test_inflight_bytes_are_charged_and_released():
-    table = _table(300)
-    with OrderService(ExecutionConfig(service_threads=2)) as svc:
-        svc.order_by(table, "B", "A")
-        counters = svc.counters()
-    assert counters["inflight_bytes"] == 0  # all charges released
-    assert svc.accountant.peak > 0
-    assert svc.accountant.by_category.get("serve.inflight", 1) == 0
-
-
-def test_inflight_charge_equals_the_measured_size():
-    """The O(1) memo-backed charge is the number rows_nbytes would give."""
-    from repro.exec.memory import rows_nbytes
-
-    table = _table(300)
-    with OrderService(ExecutionConfig(service_threads=1)) as svc:
-        svc.order_by(table, "B", "A")
-        assert svc.accountant.peak == rows_nbytes(table.rows, table.ovcs)
-        table.rows.extend([(1, 2, 3, 4)] * 50)
-        peak_before = svc.accountant.peak
-        svc.order_by(table, "B", "A")
-        assert svc.accountant.peak == rows_nbytes(table.rows, table.ovcs)
-        assert svc.accountant.peak > peak_before
-
-
 def test_warm_hit_runs_no_per_row_pass(monkeypatch):
     """The saving is structural: a repeat request over an unchanged
-    table on a warm cache neither fingerprints nor sizes a single row —
-    and the first request fingerprints exactly once, sizes exactly once."""
+    table on a warm cache fingerprints no row — and the first request
+    fingerprints exactly once.  No request sizes a row: the service
+    keeps no byte ledger."""
     import repro.cache.fingerprint as fp_mod
     import repro.storage.pages as pages_mod
 
@@ -415,13 +401,13 @@ def test_warm_hit_runs_no_per_row_pass(monkeypatch):
     with OrderService(cfg) as svc:
         cold = svc.order_by(table, spec)
         assert cold.label == "full-sort"
-        assert passes == [300] and len(sized) == 300
+        assert passes == [300] and sized == []
         for _ in range(3):
             warm = svc.order_by(table, spec)
             assert warm.label == "cache-hit(B,A,C,D)"
             assert (warm.table.rows, warm.table.ovcs) == \
                 (cold.table.rows, cold.table.ovcs)
-        assert passes == [300] and len(sized) == 300
+        assert passes == [300] and sized == []
     assert METRICS.as_dict()["counters"]["cache.fingerprint_passes"] == 1
 
 

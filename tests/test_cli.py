@@ -52,6 +52,12 @@ def test_cli_design(capsys):
         ["table1", "--memory-budget", "1MiB"],
         ["bench"],
         ["table1", "--profile", "x"],
+        ["table1", "--config", "x"],
+        ["table1", "--cache-ttl", "1"],
+        ["table1", "--cache", "on"],
+        ["serve", "--service-threads", "2"],
+        ["serve", "--plan-window-ms", "5"],
+        ["serve", "--load", "--load-threads", "2"],
     ],
 )
 def test_cli_rejects_removed_pool_flags(argv, capsys):
