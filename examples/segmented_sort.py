@@ -6,8 +6,11 @@ order by sorting each A-segment independently — boundaries come from
 the offset-value codes, never from comparing A values, and each
 segment sort enters with codes that skip the constant prefix.
 
-The memory story (hypothesis 1) is shown with the streaming operator:
-peak buffered rows equal the largest segment, not the input.
+The memory story (hypothesis 1) is shown with the streaming operator —
+peak buffered rows equal the largest segment, not the input — and with
+a capacity-bounded ``Sort``: segments that fit share memory loads and
+never spill, while under a capacity below the segments each one spills
+and no more than the capacity is ever held.
 
 Run:  python examples/segmented_sort.py
 """
@@ -18,7 +21,7 @@ import random
 
 from repro.core.classify import split_segments
 from repro import modify_sort_order
-from repro import StreamingModify
+from repro import Sort, StreamingModify
 from repro.engine.scans import TableScan
 from repro import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
@@ -66,6 +69,20 @@ def main() -> None:
         f"({op.peak_segment_rows / n_rows:.1%} of the input) — hypothesis 1's "
         f"'external sort becomes internal sorts'"
     )
+
+    # The same loop under a sort-memory bound, above and below the
+    # largest segment.
+    for capacity in (2 * largest, largest // 4):
+        op = Sort(
+            TableScan(table), SortSpec.of("A", "B"), memory_capacity=capacity
+        )
+        assert op.to_table().is_sorted()
+        print(
+            f"Sort(memory_capacity={capacity:,}): held at most "
+            f"{op.peak_segment_rows:,} rows, wrote "
+            f"{op.pages.stats.pages_written:,} pages "
+            f"[{op.order_strategy}]"
+        )
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .model import Desc, Schema, SortColumn, SortSpec, Table
 from .ovc.stats import ComparisonStats
 from .core.analysis import ModificationPlan, Strategy, analyze_order_modification
 from .core.modify import modify_sort_order
-from .core.external_modify import modify_sort_order_external
 from .exec import ExecutionConfig
 from .cache import OrderCache, configure_cache, reset_cache
 from .engine.sort_op import Sort
@@ -64,7 +63,6 @@ __all__ = [
     "Strategy",
     "analyze_order_modification",
     "modify_sort_order",
-    "modify_sort_order_external",
     # execution
     "ExecutionConfig",
     # query & operators

@@ -19,7 +19,6 @@ Pipeline:
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
 from .classify import RowClass, classify_row, split_segments
 from .modify import modify_sort_order
-from .external_modify import modify_sort_order_external
 from .backward import reverse_table, reversed_spec
 from .cost import CostModel, estimate_costs
 
@@ -31,7 +30,6 @@ __all__ = [
     "classify_row",
     "split_segments",
     "modify_sort_order",
-    "modify_sort_order_external",
     "reverse_table",
     "reversed_spec",
     "CostModel",

@@ -34,7 +34,8 @@ class Enforced:
 
     table: Table
     #: ``passthrough`` | ``modify_sort_order`` | ``internal_sort`` |
-    #: ``external_sort`` (the vocabulary of ``Sort.executed``).
+    #: ``external_sort`` (``Sort.executed`` adds ``external_modify`` and
+    #: ``cache``).
     executed: str
     #: EXPLAIN label: ``passthrough`` | ``modify(<input order>)`` |
     #: ``full-sort`` | ``external-sort``.
@@ -59,6 +60,7 @@ def enforce_order(
     want_perm: bool = False,
     memory_capacity: int | None = None,
     fan_in: int = 16,
+    pages: PageManager | None = None,
 ) -> Enforced:
     """Produce ``source``'s rows in ``spec`` order, the cheapest way.
 
@@ -75,7 +77,10 @@ def enforce_order(
     through (callers that will install the result in the order cache;
     nobody else pays for it).
     ``memory_capacity`` (rows) bounds an unordered input's sort: past
-    it, runs spill and merge ``fan_in`` at a time (``external-sort``).
+    it, runs spill to ``pages`` and merge ``fan_in`` at a time
+    (``external-sort``).  An ordered input is modified in memory here;
+    ``Sort`` bounds a forward-planned one with
+    :class:`~repro.core.external_modify.SegmentLoop` instead.
     """
     src_spec = source.sort_spec
     if src_spec is not None and src_spec.satisfies(spec):
@@ -108,7 +113,8 @@ def enforce_order(
     capacity = max(n, 1) if memory_capacity is None else memory_capacity
     with TRACER.span("modify.full_sort", rows=n, segments=1) as sp:
         rows, ovcs, engine, fallback = external_sort(
-            source, spec, capacity, fan_in, PageManager(), engine=engine,
+            source, spec, capacity, fan_in,
+            pages if pages is not None else PageManager(), engine=engine,
             stats=stats, use_ovc=use_ovc, forced=config.engine == "fast",
             perm=perm,
         )

@@ -28,15 +28,15 @@ it (directly, or through :func:`repro.core.enforce.enforce_order`).
 Which executor then runs is decided in one place too,
 :func:`bind_strategy`: it binds the packed-code kernels or, on auto's
 fallback and under the reference engine, the instrumented executors,
-and every path — this module, the enforcer's full sort, the external
-and the streaming variants — runs its segments through the ``run`` it
-returns.
+and every path — this module, the enforcer's full sort and the
+segment loop — runs its segments through the ``run`` it returns.
 
 Input and output are both resident: the result's rows are the input's
-own tuple objects in a new list.  Memory is bounded elsewhere — one
-segment at a time in :class:`repro.engine.modify_op.StreamingModify`,
-by ``memory_capacity`` in :func:`repro.core.external_modify.
-modify_sort_order_external`.
+own tuple objects in a new list.  Memory is bounded elsewhere, by one
+loop (:class:`repro.core.external_modify.SegmentLoop`): in loads of
+whole segments up to ``memory_capacity`` rows under
+``Sort(memory_capacity=)``, one segment at a time in
+:class:`repro.engine.modify_op.StreamingModify`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ sorting turns one external sort into many internal ones (hypothesis 1).
 For plans without a shared prefix (cases 2/3) the whole input is one
 segment and this operator degenerates to the materializing path.
 
+The operator is :class:`repro.core.external_modify.SegmentLoop` fed
+row by row with no capacity: every segment is its own memory load.
 ``config.engine`` follows the one engine rule
 (:func:`repro.core.modify.resolve_engine`), and each buffered segment
 is bound to its executor by :func:`repro.core.modify.bind_strategy`:
@@ -19,7 +21,7 @@ is bound to its executor by :func:`repro.core.modify.bind_strategy`:
 comparison counts — packing one segment at a time, so its fallback to
 the instrumented executors on keys the key packer cannot rank is per
 segment too; ``engine="reference"`` is how to ask for this operator's
-counters.
+counters.  ``Sort(memory_capacity=)`` runs the same loop with a bound.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..core.analysis import ModificationPlan, Strategy, analyze_order_modification
-from ..core.modify import bind_strategy, resolve_engine
+from ..core.external_modify import SegmentLoop
 from ..exec.config import ExecutionConfig
-from ..model import SortSpec, Table
-from ..obs import METRICS, TRACER
+from ..model import SortSpec
 from ..ovc.derive import project_ovc
 from .operators import Operator
 
@@ -54,7 +55,6 @@ class StreamingModify(Operator):
         self._config = config if config is not None else ExecutionConfig.default()
         self._child = child
         self._spec = spec
-        self._engine = resolve_engine(self._config)
         self.plan: ModificationPlan = analyze_order_modification(
             child.ordering, spec
         )
@@ -65,51 +65,23 @@ class StreamingModify(Operator):
         self.peak_segment_rows = 0
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        plan = self.plan
-        spec = self._spec
-
-        if plan.strategy is Strategy.NOOP:
-            arity = spec.arity
+        if self.plan.strategy is Strategy.NOOP:
+            arity = self._spec.arity
             for row, ovc in self._child:
                 yield row, ovc if ovc is None else project_ovc(ovc, arity)
             self.peak_segment_rows = 1
             return
-
-        boundary = plan.prefix_len if plan.strategy is not Strategy.FULL_SORT else 0
-
-        seg_rows: list[tuple] = []
-        seg_ovcs: list[tuple] = []
-
-        def flush() -> Iterator[tuple[tuple, tuple | None]]:
-            if not seg_rows:
-                return
-            self.peak_segment_rows = max(self.peak_segment_rows, len(seg_rows))
-            if METRICS.enabled:
-                METRICS.gauge("streaming.buffered_rows").set(len(seg_rows))
-            out_rows: list[tuple] = []
-            out_ovcs: list[tuple] = []
-            segment = Table(self.schema, seg_rows, self._child.ordering, seg_ovcs)
-            with TRACER.span("streaming.segment", rows=len(seg_rows)) as sp:
-                run, engine, fallback = bind_strategy(
-                    segment, spec, plan, plan.strategy, engine=self._engine,
-                    stats=self.stats, forced=self._config.engine == "fast",
-                )
-                sp.set(engine=engine, fallback=fallback)
-                run(0, len(seg_rows), out_rows, out_ovcs)
-            yield from zip(out_rows, out_ovcs)
-            seg_rows.clear()
-            seg_ovcs.clear()
-
-        for row, ovc in self._child:
-            if ovc is None:
-                raise ValueError(
-                    "streaming modification requires offset-value codes"
-                )
-            if seg_rows and boundary > 0 and ovc[0] < boundary:
-                yield from flush()
-            seg_rows.append(row)
-            seg_ovcs.append(ovc)
-        yield from flush()
+        loop = SegmentLoop(
+            self.schema, self._child.ordering, self._spec, self.plan,
+            stats=self.stats, config=self._config,
+        )
+        rows: list[tuple] = []
+        ovcs: list[tuple] = []
+        for _ in loop.run(loop.streamed(self._child), rows, ovcs):
+            self.peak_segment_rows = loop.peak_rows
+            yield from zip(rows, ovcs)
+            rows.clear()
+            ovcs.clear()
 
     def _children(self) -> list[Operator]:
         return [self._child]

@@ -11,7 +11,15 @@ paper's machinery:
 * unordered child -> internal sort, or a stable external merge sort
   when the input exceeds a configured ``memory_capacity`` (rows).
 
-The modify-or-sort choice and the engine it runs on belong to
+With a ``memory_capacity``, an ordered coded child whose plan reads
+forward is modified by :class:`repro.core.external_modify.SegmentLoop`
+instead, in memory loads of whole segments: a ``TableScan`` child's
+table is read from storage, any other child is fed row by row.  The
+label is ``external-modify(<order>)`` when a segment spilled and
+``modify(<order>)`` otherwise; :attr:`Sort.pages` has the simulated
+I/O and :attr:`Sort.peak_segment_rows` the most rows held.
+
+Every other modify-or-sort choice and the engine it runs on belong to
 :func:`repro.core.enforce.enforce_order`: ``config.engine="auto"`` runs
 the packed-code kernels of :mod:`repro.fastpath` (reference fallback on
 keys the key packer cannot rank), and ``engine="reference"`` is how to ask
@@ -41,12 +49,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..core.analysis import analyze_order_modification
 from ..core.enforce import enforce_order
+from ..core.external_modify import SegmentLoop
+from ..core.modify import _check_method
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
 from ..ovc.derive import project_ovc
+from ..storage.pages import PageManager
 from .operators import Operator
+from .scans import TableScan
 
 
 class Sort(Operator):
@@ -67,6 +80,14 @@ class Sort(Operator):
         fan_in: int = 16,
         config: ExecutionConfig | None = None,
     ) -> None:
+        _check_method(method)
+        if memory_capacity is not None and not _is_int(memory_capacity, 2):
+            raise ValueError(
+                f"memory_capacity must be None or an int of at least 2 rows, "
+                f"not {memory_capacity!r}"
+            )
+        if not _is_int(fan_in, 2):
+            raise ValueError(f"fan_in must be an int of at least 2, not {fan_in!r}")
         super().__init__(child.schema, spec, child.stats)
         self._config = config if config is not None else ExecutionConfig.default()
         if self._config.engine == "fast" and not use_ovc:
@@ -83,8 +104,13 @@ class Sort(Operator):
         self.executed: str | None = None
         #: Human-readable order strategy for EXPLAIN: ``passthrough``,
         #: ``full-sort``, ``external-sort``, ``modify(<order>)``,
-        #: ``cache-hit(<order>)``, or ``modify-from-cache(<order>)``.
+        #: ``external-modify(<order>)``, ``cache-hit(<order>)``, or
+        #: ``modify-from-cache(<order>)``.
         self.order_strategy: str | None = None
+        #: Simulated I/O of the last execution's spills.
+        self.pages = PageManager()
+        #: Most rows the last execution held in sort memory.
+        self.peak_segment_rows = 0
         #: Fingerprint of the source rows when the cache was consulted.
         self._cache_fp = None
 
@@ -159,13 +185,23 @@ class Sort(Operator):
         The returned lists may be the order cache's own (an exact hit
         serves the entry as-is; an executed sort installs what it
         returns): iteration hands out pairs, never the lists, and
-        :meth:`to_table` copies them.
+        :meth:`to_table` copies them whenever the cache was consulted.
         """
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()
+        self.pages = PageManager()
+        child = self._child
+        if (
+            self._memory_capacity is not None
+            and self._use_ovc
+            and child.ordering is not None
+        ):
+            plan = analyze_order_modification(child.ordering, self._spec)
+            if not plan.backward:
+                return self._modify_bounded(plan, mark, mark_before)
         cache = self._cache()
 
-        table = self._child.to_table()
+        table = child.to_table()
         ordered = table.sort_spec is not None
         if cache is not None and (not ordered or table.ovcs is not None):
             served = self._serve(cache, table)
@@ -184,15 +220,50 @@ class Sort(Operator):
             want_perm=installs,
             memory_capacity=self._memory_capacity,
             fan_in=self._fan_in,
+            pages=self.pages,
         )
         self.executed = done.executed
         self.order_strategy = done.strategy
+        self.peak_segment_rows = (
+            self._memory_capacity if done.executed == "external_sort"
+            else len(table.rows)
+        )
         if installs:
             self._install(cache, done)
         self._observe(
             mark, mark_before, engine=done.engine, fallback=done.fallback
         )
         return done.table
+
+    def _modify_bounded(self, plan, mark, mark_before) -> Table:
+        """Modify an ordered child in ``memory_capacity``-row loads."""
+        child = self._child
+        loop = SegmentLoop(
+            child.schema, child.ordering, self._spec, plan,
+            memory_capacity=self._memory_capacity, fan_in=self._fan_in,
+            pages=self.pages, method=self._method, stats=self.stats,
+            config=self._config,
+        )
+        rows: list[tuple] = []
+        ovcs: list[tuple] = []
+        with LOG.query_scope():
+            if isinstance(child, TableScan):
+                loads = loop.resident(child.to_table())
+            else:
+                loads = loop.streamed(child)
+            for _ in loop.run(loads, rows, ovcs):
+                pass
+        spilled = self.pages.stats.pages_written > 0
+        order = ",".join(str(c) for c in child.ordering.columns)
+        self.executed = "external_modify" if spilled else "modify_sort_order"
+        self.order_strategy = (
+            f"external-modify({order})" if spilled else f"modify({order})"
+        )
+        self.peak_segment_rows = loop.peak_rows
+        self._observe(
+            mark, mark_before, engine=loop.engine, fallback=loop.fallback
+        )
+        return Table(self.schema, rows, self._spec, ovcs)
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
         if self._passes_through():
@@ -207,13 +278,16 @@ class Sort(Operator):
     def to_table(self) -> Table:
         """The sorted output as a table the caller owns.
 
-        A materialized result is handed over through two C-level list
-        slices rather than re-collected pair by pair from
+        A materialized result is handed over as is when no cache was
+        consulted (its lists are this call's own), else through two
+        C-level list slices, rather than re-collected pair by pair from
         :meth:`__iter__`; passthrough keeps streaming.
         """
         if self._passes_through():
             return super().to_table()
         out = self._materialize()
+        if self._cache_fp is None:
+            return out
         return Table(
             self.schema, out.rows[:], self._spec,
             None if out.ovcs is None else out.ovcs[:],
@@ -227,6 +301,10 @@ class Sort(Operator):
         if self.order_strategy is not None:
             return f"{base} [strategy: {self.order_strategy}]"
         return base
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _emit(table: Table) -> Iterator[tuple[tuple, tuple | None]]:

@@ -2,9 +2,8 @@
 
 One :class:`~repro.exec.config.ExecutionConfig` carries every execution
 knob (engine, merge fan-in cap, spill directory, cache and service
-settings) through ``modify_sort_order``, ``modify_sort_order_external``,
-``Sort``, ``StreamingModify``, ``Query.order_by``, ``OrderService`` and
-the CLI.
+settings) through ``modify_sort_order``, ``Sort``, ``StreamingModify``,
+``Query.order_by``, ``OrderService`` and the CLI.
 
 * :mod:`repro.exec.config` — ``ExecutionConfig`` / ``parse_memory``.
 * :mod:`repro.exec.memory` — ``MemoryAccountant``, the order cache's

@@ -1,8 +1,8 @@
 """Unified execution configuration: one object instead of kwarg sprawl.
 
 Threading loose kwargs (engine, fan-in cap, cache and service settings)
-through ``modify_sort_order``, ``modify_sort_order_external``, ``Sort``,
-``StreamingModify``, ``Query.order_by``, and the CLI does not scale;
+through ``modify_sort_order``, ``Sort``, ``StreamingModify``,
+``Query.order_by``, and the CLI does not scale;
 :class:`ExecutionConfig` carries all of them as one frozen value.
 
 Construction patterns::

@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.cache import reset_cache
-from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
@@ -209,8 +208,9 @@ def test_forced_fast_engine_raises_on_every_enforcement_path(case, ordered, path
 
 # ---------------------------------------------------------------------------
 # The modify paths that take an ordered, coded source only: the streaming
-# operator and the memory-bounded variant, whose capacity is either below
-# every segment (each one spills) or above all of them (all in memory).
+# operator and ``Sort(memory_capacity=)`` over an ordered child (one
+# segment loop serves both), whose capacity is either below every
+# segment (each one spills) or above all of them (all in memory).
 # They bind their executors where every other path does, so the same
 # oracle holds.
 # ---------------------------------------------------------------------------
@@ -223,9 +223,10 @@ def _via_streaming(source, spec, cfg):
 
 def _via_external(memory_capacity):
     def via(source, spec, cfg):
-        return [modify_sort_order_external(
-            source, spec, memory_capacity=memory_capacity, config=cfg
-        )]
+        return [Sort(
+            TableScan(source), spec, memory_capacity=memory_capacity,
+            config=cfg,
+        ).to_table()]
 
     return via
 

@@ -1,4 +1,8 @@
-"""Memory-bounded order modification (hypothesis 1 executable)."""
+"""Memory-bounded order modification (hypothesis 1 executable).
+
+``Sort(memory_capacity=)`` over an ordered, coded child runs
+:class:`repro.core.external_modify.SegmentLoop`: a ``TableScan`` child
+from storage, any other child fed row by row."""
 
 from __future__ import annotations
 
@@ -8,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
+from repro.engine.misc import Filter
 from repro.engine.scans import TableScan
 from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig
@@ -17,7 +21,6 @@ from repro.model import Schema, SortSpec, Table
 from repro.obs import TRACER
 from repro.ovc.derive import derive_ovcs, verify_ovcs
 from repro.ovc.stats import ComparisonStats
-from repro.storage.pages import PageManager
 
 SCHEMA = Schema.of("A", "B", "C")
 SPEC = SortSpec.of("A", "B", "C")
@@ -37,13 +40,18 @@ def build(rows) -> Table:
     return table
 
 
+def bounded(table, spec, memory_capacity, **kwargs) -> Sort:
+    """``Sort`` over ``table`` read from storage, within ``memory_capacity``."""
+    return Sort(TableScan(table), spec, memory_capacity=memory_capacity, **kwargs)
+
+
 @given(rows_st, st.sampled_from(ORDERS), st.integers(2, 20))
 @settings(max_examples=60, deadline=None)
 def test_agrees_with_in_memory_path(rows, order, capacity):
     table = build(rows)
     spec = SortSpec(order)
     expected = modify_sort_order(table, spec)
-    got = modify_sort_order_external(table, spec, memory_capacity=capacity)
+    got = bounded(table, spec, capacity).to_table()
     assert got.rows == expected.rows
     assert verify_ovcs(got.rows, got.ovcs, spec.positions(SCHEMA))
 
@@ -59,27 +67,21 @@ def test_hypothesis1_segments_fit_no_spill():
     table = Table(SCHEMA, rows, SPEC)
     table.ovcs = derive_ovcs(rows, (0, 1, 2))
 
-    pages_seg = PageManager()
-    result = modify_sort_order_external(
+    segmented = bounded(
         table,
         SortSpec.of("A", "C", "B"),
-        memory_capacity=1000,  # > max segment (~125 rows), << input
-        page_manager=pages_seg,
+        1000,  # > max segment (~125 rows), << input
     )
-    assert result.is_sorted()
-    assert pages_seg.stats.pages_written == 0
+    assert segmented.to_table().is_sorted()
+    assert segmented.pages.stats.pages_written == 0
+    assert segmented.order_strategy == "modify(A,B,C)"
 
     # The naive plan treats the input as unsorted: memory-sized runs,
     # spilled and merged.
-    pages_full = PageManager()
-    modify_sort_order_external(
-        table,
-        SortSpec.of("A", "C", "B"),
-        memory_capacity=1000,
-        page_manager=pages_full,
-        method="full_sort",
-    )
-    assert pages_full.stats.pages_written > 0
+    full = bounded(table, SortSpec.of("A", "C", "B"), 1000, method="full_sort")
+    full.to_table()
+    assert full.pages.stats.pages_written > 0
+    assert full.order_strategy == "external-modify(A,B,C)"
 
 
 def test_oversized_segment_sort_spills_and_is_correct():
@@ -91,16 +93,15 @@ def test_oversized_segment_sort_spills_and_is_correct():
     )
     table = Table(SCHEMA, rows, SortSpec.of("A", "B"))
     table.ovcs = derive_ovcs(rows, (0, 1))
-    pages = PageManager()
     spec = SortSpec.of("A", "C")
-    result = modify_sort_order_external(
-        table, spec, memory_capacity=256, page_manager=pages,
-    )
+    op = bounded(table, spec, 256)
+    result = op.to_table()
     # (A, C) does not totally order the rows: ties keep input order.
     expected = sorted(rows, key=spec.key_for(SCHEMA))
     assert result.rows == expected
     assert result.ovcs == derive_ovcs(expected, (0, 2))
-    assert pages.stats.pages_written > 0
+    assert op.pages.stats.pages_written > 0
+    assert op.peak_segment_rows <= 256
 
 
 #: Four values per key column, a row id outside the key, and a
@@ -121,33 +122,44 @@ def _extsort_levels():
     return sum(1 for r in TRACER.drain() if r["name"] == "extsort.merge_pass")
 
 
+def _tie_input(path, rows):
+    """The child ``path`` reads ``rows`` through: unordered (``sort``),
+    sorted on ``A, B`` from storage (``modify_external``) or as a stream
+    (``sort-ordered``), or sorted on ``B, A, S DESC`` — one segment whose
+    four ``B`` runs merge (``sort-merge-runs``)."""
+    if path == "sort":
+        return TableScan(Table(TIES, rows))
+    in_spec = (
+        SortSpec.of("B", "A", "S DESC") if path == "sort-merge-runs"
+        else SortSpec.of("A", "B")
+    )
+    rows.sort(key=in_spec.key_for(TIES))
+    table = Table(TIES, rows, in_spec).with_ovcs()
+    if path == "sort-ordered":
+        return Filter(TableScan(table), lambda row: True)
+    return TableScan(table)
+
+
 @pytest.mark.parametrize("engine", ["auto", "reference"])
 @pytest.mark.parametrize("capacity", [16, 1000], ids=["spilling", "in-memory"])
-@pytest.mark.parametrize("path", ["modify_external", "sort"])
+@pytest.mark.parametrize(
+    "path", ["modify_external", "sort", "sort-ordered", "sort-merge-runs"]
+)
 def test_external_paths_are_stable_on_ties(path, capacity, engine):
-    """Both memory-bounded paths equal stable ``sorted()`` plus fresh
-    codes: an oversized sort segment (segments hold ~75 rows) and an
-    unordered ``Sort`` input, with ``fan_in=2`` forcing merge levels."""
+    """Every memory-bounded path equals stable ``sorted()`` plus fresh
+    codes: an unordered ``Sort`` input, oversized sort segments (segments
+    hold ~75 rows) read from storage or streamed, and one oversized merge
+    segment, with ``fan_in=2`` forcing merge levels.  Only the reference
+    engine counts; a capacity below the segments spills, and no path
+    holds more rows than it allows."""
     rows = _tie_rows()
-    cfg = ExecutionConfig(engine=engine)
+    op = Sort(
+        _tie_input(path, rows), TIE_ORDER, memory_capacity=capacity,
+        fan_in=2, config=ExecutionConfig(engine=engine),
+    )
     TRACER.enable(clear=True)
     try:
-        if path == "sort":
-            op = Sort(
-                TableScan(Table(TIES, rows)), TIE_ORDER,
-                memory_capacity=capacity, fan_in=2, config=cfg,
-            )
-            result = op.to_table()
-            counted = any(op.stats.as_dict().values())
-            assert counted is (engine == "reference")
-        else:
-            rows.sort(key=lambda r: (r[0], r[1]))
-            table = Table(TIES, rows, SortSpec.of("A", "B"))
-            table.ovcs = derive_ovcs(rows, (0, 1))
-            result = modify_sort_order_external(
-                table, TIE_ORDER, memory_capacity=capacity, fan_in=2,
-                config=cfg,
-            )
+        result = op.to_table()
         levels = _extsort_levels()
     finally:
         TRACER.disable()
@@ -156,7 +168,12 @@ def test_external_paths_are_stable_on_ties(path, capacity, engine):
     assert result.ovcs == derive_ovcs(
         expected, TIE_ORDER.positions(TIES), TIE_ORDER.directions
     )
-    assert levels >= 2 if capacity == 16 else levels == 0
+    assert any(op.stats.as_dict().values()) is (engine == "reference")
+    assert op.peak_segment_rows <= capacity
+    written = op.pages.stats.pages_written
+    assert written > 0 if capacity == 16 else written == 0
+    if path != "sort-merge-runs":
+        assert levels >= 2 if capacity == 16 else levels == 0
 
 
 def test_oversized_merge_charges_wave_io():
@@ -169,27 +186,19 @@ def test_oversized_merge_charges_wave_io():
     )
     table = Table(SCHEMA, rows, SPEC)
     table.ovcs = derive_ovcs(rows, (0, 1, 2))
-    pages = PageManager()
-    result = modify_sort_order_external(
-        table,
-        SortSpec.of("A", "C", "B"),
-        memory_capacity=100,
-        fan_in=4,
-        page_manager=pages,
-    )
-    assert result.is_sorted()
+    op = bounded(table, SortSpec.of("A", "C", "B"), 100, fan_in=4)
+    assert op.to_table().is_sorted()
     # ceil(log_4(64)) = 3 levels -> 2 intermediate waves charged.
+    pages = op.pages
     assert pages.stats.pages_written > 0
     assert pages.stats.pages_read == pages.stats.pages_written
 
 
 def test_noop_and_backward_paths():
     table = build([(1, 2, 3), (2, 0, 0)])
-    out = modify_sort_order_external(table, SortSpec.of("A",), memory_capacity=2)
+    out = bounded(table, SortSpec.of("A",), 2).to_table()
     assert out.rows == table.rows
-    rev = modify_sort_order_external(
-        table, SortSpec.of("A DESC"), memory_capacity=2
-    )
+    rev = bounded(table, SortSpec.of("A DESC"), 2).to_table()
     assert rev.rows == list(reversed(table.rows))
 
 
@@ -210,26 +219,26 @@ METHODS = [
 def test_method_is_honoured_as_in_memory(target, method):
     """A forced method means what it means to ``modify_sort_order``:
     both raise the same ``ValueError``, or both return the oracle.  A
-    capacity of 20 lets some A segments fit and spills others."""
+    capacity of 20 lets some A segments fit and spills others.  A child
+    that already satisfies the order (``A,B,C``) passes through whatever
+    known method is forced, as ``Sort`` always has."""
     rng = random.Random(11)
     table = build(rng.sample(
         [(a, b, c) for a in range(5) for b in range(6) for c in range(7)], 120
     ))
     spec = SortSpec(target)
-    try:
-        expected = modify_sort_order(table, spec, method=method)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            modify_sort_order_external(
-                table, spec, memory_capacity=20, method=method
-            )
-        assert str(got.value) == str(exc)
-        return
-    got = modify_sort_order_external(
-        table, spec, memory_capacity=20, method=method
-    )
     oracle = sorted(table.rows, key=spec.key_for(SCHEMA))
-    assert expected.rows == got.rows == oracle
+    try:
+        expected = modify_sort_order(table, spec, method=method).rows
+    except ValueError as exc:
+        if method == "bogus" or not SPEC.satisfies(spec):
+            with pytest.raises(ValueError) as got:
+                bounded(table, spec, 20, method=method).to_table()
+            assert str(got.value) == str(exc)
+            return
+        expected = oracle
+    got = bounded(table, spec, 20, method=method).to_table()
+    assert expected == got.rows == oracle
     assert got.ovcs == derive_ovcs(
         oracle, spec.positions(SCHEMA), spec.directions
     )
@@ -248,14 +257,29 @@ def test_forced_method_runs_that_strategy(method):
     spec = SortSpec.of("A", "C", "B")
     in_memory, external = ComparisonStats(), ComparisonStats()
     expected = modify_sort_order(table, spec, method=method, stats=in_memory)
-    got = modify_sort_order_external(
-        table, spec, memory_capacity=1000, method=method, stats=external
-    )
+    got = Sort(
+        TableScan(table, external), spec, method=method,
+        memory_capacity=1000, config=ExecutionConfig(engine="reference"),
+    ).to_table()
     assert got.rows == expected.rows and got.ovcs == expected.ovcs
     assert external.as_dict() == in_memory.as_dict()
 
 
-def test_capacity_validation():
+BAD_BOUNDS = [
+    ("memory_capacity", 1), ("memory_capacity", 0), ("memory_capacity", -5),
+    ("memory_capacity", 2.5), ("memory_capacity", True), ("fan_in", 1),
+    ("fan_in", 0), ("fan_in", 4.0), ("fan_in", True),
+]
+
+
+@pytest.mark.parametrize(
+    "name,value", BAD_BOUNDS, ids=[f"{n}={v!r}" for n, v in BAD_BOUNDS]
+)
+def test_capacity_validation(name, value):
+    """A bound that could not hold is refused when the ``Sort`` is built
+    (``memory_capacity=-5`` used to loop forever, ``0`` failed deep in a
+    ``range``), ordered child or not."""
     table = build([(1, 1, 1)])
-    with pytest.raises(ValueError):
-        modify_sort_order_external(table, SortSpec.of("B",), memory_capacity=1)
+    for child in (TableScan(table), TableScan(Table(SCHEMA, table.rows))):
+        with pytest.raises(ValueError):
+            Sort(child, SortSpec.of("B",), **{name: value})

@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
@@ -305,10 +304,11 @@ def test_entry_points_reject_removed_kwargs():
     with pytest.raises(TypeError):
         modify_sort_order(table, spec, engine="fast")
     with pytest.raises(TypeError):
-        modify_sort_order_external(table, spec, memory_capacity=64, workers=2)
+        Sort(TableScan(table), spec, memory_capacity=64, workers=2)
     with pytest.raises(TypeError):
-        modify_sort_order_external(
-            table, spec, memory_capacity=64, run_generation="load_sort"
+        Sort(
+            TableScan(table), spec, memory_capacity=64,
+            run_generation="load_sort",
         )
     with pytest.raises(TypeError):
         Sort(TableScan(table), spec, engine="fast")

@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.analysis import analyze_order_modification
 from repro.core.enforce import enforce_order
-from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
@@ -288,10 +287,11 @@ def test_external_modify_engines_agree():
     table = _make_table(("A", "B", "C"), 0, n=600)
     spec = SortSpec(("A", "C", "B"))
     for capacity in (64, 10_000):
-        ref = modify_sort_order_external(table, spec, memory_capacity=capacity)
-        fast = modify_sort_order_external(
-            table, spec, memory_capacity=capacity, config=ExecutionConfig(engine="fast")
-        )
+        ref = Sort(TableScan(table), spec, memory_capacity=capacity).to_table()
+        fast = Sort(
+            TableScan(table), spec, memory_capacity=capacity,
+            config=ExecutionConfig(engine="fast"),
+        ).to_table()
         assert fast.rows == ref.rows
         assert fast.ovcs == ref.ovcs
         _assert_inputs_own_rows(table, ref, fast)

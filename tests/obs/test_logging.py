@@ -173,12 +173,11 @@ def _mixed_within_segments():
 
 
 def test_external_modify_reports_engine_and_fallback():
-    """``modify_sort_order_external`` names the engine that ran its
-    segments — in memory, or each oversized one's external sort — on a
-    ``modify.external`` span and the ``modify.strategy`` event, as
-    ``modify_sort_order`` does."""
-    from repro.core.external_modify import modify_sort_order_external
-
+    """``Sort(memory_capacity=)`` over an ordered child names the engine
+    that ran its segments — in memory, or each oversized one's external
+    sort — on the ``modify.strategy`` and ``sort.executed`` events, as
+    ``modify_sort_order`` does, and every ``modify.bind`` / ``modify.spill``
+    span names the engine of its own executor."""
     rows = [(0, b, f"c{b % 3}") for b in range(9)]
     rows += [(1, b, b % 3) for b in range(9)]
     mixed = Table(SCHEMA, rows, SortSpec.of("A", "B", "C")).with_ovcs()
@@ -193,18 +192,24 @@ def test_external_modify_reports_engine_and_fallback():
         sink = io.StringIO()
         LOG.enable(sink)
         TRACER.enable(clear=True)
-        modify_sort_order_external(
-            table, spec, memory_capacity=capacity,
+        Sort(
+            TableScan(table), spec, memory_capacity=capacity,
             config=ExecutionConfig(engine="auto"),
-        )
+        ).to_table()
         LOG.disable()
-        (event,) = [e for e in map(json.loads, sink.getvalue().splitlines())
-                    if e["event"] == "modify.strategy"]
-        (span,) = [r for r in TRACER.drain() if r["name"] == "modify.external"]
-        for record in (event, span["attrs"]):
+        events = list(map(json.loads, sink.getvalue().splitlines()))
+        (event,) = [e for e in events if e["event"] == "modify.strategy"]
+        (executed,) = [e for e in events if e["event"] == "sort.executed"]
+        for record in (event, executed):
             assert record["engine"] == engine
             assert record["fallback"] is fallback
         assert "qid" in event
+        spans = [
+            r["attrs"] for r in TRACER.drain()
+            if r["name"] in ("modify.bind", "modify.spill")
+        ]
+        assert spans and {s["engine"] for s in spans} <= {engine, "reference"}
+        assert any(s["fallback"] for s in spans) is fallback
 
 
 def test_external_sort_reports_engine_and_fallback():

@@ -11,10 +11,10 @@ import random
 
 import pytest
 
-from repro.core.external_modify import modify_sort_order_external
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs, verify_ovcs
@@ -70,7 +70,7 @@ def test_all_paths_agree(seed, order):
     assert capped.rows == expected
     assert verify_ovcs(capped.rows, capped.ovcs, positions)
 
-    external = modify_sort_order_external(table, spec, memory_capacity=257)
+    external = Sort(TableScan(table), spec, memory_capacity=257).to_table()
     assert external.rows == expected
     assert external.ovcs == derive_ovcs(expected, positions)
 
