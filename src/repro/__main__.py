@@ -45,6 +45,7 @@ from_env`): ``REPRO_ENGINE``, ``REPRO_MAX_FAN_IN``, ``REPRO_SPILL_DIR``,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from operator import itemgetter
@@ -212,12 +213,7 @@ def _design(n_rows: int) -> None:
 def _serve_load(
     n_rows: int, seed: int, json_path: str | None, cfg: ExecutionConfig,
 ) -> int:
-    from .bench.serve_bench import (
-        check_serve_record,
-        format_serve_summary,
-        run_serve_trajectory,
-        write_serve_trajectory,
-    )
+    from .serve.load import check_serve_record, run_serve_trajectory
 
     # The load exercises the full sharing stack, so the order cache is
     # always on: the configured budget and spill directory apply.
@@ -229,9 +225,23 @@ def _serve_load(
         n_orders=4,
         config=cfg.with_(cache="on"),
     )
+    summary = {
+        "threads": record["threads"],
+        "orders": len(record["orders"]),
+        "requests": record["requests"],
+        "hits": record["cache_hits"],
+        "executions": record["executions"],
+        "exec/req": record["executions_per_request"],
+        "coalesced": record["coalesced_requests"],
+        "coalesced_uncached": record["uncached"]["coalesced_requests"],
+        "p50_ms": record["latency_ms"]["p50"],
+        "p99_ms": record["latency_ms"]["p99"],
+        "rps": record["throughput_rps"],
+        "fidelity_ok": record["fidelity_ok"],
+    }
     print(
         format_table(
-            format_serve_summary(record),
+            [summary],
             f"order service, duplicate-heavy closed loop ({n_rows:,} rows; "
             f"{record['requests']} requests: {record['cache_hits']} hits, "
             f"{record['executions']} executions, "
@@ -240,7 +250,9 @@ def _serve_load(
         )
     )
     if json_path:
-        write_serve_trajectory(json_path, record)
+        with open(json_path, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
         print(f"wrote {json_path}")
     problems = check_serve_record(record)
     for problem in problems:

@@ -4,7 +4,6 @@ paper, shared by ``benchmarks/`` (pytest-benchmark) and ``examples/``.
 
 from .harness import (
     BenchResult,
-    bench_scale,
     format_table,
     time_callable,
 )
@@ -17,7 +16,6 @@ from .figures import (
 
 __all__ = [
     "BenchResult",
-    "bench_scale",
     "format_table",
     "time_callable",
     "run_fig10_cell",

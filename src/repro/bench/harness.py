@@ -1,27 +1,21 @@
-"""Timing, scaling, and table rendering for the experiment drivers.
+"""Timing and table rendering for the experiment drivers.
 
 The paper runs at 2^20 rows on a C++ engine; pure Python pays a large
-constant factor, so benchmarks default to 2^16 rows and scale up via
-the ``REPRO_SCALE`` environment variable (the exponent delta:
-``REPRO_SCALE=4`` restores the paper's 2^20).  Comparison *counts* are
-scale-dependent but machine-independent; run-time *shapes* (who wins,
-where crossovers fall) are preserved at the default scale.
+constant factor, so the benchmarks default to 2^14 rows and scale up
+via the ``REPRO_SCALE`` environment variable (the exponent delta, read
+by ``benchmarks/conftest.py``: ``REPRO_SCALE=6`` restores the paper's
+2^20).  Comparison *counts* are scale-dependent but machine-independent;
+run-time *shapes* (who wins, where crossovers fall) are preserved at
+the default scale.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..ovc.stats import ComparisonStats
-
-
-def bench_scale(base_exponent: int = 16) -> int:
-    """Row count for benchmarks: ``2 ** (base + REPRO_SCALE)``."""
-    delta = int(os.environ.get("REPRO_SCALE", "0"))
-    return 1 << (base_exponent + delta)
 
 
 @dataclass

@@ -17,7 +17,7 @@ Pipeline:
 """
 
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
-from .classify import RowClass, classify_row, split_segments
+from .classify import split_segments
 from .modify import modify_sort_order
 from .backward import reverse_table, reversed_spec
 from .cost import CostModel, estimate_costs
@@ -26,8 +26,6 @@ __all__ = [
     "ModificationPlan",
     "Strategy",
     "analyze_order_modification",
-    "RowClass",
-    "classify_row",
     "split_segments",
     "modify_sort_order",
     "reverse_table",

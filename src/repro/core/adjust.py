@@ -25,12 +25,6 @@ from ..obs import METRICS
 from ..ovc.codes import max_merge
 
 
-def adjust_merge_row(ovc: tuple, infix_len: int) -> tuple:
-    """Old code of an "other row" -> code for the new sort order."""
-    offset, value = ovc
-    return (offset - infix_len, value)
-
-
 def map_bypass_ovc(
     ovc: tuple,
     prefix_len: int,
@@ -129,10 +123,3 @@ class RunHeadChain:
             offset_out = offset_in
         return (self._out_arity - offset_out, value)
 
-
-def run_head_entry_code(
-    prefix_len: int, first_merge_value, output_arity: int
-) -> tuple:
-    """Ascending code with which a run head enters the merge:
-    offset ``|P|``, value extracted from the first merge column."""
-    return (output_arity - prefix_len, first_merge_value)

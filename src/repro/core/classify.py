@@ -16,30 +16,9 @@ old code's offset — no column value is ever inspected:
 
 from __future__ import annotations
 
-import enum
 from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Sequence
-
-
-class RowClass(enum.Enum):
-    SEGMENT_HEAD = "first row in segment"
-    RUN_HEAD = "first row in run"
-    MERGE_ROW = "other row"
-    DUPLICATE = "duplicate row"
-
-
-def classify_row(
-    offset: int, prefix_len: int, infix_len: int, merge_len: int
-) -> RowClass:
-    """Classify one row by its old code offset (segment-relative)."""
-    if offset < prefix_len:
-        return RowClass.SEGMENT_HEAD
-    if offset < prefix_len + infix_len:
-        return RowClass.RUN_HEAD
-    if offset < prefix_len + infix_len + merge_len:
-        return RowClass.MERGE_ROW
-    return RowClass.DUPLICATE
 
 
 def code_offsets(ovcs: Sequence[tuple]) -> Sequence[int]:

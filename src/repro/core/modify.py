@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, SLOWLOG, TRACER
+from ..ovc.compare import compare_plain
 from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
 from ..sorting.internal import tournament_sort
@@ -181,8 +182,9 @@ def _modify(
     plan = analyze_order_modification(table.sort_spec, new_spec)
     engine = resolve_engine(cfg, use_ovc=use_ovc, counters=stats is not None)
     stats = stats if stats is not None else ComparisonStats()
+    backward = plan.backward
 
-    if plan.backward:
+    if backward:
         # Read the input back to front (comparison-free, codes kept)
         # and re-plan against the reversed order.
         from .backward import reverse_table, reversed_spec
@@ -252,6 +254,8 @@ def _modify(
             sp.set(engine=engine, fallback=fallback)
             for lo, hi in boundaries:
                 run(lo, hi, out_rows, out_ovcs, perm)
+    if backward:
+        _restore_tie_order(out_rows, out_ovcs, new_spec, table.schema, stats)
     result = Table(table.schema, out_rows, new_spec, out_ovcs)
 
     TRACER.annotate(strategy=name, engine=engine, fallback=fallback)
@@ -350,6 +354,31 @@ def bind_strategy(
         )
 
     return run, engine, fallback
+
+
+def _restore_tie_order(rows, ovcs, spec, schema, stats) -> None:
+    """Put rows tied on ``spec`` back in input order, in place.
+
+    A backward scan reverses the input, and every executor is stable,
+    so each group of rows equal under ``spec`` arrives back to front.
+    With codes, a group starts at each row whose offset is below the
+    arity — found without a comparison, and the codes stay valid since
+    rows of one group share their key.  Without codes, adjacent keys
+    are compared (counted in ``stats``).
+    """
+    n = len(rows)
+    if ovcs is not None:
+        starts = head_positions(code_offsets(ovcs), spec.arity)
+    else:
+        project = _key_projector(spec.positions(schema), spec.directions)
+        keys = [project(row) for row in rows]
+        starts = [0] if n else []
+        starts += [
+            i for i in range(1, n) if compare_plain(keys[i - 1], keys[i], stats)
+        ]
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        if hi - lo > 1:
+            rows[lo:hi] = rows[lo:hi][::-1]
 
 
 def _check_method(method: str) -> None:

@@ -39,7 +39,6 @@ def sort_segment(
     out_rows: list[tuple],
     out_ovcs: list[tuple] | None,
     use_ovc: bool = True,
-    skip_prefix: bool = True,
 ) -> None:
     """Sort rows ``[lo, hi)`` (one segment) on the desired order.
 
@@ -48,10 +47,8 @@ def sort_segment(
     rows land in ``out_rows`` with fresh codes in ``out_ovcs`` and the
     segment's first output row inherits the saved segment-head code.
 
-    Without codes, the baseline compares column values; ``skip_prefix``
-    selects whether the baseline is smart enough to skip the constant
-    prefix columns (both variants appear in the paper's hypothesis 2
-    discussion).
+    Without codes, the baseline compares column values from the first
+    post-prefix column on.
     """
     if hi <= lo:
         return
@@ -60,13 +57,13 @@ def sort_segment(
     with TRACER.span("segment.sort", rows=hi - lo, prefix_len=prefix_len):
         _sort_segment(
             rows, ovcs, lo, hi, prefix_len, output_arity, out_project,
-            stats, out_rows, out_ovcs, use_ovc, skip_prefix,
+            stats, out_rows, out_ovcs, use_ovc,
         )
 
 
 def _sort_segment(
     rows, ovcs, lo, hi, prefix_len, output_arity, out_project,
-    stats, out_rows, out_ovcs, use_ovc, skip_prefix,
+    stats, out_rows, out_ovcs, use_ovc,
 ) -> None:
     p = prefix_len
     k_out = output_arity
@@ -104,12 +101,11 @@ def _sort_segment(
         # exactly the whole-output first-row convention.
         return
 
-    start = p if skip_prefix else 0
     entries = [
         Entry(out_project(rows[idx]), None, rows[idx], run)
         for run, idx in enumerate(range(lo, hi))
     ]
-    compare = make_plain_entry_comparator(k_out, stats, start=start)
+    compare = make_plain_entry_comparator(k_out, stats, start=p)
     tree = TreeOfLosers([iter((e,)) for e in entries], compare)
     for entry in tree:
         out_rows.append(entry.row)

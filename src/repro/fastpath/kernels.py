@@ -53,21 +53,6 @@ from ..core.analysis import ModificationPlan
 from ..obs import TRACER
 
 
-def adjacent_ovc(
-    prev_keys: tuple, keys: tuple, varying: Sequence[tuple], arity: int
-) -> tuple:
-    """Paper-form code of ``keys`` against ``prev_keys``.
-
-    ``varying`` pairs each key column where any two rows of this call
-    can differ with its index into the key entries; constant columns
-    are skipped.
-    """
-    for d, pd in varying:
-        if prev_keys[pd] != keys[pd]:
-            return (d, keys[pd])
-    return (arity, 0)
-
-
 def fast_sort_segment(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple] | None,

@@ -85,19 +85,6 @@ def normalize_value(value: Any, ascending: bool) -> Any:
     return Desc(value)
 
 
-def denormalize_value(value: Any, ascending: bool) -> Any:
-    """Invert :func:`normalize_value`."""
-    if ascending:
-        return value
-    if isinstance(value, Desc):
-        return value.value
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, (int, float)):
-        return -value
-    return value
-
-
 @dataclass(frozen=True)
 class Schema:
     """Named columns of a table, with name -> position lookup."""
@@ -387,9 +374,6 @@ class Table:
 
         assert_table_valid(self)
         return self
-
-    def head(self, n: int = 10) -> list[tuple]:
-        return self.rows[:n]
 
     def pretty(self, limit: int = 20) -> str:
         """A small fixed-width rendering for examples and debugging."""

@@ -15,11 +15,6 @@ from .orderings import OrderingContext, reduce_spec, satisfies_with_context
 from .planner import EnforcerChoice, choose_enforcer, plan_merge_join
 from .join_planning import JoinEdge, PlanNode, Relation, plan_joins
 from .physical_design import RequiredOrdering, design_indexes
-from .statistics import (
-    OrderStatistics,
-    choose_enforcer_with_statistics,
-    collect_order_statistics,
-)
 
 __all__ = [
     "OrderingContext",
@@ -34,7 +29,4 @@ __all__ = [
     "plan_joins",
     "RequiredOrdering",
     "design_indexes",
-    "OrderStatistics",
-    "choose_enforcer_with_statistics",
-    "collect_order_statistics",
 ]

@@ -98,18 +98,3 @@ def descending_integer_code(
         raise ValueError(f"value {value} outside domain [0, {domain})")
     return offset * domain + (domain - value)
 
-
-def decode_ascending_integer(code: int, arity: int, domain: int) -> tuple:
-    """Invert :func:`ascending_integer_code` -> ``(offset, value)``."""
-    if code == 0:
-        return (arity, 0)
-    remaining, value = divmod(code, domain)
-    return (arity - remaining, value)
-
-
-def decode_descending_integer(code: int, arity: int, domain: int) -> tuple:
-    """Invert :func:`descending_integer_code` -> ``(offset, value)``."""
-    if code == arity * domain + domain:
-        return (arity, 0)
-    offset, complement = divmod(code, domain)
-    return (offset, domain - complement)

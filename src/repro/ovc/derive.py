@@ -132,18 +132,3 @@ def segment_boundaries(
     """
     return [i for i, (offset, _value) in enumerate(ovcs) if offset < prefix_len]
 
-
-def rle_lengths_from_ovcs(
-    ovcs: Sequence[tuple], arity: int
-) -> list[list[int]]:
-    """Run-length boundaries per leading sort column, from codes alone.
-
-    Returns, for each key column ``k``, the list of row indices at which
-    a new run-length-encoded run of that column starts.  Equals the
-    prefix-truncation structure (Figure 1, second vs third block).
-    """
-    starts: list[list[int]] = [[] for _ in range(arity)]
-    for i, (offset, _value) in enumerate(ovcs):
-        for k in range(min(offset, arity), arity):
-            starts[k].append(i)
-    return starts

@@ -31,7 +31,6 @@ import math
 import struct
 from typing import Sequence
 
-from ..model import Schema, SortSpec
 from .stats import ComparisonStats
 
 _NULL_TAG = b"\x00"
@@ -81,26 +80,6 @@ def encode_value(value, ascending: bool = True) -> bytes:
     if ascending:
         return encoded
     return bytes(b ^ 0xFF for b in encoded)
-
-
-class NormalizedKeyCodec:
-    """Encode rows' sort keys into ``memcmp``-ordered byte strings."""
-
-    def __init__(self, schema: Schema, spec: SortSpec) -> None:
-        self.schema = schema
-        self.spec = spec
-        self._positions = spec.positions(schema)
-        self._directions = spec.directions
-
-    def encode(self, row: tuple) -> bytes:
-        parts = [
-            encode_value(row[pos], asc)
-            for pos, asc in zip(self._positions, self._directions)
-        ]
-        return b"".join(parts)
-
-    def encode_all(self, rows: Sequence[tuple]) -> list[bytes]:
-        return [self.encode(row) for row in rows]
 
 
 # ----------------------------------------------------------------------

@@ -12,19 +12,44 @@ cache on, a wave that finds its orders cached is answered at submit
 The driver is closed-loop (each thread waits for its response before
 issuing the next request), so offered load adapts to service speed and
 the interesting ratio is **executions per request** rather than
-throughput alone.  The report is a plain JSON-friendly dict; the CLI
-prints it for ``serve --load``.  (Serving latency and throughput are
-benchmarked end to end by ``benchmarks/e2e/run.py`` + ``compare.py``.)
+throughput alone.  The report is a plain JSON-friendly dict.
+
+:func:`run_serve_trajectory` is what ``python -m repro serve --load``
+runs: the load through the configured (cached) service, then through an
+uncached one — a warm cache leaves almost nothing to coalesce, so
+coalescing is judged where it is the only way to share work — plus
+:func:`verify_fidelity` on both.  :func:`check_serve_record` returns
+the gate's findings (the CLI exits non-zero on any):
+
+* fidelity — one served response per order, from either service,
+  equals a serial uncached :class:`~repro.engine.sort_op.Sort` on rows
+  and offset-value codes;
+* **executions_per_request** < 1.0 on the cached pass;
+* **coalesced_requests** > 0 on the uncached pass;
+* no request failed on either pass.
+
+It is a fidelity gate, not a performance baseline: serving latency and
+throughput are measured by ``benchmarks/e2e/run.py`` and judged by
+``compare.py``.
 """
 
 from __future__ import annotations
 
+import platform
 import threading
 import time
 
-from ..model import SortSpec, Table
+from ..cache import configure_cache, reset_cache
+from ..engine.scans import TableScan
+from ..engine.sort_op import Sort
+from ..exec import ExecutionConfig
+from ..model import Schema, SortSpec, Table
+from ..workloads.generators import random_table
 from .errors import DeadlineExceededError, ServiceOverloadError
 from .service import OrderService
+
+_SCHEMA = Schema.of("A", "B", "C", "D")
+_DOMAINS = {"A": 32, "B": 64, "C": 256, "D": 8}
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -56,18 +81,17 @@ def run_load(
     *,
     threads: int = 16,
     requests_per_thread: int = 8,
-    tenant_per_order: bool = True,
     timeout: float | None = 60.0,
 ) -> dict:
     """Run the closed-loop duplicate-heavy load; return the report dict.
 
     Thread *t* issues every request against ``orders[t % len(orders)]``,
     so each order is requested by ``threads / len(orders)`` concurrent
-    threads — the coalescing-friendly worst case for a naive server.  A
-    barrier aligns each wave to maximise overlap.  Rejections and
-    deadline misses are counted, not raised.  ``cache_hits``,
-    ``executions`` and ``coalesced_requests`` are the service counters'
-    deltas over the run.
+    threads — the coalescing-friendly worst case for a naive server —
+    under one tenant per order.  A barrier aligns each wave to maximise
+    overlap.  Rejections and deadline misses are counted, not raised.
+    ``cache_hits``, ``executions`` and ``coalesced_requests`` are the
+    service counters' deltas over the run.
     """
     if threads < 1 or requests_per_thread < 1:
         raise ValueError("threads and requests_per_thread must be >= 1")
@@ -82,7 +106,7 @@ def run_load(
 
     def _worker(t: int) -> None:
         spec = orders[t % len(orders)]
-        tenant = f"order-{t % len(orders)}" if tenant_per_order else "load"
+        tenant = f"order-{t % len(orders)}"
         for _ in range(requests_per_thread):
             barrier.wait()
             try:
@@ -153,3 +177,98 @@ def run_load(
             "plan_window_ms": service.config.plan_window_ms,
         },
     }
+
+
+def verify_fidelity(
+    service: OrderService,
+    table: Table,
+    orders: list[SortSpec],
+) -> list[str]:
+    """One served response per order vs a solo uncached ``Sort``: rows
+    and offset-value codes must match bit for bit."""
+    problems = []
+    for spec in orders:
+        want = Sort(
+            TableScan(table), spec, config=ExecutionConfig(cache="off")
+        ).to_table()
+        resp = service.order_by(table, spec)
+        label = ",".join(str(c) for c in spec.columns)
+        if resp.table.rows != want.rows:
+            problems.append(f"order {label}: rows diverged")
+        if resp.table.ovcs != want.ovcs:
+            problems.append(f"order {label}: offset-value codes diverged")
+    return problems
+
+
+def run_serve_trajectory(
+    n_rows: int,
+    seed: int = 0,
+    threads: int = 16,
+    requests_per_thread: int = 8,
+    n_orders: int = 4,
+    config: ExecutionConfig | None = None,
+) -> dict:
+    """The full load + fidelity sweep; returns the JSON-ready record:
+    the cached pass's report, and the uncached pass's under
+    ``uncached``."""
+    table = random_table(
+        _SCHEMA, n_rows,
+        domains=[_DOMAINS[c] for c in _SCHEMA.columns],
+        seed=seed,
+    )
+    orders = default_orders(table, n_orders)
+    cfg = config if config is not None else ExecutionConfig(
+        cache="on",
+        service_queue_depth=max(64, 2 * threads),
+    )
+    def _load(service: OrderService) -> dict:
+        return run_load(
+            service, table, orders,
+            threads=threads, requests_per_thread=requests_per_thread,
+        )
+
+    if cfg.cache != "off":
+        configure_cache(budget=cfg.cache_budget, spill_dir=cfg.spill_dir)
+    try:
+        with OrderService(cfg) as service:
+            report = _load(service)
+            # Warm-path fidelity, then through a service that cannot be
+            # cache-assisted.
+            fidelity_problems = verify_fidelity(service, table, orders)
+    finally:
+        if cfg.cache != "off":
+            reset_cache()
+    with OrderService(cfg.with_(cache="off")) as bare:
+        uncached = _load(bare)
+        if cfg.cache != "off":
+            fidelity_problems += verify_fidelity(bare, table, orders)
+    return {
+        "n_rows": n_rows,
+        "seed": seed,
+        "python": platform.python_version(),
+        "fidelity_ok": not fidelity_problems,
+        "fidelity_problems": fidelity_problems,
+        **report,
+        "uncached": uncached,
+    }
+
+
+def check_serve_record(record: dict) -> list[str]:
+    """Gate findings for a :func:`run_serve_trajectory` record (empty =
+    pass)."""
+    problems = list(record.get("fidelity_problems", []))
+    uncached = record["uncached"]
+    for name, run in (("cached", record), ("uncached", uncached)):
+        if run["errors"]:
+            problems.append(f"{run['errors']} {name} request(s) failed")
+    if record["requests"] and record["executions"] >= record["requests"]:
+        problems.append(
+            f"no work sharing: {record['executions']} executions for "
+            f"{record['requests']} requests"
+        )
+    if uncached["coalesced_requests"] <= 0:
+        problems.append(
+            "no requests were coalesced under duplicate load without the "
+            "cache"
+        )
+    return problems

@@ -3,7 +3,7 @@ internal/external merge sort — all offset-value-code aware.
 """
 
 from .tournament import Entry, TreeOfLosers
-from .merge import kway_merge, merge_tables
+from .merge import kway_merge
 from .internal import tournament_sort, quicksort_with_stats, sort_baseline
 from .run_generation import (
     generate_runs_load_sort,
@@ -16,7 +16,6 @@ __all__ = [
     "Entry",
     "TreeOfLosers",
     "kway_merge",
-    "merge_tables",
     "tournament_sort",
     "quicksort_with_stats",
     "sort_baseline",

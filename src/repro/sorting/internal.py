@@ -27,20 +27,13 @@ def tournament_sort(
     stats: ComparisonStats,
     directions: Sequence[bool] | None = None,
     use_ovc: bool = True,
-    entry_ovcs: Sequence[tuple] | None = None,
 ) -> tuple[list[tuple], list[tuple] | None]:
     """Sort rows with a tournament tree; returns ``(rows, ovcs)``.
 
-    Every row enters as its own single-row run.  When ``entry_ovcs`` is
-    given (paper-form codes valid against a common base for all rows,
-    e.g. within one segment), comparisons start from those codes;
-    otherwise codes are formed by the first full comparison each row
-    participates in.
+    Every row enters as its own single-row run; its code is formed by
+    the first full comparison it participates in.
     """
-    if entry_ovcs is not None:
-        runs = [([row], [ovc]) for row, ovc in zip(rows, entry_ovcs)]
-    else:
-        runs = [([row], None) for row in rows]
+    runs = [([row], None) for row in rows]
     return kway_merge(runs, key_positions, stats, directions, use_ovc)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..model import Table, normalize_value
+from ..model import normalize_value
 from ..ovc.codes import code_to_ovc, ovc_to_code
 from ..ovc.compare import (
     form_code,
@@ -97,24 +97,3 @@ def kway_merge(
             prev_keys = entry.keys
     return out_rows, out_ovcs
 
-
-def merge_tables(
-    tables: Sequence[Table],
-    stats: ComparisonStats | None = None,
-    use_ovc: bool = True,
-) -> Table:
-    """Merge tables sharing a schema and sort spec into one sorted table."""
-    if not tables:
-        raise ValueError("need at least one table to merge")
-    first = tables[0]
-    if first.sort_spec is None:
-        raise ValueError("tables must carry a sort spec")
-    for t in tables[1:]:
-        if t.schema != first.schema or t.sort_spec != first.sort_spec:
-            raise ValueError("all tables must share schema and sort spec")
-    stats = stats if stats is not None else ComparisonStats()
-    positions = first.sort_spec.positions(first.schema)
-    directions = first.sort_spec.directions
-    runs = [(t.rows, t.with_ovcs().ovcs if use_ovc else None) for t in tables]
-    rows, ovcs = kway_merge(runs, positions, stats, directions, use_ovc)
-    return Table(first.schema, rows, first.sort_spec, ovcs)

@@ -58,9 +58,6 @@ class Entry:
         self.run = run
         self.extra = extra
 
-    def is_fence(self) -> bool:
-        return self.row is None
-
     def __repr__(self) -> str:
         if self.row is None:
             return f"Entry(fence, run={self.run})"

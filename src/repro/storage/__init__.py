@@ -1,5 +1,5 @@
 """Storage substrates: paged spill files, a prefix-truncated row store,
-an RLE column store, a B+-tree, and an LSM-style partitioned forest.
+an RLE column store, a B+-tree, and an LSM-style forest.
 """
 
 from .pages import IoStats, PageManager, SpilledRun
@@ -7,7 +7,6 @@ from .rowstore import PrefixTruncatedStore
 from .colstore import ColumnStore
 from .btree import BTree
 from .lsm import LsmForest
-from .partitioned_btree import PartitionedBTree
 
 __all__ = [
     "IoStats",
@@ -17,5 +16,4 @@ __all__ = [
     "ColumnStore",
     "BTree",
     "LsmForest",
-    "PartitionedBTree",
 ]

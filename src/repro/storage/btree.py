@@ -260,35 +260,6 @@ class BTree:
                 yield row, ovc
             leaf = leaf.next
 
-    def range_scan(
-        self, lower: tuple | None = None, upper: tuple | None = None
-    ) -> Iterator[tuple]:
-        """Rows with ``lower <= key < upper`` (either bound optional);
-        bounds are raw key tuples in key-column order."""
-        if lower is None:
-            leaf, i = self._first_leaf, 0
-        else:
-            leaf = self._descend_to_leaf(lower)
-            i = bisect.bisect_left(leaf.keys, tuple(lower))
-        while leaf is not None:
-            self.node_reads += 1
-            while i < len(leaf.keys):
-                if upper is not None and leaf.keys[i] >= tuple(upper):
-                    return
-                yield leaf.rows[i]
-                i += 1
-            leaf = leaf.next
-            i = 0
-
-    def _iter_leaves(self) -> Iterator[_Node]:
-        leaf = self._first_leaf
-        while leaf is not None:
-            yield leaf
-            leaf = leaf.next
-
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self._iter_leaves())
-
     def to_table(self) -> Table:
         rows: list[tuple] = []
         ovcs: list[tuple] = []

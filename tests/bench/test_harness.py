@@ -12,21 +12,11 @@ from repro.bench.figures import (
 )
 from repro.bench.harness import (
     BenchResult,
-    bench_scale,
     format_table,
     time_callable,
 )
 from repro.ovc.stats import ComparisonStats
 from repro.workloads.generators import fig10_table, fig11_table
-
-
-def test_bench_scale_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert bench_scale(10) == 1024
-    monkeypatch.setenv("REPRO_SCALE", "2")
-    assert bench_scale(10) == 4096
-    monkeypatch.setenv("REPRO_SCALE", "-3")
-    assert bench_scale(10) == 128
 
 
 def test_time_callable_collects_stats_and_extras():

@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.analysis import Strategy, analyze_order_modification
 from repro.core.classify import (
-    RowClass,
-    classify_row,
     code_offsets,
     count_below,
     head_positions,
@@ -50,23 +48,30 @@ def test_plan_is_case5_combined():
 
 
 def test_figure6_row_classification():
-    """The classification column of Figure 6, derived from offsets only."""
+    """The classification column of Figure 6, derived from offsets only.
+
+    A row's class is the first boundary its offset falls below:
+    |P| (segment head), |P|+|X| (run head), |P|+|X|+|M| (other row);
+    a row below none of them is a duplicate.
+    """
+    segment_head, run_head, merge_row, duplicate = range(4)
     table = paper_example_table()
     # Rows 2-8 (1-based) form the segment with A = 2.
-    expected = [
-        RowClass.SEGMENT_HEAD,  # row 2
-        RowClass.MERGE_ROW,  # row 3 ("other row")
-        RowClass.RUN_HEAD,  # row 4
-        RowClass.MERGE_ROW,  # row 5
-        RowClass.RUN_HEAD,  # row 6
-        RowClass.DUPLICATE,  # row 7
-        RowClass.MERGE_ROW,  # row 8
-    ]
+    offsets = code_offsets(table.ovcs[1:8])
+    levels = [set(head_positions(offsets, b)) for b in (1, 2, 3)]
     got = [
-        classify_row(table.ovcs[i][0], prefix_len=1, infix_len=1, merge_len=1)
-        for i in range(1, 8)
+        next((k for k, heads in enumerate(levels) if i in heads), duplicate)
+        for i in range(7)
     ]
-    assert got == expected
+    assert got == [
+        segment_head,  # row 2
+        merge_row,  # row 3 ("other row")
+        run_head,  # row 4
+        merge_row,  # row 5
+        run_head,  # row 6
+        duplicate,  # row 7
+        merge_row,  # row 8
+    ]
 
 
 def test_segments_found_from_codes_alone():

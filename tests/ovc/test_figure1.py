@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.classify import code_offsets, head_positions
 from repro.ovc.codes import (
     ascending_integer_code,
-    decode_ascending_integer,
-    decode_descending_integer,
     descending_integer_code,
 )
-from repro.ovc.derive import derive_ovcs, rle_lengths_from_ovcs
+from repro.ovc.derive import derive_ovcs
 
 ROWS = [
     (5, 4, 7, 1),
@@ -83,15 +82,14 @@ def test_ascending_codes_order_lower_wins():
 
 
 def test_integer_codes_round_trip():
-    for off, val in EXPECTED_OVCS:
-        asc = ascending_integer_code(off, val, ARITY, DOMAIN)
-        desc = descending_integer_code(off, val, ARITY, DOMAIN)
-        if off >= ARITY:
-            assert decode_ascending_integer(asc, ARITY, DOMAIN) == (ARITY, 0)
-            assert decode_descending_integer(desc, ARITY, DOMAIN) == (ARITY, 0)
-        else:
-            assert decode_ascending_integer(asc, ARITY, DOMAIN) == (off, val)
-            assert decode_descending_integer(desc, ARITY, DOMAIN) == (off, val)
+    """Both encodings are injective: distinct ``(offset, value)`` pairs,
+    every duplicate code counted once, never share a code."""
+    pairs = [(off, val) for off in range(ARITY) for val in range(DOMAIN)]
+    pairs.append((ARITY, 0))
+    for encode in (ascending_integer_code, descending_integer_code):
+        codes = {encode(off, val, ARITY, DOMAIN) for off, val in pairs}
+        assert len(codes) == len(pairs)
+        assert encode(ARITY + 1, 0, ARITY, DOMAIN) in codes
 
 
 def test_value_outside_domain_rejected():
@@ -105,7 +103,9 @@ def test_prefix_truncation_equals_rle_structure():
     """Figure 1's second and third blocks suppress the same values: a
     column value is stored exactly when its prefix changes."""
     ovcs = derive_ovcs(ROWS, (0, 1, 2, 3))
-    starts = rle_lengths_from_ovcs(ovcs, ARITY)
+    # Column k's runs start at the rows whose offset is at most k.
+    offsets = code_offsets(ovcs)
+    starts = [head_positions(offsets, k + 1) for k in range(ARITY)]
     # Column 0 has a single run (all rows share 5).
     assert starts[0] == [0]
     # Column 1 runs start where offset <= 1: rows 0, 2, 5.

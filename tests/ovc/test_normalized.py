@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.model import Schema, SortSpec
 from repro.ovc.normalized import (
-    NormalizedKeyCodec,
     compare_bytes_resume,
     derive_byte_ovcs,
     duplicate_byte_code,
@@ -96,6 +95,12 @@ def test_int_overflow_rejected():
         encode_value(1 << 63)
 
 
+def _key_encoder(schema: Schema, spec: SortSpec):
+    """A row's whole sort key as one ``memcmp``-ordered byte string."""
+    pairs = list(zip(spec.positions(schema), spec.directions))
+    return lambda row: b"".join(encode_value(row[p], asc) for p, asc in pairs)
+
+
 row_st = st.tuples(st.integers(0, 5), st.text(max_size=4), st.integers(-5, 5))
 
 
@@ -104,10 +109,10 @@ row_st = st.tuples(st.integers(0, 5), st.text(max_size=4), st.integers(-5, 5))
 def test_codec_matches_row_order(rows):
     schema = Schema.of("A", "B", "C")
     spec = SortSpec.of("A", "B", "C DESC")
-    codec = NormalizedKeyCodec(schema, spec)
+    encode = _key_encoder(schema, spec)
     key = spec.key_for(schema)
     by_rows = sorted(rows, key=key)
-    by_bytes = sorted(rows, key=codec.encode)
+    by_bytes = sorted(rows, key=encode)
     assert [key(r) for r in by_rows] == [key(r) for r in by_bytes]
 
 
@@ -159,13 +164,13 @@ def test_merge_on_normalized_keys_end_to_end():
         (rng.randrange(4), rng.choice("abcdef")) for _ in range(200)
     )
     schema = Schema.of("A", "B")
-    out_codec = NormalizedKeyCodec(schema, SortSpec.of("B", "A"))
+    out_key = _key_encoder(schema, SortSpec.of("B", "A"))
     # Pre-existing runs by distinct A, each sorted on B — hence on the
     # normalized (B, A) key within the run.
     runs: dict[int, list[tuple]] = {}
     for row in rows:
         runs.setdefault(row[0], []).append(row)
-    streams = [sorted(v, key=out_codec.encode) for v in runs.values()]
+    streams = [sorted(v, key=out_key) for v in runs.values()]
     # Merge byte-wise with codes.
     stats = ComparisonStats()
     heads = [(s, 0) for s in streams]
@@ -173,7 +178,7 @@ def test_merge_on_normalized_keys_end_to_end():
     import heapq
 
     heap = [
-        (out_codec.encode(s[0]), i, 0) for i, s in enumerate(streams)
+        (out_key(s[0]), i, 0) for i, s in enumerate(streams)
     ]
     heapq.heapify(heap)
     while heap:
@@ -181,9 +186,9 @@ def test_merge_on_normalized_keys_end_to_end():
         out.append(streams[i][j])
         if j + 1 < len(streams[i]):
             heapq.heappush(
-                heap, (out_codec.encode(streams[i][j + 1]), i, j + 1)
+                heap, (out_key(streams[i][j + 1]), i, j + 1)
             )
     assert out == sorted(rows, key=lambda r: (r[1], r[0]))
     # And the byte codes of the merged output are internally consistent.
-    codes = derive_byte_ovcs([out_codec.encode(r) for r in out], stats)
+    codes = derive_byte_ovcs([out_key(r) for r in out], stats)
     assert len(codes) == len(out)

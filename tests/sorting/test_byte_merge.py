@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.model import Schema, SortSpec
 from repro.ovc.normalized import (
-    NormalizedKeyCodec,
     derive_byte_ovcs,
+    encode_value,
     make_byte_entry_comparator,
 )
 from repro.ovc.stats import ComparisonStats
@@ -67,11 +67,12 @@ def test_row_sorting_through_normalized_keys():
     """Sort whole rows as byte strings: encode, merge 1-row runs,
     decode positions — a full normalized-key sort."""
     schema = Schema.of("name", "score")
-    codec = NormalizedKeyCodec(schema, SortSpec.of("score DESC", "name"))
+    spec = SortSpec.of("score DESC", "name")
+    pairs = list(zip(spec.positions(schema), spec.directions))
     rows = [("ada", 90), ("bob", 95), ("cy", 90), ("dee", 99)]
+    keys = [b"".join(encode_value(r[p], asc) for p, asc in pairs) for r in rows]
     entries = [
-        [Entry(codec.encode(r), (0, codec.encode(r)[0]), r, i)]
-        for i, r in enumerate(rows)
+        [Entry(k, (0, k[0]), r, i)] for i, (k, r) in enumerate(zip(keys, rows))
     ]
     stats = ComparisonStats()
     tree = TreeOfLosers(

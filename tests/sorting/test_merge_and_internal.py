@@ -15,7 +15,7 @@ from repro.sorting.internal import (
     sort_baseline,
     tournament_sort,
 )
-from repro.sorting.merge import kway_merge, merge_tables
+from repro.sorting.merge import kway_merge
 
 rows2_st = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40)
 
@@ -80,27 +80,6 @@ def test_tournament_sort_comparison_bound():
     assert stats.row_comparisons <= 1.2 * n * math.log2(n)
     assert stats.row_comparisons >= lower_bound * 0.8
     assert stats.column_comparisons <= 1.5 * n * k
-
-
-def test_merge_tables_roundtrip():
-    schema = Schema.of("A", "B")
-    spec = SortSpec.of("A", "B")
-    t1 = Table(schema, [(1, 1), (3, 0)], spec)
-    t2 = Table(schema, [(0, 9), (3, 0)], spec)
-    merged = merge_tables([t1, t2])
-    assert merged.rows == [(0, 9), (1, 1), (3, 0), (3, 0)]
-    assert verify_ovcs(merged.rows, merged.ovcs, (0, 1))
-
-
-def test_merge_tables_rejects_mismatched_schemas():
-    import pytest
-
-    schema = Schema.of("A", "B")
-    spec = SortSpec.of("A", "B")
-    t1 = Table(schema, [], spec)
-    t2 = Table(Schema.of("A", "C"), [], SortSpec.of("A", "C"))
-    with pytest.raises(ValueError):
-        merge_tables([t1, t2])
 
 
 def test_descending_direction():

@@ -107,6 +107,32 @@ def test_cli_serve_exits_after_duration(capsys):
     assert "warmed" in out
 
 
+def test_cli_serve_load_prints_summary_and_writes_record(capsys, tmp_path):
+    import json
+
+    from repro.obs import METRICS
+
+    path = tmp_path / "serve.json"
+    try:
+        assert main(
+            ["serve", "--load", "--log2-rows", "8", "--json", str(path)]
+        ) == 0
+    finally:
+        METRICS.disable()
+        METRICS.reset()
+    out = capsys.readouterr().out
+    record = json.loads(path.read_text())
+    assert record["fidelity_ok"] and record["threads"] == 16
+    assert record["executions"] < record["requests"]
+    assert record["uncached"]["coalesced_requests"] > 0
+    assert "order service, duplicate-heavy closed loop" in out
+    assert (
+        f"{record['requests']} requests: {record['cache_hits']} hits, "
+        f"{record['executions']} executions" in out
+    )
+    assert "coalesced_uncached" in out and f"wrote {path}" in out
+
+
 def test_cli_serve_endpoints_respond(capsys):
     import json
     import threading

@@ -10,7 +10,6 @@ from repro.model import (
     SortColumn,
     SortSpec,
     Table,
-    denormalize_value,
     normalize_value,
 )
 
@@ -82,8 +81,12 @@ class TestDesc:
         assert Desc("a") != Desc("b")
 
     def test_normalize_round_trip(self):
-        for value, asc in ((5, False), ("x", False), (3.5, False), (7, True)):
-            assert denormalize_value(normalize_value(value, asc), asc) == value
+        # Normalized values sort in the column's direction: the order
+        # of any two values is kept ascending and inverted descending.
+        for lo, hi in ((5, 7), ("x", "y"), (3.5, 4.0), (False, True)):
+            for asc in (True, False):
+                a, b = normalize_value(lo, asc), normalize_value(hi, asc)
+                assert (a < b) == asc and (b < a) != asc
 
     def test_normalize_int_fast_path(self):
         assert normalize_value(5, False) == -5
