@@ -11,6 +11,7 @@ shape assertions over collected wall times.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -56,6 +57,9 @@ def test_fig11_shape(n_rows_small):
         table = fig11_table(n_rows_small, n_segments, seed=0)
         for method in FIG11_METHODS:
             stats = ComparisonStats()
+            # Earlier tests' garbage must not be collected inside one
+            # method's single-shot timing (timeit keeps it out likewise).
+            gc.collect()
             start = time.perf_counter()
             run_fig11_cell(table, method, stats)
             timings[(n_segments, method)] = time.perf_counter() - start

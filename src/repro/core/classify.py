@@ -73,6 +73,7 @@ def split_segments(
     one segment.  ``candidates``, when given, are ascending positions
     known to include every segment start (:func:`head_positions` for
     any boundary of at least ``prefix_len``); only they are inspected.
+    Without them the starts come from one C-level scan of the offsets.
     """
     n = len(ovcs) if n_rows is None else n_rows
     if n == 0:
@@ -80,8 +81,10 @@ def split_segments(
     if prefix_len == 0:
         yield (0, n)
         return
+    if candidates is None:
+        candidates = head_positions(code_offsets(ovcs), prefix_len)
     start = 0
-    for i in range(1, n) if candidates is None else candidates:
+    for i in candidates:
         if i and ovcs[i][0] < prefix_len:
             yield (start, i)
             start = i

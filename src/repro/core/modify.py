@@ -214,6 +214,9 @@ def _modify(
     n = len(table.rows)
     strategy = _resolve_strategy(plan, method, n, offsets)
     name = strategy.name.lower()
+    segmented = strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED)
+    if offsets is None and segmented and use_ovc and table.ovcs:
+        offsets = code_offsets(table.ovcs)
     out_ovcs: list[tuple] | None = [] if use_ovc else None
     fallback = False
 
@@ -238,8 +241,11 @@ def _modify(
             )
         # Segment boundaries are computed exactly once per call, before
         # an executor is bound, so auto's fallback reuses them.
-        if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED):
-            boundaries = _segments(table, plan, use_ovc, stats, heads)
+        if segmented:
+            starts = heads
+            if starts is None and offsets is not None and use_ovc:
+                starts = head_positions(offsets, plan.prefix_len)
+            boundaries = _segments(table, plan, use_ovc, stats, starts)
         else:
             boundaries = [(0, n)] if n else []  # one pass over the input
         out_rows = []
@@ -443,8 +449,9 @@ def _resolve_strategy(
 
 def _segments(table, plan, use_ovc, stats, heads=None):
     """Segment boundaries — from codes when available (inspecting only
-    ``heads`` when the caller has them), else by comparing prefix
-    columns of adjacent rows (counted)."""
+    ``heads``, positions that include every segment start, when the
+    caller has them), else by comparing prefix columns of adjacent rows
+    (counted)."""
     with TRACER.span("modify.classify", prefix_len=plan.prefix_len) as sp:
         boundaries = _segment_boundaries(table, plan, use_ovc, stats, heads)
         sp.set(segments=len(boundaries))

@@ -13,12 +13,14 @@ every row's sort key folded into a **single machine word**
 (:mod:`repro.fastpath.packed`: each key column normalized once per
 table, whole columns packed at a time), executed by **batch kernels**
 over parallel lists (:mod:`repro.fastpath.kernels`) — stable ``sorted``
-over packed keys for segment sorting, and for pre-existing runs the
-same stable sort on the packed *restricted* key, which Timsort
-executes as a galloping natural-run merge in C, with duplicate/tail
-rows moving behind their predecessors as slices.  Outputs (rows *and*
-offset-value codes) are bit-identical to the reference engine; the
-differential suite in ``tests/fastpath/`` enforces that.
+over packed keys for segment sorting, with each output code read off
+two adjacent packed words, and for pre-existing runs the same stable
+sort on the packed *restricted* key, which Timsort executes as a
+galloping natural-run merge in C, with duplicate/tail rows moving
+behind their predecessors as slices (a merge input too short on such
+rows is segment-sorted on its full output key instead).  Outputs (rows
+*and* offset-value codes) are bit-identical to the reference engine;
+the differential suite in ``tests/fastpath/`` enforces that.
 
 Select it via ``modify_sort_order(..., config=
 ExecutionConfig(engine="fast"))``, or let ``engine="auto"`` pick it

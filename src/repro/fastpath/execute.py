@@ -16,6 +16,9 @@ straight out of the source rows; otherwise the keys are projected and
 normalized up front (:func:`project_keys`).  A key column the packer
 cannot rank raises ``TypeError`` here, before any row moves.
 
+Binding picks the kernel too: the chunked merge for a merge input with
+``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, else the segment sort.
+
 A stable sort's result is a permutation of its input, and the kernels
 have it in hand before they gather a row.  A bound ``run`` appends it
 to the caller's ``perm`` list (indices into the input rows, parallel to
@@ -27,15 +30,18 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
 from ..core.classify import code_offsets, head_positions
 from ..model import Table
 from ..sorting.merge import _key_projector
-from .kernels import CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs, fast_sort_segment
-from .packed import key_fields, pack_fields, table_fields
+from .kernels import (
+    BOOK_MIN_ROWS_PER_VALUE, CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs,
+    fast_sort_segment,
+)
+from .packed import key_fields, pack_fields, table_books, table_fields
 
 
 def project_keys(
@@ -89,11 +95,21 @@ def bind(
         if strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED) else 0
     )
     start = min(p, k_out)
-    # Runs are sorted on the output columns up to the merge-key
-    # boundary: that restricted key is all a merge compares.  Without
-    # segments, runs are distinct (P, X) combinations and it starts at
-    # column 0.
-    stop = plan.prefix_len + plan.merge_len if merging else k_out
+    stop = k_out
+    if merging:
+        if heads is None:
+            heads = head_positions(
+                code_offsets(ovcs),
+                plan.prefix_len + plan.infix_len + plan.merge_len,
+            )
+        # Runs are sorted on the output columns up to the merge-key
+        # boundary: that restricted key is all a chunked merge compares
+        # (from column 0 without segments).  With too few bypass rows
+        # to move as slices, the segment sort on the full output key
+        # runs instead: its stable order is the merge's own.
+        merging = len(heads) * CHUNK_MIN_ROWS_PER_HEAD <= len(rows)
+        if merging:
+            stop = plan.prefix_len + plan.merge_len
     if all(directions):
         keysrc = rows
         colpos = list(positions)
@@ -106,6 +122,42 @@ def bind(
         colpos = list(range(k_out))
         fields = key_fields(keysrc, colpos[start:stop], {})
     packed = pack_fields(fields, len(rows))
+    pos0 = colpos[0]
+
+    if not merging:
+        if isinstance(packed, array):
+            # Every word is read twice: list items are ready objects,
+            # array items are made per read (a chunked merge reads only
+            # its heads, so the array serves it).
+            packed = packed.tolist()
+        plain = booked = _code_table(fields, colpos, start)
+        if table is not None and keysrc is rows:
+            spans = table_books(table, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
+            if any(spans):
+                booked = _code_table(fields, colpos, start, spans)
+                snapshot = table._facts().rows
+        # A segment of more rows than possible packed words is mostly
+        # duplicates: a book would not repay checking its rows.
+        words = 1 << sum(bits for _, bits in fields)
+        own = None  # whether rows are the snapshot's tuples: checked once
+
+        def run(lo, hi, out_rows, out_ovcs, out_perm=None):
+            nonlocal own
+            codes = plain
+            if booked is not plain and words >= hi - lo:
+                if own is None:
+                    own = len(rows) == len(snapshot) and all(
+                        map(is_, rows, snapshot)
+                    )
+                if own:
+                    codes = booked
+            fast_sort_segment(
+                rows, ovcs, keysrc, packed, codes, pos0, lo, hi, p, k_out,
+                out_rows, out_ovcs, out_perm,
+            )
+
+        return run
+
     # The columns where two rows of this input can differ: a packed
     # column unless constant (zero-width field), any column behind.
     varying = [
@@ -113,23 +165,6 @@ def bind(
         for d in range(start, k_out)
         if d >= stop or fields[d - start][1]
     ]
-    pos0 = colpos[0]
-
-    if not merging:
-        packed = _listed(packed)
-
-        def run(lo, hi, out_rows, out_ovcs, out_perm=None):
-            fast_sort_segment(
-                rows, ovcs, keysrc, packed, varying, pos0, lo, hi, p, k_out,
-                out_rows, out_ovcs, out_perm,
-            )
-
-        return run
-
-    if heads is None:
-        heads = head_positions(code_offsets(ovcs), stop + plan.infix_len)
-    if len(heads) * CHUNK_MIN_ROWS_PER_HEAD > len(rows):
-        packed = _listed(packed)
     respect_prefix = strategy is Strategy.COMBINED
 
     def run(lo, hi, out_rows, out_ovcs, out_perm=None):
@@ -142,11 +177,18 @@ def bind(
     return run
 
 
-def _listed(packed: Sequence[int]) -> Sequence[int]:
-    """``packed`` for a row-at-a-time kernel, which reads every word
-    twice: list items are ready objects, array items are made per read
-    (chunked input reads only its heads, so the array serves it)."""
-    return packed.tolist() if isinstance(packed, array) else packed
+def _code_table(fields, colpos, start, spans=None) -> list:
+    """XOR bit length -> ``(d, pd, cells, book)`` for key columns
+    ``start, ...`` packed as ``fields`` (most significant first; a
+    constant column owns no bit), with books for the columns that have
+    a value span (:func:`~repro.fastpath.packed.table_books`)."""
+    codes: list = [None]  # bit length 0: equal words, never looked up
+    for d in reversed(range(start, start + len(fields))):
+        cells, bits = fields[d - start]
+        span = None if spans is None else spans[d - start]
+        book = None if span is None else [(d, v) for v in span]
+        codes.extend([(d, colpos[d], cells, book)] * bits)
+    return codes
 
 
 def fast_sort(

@@ -2,55 +2,59 @@
 
 Both kernels operate on parallel lists — rows, paper-form input codes,
 key values, packed key ints — with no ``Entry`` objects and no
-per-comparison closures:
+per-comparison closures, and both emit codes equal to a fresh
+derivation against the output predecessor, which is what the reference
+tournament emits (its popped winners' codes are always relative to the
+previously popped winner):
 
-* :func:`fast_sort_segment` sorts one segment with ``sorted`` over the
-  packed post-prefix key (stable, single-int comparisons).
-* :func:`fast_merge_runs` stable-sorts the segment on the packed
-  *restricted* key (output columns up to the merge-key boundary).
-  That reproduces the reference tournament's order bit for bit: the
-  reference resolves restricted ties by run index, runs appear in input
-  order, and a stable sort preserves input order among equal keys — so
-  (restricted key, run, position-in-run) is exactly what ``sorted``
-  yields.  Better, CPython's Timsort *detects* the pre-existing runs as
-  its natural runs and merges them with galloping in C: the paper's
-  "merge pre-existing runs instead of sorting from scratch" maps onto
-  the one primitive the interpreter executes at full speed.  (A
-  ``heapq``-based k-way merge over the same packed codes gives the same
-  bits; Timsort's galloping beats the heap's per-row tuple churn.)
+* :func:`fast_sort_segment` stable-sorts one segment on its packed
+  post-prefix key and reads each code off two adjacent packed words:
+  the bit length of their XOR names the first column the rows differ
+  in.  Every row-wise segment runs it, including a merge input with
+  fewer than ``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, whose stable
+  sort on the full output key *is* the merge's order.
+* :func:`fast_merge_runs` stable-sorts only a segment's *heads* (Figure
+  6: segment head, run heads, merge rows) on the packed *restricted*
+  key (output columns up to the merge-key boundary) and moves the
+  duplicate/tail rows behind each head as one slice — they "bypass the
+  merge logic and immediately follow their predecessor".  The reference
+  resolves restricted ties by run index, runs appear in input order,
+  and a stable sort preserves input order among equal keys, so the
+  order is the tournament's bit for bit; and CPython's Timsort merges
+  the pre-existing runs as natural runs, with galloping, in C (a
+  ``heapq`` k-way merge gives the same bits, with per-row tuple
+  churn).  Heads behind their own run predecessor take the paper's O(1)
+  adjustment (offset drops by ``|X|`` — :mod:`repro.core.adjust`);
+  only cross-run adjacencies scan key values, over ``varying``.
 
-Key values are read through ``keysrc`` + ``varying``: ``keysrc`` is
-either the projected normalized key tuples or — in the all-ascending
-case — the source rows themselves, and ``varying`` pairs each
-non-constant key column ``d`` with its index ``pd`` into a ``keysrc``
-entry (``pd == d`` for key tuples, ``pd == positions[d]`` for rows).
-Reading rows directly skips the per-row key-tuple projection, the
-largest fixed cost of small segments.
-
-Output offset-value codes are reconstructed without the tournament:
-rows that follow their own run predecessor reuse the paper's O(1) code
-adjustments (offset drops by ``|X|`` for merge rows, positional mapping
-for duplicate/tail rows — :mod:`repro.core.adjust`); only cross-run
-adjacencies fall back to a resumed scan of the two key tuples, visiting
-just the columns that vary at all in this input.  Either way the result
-equals a fresh derivation against the output predecessor, which is what
-the reference tournament emits (its popped winners' codes are always
-relative to the previously popped winner).
-
-Figure 6's duplicate/tail rows "bypass the merge logic and immediately
-follow their predecessor", and the merge kernel takes that literally
-wherever such rows are at least half of a segment: only the other rows
-(*heads*: segment head, run heads, merge rows) are sorted and coded,
-and each moves the bypass rows behind it as one slice of rows and one
-slice of codes (:func:`_merge_chunks`).
+Key values are read through ``keysrc``: the projected normalized key
+tuples, or — all keys ascending — the source rows themselves, indexed
+by ``pd`` (``pd == d`` for key tuples, ``pd == positions[d]`` for
+rows), which skips the per-row key-tuple projection.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Sequence
 
 from ..core.analysis import ModificationPlan
 from ..obs import TRACER
+
+#: Per-segment spans only when someone is watching: the fast path's
+#: point is speed, so the disabled cost stays one attribute check.
+_NO_SPAN = nullcontext()
+
+#: A merge input takes the chunk path when it holds at least this many
+#: rows per head; below that, slicing per head costs more than coding
+#: every row, and the input is sorted on its full output key instead
+#: (measured, see docs/ALGORITHMS.md).
+CHUNK_MIN_ROWS_PER_HEAD = 2
+
+#: A key column's codes come from a book of shared code tuples when it
+#: holds at least this many rows per possible value (measured, see
+#: docs/ALGORITHMS.md).
+BOOK_MIN_ROWS_PER_VALUE = 2
 
 
 def fast_sort_segment(
@@ -58,100 +62,71 @@ def fast_sort_segment(
     ovcs: Sequence[tuple] | None,
     keysrc: Sequence[tuple],
     packed: Sequence[int],
-    varying: Sequence[tuple],
+    codes: Sequence[tuple],
     pos0: int,
     lo: int,
     hi: int,
-    prefix_len: int,
-    output_arity: int,
+    p: int,
+    k_out: int,
     out_rows: list[tuple],
     out_ovcs: list[tuple],
     out_perm: list[int] | None = None,
 ) -> None:
-    """Sort rows ``[lo, hi)`` (one segment) on the desired order.
+    """Sort rows ``[lo, hi)`` (one segment, shared prefix ``p`` of the
+    ``k_out`` output key columns) on the desired order.
 
-    ``packed`` holds each row's post-prefix output key folded into one
-    int; ``keysrc``/``varying`` give access to the normalized key
-    values (consulted only to reconstruct codes; ``pos0`` indexes key
-    column 0).  Mirrors :func:`repro.core.segmented.sort_segment` with
-    ``use_ovc=True``.
+    ``codes[(a ^ b).bit_length()]`` for two rows' differing ``packed``
+    words is ``(d, pd, cells, book)``: the first column ``d`` they
+    differ in, its index ``pd`` into a ``keysrc`` entry and, for a
+    column with a code book, the shared code ``book[cells[i]]`` of row
+    ``i`` (``pos0`` indexes key column 0).  Mirrors
+    :func:`repro.core.segmented.sort_segment` with ``use_ovc=True``.
 
     A stable sort's output *is* a permutation of its input — the
     ``order`` list the rows are gathered through.  With ``out_perm``
     the kernel also appends it (indices into ``rows``, parallel to
     ``out_rows``): what the order cache keeps of a result in place of a
-    second row list.  Callers that will not install pass ``None`` and
-    pay nothing.
+    second row list.
     """
     if hi <= lo:
         return
-    if TRACER.enabled:
-        # Per-segment spans only when someone is watching: the fast
-        # path's point is speed, so the disabled cost must stay at this
-        # one attribute check.
-        with TRACER.span("fastpath.sort_segment", rows=hi - lo):
-            _fast_sort_segment(
-                rows, ovcs, keysrc, packed, varying, pos0, lo, hi,
-                prefix_len, output_arity, out_rows, out_ovcs, out_perm,
-            )
-        return
-    _fast_sort_segment(
-        rows, ovcs, keysrc, packed, varying, pos0, lo, hi,
-        prefix_len, output_arity, out_rows, out_ovcs, out_perm,
-    )
+    with TRACER.span(
+        "fastpath.sort_segment", rows=hi - lo
+    ) if TRACER.enabled else _NO_SPAN:
+        if p >= k_out:
+            # Shared prefix covers the whole desired key: all rows are
+            # duplicates under the new order; copy through.
+            out_rows.extend(rows[lo:hi])
+            if out_perm is not None:
+                out_perm.extend(range(lo, hi))
+            out_ovcs.append(ovcs[lo])
+            out_ovcs.extend([(k_out, 0)] * (hi - lo - 1))
+            return
 
-
-def _fast_sort_segment(
-    rows, ovcs, keysrc, packed, varying, pos0, lo, hi,
-    prefix_len, output_arity, out_rows, out_ovcs, out_perm=None,
-) -> None:
-    p = prefix_len
-    k_out = output_arity
-
-    if p >= k_out:
-        # Shared prefix covers the whole desired key: all rows are
-        # duplicates under the new order; copy through.
-        out_rows.extend(rows[lo:hi])
+        order = sorted(range(lo, hi), key=packed.__getitem__)
+        out_rows.extend(map(rows.__getitem__, order))
         if out_perm is not None:
-            out_perm.extend(range(lo, hi))
-        out_ovcs.append(ovcs[lo])
-        out_ovcs.extend([(k_out, 0)] * (hi - lo - 1))
-        return
+            out_perm.extend(order)
 
-    order = sorted(range(lo, hi), key=packed.__getitem__)
-    out_rows.extend(map(rows.__getitem__, order))
-    if out_perm is not None:
-        out_perm.extend(order)
-
-    first = order[0]
-    # The segment's first output row inherits the saved segment-head
-    # code; with no prefix it is coded against the imaginary lowest row.
-    out_ovcs.append(ovcs[lo] if p > 0 else (0, keysrc[first][pos0]))
-    append = out_ovcs.append
-    duplicate = (k_out, 0)
-    prev_packed = packed[first]
-    prev_keys = keysrc[first]
-    for i in order[1:]:
-        pk = packed[i]
-        if pk == prev_packed:
-            # Equal packed suffix + shared segment prefix = duplicate.
-            append(duplicate)
-            continue
-        keys = keysrc[i]
-        for d, pd in varying:
-            if prev_keys[pd] != keys[pd]:
-                append((d, keys[pd]))
-                break
-        else:
-            append(duplicate)
-        prev_packed = pk
-        prev_keys = keys
-
-
-#: A segment takes the chunk path when it holds at least this many rows
-#: per head; below that, slicing per head costs more than the per-row
-#: loop it replaces (measured, see docs/ALGORITHMS.md).
-CHUNK_MIN_ROWS_PER_HEAD = 2
+        first = order[0]
+        # The segment's first output row inherits the saved segment-head
+        # code; with no prefix it is coded against the imaginary lowest
+        # row.
+        out_ovcs.append(ovcs[lo] if p > 0 else (0, keysrc[first][pos0]))
+        append = out_ovcs.append
+        duplicate = (k_out, 0)
+        prev = packed[first]
+        for i in order[1:]:
+            pk = packed[i]
+            if pk == prev:
+                # Equal packed suffix + shared segment prefix = duplicate.
+                append(duplicate)
+                continue
+            # The highest differing bit lies in the first column the two
+            # rows differ in: its code is one table read away.
+            d, pd, cells, book = codes[(pk ^ prev).bit_length()]
+            append((d, keysrc[i][pd]) if book is None else book[cells[i]])
+            prev = pk
 
 
 def fast_merge_runs(
@@ -170,104 +145,36 @@ def fast_merge_runs(
     respect_prefix: bool = True,
     out_perm: list[int] | None = None,
 ) -> None:
-    """Merge the pre-existing runs of rows ``[lo, hi)`` into the output.
-
-    With ``out_perm``, the output rows' indices into ``rows`` are
-    appended to it as well (see :func:`fast_sort_segment`).
+    """Merge the pre-existing runs of rows ``[lo, hi)`` into the output
+    (and their indices to ``out_perm``, see :func:`fast_sort_segment`).
 
     ``packed`` holds each row's restricted key — output key columns
-    ``[head_offset, |P|+|M|)`` — folded into one int; ``keysrc``/
-    ``varying`` give access to the normalized key values of the
-    non-constant output key columns at or beyond ``head_offset``
-    (``pos0`` indexes key column 0).  Within the restricted region runs
-    are sorted streams and run order equals input order, so the stable
-    sort on packed keys reproduces the reference tournament's output
-    exactly (see module docstring).  Mirrors
-    :func:`repro.core.merge_runs.merge_preexisting_runs` with
-    ``use_ovc=True``.
-
-    ``heads`` are the ascending positions in ``[lo, hi)`` of the rows
-    Figure 6 sends through the merge logic — old offset below
-    ``|P|+|X|+|M|``: the segment head, run heads and merge rows.  Every
-    other row is a duplicate/tail row that "bypasses the merge logic
-    and immediately follows its predecessor".  Where such rows are at
-    least half of the segment, only the heads are sorted and coded and
-    each moves the rows behind it as one slice (:func:`_merge_chunks`);
-    otherwise every row takes the row-at-a-time loop
-    (:func:`_merge_rowwise`).  The choice reads nothing but this
-    segment's head count.
+    ``[head_offset, |P|+|M|)``; ``varying`` pairs each output key column
+    that can differ with its index into a ``keysrc`` entry; ``heads``
+    are the ascending positions in ``[lo, hi)`` of the rows whose old
+    offset is below ``|P|+|X|+|M|``.  Mirrors
+    :func:`repro.core.merge_runs.merge_preexisting_runs`.
     """
     if hi <= lo:
         return
     if not heads or heads[0] != lo:
         # The segment's first row leads a chunk whatever its code says.
         heads = [lo, *heads]
-    chunked = len(heads) * CHUNK_MIN_ROWS_PER_HEAD <= hi - lo
-    kernel = _merge_chunks if chunked else _merge_rowwise
     # out_ovcs stays in lockstep with the emitted rows, so its length
     # marks this segment's first output slot.
     first_out = len(out_ovcs)
-    if TRACER.enabled:
-        with TRACER.span(
-            "fastpath.merge_segment", rows=hi - lo, heads=len(heads),
-            chunked=chunked,
-        ):
-            kernel(rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-                   out_rows, out_ovcs, heads, out_perm)
-    else:
-        kernel(rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-               out_rows, out_ovcs, heads, out_perm)
+    with TRACER.span(
+        "fastpath.merge_segment", rows=hi - lo, heads=len(heads)
+    ) if TRACER.enabled else _NO_SPAN:
+        _merge_chunks(
+            rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+            out_rows, out_ovcs, heads, out_perm,
+        )
     if respect_prefix and plan.prefix_len > 0:
         # The segment's first output row inherits the code saved from
         # the segment's first input row: both describe the same prefix
         # difference against the preceding segment.
         out_ovcs[first_out] = ovcs[lo]
-
-
-def _merge_rowwise(
-    rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
-    out_rows, out_ovcs, heads, out_perm,
-) -> None:
-    """Sort and code every row of the segment, one at a time."""
-    x = plan.infix_len
-    duplicate = (plan.output_arity, 0)
-    dropped = plan.infix_dropped
-    run_boundary = plan.prefix_len + x
-    dup_boundary = run_boundary + plan.merge_len
-    tail_boundary = dup_boundary + plan.tail_len
-
-    order = sorted(range(lo, hi), key=packed.__getitem__)
-    out_rows.extend(map(rows.__getitem__, order))
-    if out_perm is not None:
-        out_perm.extend(order)
-
-    out_ovcs.append((0, keysrc[order[0]][pos0]))
-    append = out_ovcs.append
-    prev = order[0]
-    for i in order[1:]:
-        if prev == i - 1 and ovcs[i][0] >= run_boundary:
-            # The output predecessor is this row's own run predecessor:
-            # the old code adjusts without touching any column value.
-            offset, value = ovcs[i]
-            if offset < dup_boundary:
-                # Merge row: the infix left its place between the
-                # prefix and the merge keys; offset drops by |X|.
-                append((offset - x, value))
-            elif dropped or offset >= tail_boundary:
-                append(duplicate)
-            else:
-                # Tail row: same key position in input and output.
-                append((offset, value))
-        else:
-            prev_keys = keysrc[prev]
-            keys = keysrc[i]
-            for d, pd in varying:
-                if prev_keys[pd] != keys[pd]:
-                    append((d, keys[pd]))
-                    break
-            else:
-                append(duplicate)
-        prev = i
 
 
 def _merge_chunks(

@@ -135,6 +135,37 @@ def table_fields(table, columns: Sequence[int]) -> list[Field]:
     return key_fields(facts.rows, columns, memo)
 
 
+def table_books(table, columns: Sequence[int], min_rows: int) -> list:
+    """Per column of ``table``'s own rows: the ``range`` of its values
+    when a code book may serve it, else ``None``.
+
+    Only a column whose values are all exactly ``int`` qualifies (``1``,
+    ``1.0`` and ``True`` are equal but must never share a code), with
+    at most one value per ``min_rows`` rows.  Decided from the memo
+    record's snapshot on the column's second use (a table ordered once
+    pays nothing).  A book's codes carry the snapshot's values, so they
+    may code only rows that are the snapshot's own tuples: the record's
+    witness compares rows by value and cannot tell ``1`` from ``1.0``.
+    """
+    facts = table._facts()
+    memo = facts.books
+    if memo is None:
+        memo = facts.books = {}
+    spans = []
+    for pc in columns:
+        span = memo.get(pc, False)
+        if span is False and pc in memo:
+            values = list(map(itemgetter(pc), facts.rows))
+            span = None
+            if set(map(type, values)) == {int}:
+                low, high = min(values), max(values)
+                if (high - low + 1) * min_rows <= len(values):
+                    span = range(low, high + 1)
+        memo[pc] = span
+        spans.append(span or None)
+    return spans
+
+
 def pack_fields(fields: Sequence[Field], n: int) -> Sequence[int]:
     """One int per row that orders like the rows' field tuples.
 

@@ -268,18 +268,21 @@ class _Facts:
     :func:`repro.cache.fingerprint.fingerprint_table`, ``fields``
     (column position -> that column's order-preserving surrogate array
     and bit width, one entry per key column a fast kernel has packed so
-    far) by :func:`repro.fastpath.packed.table_fields`.  Each depends only on
-    the row multiset, its arrangement and the schema — what the witness
-    guards.
+    far) by :func:`repro.fastpath.packed.table_fields`, ``books`` (the
+    key columns a code book may serve) by its ``table_books``.  Each
+    depends only on the row multiset, its arrangement and the schema —
+    what the witness guards; a book also needs the rows' exact types,
+    so its user checks them by row identity.
     """
 
-    __slots__ = ("rows", "schema", "fingerprint", "fields")
+    __slots__ = ("rows", "schema", "fingerprint", "fields", "books")
 
     def __init__(self, rows, schema: Schema) -> None:
         self.rows = rows
         self.schema = schema
         self.fingerprint = None
         self.fields = None
+        self.books = None
 
 
 @dataclass

@@ -118,17 +118,8 @@ def project_ovc(ovc: tuple, new_arity: int) -> tuple:
 def project_ovcs(
     ovcs: Sequence[tuple], new_arity: int
 ) -> list[tuple]:
-    """:func:`project_ovc` over a whole code list."""
-    return [project_ovc(ovc, new_arity) for ovc in ovcs]
-
-
-def segment_boundaries(
-    ovcs: Sequence[tuple], prefix_len: int
-) -> list[int]:
-    """Indices of segment-first rows: offsets below ``prefix_len``.
-
-    This is the paper's comparison-free segment detection — only the
-    cached codes are inspected, never the column values.
-    """
-    return [i for i, (offset, _value) in enumerate(ovcs) if offset < prefix_len]
-
+    """:func:`project_ovc` over a whole code list, with no call per row
+    (a kept code is the input's own tuple: ``1``, ``1.0``, ``True``
+    never merge)."""
+    duplicate = (new_arity, 0)
+    return [duplicate if ovc[0] >= new_arity else ovc for ovc in ovcs]

@@ -7,10 +7,10 @@ just a correct sort.  The generators mirror
 ``tests/test_fuzz_differential.py`` so the two suites cover the same
 input distribution.
 
-The merge kernels move duplicate/tail rows behind their predecessor as
-slices wherever such rows are at least half of a segment, and code row
-by row elsewhere; the domain shapes put segments on both sides of that
-choice, the cases cover all three tail mappings (positional: cases
+The merge kernel moves duplicate/tail rows behind their predecessor as
+slices wherever such rows are at least half of the input, which is
+otherwise sorted on its full output key by the segment-sort kernel;
+the domain shapes put inputs on both sides of that choice, the cases cover all three tail mappings (positional: cases
 3/5/7; dropped infix: 2/4/6; clamped: ``CLAMPED``), and every
 comparison also runs through the permutation-emitting entry point.
 Both engines hand back the input's own tuple objects, which is what
@@ -30,7 +30,7 @@ from repro.engine.modify_op import StreamingModify
 from repro.engine.scans import TableScan
 from repro.exec import ExecutionConfig
 from repro.engine.sort_op import Sort
-from repro.fastpath import kernels
+from repro.fastpath import execute
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.ovc.stats import ComparisonStats
@@ -79,13 +79,17 @@ FAST = ExecutionConfig(engine="fast")
 REFERENCE = ExecutionConfig(engine="reference")
 
 
-def _make_table(in_columns, seed, n, desc=False, strings=False):
+def _make_table(in_columns, seed, n, desc=False, strings=False, mixed=False):
     rng = random.Random(seed)
     shape = SHAPES[seed % len(SHAPES)]
 
     def cell(c, d):
         v = rng.randrange(d)
-        return f"s{v:03d}" if (strings and c == 1) else v
+        if c == 1 and strings:
+            return f"s{v:03d}"
+        if c == 1 and mixed and v == 1:
+            return rng.choice((1, 1.0, True))  # equal, three types
+        return v
 
     cols = [f"{c} DESC" if (desc and i == 1) else c for i, c in enumerate(in_columns)]
     spec = SortSpec(cols)
@@ -109,7 +113,7 @@ def _assert_identical(table, spec, method):
         return
     fast = modify_sort_order(table, spec, method=method, config=FAST)
     assert fast.rows == ref.rows
-    assert fast.ovcs == ref.ovcs
+    assert _typed(fast.ovcs) == _typed(ref.ovcs)
     _assert_inputs_own_rows(table, ref, fast)
     plan = analyze_order_modification(table.sort_spec, spec)
     if method == "auto" and not plan.backward:
@@ -119,12 +123,18 @@ def _assert_identical(table, spec, method):
                 want_perm=True,
             )
             assert done.table.rows == ref.rows
-            assert done.table.ovcs == ref.ovcs
+            assert _typed(done.table.ovcs) == _typed(ref.ovcs)
             _assert_inputs_own_rows(table, done.table)
             if config is FAST:
                 # Every strategy emits its output as a permutation on
                 # request.
                 assert [table.rows[i] for i in done.perm] == ref.rows
+
+
+def _typed(ovcs):
+    """Codes compared type-strictly: ``1``, ``1.0`` and ``True`` are
+    equal values but different codes."""
+    return [(offset, type(value), value) for offset, value in ovcs]
 
 
 def _assert_inputs_own_rows(table, *results):
@@ -151,12 +161,13 @@ def test_table1_cases_bit_identical(case, method, seed):
 )
 def test_both_sides_of_the_head_count_threshold(monkeypatch, singles, chunked):
     """Exactly two rows per head moves slices; one more head and the
-    segment is coded row by row — same bits either way."""
+    merge input is sorted on its full output key by the segment-sort
+    kernel — same bits either way."""
     ran = []
-    for name in ("_merge_chunks", "_merge_rowwise"):
-        real = getattr(kernels, name)
+    for name in ("fast_merge_runs", "fast_sort_segment"):
+        real = getattr(execute, name)
         monkeypatch.setattr(
-            kernels, name,
+            execute, name,
             lambda *a, _real=real, _name=name: ran.append(_name) or _real(*a),
         )
     rows = [(a, b, 0, 0) for a in range(6) for b in range(10)] * 2
@@ -165,7 +176,7 @@ def test_both_sides_of_the_head_count_threshold(monkeypatch, singles, chunked):
     in_spec = SortSpec(("A", "B"))
     table = Table(SCHEMA, rows, in_spec, derive_ovcs(rows, in_spec.positions(SCHEMA)))
     _assert_identical(table, SortSpec(("B", "A")), "merge_runs")
-    assert set(ran) == {"_merge_chunks" if chunked else "_merge_rowwise"}
+    assert set(ran) == {"fast_merge_runs" if chunked else "fast_sort_segment"}
 
 
 @pytest.mark.parametrize("case", sorted(TABLE1))
@@ -185,6 +196,31 @@ def test_string_columns_bit_identical(case):
     in_cols, out_cols = TABLE1[case]
     table = _make_table(in_cols, 2, n=500, strings=True)
     _assert_identical(table, SortSpec(out_cols), "auto")
+
+
+@pytest.mark.parametrize("case", sorted(TABLE1))
+@pytest.mark.parametrize("method", METHODS)
+def test_mixed_numeric_column_type_strict(case, method):
+    """A key column mixing ``1``, ``1.0`` and ``True`` beside plain-int
+    columns: every code value keeps its own row's type.  Plain-int
+    columns get code books on a table's second use, so each order runs
+    twice; a book keyed by value alone would hand the ``1.0`` and
+    ``True`` rows the ``int`` code.  The oracle is stable ``sorted()``
+    plus fresh codes: the reference merge takes a retained infix
+    column's code value from another row of the same run (cases 5 and
+    7), so it is not type-strict here."""
+    in_cols, out_cols = TABLE1[case]
+    table = _make_table(in_cols, 0, n=700, mixed=True)
+    spec = SortSpec(out_cols)
+    rows = sorted(table.rows, key=spec.key_for(SCHEMA))
+    want = _typed(derive_ovcs(rows, spec.positions(SCHEMA), spec.directions))
+    for _ in range(2):
+        try:
+            fast = modify_sort_order(table, spec, method=method, config=FAST)
+        except ValueError:
+            return  # the method does not apply to this case
+        assert list(map(id, fast.rows)) == list(map(id, rows))
+        assert _typed(fast.ovcs) == want
 
 
 # The paper's figure workloads: 2-, 8- and 16-column lists (Figure 10,

@@ -1,10 +1,12 @@
 """Column fields are remembered per table — and never outlive its rows.
 
 The fast kernels keep each key column's surrogates on the table's memo
-record (``Table._facts().fields``).  Every test here changes a served
-table between two requests in a way a stale field would get wrong, and
-checks the second answer against the one oracle: stable ``sorted()``
-plus freshly derived codes.
+record (``Table._facts().fields``), and beside them whether a code book
+may serve the column (``Table._facts().books``).  Every test here
+changes a served table between two requests in a way a stale field or
+book would get wrong, and checks the second answer against the one
+oracle: stable ``sorted()`` plus freshly derived codes, compared
+type-strictly.
 """
 
 from __future__ import annotations
@@ -35,18 +37,34 @@ def _rows(n=240):
     return [(i % 4, (i * 7) % 12, (i * 5) % 9) for i in range(n)]
 
 
+def _typed(ovcs):
+    return [(offset, type(value), value) for offset, value in ovcs]
+
+
 def _assert_oracle(table, order):
     spec = SortSpec.of(*order)
     got = modify_sort_order(table, spec, config=FAST)
     rows = sorted(table.rows, key=spec.key_for(table.schema))
     assert got.rows == rows
-    assert got.ovcs == derive_ovcs(rows, spec.positions(table.schema))
+    assert _typed(got.ovcs) == _typed(
+        derive_ovcs(rows, spec.positions(table.schema))
+    )
 
 
 def _edit_in_place(table):
     # Last row of the table: a B beyond every remembered surrogate.
     a, _, c = table.rows[-1]
     table.rows[-1] = (a, 99, c)
+
+
+def _retype_in_place(table):
+    # Equal values of other types: the rows still compare equal to the
+    # memo's snapshot, so the fields stay — but no code may keep the
+    # remembered ``int``.
+    table.rows[:] = [
+        (a, True if b == 1 else b, float(c) if c == 2 else c)
+        for a, b, c in table.rows
+    ]
 
 
 def _append(table):
@@ -65,17 +83,41 @@ def _swap_schema(table):
 
 
 @pytest.mark.parametrize(
-    "change", [_edit_in_place, _append, _reassign, _swap_schema],
+    "change",
+    [_edit_in_place, _retype_in_place, _append, _reassign, _swap_schema],
     ids=lambda f: f.__name__.strip("_"),
 )
 @pytest.mark.parametrize("order", ["BAC", "ACB", "CBA"])
 def test_second_request_sees_the_changed_rows(change, order):
     table = _source(_rows())
-    _assert_oracle(table, order)
+    for _ in range(2):  # the second request decides the code books
+        _assert_oracle(table, order)
     assert table._facts().fields  # the first request left fields behind
     change(table)
     table.ovcs = derive_ovcs(table.rows, BASE.positions(table.schema))
-    _assert_oracle(table, order)
+    for _ in range(2):
+        _assert_oracle(table, order)
+
+
+@pytest.mark.parametrize(
+    "change", [_edit_in_place, _retype_in_place],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_a_booked_column_edited_in_place(change):
+    """Each plain-int column of few values gets a book on its second
+    use; after an in-place edit of a booked column the next codes carry
+    the new value, of the new type."""
+    table = _source(_rows())
+    for _ in range(2):
+        _assert_oracle(table, "CBA")
+    books = table._facts().books
+    assert {pc: (span.start, span.stop) for pc, span in books.items()} == {
+        0: (0, 4), 1: (0, 12), 2: (0, 9),
+    }
+    change(table)
+    table.ovcs = derive_ovcs(table.rows, BASE.positions(table.schema))
+    for _ in range(2):
+        _assert_oracle(table, "CBA")
 
 
 def test_equal_rows_keep_the_fields():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.classify import code_offsets, head_positions
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import (
     derive_ovcs,
     derive_table_ovcs,
     project_ovcs,
-    segment_boundaries,
     verify_ovcs,
 )
 from repro.ovc.stats import ComparisonStats
@@ -87,7 +87,7 @@ def test_projection_matches_fresh_derivation(rows, new_arity):
 def test_segment_boundaries_match_prefix_changes(rows, prefix_len):
     rows = sorted(rows)
     ovcs = derive_ovcs(rows, (0, 1, 2))
-    got = segment_boundaries(ovcs, prefix_len)
+    got = head_positions(code_offsets(ovcs), prefix_len)
     expected = [
         i
         for i in range(len(rows))
