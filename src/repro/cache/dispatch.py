@@ -47,6 +47,7 @@ from ..core.analysis import Strategy, analyze_order_modification
 from ..core.cost import CostModel, counts_to_structure
 from ..core.enforce import Enforced, enforce_order
 from ..exec.config import ExecutionConfig
+from ..fastpath.packed import gather
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, TRACER
 from ..ovc.stats import ComparisonStats
@@ -285,11 +286,11 @@ def _rebase(
         step = _perm_of(parent.rows, rows)
     if parent_perm is None:
         parent_perm = _perm_of(source_rows, parent.rows)
-    perm = list(map(list(parent_perm).__getitem__, step))
+    perm = gather(parent_perm, step)
     if ovcs is not None and _retiebreak(
         perm, list(map(itemgetter(0), ovcs)), spec.arity
     ):
-        rows = list(map(source_rows.__getitem__, perm))
+        rows = gather(source_rows, perm)
     return Table(parent.schema, rows, spec, ovcs), perm
 
 

@@ -19,14 +19,15 @@ its input, so an entry does not keep the rows: it keeps
 
 3-13 bytes a row (3.05 on the benchmark's orders at 2^12).  The row
 list and the ``(offset, value)`` tuple list readers are handed are a
-*memo* of that form — one ``map`` through ``perm`` over the rows the
-request's fingerprint hashed, one through ``ids`` over the book's
-tuples, each built once and shared by every row and response that
-carries it — kept while the budget has room and dropped for free when
-it has not.  An entry is therefore in one of three states: ``memo``
-(arrays and both lists: a read hands the lists out), ``flat`` (arrays:
-a read gathers both lists, ~0.35 ms at 2^12, outside the lock) or
-``spilled`` (a spill file: one small unpickle, then as ``flat``).
+*memo* of that form — one :func:`~repro.fastpath.packed.gather`
+through ``perm`` over the rows the request's fingerprint hashed, one
+through ``ids`` over the book's tuples, each built once and shared by
+every row and response that carries it — kept while the budget has room
+and dropped for free when it has not.  An entry is therefore in one of
+three states: ``memo`` (arrays and both lists: a read hands the lists
+out), ``flat`` (arrays: a read gathers both lists outside the lock,
+~0.13 ms at 2^12 on one thread) or ``spilled`` (a spill file: one small
+unpickle, then as ``flat``).
 
 The store is deliberately dumb about *how* entries get used: exact-hit
 serving, candidate selection, and the modify-from-cached-order dispatch
@@ -74,7 +75,7 @@ from operator import itemgetter
 
 from ..exec.memory import MemoryAccountant
 from ..exec.spill import SpillHandle, SpillManager
-from ..fastpath.packed import _word_array, pack_codes, unpack_codes
+from ..fastpath.packed import _word_array, gather, pack_codes, unpack_codes
 from ..model import Schema, SortSpec, Table
 from ..obs import METRICS
 from .fingerprint import Fingerprint
@@ -193,7 +194,7 @@ def _codes(ids, offsets, values) -> list[tuple]:
     """The ``(offset, value)`` list of a code book: every distinct code
     is built once and each row gets a reference to it."""
     book = unpack_codes(offsets, values)
-    return book if ids is None else list(map(book.__getitem__, ids))
+    return book if ids is None else gather(book, ids)
 
 
 def _offset_counts(ids, offsets, arity: int) -> tuple:
@@ -207,7 +208,7 @@ def _offset_counts(ids, offsets, arity: int) -> tuple:
         clamped = bytes(min(off, arity) for off in offsets)
         cells = ids.tobytes().translate(clamped.ljust(256, b"\0"))
     else:
-        cells = array(offsets.typecode, map(offsets.__getitem__, ids))
+        cells = array(offsets.typecode, gather(offsets, ids))
     if isinstance(cells, array) and cells.itemsize == 1 and arity <= 256:
         # bytes.count is a memchr; array.count boxes every cell.
         cells = cells.tobytes()
@@ -228,7 +229,7 @@ def _perm_of(source, rows: list) -> list[int]:
     where = dict(zip(map(id, source), range(len(source))))
     if len(where) == len(source):
         try:
-            return list(map(where.__getitem__, map(id, rows)))
+            return gather(where, list(map(id, rows)))
         except KeyError:
             pass
     slots: dict = defaultdict(deque)
@@ -392,7 +393,7 @@ class OrderCache:
             self._pressure(protect=entry)
         if snap.rows is not None:
             return snap
-        rows = list(map(fp.rows.__getitem__, perm))
+        rows = gather(fp.rows, perm)
         ovcs = _codes(*codes)
         with self._lock:
             headroom = self.accountant.headroom()

@@ -229,16 +229,16 @@ def _modify(
             perm.extend(range(n))
     else:
         # The rows Figure 6 sends through the merge logic, for the fast
-        # merge kernels; segment starts are among them.
+        # kernels' chunk path; segment starts are among them.
         heads: list[int] | None = None
         if (
             engine == "fast"
             and offsets is not None
             and strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
         ):
-            heads = head_positions(
-                offsets, plan.prefix_len + plan.infix_len + plan.merge_len
-            )
+            from ..fastpath.execute import chunk_heads
+
+            heads = chunk_heads(offsets, plan, n)
         # Segment boundaries are computed exactly once per call, before
         # an executor is bound, so auto's fallback reuses them.
         if segmented:
@@ -255,7 +255,7 @@ def _modify(
             run, engine, fallback = bind_strategy(
                 table, new_spec, plan, strategy, engine=engine,
                 stats=stats, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in,
-                heads=heads, forced=cfg.engine == "fast",
+                heads=heads, offsets=offsets, forced=cfg.engine == "fast",
             )
             sp.set(engine=engine, fallback=fallback)
             for lo, hi in boundaries:
@@ -285,6 +285,7 @@ def bind_strategy(
     use_ovc: bool = True,
     max_fan_in: int | None = None,
     heads: Sequence[int] | None = None,
+    offsets: Sequence[int] | None = None,
     forced: bool = False,
 ) -> tuple[Callable[..., None], str, bool]:
     """The one place an executor is chosen: ``(run, engine, fallback)``.
@@ -298,7 +299,8 @@ def bind_strategy(
     ``merge_preexisting_runs`` counting into ``stats`` with merge steps
     capped at ``max_fan_in``, or a tournament sort for an unordered
     input (``plan=None``).  ``heads`` are the merge kernels' head
-    positions when the caller has them.
+    positions when the caller has found the input chunked, ``offsets``
+    its code offsets when the caller has them.
     """
     rows, ovcs = table.rows, table.ovcs
     positions = spec.positions(table.schema)
@@ -309,7 +311,7 @@ def bind_strategy(
         try:
             run = bind(
                 rows, ovcs, positions, spec.directions, plan, strategy,
-                table, heads,
+                table, heads, offsets,
             )
         except TypeError:
             if forced:

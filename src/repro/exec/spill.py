@@ -7,9 +7,13 @@ actual memory budget.  :class:`SpillManager` is the real thing, used by
 the order cache for entries its budget cannot hold: a
 sorted run handed to :meth:`SpillManager.spill` is pickled to a file in
 the spill directory and its in-memory lists are released; reading the
-handle back restores it.  Spilled data is immutable, written once and
-read once, so plain pickle files (no paging, no random access) are the
-whole story.
+handle back restores it.  A file is written once and read once, so
+plain pickle files (no paging, no random access) are the whole story;
+a cache entry is not: its file goes on rehydrate and a new one is
+written on every re-spill (``serve_churn``: 178 spills, 134
+rehydrates).  Keeping the file across rehydrates bought no hit latency
+in 4 alternated probe pairs (EXPERIMENTS.md, "A cached order leaves the
+cache at C speed").
 
 Every spill and read is visible: spans ``exec.spill`` /
 ``exec.spill.read`` and counters ``exec.spill.runs`` /
@@ -30,17 +34,12 @@ from ..obs import LOG, METRICS, TRACER
 class SpillHandle:
     """One spilled run: a file plus enough metadata to restore it."""
 
-    __slots__ = ("path", "n_rows", "n_bytes", "category", "_manager")
+    __slots__ = ("path", "n_rows", "n_bytes")
 
-    def __init__(
-        self, manager: "SpillManager", path: str, n_rows: int,
-        n_bytes: int, category: str,
-    ) -> None:
-        self._manager = manager
+    def __init__(self, path: str, n_rows: int, n_bytes: int) -> None:
         self.path = path
         self.n_rows = n_rows
         self.n_bytes = n_bytes
-        self.category = category
 
     def read(self) -> tuple[list[tuple], list[tuple] | None]:
         """Load the run back; the file stays until :meth:`release`."""
@@ -73,8 +72,6 @@ class SpillManager:
     def __init__(self, spill_dir: str | None = None) -> None:
         self._parent = spill_dir
         self._dir: str | None = None
-        self.spilled_runs = 0
-        self.spilled_bytes = 0
 
     @property
     def directory(self) -> str:
@@ -97,8 +94,6 @@ class SpillManager:
             with open(path, "wb") as fh:
                 pickle.dump((rows, ovcs), fh, protocol=pickle.HIGHEST_PROTOCOL)
             n_bytes = os.path.getsize(path)
-        self.spilled_runs += 1
-        self.spilled_bytes += n_bytes
         if METRICS.enabled:
             METRICS.counter("exec.spill.runs").inc()
             METRICS.counter("exec.spill.bytes_written").inc(n_bytes)
@@ -109,7 +104,7 @@ class SpillManager:
                 bytes=n_bytes,
                 category=category,
             )
-        return SpillHandle(self, path, len(rows), n_bytes, category)
+        return SpillHandle(path, len(rows), n_bytes)
 
     def cleanup(self) -> None:
         """Remove the spill directory and everything in it (idempotent)."""

@@ -13,8 +13,8 @@ source is a table's own rows, built for the call otherwise) are shared
 by every segment the bound ``run`` is then called on.  When every
 output key column is ascending, fields and kernels read key values
 straight out of the source rows; otherwise the keys are projected and
-normalized up front (:func:`project_keys`).  A key column the packer
-cannot rank raises ``TypeError`` here, before any row moves.
+normalized up front.  A key column the packer cannot rank raises
+``TypeError`` here, before any row moves.
 
 Binding picks the kernel too: the chunked merge for a merge input with
 ``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, else the segment sort.
@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from operator import is_, itemgetter
+from operator import is_
 from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
-from ..core.classify import code_offsets, head_positions
+from ..core.classify import code_offsets, count_below, head_positions
 from ..model import Table
 from ..sorting.merge import _key_projector
 from .kernels import (
@@ -42,27 +42,6 @@ from .kernels import (
     fast_sort_segment,
 )
 from .packed import key_fields, pack_fields, table_books, table_fields
-
-
-def project_keys(
-    rows: Sequence[tuple],
-    positions: Sequence[int],
-    directions: Sequence[bool],
-) -> list[tuple]:
-    """All rows' normalized sort-key tuples, batch-projected.
-
-    The all-ascending common case runs through ``operator.itemgetter``
-    (no per-row Python frame); mixed directions fall back to the shared
-    normalizing projector.
-    """
-    if all(directions):
-        if len(positions) == 1:
-            pos = positions[0]
-            return [(row[pos],) for row in rows]
-        get = itemgetter(*positions)
-        return list(map(get, rows))
-    project = _key_projector(positions, directions)
-    return [project(row) for row in rows]
 
 
 def bind(
@@ -74,6 +53,7 @@ def bind(
     strategy: Strategy,
     table: Table | None = None,
     heads: Sequence[int] | None = None,
+    offsets: Sequence[int] | None = None,
 ) -> Callable[..., None]:
     """Pack the key once; return ``strategy``'s kernel bound to this
     input as ``run(lo, hi, out_rows, out_ovcs, out_perm=None)``.
@@ -83,9 +63,11 @@ def bind(
     row index), no per-row key tuples are built, and with ``table``
     (whose rows they are) the column fields are the table's remembered
     ones.  Any descending column forces the projected-tuple path
-    (``colpos[d] == d``).  ``heads`` are the merge strategies' head
-    positions over the whole input when the caller already has them
-    (:func:`repro.core.classify.head_positions`).
+    (``colpos[d] == d``).  ``heads`` are a merge input's chunk heads
+    when the caller has found it chunked (:func:`chunk_heads`), and
+    ``offsets`` its code offsets when the caller has them
+    (:func:`~repro.core.classify.code_offsets`); without heads the
+    input is chunked only if :func:`chunk_heads` says so.
     """
     k_out = len(positions)
     merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
@@ -97,28 +79,31 @@ def bind(
     start = min(p, k_out)
     stop = k_out
     if merging:
-        if heads is None:
-            heads = head_positions(
-                code_offsets(ovcs),
-                plan.prefix_len + plan.infix_len + plan.merge_len,
-            )
         # Runs are sorted on the output columns up to the merge-key
         # boundary: that restricted key is all a chunked merge compares
         # (from column 0 without segments).  With too few bypass rows
         # to move as slices, the segment sort on the full output key
         # runs instead: its stable order is the merge's own.
-        merging = len(heads) * CHUNK_MIN_ROWS_PER_HEAD <= len(rows)
+        if heads is None:
+            heads = chunk_heads(
+                code_offsets(ovcs) if offsets is None else offsets,
+                plan, len(rows),
+            )
+        merging = heads is not None
         if merging:
             stop = plan.prefix_len + plan.merge_len
+    facts = None  # the table's memo record, read once
     if all(directions):
         keysrc = rows
         colpos = list(positions)
         if table is not None:
-            fields = table_fields(table, colpos[start:stop])
+            facts = table._facts()
+            fields = table_fields(facts, colpos[start:stop])
         else:
             fields = key_fields(rows, colpos[start:stop], {})
     else:
-        keysrc = project_keys(rows, positions, directions)
+        project = _key_projector(positions, directions)
+        keysrc = [project(row) for row in rows]
         colpos = list(range(k_out))
         fields = key_fields(keysrc, colpos[start:stop], {})
     packed = pack_fields(fields, len(rows))
@@ -131,11 +116,11 @@ def bind(
             # its heads, so the array serves it).
             packed = packed.tolist()
         plain = booked = _code_table(fields, colpos, start)
-        if table is not None and keysrc is rows:
-            spans = table_books(table, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
+        if facts is not None:
+            spans = table_books(facts, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
             if any(spans):
                 booked = _code_table(fields, colpos, start, spans)
-                snapshot = table._facts().rows
+                snapshot = facts.rows
         # A segment of more rows than possible packed words is mostly
         # duplicates: a book would not repay checking its rows.
         words = 1 << sum(bits for _, bits in fields)
@@ -175,6 +160,16 @@ def bind(
         )
 
     return run
+
+
+def chunk_heads(offsets, plan: ModificationPlan, n: int) -> list[int] | None:
+    """The heads a merge input of ``n`` rows with code ``offsets`` is
+    chunked at, or ``None`` (counted, not listed) when it has fewer than
+    ``CHUNK_MIN_ROWS_PER_HEAD`` rows per head and is sorted row-wise."""
+    boundary = plan.prefix_len + plan.infix_len + plan.merge_len
+    if count_below(offsets, boundary) * CHUNK_MIN_ROWS_PER_HEAD > n:
+        return None
+    return head_positions(offsets, boundary)
 
 
 def _code_table(fields, colpos, start, spans=None) -> list:

@@ -40,6 +40,7 @@ from typing import Sequence
 
 from ..core.analysis import ModificationPlan
 from ..obs import TRACER
+from .packed import gather
 
 #: Per-segment spans only when someone is watching: the fast path's
 #: point is speed, so the disabled cost stays one attribute check.
@@ -104,7 +105,7 @@ def fast_sort_segment(
             return
 
         order = sorted(range(lo, hi), key=packed.__getitem__)
-        out_rows.extend(map(rows.__getitem__, order))
+        out_rows.extend(gather(rows, order))
         if out_perm is not None:
             out_perm.extend(order)
 
@@ -200,7 +201,7 @@ def _merge_chunks(
     positional = not dropped and plan.input_arity == tail_boundary
 
     ends = [*heads[1:], hi]
-    order = sorted(range(len(heads)), key=[packed[h] for h in heads].__getitem__)
+    order = sorted(range(len(heads)), key=gather(packed, heads).__getitem__)
     append = out_ovcs.append
     extend = out_ovcs.extend
     prev_end = -1

@@ -537,6 +537,38 @@ def test_a_code_book_never_merges_equal_values_of_other_types(
         assert cache.counters()["rehydrates"] == 1
 
 
+@pytest.mark.parametrize("pool", [(1, 2, 3), (1, 1.0, True), (1, 1 << 70, 2)],
+                         ids=["book", "three-types", "beyond-a-word"])
+def test_flat_and_rehydrated_reads_gather_the_sources_own_rows(
+    pool, tmp_path
+):
+    """With no memo kept, a read gathers the rows through ``perm`` and
+    the codes through the book: each row is the very object the
+    fingerprint hashed (equal rows told apart by position), each code
+    the type a fresh derivation gives."""
+    rng = random.Random(7)
+    # Equal rows as distinct objects, in no particular order.
+    source = [tuple([rng.randrange(4), rng.choice(pool), rng.randrange(3)])
+              for _ in range(200)]
+    spec = SortSpec.of("B", "A")
+    want = sorted(source, key=operator.itemgetter(1, 0))
+    codes = derive_ovcs(want, (1, 0))
+    fp = fingerprint_rows(source, ("A", "B", "C"))
+    small = [(9, 9, 9)]
+    with OrderCache(budget=1, spill_dir=str(tmp_path)) as cache:
+        assert cache.install(fp, spec, want, codes)
+        for state in ("flat", "spilled"):
+            assert cache.candidates(fp)[0].state == state
+            hit = cache.lookup(fp, spec)
+            assert hit.state == state and hit.rows is not want
+            assert all(map(operator.is_, hit.rows, want))
+            assert all(r is fp.rows[i] for r, i in zip(hit.rows, hit.perm))
+            assert hit.ovcs == codes and _types(hit.ovcs) == _types(codes)
+            cache.install(fingerprint_rows(small, ("A", "B", "C")), spec,
+                          small, derive_ovcs(small, (1, 0)))
+        assert cache.counters()["rehydrates"] == 1
+
+
 # --------------------------------------------------- flat code helpers
 
 def _old_offset_counts(ovcs, arity):

@@ -23,7 +23,8 @@ import random
 
 import pytest
 
-from repro.core.analysis import analyze_order_modification
+from repro.core.analysis import Strategy, analyze_order_modification
+from repro.core.classify import code_offsets, split_segments
 from repro.core.enforce import enforce_order
 from repro.core.modify import modify_sort_order
 from repro.engine.modify_op import StreamingModify
@@ -177,6 +178,33 @@ def test_both_sides_of_the_head_count_threshold(monkeypatch, singles, chunked):
     table = Table(SCHEMA, rows, in_spec, derive_ovcs(rows, in_spec.positions(SCHEMA)))
     _assert_identical(table, SortSpec(("B", "A")), "merge_runs")
     assert set(ran) == {"fast_merge_runs" if chunked else "fast_sort_segment"}
+
+
+@pytest.mark.parametrize("case", [5, 6, 7])
+def test_row_wise_combined_segments_are_the_prefix_segments(
+    monkeypatch, case
+):
+    """A ``COMBINED`` input with fewer than two rows per head is bound
+    row-wise with no head list, and its segments come from one scan of
+    the prefix offsets: exactly ``split_segments`` without candidates."""
+    segments = []
+    real = execute.fast_sort_segment
+    monkeypatch.setattr(
+        execute, "fast_sort_segment",
+        lambda *a: segments.append(a[6:8]) or real(*a),
+    )
+    in_cols, out_cols = TABLE1[case]
+    table = _make_table(in_cols, 0, n=700)
+    spec = SortSpec(out_cols)
+    plan = analyze_order_modification(table.sort_spec, spec)
+    assert plan.strategy is Strategy.COMBINED
+    offsets = code_offsets(table.ovcs)
+    assert execute.chunk_heads(offsets, plan, len(table.rows)) is None
+    _assert_identical(table, spec, "combined")
+    segments.clear()
+    modify_sort_order(table, spec, method="combined", config=FAST)
+    assert segments == list(split_segments(table.ovcs, plan.prefix_len))
+    assert len(segments) > 1
 
 
 @pytest.mark.parametrize("case", sorted(TABLE1))

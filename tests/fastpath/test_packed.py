@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.fastpath.packed import (
     column_field,
+    gather,
     key_fields,
     pack_fields,
     table_fields,
@@ -126,9 +128,40 @@ def test_packed_words_use_the_fewest_bits():
 def test_table_fields_are_remembered_until_the_rows_change():
     table = Table(Schema.of("A", "B"), [(3, "x"), (1, "y"), (2, "x")])
     assert table._facts().fields is None  # nothing allocated before use
-    first = table_fields(table, [1, 0])
-    assert table_fields(table, [0])[0] is first[1]
+    first = table_fields(table._facts(), [1, 0])
+    assert table_fields(table._facts(), [0])[0] is first[1]
     assert sorted(table._facts().fields) == [0, 1]
     table.rows[0] = (0, "z")
-    again = table_fields(table, [0, 1])
+    again = table_fields(table._facts(), [0, 1])
     assert list(again[0][0]) == [0, 1, 2] and list(again[1][0]) == [2, 1, 0]
+
+
+@pytest.mark.parametrize("indices", [[], [2], [3, 0], [4, 1, 1, 0, 2, 3]])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("kind", ["tuple", "list", "array", "dict"])
+def test_gather_returns_the_sources_own_items(kind, as_array, indices):
+    """``gather`` is ``[seq[i] for i in indices]`` for any index count:
+    no scalar for one index, no error for none."""
+    items = [(i, "row") for i in range(5)]
+    if kind == "tuple":
+        seq = tuple(items)
+    elif kind == "list":
+        seq = items
+    elif kind == "array":
+        seq = array("q", [10**12 + i for i in range(5)])
+    else:
+        seq = dict(enumerate(items))
+    idx = array("B", indices) if as_array else list(indices)
+    got = gather(seq, idx)
+    want = [seq[i] for i in indices]
+    assert type(got) is list and got == want
+    assert got is not seq and got is not idx
+    if kind != "array":  # an array stores values, not objects
+        assert all(g is seq[i] for g, i in zip(got, indices))
+
+
+def test_gather_raises_what_indexing_raises():
+    with pytest.raises(IndexError):
+        gather((1, 2), [0, 5])
+    with pytest.raises(KeyError):
+        gather({1: "a"}, [1, 2])
