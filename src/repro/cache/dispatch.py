@@ -76,10 +76,6 @@ class ServeOutcome:
     label: str | None = None
 
 
-def _names(spec: SortSpec) -> str:
-    return ",".join(str(c) for c in spec.columns)
-
-
 def _estimate(
     existing: SortSpec,
     desired: SortSpec,
@@ -134,27 +130,22 @@ def _cheapest_parent(
 def _exact_hit(
     cache: OrderCache,
     fp: Fingerprint,
-    source: Table,
     spec: SortSpec,
     count_miss: bool = True,
-) -> ServeOutcome:
+) -> tuple[CachedOrder, str] | None:
     """The exact-hit branch of :func:`serve`, also the order service's
-    probe at submit: ``spec`` of ``fp``'s rows as the cache holds it
-    (``table is None`` on a miss).  A miss is counted unless
-    ``count_miss`` is false (:meth:`OrderCache.lookup`)."""
-    outcome = ServeOutcome(fp)
+    probe at submit: ``spec`` of ``fp``'s rows as the cache holds it,
+    with its strategy label, or ``None`` on a miss.  A miss is counted
+    unless ``count_miss`` is false (:meth:`OrderCache.lookup`)."""
     hit = cache.lookup(fp, spec, count_miss=count_miss)
     if hit is None:
-        return outcome
-    outcome.table = hit.as_table(source.schema)
-    outcome.label = f"cache-hit({_names(spec)})"
+        return None
     if LOG.enabled:
         LOG.event(
-            "cache.serve", decision="hit", order=_names(spec),
-            rows=len(source.rows), entry=hit.state,
-            entry_bytes=hit.nbytes,
+            "cache.serve", decision="hit", order=spec.label,
+            rows=fp.n_rows, entry=hit.state, entry_bytes=hit.nbytes,
         )
-    return outcome
+    return hit, f"cache-hit({spec.label})"
 
 
 def serve(
@@ -174,15 +165,18 @@ def serve(
     packed-code kernels count nothing), and rolls it back on failure.
     """
     fp = fingerprint_table(source)
-    outcome = _exact_hit(cache, fp, source, spec)
-    if outcome.table is not None:
+    outcome = ServeOutcome(fp)
+    found = _exact_hit(cache, fp, spec)
+    if found is not None:
+        hit, outcome.label = found
+        outcome.table = hit.as_table(source.schema)
         return outcome
 
     candidates = cache.candidates(fp)
     if not candidates:
         if LOG.enabled:
             LOG.event(
-                "cache.serve", decision="miss", order=_names(spec),
+                "cache.serve", decision="miss", order=spec.label,
                 rows=len(source.rows), reason="no-candidates",
             )
         return outcome
@@ -192,7 +186,7 @@ def serve(
     if best is None:
         if LOG.enabled:
             LOG.event(
-                "cache.serve", decision="miss", order=_names(spec), rows=n,
+                "cache.serve", decision="miss", order=spec.label, rows=n,
                 reason="no-candidate-beats-baseline"
                 if source.sort_spec is None else "source-is-parent",
                 baseline_cost=round(baseline, 1),
@@ -204,7 +198,7 @@ def serve(
     if chosen is None:  # evicted or expired since the scan
         if LOG.enabled:
             LOG.event(
-                "cache.serve", decision="miss", order=_names(spec),
+                "cache.serve", decision="miss", order=spec.label,
                 rows=n, reason="candidate-evicted",
             )
         return outcome
@@ -213,17 +207,17 @@ def serve(
     if result is None:
         if LOG.enabled:
             LOG.event(
-                "cache.serve", decision="miss", order=_names(spec),
+                "cache.serve", decision="miss", order=spec.label,
                 rows=n, reason="modify-from-cache-failed",
-                candidate=_names(best.spec),
+                candidate=best.spec.label,
             )
         return outcome
     outcome.table = result
-    outcome.label = f"modify-from-cache({_names(best.spec)})"
+    outcome.label = f"modify-from-cache({best.spec.label})"
     if LOG.enabled:
         LOG.event(
             "cache.serve", decision="modify-from-cache",
-            order=_names(spec), candidate=_names(best.spec), rows=n,
+            order=spec.label, candidate=best.spec.label, rows=n,
             est_cost=round(best_cost, 1), baseline_cost=round(baseline, 1),
             entry=chosen.state, entry_bytes=chosen.nbytes,
         )
@@ -246,8 +240,8 @@ def _modify_from(
         with TRACER.span(
             "cache.modify_from",
             rows=len(chosen.rows),
-            source=_names(chosen.spec),
-            target=_names(spec),
+            source=chosen.spec.label,
+            target=spec.label,
             entry=chosen.state,
             entry_bytes=chosen.nbytes,
         ):

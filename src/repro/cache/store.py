@@ -69,9 +69,9 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict, defaultdict, deque
-from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from ..exec.memory import MemoryAccountant
 from ..exec.spill import SpillHandle, SpillManager
@@ -90,8 +90,7 @@ CATEGORY = "cache.entries"
 ENTRY_BYTES = 1024
 
 
-@dataclass(frozen=True)
-class CachedOrder:
+class CachedOrder(NamedTuple):
     """Immutable reader snapshot of one cache entry.
 
     ``rows`` / ``ovcs`` are plain lists, complete when the snapshot is
@@ -101,7 +100,8 @@ class CachedOrder:
     ``perm`` maps output position to source index.
     ``offset_counts[k]`` is the number of codes with offset exactly
     ``k`` (length ``arity + 1``), from which the dispatcher derives
-    segment and run counts without rescanning.
+    segment and run counts without rescanning.  A tuple: every hit
+    builds one, and a frozen dataclass pays a ``__setattr__`` a field.
     """
 
     spec: SortSpec
@@ -383,16 +383,17 @@ class OrderCache:
                 self.hits += 1
                 self._count("hits")
             snap = entry.snapshot()
+            self._lru.move_to_end(entry)
+            if snap.rows is not None:
+                # A memo read charges nothing: no pressure to relieve.
+                self._flats.move_to_end(entry)
+                self._memos.move_to_end(entry)
+                return snap
             if entry.perm is None:
                 self._rehydrate(entry)
-            self._lru.move_to_end(entry)
             self._flats.move_to_end(entry)
-            if snap.rows is not None:
-                self._memos.move_to_end(entry)
             perm, codes = entry.perm, entry.codes
             self._pressure(protect=entry)
-        if snap.rows is not None:
-            return snap
         rows = gather(fp.rows, perm)
         ovcs = _codes(*codes)
         with self._lock:
@@ -405,7 +406,7 @@ class OrderCache:
                 self._memos[entry] = None
                 self.accountant.charge(CATEGORY, entry.memo_bytes)
                 self._publish_levels()
-        return replace(snap, rows=rows, ovcs=ovcs, perm=perm)
+        return snap._replace(rows=rows, ovcs=ovcs, perm=perm)
 
     def lookup(
         self, fp: Fingerprint, spec: SortSpec, *, count_miss: bool = True

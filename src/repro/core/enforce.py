@@ -103,7 +103,7 @@ def enforce_order(
             source, spec, method, use_ovc,
             stats if engine == "reference" else None, config, perm,
         )
-        label = f"modify({','.join(str(c) for c in src_spec.columns)})"
+        label = f"modify({src_spec.label})"
         return Enforced(
             table, "modify_sort_order", label, engine, fallback,
             _whole(perm, table),

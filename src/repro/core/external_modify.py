@@ -257,7 +257,10 @@ class SegmentLoop:
             )
             self._ran.append((ran, fallback))
             if sorted_ovcs and self._prefix > 0:
-                sorted_ovcs[0] = ovcs[lo]
+                # The saved head offset, with the first row's own value.
+                d = ovcs[lo][0]
+                key = self._spec.key_for(self._schema)
+                sorted_ovcs[0] = (d, key(sorted_rows[0])[d])
             out_rows.extend(sorted_rows)
             out_ovcs.extend(sorted_ovcs)
             return ran, fallback

@@ -107,7 +107,7 @@ def _merge_with_codes(
 
     runs: list[list[Entry]] = []
     current: list[Entry] | None = None
-    segment_head_ovc = ovcs[lo]
+    segment_head_offset = ovcs[lo][0]
 
     for idx in range(lo, hi):
         row = rows[idx]
@@ -202,19 +202,25 @@ def _merge_with_codes(
         final = merge_batch(runs, restricted_comparator(0))
 
     first_out = len(out_rows)
+    duplicate = (k_out, 0)
     for entry in final:
         out_rows.append(entry.row)
-        out_ovcs.append(code_to_ovc(entry.code, k_out))
+        # Read the value off the row's own key: a code derived from
+        # run-head codes holds an equal value, maybe of another type.
+        offset, _ = code_to_ovc(entry.code, k_out)
+        out_ovcs.append(
+            (offset, entry.keys[offset]) if offset < k_out else duplicate
+        )
         if entry.extra is not None:
             for dup_row, dup_ovc in entry.extra:
                 out_rows.append(dup_row)
                 out_ovcs.append(dup_ovc)
                 stats.rows_moved += 1
     if head_offset > 0 and len(out_rows) > first_out:
-        # The segment's first output row inherits the code saved from
-        # the segment's first input row: both describe the same prefix
-        # difference against the preceding segment.
-        out_ovcs[first_out] = segment_head_ovc
+        # The segment's first output row differs from the preceding
+        # segment where the segment's first input row does.
+        d = segment_head_offset
+        out_ovcs[first_out] = (d, final[0].keys[d])
 
 
 def _merge_baseline(

@@ -45,7 +45,8 @@ def sort_segment(
     With ``use_ovc`` every row enters coded ``(|P|, first post-prefix
     value)`` and the tournament maintains codes from there; the output
     rows land in ``out_rows`` with fresh codes in ``out_ovcs`` and the
-    segment's first output row inherits the saved segment-head code.
+    segment's first output row takes the saved segment-head offset,
+    with its own value at that offset.
 
     Without codes, the baseline compares column values from the first
     post-prefix column on.
@@ -80,7 +81,7 @@ def _sort_segment(
     if use_ovc:
         if ovcs is None:
             raise ValueError("offset-value codes required when use_ovc is set")
-        segment_head_ovc = ovcs[lo]
+        head_offset = ovcs[lo][0]
         entries = []
         for run, idx in enumerate(range(lo, hi)):
             row = rows[idx]
@@ -95,7 +96,9 @@ def _sort_segment(
             out_ovcs.append(code_to_ovc(entry.code, k_out))
             stats.rows_moved += 1
         if p > 0:
-            out_ovcs[first_out] = segment_head_ovc
+            # The head's value is equal to the first row's, not its own.
+            first = out_project(out_rows[first_out])
+            out_ovcs[first_out] = (head_offset, first[head_offset])
         # With p == 0 the first popped entry still carries its initial
         # code (0, first key value) — it never lost a match — which is
         # exactly the whole-output first-row convention.

@@ -254,7 +254,7 @@ class Sort(Operator):
             for _ in loop.run(loads, rows, ovcs):
                 pass
         spilled = self.pages.stats.pages_written > 0
-        order = ",".join(str(c) for c in child.ordering.columns)
+        order = child.ordering.label
         self.executed = "external_modify" if spilled else "modify_sort_order"
         self.order_strategy = (
             f"external-modify({order})" if spilled else f"modify({order})"

@@ -107,7 +107,6 @@ def bind(
         colpos = list(range(k_out))
         fields = key_fields(keysrc, colpos[start:stop], {})
     packed = pack_fields(fields, len(rows))
-    pos0 = colpos[0]
 
     if not merging:
         if isinstance(packed, array):
@@ -137,7 +136,7 @@ def bind(
                 if own:
                     codes = booked
             fast_sort_segment(
-                rows, ovcs, keysrc, packed, codes, pos0, lo, hi, p, k_out,
+                rows, ovcs, keysrc, packed, codes, colpos, lo, hi, p, k_out,
                 out_rows, out_ovcs, out_perm,
             )
 
@@ -155,7 +154,7 @@ def bind(
     def run(lo, hi, out_rows, out_ovcs, out_perm=None):
         seg_heads = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
         fast_merge_runs(
-            rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+            rows, ovcs, keysrc, packed, varying, colpos, lo, hi, plan,
             out_rows, out_ovcs, seg_heads, respect_prefix, out_perm,
         )
 

@@ -29,8 +29,10 @@ previously popped winner):
 
 Key values are read through ``keysrc``: the projected normalized key
 tuples, or — all keys ascending — the source rows themselves, indexed
-by ``pd`` (``pd == d`` for key tuples, ``pd == positions[d]`` for
-rows), which skips the per-row key-tuple projection.
+by ``pd = colpos[d]`` (``pd == d`` for key tuples, ``pd ==
+positions[d]`` for rows), which skips the per-row key-tuple projection.
+Every code value is read off its own row: equal values of two rows may
+differ in type (``1``, ``1.0``, ``True``).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def fast_sort_segment(
     keysrc: Sequence[tuple],
     packed: Sequence[int],
     codes: Sequence[tuple],
-    pos0: int,
+    colpos: Sequence[int],
     lo: int,
     hi: int,
     p: int,
@@ -80,7 +82,7 @@ def fast_sort_segment(
     words is ``(d, pd, cells, book)``: the first column ``d`` they
     differ in, its index ``pd`` into a ``keysrc`` entry and, for a
     column with a code book, the shared code ``book[cells[i]]`` of row
-    ``i`` (``pos0`` indexes key column 0).  Mirrors
+    ``i``.  Mirrors
     :func:`repro.core.segmented.sort_segment` with ``use_ovc=True``.
 
     A stable sort's output *is* a permutation of its input — the
@@ -110,10 +112,11 @@ def fast_sort_segment(
             out_perm.extend(order)
 
         first = order[0]
-        # The segment's first output row inherits the saved segment-head
-        # code; with no prefix it is coded against the imaginary lowest
-        # row.
-        out_ovcs.append(ovcs[lo] if p > 0 else (0, keysrc[first][pos0]))
+        # The segment's first output row takes the saved segment-head
+        # offset; with no prefix it is coded against the imaginary
+        # lowest row.
+        d = ovcs[lo][0] if p > 0 else 0
+        out_ovcs.append((d, keysrc[first][colpos[d]]))
         append = out_ovcs.append
         duplicate = (k_out, 0)
         prev = packed[first]
@@ -136,7 +139,7 @@ def fast_merge_runs(
     keysrc: Sequence[tuple],
     packed: Sequence[int],
     varying: Sequence[tuple],
-    pos0: int,
+    colpos: Sequence[int],
     lo: int,
     hi: int,
     plan: ModificationPlan,
@@ -161,25 +164,20 @@ def fast_merge_runs(
     if not heads or heads[0] != lo:
         # The segment's first row leads a chunk whatever its code says.
         heads = [lo, *heads]
-    # out_ovcs stays in lockstep with the emitted rows, so its length
-    # marks this segment's first output slot.
-    first_out = len(out_ovcs)
+    # The segment's first output row differs from the preceding
+    # segment where its first input row does.
+    d0 = ovcs[lo][0] if respect_prefix and plan.prefix_len > 0 else 0
     with TRACER.span(
         "fastpath.merge_segment", rows=hi - lo, heads=len(heads)
     ) if TRACER.enabled else _NO_SPAN:
         _merge_chunks(
-            rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+            rows, ovcs, keysrc, packed, varying, colpos, d0, lo, hi, plan,
             out_rows, out_ovcs, heads, out_perm,
         )
-    if respect_prefix and plan.prefix_len > 0:
-        # The segment's first output row inherits the code saved from
-        # the segment's first input row: both describe the same prefix
-        # difference against the preceding segment.
-        out_ovcs[first_out] = ovcs[lo]
 
 
 def _merge_chunks(
-    rows, ovcs, keysrc, packed, varying, pos0, lo, hi, plan,
+    rows, ovcs, keysrc, packed, varying, colpos, d0, lo, hi, plan,
     out_rows, out_ovcs, heads, out_perm,
 ) -> None:
     """Sort and code the heads; move each head's followers as a slice.
@@ -209,7 +207,7 @@ def _merge_chunks(
         h = heads[j]
         e = ends[j]
         if prev_end < 0:
-            append((0, keysrc[h][pos0]))
+            append((d0, keysrc[h][colpos[d0]]))
         elif prev_end == h and ovcs[h][0] >= run_boundary:
             # Merge row behind its own run predecessor: the infix left
             # its place before the merge keys; offset drops by |X|.

@@ -143,11 +143,12 @@ class SortSpec:
         SortSpec.of("A", "B DESC", SortColumn("C"))
 
     A spec is immutable by convention, and a dictionary key on every
-    hot path (order cache, coalescing registry), so its hash is
-    computed once.
+    hot path (order cache, coalescing registry), so its hash, its
+    column ``names`` and its ``label`` (``"A,B DESC"``, what logs and
+    strategy labels print) are computed once.
     """
 
-    __slots__ = ("columns", "_hash")
+    __slots__ = ("columns", "_hash", "names", "label")
 
     def __init__(self, columns: Iterable[SortColumn | str]) -> None:
         resolved: list[SortColumn] = []
@@ -169,6 +170,8 @@ class SortSpec:
             raise ValueError(f"duplicate sort columns: {names}")
         self.columns = tuple(resolved)
         self._hash = hash(self.columns)
+        self.names = tuple(names)
+        self.label = ",".join(map(str, resolved))
 
     @staticmethod
     def of(*columns: SortColumn | str) -> "SortSpec":
@@ -177,10 +180,6 @@ class SortSpec:
     @property
     def arity(self) -> int:
         return len(self.columns)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
 
     @property
     def directions(self) -> tuple[bool, ...]:

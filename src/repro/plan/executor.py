@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _names
 from ..cache.fingerprint import fingerprint_table
 from ..engine.scans import TableScan
 from ..engine.sort_op import Sort
@@ -139,7 +138,7 @@ def _planned_label(plan: DerivationPlan, node: PlanNode) -> str:
     """The ``Sort.order_strategy`` the plan predicts for ``node``."""
     if node.strategy in ("passthrough", "full-sort"):
         return node.strategy
-    return f"{node.strategy}({_names(plan.nodes[node.parent].spec)})"
+    return f"{node.strategy}({plan.nodes[node.parent].spec.label})"
 
 
 def _coerce(order) -> SortSpec:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _cheapest_parent, _names
+from ..cache.dispatch import _cheapest_parent
 from ..model import SortSpec, Table
 
 
@@ -92,11 +92,11 @@ class DerivationPlan:
 
         def label(n: PlanNode) -> str:
             if n.kind == "source":
-                order = _names(n.spec) if n.spec is not None else "unordered"
+                order = n.spec.label if n.spec is not None else "unordered"
                 return f"source({order})"
             if n.kind == "cached":
-                return f"cached({_names(n.spec)})"
-            text = f"{_names(n.spec)}  [{n.strategy}]"
+                return f"cached({n.spec.label})"
+            text = f"{n.spec.label}  [{n.strategy}]"
             if n.baseline_cost:  # priced: an unordered source's order
                 text += (f"  est={n.edge_cost:.0f}"
                          f" vs solo={n.baseline_cost:.0f}")

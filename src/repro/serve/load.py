@@ -148,7 +148,7 @@ def run_load(
     return {
         "threads": threads,
         "requests_per_thread": requests_per_thread,
-        "orders": [",".join(str(c) for c in o.columns) for o in orders],
+        "orders": [o.label for o in orders],
         "rows": len(table.rows),
         "requests": requests,
         "cache_hits": after["cache_hits"] - before["cache_hits"],
@@ -192,11 +192,10 @@ def verify_fidelity(
             TableScan(table), spec, config=ExecutionConfig(cache="off")
         ).to_table()
         resp = service.order_by(table, spec)
-        label = ",".join(str(c) for c in spec.columns)
         if resp.table.rows != want.rows:
-            problems.append(f"order {label}: rows diverged")
+            problems.append(f"order {spec.label}: rows diverged")
         if resp.table.ovcs != want.ovcs:
-            problems.append(f"order {label}: offset-value codes diverged")
+            problems.append(f"order {spec.label}: offset-value codes diverged")
     return problems
 
 

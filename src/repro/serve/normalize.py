@@ -15,6 +15,11 @@ entry) instead of racing each other.  Uniqueness is a property of the
 source's rows and the prefix's column *set* — independent of key order
 and sort direction — so probes are memoized per ``(source_key, column
 set)``.
+
+In front of it, a second memo maps ``(source_key, spec)`` to the
+normalized spec: a repeat request is one dictionary read with no lock,
+not up to ``arity - 1`` locked probes.  Both memos share one bound and
+are cleared whole when they reach it.
 """
 
 from __future__ import annotations
@@ -29,16 +34,28 @@ class SpecNormalizer:
 
     def __init__(self, max_entries: int = 256) -> None:
         self._memo: dict[tuple, bool] = {}
+        #: ``None``: no proper prefix is row-unique.
+        self._specs: dict[tuple, SortSpec | None] = {}
         self._max = max_entries
         self._lock = threading.Lock()
 
     def normalize(self, fp, source: Table, spec: SortSpec) -> SortSpec:
         """``spec`` truncated after its first row-unique prefix, or
         ``spec`` itself when no proper prefix determines the order."""
-        for k in range(1, spec.arity):
-            if self._unique(fp, source, spec, k):
-                return spec.prefix(k)
-        return spec
+        key = (fp.source_key, spec)
+        try:
+            got = self._specs[key]
+        except KeyError:
+            got = next((spec.prefix(k) for k in range(1, spec.arity)
+                        if self._unique(fp, source, spec, k)), None)
+            self._remember(self._specs, key, got)
+        return spec if got is None else got
+
+    def _remember(self, memo: dict, key: tuple, value) -> None:
+        with self._lock:
+            if len(memo) >= self._max:
+                memo.clear()
+            memo[key] = value
 
     def _unique(self, fp, source: Table, spec: SortSpec, k: int) -> bool:
         key = (fp.source_key, frozenset(spec.names[:k]))
@@ -55,8 +72,5 @@ class SpecNormalizer:
                 unique = False
                 break
             seen.add(value)
-        with self._lock:
-            if len(self._memo) >= self._max:
-                self._memo.clear()
-            self._memo[key] = unique
+        self._remember(self._memo, key, unique)
         return unique

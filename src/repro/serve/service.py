@@ -47,18 +47,15 @@ would for a direct call.  A queued request holds a reference to the
 caller's source table, not a copy.
 
 What a request costs besides its execution: the coalescing key needs
-the source's content fingerprint — O(n) over the rows, memoized on the
-caller's :class:`~repro.model.Table` (revalidated against a snapshot of
-its rows, so tables may be edited between requests), so a submit over
-an unchanged table is O(1) bookkeeping.  The same ``Table`` object is
-what ``Sort`` and the cache are handed, so they find the memo too, and
-a materialized result travels back as a table — the response's lists
-are C-level copies of the cache entry's, never a row-by-row
-re-collection.
-With the cache warm, a repeat request is submit → cache → response: a
-dictionary lookup and two list copies on the caller's thread (plus a
-gather for a flat entry and a file read for a spilled one), with no
-thread hand-off at all.
+the source's content fingerprint — O(n) hashing, memoized on the
+caller's :class:`~repro.model.Table` and revalidated by one C-level
+comparison of its rows with a snapshot (the facts witness), so tables
+may be edited between requests.  ``Sort`` and the cache are handed the
+same ``Table``, so they find the memo too.  The normalized order is
+memoized per (row sequence, order).  With the cache warm, a repeat
+request is submit → cache → response on the caller's thread, with no
+thread hand-off: the witness, a few dictionary reads, and the two list
+copies the response owns — never a row-by-row re-collection.
 
 Observability: ``serve.*`` counters/gauges/histograms in the metrics
 registry, decision-grade ``serve.*`` structured-log events, and a
@@ -72,12 +69,13 @@ import threading
 import time
 
 from ..cache import resolve_cache
-from ..cache.dispatch import ServeOutcome, _exact_hit
+from ..cache.dispatch import _exact_hit
 from ..cache.fingerprint import fingerprint_table
+from ..cache.store import CachedOrder
 from ..engine.scans import TableScan
 from ..engine.sort_op import Sort
 from ..exec.config import ExecutionConfig
-from ..model import SortSpec, Table
+from ..model import Schema, SortSpec, Table
 from ..obs import LOG, METRICS
 from .errors import (
     DeadlineExceededError,
@@ -311,10 +309,11 @@ class OrderService:
         (finite and positive; ``None``, the default, means no
         deadline).  With ``config.cache`` on, an exact cache hit is
         answered here, on the caller's thread, and the ticket returned
-        is already ``done``: that costs an O(1) lookup for an entry
-        holding its memo, one gather of rows and codes for a flat one
-        (~0.3-1 ms at 2^12 rows) plus one spill-file read for a spilled
-        one, and the two list copies the response owns.  Everything else is
+        is already ``done``.  Measured per hit at 2^12 rows, one thread
+        (AMD EPYC): ~14 µs from an entry's memo (the facts witness ~2
+        and the response's two list copies ~6 of it), ~0.11 ms from a
+        flat entry (two gathers), under ~0.15 ms from a spilled one
+        (one spill-file read more).  Everything else is
         queued for a scheduler thread; duplicate in-flight requests
         (same row sequence, same target order) coalesce onto one
         execution.
@@ -355,9 +354,8 @@ class OrderService:
                 METRICS.counter("serve.normalized_orders").inc()
             if LOG.enabled:
                 LOG.event(
-                    "serve.normalize", tenant=tenant,
-                    order=",".join(str(c) for c in spec.columns),
-                    normalized=",".join(str(c) for c in normalized.columns),
+                    "serve.normalize", tenant=tenant, order=spec.label,
+                    normalized=normalized.label,
                 )
             spec = normalized
         if self._config.cache != "off" and not (
@@ -366,12 +364,13 @@ class OrderService:
             # What Sort would ask the cache first (a source that already
             # satisfies ``spec`` passes through without asking); a miss
             # here counts nothing — the execution's own lookup counts it.
-            hit = _exact_hit(
-                resolve_cache(self._config), fp, source, spec,
-                count_miss=False,
+            found = _exact_hit(
+                resolve_cache(self._config), fp, spec, count_miss=False
             )
-            if hit.table is not None:
-                return self._answer_hit(hit, tenant, now, deadline_at)
+            if found is not None:
+                return self._answer_hit(
+                    *found, source.schema, tenant, now, deadline_at
+                )
         key = (fp.source_key, spec)
 
         def _create() -> Inflight:
@@ -403,7 +402,7 @@ class OrderService:
             if LOG.enabled:
                 LOG.event(
                     "serve.coalesce", tenant=tenant,
-                    order=",".join(str(c) for c in spec.columns),
+                    order=spec.label,
                     waiters=entry.waiters,
                 )
         self._publish_levels()
@@ -411,7 +410,9 @@ class OrderService:
 
     def _answer_hit(
         self,
-        hit: ServeOutcome,
+        hit: CachedOrder,
+        label: str,
+        schema: Schema,
         tenant: str,
         submitted_at: float,
         deadline_at: float | None,
@@ -419,15 +420,14 @@ class OrderService:
         """A completed ticket for an exact hit.  The entry's lists may
         be its shared memo, so the response gets copies, as
         ``Sort.to_table`` gives."""
-        out = hit.table
-        table = Table(out.schema, out.rows[:], out.sort_spec, out.ovcs[:])
+        table = Table(schema, hit.rows[:], hit.spec, hit.ovcs[:])
         self._count("cache_hits")
         latency = self._clock() - submitted_at
         if METRICS.enabled:
             METRICS.counter("serve.cache_hits").inc()
             METRICS.histogram("serve.latency_ms").observe(latency * 1000.0)
         response = OrderResponse(
-            table=table, label=hit.label, coalesced=False, tenant=tenant,
+            table=table, label=label, coalesced=False, tenant=tenant,
             latency_s=latency,
         )
         return Ticket(
@@ -550,7 +550,7 @@ class OrderService:
             if LOG.enabled:
                 LOG.event(
                     "serve.execute", tenant=entry.tenant,
-                    order=",".join(str(c) for c in entry.spec.columns),
+                    order=entry.spec.label,
                     strategy=op.order_strategy, rows=len(table.rows),
                     waiters=entry.waiters,
                     queued_ms=round((now - entry.submitted_at) * 1000, 1),

@@ -5,7 +5,7 @@ produces garbage — so this module gives downstream code cheap,
 explicit ways to check invariants at trust boundaries:
 
 * :func:`assert_table_valid` — the table is sorted as claimed and its
-  codes equal fresh derivation;
+  codes equal fresh derivation, type for type;
 * :func:`assert_sorted_on` — a row sequence satisfies a spec;
 * :func:`comparison_budget` — a context manager asserting an upper
   bound on column comparisons performed inside the block (regression
@@ -43,7 +43,9 @@ def assert_sorted_on(
 
 
 def assert_table_valid(table: Table) -> None:
-    """Full validation: declared order holds and codes are authentic."""
+    """Full validation: declared order holds and codes are authentic,
+    compared as ``(offset, type(value), value)`` (``1``, ``1.0`` and
+    ``True`` are equal values, not equal codes)."""
     if table.sort_spec is None:
         raise ValidationError("table declares no sort order")
     assert_sorted_on(table.rows, table.sort_spec, table.schema)
@@ -56,9 +58,9 @@ def assert_table_valid(table: Table) -> None:
     positions = table.sort_spec.positions(table.schema)
     fresh = derive_ovcs(table.rows, positions, table.sort_spec.directions)
     for i, (got, want) in enumerate(zip(table.ovcs, fresh)):
-        if tuple(got) != tuple(want):
+        if (*got, type(got[1])) != (*want, type(want[1])):
             raise ValidationError(
-                f"code mismatch at row {i}: stored {got}, derived {want}"
+                f"code mismatch at row {i}: stored {got!r}, derived {want!r}"
             )
 
 

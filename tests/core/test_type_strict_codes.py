@@ -1,0 +1,106 @@
+"""Every code's value is its own row's, type for type.
+
+``1``, ``1.0`` and ``True`` compare and hash equal, so a code value
+copied from another row that is equal under the key passes a plain
+comparison.  The oracle (:func:`repro.testing.assert_table_valid`)
+compares codes as ``(offset, type(value), value)``; these cases put
+such values where a path might copy a code from another row: the
+segment head (the saved code of the segment's first *input* row) and
+a retained infix column (codes derived from saved run-head codes).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.modify import modify_sort_order
+from repro.engine.scans import TableScan
+from repro.engine.sort_op import Sort
+from repro.exec import ExecutionConfig
+from repro.model import Schema, SortSpec, Table
+from repro.ovc.derive import derive_ovcs
+from repro.testing import assert_table_valid
+
+METHODS = ["auto", "segment_sort", "merge_runs", "combined", "full_sort"]
+ENGINES = ["fast", "reference"]
+
+
+def _coded(schema: Schema, rows, spec: SortSpec) -> Table:
+    rows = sorted(rows, key=spec.key_for(schema))
+    return Table(
+        schema, rows, spec,
+        derive_ovcs(rows, spec.positions(schema), spec.directions),
+    )
+
+
+def _probe() -> tuple[Table, SortSpec]:
+    """Row 1 of the output is the ``1.0`` row; the segment's first input
+    row is the ``1`` row."""
+    schema = Schema.of("A", "B", "C")
+    rows = [(1, 5, 3), (1.0, 6, 1), (True, 7, 2), (2, 0, 1), (0, 0, 0)]
+    return _coded(schema, rows, SortSpec.of("A", "B")), SortSpec.of("A", "C")
+
+
+def _mixed_infix(in_cols, out_cols, seed: int = 0) -> tuple[Table, SortSpec]:
+    """Table 1 cases 5 and 7: infix column ``B`` holds ``1`` as ``1``,
+    ``1.0`` or ``True``."""
+    rng = random.Random(seed)
+    schema = Schema.of("A", "B", "C", "D")
+
+    def b():
+        v = rng.randrange(3)
+        return rng.choice((1, 1.0, True)) if v == 1 else v
+
+    rows = [
+        (rng.randrange(3), b(), rng.randrange(3), rng.randrange(3))
+        for _ in range(300)
+    ]
+    return _coded(schema, rows, SortSpec(in_cols)), SortSpec(out_cols)
+
+
+CASES = {
+    "segment-head": _probe,
+    "case5": lambda: _mixed_infix(("A", "B", "C"), ("A", "C", "B")),
+    "case7": lambda: _mixed_infix(("A", "B", "C", "D"), ("A", "C", "B", "D")),
+}
+
+
+def _typed(ovcs) -> list:
+    return [(offset, type(value), value) for offset, value in ovcs]
+
+
+def _check(table: Table, spec: SortSpec, got: Table) -> None:
+    """Stable ``sorted()`` plus fresh codes, type for type."""
+    rows = sorted(table.rows, key=spec.key_for(table.schema))
+    assert got.rows == rows
+    want = derive_ovcs(rows, spec.positions(table.schema), spec.directions)
+    assert _typed(got.ovcs) == _typed(want)
+    assert_table_valid(got)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_modify_codes_are_type_strict(case, method, engine):
+    table, spec = CASES[case]()
+    config = ExecutionConfig(engine=engine)
+    try:
+        got = modify_sort_order(table, spec, method=method, config=config)
+    except ValueError:
+        pytest.skip(f"{method} does not apply to {case}")
+    _check(table, spec, got)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bounded_sort_codes_are_type_strict(case, engine):
+    """Forward plans in two-row loads: every segment of more than two
+    rows goes through the spill path."""
+    table, spec = CASES[case]()
+    op = Sort(
+        TableScan(table), spec, memory_capacity=2,
+        config=ExecutionConfig(engine=engine),
+    )
+    _check(table, spec, op.to_table())

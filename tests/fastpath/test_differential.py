@@ -234,9 +234,8 @@ def test_mixed_numeric_column_type_strict(case, method):
     columns get code books on a table's second use, so each order runs
     twice; a book keyed by value alone would hand the ``1.0`` and
     ``True`` rows the ``int`` code.  The oracle is stable ``sorted()``
-    plus fresh codes: the reference merge takes a retained infix
-    column's code value from another row of the same run (cases 5 and
-    7), so it is not type-strict here."""
+    plus fresh codes (both engines against it:
+    ``tests/core/test_type_strict_codes.py``)."""
     in_cols, out_cols = TABLE1[case]
     table = _make_table(in_cols, 0, n=700, mixed=True)
     spec = SortSpec(out_cols)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import threading
 
+import pytest
+
 from repro.cache import fingerprint_table
 from repro.engine.scans import TableScan
 from repro.engine.sort_op import Sort
@@ -85,6 +87,42 @@ def test_uniqueness_memoized_per_column_set():
     # not add entries).
     norm.normalize(fp, table, SortSpec.of("A DESC", "C"))
     assert list(norm._memo) == [key]
+
+
+def test_truncation_memoized_per_spec(monkeypatch):
+    """A unique-prefix source is truncated on the first call and, from
+    the spec memo without a probe, on the repeat; a spec left whole
+    comes back as the object passed in, not the memoized equal one."""
+    norm = SpecNormalizer()
+    unique, dup = _unique_a_table(), _dup_table()
+    first = norm.normalize(fingerprint_table(unique), unique, SortSpec.of("A", "B"))
+    assert first == SortSpec.of("A")
+    norm.normalize(fingerprint_table(dup), dup, SortSpec.of("A", "B"))
+    monkeypatch.setattr(norm, "_unique", lambda *a: pytest.fail("probed"))
+    again = norm.normalize(fingerprint_table(unique), unique, SortSpec.of("A", "B"))
+    assert again == SortSpec.of("A")
+    spec = SortSpec.of("A", "B")
+    assert norm.normalize(fingerprint_table(dup), dup, spec) is spec
+
+
+def test_source_edited_in_place_is_probed_anew():
+    table = _unique_a_table()
+    norm = SpecNormalizer()
+    spec = SortSpec.of("A", "B")
+    assert norm.normalize(fingerprint_table(table), table, spec) == SortSpec.of("A")
+    table.rows[1] = (table.rows[0][0], 4, 2)  # A is no longer unique
+    assert norm.normalize(fingerprint_table(table), table, spec) is spec
+
+
+def test_memos_stay_within_max_entries():
+    norm = SpecNormalizer(max_entries=4)
+    orders = [("A", "B"), ("B", "C"), ("C", "A"), ("A", "C", "B")]
+    for seed in range(6):
+        for table in (_unique_a_table(seed=seed), _dup_table(seed=seed)):
+            fp = fingerprint_table(table)
+            for order in orders:
+                norm.normalize(fp, table, SortSpec(order))
+                assert len(norm._specs) <= 4 and len(norm._memo) <= 4
 
 
 # ----------------------------------------------------------- end-to-end

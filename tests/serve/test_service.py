@@ -538,6 +538,59 @@ def test_mutating_a_hit_response_leaves_the_next_hit_unchanged():
     assert (second.table.rows, second.table.ovcs) == want
 
 
+def test_each_hit_at_submit_logs_one_cache_serve_event(tmp_path):
+    """One ``cache.serve`` event per hit, naming the entry state it was
+    answered from."""
+    import json
+
+    from repro.cache import configure_cache
+    from repro.obs import LOG
+
+    table = _table(300)
+    spec = SortSpec.of("B", "A")
+    for budget, state in ((None, "memo"), (1, "flat")):
+        log = tmp_path / f"{state}.jsonl"
+        configure_cache(budget=budget, spill_dir=str(tmp_path))
+        cfg = ExecutionConfig(cache="on", service_threads=1)
+        with OrderService(cfg) as svc:
+            svc.order_by(table, spec)  # executes and installs
+            LOG.enable(str(log))
+            try:
+                for _ in range(3):
+                    resp = svc.order_by(table, spec)
+                    assert resp.label == "cache-hit(B,A)"
+                    assert (resp.table.rows, resp.table.ovcs) == \
+                        _oracle(table, spec)
+            finally:
+                LOG.disable()
+            counters = svc.counters()
+        assert counters["requests"] - 1 == counters["cache_hits"] == 3
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        served = [e for e in events if e["event"] == "cache.serve"]
+        assert [(e["decision"], e["order"], e["entry"]) for e in served] == \
+            [("hit", "B,A", state)] * 3
+
+
+def test_all_hit_run_counts_every_request_as_a_hit():
+    tables = [_table(300, seed=1), _table(300, seed=2)]
+    specs = [SortSpec.of("B", "A"), SortSpec.of("C", "D")]
+    with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
+        for t in tables:
+            for spec in specs:
+                svc.order_by(t, spec)
+        warm = svc.counters()
+        for _ in range(5):
+            for t in tables:
+                for spec in specs:
+                    resp = svc.order_by(t, spec)
+                    assert (resp.table.rows, resp.table.ovcs) == \
+                        _oracle(t, spec)
+        done = svc.counters()
+    assert done["requests"] - warm["requests"] == 20
+    assert done["cache_hits"] - warm["cache_hits"] == 20
+    assert done["executions"] == warm["executions"] == 4
+
+
 def test_each_request_counts_one_cache_lookup_outcome():
     from repro.cache import get_cache
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.model import (
@@ -71,6 +73,15 @@ class TestSortSpec:
         assert SortSpec.of("A", "B") == SortSpec.of("A", "B")
         assert hash(SortSpec.of("A")) == hash(SortSpec.of("A"))
         assert SortSpec.of("A") != SortSpec.of("A DESC")
+
+    def test_names_and_label_survive_pickle(self):
+        spec = SortSpec.of("A", "B DESC", "C")
+        assert spec.names == ("A", "B", "C")
+        assert spec.label == "A,B DESC,C"
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert (back.names, back.label) == (spec.names, spec.label)
+        assert spec.prefix(2).label == "A,B DESC"
 
 
 class TestDesc:

@@ -74,3 +74,13 @@ def test_comparison_budget_only_counts_inside_block():
     stats.column_comparisons = 100  # pre-existing spend is not charged
     with comparison_budget(stats, column_comparisons=1):
         stats.column_comparisons += 1
+
+
+def test_assert_table_valid_is_type_strict():
+    """``1.0`` equals ``1`` but is another code: a value copied from
+    another row of equal key is a forgery."""
+    table = Table(SCHEMA, [(0, 1), (1, 2)], SortSpec.of("A", "B")).with_ovcs()
+    assert table.ovcs[1] == (0, 1)
+    table.ovcs[1] = (0, 1.0)
+    with pytest.raises(ValidationError, match="code mismatch"):
+        assert_table_valid(table)
