@@ -131,12 +131,11 @@ class ExecutionConfig:
         unboundedly.
     plan_window_ms:
         Micro-batch window of the serving layer: after picking up a
-        request, a scheduler thread keeps draining the admission queue
-        for at most this many milliseconds — less when arrivals stop:
-        one wait of an eighth of the window without an arrival closes
-        it — and then runs every drained request as a solo one.  Must
-        be finite and positive; ``None`` (default) disables batching —
-        every request executes independently on arrival.
+        request, a scheduler thread takes what is already queued behind
+        it, for at most this many milliseconds and without waiting for
+        arrivals, and then runs every drained request as a solo one.
+        Must be finite and positive; ``None`` (default) disables
+        batching — every request executes independently on arrival.
     """
 
     engine: str = "auto"
@@ -170,24 +169,13 @@ class ExecutionConfig:
         object.__setattr__(
             self, "cache_budget", parse_memory(self.cache_budget)
         )
-        if (
-            isinstance(self.service_threads, bool)
-            or not isinstance(self.service_threads, int)
-            or self.service_threads < 1
-        ):
-            raise ValueError(
-                f"service_threads must be a positive int, "
-                f"got {self.service_threads!r}"
-            )
-        if (
-            isinstance(self.service_queue_depth, bool)
-            or not isinstance(self.service_queue_depth, int)
-            or self.service_queue_depth < 1
-        ):
-            raise ValueError(
-                f"service_queue_depth must be a positive int, "
-                f"got {self.service_queue_depth!r}"
-            )
+        for name in ("service_threads", "service_queue_depth"):
+            value = getattr(self, name)
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if not is_int or value < 1:
+                raise ValueError(
+                    f"{name} must be a positive int, got {value!r}"
+                )
         if self.plan_window_ms is not None and not (
             math.isfinite(self.plan_window_ms) and self.plan_window_ms > 0
         ):

@@ -82,8 +82,9 @@ Histograms:
   independent execution.
 * ``serve.latency_ms`` — per-request submit-to-response latency;
   ``serve.fanout`` — waiters served per execution (coalescing win);
-  ``serve.window_held_ms`` — how long a micro-batch window held its
-  first request before closing (at most ``plan_window_ms``).
+  ``serve.window_held_ms`` — how long a micro-batch drain took to
+  take what was queued behind its first request (at most
+  ``plan_window_ms``; nothing waits for arrivals).
 
 The ``comparisons.*`` family is dynamic (one counter per
 :class:`~repro.ovc.stats.ComparisonStats` field via

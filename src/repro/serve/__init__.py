@@ -27,10 +27,11 @@ coalescing), :mod:`.request` (response/in-flight shapes),
 driver behind ``serve --load``).
 
 With ``ExecutionConfig.plan_window_ms`` set, scheduler threads drain
-the queue in micro-batches (held while arrivals keep coming, for the
-window at most) and run each drained request exactly as a solo one,
-answering it as soon as its order is derived; a same-source group of
-two or more counts as one ``planned_batches``.
+the queue in micro-batches (a request plus what is already queued
+behind it; nothing is held for later arrivals) and run each drained
+request exactly as a solo one, answering it as soon as its order is
+derived; a same-source group of two or more counts as one
+``planned_batches``.
 """
 
 from .errors import (

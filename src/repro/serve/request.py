@@ -13,7 +13,7 @@ contract; the serving tests assert them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..model import SortSpec, Table
 
@@ -40,18 +40,17 @@ class Inflight:
     """One admitted execution and the waiters sharing it.
 
     Created by the service at admission, keyed in the in-flight
-    registry by ``(source_key, spec)``.  The leader's
-    execution fills :attr:`table` / :attr:`label` (or :attr:`error`) and sets :attr:`done`; every ticket then builds
-    its own response from the shared result.  ``deadline_at`` is the
-    *most generous* waiter deadline (``None`` once any waiter has no
-    deadline): the scheduler skips execution only when nobody could
-    still use the result.
+    registry by ``(source_key, spec)``.  The leader's execution fills
+    :attr:`table` / :attr:`label` (or :attr:`error`) and sets
+    :attr:`done`; every ticket then builds its own response from the
+    shared result.  ``deadline_at`` is the *most generous* waiter
+    deadline (``None`` once any waiter has no deadline): the scheduler
+    skips execution only when nobody could still use the result.
     """
 
     __slots__ = (
         "key", "source", "spec", "tenant", "submitted_at", "deadline_at",
-        "unbounded", "waiters", "done", "table", "label",
-        "error",
+        "waiters", "done", "table", "label", "error",
     )
 
     def __init__(
@@ -69,7 +68,6 @@ class Inflight:
         self.tenant = tenant
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
-        self.unbounded = deadline_at is None
         self.waiters = 1
         self.done = threading.Event()
         self.table: Table | None = None
@@ -79,16 +77,12 @@ class Inflight:
     def add_waiter(self, deadline_at: float | None) -> None:
         """Attach one more request to this execution (registry lock held)."""
         self.waiters += 1
-        if deadline_at is None:
-            self.unbounded = True
-            self.deadline_at = None
-        elif not self.unbounded and (
-            self.deadline_at is None or deadline_at > self.deadline_at
-        ):
-            self.deadline_at = deadline_at
+        if self.deadline_at is not None:
+            self.deadline_at = (
+                None if deadline_at is None
+                else max(self.deadline_at, deadline_at)
+            )
 
     def expired(self, now: float) -> bool:
         """True when no waiter could still use a result produced now."""
-        return not self.unbounded and (
-            self.deadline_at is not None and now > self.deadline_at
-        )
+        return self.deadline_at is not None and now > self.deadline_at

@@ -28,11 +28,6 @@ class RleColumn:
     def __len__(self) -> int:
         return len(self.values)
 
-    def expand(self) -> Iterator:
-        for value, length in zip(self.values, self.lengths):
-            for _ in range(length):
-                yield value
-
 
 class ColumnStore:
     """A sorted table in columnar format.

@@ -7,6 +7,9 @@ explicit ways to check invariants at trust boundaries:
 * :func:`assert_table_valid` — the table is sorted as claimed and its
   codes equal fresh derivation, type for type;
 * :func:`assert_sorted_on` — a row sequence satisfies a spec;
+* :func:`assert_stable_sort_of` — the table's rows are exactly the
+  stable sort of a source's rows on its declared order (rows tied on
+  the key keep their source order);
 * :func:`comparison_budget` — a context manager asserting an upper
   bound on column comparisons performed inside the block (regression
   guard for "this path must not compare columns").
@@ -15,6 +18,7 @@ explicit ways to check invariants at trust boundaries:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .model import SortSpec, Table
@@ -40,6 +44,21 @@ def assert_sorted_on(
                 f"its predecessor"
             )
         prev = k
+
+
+def assert_stable_sort_of(source_rows: Sequence[tuple], table: Table) -> None:
+    """Raise :class:`ValidationError` unless ``table.rows`` equal the
+    stable ``sorted()`` of ``source_rows`` on ``table.sort_spec``,
+    naming the first row that differs (``None`` past either end)."""
+    if table.sort_spec is None:
+        raise ValidationError("table declares no sort order")
+    want = sorted(source_rows, key=table.sort_spec.key_for(table.schema))
+    for i, (got, row) in enumerate(zip_longest(table.rows, want)):
+        if got != row:
+            raise ValidationError(
+                f"not the stable sort on {table.sort_spec}: row {i} is "
+                f"{got!r}, stable sorted() has {row!r}"
+            )
 
 
 def assert_table_valid(table: Table) -> None:

@@ -1,12 +1,13 @@
 """Micro-batching in the serving layer (``plan_window_ms``).
 
-With a window set, a scheduler thread holds its first dequeue while
-arrivals keep coming (at most for the window), then runs every drained
-request exactly as a solo one.  The contract under test: every response
-stays bit-identical (rows and codes) to the unbatched path, each order
-is answered as soon as it is derived, same-source groups move the
-``planned*`` counters, a failing order fails only its own waiters, and
-expired entries are shed without counting as planned.
+With a window set, a scheduler thread takes its first dequeue plus
+whatever is already queued behind it (it holds nothing; the window only
+bounds the drain), then runs every drained request exactly as a solo
+one.  The contract under test: every response stays bit-identical (rows
+and codes) to the unbatched path, each order is answered as soon as it
+is derived and its waiters are handed the interpreter at once, same-source
+groups move the ``planned*`` counters, a failing order fails only its
+own waiters, and expired entries are shed without counting as planned.
 """
 
 from __future__ import annotations
@@ -98,23 +99,6 @@ def test_window_off_by_default():
     assert counters["planned_batches"] == 0
     assert counters["planned"] == 0
     assert counters["executions"] == 2
-
-
-def test_expired_entry_shed_before_planning():
-    table = _table()
-    cfg = ExecutionConfig(cache="off", service_threads=1,
-                          service_queue_depth=16, plan_window_ms=300.0)
-    with OrderService(cfg) as svc:
-        doomed = svc.submit(table, ROTATIONS[1], deadline_ms=30)
-        patient = svc.submit(table, ROTATIONS[2])
-        with pytest.raises(DeadlineExceededError):
-            doomed.result(timeout=60)
-        resp = patient.result(timeout=60)
-        counters = svc.counters()
-    assert resp.table.rows == _serial_uncached(table, ROTATIONS[2])[0]
-    # One entry expired during the window; the survivor ran solo.
-    assert counters["executions"] == 1
-    assert counters["deadline_exceeded"] == 1
 
 
 def test_sixteen_thread_batched_path_stays_bit_identical():
@@ -243,6 +227,95 @@ def test_a_failing_order_fails_only_its_own_waiters(monkeypatch):
     assert counters["inflight"] == 0
 
 
+def test_expired_entry_shed_before_planning(monkeypatch):
+    running, release = threading.Event(), threading.Event()
+
+    def _hold_first(n):
+        if n == 1:
+            running.set()
+            assert release.wait(timeout=60)
+
+    table = _table()
+    _gate_executor_kernel(monkeypatch, _hold_first)
+    cfg = ExecutionConfig(cache="off", service_threads=1,
+                          service_queue_depth=16, plan_window_ms=300.0)
+    with OrderService(cfg) as svc:
+        blocker = svc.submit(table, ROTATIONS[0])
+        try:
+            assert running.wait(timeout=60)
+            # Both queue behind the running execution; one expires there.
+            doomed = svc.submit(table, ROTATIONS[1], deadline_ms=30)
+            patient = svc.submit(table, ROTATIONS[2])
+            time.sleep(0.1)
+        finally:
+            release.set()
+        blocker.result(timeout=60)
+        resp = patient.result(timeout=60)
+        with pytest.raises(DeadlineExceededError, match="expired in queue"):
+            doomed.result(timeout=60)
+        counters = svc.counters()
+    rows, ovcs = _serial_uncached(table, ROTATIONS[2])
+    assert (resp.table.rows, resp.table.ovcs) == (rows, ovcs)
+    assert counters["deadline_exceeded"] == 1
+    # The doomed entry was shed from the drained pair: only the blocker
+    # and the survivor executed, and a group with one live entry is no
+    # planned batch.
+    assert counters["executions"] == 2
+    assert counters["planned"] == 0
+    assert counters["planned_batches"] == 0
+
+
+def test_every_publication_yields_once_after_its_ticket_is_done(monkeypatch):
+    import repro.serve.service as service
+
+    running, release = threading.Event(), threading.Event()
+
+    def _gate(n):
+        if n == 1:
+            running.set()
+            assert release.wait(timeout=60)
+        elif n == 2:
+            raise RuntimeError("synthetic kernel failure")
+
+    tickets = []
+    yields = []
+    real_sleep = service.time.sleep
+
+    def _recording_sleep(seconds):
+        if threading.current_thread().name.startswith("repro-serve-"):
+            yields.append((seconds, [t.done for t in tickets]))
+        real_sleep(seconds)
+
+    table = _table()
+    _gate_executor_kernel(monkeypatch, _gate)
+    monkeypatch.setattr(service.time, "sleep", _recording_sleep)
+    cfg = ExecutionConfig(cache="off", service_threads=1,
+                          service_queue_depth=16, plan_window_ms=300.0)
+    with OrderService(cfg) as svc:
+        tickets.append(svc.submit(table, ROTATIONS[0]))
+        try:
+            assert running.wait(timeout=60)
+            tickets.append(svc.submit(table, ROTATIONS[1], deadline_ms=30))
+            tickets.append(svc.submit(table, ROTATIONS[2]))
+            real_sleep(0.1)
+        finally:
+            release.set()
+        tickets[0].result(timeout=60)
+        # The last to publish first: an expired ticket waited on before
+        # its shedding fails on its own deadline instead.
+        with pytest.raises(RuntimeError, match="synthetic kernel failure"):
+            tickets[2].result(timeout=60)
+        with pytest.raises(DeadlineExceededError, match="expired in queue"):
+            tickets[1].result(timeout=60)
+    # A normal execution, a shed expired entry, a failing execution:
+    # each published once, each yield after its own ticket is done.
+    assert yields == [
+        (0, [True, False, False]),
+        (0, [True, True, False]),
+        (0, [True, True, True]),
+    ]
+
+
 def test_window_is_an_upper_bound_for_a_lone_request():
     table = _table()
     cfg = ExecutionConfig(cache="off", service_threads=1,
@@ -253,8 +326,9 @@ def test_window_is_an_upper_bound_for_a_lone_request():
         resp = svc.order_by(table, ROTATIONS[1], timeout=60)
         elapsed = time.perf_counter() - start
     assert resp.table.rows == _serial_uncached(table, ROTATIONS[1])[0]
-    # Closed after one idle wait of window/8, not held for the window.
-    assert elapsed < 1.0
+    # Nothing else is queued, so the window closes at once: the request
+    # is never held, let alone for the window.
+    assert elapsed < 0.1
 
 
 def test_back_to_back_submits_still_form_one_batch():

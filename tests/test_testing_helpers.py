@@ -5,14 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.modify import modify_sort_order
+from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.stats import ComparisonStats
 from repro.testing import (
     ValidationError,
     assert_sorted_on,
+    assert_stable_sort_of,
     assert_table_valid,
     comparison_budget,
 )
+from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B")
 
@@ -84,3 +87,46 @@ def test_assert_table_valid_is_type_strict():
     table.ovcs[1] = (0, 1.0)
     with pytest.raises(ValidationError, match="code mismatch"):
         assert_table_valid(table)
+
+
+def test_assert_stable_sort_of_catches_a_swap_of_tied_rows():
+    """Two rows tied on the key but apart in another column, swapped:
+    still sorted on the key, yet not the stable sort."""
+    source = [(1, 9), (0, 5), (1, 3)]
+    table = Table(SCHEMA, [(0, 5), (1, 9), (1, 3)], SortSpec.of("A"))
+    assert_stable_sort_of(source, table)
+    table.rows[1], table.rows[2] = table.rows[2], table.rows[1]
+    assert_sorted_on(table.rows, table.sort_spec, SCHEMA)
+    with pytest.raises(ValidationError, match=r"row 1 is \(1, 3\)"):
+        assert_stable_sort_of(source, table)
+    extra = Table(SCHEMA, [(0, 5), (1, 9), (1, 3)], SortSpec.of("A"))
+    with pytest.raises(ValidationError, match=r"row 2 is \(1, 3\).* has None"):
+        assert_stable_sort_of(source[:2], extra)
+
+
+# Few values per key column, so ties are common; D is in no key.
+WIDE = Schema.of("A", "B", "C", "D")
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize(
+    "target",
+    [
+        "A,C,B",  # forward: keep the A prefix, re-sort segments
+        "B,A",  # forward: a merge of A's segments
+        "A DESC",  # backward: the input read back to front
+        "A DESC,C",  # backward prefix, then segments re-sorted
+    ],
+)
+def test_modify_sort_order_is_the_stable_sort_on_both_engines(engine, target):
+    source = random_table(WIDE, 300, domains=[4, 3, 5, 50], seed=7)
+    spec = SortSpec.of("A", "B")
+    table = Table(
+        WIDE, sorted(source.rows, key=spec.key_for(WIDE)), spec
+    ).with_ovcs()
+    out = modify_sort_order(
+        table, SortSpec.of(*target.split(",")),
+        config=ExecutionConfig(engine=engine),
+    )
+    assert_stable_sort_of(table.rows, out)
+    assert_table_valid(out)
