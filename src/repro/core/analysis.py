@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..model import SortSpec
 
@@ -147,6 +148,7 @@ def _table1_case(
     return None
 
 
+@lru_cache(maxsize=256)
 def analyze_order_modification(
     input_spec: SortSpec, output_spec: SortSpec, allow_backward: bool = True
 ) -> ModificationPlan:
@@ -154,7 +156,9 @@ def analyze_order_modification(
 
     Runs entirely on key metadata — no data access — and therefore
     belongs in query optimization, where its output also informs the
-    cost model (:mod:`repro.core.cost`).
+    cost model (:mod:`repro.core.cost`).  A pure function of two
+    immutable specs, so it is memoized: a repeat order pays a lookup,
+    and every caller gets the same (frozen) plan object.
 
     With ``allow_backward`` (the default), an order with no usable
     forward structure is retried against the input read back to front

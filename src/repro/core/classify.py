@@ -12,6 +12,11 @@ old code's offset — no column value is ever inspected:
 * ``offset >= |P|+|X|+|M|`` — **duplicate/tail row**: equal to its
   predecessor through the merge keys; it bypasses the merge logic and
   immediately follows its predecessor into the output.
+
+That classification is a fact of the input's codes, not of a request:
+``Table._codes()`` keeps it in one :class:`CodeFacts` record per code
+list, built on first use and revalidated on every read by a C-level
+``table.ovcs == snapshot`` (identical tuples short-circuit).
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from typing import Iterator, Sequence
 def code_offsets(ovcs: Sequence[tuple]) -> Sequence[int]:
     """Every code's offset, as one flat sequence.
 
-    The one pass over the old codes that classification needs: counting
-    and locating rows by offset (:func:`count_below`,
-    :func:`head_positions`) then run at C speed over the result —
-    ``bytes`` whenever the offsets fit (a sort key of up to 255
-    columns), a list otherwise.
+    The one pass over the old codes that classification needs, once per
+    code list (:class:`CodeFacts`): counting and locating rows by
+    offset (:func:`count_below`, :func:`head_positions`) then run at C
+    speed over the result — ``bytes`` whenever the offsets fit (a sort
+    key of up to 255 columns), a list otherwise.
     """
     offsets = map(itemgetter(0), ovcs)
     try:
@@ -89,3 +94,52 @@ def split_segments(
             yield (start, i)
             start = i
     yield (start, n)
+
+
+class CodeFacts:
+    """What one code list (its snapshot and witness ``ovcs``) says:
+    offsets, per boundary the count below it and the head positions,
+    per prefix length the segment bounds.  Each item is built on first
+    use and stored whole (racing threads build equal ones).  ``chunks``
+    belongs to :func:`repro.fastpath.execute.bind` (chunk heads per
+    boundary; merge segments' chunks, valid for one row record) and
+    ``strategies`` (plan -> ``auto``'s strategy) to ``core.modify``.
+    """
+
+    __slots__ = (
+        "ovcs", "offsets", "_counts", "_heads", "_segments", "chunks",
+        "strategies",
+    )
+
+    def __init__(self, ovcs: Sequence[tuple]) -> None:
+        self.ovcs = ovcs
+        self.offsets = code_offsets(ovcs)
+        self._counts: dict[int, int] = {}
+        self._heads: dict[int, list[int]] = {}
+        self._segments: dict[int, list[tuple[int, int]]] = {}
+        self.chunks: dict = {}
+        self.strategies: dict = {}
+
+    def count(self, boundary: int) -> int:
+        """:func:`count_below` ``boundary``."""
+        got = self._counts.get(boundary)
+        if got is None:
+            got = self._counts[boundary] = count_below(self.offsets, boundary)
+        return got
+
+    def heads(self, boundary: int) -> list[int]:
+        """:func:`head_positions` below ``boundary`` (shared: read only)."""
+        got = self._heads.get(boundary)
+        if got is None:
+            got = self._heads[boundary] = head_positions(self.offsets, boundary)
+        return got
+
+    def segments(self, prefix_len: int) -> list[tuple[int, int]]:
+        """:func:`split_segments` on ``prefix_len`` (shared: read only)."""
+        got = self._segments.get(prefix_len)
+        if got is None:
+            starts = self.heads(prefix_len) if prefix_len else None
+            got = self._segments[prefix_len] = list(
+                split_segments(self.ovcs, prefix_len, len(self.ovcs), starts)
+            )
+        return got

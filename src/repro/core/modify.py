@@ -52,7 +52,7 @@ from ..ovc.stats import ComparisonStats
 from ..sorting.internal import tournament_sort
 from ..sorting.merge import _key_projector
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
-from .classify import code_offsets, count_below, head_positions, split_segments
+from .classify import CodeFacts, code_offsets, head_positions
 from .cost import estimate_costs
 from .merge_runs import merge_preexisting_runs
 from .segmented import sort_segment
@@ -206,17 +206,16 @@ def _modify(
     if use_ovc:
         table.with_ovcs()
 
-    # One pass over the old codes serves the strategy choice, the
-    # segment boundaries and the fast merge kernels' row classes.
-    offsets = None
-    if plan.merge_len and table.ovcs:
-        offsets = code_offsets(table.ovcs)
+    # The old codes are classified once per table, not per call: its
+    # record serves the strategy choice, the segment boundaries and the
+    # fast merge kernels' row classes.
+    codes = table._codes() if plan.merge_len and table.ovcs else None
     n = len(table.rows)
-    strategy = _resolve_strategy(plan, method, n, offsets)
+    strategy = _resolve_strategy(plan, method, n, codes)
     name = strategy.name.lower()
     segmented = strategy in (Strategy.SEGMENT_SORT, Strategy.COMBINED)
-    if offsets is None and segmented and use_ovc and table.ovcs:
-        offsets = code_offsets(table.ovcs)
+    if codes is None and segmented and use_ovc:
+        codes = table._codes()
     out_ovcs: list[tuple] | None = [] if use_ovc else None
     fallback = False
 
@@ -228,24 +227,10 @@ def _modify(
         if perm is not None and engine == "fast":
             perm.extend(range(n))
     else:
-        # The rows Figure 6 sends through the merge logic, for the fast
-        # kernels' chunk path; segment starts are among them.
-        heads: list[int] | None = None
-        if (
-            engine == "fast"
-            and offsets is not None
-            and strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
-        ):
-            from ..fastpath.execute import chunk_heads
-
-            heads = chunk_heads(offsets, plan, n)
-        # Segment boundaries are computed exactly once per call, before
-        # an executor is bound, so auto's fallback reuses them.
+        # Segment boundaries are found before an executor is bound, so
+        # auto's fallback reuses them.
         if segmented:
-            starts = heads
-            if starts is None and offsets is not None and use_ovc:
-                starts = head_positions(offsets, plan.prefix_len)
-            boundaries = _segments(table, plan, use_ovc, stats, starts)
+            boundaries = _segments(table, plan, use_ovc, stats, codes)
         else:
             boundaries = [(0, n)] if n else []  # one pass over the input
         out_rows = []
@@ -255,7 +240,7 @@ def _modify(
             run, engine, fallback = bind_strategy(
                 table, new_spec, plan, strategy, engine=engine,
                 stats=stats, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in,
-                heads=heads, offsets=offsets, forced=cfg.engine == "fast",
+                forced=cfg.engine == "fast",
             )
             sp.set(engine=engine, fallback=fallback)
             for lo, hi in boundaries:
@@ -284,8 +269,6 @@ def bind_strategy(
     stats: ComparisonStats,
     use_ovc: bool = True,
     max_fan_in: int | None = None,
-    heads: Sequence[int] | None = None,
-    offsets: Sequence[int] | None = None,
     forced: bool = False,
 ) -> tuple[Callable[..., None], str, bool]:
     """The one place an executor is chosen: ``(run, engine, fallback)``.
@@ -298,9 +281,8 @@ def bind_strategy(
     executors are bound (``fallback``) — ``sort_segment`` /
     ``merge_preexisting_runs`` counting into ``stats`` with merge steps
     capped at ``max_fan_in``, or a tournament sort for an unordered
-    input (``plan=None``).  ``heads`` are the merge kernels' head
-    positions when the caller has found the input chunked, ``offsets``
-    its code offsets when the caller has them.
+    input (``plan=None``).  Whatever the kernels need of the input's
+    codes they read off ``table``'s own record (``Table._codes()``).
     """
     rows, ovcs = table.rows, table.ovcs
     positions = spec.positions(table.schema)
@@ -310,8 +292,7 @@ def bind_strategy(
 
         try:
             run = bind(
-                rows, ovcs, positions, spec.directions, plan, strategy,
-                table, heads, offsets,
+                rows, ovcs, positions, spec.directions, plan, strategy, table
             )
         except TypeError:
             if forced:
@@ -395,11 +376,11 @@ def _check_method(method: str) -> None:
 
 
 def _resolve_strategy(
-    plan: ModificationPlan, method: str, n: int, offsets: Sequence[int] | None
+    plan: ModificationPlan, method: str, n: int, codes: CodeFacts | None
 ) -> Strategy:
-    """The strategy to run on ``n`` rows whose old code offsets are
-    ``offsets`` (:func:`~repro.core.classify.code_offsets`; ``None``
-    without codes or without a merge decomposition)."""
+    """The strategy to run on ``n`` rows whose old codes ``codes`` says
+    (``None`` without codes); ``auto``'s cost-based choice is kept on
+    the record, per plan."""
     if method == "noop":
         if plan.strategy is not Strategy.NOOP:
             raise ValueError(
@@ -432,30 +413,34 @@ def _resolve_strategy(
     # COMBINED decompositions admit all four methods; estimate quickly.
     if plan.strategy is not Strategy.COMBINED or n == 0:
         return plan.strategy
-    if offsets is not None:
-        n_segments = count_below(offsets, plan.prefix_len)
-        n_runs = count_below(offsets, plan.prefix_len + plan.infix_len)
+    if codes is None:
+        n_segments = n_runs = max(1, int(n ** 0.5))
     else:
-        n_segments = max(1, int(n ** 0.5))
-        n_runs = n_segments
+        got = codes.strategies.get(plan)
+        if got is not None:
+            return got
+        n_segments = codes.count(plan.prefix_len)
+        n_runs = codes.count(plan.prefix_len + plan.infix_len)
     estimates = {e.strategy: e for e in estimate_costs(plan, n, n_segments, n_runs)}
     # Exploiting both structures is the paper's consistent winner
     # (Figure 11); the cost-based decision of Section 3.5 is whether to
     # exploit the pre-existing order at all, so only a clear margin for
     # sorting from scratch overrides the structural plan.
     planned = estimates[Strategy.COMBINED]
+    got = Strategy.COMBINED
     if estimates[Strategy.FULL_SORT].total < 0.5 * planned.total:
-        return Strategy.FULL_SORT
-    return Strategy.COMBINED
+        got = Strategy.FULL_SORT
+    if codes is not None:
+        codes.strategies[plan] = got
+    return got
 
 
-def _segments(table, plan, use_ovc, stats, heads=None):
-    """Segment boundaries — from codes when available (inspecting only
-    ``heads``, positions that include every segment start, when the
-    caller has them), else by comparing prefix columns of adjacent rows
-    (counted)."""
+def _segments(table, plan, use_ovc, stats, codes):
+    """Segment boundaries — from the table's code record ``codes`` when
+    running with codes, else by comparing prefix columns of adjacent
+    rows (counted)."""
     with TRACER.span("modify.classify", prefix_len=plan.prefix_len) as sp:
-        boundaries = _segment_boundaries(table, plan, use_ovc, stats, heads)
+        boundaries = _segment_boundaries(table, plan, use_ovc, stats, codes)
         sp.set(segments=len(boundaries))
     if METRICS.enabled:
         hist = METRICS.histogram("modify.segment_rows")
@@ -464,10 +449,10 @@ def _segments(table, plan, use_ovc, stats, heads=None):
     return boundaries
 
 
-def _segment_boundaries(table, plan, use_ovc, stats, heads):
-    n = len(table.rows)
+def _segment_boundaries(table, plan, use_ovc, stats, codes):
     if use_ovc:
-        return list(split_segments(table.ovcs, plan.prefix_len, n, heads))
+        return codes.segments(plan.prefix_len)
+    n = len(table.rows)
     p = plan.prefix_len
     if p == 0 or n == 0:
         return [(0, n)] if n else []

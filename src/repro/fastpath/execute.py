@@ -17,7 +17,10 @@ normalized up front.  A key column the packer cannot rank raises
 ``TypeError`` here, before any row moves.
 
 Binding picks the kernel too: the chunked merge for a merge input with
-``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, else the segment sort.
+``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, else the segment sort.  That
+choice and each merge segment's chunks are facts of the input, kept on
+the table (see :func:`bind`): a repeat merge over an unchanged table
+pays for its sort and its per-row loop only.
 
 A stable sort's result is a permutation of its input, and the kernels
 have it in hand before they gather a row.  A bound ``run`` appends it
@@ -34,14 +37,14 @@ from operator import is_
 from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
-from ..core.classify import code_offsets, count_below, head_positions
+from ..core.classify import count_below, head_positions
 from ..model import Table
 from ..sorting.merge import _key_projector
 from .kernels import (
     BOOK_MIN_ROWS_PER_VALUE, CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs,
     fast_sort_segment,
 )
-from .packed import key_fields, pack_fields, table_books, table_fields
+from .packed import gather, key_fields, pack_fields, table_books, table_fields
 
 
 def bind(
@@ -52,8 +55,6 @@ def bind(
     plan: ModificationPlan | None,
     strategy: Strategy,
     table: Table | None = None,
-    heads: Sequence[int] | None = None,
-    offsets: Sequence[int] | None = None,
 ) -> Callable[..., None]:
     """Pack the key once; return ``strategy``'s kernel bound to this
     input as ``run(lo, hi, out_rows, out_ovcs, out_perm=None)``.
@@ -63,11 +64,12 @@ def bind(
     row index), no per-row key tuples are built, and with ``table``
     (whose rows they are) the column fields are the table's remembered
     ones.  Any descending column forces the projected-tuple path
-    (``colpos[d] == d``).  ``heads`` are a merge input's chunk heads
-    when the caller has found it chunked (:func:`chunk_heads`), and
-    ``offsets`` its code offsets when the caller has them
-    (:func:`~repro.core.classify.code_offsets`); without heads the
-    input is chunked only if :func:`chunk_heads` says so.
+    (``colpos[d] == d``).  A merge strategy needs ``table`` (whose codes
+    ``ovcs`` are): whether the input is chunked (:func:`chunk_heads`)
+    and each merge segment's chunks — heads, chunk ends and restricted
+    keys — are kept on its code record (``Table._codes()``), the chunks
+    only while its row record (``Table._facts()``) is the same, so a
+    repeat order packs no key and slices no head list.
     """
     k_out = len(positions)
     merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
@@ -84,10 +86,12 @@ def bind(
         # (from column 0 without segments).  With too few bypass rows
         # to move as slices, the segment sort on the full output key
         # runs instead: its stable order is the merge's own.
-        if heads is None:
-            heads = chunk_heads(
-                code_offsets(ovcs) if offsets is None else offsets,
-                plan, len(rows),
+        codes = table._codes()
+        boundary = plan.prefix_len + plan.infix_len + plan.merge_len
+        heads = codes.chunks.get(boundary, False)
+        if heads is False:
+            heads = codes.chunks[boundary] = chunk_heads(
+                codes.offsets, plan, len(rows)
             )
         merging = heads is not None
         if merging:
@@ -106,13 +110,12 @@ def bind(
         keysrc = [project(row) for row in rows]
         colpos = list(range(k_out))
         fields = key_fields(keysrc, colpos[start:stop], {})
-    packed = pack_fields(fields, len(rows))
 
     if not merging:
+        packed = pack_fields(fields, len(rows))
         if isinstance(packed, array):
             # Every word is read twice: list items are ready objects,
-            # array items are made per read (a chunked merge reads only
-            # its heads, so the array serves it).
+            # array items are made per read.
             packed = packed.tolist()
         plain = booked = _code_table(fields, colpos, start)
         if facts is not None:
@@ -150,12 +153,35 @@ def bind(
         if d >= stop or fields[d - start][1]
     ]
     respect_prefix = strategy is Strategy.COMBINED
+    # Each segment's chunks, by segment start: kept with the restricted
+    # key's packed words, so they hold while the rows and codes do.
+    if facts is None:
+        facts = table._facts()
+    key = (tuple(positions[start:stop]), tuple(directions[start:stop]),
+           boundary, p)
+    kept = codes.chunks.get(key)
+    if kept is None or kept[0] is not facts:
+        kept = codes.chunks[key] = (facts, {})
+    segments = kept[1]
+    packed = None  # packed only if some segment's chunks are not kept
 
     def run(lo, hi, out_rows, out_ovcs, out_perm=None):
-        seg_heads = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
+        nonlocal packed
+        chunks = segments.get(lo)
+        if chunks is None or chunks[1][-1] != hi:
+            if packed is None:
+                packed = pack_fields(fields, len(rows))
+            seg_heads = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
+            if not seg_heads or seg_heads[0] != lo:
+                # The segment's first row leads a chunk whatever its
+                # code says.
+                seg_heads = [lo, *seg_heads]
+            chunks = segments[lo] = (
+                seg_heads, [*seg_heads[1:], hi], gather(packed, seg_heads)
+            )
         fast_merge_runs(
-            rows, ovcs, keysrc, packed, varying, colpos, lo, hi, plan,
-            out_rows, out_ovcs, seg_heads, respect_prefix, out_perm,
+            rows, ovcs, keysrc, chunks, varying, colpos, lo, hi, plan,
+            out_rows, out_ovcs, respect_prefix, out_perm,
         )
 
     return run

@@ -137,7 +137,7 @@ def fast_merge_runs(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple],
     keysrc: Sequence[tuple],
-    packed: Sequence[int],
+    chunks: tuple[Sequence[int], Sequence[int], Sequence[int]],
     varying: Sequence[tuple],
     colpos: Sequence[int],
     lo: int,
@@ -145,40 +145,37 @@ def fast_merge_runs(
     plan: ModificationPlan,
     out_rows: list[tuple],
     out_ovcs: list[tuple],
-    heads: Sequence[int],
     respect_prefix: bool = True,
     out_perm: list[int] | None = None,
 ) -> None:
     """Merge the pre-existing runs of rows ``[lo, hi)`` into the output
     (and their indices to ``out_perm``, see :func:`fast_sort_segment`).
 
-    ``packed`` holds each row's restricted key — output key columns
-    ``[head_offset, |P|+|M|)``; ``varying`` pairs each output key column
-    that can differ with its index into a ``keysrc`` entry; ``heads``
-    are the ascending positions in ``[lo, hi)`` of the rows whose old
-    offset is below ``|P|+|X|+|M|``.  Mirrors
-    :func:`repro.core.merge_runs.merge_preexisting_runs`.
+    ``chunks`` is ``(heads, ends, keys)``: the ascending positions of
+    the segment's chunk heads — ``lo`` and every row in ``(lo, hi)``
+    whose old offset is below ``|P|+|X|+|M|`` — each chunk's end, and
+    each head's packed restricted key (output key columns
+    ``[head_offset, |P|+|M|)``).  ``varying`` pairs each output key
+    column that can differ with its index into a ``keysrc`` entry.
+    Mirrors :func:`repro.core.merge_runs.merge_preexisting_runs`.
     """
     if hi <= lo:
         return
-    if not heads or heads[0] != lo:
-        # The segment's first row leads a chunk whatever its code says.
-        heads = [lo, *heads]
     # The segment's first output row differs from the preceding
     # segment where its first input row does.
     d0 = ovcs[lo][0] if respect_prefix and plan.prefix_len > 0 else 0
     with TRACER.span(
-        "fastpath.merge_segment", rows=hi - lo, heads=len(heads)
+        "fastpath.merge_segment", rows=hi - lo, heads=len(chunks[0])
     ) if TRACER.enabled else _NO_SPAN:
         _merge_chunks(
-            rows, ovcs, keysrc, packed, varying, colpos, d0, lo, hi, plan,
-            out_rows, out_ovcs, heads, out_perm,
+            rows, ovcs, keysrc, chunks, varying, colpos, d0, plan,
+            out_rows, out_ovcs, out_perm,
         )
 
 
 def _merge_chunks(
-    rows, ovcs, keysrc, packed, varying, colpos, d0, lo, hi, plan,
-    out_rows, out_ovcs, heads, out_perm,
+    rows, ovcs, keysrc, chunks, varying, colpos, d0, plan,
+    out_rows, out_ovcs, out_perm,
 ) -> None:
     """Sort and code the heads; move each head's followers as a slice.
 
@@ -188,7 +185,12 @@ def _merge_chunks(
     row's output predecessor is its input predecessor — the bypass
     mapping of :func:`repro.core.adjust.map_bypass_ovc` applies to the
     slice ``ovcs[h+1:e]`` without looking at a row.
+
+    What holds for the whole call is tested once: the common case —
+    followers keep their codes, no permutation wanted — has a loop of
+    its own, and neither loop looks for the first output head.
     """
+    heads, ends, keys = chunks
     x = plan.infix_len
     duplicate = (plan.output_arity, 0)
     dropped = plan.infix_dropped
@@ -198,42 +200,66 @@ def _merge_chunks(
     # old duplicate code) are the new ones: the same tuples move over.
     positional = not dropped and plan.input_arity == tail_boundary
 
-    ends = [*heads[1:], hi]
-    order = sorted(range(len(heads)), key=gather(packed, heads).__getitem__)
+    order = sorted(range(len(heads)), key=keys.__getitem__)
     append = out_ovcs.append
     extend = out_ovcs.extend
-    prev_end = -1
-    for j in order:
-        h = heads[j]
-        e = ends[j]
-        if prev_end < 0:
-            append((d0, keysrc[h][colpos[d0]]))
-        elif prev_end == h and ovcs[h][0] >= run_boundary:
-            # Merge row behind its own run predecessor: the infix left
-            # its place before the merge keys; offset drops by |X|.
-            offset, value = ovcs[h]
-            append((offset - x, value))
-        else:
-            # Cross-run adjacency: the one place column values meet.
-            prev_keys = keysrc[prev_end - 1]
-            keys = keysrc[h]
-            for d, pd in varying:
-                if prev_keys[pd] != keys[pd]:
-                    append((d, keys[pd]))
-                    break
+    extend_rows = out_rows.extend
+    first = len(out_ovcs)
+    # The first output head has no output predecessor: the loops code
+    # it against a stand-in (as if a chunk ended at row 0) and it is
+    # re-coded after them, so neither loop tests for it.
+    prev_end = 0
+    if positional and out_perm is None:
+        for j in order:
+            h = heads[j]
+            if prev_end == h and ovcs[h][0] >= run_boundary:
+                # Merge row behind its own run predecessor: the infix
+                # left its place before the merge keys; offset drops
+                # by |X|.
+                offset, value = ovcs[h]
+                append((offset - x, value))
             else:
-                append(duplicate)
-        if e - h > 1:
-            if dropped:
-                extend([duplicate] * (e - h - 1))
-            elif positional:
-                extend(ovcs[h + 1 : e])
+                # Cross-run adjacency: the one place column values meet.
+                prev_keys = keysrc[prev_end - 1]
+                cur = keysrc[h]
+                for d, pd in varying:
+                    if prev_keys[pd] != cur[pd]:
+                        append((d, cur[pd]))
+                        break
+                else:
+                    append(duplicate)
+            prev_end = ends[j]
+            extend(ovcs[h + 1 : prev_end])
+            extend_rows(rows[h:prev_end])
+    else:
+        for j in order:
+            h = heads[j]
+            e = ends[j]
+            if prev_end == h and ovcs[h][0] >= run_boundary:
+                offset, value = ovcs[h]
+                append((offset - x, value))
             else:
-                extend([
-                    code if code[0] < tail_boundary else duplicate
-                    for code in ovcs[h + 1 : e]
-                ])
-        out_rows.extend(rows[h:e])
-        if out_perm is not None:
-            out_perm.extend(range(h, e))
-        prev_end = e
+                prev_keys = keysrc[prev_end - 1]
+                cur = keysrc[h]
+                for d, pd in varying:
+                    if prev_keys[pd] != cur[pd]:
+                        append((d, cur[pd]))
+                        break
+                else:
+                    append(duplicate)
+            if e - h > 1:
+                if dropped:
+                    extend([duplicate] * (e - h - 1))
+                elif positional:
+                    extend(ovcs[h + 1 : e])
+                else:
+                    extend([
+                        code if code[0] < tail_boundary else duplicate
+                        for code in ovcs[h + 1 : e]
+                    ])
+            extend_rows(rows[h:e])
+            if out_perm is not None:
+                out_perm.extend(range(h, e))
+            prev_end = e
+    h = heads[order[0]]
+    out_ovcs[first] = (d0, keysrc[h][colpos[d0]])

@@ -293,13 +293,18 @@ class Table:
     ``sort_spec``; the first row's code is ``(0, first sort column)``,
     mirroring Figure 5 of the paper.
 
-    A table is mutable: ``rows`` may be edited in place or re-assigned
-    at any time.  What the library derives from the row sequence and
-    keeps on the table (its content fingerprint, the fast kernels'
-    normalized key columns) is revalidated on every read against a
-    snapshot of the rows it was computed from, so an edit is never
-    answered from stale facts — and an unchanged table never pays for
-    them twice.
+    A table is mutable: ``rows`` and ``ovcs`` may be edited in place or
+    re-assigned at any time.  The library keeps two records on a table,
+    each revalidated on every read against a snapshot of what it was
+    computed from, so an edit is never answered from stale facts — and
+    an unchanged table never pays for them twice:
+
+    * :meth:`_facts`, from the rows (fingerprint, the fast kernels' key
+      fields and code-book spans), witness ``rows == snapshot``;
+    * :meth:`_codes`, from the codes (offsets, heads, segment bounds,
+      ``auto``'s strategy; the merge chunks, which read the rows too,
+      only while :meth:`_facts` is the same record), witness ``ovcs ==
+      snapshot``.
     """
 
     schema: Schema
@@ -309,6 +314,7 @@ class Table:
 
     def __post_init__(self) -> None:
         self._memo: _Facts | None = None
+        self._code_memo = None
         if self.ovcs is not None and len(self.ovcs) != len(self.rows):
             raise ValueError(
                 f"{len(self.ovcs)} ovcs for {len(self.rows)} rows"
@@ -344,6 +350,17 @@ class Table:
             or self.rows != memo.rows
         ):
             memo = self._memo = _Facts(self.rows[:], self.schema)
+        return memo
+
+    def _codes(self):
+        """The :class:`~repro.core.classify.CodeFacts` record for the
+        codes as they are now (``ovcs`` set), kept while they compare
+        equal to its snapshot, as :meth:`_facts` keeps its own."""
+        memo = self._code_memo
+        if memo is None or self.ovcs != memo.ovcs:
+            from .core.classify import CodeFacts
+
+            memo = self._code_memo = CodeFacts(self.ovcs[:])
         return memo
 
     def column(self, name: str) -> list:
