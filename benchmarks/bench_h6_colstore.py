@@ -32,7 +32,7 @@ def test_h6_transposition_is_comparison_free(store, n_rows_small):
     table, col = store
     scan = ColumnStoreScan(col)
     out = list(scan)
-    assert [r for r, _o in out] == table.rows
+    assert tuple(r for r, _o in out) == table.rows
     assert scan.stats.column_comparisons == 0
     # The codes delivered equal a fresh derivation that would have cost
     # this many column comparisons:
@@ -54,7 +54,7 @@ def test_h6_transposition_is_comparison_free(store, n_rows_small):
             f"H6: cost of obtaining codes for {n_rows_small:,} rows",
         )
     )
-    assert [o for _r, o in out] == table.ovcs
+    assert tuple(o for _r, o in out) == table.ovcs
     assert stats.column_comparisons > n_rows_small  # what was saved
 
 

@@ -37,7 +37,7 @@ def test_h8_segmented_modification_correct(n_rows_small):
     stats = ComparisonStats()
     result = forest.modify_order_segmented(NEW_ORDER, stats)
     all_rows = [r for p in forest.partitions for r in p.rows]
-    assert result.rows == sorted(all_rows, key=lambda r: (r[0], r[2], r[1]))
+    assert list(result.rows) == sorted(all_rows, key=lambda r: (r[0], r[2], r[1]))
 
     # Baseline: flatten the forest and sort from scratch.
     baseline = ComparisonStats()

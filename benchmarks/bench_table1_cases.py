@@ -85,4 +85,4 @@ def test_table1_case_sorted_floor(benchmark, n_rows_small, case, floor):
         rows = benchmark(sorted, table.rows, key=key)
     else:
         rows, _ = benchmark(_sorted_with_codes, table.rows, key, positions)
-    assert rows == modify_sort_order(table, SortSpec(output_key)).rows
+    assert rows == list(modify_sort_order(table, SortSpec(output_key)).rows)

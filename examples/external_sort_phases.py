@@ -60,11 +60,12 @@ def main() -> None:
     # no run generation, no run spill.
     schema = Schema.of("A", "B")
     related = sorted(rows, key=lambda r: (r[1], r[0]))
-    table = Table(schema, related, SortSpec.of("B", "A"))
-    table.ovcs = derive_ovcs(related, (1, 0))
+    table = Table(
+        schema, related, SortSpec.of("B", "A"), derive_ovcs(related, (1, 0))
+    )
     stats = ComparisonStats()
     modified = modify_sort_order(table, SortSpec.of("A", "B"), stats=stats)
-    assert modified.rows == result.rows
+    assert list(modified.rows) == result.rows
     print(f"same rows arriving sorted on (B, A), desired (A, B):")
     print(
         f"  merge of pre-existing runs: {stats.row_comparisons:,} row cmp, "

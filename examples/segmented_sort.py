@@ -36,8 +36,7 @@ def main() -> None:
         ((rng.randrange(300), rng.randrange(1 << 20)) for _ in range(n_rows)),
         key=lambda r: r[0],
     )
-    table = Table(schema, rows, SortSpec.of("A"))
-    table.ovcs = derive_ovcs(rows, (0,))
+    table = Table(schema, rows, SortSpec.of("A"), derive_ovcs(rows, (0,)))
 
     segments = list(split_segments(table.ovcs, 1))
     largest = max(hi - lo for lo, hi in segments)

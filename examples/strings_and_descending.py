@@ -17,7 +17,6 @@ import random
 from repro import analyze_order_modification
 from repro import modify_sort_order
 from repro import Schema, SortSpec, Table
-from repro.ovc.derive import derive_table_ovcs
 from repro import ComparisonStats
 
 SERVICES = ["auth", "billing", "catalog", "checkout", "search", "shipping"]
@@ -39,8 +38,7 @@ def main() -> None:
         for i in range(30_000)
     ]
     rows.sort(key=stored_order.key_for(schema))
-    table = Table(schema, rows, stored_order)
-    table.ovcs = derive_table_ovcs(table)
+    table = Table(schema, rows, stored_order).with_ovcs()
 
     desired = SortSpec.of("service", "ts DESC", "level")
     plan = analyze_order_modification(stored_order, desired)

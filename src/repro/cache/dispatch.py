@@ -70,7 +70,7 @@ class ServeOutcome:
 
     fingerprint: Fingerprint
     #: The served result, or ``None`` for a miss (caller executes cold).
-    #: Its lists are the cache entry's own: copy before handing them on.
+    #: Its sequences may be the cache entry's own tuples, shared as is.
     table: Table | None = None
     #: ``"cache-hit(<order>)"`` or ``"modify-from-cache(<order>)"``.
     label: str | None = None
@@ -280,7 +280,7 @@ def _rebase(
         step = _perm_of(parent.rows, rows)
     if parent_perm is None:
         parent_perm = _perm_of(source_rows, parent.rows)
-    perm = gather(parent_perm, step)
+    perm = list(gather(parent_perm, step))
     if ovcs is not None and _retiebreak(
         perm, list(map(itemgetter(0), ovcs)), spec.arity
     ):

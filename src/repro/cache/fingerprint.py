@@ -14,8 +14,7 @@ cache entry costs").
 
 The fingerprint also carries the rows it hashed (:attr:`Fingerprint.
 rows`, not part of its identity): a cached permutation is turned back
-into rows by gathering through *them*, never through a list the caller
-may have edited since.
+into rows by gathering through *them*.
 
 Hashes are Python ``hash()`` values: stable within a process, which is
 exactly the cache's lifetime (it never persists fingerprints).
@@ -23,11 +22,10 @@ exactly the cache's lifetime (it never persists fingerprints).
 A fingerprint is one O(n) pass over the rows, and the service, the
 cache dispatcher and the batch planner all ask for the same table's:
 :func:`fingerprint_table` therefore keeps its answer on the
-:class:`~repro.model.Table` and recomputes only when the table's row
-sequence no longer compares equal to the one it hashed (see
-:meth:`repro.model.Table._facts` — an exact check, so an edited table
-is never served from a stale key).  Passes actually run are counted as
-``cache.fingerprint_passes``; under repeat traffic it stays flat.
+:class:`~repro.model.Table` (:meth:`repro.model.Table._facts`): a table
+never changes, so it is hashed once in its life.  Passes actually run
+are counted as ``cache.fingerprint_passes``; under repeat traffic it
+stays flat.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ class Fingerprint:
     n_rows: int
     #: Chained hash of the row hashes in arrival order.
     sequence: int
-    #: The rows that were hashed (a snapshot; excluded from ``==``).
+    #: The rows that were hashed (excluded from ``==``).
     rows: tuple = field(compare=False, repr=False)
 
     @property
@@ -59,7 +57,8 @@ class Fingerprint:
 def fingerprint_rows(
     rows: Sequence[tuple], schema_columns: tuple[str, ...]
 ) -> Fingerprint:
-    """Fingerprint a row sequence (one pass, one hash per row)."""
+    """Fingerprint a row sequence (one pass, one hash per row); a
+    tuple is kept as is, anything else copied into one."""
     if METRICS.enabled:
         METRICS.counter("cache.fingerprint_passes").inc()
     rows = tuple(rows)
@@ -72,10 +71,10 @@ def fingerprint_rows(
 def fingerprint_table(table: Table) -> Fingerprint:
     """Fingerprint a table's rows (sort order deliberately ignored).
 
-    Memoized on the table: the pass runs once per distinct row
-    sequence, and again after any edit that changes it.
+    Memoized on the table: the pass runs once per table, and the
+    fingerprint holds the table's own row tuple.
     """
     facts = table._facts()
     if facts.fingerprint is None:
-        facts.fingerprint = fingerprint_rows(facts.rows, facts.schema.columns)
+        facts.fingerprint = fingerprint_rows(table.rows, table.schema.columns)
     return facts.fingerprint

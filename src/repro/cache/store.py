@@ -18,14 +18,14 @@ its input, so an entry does not keep the rows: it keeps
   list (counted as ``cache.unpacked_installs``);
 
 3-13 bytes a row (3.05 on the benchmark's orders at 2^12).  The row
-list and the ``(offset, value)`` tuple list readers are handed are a
+tuple and the ``(offset, value)`` tuple readers are handed are a
 *memo* of that form — one :func:`~repro.fastpath.packed.gather`
 through ``perm`` over the rows the request's fingerprint hashed, one
 through ``ids`` over the book's tuples, each built once and shared by
 every row and response that carries it — kept while the budget has room
 and dropped for free when it has not.  An entry is therefore in one of
-three states: ``memo`` (arrays and both lists: a read hands the lists
-out), ``flat`` (arrays: a read gathers both lists outside the lock,
+three states: ``memo`` (arrays and both tuples: a read hands them
+out), ``flat`` (arrays: a read gathers both tuples outside the lock,
 ~0.13 ms at 2^12 on one thread) or ``spilled`` (a spill file: one small
 unpickle, then as ``flat``).
 
@@ -71,7 +71,7 @@ from array import array
 from collections import OrderedDict, defaultdict, deque
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from ..exec.memory import MemoryAccountant
 from ..exec.spill import SpillHandle, SpillManager
@@ -93,10 +93,10 @@ ENTRY_BYTES = 1024
 class CachedOrder(NamedTuple):
     """Immutable reader snapshot of one cache entry.
 
-    ``rows`` / ``ovcs`` are plain lists, complete when the snapshot is
+    ``rows`` / ``ovcs`` are tuples, complete when the snapshot is
     handed out — the entry's memo when it has one (shared, never
-    copied: treat them as frozen), else freshly gathered; ``None`` only
-    in the metadata-only snapshots of :meth:`OrderCache.candidates`.
+    copied: nobody can change a tuple), else freshly gathered; ``None``
+    only in the metadata-only snapshots of :meth:`OrderCache.candidates`.
     ``perm`` maps output position to source index.
     ``offset_counts[k]`` is the number of codes with offset exactly
     ``k`` (length ``arity + 1``), from which the dispatcher derives
@@ -105,8 +105,8 @@ class CachedOrder(NamedTuple):
     """
 
     spec: SortSpec
-    rows: list | None
-    ovcs: list | None
+    rows: tuple | None
+    ovcs: tuple | None
     perm: array | None
     offset_counts: tuple
     #: ``memo`` | ``flat`` | ``spilled`` — what the read found.
@@ -134,7 +134,7 @@ class _Entry:
         self.perm = perm
         #: The code book, ``(ids, offsets, values)`` (:func:`_code_book`).
         self.codes = codes
-        #: The memo lists (``None`` when dropped).
+        #: The memo tuples (``None`` when dropped).
         self.rows = rows
         self.ovcs = ovcs
         self.offset_counts = offset_counts
@@ -190,9 +190,9 @@ def _code_book(ovcs: list) -> tuple:
     return None, offsets, list(map(itemgetter(1), ovcs))
 
 
-def _codes(ids, offsets, values) -> list[tuple]:
-    """The ``(offset, value)`` list of a code book: every distinct code
-    is built once and each row gets a reference to it."""
+def _codes(ids, offsets, values) -> tuple[tuple, ...]:
+    """The ``(offset, value)`` tuples of a code book: every distinct
+    code is built once and each row gets a reference to it."""
     book = unpack_codes(offsets, values)
     return book if ids is None else gather(book, ids)
 
@@ -216,7 +216,7 @@ def _offset_counts(ids, offsets, arity: int) -> tuple:
     return (*head, len(cells) - sum(head))
 
 
-def _perm_of(source, rows: list) -> list[int]:
+def _perm_of(source, rows) -> Sequence[int]:
     """``rows`` as indices into ``source``.
 
     A sort moves references, so the rows are normally the source's own
@@ -294,7 +294,7 @@ class OrderCache:
             METRICS.counter("cache." + name).inc()
 
     def _drop_memo(self, entry: _Entry) -> None:
-        """Release an entry's row and code lists (lock held)."""
+        """Release an entry's row and code tuples (lock held)."""
         del self._memos[entry]
         entry.rows = entry.ovcs = None
         self.accountant.release(CATEGORY, entry.memo_bytes)
@@ -362,13 +362,13 @@ class OrderCache:
     def _read(
         self, fp: Fingerprint, spec: SortSpec, hits: bool, misses: bool
     ) -> CachedOrder | None:
-        """The stored order for ``(fp, spec)`` with its lists built.
+        """The stored order for ``(fp, spec)`` with its tuples built.
 
         ``hits`` / ``misses``: whether a found / absent entry counts as
         a lookup's hit / miss.  Under the lock: the map operations, the
         rehydrate of a spilled entry and a snapshot of its arrays.  A
         flat entry's two gathers run outside it, over the rows ``fp``
-        hashed; the lists are kept as the entry's memo only if the
+        hashed; the tuples are kept as the entry's memo only if the
         budget has room for them as it stands — a memo is never worth a
         disk write.
         """
@@ -451,8 +451,8 @@ class OrderCache:
         self,
         fp: Fingerprint,
         spec: SortSpec,
-        rows: list,
-        ovcs: list,
+        rows: tuple,
+        ovcs: tuple,
         stats_delta=None,
         perm=None,
     ) -> bool:
@@ -462,8 +462,9 @@ class OrderCache:
         ``perm`` is that permutation (``rows[i] is fp.rows[perm[i]]``)
         when the caller has it — the fast kernels do — and is derived
         from the rows otherwise (:func:`_perm_of`).  ``rows`` / ``ovcs``
-        become the entry's first memo (shared, not copied), sized by the
-        page model's fixed-width row: 8 bytes a column and 16 a code.
+        become the entry's first memo (tuples shared, not copied; a list
+        is copied into a tuple), sized by the page model's fixed-width
+        row: 8 bytes a column and 16 a code.
         Returns False when the entry cannot be admitted (codes missing,
         or rows that are not the fingerprinted ones).
 
@@ -481,6 +482,7 @@ class OrderCache:
             perm = _word_array(perm)
         except LookupError:
             return self._reject()
+        rows, ovcs = tuple(rows), tuple(ovcs)
         ids, offsets, values = codes = _code_book(ovcs)
         if ids is None:
             self._count("unpacked_installs")

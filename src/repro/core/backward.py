@@ -33,7 +33,7 @@ def reverse_table(table: Table, stats: ComparisonStats | None = None) -> Table:
     """
     if table.sort_spec is None:
         raise ValueError("backward scan requires a sorted table")
-    table.with_ovcs()
+    table = table.with_ovcs()
     stats = stats if stats is not None else ComparisonStats()
 
     spec = table.sort_spec
@@ -43,7 +43,7 @@ def reverse_table(table: Table, stats: ComparisonStats | None = None) -> Table:
     arity = spec.arity
     n = len(table.rows)
 
-    new_rows = list(reversed(table.rows))
+    new_rows = table.rows[::-1]
     new_ovcs: list[tuple] = []
     for j, row in enumerate(new_rows):
         if j == 0:

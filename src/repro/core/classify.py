@@ -14,9 +14,9 @@ old code's offset — no column value is ever inspected:
   immediately follows its predecessor into the output.
 
 That classification is a fact of the input's codes, not of a request:
-``Table._codes()`` keeps it in one :class:`CodeFacts` record per code
-list, built on first use and revalidated on every read by a C-level
-``table.ovcs == snapshot`` (identical tuples short-circuit).
+``Table._codes()`` keeps it in one :class:`CodeFacts` record per table,
+built on first use.  A table never changes, so the record never goes
+stale.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def split_segments(
 
 
 class CodeFacts:
-    """What one code list (its snapshot and witness ``ovcs``) says:
-    offsets, per boundary the count below it and the head positions,
-    per prefix length the segment bounds.  Each item is built on first
-    use and stored whole (racing threads build equal ones).  ``chunks``
-    belongs to :func:`repro.fastpath.execute.bind` (chunk heads per
-    boundary; merge segments' chunks, valid for one row record) and
-    ``strategies`` (plan -> ``auto``'s strategy) to ``core.modify``.
+    """What one table's codes ``ovcs`` say: offsets, per boundary the
+    count below it and the head positions, per prefix length the segment
+    bounds.  Each item is built on first use and stored whole (racing
+    threads build equal ones).  ``chunks`` belongs to
+    :func:`repro.fastpath.execute.bind` (chunk heads per boundary and
+    each merge segment's chunks) and ``strategies`` (plan -> ``auto``'s
+    strategy) to ``core.modify``.
     """
 
     __slots__ = (

@@ -87,7 +87,7 @@ def enforce_order(
         ovcs = None
         if source.ovcs is not None:
             ovcs = project_ovcs(source.ovcs, spec.arity)
-        table = Table(source.schema, list(source.rows), spec, ovcs)
+        table = Table(source.schema, source.rows, spec, ovcs)
         return Enforced(
             table, "passthrough", "passthrough",
             perm=list(range(len(table.rows))) if want_perm else None,

@@ -32,7 +32,8 @@ and every path — this module, the enforcer's full sort and the
 segment loop — runs its segments through the ``run`` it returns.
 
 Input and output are both resident: the result's rows are the input's
-own tuple objects in a new list.  Memory is bounded elsewhere, by one
+own tuple objects in a new tuple (the input's own tuple when the order
+is already satisfied).  Memory is bounded elsewhere, by one
 loop (:class:`repro.core.external_modify.SegmentLoop`): in loads of
 whole segments up to ``memory_capacity`` rows under
 ``Sort(memory_capacity=)``, one segment at a time in
@@ -195,8 +196,7 @@ def _modify(
                 table = reverse_table(table.with_ovcs(), stats)
             else:
                 table = Table(
-                    table.schema,
-                    list(reversed(table.rows)),
+                    table.schema, table.rows[::-1],
                     reversed_spec(table.sort_spec),
                 )
         plan = analyze_order_modification(
@@ -204,7 +204,7 @@ def _modify(
         )
 
     if use_ovc:
-        table.with_ovcs()
+        table = table.with_ovcs()
 
     # The old codes are classified once per table, not per call: its
     # record serves the strategy choice, the segment boundaries and the
@@ -221,7 +221,7 @@ def _modify(
 
     if strategy is Strategy.NOOP:
         # Codes are projected onto the shorter key; nothing is compared.
-        out_rows = list(table.rows)
+        out_rows = table.rows
         if use_ovc:
             out_ovcs = project_ovcs(table.ovcs, new_spec.arity)
         if perm is not None and engine == "fast":
@@ -246,7 +246,9 @@ def _modify(
             for lo, hi in boundaries:
                 run(lo, hi, out_rows, out_ovcs, perm)
     if backward:
-        _restore_tie_order(out_rows, out_ovcs, new_spec, table.schema, stats)
+        out_rows = _restore_tie_order(
+            out_rows, out_ovcs, new_spec, table.schema, stats
+        )
     result = Table(table.schema, out_rows, new_spec, out_ovcs)
 
     TRACER.annotate(strategy=name, engine=engine, fallback=fallback)
@@ -345,8 +347,9 @@ def bind_strategy(
     return run, engine, fallback
 
 
-def _restore_tie_order(rows, ovcs, spec, schema, stats) -> None:
-    """Put rows tied on ``spec`` back in input order, in place.
+def _restore_tie_order(rows, ovcs, spec, schema, stats) -> list:
+    """``rows`` (a new list) with the rows tied on ``spec`` back in
+    input order.
 
     A backward scan reverses the input, and every executor is stable,
     so each group of rows equal under ``spec`` arrives back to front.
@@ -365,9 +368,11 @@ def _restore_tie_order(rows, ovcs, spec, schema, stats) -> None:
         starts += [
             i for i in range(1, n) if compare_plain(keys[i - 1], keys[i], stats)
         ]
+    rows = list(rows)
     for lo, hi in zip(starts, starts[1:] + [n]):
         if hi - lo > 1:
             rows[lo:hi] = rows[lo:hi][::-1]
+    return rows
 
 
 def _check_method(method: str) -> None:

@@ -22,7 +22,7 @@ class TableScan(Operator):
 
     def __init__(self, table: Table, stats: ComparisonStats | None = None) -> None:
         if table.sort_spec is not None:
-            table.with_ovcs()
+            table = table.with_ovcs()
         super().__init__(table.schema, table.sort_spec, stats)
         self._table = table
 
@@ -37,8 +37,9 @@ class TableScan(Operator):
     def to_table(self) -> Table:
         """The scanned table, not a copy: a consumer that materializes
         its input (``Sort``, ``Query.order_by_many``) works on the
-        caller's :class:`Table` — and finds the facts memoized on it —
-        instead of rebuilding it row by row.  Treat it as read-only."""
+        caller's :class:`Table` (or, for a sorted table without codes,
+        the coded table :meth:`Table.with_ovcs` keeps on it) and finds
+        the facts memoized there instead of rebuilding it row by row."""
         return self._table
 
     def _explain_detail(self) -> str:

@@ -182,10 +182,9 @@ class Sort(Operator):
     def _materialize(self) -> Table:
         """Run the sort (any non-passthrough path) and return its output.
 
-        The returned lists may be the order cache's own (an exact hit
+        The returned tuples may be the order cache's own (an exact hit
         serves the entry as-is; an executed sort installs what it
-        returns): iteration hands out pairs, never the lists, and
-        :meth:`to_table` copies them whenever the cache was consulted.
+        returns), shared as they are: nobody can change them.
         """
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()
@@ -276,22 +275,15 @@ class Sort(Operator):
         yield from _emit(self._materialize())
 
     def to_table(self) -> Table:
-        """The sorted output as a table the caller owns.
+        """The sorted output as a table.
 
-        A materialized result is handed over as is when no cache was
-        consulted (its lists are this call's own), else through two
-        C-level list slices, rather than re-collected pair by pair from
-        :meth:`__iter__`; passthrough keeps streaming.
+        A materialized result is handed over as is (a cache hit shares
+        the entry's tuples, nothing is copied), rather than re-collected
+        pair by pair from :meth:`__iter__`; passthrough keeps streaming.
         """
         if self._passes_through():
             return super().to_table()
-        out = self._materialize()
-        if self._cache_fp is None:
-            return out
-        return Table(
-            self.schema, out.rows[:], self._spec,
-            None if out.ovcs is None else out.ovcs[:],
-        )
+        return self._materialize()
 
     def _children(self) -> list[Operator]:
         return [self._child]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from operator import is_
 from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
@@ -67,9 +66,9 @@ def bind(
     (``colpos[d] == d``).  A merge strategy needs ``table`` (whose codes
     ``ovcs`` are): whether the input is chunked (:func:`chunk_heads`)
     and each merge segment's chunks — heads, chunk ends and restricted
-    keys — are kept on its code record (``Table._codes()``), the chunks
-    only while its row record (``Table._facts()``) is the same, so a
-    repeat order packs no key and slices no head list.
+    keys — are kept on its code record (``Table._codes()``), so a repeat
+    order packs no key and slices no head list.  ``rows`` and ``ovcs``
+    are ``table``'s own whenever ``table`` is given.
     """
     k_out = len(positions)
     merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
@@ -96,13 +95,13 @@ def bind(
         merging = heads is not None
         if merging:
             stop = plan.prefix_len + plan.merge_len
-    facts = None  # the table's memo record, read once
+    remembered = False  # whether fields and books are the table's
     if all(directions):
         keysrc = rows
         colpos = list(positions)
         if table is not None:
-            facts = table._facts()
-            fields = table_fields(facts, colpos[start:stop])
+            remembered = True
+            fields = table_fields(table, colpos[start:stop])
         else:
             fields = key_fields(rows, colpos[start:stop], {})
     else:
@@ -118,26 +117,16 @@ def bind(
             # array items are made per read.
             packed = packed.tolist()
         plain = booked = _code_table(fields, colpos, start)
-        if facts is not None:
-            spans = table_books(facts, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
+        if remembered:
+            spans = table_books(table, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
             if any(spans):
                 booked = _code_table(fields, colpos, start, spans)
-                snapshot = facts.rows
         # A segment of more rows than possible packed words is mostly
         # duplicates: a book would not repay checking its rows.
         words = 1 << sum(bits for _, bits in fields)
-        own = None  # whether rows are the snapshot's tuples: checked once
 
         def run(lo, hi, out_rows, out_ovcs, out_perm=None):
-            nonlocal own
-            codes = plain
-            if booked is not plain and words >= hi - lo:
-                if own is None:
-                    own = len(rows) == len(snapshot) and all(
-                        map(is_, rows, snapshot)
-                    )
-                if own:
-                    codes = booked
+            codes = booked if words >= hi - lo else plain
             fast_sort_segment(
                 rows, ovcs, keysrc, packed, codes, colpos, lo, hi, p, k_out,
                 out_rows, out_ovcs, out_perm,
@@ -154,15 +143,10 @@ def bind(
     ]
     respect_prefix = strategy is Strategy.COMBINED
     # Each segment's chunks, by segment start: kept with the restricted
-    # key's packed words, so they hold while the rows and codes do.
-    if facts is None:
-        facts = table._facts()
+    # key's packed words on the table's code record.
     key = (tuple(positions[start:stop]), tuple(directions[start:stop]),
            boundary, p)
-    kept = codes.chunks.get(key)
-    if kept is None or kept[0] is not facts:
-        kept = codes.chunks[key] = (facts, {})
-    segments = kept[1]
+    segments = codes.chunks.setdefault(key, {})
     packed = None  # packed only if some segment's chunks are not kept
 
     def run(lo, hi, out_rows, out_ovcs, out_perm=None):

@@ -8,7 +8,7 @@ int that orders exactly like the column's values — ``value - min`` for
 a pure-``int`` column, the dense rank among the distinct values
 otherwise — together with the bit width of the largest surrogate.
 Fields are facts of the rows, not of a request, so for a table's own
-rows they live on its memo record (:func:`table_fields`) and every
+rows they live on its row record (:func:`table_fields`) and every
 later order over the same table reuses them.
 
 Packing a requested order is then word arithmetic over whole columns
@@ -72,25 +72,24 @@ def pack_codes(ovcs: Sequence[tuple]) -> tuple[array, array]:
     return _word_array(offsets), _word_array(values, signed=True)
 
 
-def gather(seq, indices: Sequence) -> list:
-    """``[seq[i] for i in indices]`` (``seq``'s own items, in a new list)
-    in one ``itemgetter`` call, the way the library applies every
-    permutation: a ``map`` over ``seq.__getitem__`` pays a method-wrapper
-    call an item (a tuple through a 4 096-cell ``array``: 104 µs, here
-    61 µs).  ``itemgetter`` of one index returns the bare item, of none
-    raises."""
+def gather(seq, indices: Sequence) -> tuple:
+    """``tuple(seq[i] for i in indices)`` (``seq``'s own items) in one
+    ``itemgetter`` call, the way the library applies every permutation:
+    a ``map`` over ``seq.__getitem__`` pays a method-wrapper call an
+    item (a tuple through a 4 096-cell ``array``: 104 µs, here 61 µs).
+    ``itemgetter`` of one index returns the bare item, of none raises."""
     if isinstance(indices, array):
         indices = indices.tolist()  # a few percent faster than *array
     if len(indices) > 1:
-        return list(itemgetter(*indices)(seq))
-    return [seq[i] for i in indices]
+        return itemgetter(*indices)(seq)
+    return tuple([seq[i] for i in indices])
 
 
-def unpack_codes(offsets, values) -> list[tuple]:
-    """Inverse of :func:`pack_codes`: the ``(offset, value)`` tuple list
-    of two parallel sequences (a code book's distinct codes, built once
-    a read)."""
-    return list(zip(offsets, values))
+def unpack_codes(offsets, values) -> tuple[tuple, ...]:
+    """Inverse of :func:`pack_codes`: the ``(offset, value)`` tuples of
+    two parallel sequences (a code book's distinct codes, built once a
+    read)."""
+    return tuple(zip(offsets, values))
 
 
 def column_field(values: Sequence) -> Field:
@@ -137,29 +136,29 @@ def key_fields(
     return fields
 
 
-def table_fields(facts, columns: Sequence[int]) -> list[Field]:
+def table_fields(table, columns: Sequence[int]) -> list[Field]:
     """:func:`key_fields` of a table's own rows (ascending), kept on its
-    memo record ``facts`` (``Table._facts()``): built from the record's
-    row snapshot and discarded with it when the rows or the schema
-    change.  Racing threads may each build a field; the builds are equal."""
+    row record (``Table._facts()``) for as long as the table lives.
+    Racing threads may each build a field; the builds are equal."""
+    facts = table._facts()
     memo = facts.fields
     if memo is None:
         memo = facts.fields = {}
-    return key_fields(facts.rows, columns, memo)
+    return key_fields(table.rows, columns, memo)
 
 
-def table_books(facts, columns: Sequence[int], min_rows: int) -> list:
-    """Per column of a table's own rows (its memo record ``facts``): the
-    ``range`` of its values when a code book may serve it, else ``None``.
+def table_books(table, columns: Sequence[int], min_rows: int) -> list:
+    """Per column of a table's own rows: the ``range`` of its values
+    when a code book may serve it, else ``None``.
 
     Only a column whose values are all exactly ``int`` qualifies (``1``,
     ``1.0`` and ``True`` are equal but must never share a code), with
-    at most one value per ``min_rows`` rows.  Decided from the memo
-    record's snapshot on the column's second use (a table ordered once
-    pays nothing).  A book's codes carry the snapshot's values, so they
-    may code only rows that are the snapshot's own tuples: the record's
-    witness compares rows by value and cannot tell ``1`` from ``1.0``.
+    at most one value per ``min_rows`` rows.  Decided on the column's
+    second use and kept on the table's row record (a table ordered once
+    pays nothing).  A book's codes carry the table's own values, so
+    they may code the table's rows and nothing else.
     """
+    facts = table._facts()
     memo = facts.books
     if memo is None:
         memo = facts.books = {}
@@ -167,7 +166,7 @@ def table_books(facts, columns: Sequence[int], min_rows: int) -> list:
     for pc in columns:
         span = memo.get(pc, False)
         if span is False and pc in memo:
-            values = list(map(itemgetter(pc), facts.rows))
+            values = list(map(itemgetter(pc), table.rows))
             span = None
             if set(map(type, values)) == {int}:
                 low, high = min(values), max(values)

@@ -47,15 +47,14 @@ would for a direct call.  A queued request holds a reference to the
 caller's source table, not a copy.
 
 What a request costs besides its execution: the coalescing key needs
-the source's content fingerprint — O(n) hashing, memoized on the
-caller's :class:`~repro.model.Table` and revalidated by one C-level
-comparison of its rows with a snapshot (the facts witness), so tables
-may be edited between requests.  ``Sort`` and the cache are handed the
-same ``Table``, so they find the memo too.  The normalized order is
-memoized per (row sequence, order).  With the cache warm, a repeat
-request is submit → cache → response on the caller's thread, with no
-thread hand-off: the witness, a few dictionary reads, and the two list
-copies the response owns — never a row-by-row re-collection.
+the source's content fingerprint — O(n) hashing, once in the life of
+the caller's :class:`~repro.model.Table` (a table is a value, so the
+fingerprint kept on it never goes stale).  ``Sort`` and the cache are
+handed the same ``Table``, so they find the memo too.  The normalized
+order is memoized per (row sequence, order).  With the cache warm, a
+repeat request is submit → cache → response on the caller's thread,
+with no thread hand-off: a few dictionary reads and one ``Table``
+around the entry's own tuples — no copy of a row or a code.
 
 Observability: ``serve.*`` counters/gauges/histograms in the metrics
 registry, decision-grade ``serve.*`` structured-log events, and a
@@ -413,10 +412,9 @@ class OrderService:
         submitted_at: float,
         deadline_at: float | None,
     ) -> Ticket:
-        """A completed ticket for an exact hit.  The entry's lists may
-        be its shared memo, so the response gets copies, as
-        ``Sort.to_table`` gives."""
-        table = Table(schema, hit.rows[:], hit.spec, hit.ovcs[:])
+        """A completed ticket for an exact hit, sharing the entry's
+        tuples (nobody can change them)."""
+        table = hit.as_table(schema)
         self._count("cache_hits")
         latency = self._clock() - submitted_at
         if METRICS.enabled:

@@ -87,7 +87,7 @@ class BTree:
         codes (or are derived once here)."""
         if table.sort_spec is None:
             raise ValueError("bulk load requires a sorted table")
-        table.with_ovcs()
+        table = table.with_ovcs()
         tree = cls(table.schema, table.sort_spec, order)
         cap = order
         leaves: list[_Node] = []

@@ -59,7 +59,7 @@ class ColumnStore:
         column ``k`` starts a new run exactly where ``offset <= k``."""
         if table.sort_spec is None:
             raise ValueError("column-store compression requires a sorted table")
-        table.with_ovcs()
+        table = table.with_ovcs()
         key_positions = table.sort_spec.positions(table.schema)
         arity = table.sort_spec.arity
         values: list[list] = [[] for _ in range(arity)]

@@ -166,9 +166,10 @@ class LsmForest:
         # Re-anchor codes at segment boundaries: each segment's first
         # row was coded as a table head; recode it against the previous
         # segment's last row (one comparison per segment).
-        table = Table(self.schema, out_rows, new_order, out_ovcs)
-        _fix_boundary_codes(table, stats)
-        return table
+        _fix_boundary_codes(
+            out_rows, out_ovcs, new_positions, new_order.directions, stats
+        )
+        return Table(self.schema, out_rows, new_order, out_ovcs)
 
 
 def _prefix_heads(partition: Table, prefix_len: int) -> Iterator[tuple]:
@@ -191,14 +192,16 @@ def _reanchor_ovcs(
     return ovcs
 
 
-def _fix_boundary_codes(table: Table, stats: ComparisonStats) -> None:
-    positions = table.sort_spec.positions(table.schema)
-    directions = table.sort_spec.directions
-    heads = [
-        i for i, (offset, _v) in enumerate(table.ovcs) if i > 0 and offset == 0
-    ]
+def _fix_boundary_codes(
+    rows: list[tuple],
+    ovcs: list[tuple],
+    positions: Sequence[int],
+    directions: Sequence[bool],
+    stats: ComparisonStats,
+) -> None:
+    """Recode, in the list ``ovcs``, every row after the first coded as
+    a table head against its predecessor in ``rows``."""
+    heads = [i for i, (offset, _v) in enumerate(ovcs) if i > 0 and offset == 0]
     for i in heads:
-        pair = derive_ovcs(
-            table.rows[i - 1 : i + 1], positions, directions, stats
-        )
-        table.ovcs[i] = pair[1]
+        pair = derive_ovcs(rows[i - 1 : i + 1], positions, directions, stats)
+        ovcs[i] = pair[1]

@@ -50,7 +50,7 @@ class PrefixTruncatedStore:
     def from_table(cls, table: Table) -> "PrefixTruncatedStore":
         if table.sort_spec is None:
             raise ValueError("prefix truncation requires a sorted table")
-        table.with_ovcs()
+        table = table.with_ovcs()
         key_positions = table.sort_spec.positions(table.schema)
         key_set = set(key_positions)
         rest_positions = [

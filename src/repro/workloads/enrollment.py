@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 
 from ..model import Schema, SortSpec, Table
-from .generators import _attach_ovcs
 
 
 @dataclass
@@ -67,9 +66,9 @@ def make_enrollment_workload(
         for c in range(n_campuses)
         for s in range(n_students)
     )
-    students_table = _attach_ovcs(
-        Table(student_schema, students, SortSpec.of("campus", "student"))
-    )
+    students_table = Table(
+        student_schema, students, SortSpec.of("campus", "student")
+    ).with_ovcs()
 
     course_schema = Schema.of("campus", "course", "credits")
     courses = sorted(
@@ -77,9 +76,9 @@ def make_enrollment_workload(
         for c in range(n_campuses)
         for k in range(n_courses)
     )
-    courses_table = _attach_ovcs(
-        Table(course_schema, courses, SortSpec.of("campus", "course"))
-    )
+    courses_table = Table(
+        course_schema, courses, SortSpec.of("campus", "course")
+    ).with_ovcs()
 
     enroll_schema = Schema.of("campus", "course", "student", "semester", "grade_x10")
     seen: set[tuple] = set()
@@ -100,13 +99,11 @@ def make_enrollment_workload(
                 seen.add(retry)
                 enrollments.append(retry + (rng.randrange(10, 41),))
     enrollments.sort()
-    enrollments_table = _attach_ovcs(
-        Table(
-            enroll_schema,
-            enrollments,
-            SortSpec.of("campus", "course", "student", "semester"),
-        )
-    )
+    enrollments_table = Table(
+        enroll_schema,
+        enrollments,
+        SortSpec.of("campus", "course", "student", "semester"),
+    ).with_ovcs()
     return EnrollmentWorkload(
         students_table, courses_table, enrollments_table, n_campuses
     )

@@ -12,13 +12,6 @@ import random
 from typing import Sequence
 
 from ..model import Schema, SortSpec, Table
-from ..ovc.derive import derive_ovcs
-
-
-def _attach_ovcs(table: Table) -> Table:
-    positions = table.sort_spec.positions(table.schema)
-    table.ovcs = derive_ovcs(table.rows, positions, table.sort_spec.directions)
-    return table
 
 
 def fig10_table(
@@ -70,8 +63,7 @@ def fig10_table(
         for v in b_values:
             b_cols[pos] = v
             rows.append(a_tuple + tuple(b_cols))
-    table = Table(schema, rows, spec)
-    return _attach_ovcs(table)
+    return Table(schema, rows, spec).with_ovcs()
 
 
 def fig10_output_spec(list_len: int) -> SortSpec:
@@ -136,8 +128,7 @@ def fig11_table(
             for v in c_values:
                 c_cols[pos] = v
                 rows.append(a_tuple + b_tuple + tuple(c_cols))
-    table = Table(schema, rows, spec)
-    return _attach_ovcs(table)
+    return Table(schema, rows, spec).with_ovcs()
 
 
 def fig11_output_spec(list_len: int = 8) -> SortSpec:
@@ -179,7 +170,8 @@ def random_sorted_table(
     Small domains produce many duplicates, segments, and runs — the
     interesting regime for order modification.
     """
-    table = random_table(schema, n_rows, domains, seed)
-    table.rows.sort(key=sort_spec.key_for(schema))
-    table.sort_spec = sort_spec
-    return _attach_ovcs(table)
+    rows = sorted(
+        random_table(schema, n_rows, domains, seed).rows,
+        key=sort_spec.key_for(schema),
+    )
+    return Table(schema, rows, sort_spec).with_ovcs()

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from ..model import Schema, SortSpec, Table
-from .generators import _attach_ovcs
 
 REGIONS = 5
 
@@ -55,9 +54,9 @@ def make_retail_workload(
         (rng.randrange(REGIONS), c, rng.randrange(5))
         for c in range(n_customers)
     )
-    customers_table = _attach_ovcs(
-        Table(customer_schema, customers, SortSpec.of("region", "customer"))
-    )
+    customers_table = Table(
+        customer_schema, customers, SortSpec.of("region", "customer")
+    ).with_ovcs()
 
     order_schema = Schema.of("customer", "order_id", "order_date", "priority")
     orders = sorted(
@@ -69,9 +68,9 @@ def make_retail_workload(
         )
         for o in range(n_orders)
     )
-    orders_table = _attach_ovcs(
-        Table(order_schema, orders, SortSpec.of("customer", "order_id"))
-    )
+    orders_table = Table(
+        order_schema, orders, SortSpec.of("customer", "order_id")
+    ).with_ovcs()
 
     line_schema = Schema.of("order_id", "line_nr", "partkey", "qty", "price")
     lineitems: list[tuple] = []
@@ -87,7 +86,7 @@ def make_retail_workload(
                 )
             )
     lineitems.sort()
-    lineitems_table = _attach_ovcs(
-        Table(line_schema, lineitems, SortSpec.of("order_id", "line_nr"))
-    )
+    lineitems_table = Table(
+        line_schema, lineitems, SortSpec.of("order_id", "line_nr")
+    ).with_ovcs()
     return RetailWorkload(customers_table, orders_table, lineitems_table)

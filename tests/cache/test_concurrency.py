@@ -25,7 +25,7 @@ def _dataset(salt: int):
         spec = SortSpec(cols)
         positions = tuple({"A": 0, "B": 1}[c] for c in cols)
         ordered = sorted(rows, key=lambda r: tuple(r[p] for p in positions))
-        out[spec] = (ordered, derive_ovcs(ordered, positions))
+        out[spec] = (tuple(ordered), tuple(derive_ovcs(ordered, positions)))
     return fingerprint_rows(rows, SCHEMA), out
 
 

@@ -28,10 +28,11 @@ def _source(n=300, domains=(5, 4, 3), seed=0) -> Table:
 
 def _cold_sort(source: Table, spec: SortSpec):
     """What an uncached Sort would produce for an unordered child."""
-    return tournament_sort(
+    rows, ovcs = tournament_sort(
         list(source.rows), spec.positions(source.schema), ComparisonStats(),
         spec.directions, True,
     )
+    return tuple(rows), tuple(ovcs)
 
 
 def test_exact_hit_serves_rows_and_codes_and_counts_nothing():
@@ -117,7 +118,7 @@ def test_modify_reties_against_live_sequence():
     # What was installed is the re-tie-broken order, as a permutation.
     hit = cache.lookup(fp, want)
     assert hit.rows == cold_rows and hit.ovcs == cold_ovcs
-    assert [source.rows[i] for i in hit.perm] == cold_rows
+    assert tuple(source.rows[i] for i in hit.perm) == cold_rows
     cache.close()
 
 

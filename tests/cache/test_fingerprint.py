@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.serve import OrderService
+from repro.testing import assert_stable_sort_of, assert_table_valid
 
 
 SCHEMA = ("A", "B")
@@ -71,9 +73,9 @@ def test_empty_and_singleton():
 
 # ------------------------------------------------- the memo on the Table
 #
-# fingerprint_table keeps its answer on the table; these pin down that
-# the memo is *exact*: any change to the row sequence recomputes, and
-# only a sequence that still compares equal reuses.
+# fingerprint_table keeps its answer on the table, and a table is a
+# value: an edit in place raises, the same edit through ``replace`` is
+# a new table hashed afresh, and the old table keeps its fingerprint.
 
 def _counting(monkeypatch):
     """Count the O(n) passes fingerprint_table actually runs."""
@@ -95,21 +97,33 @@ def _fresh(table: Table):
 
 
 def _edits():
-    def reassign(t):
-        t.rows = [(9, 9), (1, 2)]
-
-    def swap_unequal(t):  # same multiset, another sequence
-        t.rows[0], t.rows[3] = t.rows[3], t.rows[0]
+    """Edits of a row sequence, made in place on ``rows``."""
+    def swap_unequal(rows):  # same multiset, another sequence
+        rows[0], rows[3] = rows[3], rows[0]
 
     return {
-        "setitem": lambda t: t.rows.__setitem__(2, (100, 100)),
-        "append": lambda t: t.rows.append((7, 7)),
-        "delitem": lambda t: t.rows.__delitem__(1),
-        "sort": lambda t: t.rows.sort(key=lambda r: r[0]),
-        "reverse": lambda t: t.rows.reverse(),
-        "reassign": reassign,
+        "setitem": lambda rows: rows.__setitem__(2, (100, 100)),
+        "append": lambda rows: rows.append((7, 7)),
+        "delitem": lambda rows: rows.__delitem__(1),
+        "sort": lambda rows: rows.sort(key=lambda r: r[0]),
+        "reverse": lambda rows: rows.reverse(),
+        "reassign": lambda rows: rows.__setitem__(
+            slice(None), [(9, 9), (1, 2)]
+        ),
         "swap_unequal": swap_unequal,
     }
+
+
+def _edited(table: Table, edit: str) -> Table:
+    """``edit`` made on ``table``: on its rows in place it raises, and
+    so does re-assigning them; through ``replace`` it is a new table."""
+    with pytest.raises((TypeError, AttributeError)):
+        _edits()[edit](table.rows)
+    rows = list(table.rows)
+    _edits()[edit](rows)
+    with pytest.raises(FrozenInstanceError):
+        table.rows = rows
+    return replace(table, rows=rows)
 
 
 @pytest.mark.parametrize("edit", sorted(_edits()))
@@ -120,36 +134,46 @@ def test_memo_recomputes_after_every_kind_of_edit(edit, monkeypatch):
     assert fingerprint_table(table) is before  # memoized
     assert len(calls) == 1
 
-    _edits()[edit](table)
-    after = fingerprint_table(table)
-    assert after == _fresh(table)
+    edited = _edited(table, edit)
+    after = fingerprint_table(edited)
+    assert after == _fresh(edited)
     assert after != before
     assert len(calls) == 2
     if edit in ("swap_unequal", "reverse", "sort"):
         assert after.n_rows == before.n_rows
         assert after.source_key != before.source_key
-    # ... and the new answer is memoized in turn.
-    assert fingerprint_table(table) is after
+    # ... and the new answer is memoized in turn; the source keeps its.
+    assert fingerprint_table(edited) is after
+    assert fingerprint_table(table) is before
     assert len(calls) == 2
 
 
 def test_memo_survives_replacing_a_row_by_an_equal_tuple(monkeypatch):
+    """An equal row is the same source: the table keeps its memo, and
+    a table rebuilt with the equal row has its own, with an equal key."""
     calls = _counting(monkeypatch)
     table = Table(Schema.of(*SCHEMA), [(i % 5, i) for i in range(40)])
     before = fingerprint_table(table)
     replacement = tuple([table.rows[3][0], table.rows[3][1]])
     assert replacement is not table.rows[3]
-    table.rows[3] = replacement
+    with pytest.raises(TypeError):
+        table.rows[3] = replacement
+    rows = list(table.rows)
+    rows[3] = replacement
+    same = replace(table, rows=rows)
+    assert same == table
     assert fingerprint_table(table) is before
-    assert before == _fresh(table)
-    assert len(calls) == 1
+    assert fingerprint_table(same) == before == _fresh(same)
+    assert fingerprint_table(same).source_key == before.source_key
+    assert len(calls) == 2
 
 
 def test_memo_notices_a_schema_change():
     table = Table(Schema.of(*SCHEMA), [(1, 2), (3, 4)])
     before = fingerprint_table(table)
-    table.schema = Schema.of("X", "Y")
-    after = fingerprint_table(table)
+    with pytest.raises(FrozenInstanceError):
+        table.schema = Schema.of("X", "Y")
+    after = fingerprint_table(replace(table, schema=Schema.of("X", "Y")))
     assert after.schema == ("X", "Y")
     assert after.source_key != before.source_key
 
@@ -190,7 +214,7 @@ def test_eight_threads_fingerprinting_one_table_agree():
     assert len(got) == 160 and all(fp == expected for fp in got)
 
 
-# ------------------------------------ served tables may be edited freely
+# ------------------------ edits of a served table make new tables
 
 SERVED = Schema.of("A", "B", "C")
 SERVED_ORDERS = [
@@ -201,11 +225,13 @@ SERVED_ORDERS = [
 
 def _assert_oracle(resp_table, source: Table, spec: SortSpec):
     """Rows == stable sorted(), codes == freshly derived ones."""
+    assert_table_valid(resp_table)
+    assert_stable_sort_of(source.rows, resp_table)
     expected = sorted(source.rows, key=spec.key_for(source.schema))
-    assert resp_table.rows == expected
-    assert resp_table.ovcs == derive_ovcs(
+    assert resp_table.rows == tuple(expected)
+    assert resp_table.ovcs == tuple(derive_ovcs(
         expected, spec.positions(source.schema), spec.directions
-    )
+    ))
 
 
 @pytest.mark.parametrize("edit", sorted(_edits()))
@@ -215,7 +241,8 @@ def test_table_mutated_between_served_requests_is_answered_afresh(edit):
     with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
         _assert_oracle(svc.order_by(table, spec).table, table, spec)
         assert svc.order_by(table, spec).label == "cache-hit(B,A)"
-        _edits()[edit](table)
+        edited = _edited(table, edit)
+        _assert_oracle(svc.order_by(edited, spec).table, edited, spec)
         _assert_oracle(svc.order_by(table, spec).table, table, spec)
 
 
@@ -232,8 +259,11 @@ _edit = st.one_of(
 )
 
 
-def _apply(table: Table, edit: tuple) -> None:
-    rows, kind = table.rows, edit[0]
+def _apply(table: Table, edit: tuple) -> Table:
+    """``table`` after ``edit``: a new table unless the edit is none."""
+    rows, kind = list(table.rows), edit[0]
+    if kind == "same":
+        return table
     if kind == "append":
         rows.append(edit[1])
     elif kind == "sort":
@@ -241,7 +271,7 @@ def _apply(table: Table, edit: tuple) -> None:
     elif kind == "reverse":
         rows.reverse()
     elif kind == "assign":
-        table.rows = list(edit[1])
+        rows = list(edit[1])
     elif rows and kind == "set":
         rows[edit[1] % len(rows)] = edit[2]
     elif rows and kind == "del":
@@ -249,6 +279,7 @@ def _apply(table: Table, edit: tuple) -> None:
     elif rows and kind == "swap":
         i, j = edit[1] % len(rows), edit[2] % len(rows)
         rows[i], rows[j] = rows[j], rows[i]
+    return replace(table, rows=rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,8 +290,9 @@ def _apply(table: Table, edit: tuple) -> None:
     ),
 )
 def test_random_edit_scripts_on_a_served_table(rows, script):
-    """Every response over an edited table passes the oracle — a stale
-    memoized fingerprint would answer from the pre-edit cache entry."""
+    """Every response over an edited table passes the oracle — a
+    fingerprint kept across an edit would answer from the pre-edit
+    cache entry."""
     reset_cache()
     table = Table(SERVED, list(rows))
     try:
@@ -270,7 +302,7 @@ def test_random_edit_scripts_on_a_served_table(rows, script):
             for spec in SERVED_ORDERS[:2]:
                 _assert_oracle(svc.order_by(table, spec).table, table, spec)
             for edit, spec in script:
-                _apply(table, edit)
+                table = _apply(table, edit)
                 assert fingerprint_table(table) == _fresh(table)
                 _assert_oracle(svc.order_by(table, spec).table, table, spec)
     finally:

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -122,9 +123,11 @@ def _spec(columns, variant: str) -> SortSpec:
     return SortSpec(columns)
 
 
-def _oracle(rows: list, spec: SortSpec):
+def _oracle(rows, spec: SortSpec):
     out = sorted(rows, key=spec.key_for(SCHEMA))
-    return out, derive_ovcs(out, spec.positions(SCHEMA), spec.directions)
+    return tuple(out), tuple(
+        derive_ovcs(out, spec.positions(SCHEMA), spec.directions)
+    )
 
 
 def _source(rows: list, spec: SortSpec | None) -> Table:
@@ -136,8 +139,8 @@ def _source(rows: list, spec: SortSpec | None) -> Table:
 
 
 def _honest(table: Table) -> None:
-    """Plain lists of tuples, complete at return time."""
-    assert type(table.rows) is list and type(table.ovcs) is list
+    """Tuples of tuples, complete at return time."""
+    assert type(table.rows) is tuple and type(table.ovcs) is tuple
     assert len(table.rows) == len(table.ovcs)
     assert all(type(r) is tuple for r in table.rows)
     assert all(type(c) is tuple and len(c) == 2 for c in table.ovcs)
@@ -232,8 +235,11 @@ def test_every_entry_state_serves_the_oracle(case, variant, engine, tmp_path):
     out, op = _request(source, out_spec, cfg)
     assert op.order_strategy.startswith("cache-hit(")
     _same(out, want)
-    out.rows.reverse()  # a response is the caller's: scribbling on it
-    out.ovcs.clear()    # must not reach the entry
+    # A response shares the entry's tuples: nobody can scribble on them.
+    with pytest.raises(AttributeError):
+        out.rows.reverse()
+    with pytest.raises(AttributeError):
+        out.ovcs.clear()
     _same(_request(source, out_spec, cfg)[0], want)
 
     # One-byte budget: an install keeps only its own flat form.
@@ -310,7 +316,7 @@ def test_modify_from_a_cached_order_in_every_state(
             # The derived order was installed, as a permutation of the
             # same source, and serves the next request verbatim.
             hit = cache.lookup(fingerprint_table(source), out_spec)
-            assert [source.rows[i] for i in hit.perm] == want[out_spec][0]
+            assert tuple(source.rows[i] for i in hit.perm) == want[out_spec][0]
             again, op = _request(source, out_spec, cfg)
             assert op.order_strategy.startswith("cache-hit(")
             _same(again, (out.rows, out.ovcs))
@@ -325,7 +331,7 @@ def test_modify_from_a_cached_order_in_every_state(
         assert "modify-from-cache" in served or "cache-hit" in served
 
 
-def test_the_served_paths_hand_out_plain_lists(tmp_path):
+def test_the_served_paths_hand_out_tuples(tmp_path):
     """``OrderResponse.table`` on every path: miss, hit from memo, hit
     from flat, hit from disk, modify-from-cache."""
     source = _source(_rows("normal", seed=5), None)
@@ -360,12 +366,12 @@ def test_kernel_perm_equals_the_perm_derived_by_value(case, variant):
             config=ExecutionConfig(engine="fast"), want_perm=True,
         )
         assert done.perm is not None
-        assert [source.rows[i] for i in done.perm] == done.table.rows
+        assert [source.rows[i] for i in done.perm] == list(done.table.rows)
         # By identity (the output holds the source's own tuples) ...
-        assert _perm_of(source.rows, done.table.rows) == done.perm
+        assert list(_perm_of(source.rows, done.table.rows)) == done.perm
         if variant != "nan":  # ... and by value, from rebuilt tuples.
             rebuilt = [tuple(list(r)) for r in done.table.rows]
-            assert _perm_of(source.rows, rebuilt) == done.perm
+            assert list(_perm_of(source.rows, rebuilt)) == done.perm
         # Nobody pays for a permutation they did not ask for.
         plain = enforce_order(
             source, out_spec, stats=ComparisonStats(),
@@ -392,21 +398,32 @@ def test_perm_of_rejects_foreign_rows():
 
 @pytest.mark.parametrize("edit", ["replace", "reverse", "append"])
 def test_a_source_edited_in_place_is_a_miss(edit, tmp_path):
-    source = _source(_rows("normal", seed=3), None)
+    """A table cannot be edited in place; the same edit made through
+    ``dataclasses.replace`` is a new row sequence, and a miss."""
     spec = SortSpec.of("B", "A")
     cfg = ExecutionConfig(cache="on")
     for budget in (None, 1):  # the entry read as a memo, and as arrays
         cache = configure_cache(budget=budget, spill_dir=str(tmp_path))
-        source.rows[:] = _rows("normal", seed=3)
+        source = _source(_rows("normal", seed=3), None)
         _same(_request(source, spec, cfg)[0], _oracle(source.rows, spec))
         _same(_request(source, spec, cfg)[0], _oracle(source.rows, spec))
         assert cache.counters()["hits"] == 1
+        rows = list(source.rows)
         if edit == "replace":
-            source.rows[7] = (99, 99, 99, 99)
+            with pytest.raises(TypeError):
+                source.rows[7] = (99, 99, 99, 99)
+            rows[7] = (99, 99, 99, 99)
         elif edit == "reverse":
-            source.rows.reverse()
+            with pytest.raises(AttributeError):
+                source.rows.reverse()
+            rows.reverse()
         else:
-            source.rows.append((0, 0, 0, 0))
+            with pytest.raises(AttributeError):
+                source.rows.append((0, 0, 0, 0))
+            rows.append((0, 0, 0, 0))
+        with pytest.raises(FrozenInstanceError):
+            source.rows = rows
+        source = replace(source, rows=rows)
         out, op = _request(source, spec, cfg)
         assert op.executed != "cache"  # a stale perm was not applied
         _same(out, _oracle(source.rows, spec))
@@ -437,7 +454,7 @@ def test_readers_never_see_a_torn_entry_under_pressure(tmp_path):
                 hit = cache.lookup(fp, spec)
                 assert hit is not None
                 assert hit.rows == want_rows and hit.ovcs == want_ovcs
-                assert [rows[i] for i in hit.perm] == want_rows
+                assert tuple(rows[i] for i in hit.perm) == want_rows
                 reads[slot] += 1
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
@@ -530,7 +547,7 @@ def test_a_code_book_never_merges_equal_values_of_other_types(
             assert cache.candidates(fp)[0].state == state
             hit = cache.lookup(fp, spec)
             assert all(map(operator.is_, hit.rows, rows))
-            assert hit.ovcs == want[1]
+            assert list(hit.ovcs) == want[1]
             assert _types(hit.ovcs) == _types(want[1])
             cache.install(fingerprint_rows(small, ("A", "B")), spec, small,
                           derive_ovcs(small, (0, 1)))
@@ -563,7 +580,7 @@ def test_flat_and_rehydrated_reads_gather_the_sources_own_rows(
             assert hit.state == state and hit.rows is not want
             assert all(map(operator.is_, hit.rows, want))
             assert all(r is fp.rows[i] for r, i in zip(hit.rows, hit.perm))
-            assert hit.ovcs == codes and _types(hit.ovcs) == _types(codes)
+            assert list(hit.ovcs) == codes and _types(hit.ovcs) == _types(codes)
             cache.install(fingerprint_rows(small, ("A", "B", "C")), spec,
                           small, derive_ovcs(small, (1, 0)))
         assert cache.counters()["rehydrates"] == 1
@@ -604,7 +621,7 @@ def test_offset_counts_agree_with_the_row_loop(ovcs, arity):
 )
 def test_pack_codes_round_trips_and_counts(ovcs, arity):
     offsets, values = pack_codes(ovcs)
-    assert unpack_codes(offsets, values) == ovcs
+    assert unpack_codes(offsets, values) == tuple(ovcs)
     assert offsets.itemsize == 1
     if ovcs:
         low, high = min(v for _, v in ovcs), max(v for _, v in ovcs)
@@ -615,7 +632,7 @@ def test_pack_codes_round_trips_and_counts(ovcs, arity):
     want = _old_offset_counts(ovcs, arity)
     assert _offset_counts(None, offsets, arity) == want
     book = _code_book(ovcs)
-    assert _codes(*book) == ovcs
+    assert _codes(*book) == tuple(ovcs)
     assert len(book[1]) == len(set(ovcs))
     assert _offset_counts(book[0], book[1], arity) == want
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.model import Schema, SortSpec, Table
@@ -23,7 +25,7 @@ def paper_example_table() -> Table:
         (3, 1, 1),
     ]
     table = Table(schema, rows, SortSpec.of("A", "B", "C"))
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 

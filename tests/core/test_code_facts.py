@@ -1,18 +1,20 @@
-"""A table's codes are classified once — and never outlive them.
+"""A table's codes are classified once, for as long as the table lives.
 
-``Table._codes()`` keeps one record of what the code list says
-(offsets, heads, segment bounds, the fast merge's chunks, ``auto``'s
-strategy), revalidated on every read against a snapshot of the codes;
-the chunks also read the rows and are dropped with the row record.
+``Table._codes()`` keeps one record of what the codes say (offsets,
+heads, segment bounds, the fast merge's chunks, ``auto``'s strategy),
+built on first use.  A table is a value, so the record is never
+revalidated: an edit in place raises, and the same edit made through
+``dataclasses.replace`` is a new table with a record of its own.
 Every test here either counts that repeat orders reuse the record or
-changes a served table between two requests and checks the second
-answer against the one oracle, on both engines.
+makes such an edit between two requests and checks the new table's
+answers against the one oracle, on both engines.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -87,11 +89,14 @@ def test_the_plan_is_memoized():
     )
 
 
+# Each edit tries its in-place form, which must raise, and returns the
+# same change made through ``replace``.
+
 def _edit_rows_keep_codes(table):
     """Change ``C`` of rows that differ from both neighbours in ``A``
     or ``B``: the order and every code stay as they were, but the
     restricted keys of ``A,C,...`` orders move."""
-    rows, ovcs = table.rows, table.ovcs
+    rows, ovcs = list(table.rows), table.ovcs
     edited = 0
     for i in range(1, len(rows) - 1):
         if ovcs[i][0] <= 1 and ovcs[i + 1][0] <= 1:
@@ -99,27 +104,43 @@ def _edit_rows_keep_codes(table):
             rows[i] = (a, b, c + 5, d)
             edited += 1
     assert edited
-    assert table.ovcs == derive_ovcs(rows, BASE.positions(SCHEMA))
+    assert ovcs == tuple(derive_ovcs(rows, BASE.positions(SCHEMA)))
+    with pytest.raises(TypeError):
+        table.rows[1] = rows[1]
+    return replace(table, rows=rows)
 
 
 def _edit_both_in_place(table):
     rows = sorted(_rows(seed=5) + [(1, 1, 1, 1)] * 40)
-    table.rows[:] = rows
-    table.ovcs[:] = derive_ovcs(rows, BASE.positions(SCHEMA))
+    ovcs = derive_ovcs(rows, BASE.positions(SCHEMA))
+    with pytest.raises(TypeError):
+        table.rows[:] = rows
+    with pytest.raises(TypeError):
+        table.ovcs[:] = ovcs
+    return replace(table, rows=rows, ovcs=ovcs)
 
 
 def _reassign_both(table):
     rows = sorted(_rows(n=450, seed=1))
-    table.rows = rows
-    table.ovcs = derive_ovcs(rows, BASE.positions(SCHEMA))
+    ovcs = derive_ovcs(rows, BASE.positions(SCHEMA))
+    with pytest.raises(FrozenInstanceError):
+        table.rows = rows
+    with pytest.raises(FrozenInstanceError):
+        table.ovcs = ovcs
+    return replace(table, rows=rows, ovcs=ovcs)
 
 
 def _duplicate_in_place(table):
     """Each tenth row becomes a copy of its predecessor: offsets, heads
     and segment bounds all move."""
-    for i in range(1, len(table.rows), 10):
-        table.rows[i] = table.rows[i - 1]
-    table.ovcs[:] = derive_ovcs(table.rows, BASE.positions(SCHEMA))
+    rows = list(table.rows)
+    for i in range(1, len(rows), 10):
+        rows[i] = rows[i - 1]
+    with pytest.raises(TypeError):
+        table.rows[1] = table.rows[0]
+    return replace(
+        table, rows=rows, ovcs=derive_ovcs(rows, BASE.positions(SCHEMA))
+    )
 
 
 @pytest.mark.parametrize(
@@ -133,13 +154,16 @@ def test_an_edit_is_answered_from_fresh_facts(edit, cfg):
     for order in ORDERS:
         _check(table, order, cfg)
     before = table._codes()
-    edit(table)
+    edited = edit(table)
+    for order in ORDERS:
+        _check(edited, order, cfg)
+    # Even codes that did not change are classified for the new table.
+    assert edited._codes() is not before
+    assert edited._facts() is not table._facts()
+    # The source still answers, from its own records.
     for order in ORDERS:
         _check(table, order, cfg)
-    if edit is _edit_rows_keep_codes:
-        assert table._codes() is before  # the codes did not change
-    else:
-        assert table._codes() is not before
+    assert table._codes() is before
 
 
 def test_threads_first_touching_one_table_match_serial():

@@ -12,6 +12,7 @@ reference path, while an explicit ``engine="fast"`` still raises.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,7 @@ def _mixed_type_table() -> Table:
         rows[40:], key=lambda r: (r[1], r[2])
     )
     table = Table(SCHEMA, rows, IN_SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 
@@ -51,7 +52,7 @@ def _none_segment_table() -> Table:
     rows += [(1, b % 5, (b * 7) % 13) for b in range(30)]
     rows = rows[:30] + sorted(rows[30:], key=lambda r: (r[1], r[2]))
     table = Table(SCHEMA, rows, IN_SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 
@@ -84,7 +85,7 @@ def test_auto_engine_still_uses_fast_kernels_for_packable_input():
     # requested, no fan-in cap) and matches the reference engine.
     rows = sorted((a % 4, b % 6, (a * b) % 5) for a in range(20) for b in range(10))
     table = Table(SCHEMA, rows, IN_SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     auto = modify_sort_order(table, OUT_SPEC, config=ExecutionConfig(engine="auto"))
     ref = modify_sort_order(table, OUT_SPEC, config=ExecutionConfig(engine="reference"))
     assert auto.rows == ref.rows and auto.ovcs == ref.ovcs
@@ -111,7 +112,7 @@ def _mixed_within_segment_table() -> Table:
         random.Random(a).shuffle(segment)
         rows += segment
     table = Table(SCHEMA, rows, SortSpec.of("A"))
-    table.ovcs = derive_ovcs(rows, (0,))
+    table = replace(table, ovcs=derive_ovcs(rows, (0,)))
     return table
 
 
@@ -165,8 +166,8 @@ PATHS = {
 
 def _assert_oracle(result: Table, source: Table, spec: SortSpec) -> None:
     expected = sorted(source.rows, key=spec.key_for(SCHEMA))
-    assert result.rows == expected
-    assert result.ovcs == derive_ovcs(
+    assert list(result.rows) == expected
+    assert list(result.ovcs) == derive_ovcs(
         expected, spec.positions(SCHEMA), spec.directions
     )
 

@@ -4,6 +4,8 @@ in multiple waves — correctness and codes must survive."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ def sorted_table(rows, key=("A", "B", "C")) -> Table:
     spec = SortSpec(key)
     rows = sorted(rows, key=spec.key_for(SCHEMA))
     table = Table(SCHEMA, rows, spec)
-    table.ovcs = derive_ovcs(rows, spec.positions(SCHEMA), spec.directions)
+    table = replace(table, ovcs=derive_ovcs(rows, spec.positions(SCHEMA), spec.directions))
     return table
 
 
@@ -42,7 +44,7 @@ def test_multiwave_merge_correct_case3(rows, fan_in):
         table, spec, method="merge_runs", config=ExecutionConfig(max_fan_in=fan_in)
     )
     expected = sorted(table.rows, key=lambda r: (r[1], r[2], r[0]))
-    assert result.rows == expected
+    assert list(result.rows) == expected
     assert verify_ovcs(result.rows, result.ovcs, (1, 2, 0))
 
 
@@ -55,7 +57,7 @@ def test_multiwave_merge_correct_case5(rows, fan_in):
         table, spec, method="combined", config=ExecutionConfig(max_fan_in=fan_in)
     )
     expected = sorted(table.rows, key=lambda r: (r[0], r[2], r[1]))
-    assert result.rows == expected
+    assert list(result.rows) == expected
     assert verify_ovcs(result.rows, result.ovcs, (0, 2, 1))
 
 
@@ -68,7 +70,7 @@ def test_multiwave_merge_correct_dropped_infix(rows, fan_in):
         table, SortSpec.of("B"), method="merge_runs", config=ExecutionConfig(max_fan_in=fan_in)
     )
     expected = sorted(table.rows, key=lambda r: r[1])  # stable
-    assert result.rows == expected
+    assert list(result.rows) == expected
     assert verify_ovcs(result.rows, result.ovcs, (1,))
 
 

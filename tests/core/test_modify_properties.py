@@ -4,6 +4,8 @@ derivation, on arbitrary inputs."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,7 @@ METHODS = ["auto", "segment_sort", "merge_runs", "combined", "full_sort"]
 def sorted_table(rows: list[tuple]) -> Table:
     rows = sorted(rows)
     table = Table(SCHEMA4, rows, SortSpec.of("A", "B", "C", "D"))
-    table.ovcs = derive_ovcs(rows, (0, 1, 2, 3))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2, 3)))
     return table
 
 
@@ -58,7 +60,7 @@ def test_auto_matches_ground_truth_with_codes(rows, order):
     spec = SortSpec(order)
     result = modify_sort_order(table, spec)
     expected = sorted(table.rows, key=spec.key_for(SCHEMA4))
-    assert result.rows == expected
+    assert list(result.rows) == expected
     positions = spec.positions(SCHEMA4)
     assert verify_ovcs(result.rows, result.ovcs, positions)
 
@@ -70,7 +72,7 @@ def test_auto_matches_ground_truth_without_codes(rows, order):
     spec = SortSpec(order)
     result = modify_sort_order(table, spec, use_ovc=False)
     expected = sorted(table.rows, key=spec.key_for(SCHEMA4))
-    assert result.rows == expected
+    assert list(result.rows) == expected
     assert result.ovcs is None
 
 
@@ -90,7 +92,7 @@ def test_forced_methods_agree(rows, order, data):
     method = data.draw(st.sampled_from(applicable))
     result = modify_sort_order(table, spec, method=method)
     expected = sorted(table.rows, key=spec.key_for(SCHEMA4))
-    assert result.rows == expected
+    assert list(result.rows) == expected
     assert verify_ovcs(result.rows, result.ovcs, spec.positions(SCHEMA4))
 
 
@@ -105,7 +107,7 @@ def test_stability_case3(rows):
     result = modify_sort_order(table, spec, method="merge_runs")
     # Stable reference: sorted() is stable over the B,C,D key.
     expected = sorted(table.rows, key=lambda r: (r[1], r[2], r[3]))
-    assert result.rows == expected
+    assert list(result.rows) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +119,7 @@ def test_stability_dropped_infix(rows):
     spec = SortSpec.of("B", "C")
     result = modify_sort_order(table, spec, method="merge_runs")
     expected = sorted(table.rows, key=lambda r: (r[1], r[2]))
-    assert result.rows == expected
+    assert list(result.rows) == expected
 
 
 @settings(max_examples=30, deadline=None)

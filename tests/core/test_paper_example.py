@@ -22,7 +22,7 @@ from ..conftest import paper_example_table
 
 def test_figure5_input_codes():
     table = paper_example_table()
-    assert table.ovcs == [
+    assert list(table.ovcs) == [
         (0, 1),
         (0, 2),
         (2, 3),
@@ -104,7 +104,7 @@ def test_figures8_and_9_merge_output():
 
     # Output rows keep the stored column layout (A, B, C); the order is
     # the A,C,B order of Figure 8: old rows 1 | 2,4,5,3,6,7,8 | 9.
-    assert result.rows == [
+    assert list(result.rows) == [
         (1, 1, 1),
         (2, 1, 1),
         (2, 2, 1),
@@ -116,7 +116,7 @@ def test_figures8_and_9_merge_output():
         (3, 1, 1),
     ]
     # Codes of Figure 9, bracketed by the neighbour segments' codes.
-    assert result.ovcs == [
+    assert list(result.ovcs) == [
         (0, 1),
         (0, 2),
         (2, 2),

@@ -9,6 +9,8 @@ itself) must reuse them instead of re-classifying the input.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.core.classify as classify
@@ -33,7 +35,7 @@ def _mixed_type_table() -> Table:
         rows[40:], key=lambda r: (r[1], r[2])
     )
     table = Table(SCHEMA, rows, IN_SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 
@@ -42,7 +44,7 @@ def _packable_table() -> Table:
         (a % 4, b % 6, (a * b) % 5) for a in range(30) for b in range(10)
     )
     table = Table(SCHEMA, rows, IN_SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 

@@ -74,7 +74,7 @@ def _typed(ovcs) -> list:
 def _check(table: Table, spec: SortSpec, got: Table) -> None:
     """Stable ``sorted()`` plus fresh codes, type for type."""
     rows = sorted(table.rows, key=spec.key_for(table.schema))
-    assert got.rows == rows
+    assert list(got.rows) == rows
     want = derive_ovcs(rows, spec.positions(table.schema), spec.directions)
     assert _typed(got.ovcs) == _typed(want)
     assert_table_valid(got)

@@ -44,7 +44,7 @@ def test_streaming_agrees_with_materializing(rows, order):
     expected = modify_sort_order(table, spec)
     op = StreamingModify(scan(rows), spec)
     out = list(op)
-    assert [r for r, _o in out] == expected.rows
+    assert [r for r, _o in out] == list(expected.rows)
     got_ovcs = [o for _r, o in out]
     assert verify_ovcs(
         [r for r, _o in out], got_ovcs, spec.positions(SCHEMA), spec.directions

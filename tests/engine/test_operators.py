@@ -118,5 +118,6 @@ def test_explain_renders_plan_tree():
 def test_to_table_roundtrip():
     table = make_table([(1, 2, 3), (2, 0, 0)])
     back = TableScan(table).to_table()
+    assert back is table.with_ovcs()
     assert back.rows == table.rows
-    assert back.ovcs == table.ovcs
+    assert back.ovcs == table.with_ovcs().ovcs

@@ -38,7 +38,7 @@ def test_sort_passthrough_when_satisfied(rows):
     table = make_table(rows)
     op = Sort(TableScan(table), SortSpec.of("A", "B"))
     got = [row for row, _ovc in op]
-    assert got == table.rows
+    assert got == list(table.rows)
     assert op.executed == "passthrough"
 
 

@@ -1,7 +1,9 @@
 """Sort's two terminals are one execution: ``to_table()`` and iteration
-agree on everything, and neither hands out lists it does not own."""
+agree on everything, and what they hand out nobody can change."""
 
 from __future__ import annotations
+
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.derive import derive_ovcs
 from repro.query import Query
+from repro.testing import assert_stable_sort_of, assert_table_valid
 from repro.trace import Probe, instrument
 from repro.workloads.generators import random_table
 
@@ -92,17 +95,19 @@ def test_to_table_and_iteration_agree(path, engine):
     assert op_t.order_strategy == op_i.order_strategy == strategy
     assert op_t.executed == op_i.executed
     assert op_t.stats.as_dict() == op_i.stats.as_dict()
-    assert table.rows == [row for row, _ovc in pairs]
-    assert table.ovcs == [ovc for _row, ovc in pairs]
+    assert table.rows == tuple(row for row, _ovc in pairs)
+    assert table.ovcs == tuple(ovc for _row, ovc in pairs)
     assert table.sort_spec == op_t.ordering and table.schema == SCHEMA
     # ... and both are the oracle's answer.
     spec = op_t.ordering
     source = make_source()
+    assert_table_valid(table)
+    assert_stable_sort_of(source.rows, table)
     expected = sorted(source.rows, key=spec.key_for(SCHEMA))
-    assert table.rows == expected
-    assert table.ovcs == derive_ovcs(
+    assert table.rows == tuple(expected)
+    assert table.ovcs == tuple(derive_ovcs(
         expected, spec.positions(SCHEMA), spec.directions
-    )
+    ))
 
 
 @pytest.mark.parametrize("use_ovc", [True, False])
@@ -112,8 +117,8 @@ def test_terminals_agree_without_codes_and_on_empty_input(use_ovc):
         op_t = Sort(TableScan(source), TARGET, use_ovc=use_ovc, config=cfg)
         op_i = Sort(TableScan(source), TARGET, use_ovc=use_ovc, config=cfg)
         table, pairs = op_t.to_table(), list(op_i)
-        assert table.rows == [row for row, _ovc in pairs]
-        assert (table.ovcs or []) == [o for _r, o in pairs if o is not None]
+        assert table.rows == tuple(row for row, _ovc in pairs)
+        assert (table.ovcs or ()) == tuple(o for _r, o in pairs if o is not None)
         if source.rows and not use_ovc:
             assert table.ovcs is None
 
@@ -131,8 +136,8 @@ def test_instrumented_sort_reports_the_same_probes():
     assert root.rows_out == child.rows_out == len(source.rows)
     assert root.inner.order_strategy == "modify(A,B,C,D)"
     plain = Sort(TableScan(source), TARGET).to_table()
-    assert [row for row, _ovc in pairs] == plain.rows
-    assert [ovc for _row, ovc in pairs] == plain.ovcs
+    assert tuple(row for row, _ovc in pairs) == plain.rows
+    assert tuple(ovc for _row, ovc in pairs) == plain.ovcs
 
     # The same through to_table() on the instrumented plan.
     root = instrument(Sort(TableScan(source), TARGET))
@@ -146,22 +151,31 @@ def test_instrumented_sort_reports_the_same_probes():
 
 
 def _scribble(table: Table) -> None:
-    table.rows.reverse()
-    table.rows.append(("junk",) * 4)
+    """Every way of changing a response raises."""
+    with pytest.raises(AttributeError):
+        table.rows.reverse()
+    with pytest.raises(AttributeError):
+        table.rows.append(("junk",) * 4)
     if table.ovcs is not None:
-        table.ovcs.clear()
+        with pytest.raises(AttributeError):
+            table.ovcs.clear()
+    with pytest.raises(FrozenInstanceError):
+        table.rows = []
 
 
 @pytest.mark.parametrize("cache", ["off", "on"])
 @pytest.mark.parametrize("ordered", [False, True])
 def test_responses_own_their_lists(cache, ordered):
-    """Mutating a response changes neither the caller's source nor the
-    next answer to the same request (cold, install, then exact hits)."""
+    """No response can be changed, so none can change the caller's
+    source or the next answer to the same request (cold, install, then
+    exact hits), whatever it shares with them."""
     cfg = ExecutionConfig(cache=cache)
     source = _sorted() if ordered else _unsorted()
-    rows, ovcs = list(source.rows), source.ovcs and list(source.ovcs)
-    expected = sorted(rows, key=TARGET.key_for(SCHEMA))
-    codes = derive_ovcs(expected, TARGET.positions(SCHEMA), TARGET.directions)
+    rows, ovcs = source.rows, source.ovcs
+    expected = tuple(sorted(rows, key=TARGET.key_for(SCHEMA)))
+    codes = tuple(
+        derive_ovcs(expected, TARGET.positions(SCHEMA), TARGET.directions)
+    )
 
     for _round in range(3):
         for run in (
@@ -171,17 +185,19 @@ def test_responses_own_their_lists(cache, ordered):
         ):
             out = run()
             assert out.rows == expected and out.ovcs == codes
-            assert out.rows is not source.rows
+            assert_table_valid(out)
+            assert_stable_sort_of(source.rows, out)
             _scribble(out)
-            assert source.rows == rows and source.ovcs == ovcs
+            assert source.rows is rows and source.ovcs is ovcs
 
 
 def test_one_row_and_empty_responses_own_their_lists():
     cfg = ExecutionConfig(cache="on")
-    for rows in ([], [(1, 2, 3, 4)]):
+    for rows in ((), ((1, 2, 3, 4),)):
         source = Table(SCHEMA, list(rows))
         for _round in range(2):
             out = Sort(TableScan(source), TARGET, config=cfg).to_table()
-            assert out.rows == rows and out.rows is not source.rows
+            assert out.rows == rows
+            assert_table_valid(out)
             _scribble(out)
             assert source.rows == rows

@@ -294,7 +294,7 @@ def _entry_point_table():
     schema = Schema.of("A", "B", "C")
     rows = sorted((a % 3, b % 4, (a + b) % 5) for a in range(6) for b in range(5))
     table = Table(schema, rows, SortSpec.of("A", "B", "C"))
-    table.ovcs = derive_ovcs(rows, (0, 1, 2))
+    table = dataclasses.replace(table, ovcs=derive_ovcs(rows, (0, 1, 2)))
     return table
 
 

@@ -20,6 +20,7 @@ lets the order cache recover a permutation by identity.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -100,7 +101,7 @@ def _make_table(in_columns, seed, n, desc=False, strings=False, mixed=False):
         key=key,
     )
     table = Table(SCHEMA, rows, spec)
-    table.ovcs = derive_ovcs(rows, spec.positions(SCHEMA), spec.directions)
+    table = replace(table, ovcs=derive_ovcs(rows, spec.positions(SCHEMA), spec.directions))
     return table
 
 
@@ -129,7 +130,7 @@ def _assert_identical(table, spec, method):
             if config is FAST:
                 # Every strategy emits its output as a permutation on
                 # request.
-                assert [table.rows[i] for i in done.perm] == ref.rows
+                assert [table.rows[i] for i in done.perm] == list(ref.rows)
 
 
 def _typed(ovcs):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import random
 from array import array
 
@@ -126,22 +128,27 @@ def test_packed_words_use_the_fewest_bits():
 
 
 def test_table_fields_are_remembered_until_the_rows_change():
+    """Fields live as long as their table; changed rows are a new table
+    (an in-place change raises) with fields of its own."""
     table = Table(Schema.of("A", "B"), [(3, "x"), (1, "y"), (2, "x")])
     assert table._facts().fields is None  # nothing allocated before use
-    first = table_fields(table._facts(), [1, 0])
-    assert table_fields(table._facts(), [0])[0] is first[1]
+    first = table_fields(table, [1, 0])
+    assert table_fields(table, [0])[0] is first[1]
     assert sorted(table._facts().fields) == [0, 1]
-    table.rows[0] = (0, "z")
-    again = table_fields(table._facts(), [0, 1])
+    with pytest.raises(TypeError):
+        table.rows[0] = (0, "z")
+    edited = replace(table, rows=[(0, "z"), *table.rows[1:]])
+    again = table_fields(edited, [0, 1])
     assert list(again[0][0]) == [0, 1, 2] and list(again[1][0]) == [2, 1, 0]
+    assert table_fields(table, [0])[0] is first[1]
 
 
 @pytest.mark.parametrize("indices", [[], [2], [3, 0], [4, 1, 1, 0, 2, 3]])
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
 @pytest.mark.parametrize("kind", ["tuple", "list", "array", "dict"])
 def test_gather_returns_the_sources_own_items(kind, as_array, indices):
-    """``gather`` is ``[seq[i] for i in indices]`` for any index count:
-    no scalar for one index, no error for none."""
+    """``gather`` is ``tuple(seq[i] for i in indices)`` for any index
+    count: no scalar for one index, no error for none."""
     items = [(i, "row") for i in range(5)]
     if kind == "tuple":
         seq = tuple(items)
@@ -153,8 +160,8 @@ def test_gather_returns_the_sources_own_items(kind, as_array, indices):
         seq = dict(enumerate(items))
     idx = array("B", indices) if as_array else list(indices)
     got = gather(seq, idx)
-    want = [seq[i] for i in indices]
-    assert type(got) is list and got == want
+    want = tuple(seq[i] for i in indices)
+    assert type(got) is tuple and got == want
     assert got is not seq and got is not idx
     if kind != "array":  # an array stores values, not objects
         assert all(g is seq[i] for g, i in zip(got, indices))

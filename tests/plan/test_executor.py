@@ -3,6 +3,10 @@ cache interplay, order_by_many."""
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.cache import configure_cache, get_cache
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
@@ -11,6 +15,7 @@ from repro.obs import METRICS
 from repro.ovc.stats import ComparisonStats
 from repro.plan import derive_batch
 from repro.query import Query
+from repro.testing import assert_stable_sort_of, assert_table_valid
 from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
@@ -102,12 +107,12 @@ def test_derive_batch_installs_into_cache():
 
 def test_batch_responses_alias_neither_cache_nor_source():
     """With the cache on, a batch installs every node and later batches
-    are exact hits: scribbling on any response must leave the source
-    and every later answer untouched."""
+    are exact hits: no response can be scribbled on, so the source and
+    every later answer stay untouched."""
     cfg = ExecutionConfig(cache="on")
     configure_cache(budget=1 << 22)
     source = _sorted_source(300)
-    rows, ovcs = list(source.rows), list(source.ovcs)
+    rows, ovcs = source.rows, source.ovcs
     want = {spec: _solo(source, spec)[0] for spec in ORDERS}
     labels = []
     for _round in range(3):
@@ -117,10 +122,15 @@ def test_batch_responses_alias_neither_cache_nor_source():
             labels.append(node.label)
             assert node.table.rows == want[spec].rows, (spec, node.label)
             assert node.table.ovcs == want[spec].ovcs, (spec, node.label)
-            node.table.rows.reverse()
-            node.table.rows.pop()
-            node.table.ovcs.clear()
-        assert source.rows == rows and source.ovcs == ovcs
+            assert_table_valid(node.table)
+            assert_stable_sort_of(source.rows, node.table)
+            with pytest.raises(AttributeError):
+                node.table.rows.reverse()
+            with pytest.raises(AttributeError):
+                node.table.ovcs.clear()
+            with pytest.raises(FrozenInstanceError):
+                node.table.rows = []
+        assert source.rows is rows and source.ovcs is ovcs
     assert any(label.startswith("cache-hit(") for label in labels)
 
 

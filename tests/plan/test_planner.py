@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.ovc.stats import ComparisonStats
 from repro.plan import derive_batch, plan_batch
+from repro.testing import assert_stable_sort_of, assert_table_valid
 from repro.workloads.generators import random_sorted_table, random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
@@ -300,8 +302,9 @@ def test_an_unordered_source_still_modifies_a_cached_order():
 
 @pytest.mark.parametrize("edit", ["in-place", "re-assigned"])
 def test_row_edit_recomputes_estimates(edit):
-    """Cached parents belong to one row sequence: after an edit the
-    batch is priced — and answered — like a fresh table's."""
+    """Cached parents belong to one row sequence: an edit in place
+    raises, and the table the same edit makes through ``replace`` is
+    priced — and answered — like a fresh table's."""
     cfg = ExecutionConfig(cache="on")
     configure_cache(budget=1 << 22)
     source = random_table(SCHEMA, 600, domains=DOMAINS, seed=6)
@@ -313,17 +316,25 @@ def test_row_edit_recomputes_estimates(edit):
 
     keep = 10
     if edit == "in-place":
-        for i in range(keep, len(source.rows)):
-            source.rows[i] = source.rows[i - keep]
+        rows = list(source.rows)
+        for i in range(keep, len(rows)):
+            rows[i] = rows[i - keep]
+        with pytest.raises(TypeError):
+            source.rows[keep] = rows[keep]
     else:
-        source.rows = source.rows[keep:] + source.rows[:keep]
+        rows = source.rows[keep:] + source.rows[:keep]
+        with pytest.raises(FrozenInstanceError):
+            source.rows = rows
+    source = replace(source, rows=rows)
     after = derive_batch(source, [target], config=cfg)
     fresh = plan_batch(Table(SCHEMA, list(source.rows)), [target])
     assert _costs(after.plan) == _costs(fresh)
     node = after.result_for(target)
     assert node.label == "full-sort"
+    assert_table_valid(node.table)
+    assert_stable_sort_of(source.rows, node.table)
     want = sorted(source.rows, key=target.key_for(SCHEMA))
-    assert node.table.rows == want
+    assert node.table.rows == tuple(want)
 
 
 # -------------------------------------------------------------- concurrency

@@ -10,6 +10,9 @@ reports.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.exec import ExecutionConfig
@@ -68,7 +71,34 @@ def test_run_load_validation():
             run_load(svc, table, default_orders(table, 2), threads=0)
 
 
-def test_serve_trajectory_record_passes_its_own_gate():
+def _hold_first_uncached_execution(monkeypatch):
+    """Hold the first execution of a cache-less service until another
+    request has coalesced onto an execution in flight.  Thread ``t`` of
+    the load asks for order ``t % n_orders``, so every order has a
+    second requester in each wave; while the held order runs, its
+    partner's request can only attach to it.  The uncached pass's
+    coalescing is then a fact of the schedule, not of thread timing."""
+    real = OrderService._execute
+    lock, held = threading.Lock(), []
+
+    def _execute(self, entry):
+        with lock:
+            first = self._config.cache == "off" and not held
+            if first:
+                held.append(entry)
+        if first:
+            deadline = time.monotonic() + 60
+            while self.counters()["coalesced"] == 0:
+                assert time.monotonic() < deadline, "nothing coalesced"
+                time.sleep(0.001)
+        real(self, entry)
+
+    monkeypatch.setattr(OrderService, "_execute", _execute)
+    return held
+
+
+def test_serve_trajectory_record_passes_its_own_gate(monkeypatch):
+    held = _hold_first_uncached_execution(monkeypatch)
     record = run_serve_trajectory(
         256, seed=1, threads=8, requests_per_thread=3, n_orders=4
     )
@@ -84,6 +114,7 @@ def test_serve_trajectory_record_passes_its_own_gate():
     )
     # Uncached pass: coalescing is the only sharing there is.
     uncached = record["uncached"]
+    assert len(held) == 1  # the uncached pass ran under the hold
     assert uncached["cache_hits"] == 0
     assert uncached["coalesced_requests"] > 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -106,12 +107,19 @@ def test_truncation_memoized_per_spec(monkeypatch):
 
 
 def test_source_edited_in_place_is_probed_anew():
+    """An in-place edit raises; the edited table ``replace`` makes is
+    another row sequence, probed afresh, and the source keeps its
+    answer."""
     table = _unique_a_table()
     norm = SpecNormalizer()
     spec = SortSpec.of("A", "B")
     assert norm.normalize(fingerprint_table(table), table, spec) == SortSpec.of("A")
-    table.rows[1] = (table.rows[0][0], 4, 2)  # A is no longer unique
-    assert norm.normalize(fingerprint_table(table), table, spec) is spec
+    row = (table.rows[0][0], 4, 2)  # A is no longer unique
+    with pytest.raises(TypeError):
+        table.rows[1] = row
+    edited = replace(table, rows=[table.rows[0], row, *table.rows[2:]])
+    assert norm.normalize(fingerprint_table(edited), edited, spec) is spec
+    assert norm.normalize(fingerprint_table(table), table, spec) == SortSpec.of("A")
 
 
 def test_memos_stay_within_max_entries():

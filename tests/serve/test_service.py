@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.serve import (
     ServiceOverloadError,
 )
 import repro.serve.service as service_mod
+from repro.testing import assert_stable_sort_of, assert_table_valid
 from repro.workloads.generators import random_table
 
 SCHEMA = Schema.of("A", "B", "C", "D")
@@ -49,6 +51,25 @@ def _serial_uncached(table, spec):
     op = Sort(TableScan(table), spec, config=ExecutionConfig(cache="off"))
     out = op.to_table()
     return out.rows, out.ovcs
+
+
+def _assert_valid(resp, source):
+    """A response is sorted with authentic codes, and is the stable
+    sort of its source."""
+    assert_table_valid(resp.table)
+    assert_stable_sort_of(source.rows, resp.table)
+
+
+def _scribble(table):
+    """Every way of changing a response raises."""
+    with pytest.raises(AttributeError):
+        table.rows.reverse()
+    with pytest.raises(AttributeError):
+        table.rows.pop()
+    with pytest.raises(AttributeError):
+        table.ovcs.clear()
+    with pytest.raises(FrozenInstanceError):
+        table.rows = []
 
 
 # ------------------------------------------------------------ acceptance
@@ -413,8 +434,10 @@ def test_warm_hit_runs_no_per_row_pass(monkeypatch):
 
 @pytest.mark.parametrize("cache", ["off", "on"])
 def test_responses_alias_neither_cache_nor_source(cache):
+    """A response may share the cache's or the source's sequences, but
+    nobody can change it, so it can change neither."""
     table = _table(200)
-    rows = list(table.rows)
+    rows = table.rows
     spec = SortSpec.of("C", "A")
     want_rows, want_ovcs = _serial_uncached(table, spec)
     cfg = ExecutionConfig(cache=cache, service_threads=1)
@@ -423,10 +446,9 @@ def test_responses_alias_neither_cache_nor_source(cache):
             resp = svc.order_by(table, spec)
             assert resp.table.rows == want_rows
             assert resp.table.ovcs == want_ovcs
-            resp.table.rows.reverse()
-            resp.table.rows.pop()
-            resp.table.ovcs.clear()
-            assert table.rows == rows
+            _assert_valid(resp, table)
+            _scribble(resp.table)
+            assert table.rows is rows
 
 
 def test_health_reflects_rejections(monkeypatch):
@@ -453,7 +475,12 @@ def _oracle(table, spec):
     """Stable ``sorted()`` plus freshly derived codes."""
     pos = spec.positions(table.schema)
     rows = sorted(table.rows, key=lambda r: tuple(r[p] for p in pos))
-    return rows, derive_ovcs(rows, pos)
+    return tuple(rows), tuple(derive_ovcs(rows, pos))
+
+
+def _assert_oracle(resp, table, spec):
+    _assert_valid(resp, table)
+    assert (resp.table.rows, resp.table.ovcs) == _oracle(table, spec)
 
 
 def _block_worker(svc):
@@ -489,10 +516,9 @@ def test_hit_is_answered_at_submit_while_the_only_worker_is_busy():
         counters = svc.counters()
     assert resp.label == "cache-hit(B,A)"
     assert resp.coalesced is False
-    assert (resp.table.rows, resp.table.ovcs) == _oracle(table, warm_spec)
+    _assert_oracle(resp, table, warm_spec)
     assert cold_resp.label == "full-sort"
-    assert (cold_resp.table.rows, cold_resp.table.ovcs) == \
-        _oracle(table, cold_spec)
+    _assert_oracle(cold_resp, table, cold_spec)
     assert counters["cache_hits"] == 1
     assert counters["executions"] == 2
 
@@ -517,7 +543,7 @@ def test_hit_needs_no_queue_slot():
         running.result(timeout=30)
         queued.result(timeout=30)
         counters = svc.counters()
-    assert (resp.table.rows, resp.table.ovcs) == _oracle(table, warm_spec)
+    _assert_oracle(resp, table, warm_spec)
     assert counters["rejected"] == 1
     assert counters["cache_hits"] == 1
 
@@ -530,9 +556,7 @@ def test_mutating_a_hit_response_leaves_the_next_hit_unchanged():
         svc.order_by(table, spec)
         first = svc.order_by(table, spec)
         assert first.label == "cache-hit(C,A)"
-        first.table.rows.reverse()
-        first.table.rows.pop()
-        first.table.ovcs.clear()
+        _scribble(first.table)
         second = svc.order_by(table, spec)
     assert second.label == "cache-hit(C,A)"
     assert (second.table.rows, second.table.ovcs) == want
@@ -559,8 +583,7 @@ def test_each_hit_at_submit_logs_one_cache_serve_event(tmp_path):
                 for _ in range(3):
                     resp = svc.order_by(table, spec)
                     assert resp.label == "cache-hit(B,A)"
-                    assert (resp.table.rows, resp.table.ovcs) == \
-                        _oracle(table, spec)
+                    _assert_oracle(resp, table, spec)
             finally:
                 LOG.disable()
             counters = svc.counters()
@@ -583,8 +606,7 @@ def test_all_hit_run_counts_every_request_as_a_hit():
             for t in tables:
                 for spec in specs:
                     resp = svc.order_by(t, spec)
-                    assert (resp.table.rows, resp.table.ovcs) == \
-                        _oracle(t, spec)
+                    _assert_oracle(resp, t, spec)
         done = svc.counters()
     assert done["requests"] - warm["requests"] == 20
     assert done["cache_hits"] - warm["cache_hits"] == 20
@@ -603,8 +625,7 @@ def test_each_request_counts_one_cache_lookup_outcome():
     with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
         for i, (t, spec) in enumerate(mix):
             resp = svc.order_by(tables[t], spec)
-            assert (resp.table.rows, resp.table.ovcs) == \
-                _oracle(tables[t], spec)
+            _assert_oracle(resp, tables[t], spec)
             cache = get_cache().counters()
             assert cache["hits"] + cache["misses"] == i + 1
         counters = svc.counters()

@@ -3,6 +3,8 @@ paths that normalize values on reconstruction."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ rows_st = st.lists(
 def build(rows) -> Table:
     rows = sorted(rows, key=SPEC.key_for(SCHEMA))
     table = Table(SCHEMA, rows, SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1), SPEC.directions)
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1), SPEC.directions))
     return table
 
 

@@ -30,7 +30,7 @@ def test_forest_merged_scan(batches):
     for batch in batches:
         forest.ingest(batch)
     merged = forest.scan_merged()
-    assert merged.rows == sorted(r for b in batches for r in b)
+    assert list(merged.rows) == sorted(r for b in batches for r in b)
     assert verify_ovcs(merged.rows, merged.ovcs, (0, 1, 2))
 
 
@@ -46,7 +46,7 @@ def test_forest_order_modification_across_partitions(batches):
     stats = ComparisonStats()
     result = forest.modify_order_segmented(new_order, stats)
     all_rows = [r for b in batches for r in b]
-    assert result.rows == sorted(all_rows, key=lambda r: (r[0], r[2], r[1]))
+    assert list(result.rows) == sorted(all_rows, key=lambda r: (r[0], r[2], r[1]))
     assert verify_ovcs(
         result.rows, result.ovcs, new_order.positions(SCHEMA)
     )

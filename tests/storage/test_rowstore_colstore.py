@@ -24,9 +24,7 @@ rows_st = st.lists(
 
 def make_table(rows) -> Table:
     rows = sorted(rows, key=lambda r: r[:3])
-    table = Table(SCHEMA, rows, SPEC)
-    table.with_ovcs()
-    return table
+    return Table(SCHEMA, rows, SPEC).with_ovcs()
 
 
 @given(rows_st)

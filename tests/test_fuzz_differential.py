@@ -8,6 +8,7 @@ against Python's sort and against each other.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -46,7 +47,7 @@ def _table(seed: int, n: int = 3000) -> Table:
         tuple(rng.randrange(d) for d in shape) for _ in range(n)
     )
     table = Table(SCHEMA, rows, SPEC)
-    table.ovcs = derive_ovcs(rows, (0, 1, 2, 3))
+    table = replace(table, ovcs=derive_ovcs(rows, (0, 1, 2, 3)))
     return table
 
 
@@ -56,7 +57,7 @@ def test_all_paths_agree(seed, order):
     table = _table(seed)
     spec = SortSpec(order)
     key = spec.key_for(SCHEMA)
-    expected = sorted(table.rows, key=key)
+    expected = tuple(sorted(table.rows, key=key))
     positions = spec.positions(SCHEMA)
 
     auto = modify_sort_order(table, spec)
@@ -72,8 +73,8 @@ def test_all_paths_agree(seed, order):
 
     external = Sort(TableScan(table), spec, memory_capacity=257).to_table()
     assert external.rows == expected
-    assert external.ovcs == derive_ovcs(expected, positions)
+    assert external.ovcs == tuple(derive_ovcs(expected, positions))
 
     streamed = StreamingModify(TableScan(table), spec)
-    got = [row for row, _ovc in streamed]
+    got = tuple(row for row, _ovc in streamed)
     assert got == expected

@@ -137,5 +137,5 @@ def test_fuzz_full_stack(seed):
     )
     spec = SortSpec(order)
     result = modify_sort_order(table, spec)
-    assert result.rows == sorted(table.rows, key=spec.key_for(SCHEMA))
+    assert list(result.rows) == sorted(table.rows, key=spec.key_for(SCHEMA))
     assert verify_ovcs(result.rows, result.ovcs, spec.positions(SCHEMA))

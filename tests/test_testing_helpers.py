@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core.modify import modify_sort_order
@@ -33,9 +35,11 @@ def test_assert_table_valid_accepts_good_table():
 
 def test_assert_table_valid_catches_lies():
     table = Table(SCHEMA, [(1, 1), (1, 2)], SortSpec.of("A", "B")).with_ovcs()
-    table.ovcs[1] = (0, 1)  # forged code
+    with pytest.raises(TypeError):
+        table.ovcs[1] = (0, 1)
+    forged = replace(table, ovcs=[table.ovcs[0], (0, 1)])
     with pytest.raises(ValidationError, match="code mismatch"):
-        assert_table_valid(table)
+        assert_table_valid(forged)
 
     bad_order = Table(SCHEMA, [(2, 0), (1, 0)], SortSpec.of("A"))
     with pytest.raises(ValidationError):
@@ -46,8 +50,10 @@ def test_assert_table_valid_catches_lies():
         assert_table_valid(no_spec)
 
     short = Table(SCHEMA, [(1, 1), (1, 2)], SortSpec.of("A"))
-    short.ovcs = [(0, 1)]
+    with pytest.raises(FrozenInstanceError):
+        short.ovcs = ((0, 1),)
     # Bypass the constructor check deliberately to test the validator.
+    object.__setattr__(short, "ovcs", ((0, 1),))
     with pytest.raises(ValidationError, match="codes for"):
         assert_table_valid(short)
 
@@ -84,9 +90,9 @@ def test_assert_table_valid_is_type_strict():
     another row of equal key is a forgery."""
     table = Table(SCHEMA, [(0, 1), (1, 2)], SortSpec.of("A", "B")).with_ovcs()
     assert table.ovcs[1] == (0, 1)
-    table.ovcs[1] = (0, 1.0)
+    forged = replace(table, ovcs=[table.ovcs[0], (0, 1.0)])
     with pytest.raises(ValidationError, match="code mismatch"):
-        assert_table_valid(table)
+        assert_table_valid(forged)
 
 
 def test_assert_stable_sort_of_catches_a_swap_of_tied_rows():
@@ -95,7 +101,7 @@ def test_assert_stable_sort_of_catches_a_swap_of_tied_rows():
     source = [(1, 9), (0, 5), (1, 3)]
     table = Table(SCHEMA, [(0, 5), (1, 9), (1, 3)], SortSpec.of("A"))
     assert_stable_sort_of(source, table)
-    table.rows[1], table.rows[2] = table.rows[2], table.rows[1]
+    table = replace(table, rows=[table.rows[0], table.rows[2], table.rows[1]])
     assert_sorted_on(table.rows, table.sort_spec, SCHEMA)
     with pytest.raises(ValidationError, match=r"row 1 is \(1, 3\)"):
         assert_stable_sort_of(source, table)

@@ -93,7 +93,7 @@ def test_instrument_probes_list_held_children():
     op = ListConcat([TableScan(t1), TableScan(t2)])
     root = instrument(op)
     rows = [row for row, _ in root]
-    assert rows == t1.rows + t2.rows
+    assert rows == list(t1.rows + t2.rows)
     # Both list-held scans were wrapped and counted.
     probes = [c for c in op._children() if isinstance(c, Probe)]
     assert len(probes) == 2
