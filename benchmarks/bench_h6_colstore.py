@@ -5,6 +5,8 @@ pre-existing runs directly off the scan."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench.harness import format_table
@@ -79,6 +81,43 @@ def test_h6_order_modification_off_the_scan(store):
     assert result.is_sorted()
     # All prefix/infix work came from the scan's codes.
     assert stats.key_extractions > 0
+
+
+def _best_ms(fn, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def test_h6_wall_time_table(store, n_rows_small):
+    """Printed, not asserted: the store's rows and codes, alone and
+    re-sorted to A,C,B, against the same rows sorted from scratch."""
+    table, col = store
+    new_order = SortSpec.of("A", "C", "B")
+    new_positions = new_order.positions(SCHEMA)
+    key = new_order.key_for(SCHEMA)
+    rows = list(table.rows)
+    timings = {
+        "column-store scan (to_table)": lambda: ColumnStoreScan(col).to_table(),
+        "derive_ovcs over the same rows": lambda: derive_ovcs(rows, (0, 1, 2)),
+        "scan + modify_sort_order -> A,C,B": lambda: modify_sort_order(
+            ColumnStoreScan(col).to_table(), new_order
+        ),
+        "sorted() + derive_ovcs -> A,C,B": lambda: derive_ovcs(
+            sorted(rows, key=key), new_positions
+        ),
+    }
+    print()
+    print(
+        format_table(
+            [{"path": path, "ms": round(_best_ms(fn), 2)}
+             for path, fn in timings.items()],
+            f"H6: wall time for {n_rows_small:,} rows (best of 5)",
+        )
+    )
 
 
 def test_h6_benchmark_transpose(benchmark, store):

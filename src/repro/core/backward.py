@@ -15,7 +15,10 @@ the ordinary machinery.
 
 from __future__ import annotations
 
-from ..model import SortSpec, Table, normalize_value
+from itertools import chain
+
+from ..model import SortSpec, Table
+from ..ovc.derive import codes_from_offsets
 from ..ovc.stats import ComparisonStats
 
 
@@ -34,30 +37,17 @@ def reverse_table(table: Table, stats: ComparisonStats | None = None) -> Table:
     if table.sort_spec is None:
         raise ValueError("backward scan requires a sorted table")
     table = table.with_ovcs()
-    stats = stats if stats is not None else ComparisonStats()
-
-    spec = table.sort_spec
-    new_spec = reversed_spec(spec)
-    positions = spec.positions(table.schema)
-    new_directions = new_spec.directions
-    arity = spec.arity
-    n = len(table.rows)
-
+    new_spec = reversed_spec(table.sort_spec)
+    # Reversed row j differs from reversed row j - 1 exactly where the
+    # old row n - j differs from the old row n - j - 1: at the old
+    # offset of row n - j.  Row 0 is the new table head.
+    offsets = table._codes().offsets
     new_rows = table.rows[::-1]
-    new_ovcs: list[tuple] = []
-    for j, row in enumerate(new_rows):
-        if j == 0:
-            offset = 0
-        else:
-            # The difference between reversed rows j-1 and j is the
-            # difference between original rows i+1 and i — recorded in
-            # the original code of row i+1 = new row j-1.
-            i_plus_1 = n - j  # original index of new row j-1
-            offset = table.ovcs[i_plus_1][0]
-        if offset >= arity:
-            new_ovcs.append((arity, 0))
-            continue
-        value = row[positions[offset]]
-        stats.key_extractions += 1
-        new_ovcs.append((offset, normalize_value(value, new_directions[offset])))
+    new_ovcs = codes_from_offsets(
+        new_rows,
+        chain((0,), offsets[:0:-1]),
+        new_spec.positions(table.schema),
+        new_spec.directions,
+        stats,
+    )
     return Table(table.schema, new_rows, new_spec, new_ovcs)

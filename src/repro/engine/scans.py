@@ -1,9 +1,9 @@
 """Leaf operators: scans of tables, b-trees, and column stores.
 
 All three deliver offset-value codes with their rows at no comparison
-cost — the codes were cached when the data was written (table codes
-are derived once and stored; b-tree leaves and column-store run
-lengths encode them structurally).
+cost: a table's codes are derived once and stored, b-tree leaves store
+theirs, and a column store's run lengths give each row's offset
+(:func:`repro.ovc.derive.codes_from_offsets` reads the values).
 """
 
 from __future__ import annotations
@@ -62,7 +62,12 @@ class BTreeScan(Operator):
 
 class ColumnStoreScan(Operator):
     """Transposing scan of an RLE column store (hypothesis 6): rows and
-    codes materialize from run boundaries without comparisons."""
+    codes materialize from run boundaries without comparisons.
+
+    The transposition is column by column, so iteration builds the
+    whole table before yielding its first row: a consumer that stops
+    early (``Limit``, ``TopK``) still pays for every row.
+    """
 
     def __init__(
         self, store: ColumnStore, stats: ComparisonStats | None = None
@@ -72,6 +77,10 @@ class ColumnStoreScan(Operator):
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
         yield from self._store.iter_rows_with_ovcs()
+
+    def to_table(self) -> Table:
+        """:meth:`ColumnStore.to_table`, built column by column."""
+        return self._store.to_table()
 
     def _explain_detail(self) -> str:
         return f"({len(self._store)} rows)" + super()._explain_detail()

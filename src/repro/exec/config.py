@@ -15,13 +15,15 @@ Construction patterns::
 A config comes from exactly two places: code (the constructor and
 :meth:`~ExecutionConfig.with_`) and the ``REPRO_*`` variables
 (:meth:`~ExecutionConfig.from_env`).  Entry points called without a
-config use :meth:`ExecutionConfig.default`, so ``REPRO_*`` variables
-govern bare calls — the CLI's included.
+config use :meth:`ExecutionConfig.default` (the variables, read once
+per process), so ``REPRO_*`` variables govern bare calls — the CLI's
+included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -187,13 +189,16 @@ class ExecutionConfig:
     # ------------------------------------------------------ constructors
 
     @classmethod
+    @functools.cache
     def default(cls) -> "ExecutionConfig":
         """The environment-aware default used when no config is passed.
 
-        Equivalent to :meth:`from_env`: a plain ``ExecutionConfig()``
-        unless ``REPRO_*`` variables override fields, so a test matrix
-        (e.g. ``REPRO_ENGINE=reference pytest``) reaches every entry
-        point without touching call sites.
+        :meth:`from_env`, read once per process: every call returns the
+        same frozen object.  ``REPRO_*`` variables set before the
+        process starts (e.g. ``REPRO_ENGINE=reference pytest``) reach
+        every entry point without touching call sites; after one is set
+        mid-process, ``ExecutionConfig.default.cache_clear()`` makes
+        the next call read them again.
         """
         return cls.from_env()
 

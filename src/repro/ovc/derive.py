@@ -13,7 +13,7 @@ compression opportunity by prefix truncation.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..model import Table, normalize_value
 from .stats import ComparisonStats
@@ -74,6 +74,32 @@ def derive_ovcs(
         else:
             ovcs.append((offset, key_value(row, offset)))
         prev = row
+    return ovcs
+
+
+def codes_from_offsets(
+    rows: Iterable[tuple],
+    offsets: Iterable[int],
+    positions: Sequence[int],
+    directions: Sequence[bool],
+    stats: ComparisonStats | None = None,
+) -> list[tuple]:
+    """Paper-form codes for ``rows`` whose offsets are already known
+    (to a column store's runs, a row store's prefixes, a backward scan):
+    a code's value is the row's own key value at its offset, normalized
+    for that column's direction; an offset reaching the arity is the
+    duplicate ``(arity, 0)``.  No comparisons; each non-duplicate code
+    counts one ``key_extractions`` in ``stats``."""
+    arity = len(positions)
+    duplicate = (arity, 0)
+    ovcs = [
+        duplicate if offset >= arity
+        else (offset, row[positions[offset]]) if directions[offset]
+        else (offset, normalize_value(row[positions[offset]], False))
+        for row, offset in zip(rows, offsets)
+    ]
+    if stats is not None:
+        stats.key_extractions += len(ovcs) - ovcs.count(duplicate)
     return ovcs
 
 

@@ -5,7 +5,11 @@ run-length encoding suppresses a column value when the row agrees with
 its predecessor on that column *and all sort columns before it* — the
 same values suppressed by prefix truncation in row format.  The run
 boundaries therefore encode offset-value codes, and transposition in
-either direction needs **no column comparisons** (hypothesis 6).
+either direction needs **no column comparisons** (hypothesis 6): key
+column ``k`` starts a run exactly where a row's offset is at most
+``k``, so compression reads the table's offset column, and
+transposition rebuilds it with one store per run and reads each code's
+value off its row (:func:`~repro.ovc.derive.codes_from_offsets`).
 
 Non-key columns are stored uncompressed (one value per row).
 """
@@ -13,9 +17,13 @@ Non-key columns are stored uncompressed (one value per row).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterator
 
-from ..model import Schema, SortSpec, Table, normalize_value
+from ..core.classify import head_positions
+from ..model import Schema, SortSpec, Table
+from ..ovc.derive import codes_from_offsets
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,12 @@ class RleColumn:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def starts(self) -> list[int]:
+        """The row index at which each run begins."""
+        starts = list(accumulate(self.lengths, initial=0))
+        starts.pop()  # where the last run ends
+        return starts
 
 
 class ColumnStore:
@@ -60,27 +74,24 @@ class ColumnStore:
         if table.sort_spec is None:
             raise ValueError("column-store compression requires a sorted table")
         table = table.with_ovcs()
+        rows = table.rows
+        n = len(rows)
+        offsets = table._codes().offsets
         key_positions = table.sort_spec.positions(table.schema)
-        arity = table.sort_spec.arity
-        values: list[list] = [[] for _ in range(arity)]
-        lengths: list[list[int]] = [[] for _ in range(arity)]
-        for row, (offset, _value) in zip(table.rows, table.ovcs):
-            for k in range(arity):
-                if k >= offset or not lengths[k]:
-                    values[k].append(row[key_positions[k]])
-                    lengths[k].append(1)
-                else:
-                    lengths[k][-1] += 1
-        key_columns = [
-            RleColumn(tuple(v), tuple(l)) for v, l in zip(values, lengths)
-        ]
+        key_columns = []
+        for k, pos in enumerate(key_positions):
+            starts = head_positions(offsets, k + 1)
+            lengths = map(sub, starts[1:] + [n], starts)
+            key_columns.append(
+                RleColumn(tuple(rows[i][pos] for i in starts), tuple(lengths))
+            )
         key_set = set(key_positions)
         plain = {
-            name: [row[i] for row in table.rows]
+            name: [row[i] for row in rows]
             for i, name in enumerate(table.schema.columns)
             if i not in key_set
         }
-        return cls(table.schema, table.sort_spec, key_columns, plain, len(table))
+        return cls(table.schema, table.sort_spec, key_columns, plain, n)
 
     def stored_key_values(self) -> int:
         """Key values physically stored — equals the prefix-truncation
@@ -88,51 +99,41 @@ class ColumnStore:
         return sum(len(col) for col in self.key_columns)
 
     def iter_rows_with_ovcs(self) -> Iterator[tuple[tuple, tuple]]:
-        """Transpose to rows plus codes, without comparisons.
-
-        A row's offset is the first key column whose run starts at this
-        row; within runs the offset is the key arity (duplicate).
-        """
-        arity = self.sort_spec.arity
-        directions = self.sort_spec.directions
-        key_positions = self.sort_spec.positions(self.schema)
-        key_set = set(key_positions)
-        plain_by_pos = {
-            self.schema.index_of(name): col
-            for name, col in self.plain_columns.items()
-        }
-        n_cols = len(self.schema)
-
-        # Cursor state per key column: (run index, rows left in run).
-        cursors = [[0, 0] for _ in range(arity)]
-        current = [None] * arity
-        for i in range(self.n_rows):
-            offset = arity
-            for k in range(arity - 1, -1, -1):
-                run_idx, left = cursors[k]
-                if left == 0:
-                    offset = k
-                    current[k] = self.key_columns[k].values[run_idx]
-                    cursors[k][1] = self.key_columns[k].lengths[run_idx]
-                    cursors[k][0] = run_idx + 1
-                cursors[k][1] -= 1
-            row = [None] * n_cols
-            for k, pos in enumerate(key_positions):
-                row[pos] = current[k]
-            for pos, col in plain_by_pos.items():
-                row[pos] = col[i]
-            if offset >= arity:
-                ovc = (arity, 0)
-            else:
-                ovc = (offset, normalize_value(current[offset], directions[offset]))
-            yield tuple(row), ovc
+        """Transpose to rows plus codes, without comparisons
+        (:meth:`to_table`'s rows and codes, pairwise: the whole table is
+        built before the first row)."""
+        table = self.to_table()
+        return zip(table.rows, table.ovcs)
 
     def to_table(self) -> Table:
-        rows: list[tuple] = []
-        ovcs: list[tuple] = []
-        for row, ovc in self.iter_rows_with_ovcs():
-            rows.append(row)
-            ovcs.append(ovc)
+        """Transpose to a coded table, without comparisons.  Each run
+        column expands at C speed, run by run (a column with one run per
+        row is its values); a row's offset is the first key column
+        starting a run there (arity if none): one store per run, last
+        column first."""
+        n = self.n_rows
+        arity = self.sort_spec.arity
+        key_positions = self.sort_spec.positions(self.schema)
+        offsets = [arity] * n
+        columns: list = [None] * len(self.schema)
+        for k in range(arity - 1, -1, -1):
+            col = self.key_columns[k]
+            if len(col) == n:
+                # Every row starts a run: the column is its values.
+                offsets = [k] * n
+                columns[key_positions[k]] = col.values
+                continue
+            for start in col.starts():
+                offsets[start] = k
+            columns[key_positions[k]] = chain.from_iterable(
+                map(repeat, col.values, col.lengths)
+            )
+        for name, values in self.plain_columns.items():
+            columns[self.schema.index_of(name)] = values
+        rows = tuple(zip(*columns))
+        ovcs = codes_from_offsets(
+            rows, offsets, key_positions, self.sort_spec.directions
+        )
         return Table(self.schema, rows, self.sort_spec, ovcs)
 
     def segment_boundaries(self, prefix_len: int) -> list[int]:
@@ -140,10 +141,4 @@ class ColumnStore:
         straight off the leading column's run lengths (hypothesis 6)."""
         if prefix_len < 1 or prefix_len > self.sort_spec.arity:
             raise ValueError("prefix_len out of range")
-        col = self.key_columns[prefix_len - 1]
-        boundaries = []
-        at = 0
-        for length in col.lengths:
-            boundaries.append(at)
-            at += length
-        return boundaries
+        return self.key_columns[prefix_len - 1].starts()

@@ -16,11 +16,10 @@ an honest, documented deviation counted by the shared statistics.
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterator, Sequence
 
 from ..model import Schema, SortSpec, Table
-from ..ovc.derive import derive_ovcs
+from ..ovc.derive import codes_from_offsets, derive_ovcs
 from ..ovc.stats import ComparisonStats
 from ..sorting.internal import tournament_sort
 from ..sorting.merge import kway_merge
@@ -81,40 +80,41 @@ class LsmForest:
         return merged
 
     def aligned_segments(self, prefix_len: int) -> list[tuple]:
-        """Distinct leading-prefix values across all partitions, sorted.
+        """Distinct leading-prefix values across all partitions, in the
+        forest's sort order.
 
         These are the aligned segment boundaries of hypothesis 8: the
         same prefix value bounds a segment in every partition.
         """
+        return [prefix for prefix, _slices in self.segment_slices(prefix_len)]
+
+    def segment_slices(self, prefix_len: int) -> Iterator[tuple[tuple, list[tuple]]]:
+        """Per aligned segment, in the forest's sort order, its prefix
+        value and the ``[lo, hi)`` slice in each partition.
+
+        Partitions without rows for a segment contribute an empty
+        slice.  Each partition's segments come from its codes alone
+        (``Table._codes().segments``) — no row-by-row comparisons; only
+        the segment heads' prefixes are keyed and sorted, on the
+        forest's own (direction-normalized) key.
+        """
         if prefix_len < 1 or prefix_len > self.sort_spec.arity:
             raise ValueError("prefix_len out of range")
         positions = self._positions[:prefix_len]
-        seen: set[tuple] = set()
-        for partition in self.partitions:
-            for offset, _value in _prefix_heads(partition, prefix_len):
-                row = partition.rows[offset]
-                seen.add(tuple(row[p] for p in positions))
-        return sorted(seen)
-
-    def segment_slices(self, prefix_len: int) -> Iterator[tuple[tuple, list[tuple]]]:
-        """Per aligned segment, the ``[lo, hi)`` slice in each partition.
-
-        Partitions without rows for a segment contribute an empty
-        slice.  Slices are located by binary search on the prefix — no
-        row-by-row comparisons.
-        """
-        positions = self._positions[:prefix_len]
-        keyed: list[list[tuple]] = [
-            [tuple(row[p] for p in positions) for row in part.rows]
-            for part in self.partitions
-        ]
-        for prefix in self.aligned_segments(prefix_len):
-            slices = []
-            for keys in keyed:
-                lo = bisect.bisect_left(keys, prefix)
-                hi = bisect.bisect_right(keys, prefix)
-                slices.append((lo, hi))
-            yield prefix, slices
+        key = self.sort_spec.prefix(prefix_len).key_for(self.schema)
+        # Normalized prefix -> (raw prefix, slice in each partition).
+        segments: dict[tuple, tuple[tuple, list[tuple]]] = {}
+        empty = [(0, 0)] * len(self.partitions)
+        for i, part in enumerate(self.partitions):
+            for lo, hi in part._codes().segments(prefix_len):
+                head = part.rows[lo]
+                normalized = key(head)
+                if normalized not in segments:
+                    prefix = tuple(head[p] for p in positions)
+                    segments[normalized] = (prefix, list(empty))
+                segments[normalized][1][i] = (lo, hi)
+        for normalized in sorted(segments):
+            yield segments[normalized]
 
     def modify_order_segmented(
         self,
@@ -142,66 +142,33 @@ class LsmForest:
         out_ovcs: list[tuple] = []
         new_positions = new_order.positions(self.schema)
         for _prefix, slices in self.segment_slices(prefix_len):
-            per_partition: list[tuple[list[tuple], list[tuple]]] = []
+            runs = []
             for part, (lo, hi) in zip(self.partitions, slices):
                 if hi <= lo:
                     continue
+                # Interior codes stay valid; the slice's first row is
+                # recoded as a table head.
+                head = codes_from_offsets(
+                    (part.rows[lo],), (0,), self._positions,
+                    self.sort_spec.directions,
+                )
                 slice_table = Table(
-                    self.schema,
-                    part.rows[lo:hi],
-                    self.sort_spec,
-                    _reanchor_ovcs(part, lo, hi, self._positions),
+                    self.schema, part.rows[lo:hi], self.sort_spec,
+                    (*head, *part.ovcs[lo + 1 : hi]),
                 )
-                modified = modify_sort_order(
-                    slice_table, new_order, stats=stats
-                )
-                per_partition.append((modified.rows, modified.ovcs))
-            if not per_partition:
-                continue
+                modified = modify_sort_order(slice_table, new_order, stats=stats)
+                runs.append((modified.rows, modified.ovcs))
             rows, ovcs = kway_merge(
-                per_partition, new_positions, stats, new_order.directions
+                runs, new_positions, stats, new_order.directions
             )
+            if out_rows:
+                # The segment's first row was coded as a table head;
+                # recode it against the previous segment's last row
+                # (one comparison per segment).
+                ovcs[0] = derive_ovcs(
+                    (out_rows[-1], rows[0]), new_positions,
+                    new_order.directions, stats,
+                )[1]
             out_rows.extend(rows)
             out_ovcs.extend(ovcs)
-        # Re-anchor codes at segment boundaries: each segment's first
-        # row was coded as a table head; recode it against the previous
-        # segment's last row (one comparison per segment).
-        _fix_boundary_codes(
-            out_rows, out_ovcs, new_positions, new_order.directions, stats
-        )
         return Table(self.schema, out_rows, new_order, out_ovcs)
-
-
-def _prefix_heads(partition: Table, prefix_len: int) -> Iterator[tuple]:
-    """(row index, code) of each new distinct prefix in a partition —
-    found from the partition's codes alone."""
-    for i, (offset, value) in enumerate(partition.ovcs):
-        if offset < prefix_len:
-            yield i, (offset, value)
-
-
-def _reanchor_ovcs(
-    partition: Table, lo: int, hi: int, positions: Sequence[int]
-) -> list[tuple]:
-    """Codes for a partition slice: interior codes stay valid; the
-    first row becomes a slice head coded as a fresh table head."""
-    ovcs = list(partition.ovcs[lo:hi])
-    if ovcs:
-        first = partition.rows[lo]
-        ovcs[0] = (0, first[positions[0]])
-    return ovcs
-
-
-def _fix_boundary_codes(
-    rows: list[tuple],
-    ovcs: list[tuple],
-    positions: Sequence[int],
-    directions: Sequence[bool],
-    stats: ComparisonStats,
-) -> None:
-    """Recode, in the list ``ovcs``, every row after the first coded as
-    a table head against its predecessor in ``rows``."""
-    heads = [i for i, (offset, _v) in enumerate(ovcs) if i > 0 and offset == 0]
-    for i in heads:
-        pair = derive_ovcs(rows[i - 1 : i + 1], positions, directions, stats)
-        ovcs[i] = pair[1]

@@ -5,7 +5,9 @@ preceding row's can be suppressed — exactly the columns counted by the
 row's offset-value code.  Compression and decompression therefore run
 entirely on codes, with **zero column comparisons**: transposing
 between this format and full rows (or run-length-encoded columns) is a
-pure copy, as the paper's Section 2.1 observes.
+pure copy, as the paper's Section 2.1 observes.  Compression reads the
+table's offset column; decompression hands the stored offsets to
+:func:`~repro.ovc.derive.codes_from_offsets`.
 
 Non-key columns are stored in full.
 """
@@ -13,9 +15,11 @@ Non-key columns are stored in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
-from ..model import Schema, SortSpec, Table, normalize_value
+from ..model import Schema, SortSpec, Table
+from ..ovc.derive import codes_from_offsets
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,6 @@ class PrefixTruncatedStore:
         schema: Schema,
         sort_spec: SortSpec,
         entries: list[TruncatedRow],
-        first_values: list = None,
     ) -> None:
         self.schema = schema
         self.sort_spec = sort_spec
@@ -52,17 +55,15 @@ class PrefixTruncatedStore:
             raise ValueError("prefix truncation requires a sorted table")
         table = table.with_ovcs()
         key_positions = table.sort_spec.positions(table.schema)
-        key_set = set(key_positions)
-        rest_positions = [
-            i for i in range(len(table.schema)) if i not in key_set
+        rest_positions = _rest_positions(len(table.schema), key_positions)
+        entries = [
+            TruncatedRow(
+                offset,
+                tuple(row[p] for p in key_positions[offset:]),
+                tuple(row[p] for p in rest_positions),
+            )
+            for row, offset in zip(table.rows, table._codes().offsets)
         ]
-        arity = table.sort_spec.arity
-        entries: list[TruncatedRow] = []
-        for row, (offset, _value) in zip(table.rows, table.ovcs):
-            offset = min(offset, arity)
-            suffix = tuple(row[key_positions[k]] for k in range(offset, arity))
-            rest = tuple(row[p] for p in rest_positions)
-            entries.append(TruncatedRow(offset, suffix, rest))
         return cls(table.schema, table.sort_spec, entries)
 
     def __len__(self) -> int:
@@ -73,45 +74,41 @@ class PrefixTruncatedStore:
         return sum(len(e.key_suffix) for e in self.entries)
 
     def iter_rows_with_ovcs(self) -> Iterator[tuple[tuple, tuple]]:
-        """Reconstruct full rows and paper-form codes — no comparisons.
-
-        The code of each row is ``(offset, first surviving key value)``;
-        reconstruction keeps a rolling full key and patches the suffix.
-        """
-        key_positions = self.sort_spec.positions(self.schema)
-        key_set = set(key_positions)
-        rest_positions = [
-            i for i in range(len(self.schema)) if i not in key_set
-        ]
-        arity = self.sort_spec.arity
-        directions = self.sort_spec.directions
-        current_key: list = [None] * arity
-        n_cols = len(self.schema)
-        for entry in self.entries:
-            for k, value in enumerate(entry.key_suffix):
-                current_key[entry.offset + k] = value
-            row = [None] * n_cols
-            for k, pos in enumerate(key_positions):
-                row[pos] = current_key[k]
-            for value, pos in zip(entry.rest, rest_positions):
-                row[pos] = value
-            if entry.offset >= arity:
-                ovc = (arity, 0)
-            else:
-                # Code values live in ascending comparison space, like
-                # everything produced by repro.ovc.derive.
-                ovc = (
-                    entry.offset,
-                    normalize_value(
-                        current_key[entry.offset], directions[entry.offset]
-                    ),
-                )
-            yield tuple(row), ovc
+        """Reconstruct full rows and paper-form codes — no comparisons
+        (:meth:`to_table`'s rows and codes, pairwise: the whole table is
+        built before the first row)."""
+        table = self.to_table()
+        return zip(table.rows, table.ovcs)
 
     def to_table(self) -> Table:
-        rows: list[tuple] = []
-        ovcs: list[tuple] = []
-        for row, ovc in self.iter_rows_with_ovcs():
-            rows.append(row)
-            ovcs.append(ovc)
+        """Full rows from a rolling key patched with each stored suffix;
+        each code's offset is the stored one."""
+        key_positions = self.sort_spec.positions(self.schema)
+        rest_positions = _rest_positions(len(self.schema), key_positions)
+        # Schema position -> index into ``key + rest`` (no gather when
+        # the key leads the schema in order).
+        order = sorted(
+            range(len(self.schema)),
+            key=(*key_positions, *rest_positions).__getitem__,
+        )
+        in_order = order == list(range(len(order)))
+        gather = None if in_order else itemgetter(*order)
+        key: tuple = ()
+        rows = []
+        for entry in self.entries:
+            key = key[: entry.offset] + entry.key_suffix
+            full = key + entry.rest
+            rows.append(full if gather is None else gather(full))
+        ovcs = codes_from_offsets(
+            rows,
+            [entry.offset for entry in self.entries],
+            key_positions,
+            self.sort_spec.directions,
+        )
         return Table(self.schema, rows, self.sort_spec, ovcs)
+
+
+def _rest_positions(width: int, key_positions) -> list[int]:
+    """The non-key column positions of a ``width``-column schema."""
+    key_set = set(key_positions)
+    return [i for i in range(width) if i not in key_set]

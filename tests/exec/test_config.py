@@ -179,9 +179,28 @@ def test_from_env_malformed_number_names_the_variable(var, field):
     assert var in message and "'abc'" in message and field in message
 
 
-def test_default_respects_environment(monkeypatch):
+@pytest.fixture
+def fresh_default():
+    """Re-read the environment on the next ``default()``, and again
+    after the test (its variables are gone by then)."""
+    ExecutionConfig.default.cache_clear()
+    yield
+    ExecutionConfig.default.cache_clear()
+
+
+def test_default_respects_environment(monkeypatch, fresh_default):
     monkeypatch.setenv("REPRO_CACHE_BUDGET", "2KiB")
     assert ExecutionConfig.default().cache_budget == 2048
+
+
+def test_default_reads_the_environment_once(monkeypatch, fresh_default):
+    first = ExecutionConfig.default()
+    assert ExecutionConfig.default() is first
+    monkeypatch.setenv("REPRO_CACHE_BUDGET", "2KiB")
+    assert ExecutionConfig.default() is first
+    ExecutionConfig.default.cache_clear()
+    assert ExecutionConfig.default().cache_budget == 2048
+    assert ExecutionConfig.from_env() == ExecutionConfig.default()
 
 
 # ------------------------------------------------------------ order cache
