@@ -97,6 +97,9 @@ def resolve_cache(config: ExecutionConfig) -> OrderCache | None:
     """
     if config.cache == "off":
         return None
+    cache = _CACHE
+    if cache is not None:
+        return cache
     with _LOCK:
         if _CACHE is None:
             return configure_cache(

@@ -5,8 +5,8 @@ order, :func:`serve` decides between three outcomes (the parent rule,
 :func:`_cheapest_parent`, is shared with the batch planner):
 
 * **Exact hit** — the requested order is cached for this row sequence:
-  the entry's rows and codes are returned as-is.  A hit compares
-  nothing, so it adds nothing to the caller's
+  the entry's table is returned as is (a memo hit builds nothing).  A
+  hit compares nothing, so it adds nothing to the caller's
   :class:`~repro.ovc.stats.ComparisonStats`.  The order service asks
   this branch alone (:func:`_exact_hit`) on the caller's thread at
   submit, and queues only what it does not answer.
@@ -40,7 +40,7 @@ modify's own for a modify-from-cache).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from ..core.analysis import Strategy, analyze_order_modification
@@ -169,49 +169,35 @@ def serve(
     found = _exact_hit(cache, fp, spec)
     if found is not None:
         hit, outcome.label = found
-        outcome.table = hit.as_table(source.schema)
+        outcome.table = hit.table
+        return outcome
+
+    n = len(source.rows)
+
+    def miss(reason: str, **detail) -> ServeOutcome:
+        if LOG.enabled:
+            LOG.event(
+                "cache.serve", decision="miss", order=spec.label, rows=n,
+                reason=reason, **detail,
+            )
         return outcome
 
     candidates = cache.candidates(fp)
     if not candidates:
-        if LOG.enabled:
-            LOG.event(
-                "cache.serve", decision="miss", order=spec.label,
-                rows=len(source.rows), reason="no-candidates",
-            )
-        return outcome
-
-    n = len(source.rows)
+        return miss("no-candidates")
     best, best_cost, baseline = _cheapest_parent(source, spec, candidates)
     if best is None:
-        if LOG.enabled:
-            LOG.event(
-                "cache.serve", decision="miss", order=spec.label, rows=n,
-                reason="no-candidate-beats-baseline"
-                if source.sort_spec is None else "source-is-parent",
-                baseline_cost=round(baseline, 1),
-                candidates=len(candidates),
-            )
-        return outcome
-
+        return miss(
+            "no-candidate-beats-baseline"
+            if source.sort_spec is None else "source-is-parent",
+            baseline_cost=round(baseline, 1), candidates=len(candidates),
+        )
     chosen = cache.fetch(fp, best.spec)
-    if chosen is None:  # evicted or expired since the scan
-        if LOG.enabled:
-            LOG.event(
-                "cache.serve", decision="miss", order=spec.label,
-                rows=n, reason="candidate-evicted",
-            )
-        return outcome
-
-    result = _modify_from(cache, fp, source, chosen, spec, stats, config)
+    if chosen is None:  # evicted since the scan
+        return miss("candidate-evicted")
+    result = _modify_from(cache, fp, chosen, spec, stats, config)
     if result is None:
-        if LOG.enabled:
-            LOG.event(
-                "cache.serve", decision="miss", order=spec.label,
-                rows=n, reason="modify-from-cache-failed",
-                candidate=best.spec.label,
-            )
-        return outcome
+        return miss("modify-from-cache-failed", candidate=best.spec.label)
     outcome.table = result
     outcome.label = f"modify-from-cache({best.spec.label})"
     if LOG.enabled:
@@ -227,7 +213,6 @@ def serve(
 def _modify_from(
     cache: OrderCache,
     fp: Fingerprint,
-    source: Table,
     chosen: CachedOrder,
     spec: SortSpec,
     stats: ComparisonStats,
@@ -239,13 +224,15 @@ def _modify_from(
     try:
         with TRACER.span(
             "cache.modify_from",
-            rows=len(chosen.rows),
+            rows=len(chosen.table),
             source=chosen.spec.label,
             target=spec.label,
             entry=chosen.state,
             entry_bytes=chosen.nbytes,
         ):
-            parent = chosen.as_table(source.schema)
+            # A table of its own: the records enforcing builds must not
+            # stay on the memo table, where the budget charges nothing.
+            parent = replace(chosen.table)
             done = enforce_order(
                 parent, spec, stats=stats, config=config, want_perm=True
             )

@@ -31,6 +31,7 @@ stays flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from ..model import Table
@@ -48,9 +49,9 @@ class Fingerprint:
     #: The rows that were hashed (excluded from ``==``).
     rows: tuple = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def source_key(self) -> tuple:
-        """The cache key for this row sequence."""
+        """The cache key for this row sequence (built once)."""
         return (self.schema, self.n_rows, self.sequence)
 
 

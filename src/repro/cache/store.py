@@ -17,17 +17,17 @@ its input, so an entry does not keep the rows: it keeps
   ``offsets`` / ``values`` hold one code per row, ``values`` a plain
   list (counted as ``cache.unpacked_installs``);
 
-3-13 bytes a row (3.05 on the benchmark's orders at 2^12).  The row
-tuple and the ``(offset, value)`` tuple readers are handed are a
-*memo* of that form — one :func:`~repro.fastpath.packed.gather`
-through ``perm`` over the rows the request's fingerprint hashed, one
-through ``ids`` over the book's tuples, each built once and shared by
-every row and response that carries it — kept while the budget has room
-and dropped for free when it has not.  An entry is therefore in one of
-three states: ``memo`` (arrays and both tuples: a read hands them
-out), ``flat`` (arrays: a read gathers both tuples outside the lock,
-~0.13 ms at 2^12 on one thread) or ``spilled`` (a spill file: one small
-unpickle, then as ``flat``).
+3-13 bytes a row (3.05 on the benchmark's orders at 2^12).  The
+:class:`~repro.model.Table` readers are handed is a *memo* of that
+form — its rows one :func:`~repro.fastpath.packed.gather` through
+``perm`` over the rows the request's fingerprint hashed, its codes one
+through ``ids`` over the book's tuples, each code built once — made
+once, with the entry's :class:`CachedOrder` read around it, kept while
+the budget has room and dropped for free when it has not.  An entry is
+therefore in one of three states: ``memo`` (arrays and the read: a read
+hands it out as is and builds nothing), ``flat`` (arrays: a read
+gathers a new table outside the lock, ~0.28 ms at 2^12 on one thread)
+or ``spilled`` (a spill file: one small unpickle, then as ``flat``).
 
 The store is deliberately dumb about *how* entries get used: exact-hit
 serving, candidate selection, and the modify-from-cached-order dispatch
@@ -35,8 +35,8 @@ all live in :mod:`repro.cache.dispatch`; here live the mechanics every
 policy shares:
 
 * **Thread safety** — one re-entrant lock around every map operation
-  and the snapshot of an entry's (immutable) arrays; the two gathers
-  of a flat read run outside it, on that snapshot, so a concurrent
+  and the look at an entry's (immutable) arrays; the two gathers of a
+  flat read run outside it, on the arrays it took, so a concurrent
   spill or eviction can never tear a read.
 * **Memory accounting** — an entry's fixed overhead
   (:data:`ENTRY_BYTES`), its flat bytes while they are resident and its
@@ -91,22 +91,21 @@ ENTRY_BYTES = 1024
 
 
 class CachedOrder(NamedTuple):
-    """Immutable reader snapshot of one cache entry.
+    """One read of a cache entry.
 
-    ``rows`` / ``ovcs`` are tuples, complete when the snapshot is
-    handed out — the entry's memo when it has one (shared, never
-    copied: nobody can change a tuple), else freshly gathered; ``None``
-    only in the metadata-only snapshots of :meth:`OrderCache.candidates`.
+    ``table`` is the order as a :class:`~repro.model.Table`: the
+    entry's memo table while it has one, handed out as is — every memo
+    read returns the entry's one ``CachedOrder``, so a memo hit builds
+    nothing — else built by the read from the flat form; ``None`` only
+    in the metadata-only snapshots of :meth:`OrderCache.candidates`.
     ``perm`` maps output position to source index.
     ``offset_counts[k]`` is the number of codes with offset exactly
     ``k`` (length ``arity + 1``), from which the dispatcher derives
-    segment and run counts without rescanning.  A tuple: every hit
-    builds one, and a frozen dataclass pays a ``__setattr__`` a field.
+    segment and run counts without rescanning.
     """
 
     spec: SortSpec
-    rows: tuple | None
-    ovcs: tuple | None
+    table: Table | None
     perm: array | None
     offset_counts: tuple
     #: ``memo`` | ``flat`` | ``spilled`` — what the read found.
@@ -114,29 +113,25 @@ class CachedOrder(NamedTuple):
     #: Bytes the entry had charged to the budget at that moment.
     nbytes: int
 
-    def as_table(self, schema: Schema) -> Table:
-        return Table(schema, self.rows, self.spec, self.ovcs)
-
 
 class _Entry:
     """One stored order; hashable by identity (the LRU orders key on it)."""
 
     __slots__ = (
-        "key", "spec", "perm", "codes", "rows", "ovcs",
-        "offset_counts", "flat_bytes", "memo_bytes", "handle",
+        "key", "spec", "perm", "codes", "memo", "offset_counts",
+        "flat_bytes", "memo_bytes", "handle",
     )
 
-    def __init__(self, key, spec, perm, codes, rows, ovcs,
-                 offset_counts, flat_bytes, memo_bytes) -> None:
+    def __init__(self, key, spec, perm, codes, offset_counts,
+                 flat_bytes, memo_bytes) -> None:
         self.key = key
         self.spec = spec
         #: The flat form (``None`` while spilled); never mutated.
         self.perm = perm
         #: The code book, ``(ids, offsets, values)`` (:func:`_code_book`).
         self.codes = codes
-        #: The memo tuples (``None`` when dropped).
-        self.rows = rows
-        self.ovcs = ovcs
+        #: The read a memo hit returns (``None`` when dropped).
+        self.memo: CachedOrder | None = None
         self.offset_counts = offset_counts
         self.flat_bytes = flat_bytes
         self.memo_bytes = memo_bytes
@@ -145,7 +140,7 @@ class _Entry:
 
     @property
     def state(self) -> str:
-        if self.rows is not None:
+        if self.memo is not None:
             return "memo"
         return "flat" if self.perm is not None else "spilled"
 
@@ -154,13 +149,7 @@ class _Entry:
         return (
             ENTRY_BYTES
             + (self.flat_bytes if self.perm is not None else 0)
-            + (self.memo_bytes if self.rows is not None else 0)
-        )
-
-    def snapshot(self) -> CachedOrder:
-        return CachedOrder(
-            self.spec, self.rows, self.ovcs, self.perm,
-            self.offset_counts, self.state, self.charged,
+            + (self.memo_bytes if self.memo is not None else 0)
         )
 
 
@@ -293,10 +282,19 @@ class OrderCache:
         if METRICS.enabled:
             METRICS.counter("cache." + name).inc()
 
+    def _keep_memo(self, entry: _Entry, table: Table) -> None:
+        """Make ``table`` the entry's memo, read by every hit (lock held)."""
+        entry.memo = CachedOrder(
+            entry.spec, table, entry.perm, entry.offset_counts, "memo",
+            ENTRY_BYTES + entry.flat_bytes + entry.memo_bytes,
+        )
+        self._memos[entry] = None
+        self.accountant.charge(CATEGORY, entry.memo_bytes)
+
     def _drop_memo(self, entry: _Entry) -> None:
-        """Release an entry's row and code tuples (lock held)."""
+        """Release an entry's memo table (lock held)."""
         del self._memos[entry]
-        entry.rows = entry.ovcs = None
+        entry.memo = None
         self.accountant.release(CATEGORY, entry.memo_bytes)
 
     def _drop_flat(self, entry: _Entry) -> None:
@@ -311,7 +309,7 @@ class OrderCache:
         del self._entries[entry.key, entry.spec]
         del self._lru[entry]
         self.accountant.release(CATEGORY, ENTRY_BYTES)
-        if entry.rows is not None:
+        if entry.memo is not None:
             self._drop_memo(entry)
         if entry.perm is not None:
             self._drop_flat(entry)
@@ -362,15 +360,16 @@ class OrderCache:
     def _read(
         self, fp: Fingerprint, spec: SortSpec, hits: bool, misses: bool
     ) -> CachedOrder | None:
-        """The stored order for ``(fp, spec)`` with its tuples built.
+        """The stored order for ``(fp, spec)`` with its table built.
 
         ``hits`` / ``misses``: whether a found / absent entry counts as
-        a lookup's hit / miss.  Under the lock: the map operations, the
-        rehydrate of a spilled entry and a snapshot of its arrays.  A
-        flat entry's two gathers run outside it, over the rows ``fp``
-        hashed; the tuples are kept as the entry's memo only if the
-        budget has room for them as it stands — a memo is never worth a
-        disk write.
+        a lookup's hit / miss.  A memo entry's read is handed out as it
+        is.  Otherwise, under the lock: the map operations, the
+        rehydrate of a spilled entry and a look at its arrays; the two
+        gathers of the flat form run outside it, over the rows ``fp``
+        hashed, and the table they make is kept as the entry's memo
+        only if the budget has room for it as it stands — a memo is
+        never worth a disk write.
         """
         with self._lock:
             entry = self._entries.get((fp.source_key, spec))
@@ -382,31 +381,33 @@ class OrderCache:
             if hits:
                 self.hits += 1
                 self._count("hits")
-            snap = entry.snapshot()
             self._lru.move_to_end(entry)
-            if snap.rows is not None:
+            memo = entry.memo
+            if memo is not None:
                 # A memo read charges nothing: no pressure to relieve.
                 self._flats.move_to_end(entry)
                 self._memos.move_to_end(entry)
-                return snap
+                return memo
+            state, nbytes = entry.state, entry.charged
             if entry.perm is None:
                 self._rehydrate(entry)
             self._flats.move_to_end(entry)
             perm, codes = entry.perm, entry.codes
             self._pressure(protect=entry)
-        rows = gather(fp.rows, perm)
-        ovcs = _codes(*codes)
+        table = Table(
+            Schema(fp.schema), gather(fp.rows, perm), spec, _codes(*codes)
+        )
         with self._lock:
             headroom = self.accountant.headroom()
             if (
-                entry.perm is not None and entry.rows is None
+                entry.perm is not None and entry.memo is None
                 and (headroom is None or entry.memo_bytes <= headroom)
             ):
-                entry.rows, entry.ovcs = rows, ovcs
-                self._memos[entry] = None
-                self.accountant.charge(CATEGORY, entry.memo_bytes)
+                self._keep_memo(entry, table)
                 self._publish_levels()
-        return snap._replace(rows=rows, ovcs=ovcs, perm=perm)
+        return CachedOrder(
+            spec, table, perm, entry.offset_counts, state, nbytes
+        )
 
     def lookup(
         self, fp: Fingerprint, spec: SortSpec, *, count_miss: bool = True
@@ -419,7 +420,8 @@ class OrderCache:
         as one hit or one miss — except a miss with ``count_miss=False``,
         which counts nothing: a probe whose request, on a miss, goes on
         to a counted lookup of its own, so that each request still
-        counts exactly one outcome.
+        counts exactly one outcome.  A memo hit returns the entry's own
+        read, the same object every time.
         """
         return self._read(fp, spec, hits=True, misses=count_miss)
 
@@ -429,13 +431,15 @@ class OrderCache:
         """Every order cached for this row sequence.
 
         Metadata-only snapshots for cost estimation: nothing is
-        rehydrated or gathered (``rows`` / ``ovcs`` are ``None`` unless
-        the entry holds a memo); call :meth:`fetch` once a candidate is
-        chosen.
+        rehydrated or gathered (``table`` is ``None`` unless the entry
+        holds a memo); call :meth:`fetch` once a candidate is chosen.
         """
         with self._lock:
             return [
-                entry.snapshot()
+                entry.memo or CachedOrder(
+                    spec, None, entry.perm, entry.offset_counts,
+                    entry.state, entry.charged,
+                )
                 for (src, spec), entry in self._entries.items()
                 if src == fp.source_key and spec != exclude
             ]
@@ -462,9 +466,10 @@ class OrderCache:
         ``perm`` is that permutation (``rows[i] is fp.rows[perm[i]]``)
         when the caller has it — the fast kernels do — and is derived
         from the rows otherwise (:func:`_perm_of`).  ``rows`` / ``ovcs``
-        become the entry's first memo (tuples shared, not copied; a list
-        is copied into a tuple), sized by the page model's fixed-width
-        row: 8 bytes a column and 16 a code.
+        become the entry's first memo, one :class:`~repro.model.Table`
+        (tuples shared, not copied; a list is copied into a tuple),
+        sized by the page model's fixed-width row: 8 bytes a column and
+        16 a code.
         Returns False when the entry cannot be admitted (codes missing,
         or rows that are not the fingerprinted ones).
 
@@ -482,8 +487,8 @@ class OrderCache:
             perm = _word_array(perm)
         except LookupError:
             return self._reject()
-        rows, ovcs = tuple(rows), tuple(ovcs)
-        ids, offsets, values = codes = _code_book(ovcs)
+        table = Table(Schema(fp.schema), rows, spec, ovcs)
+        ids, offsets, values = codes = _code_book(table.ovcs)
         if ids is None:
             self._count("unpacked_installs")
         value_size = values.itemsize if isinstance(values, array) else 8
@@ -499,14 +504,13 @@ class OrderCache:
             if old is not None:
                 self._drop(old, "replaced")
             entry = _Entry(
-                fp.source_key, spec, perm, codes, rows, ovcs, counts,
-                flat_bytes, memo_bytes,
+                fp.source_key, spec, perm, codes, counts, flat_bytes,
+                memo_bytes,
             )
             self._entries[key] = entry
-            self._lru[entry] = self._memos[entry] = self._flats[entry] = None
-            self.accountant.charge(
-                CATEGORY, ENTRY_BYTES + flat_bytes + memo_bytes
-            )
+            self._lru[entry] = self._flats[entry] = None
+            self.accountant.charge(CATEGORY, ENTRY_BYTES + flat_bytes)
+            self._keep_memo(entry, table)
             self.installs += 1
             self._count("installs")
             self._pressure(protect=entry)

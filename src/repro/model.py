@@ -74,12 +74,12 @@ def normalize_value(value: Any, ascending: bool) -> Any:
     """Map a column value into ascending comparison space.
 
     Ascending columns pass through; descending integer (and float)
-    columns negate; anything else is wrapped in :class:`Desc`.
+    columns negate; anything else is wrapped in :class:`Desc`.  A bool
+    is the int it equals, so a descending ``True`` becomes ``-1`` like
+    ``1`` (an ``int``, not a bool): ``True`` and ``1`` stay equal keys.
     """
     if ascending:
         return value
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, (int, float)):
         return -value
     return Desc(value)

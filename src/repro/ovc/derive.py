@@ -13,6 +13,7 @@ compression opportunity by prefix truncation.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from ..model import Table, normalize_value
@@ -101,6 +102,28 @@ def codes_from_offsets(
     if stats is not None:
         stats.key_extractions += len(ovcs) - ovcs.count(duplicate)
     return ovcs
+
+
+def type_breaks(
+    rows: Sequence[tuple], offsets: Sequence[int], positions: Sequence[int]
+) -> dict[int, int]:
+    """Rows that share key columns with their predecessor by value but
+    not by type, each mapped to the first such column: ``1``, ``1.0``
+    and ``True`` are equal values, so a code's offset runs past them,
+    but a store that kept only the predecessor's value would hand back
+    the wrong type.  A store keeps a row's own key values from
+    ``min(offset, breaks[row])`` on.  One pass over each key column's
+    types finds the columns that mix any; only those are walked row by
+    row, comparing types by identity and no values."""
+    breaks: dict[int, int] = {}
+    for k, p in enumerate(positions):
+        if len(set(map(type, map(itemgetter(p), rows)))) < 2:
+            continue
+        types = list(map(type, map(itemgetter(p), rows)))
+        for i in range(1, len(types)):
+            if types[i] is not types[i - 1] and offsets[i] > k:
+                breaks.setdefault(i, k)
+    return breaks
 
 
 def derive_table_ovcs(

@@ -16,10 +16,12 @@ source's rows and the prefix's column *set* — independent of key order
 and sort direction — so probes are memoized per ``(source_key, column
 set)``.
 
-In front of it, a second memo maps ``(source_key, spec)`` to the
-normalized spec: a repeat request is one dictionary read with no lock,
-not up to ``arity - 1`` locked probes.  Both memos share one bound and
-are cleared whole when they reach it.
+In front of it, a second memo maps ``(source_key, source order, spec)``
+to the normalized spec and to whether the source's own order already
+satisfies it (a ``Sort`` passes such a source through): a repeat
+request is one dictionary read with no lock, not up to ``arity - 1``
+locked probes and a walk over the two orders' columns.  Both memos
+share one bound and are cleared whole when they reach it.
 """
 
 from __future__ import annotations
@@ -34,22 +36,31 @@ class SpecNormalizer:
 
     def __init__(self, max_entries: int = 256) -> None:
         self._memo: dict[tuple, bool] = {}
-        #: ``None``: no proper prefix is row-unique.
-        self._specs: dict[tuple, SortSpec | None] = {}
+        #: ``(shortest row-unique proper prefix or None, passes)``.
+        self._specs: dict[tuple, tuple[SortSpec | None, bool]] = {}
         self._max = max_entries
         self._lock = threading.Lock()
 
     def normalize(self, fp, source: Table, spec: SortSpec) -> SortSpec:
         """``spec`` truncated after its first row-unique prefix, or
         ``spec`` itself when no proper prefix determines the order."""
-        key = (fp.source_key, spec)
+        return self.resolve(fp, source, spec)[0]
+
+    def resolve(
+        self, fp, source: Table, spec: SortSpec
+    ) -> tuple[SortSpec, bool]:
+        """``(normalize(fp, source, spec), passes)``: ``passes`` is
+        whether ``source``'s own order already satisfies that order."""
+        key = (fp.source_key, source.sort_spec, spec)
         try:
-            got = self._specs[key]
+            got, passes = self._specs[key]
         except KeyError:
             got = next((spec.prefix(k) for k in range(1, spec.arity)
                         if self._unique(fp, source, spec, k)), None)
-            self._remember(self._specs, key, got)
-        return spec if got is None else got
+            ordering = source.sort_spec
+            passes = ordering is not None and ordering.satisfies(got or spec)
+            self._remember(self._specs, key, (got, passes))
+        return got or spec, passes
 
     def _remember(self, memo: dict, key: tuple, value) -> None:
         with self._lock:

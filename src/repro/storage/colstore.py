@@ -11,7 +11,11 @@ column ``k`` starts a run exactly where a row's offset is at most
 transposition rebuilds it with one store per run and reads each code's
 value off its row (:func:`~repro.ovc.derive.codes_from_offsets`).
 
-Non-key columns are stored uncompressed (one value per row).
+Non-key columns are stored uncompressed (one value per row).  A key
+value equal to its predecessor's but of another type (``1`` after
+``1.0``) starts a run, as do the key columns after it
+(:func:`~repro.ovc.derive.type_breaks`); such a row's code offset,
+which runs past the break, is kept beside the runs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterator
 
 from ..core.classify import head_positions
 from ..model import Schema, SortSpec, Table
-from ..ovc.derive import codes_from_offsets
+from ..ovc.derive import codes_from_offsets, type_breaks
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,16 @@ class ColumnStore:
         key_columns: list[RleColumn],
         plain_columns: dict[str, list],
         n_rows: int,
+        retyped: dict[int, int] | None = None,
     ) -> None:
         self.schema = schema
         self.sort_spec = sort_spec
         self.key_columns = key_columns
         self.plain_columns = plain_columns
         self.n_rows = n_rows
+        #: Row -> code offset, for the rows whose runs start at a type
+        #: break before their offset.
+        self.retyped = retyped or {}
 
     def __len__(self) -> int:
         return self.n_rows
@@ -70,7 +78,8 @@ class ColumnStore:
     @classmethod
     def from_table(cls, table: Table) -> "ColumnStore":
         """Compress using the table's codes — no comparisons needed:
-        column ``k`` starts a new run exactly where ``offset <= k``."""
+        column ``k`` starts a new run exactly where ``offset <= k``, or
+        where a type break (:func:`type_breaks`) is."""
         if table.sort_spec is None:
             raise ValueError("column-store compression requires a sorted table")
         table = table.with_ovcs()
@@ -78,6 +87,12 @@ class ColumnStore:
         n = len(rows)
         offsets = table._codes().offsets
         key_positions = table.sort_spec.positions(table.schema)
+        breaks = type_breaks(rows, offsets, key_positions)
+        retyped = {i: offsets[i] for i in breaks}
+        if breaks:
+            offsets = list(offsets)
+            for i, k in breaks.items():
+                offsets[i] = k
         key_columns = []
         for k, pos in enumerate(key_positions):
             starts = head_positions(offsets, k + 1)
@@ -91,11 +106,12 @@ class ColumnStore:
             for i, name in enumerate(table.schema.columns)
             if i not in key_set
         }
-        return cls(table.schema, table.sort_spec, key_columns, plain, n)
+        return cls(table.schema, table.sort_spec, key_columns, plain, n,
+                   retyped)
 
     def stored_key_values(self) -> int:
         """Key values physically stored — equals the prefix-truncation
-        figure for the same table."""
+        figure for the same table (both keep the same type breaks)."""
         return sum(len(col) for col in self.key_columns)
 
     def iter_rows_with_ovcs(self) -> Iterator[tuple[tuple, tuple]]:
@@ -110,7 +126,7 @@ class ColumnStore:
         column expands at C speed, run by run (a column with one run per
         row is its values); a row's offset is the first key column
         starting a run there (arity if none): one store per run, last
-        column first."""
+        column first; a retyped row's offset is the kept one."""
         n = self.n_rows
         arity = self.sort_spec.arity
         key_positions = self.sort_spec.positions(self.schema)
@@ -128,6 +144,8 @@ class ColumnStore:
             columns[key_positions[k]] = chain.from_iterable(
                 map(repeat, col.values, col.lengths)
             )
+        for i, offset in self.retyped.items():
+            offsets[i] = offset
         for name, values in self.plain_columns.items():
             columns[self.schema.index_of(name)] = values
         rows = tuple(zip(*columns))
@@ -141,4 +159,7 @@ class ColumnStore:
         straight off the leading column's run lengths (hypothesis 6)."""
         if prefix_len < 1 or prefix_len > self.sort_spec.arity:
             raise ValueError("prefix_len out of range")
-        return self.key_columns[prefix_len - 1].starts()
+        starts = self.key_columns[prefix_len - 1].starts()
+        if not self.retyped:
+            return starts
+        return [i for i in starts if self.retyped.get(i, 0) < prefix_len]

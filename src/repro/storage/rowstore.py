@@ -9,7 +9,10 @@ pure copy, as the paper's Section 2.1 observes.  Compression reads the
 table's offset column; decompression hands the stored offsets to
 :func:`~repro.ovc.derive.codes_from_offsets`.
 
-Non-key columns are stored in full.
+Non-key columns are stored in full.  A key value equal to its
+predecessor's but of another type (``1`` after ``1.0``) is stored, with
+every key column after it (:func:`~repro.ovc.derive.type_breaks`): the
+shared prefix stops there, while the code's offset runs on.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from operator import itemgetter
 from typing import Iterator
 
 from ..model import Schema, SortSpec, Table
-from ..ovc.derive import codes_from_offsets
+from ..ovc.derive import codes_from_offsets, type_breaks
 
 
 @dataclass(frozen=True)
 class TruncatedRow:
-    """One stored row: the shared-prefix length, the surviving key
-    suffix, and the untouched non-key columns."""
+    """One stored row: its code's offset, the surviving key suffix (the
+    key columns not shared with the previous row: those from the offset
+    on, or from a type break), and the untouched non-key columns."""
 
     offset: int
     key_suffix: tuple
@@ -56,13 +60,15 @@ class PrefixTruncatedStore:
         table = table.with_ovcs()
         key_positions = table.sort_spec.positions(table.schema)
         rest_positions = _rest_positions(len(table.schema), key_positions)
+        offsets = table._codes().offsets
+        breaks = type_breaks(table.rows, offsets, key_positions)
         entries = [
             TruncatedRow(
                 offset,
-                tuple(row[p] for p in key_positions[offset:]),
+                tuple(row[p] for p in key_positions[breaks.get(i, offset):]),
                 tuple(row[p] for p in rest_positions),
             )
-            for row, offset in zip(table.rows, table._codes().offsets)
+            for i, (row, offset) in enumerate(zip(table.rows, offsets))
         ]
         return cls(table.schema, table.sort_spec, entries)
 
@@ -84,6 +90,7 @@ class PrefixTruncatedStore:
         """Full rows from a rolling key patched with each stored suffix;
         each code's offset is the stored one."""
         key_positions = self.sort_spec.positions(self.schema)
+        arity = len(key_positions)
         rest_positions = _rest_positions(len(self.schema), key_positions)
         # Schema position -> index into ``key + rest`` (no gather when
         # the key leads the schema in order).
@@ -96,7 +103,7 @@ class PrefixTruncatedStore:
         key: tuple = ()
         rows = []
         for entry in self.entries:
-            key = key[: entry.offset] + entry.key_suffix
+            key = key[: arity - len(entry.key_suffix)] + entry.key_suffix
             full = key + entry.rest
             rows.append(full if gather is None else gather(full))
         ovcs = codes_from_offsets(

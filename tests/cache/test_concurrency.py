@@ -55,7 +55,7 @@ def test_concurrent_mixed_traffic_consistent():
                 hit = cache.lookup(fp, spec)
                 if hit is not None:
                     # A torn entry would show up as foreign rows/codes.
-                    if hit.rows != rows or hit.ovcs != ovcs:
+                    if hit.table.rows != rows or hit.table.ovcs != ovcs:
                         errors.append(f"thread {tid}: torn entry for {spec}")
             elif op < 0.97:
                 cache.candidates(fp)
@@ -82,6 +82,6 @@ def test_concurrent_mixed_traffic_consistent():
         for spec, (rows, ovcs) in orders.items():
             hit = cache.lookup(fp, spec)
             if hit is not None:
-                assert hit.rows == rows and hit.ovcs == ovcs
+                assert hit.table.rows == rows and hit.table.ovcs == ovcs
     cache.close()
     assert len(cache) == 0

@@ -117,7 +117,7 @@ def test_modify_reties_against_live_sequence():
     assert outcome.table.ovcs == cold_ovcs
     # What was installed is the re-tie-broken order, as a permutation.
     hit = cache.lookup(fp, want)
-    assert hit.rows == cold_rows and hit.ovcs == cold_ovcs
+    assert hit.table.rows == cold_rows and hit.table.ovcs == cold_ovcs
     assert tuple(source.rows[i] for i in hit.perm) == cold_rows
     cache.close()
 

@@ -453,7 +453,8 @@ def test_readers_never_see_a_torn_entry_under_pressure(tmp_path):
             while not stop.is_set():
                 hit = cache.lookup(fp, spec)
                 assert hit is not None
-                assert hit.rows == want_rows and hit.ovcs == want_ovcs
+                assert (hit.table.rows, hit.table.ovcs) == \
+                    (want_rows, want_ovcs)
                 assert tuple(rows[i] for i in hit.perm) == want_rows
                 reads[slot] += 1
         except BaseException as exc:  # noqa: BLE001 - reported below
@@ -511,7 +512,7 @@ def test_unpackable_code_values_stay_a_list_and_are_counted(tmp_path):
             # Flat, then through a spill file: the values come back whole.
             for _ in range(2):
                 hit = cache.lookup(fp, spec)
-                assert (hit.rows, hit.ovcs) == want
+                assert (hit.table.rows, hit.table.ovcs) == want
                 cache.install(
                     fingerprint_rows(rows[:9], SCHEMA.columns), spec,
                     *_oracle(rows[:9], spec),
@@ -546,9 +547,9 @@ def test_a_code_book_never_merges_equal_values_of_other_types(
         for state in ("flat", "spilled"):
             assert cache.candidates(fp)[0].state == state
             hit = cache.lookup(fp, spec)
-            assert all(map(operator.is_, hit.rows, rows))
-            assert list(hit.ovcs) == want[1]
-            assert _types(hit.ovcs) == _types(want[1])
+            assert all(map(operator.is_, hit.table.rows, rows))
+            assert list(hit.table.ovcs) == want[1]
+            assert _types(hit.table.ovcs) == _types(want[1])
             cache.install(fingerprint_rows(small, ("A", "B")), spec, small,
                           derive_ovcs(small, (0, 1)))
         assert cache.counters()["rehydrates"] == 1
@@ -577,10 +578,12 @@ def test_flat_and_rehydrated_reads_gather_the_sources_own_rows(
         for state in ("flat", "spilled"):
             assert cache.candidates(fp)[0].state == state
             hit = cache.lookup(fp, spec)
-            assert hit.state == state and hit.rows is not want
-            assert all(map(operator.is_, hit.rows, want))
-            assert all(r is fp.rows[i] for r, i in zip(hit.rows, hit.perm))
-            assert list(hit.ovcs) == codes and _types(hit.ovcs) == _types(codes)
+            assert hit.state == state and hit.table.rows is not want
+            assert all(map(operator.is_, hit.table.rows, want))
+            out = hit.table
+            assert all(r is fp.rows[i] for r, i in zip(out.rows, hit.perm))
+            assert list(out.ovcs) == codes
+            assert _types(out.ovcs) == _types(codes)
             cache.install(fingerprint_rows(small, ("A", "B", "C")), spec,
                           small, derive_ovcs(small, (1, 0)))
         assert cache.counters()["rehydrates"] == 1

@@ -44,7 +44,7 @@ def test_install_lookup_roundtrip_identity():
     )
     hit = cache.lookup(fp, SPEC_AB)
     assert hit is not None
-    assert list(hit.rows) == rows and list(hit.ovcs) == ovcs
+    assert list(hit.table.rows) == rows and list(hit.table.ovcs) == ovcs
     assert not hasattr(hit, "stats_delta")
     # Wrong order, wrong data: misses.
     assert cache.lookup(fp, SPEC_BA) is None
@@ -80,7 +80,7 @@ def test_budget_spills_and_rehydrates_bit_identical(tmp_path):
     assert _spill_files(tmp_path)
     hit = cache.lookup(fp1, SPEC_AB)
     assert hit is not None
-    assert list(hit.rows) == rows1 and list(hit.ovcs) == ovcs1
+    assert list(hit.table.rows) == rows1 and list(hit.table.ovcs) == ovcs1
     assert cache.counters()["rehydrates"] >= 1
     assert len(cache) == 2  # spilled entries still count
     cache.close()
@@ -97,14 +97,14 @@ def test_candidates_and_fetch(tmp_path):
     cache.install(fp2, SPEC_AB, rows2, ovcs2)
     cands = cache.candidates(fp)
     assert [c.spec for c in cands] == [SPEC_AB]
-    assert cands[0].rows is None  # spilled: metadata only, no rehydrate
+    assert cands[0].table is None  # spilled: metadata only, no rehydrate
     counts = [0, 0, 0]
     for offset, _value in ovcs:
         counts[min(offset, 2)] += 1
     assert cands[0].offset_counts == tuple(counts)
     before = cache.counters()
     chosen = cache.fetch(fp, SPEC_AB)
-    assert list(chosen.rows) == rows and list(chosen.ovcs) == ovcs
+    assert list(chosen.table.rows) == rows and list(chosen.table.ovcs) == ovcs
     after = cache.counters()
     # fetch is not a hit/miss event.
     assert (after["hits"], after["misses"]) == \
@@ -144,13 +144,14 @@ def test_entry_belongs_to_one_row_sequence():
     cache = OrderCache()
     cache.install(fp, SPEC_AB, rows, ovcs)
     hit = cache.lookup(fp, SPEC_AB)
-    assert list(hit.rows) == rows and list(hit.perm) == list(range(11, -1, -1))
+    assert list(hit.table.rows) == rows
+    assert list(hit.perm) == list(range(11, -1, -1))
     other = fingerprint_rows(rows, SCHEMA)
     assert cache.lookup(other, SPEC_AB) is None
     cache.install(other, SPEC_AB, list(rows), list(ovcs))
     assert len(cache) == 2
     assert list(cache.lookup(other, SPEC_AB).perm) == list(range(12))
-    assert list(cache.lookup(fp, SPEC_AB).rows) == rows
+    assert list(cache.lookup(fp, SPEC_AB).table.rows) == rows
     cache.close()
 
 

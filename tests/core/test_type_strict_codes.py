@@ -104,3 +104,35 @@ def test_bounded_sort_codes_are_type_strict(case, engine):
         config=ExecutionConfig(engine=engine),
     )
     _check(table, spec, op.to_table())
+
+
+def _bool_int_keys(seed: int = 0) -> list[tuple]:
+    """Key ``A`` mixes bools with the ints they equal; ``B`` is a row id."""
+    rng = random.Random(seed)
+    values = (-1, 0, 1, 2, False, True)
+    return [(rng.choice(values), i) for i in range(200)]
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 2), (True, 1), (1, 0)],
+    [(1, 0), (True, 1), (0, 2)],
+    _bool_int_keys(),
+], ids=["true-after-zero", "true-beside-one", "random"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_descending_bool_sorts_as_the_int_it_equals(rows, engine):
+    """``True == 1``, so on ``A DESC`` a ``True`` ties with ``1`` and
+    sorts before every ``0``; its code value is the int ``-1``."""
+    schema, spec = Schema.of("A", "B"), SortSpec.of("A DESC")
+    config = ExecutionConfig(engine=engine)
+    by_b = sorted(rows, key=lambda r: r[1])
+    ordered = Table(schema, by_b, SortSpec.of("B"), derive_ovcs(by_b, (1,)))
+    for source, got in (
+        (rows, Sort(TableScan(Table(schema, rows)), spec, config=config)
+            .to_table()),
+        (by_b, modify_sort_order(ordered, spec, config=config)),
+    ):
+        want = sorted(source, key=lambda r: -r[0])
+        codes = derive_ovcs(want, spec.positions(schema), spec.directions)
+        assert list(got.rows) == want
+        assert _typed(got.ovcs) == _typed(codes)
+        assert_table_valid(got)

@@ -595,8 +595,13 @@ def test_each_hit_at_submit_logs_one_cache_serve_event(tmp_path):
 
 
 def test_all_hit_run_counts_every_request_as_a_hit():
+    """Each hit counts one request, one service hit and one cache hit,
+    and on the quiesced service every request is accounted for."""
+    from repro.cache import get_cache
+
     tables = [_table(300, seed=1), _table(300, seed=2)]
     specs = [SortSpec.of("B", "A"), SortSpec.of("C", "D")]
+    counted = ("requests", "cache_hits", "executions", "coalesced")
     with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
         for t in tables:
             for spec in specs:
@@ -605,12 +610,22 @@ def test_all_hit_run_counts_every_request_as_a_hit():
         for _ in range(5):
             for t in tables:
                 for spec in specs:
+                    before = svc.counters(), get_cache().counters()
                     resp = svc.order_by(t, spec)
+                    after = svc.counters(), get_cache().counters()
+                    assert resp.label == f"cache-hit({spec.label})"
+                    assert [after[0][k] - before[0][k] for k in counted] \
+                        == [1, 1, 0, 0]
+                    assert after[1]["hits"] - before[1]["hits"] == 1
+                    assert after[1]["misses"] == before[1]["misses"]
                     _assert_oracle(resp, t, spec)
         done = svc.counters()
     assert done["requests"] - warm["requests"] == 20
     assert done["cache_hits"] - warm["cache_hits"] == 20
     assert done["executions"] == warm["executions"] == 4
+    assert done["requests"] == (
+        done["cache_hits"] + done["executions"] + done["coalesced"]
+    )
 
 
 def test_each_request_counts_one_cache_lookup_outcome():

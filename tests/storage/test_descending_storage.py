@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import modify
@@ -37,10 +37,11 @@ SPECS = [
     SortSpec.of("S", "B DESC", "A DESC"),
 ]
 
-# ``A`` holds ``1`` as ``1`` or ``1.0``: equal values, different codes.
+# ``A`` holds ``1`` as ``1``, ``1.0`` or ``True``: equal values,
+# different codes.
 rows_st = st.lists(
     st.tuples(
-        st.sampled_from([0, 1, 1.0, 2, 3, 4]),
+        st.sampled_from([0, 1, 1.0, True, 2, 3, 4]),
         st.integers(0, 4),
         st.sampled_from(["", "a", "ab", "b"]),
         st.integers(0, 50),
@@ -57,25 +58,48 @@ def build(rows, spec: SortSpec = SPEC) -> Table:
     )
 
 
+#: A key value equal to the previous row's, of another type.
+RETYPED = [(1, 0, "", 5), (1.0, 0, "", 6), (True, 0, "", 7), (1, 1, "", 8)]
+
+
+def _cell_types(rows) -> list:
+    return [tuple(map(type, row)) for row in rows]
+
+
 @given(rows_st, st.sampled_from(SPECS))
+@example(RETYPED, SortSpec.of("A"))
+@example(RETYPED, SortSpec.of("A", "B"))
+@example(RETYPED, SPEC)
 @settings(max_examples=80, deadline=None)
 def test_rowstore_roundtrip_desc(rows, spec):
     table = build(rows, spec)
     back = PrefixTruncatedStore.from_table(table).to_table()
     assert back.rows == table.rows
+    assert _cell_types(back.rows) == _cell_types(table.rows)
     assert back.ovcs == table.ovcs
     assert_table_valid(back)
 
 
 @given(rows_st, st.sampled_from(SPECS))
+@example(RETYPED, SortSpec.of("A"))
+@example(RETYPED, SortSpec.of("A", "B"))
+@example(RETYPED, SPEC)
 @settings(max_examples=80, deadline=None)
 def test_colstore_roundtrip_desc(rows, spec):
     table = build(rows, spec)
     store = ColumnStore.from_table(table)
     back = store.to_table()
     assert back.rows == table.rows
+    assert _cell_types(back.rows) == _cell_types(table.rows)
     assert back.ovcs == table.ovcs
     assert_table_valid(back)
+    # Both stores keep the same values; segments follow the codes.
+    rows_kept = PrefixTruncatedStore.from_table(table).stored_key_values()
+    assert store.stored_key_values() == rows_kept
+    for k in range(1, spec.arity + 1):
+        assert store.segment_boundaries(k) == [
+            i for i, (offset, _v) in enumerate(table.ovcs) if offset < k
+        ]
     scan = ColumnStoreScan(store)
     assert list(scan) == list(zip(back.rows, back.ovcs))
     assert scan.to_table().ovcs == back.ovcs

@@ -117,7 +117,10 @@ class TestDesc:
 
     def test_normalize_int_fast_path(self):
         assert normalize_value(5, False) == -5
-        assert normalize_value(True, False) is False
+        # A bool is the int it equals: ``True`` ties with ``1``.
+        for value in (True, False):
+            got = normalize_value(value, False)
+            assert got == -int(value) and type(got) is int
 
     def test_sorting_strings_descending(self):
         values = ["pear", "apple", "fig"]

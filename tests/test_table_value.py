@@ -16,7 +16,13 @@ import pytest
 
 import repro.ovc.derive as derive_mod
 from repro import ExecutionConfig, Schema, SortSpec, Table, modify_sort_order
-from repro.cache import fingerprint_table, get_cache, reset_cache
+from repro.cache import (
+    CachedOrder,
+    configure_cache,
+    fingerprint_table,
+    get_cache,
+    reset_cache,
+)
 from repro.engine import Sort, TableScan
 from repro.obs import METRICS
 from repro.ovc.derive import derive_ovcs
@@ -73,8 +79,7 @@ def test_a_hit_at_submit_shares_the_entrys_sequences():
         for _ in range(2):
             resp = svc.order_by(table, TARGET)
             assert resp.label == "cache-hit(B,A)"
-            assert resp.table.rows is entry.rows
-            assert resp.table.ovcs is entry.ovcs
+            assert resp.table is entry.table
             assert_table_valid(resp.table)
             assert_stable_sort_of(table.rows, resp.table)
             # ... and no response can change the entry.
@@ -85,7 +90,77 @@ def test_a_hit_at_submit_shares_the_entrys_sequences():
             with pytest.raises(FrozenInstanceError):
                 resp.table.rows = ()
     again = get_cache().lookup(fingerprint_table(table), TARGET)
-    assert again.rows is entry.rows and again.ovcs is entry.ovcs
+    assert again is entry
+
+
+def _spy_constructors(monkeypatch) -> list:
+    """Record every ``Table`` and ``CachedOrder`` built from now on."""
+    built = []
+    post_init, new = Table.__post_init__, CachedOrder.__new__
+
+    def table_built(self):
+        built.append(Table)
+        post_init(self)
+
+    def order_built(cls, *args, **kwargs):
+        built.append(CachedOrder)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Table, "__post_init__", table_built)
+    monkeypatch.setattr(CachedOrder, "__new__", staticmethod(order_built))
+    return built
+
+
+def test_a_memo_hit_builds_no_table_and_no_read(monkeypatch):
+    """A memo hit hands out the entry's one table, at submit and
+    through ``Sort`` alike: nothing is constructed per hit."""
+    table = _unsorted()
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, TARGET)  # executes and installs
+        first = svc.order_by(table, TARGET).table
+        built = _spy_constructors(monkeypatch)
+        outs = [svc.order_by(table, TARGET).table for _ in range(3)]
+        op = Sort(TableScan(table), TARGET, config=cfg)
+        outs.append(op.to_table())
+        assert op.order_strategy == "cache-hit(B,A)"
+        assert built == []
+        # The spies see what they are there to see.
+        CachedOrder(TARGET, None, None, (), "flat", 0)
+        Table(SCHEMA, ())
+        assert built == [CachedOrder, Table]
+    assert all(out is first for out in outs)
+    assert_table_valid(first)
+    assert_stable_sort_of(table.rows, first)
+
+
+def test_a_read_after_the_memo_is_dropped_builds_a_fresh_table(tmp_path):
+    """A budget that holds one entry's memo: installing a second order
+    drops both memos, and each later read of the first order gathers a
+    table of its own from the flat form."""
+    table = _unsorted()
+    fp = fingerprint_table(table)
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, TARGET)
+        size = get_cache().lookup(fp, TARGET).nbytes
+    configure_cache(budget=size, spill_dir=str(tmp_path))
+    other = SortSpec.of("C", "B")
+    with OrderService(cfg) as svc:
+        svc.order_by(table, TARGET)
+        memo = svc.order_by(table, TARGET).table
+        assert get_cache().lookup(fp, TARGET).table is memo
+        svc.order_by(table, other)
+        states = {c.spec: c.state for c in get_cache().candidates(fp)}
+        assert states == {TARGET: "flat", other: "flat"}
+        outs = [svc.order_by(table, TARGET) for _ in range(2)]
+    assert [out.label for out in outs] == ["cache-hit(B,A)"] * 2
+    fresh = [out.table for out in outs]
+    assert fresh[0] is not memo and fresh[1] is not fresh[0]
+    for out in fresh:
+        assert out == memo
+        assert_table_valid(out)
+        assert_stable_sort_of(table.rows, out)
 
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["fast", "reference"])
@@ -98,7 +173,7 @@ def test_sort_to_table_over_a_cached_plan_copies_nothing(cfg):
             op = Sort(TableScan(source), TARGET, config=cfg)
             out = op.to_table()
             assert op.order_strategy == "cache-hit(B,A)"
-            assert out.rows is entry.rows and out.ovcs is entry.ovcs
+            assert out is entry.table
             assert out == first
             assert_table_valid(out)
             assert_stable_sort_of(source.rows, out)
