@@ -2,22 +2,22 @@
 aggregates — all exploiting offset-value codes where the input carries
 them.
 
-On a stream sorted (and coded) on the grouping columns, a new group
-begins exactly where a row's code offset drops below the group arity;
-"group by" and "distinct" therefore run without a single column
-comparison — the in-stream logic of Graefe & Do (EDBT 2023) that this
-paper builds on.
+"Group by" and "distinct" walk the groups of :func:`.groups.groups`,
+so on a coded input they run without a single column comparison — the
+in-stream logic of Graefe & Do (EDBT 2023) that this paper builds on.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ..aggregates import AGG_FINISH as _AGG_FINISH
 from ..aggregates import AGG_INIT as _AGG_INIT
 from ..aggregates import AGG_STEP as _AGG_STEP
 from ..model import Schema, SortSpec
-from ..ovc.compare import compare_plain
+from ..sorting.merge import _key_projector
+from .groups import Fold, groups
 from .operators import Operator
 
 #: Aggregate spec: (function, column) with function in
@@ -60,33 +60,16 @@ class GroupBy(Operator):
         ]
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self._arity
-        positions = self._group_positions
-        stats = self.stats
-        state: list | None = None
-        key: tuple | None = None
-        head_ovc: tuple | None = None
-        prev_key: tuple | None = None
-
-        for row, ovc in self._child:
-            rkey = tuple(row[p] for p in positions)
-            if key is None:
-                new_group = True
-            elif ovc is not None:
-                new_group = ovc[0] < arity
-            else:
-                new_group = compare_plain(prev_key, rkey, stats) != 0
-            if new_group:
-                if key is not None:
-                    yield self._finish(key, state), head_ovc
-                key = rkey
-                state = [_AGG_INIT[fn]() for fn, _c in self._aggs]
-                head_ovc = _clamp(ovc, arity)
-            for slot, (fn, col) in zip(state, self._aggs):
-                _AGG_STEP[fn](slot, None if col is None else row[col])
-            prev_key = rkey
-        if key is not None:
-            yield self._finish(key, state), head_ovc
+        project = _key_projector(self._group_positions, None)
+        fold = Fold(self._arity)
+        for key, head, code, rest in groups(
+            self._child, project, self._arity, self.stats
+        ):
+            state = [_AGG_INIT[fn]() for fn, _c in self._aggs]
+            for row in chain((head,), rest):
+                for slot, (fn, col) in zip(state, self._aggs):
+                    _AGG_STEP[fn](slot, None if col is None else row[col])
+            yield self._finish(key, state), fold.keep(code)
 
     def _finish(self, key: tuple, state: list) -> tuple:
         return key + tuple(
@@ -147,33 +130,13 @@ class Distinct(Operator):
         self._arity = spec.arity
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self._arity
-        positions = self._positions
-        stats = self.stats
-        prev_key: tuple | None = None
-        for row, ovc in self._child:
-            if ovc is not None:
-                if ovc[0] >= arity:
-                    continue
-                yield row, ovc
-            else:
-                rkey = tuple(row[p] for p in positions)
-                if prev_key is not None and compare_plain(prev_key, rkey, stats) == 0:
-                    prev_key = rkey
-                    continue
-                prev_key = rkey
-                yield row, None
+        project = _key_projector(self._positions, None)
+        fold = Fold(self._arity)
+        for _key, head, code, _rest in groups(
+            self._child, project, self._arity, self.stats
+        ):
+            yield head, fold.keep(code)
 
     def _children(self) -> list[Operator]:
         return [self._child]
-
-
-def _clamp(ovc: tuple | None, arity: int) -> tuple | None:
-    if ovc is None:
-        return None
-    offset, value = ovc
-    if offset >= arity:
-        return (arity, 0)
-    return (offset, value)
-
 

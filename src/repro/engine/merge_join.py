@@ -2,23 +2,25 @@
 
 Both inputs must be sorted on their join keys.  The classic algorithm
 advances two cursors and cross-products matching groups; offset-value
-codes contribute twice (Graefe & Do, EDBT 2023):
-
-* *within* an input, a row with code offset >= join arity equals its
-  predecessor on the join key — group membership costs no comparison;
-* *across* inputs, only one key comparison per group pair is needed.
+codes contribute twice (Graefe & Do, EDBT 2023), both through
+:mod:`.groups`: within an input, group membership comes from the codes
+(:func:`.groups.groups`), and across inputs one key comparison per
+group pair aligns them (:func:`.groups.aligned`).  The join stops at
+the first exhausted input.
 
 The output is ordered on the join key and carries codes for it,
-max-folded from the left input's codes (again comparison-free).
+max-folded from the left input's group-head codes
+(:class:`.groups.Fold`, again comparison-free).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ..model import Schema, SortSpec
-from ..ovc.codes import max_merge
-from ..ovc.compare import compare_plain
+from ..sorting.merge import _key_projector
+from .groups import Fold, aligned, groups
 from .operators import Operator
 
 
@@ -58,96 +60,27 @@ class MergeJoin(Operator):
         self._arity = len(left_keys)
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self._arity
-        lpos, rpos = self._lpos, self._rpos
-        stats = self.stats
-
-        left_groups = _groups(self._left, lpos, arity, stats)
-        right_groups = _groups(self._right, rpos, arity, stats)
-
-        lgroup = next(left_groups, None)
-        rgroup = next(right_groups, None)
-        pending_code: tuple | None = None  # folded left code since last emit
-        first = True
-        while lgroup is not None and rgroup is not None:
-            lkey, lrows, lcode = lgroup
-            rkey, rrows, _rcode = rgroup
-            relation = compare_plain(lkey, rkey, stats)
+        arity, stats = self._arity, self.stats
+        fold = Fold(arity)
+        pairs = aligned(
+            groups(self._left, _key_projector(self._lpos, None), arity, stats),
+            groups(self._right, _key_projector(self._rpos, None), arity, stats),
+            stats,
+        )
+        for relation, left, right in pairs:
+            if left is None or right is None:
+                return
+            _key, head, code, rest = left
             if relation < 0:
-                pending_code = _fold(pending_code, lcode)
-                lgroup = next(left_groups, None)
-            elif relation > 0:
-                rgroup = next(right_groups, None)
-            else:
-                folded = _fold(pending_code, lcode) if lcode is not None else None
-                pending_code = None
-                emitted = False
-                for lrow in lrows:
-                    for rrow in rrows:
-                        if folded is None:
-                            ovc = None
-                        elif first:
-                            # First output row convention: offset 0,
-                            # value of the first join key column.
-                            ovc = (0, lkey[0])
-                        elif not emitted:
-                            ovc = (arity - folded[0], folded[1])
-                        else:
-                            ovc = (arity, 0)
-                        first = False
-                        emitted = True
+                fold.skip(code)
+            elif relation == 0:
+                _key, rhead, _code, rrest = right
+                right_rows = [rhead, *rrest]
+                ovc = fold.keep(code)
+                for lrow in chain((head,), rest):
+                    for rrow in right_rows:
                         yield lrow + rrow, ovc
-                lgroup = next(left_groups, None)
-                rgroup = next(right_groups, None)
+                        ovc = None if ovc is None else (arity, 0)
 
     def _children(self) -> list[Operator]:
         return [self._left, self._right]
-
-
-def _fold(pending: tuple | None, code: tuple | None) -> tuple | None:
-    if code is None:
-        return None
-    return code if pending is None else max_merge(pending, code)
-
-
-def _groups(source: Operator, positions, arity: int, stats):
-    """Yield ``(key, rows, folded-code)`` per distinct join key.
-
-    Group boundaries come from codes when present (offset < arity) and
-    from counted key comparisons otherwise.  The folded code is the
-    group head's code clamped to the join arity, in ascending form.
-    """
-    key = None
-    rows: list[tuple] = []
-    code: tuple | None = None
-    have_codes = True
-    prev_key = None
-    for row, ovc in source:
-        rkey = tuple(row[p] for p in positions)
-        if ovc is None:
-            have_codes = False
-        if key is None:
-            new_group = True
-        elif have_codes:
-            new_group = ovc[0] < arity
-        else:
-            new_group = compare_plain(prev_key, rkey, stats) != 0
-        if new_group:
-            if key is not None:
-                yield key, rows, code
-            key = rkey
-            rows = [row]
-            code = _clamp_code(ovc, arity) if ovc is not None else None
-        else:
-            rows.append(row)
-        prev_key = rkey
-    if key is not None:
-        yield key, rows, code
-
-
-def _clamp_code(ovc: tuple, arity: int) -> tuple:
-    """Paper-form code -> ascending form under the join-key prefix."""
-    offset, value = ovc
-    if offset >= arity:
-        return (0, 0)
-    return (arity - offset, value)

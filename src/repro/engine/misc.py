@@ -1,10 +1,11 @@
 """Stateless stream operators: filter, project, limit, top-k.
 
 The interesting one is :class:`Filter`: dropping rows breaks the
-code-to-predecessor chain, but the max-theorem repairs it for free —
-the code of a surviving row relative to the last *emitted* row is the
-maximum of the codes along the skipped stretch.  No column values are
-touched to keep the output stream fully coded.
+code-to-predecessor chain, but the max-theorem repairs it for free
+(:class:`.groups.Fold`) — the code of a surviving row relative to the
+last *emitted* row is the maximum of the codes along the skipped
+stretch.  No column values are touched to keep the output stream fully
+coded.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import heapq
 from typing import Callable, Iterator, Sequence
 
 from ..model import Schema, SortSpec
-from ..ovc.codes import max_merge, ovc_to_code, code_to_ovc
+from ..ovc.codes import ovc_to_code
 from ..ovc.derive import project_ovc
 from ..sorting.merge import _key_projector
+from .groups import Fold
 from .operators import Operator
 
 
@@ -28,20 +30,15 @@ class Filter(Operator):
         self._predicate = predicate
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self.ordering.arity if self.ordering is not None else 0
-        pending: tuple | None = None  # folded code of the skipped stretch
+        ordering = self.ordering
+        arity = ordering.arity if ordering is not None else 0
+        fold = Fold(arity)
         for row, ovc in self._child:
-            if ovc is None or self.ordering is None:
-                if self._predicate(row):
-                    yield row, None
-                continue
-            code = ovc_to_code(ovc, arity)
-            folded = code if pending is None else max_merge(pending, code)
+            code = None if ovc is None or ordering is None else ovc_to_code(ovc, arity)
             if self._predicate(row):
-                yield row, code_to_ovc(folded, arity)
-                pending = None
+                yield row, fold.keep(code)
             else:
-                pending = folded
+                fold.skip(code)
 
     def _children(self) -> list[Operator]:
         return [self._child]

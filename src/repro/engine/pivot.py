@@ -3,18 +3,21 @@
 Pivot spreads one column's values into output columns, aggregating a
 value column per (group, pivot value) cell.  Over an input sorted on
 ``group_columns + (pivot_column,)``, the in-sort logic is a single
-streaming pass: group boundaries and pivot-value boundaries both fall
-out of the codes' offsets — the "pivot" entry in the companion paper's
-list of sort-based operations sped up by offset-value codes.
+streaming pass over the groups of :func:`.groups.groups`, whose
+boundaries fall out of the codes' offsets — the "pivot" entry in the
+companion paper's list of sort-based operations sped up by offset-value
+codes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ..model import Schema, SortSpec
-from ..ovc.compare import compare_plain
-from .aggregate import _AGG_FINISH, _AGG_INIT, _AGG_STEP, _clamp
+from ..sorting.merge import _key_projector
+from .aggregate import _AGG_FINISH, _AGG_INIT, _AGG_STEP
+from .groups import Fold, groups
 from .operators import Operator
 
 
@@ -58,51 +61,28 @@ class Pivot(Operator):
         self._group_arity = len(group_columns)
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self._group_arity
         agg = self._agg
-        stats = self.stats
-        key: tuple | None = None
-        head_ovc: tuple | None = None
-        cells: list | None = None
-        prev_key: tuple | None = None
-
-        def finish() -> tuple:
-            row = list(key)
-            for slot in cells:
-                row.append(None if slot is None else _AGG_FINISH[agg](slot))
-            return tuple(row)
-
-        for row, ovc in self._child:
-            rkey = tuple(row[p] for p in self._group_positions)
-            if key is None:
-                new_group = True
-            elif ovc is not None:
-                # Codes: offset below the group arity means a new group;
-                # offset at the pivot column means a new pivot value
-                # within the group; deeper offsets change neither.
-                new_group = ovc[0] < arity
-            else:
-                new_group = compare_plain(prev_key, rkey, stats) != 0
-            if new_group:
-                if key is not None:
-                    yield finish(), head_ovc
-                key = rkey
-                head_ovc = _clamp(ovc, arity)
-                cells = [None] * len(self._pivot_index)
-            pivot_value = row[self._pivot_position]
-            try:
-                column = self._pivot_index[pivot_value]
-            except KeyError:
-                raise ValueError(
-                    f"unexpected pivot value {pivot_value!r}; declare it "
-                    "in pivot_values"
-                ) from None
-            if cells[column] is None:
-                cells[column] = _AGG_INIT[agg]()
-            _AGG_STEP[agg](cells[column], row[self._value_position])
-            prev_key = rkey
-        if key is not None:
-            yield finish(), head_ovc
+        project = _key_projector(self._group_positions, None)
+        fold = Fold(self._group_arity)
+        for key, head, code, rest in groups(
+            self._child, project, self._group_arity, self.stats
+        ):
+            cells: list = [None] * len(self._pivot_index)
+            for row in chain((head,), rest):
+                pivot_value = row[self._pivot_position]
+                try:
+                    column = self._pivot_index[pivot_value]
+                except KeyError:
+                    raise ValueError(
+                        f"unexpected pivot value {pivot_value!r}; declare it "
+                        "in pivot_values"
+                    ) from None
+                if cells[column] is None:
+                    cells[column] = _AGG_INIT[agg]()
+                _AGG_STEP[agg](cells[column], row[self._value_position])
+            yield key + tuple(
+                None if slot is None else _AGG_FINISH[agg](slot) for slot in cells
+            ), fold.keep(code)
 
     def _children(self) -> list[Operator]:
         return [self._child]

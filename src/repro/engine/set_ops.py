@@ -1,19 +1,19 @@
 """Sort-based set operations with offset-value codes.
 
 Union (all/distinct), intersection, and difference of streams sorted on
-the same key ride the merge machinery: codes decide duplicate detection
-within each input for free (offset >= key arity), and one key
-comparison per group pair aligns the two inputs — the "set operations
-such as intersection" listed among sort-based algorithms by the
-companion EDBT 2023 paper.
+the same key ride the merge machinery: the groups of each input come
+from its codes (:func:`.groups.groups`), and one key comparison per
+group pair aligns the two inputs (:func:`.groups.aligned`) — the "set
+operations such as intersection" listed among sort-based algorithms by
+the companion EDBT 2023 paper.
 
 Output codes: INTERSECT and EXCEPT emit subsequences of the *left*
-input, so their codes are repaired by max-folding the skipped left
-group-head codes (exact duplicates inside a group carry the minimal
-code and never affect the fold).  UNION interleaves both inputs, whose
-code chains do not compose; ``UnionAll`` merges with full codes via the
-tournament machinery, while ``UnionDistinct`` emits uncoded rows (pipe
-through ``UnionAll`` + ``Distinct`` when codes matter downstream).
+input's group heads, so their codes come from max-folding the skipped
+left group-head codes (:class:`.groups.Fold`).  UNION interleaves both
+inputs, whose code chains do not compose; ``UnionAll`` merges with full
+codes via the tournament machinery, while ``UnionDistinct`` emits
+uncoded rows (pipe through ``UnionAll`` + ``Distinct`` when codes
+matter downstream).
 
 Inputs must share a schema and be sorted on identical orderings.
 """
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..ovc.codes import code_to_ovc, max_merge, ovc_to_code
-from ..ovc.compare import compare_plain
 from ..sorting.merge import _key_projector, kway_merge
+from .groups import Fold, aligned, groups
 from .operators import Operator
 
 
@@ -71,44 +70,6 @@ class UnionAll(Operator):
         return [self._left, self._right]
 
 
-class _GroupCursor:
-    """Step through a sorted stream one distinct key at a time.
-
-    Yields ``(normalized_key, head_row, head_code)`` where ``head_code``
-    is the group head's ascending code (or None on uncoded streams);
-    rows after the head are exact duplicates detected from codes when
-    available, by counted comparisons otherwise.
-    """
-
-    def __init__(self, source: Operator, project, arity: int, stats) -> None:
-        self._iter = iter(source)
-        self._project = project
-        self._arity = arity
-        self._stats = stats
-        self._pending = next(self._iter, None)
-
-    def next_group(self):
-        if self._pending is None:
-            return None
-        head, head_ovc = self._pending
-        key = self._project(head)
-        while True:
-            nxt = next(self._iter, None)
-            if nxt is None:
-                self._pending = None
-                break
-            row, ovc = nxt
-            if ovc is not None:
-                same = ovc[0] >= self._arity
-            else:
-                same = compare_plain(key, self._project(row), self._stats) == 0
-            if not same:
-                self._pending = nxt
-                break
-        code = None if head_ovc is None else ovc_to_code(head_ovc, self._arity)
-        return key, head, code
-
-
 class _SetOpBase(Operator):
     def __init__(self, left: Operator, right: Operator) -> None:
         _check_inputs(left, right)
@@ -117,30 +78,15 @@ class _SetOpBase(Operator):
         self._right = right
 
     def _aligned_groups(self):
-        """Yield ``(relation, left_group, right_group)`` pairs.
-
-        relation: -1 left-only key, 0 both, 1 right-only key.
-        Exhausted sides surface as -1/1 with the other group None.
-        """
+        """``(relation, left group, right group)`` per key, as
+        :func:`.groups.aligned` yields them."""
         spec = self.ordering
         project = _key_projector(spec.positions(self.schema), spec.directions)
-        arity = spec.arity
-        lg = _GroupCursor(self._left, project, arity, self.stats)
-        rg = _GroupCursor(self._right, project, arity, self.stats)
-        a, b = lg.next_group(), rg.next_group()
-        while a is not None and b is not None:
-            relation = compare_plain(a[0], b[0], self.stats)
-            yield relation, a, b
-            if relation <= 0:
-                a = lg.next_group()
-            if relation >= 0:
-                b = rg.next_group()
-        while a is not None:
-            yield -1, a, None
-            a = lg.next_group()
-        while b is not None:
-            yield 1, None, b
-            b = rg.next_group()
+        return aligned(
+            groups(self._left, project, spec.arity, self.stats),
+            groups(self._right, project, spec.arity, self.stats),
+            self.stats,
+        )
 
     def _children(self) -> list[Operator]:
         return [self._left, self._right]
@@ -149,35 +95,30 @@ class _SetOpBase(Operator):
 class _LeftSubsequenceOp(_SetOpBase):
     """Common machinery for ops emitting a subsequence of left keys."""
 
-    def _emit(self, relations) -> Iterator[tuple[tuple, tuple | None]]:
-        arity = self.ordering.arity
-        fold: tuple | None = None
-        broken = False  # stream lost its codes somewhere
-        for relation, a, _b in self._aligned_groups():
-            if a is None:
+    def _emit(self, emitted: int) -> Iterator[tuple[tuple, tuple | None]]:
+        """Each left group head whose relation is ``emitted``."""
+        fold = Fold(self.ordering.arity)
+        for relation, left, _right in self._aligned_groups():
+            if left is None:
                 continue
-            _key, head, code = a
-            if code is None:
-                broken = True
-            elif not broken:
-                fold = code if fold is None else max_merge(fold, code)
-            if relation in relations:
-                yield head, None if broken else code_to_ovc(fold, arity)
-                fold = None
+            if relation == emitted:
+                yield left[1], fold.keep(left[2])
+            else:
+                fold.skip(left[2])
 
 
 class Intersect(_LeftSubsequenceOp):
     """Distinct keys present in both inputs (INTERSECT)."""
 
     def __iter__(self):
-        return self._emit(relations=(0,))
+        return self._emit(0)
 
 
 class Except(_LeftSubsequenceOp):
     """Distinct keys of the left input absent from the right (EXCEPT)."""
 
     def __iter__(self):
-        return self._emit(relations=(-1,))
+        return self._emit(-1)
 
 
 class UnionDistinct(_SetOpBase):
@@ -188,6 +129,5 @@ class UnionDistinct(_SetOpBase):
     """
 
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        for relation, a, b in self._aligned_groups():
-            head = a[1] if relation <= 0 and a is not None else b[1]
-            yield head, None
+        for relation, left, right in self._aligned_groups():
+            yield (left if relation <= 0 else right)[1], None

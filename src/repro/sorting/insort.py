@@ -20,7 +20,7 @@ from typing import Sequence
 from ..aggregates import AGG_FINISH, AGG_INIT, AGG_MERGE, AGG_STEP
 from ..ovc.stats import ComparisonStats
 from ..storage.pages import PageManager
-from .merge import kway_merge
+from .merge import _key_projector, kway_merge
 from .run_generation import generate_runs_load_sort
 
 
@@ -34,21 +34,24 @@ def _collapse(
     """Fold runs of duplicate keys into one row of aggregate state.
 
     Rows are ``key + state`` tuples; duplicates are found from codes
-    (offset >= arity) without any comparison.
+    (:func:`repro.engine.groups.groups`) without any comparison.
     """
+    # Imported here: the engine package imports the sorting package.
+    from ..engine.groups import Fold, groups
+
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
-    for row, ovc in zip(rows, ovcs):
-        if out_rows and ovc[0] >= arity:
-            prev = out_rows[-1]
-            merged = tuple(
-                AGG_MERGE[fn](prev[arity + i], row[arity + i])
-                for i, (fn, _c) in enumerate(aggs)
+    fold = Fold(arity)
+    project = _key_projector(range(arity), None)
+    for key, head, code, rest in groups(zip(rows, ovcs), project, arity, stats):
+        state = head[arity:]
+        for row in rest:
+            state = tuple(
+                AGG_MERGE[fn](held, value)
+                for (fn, _c), held, value in zip(aggs, state, row[arity:])
             )
-            out_rows[-1] = prev[:arity] + merged
-        else:
-            out_rows.append(tuple(row))
-            out_ovcs.append(ovc)
+        out_rows.append(key + tuple(state))
+        out_ovcs.append(fold.keep(code))
     stats.rows_moved += len(out_rows)
     return out_rows, out_ovcs
 

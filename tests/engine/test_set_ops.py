@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggregate import Distinct
+from repro.engine.operators import Operator
 from repro.engine.scans import TableScan
 from repro.engine.set_ops import Except, Intersect, UnionAll, UnionDistinct
 from repro.model import Schema, SortSpec, Table
@@ -24,6 +25,23 @@ def scan(rows) -> TableScan:
     return TableScan(table)
 
 
+class Uncoded(Operator):
+    """A scan of ``rows`` in order, without codes."""
+
+    def __init__(self, rows) -> None:
+        self._scan = scan(rows)
+        super().__init__(SCHEMA, SPEC)
+
+    def __iter__(self):
+        for row, _ovc in self._scan:
+            yield row, None
+
+
+def inputs(lrows, rrows):
+    """The two inputs coded, then both without codes."""
+    return [(scan(lrows), scan(rrows)), (Uncoded(lrows), Uncoded(rrows))]
+
+
 @given(rows_st, rows_st)
 @settings(max_examples=60, deadline=None)
 def test_union_all(lrows, rrows):
@@ -38,32 +56,31 @@ def test_union_all(lrows, rrows):
 @given(rows_st, rows_st)
 @settings(max_examples=60, deadline=None)
 def test_intersect(lrows, rrows):
-    op = Intersect(scan(lrows), scan(rrows))
-    out = list(op)
-    rows = [r for r, _o in out]
-    expected = sorted(set(lrows) & set(rrows))
-    assert rows == expected
-    if rows:
-        assert verify_ovcs(rows, [o for _r, o in out], (0, 1))
+    for left, right in inputs(lrows, rrows):
+        out = list(Intersect(left, right))
+        rows = [r for r, _o in out]
+        assert rows == sorted(set(lrows) & set(rrows))
+        if rows and isinstance(left, TableScan):
+            assert verify_ovcs(rows, [o for _r, o in out], (0, 1))
 
 
 @given(rows_st, rows_st)
 @settings(max_examples=60, deadline=None)
 def test_except(lrows, rrows):
-    op = Except(scan(lrows), scan(rrows))
-    out = list(op)
-    rows = [r for r, _o in out]
-    assert rows == sorted(set(lrows) - set(rrows))
-    if rows:
-        assert verify_ovcs(rows, [o for _r, o in out], (0, 1))
+    for left, right in inputs(lrows, rrows):
+        out = list(Except(left, right))
+        rows = [r for r, _o in out]
+        assert rows == sorted(set(lrows) - set(rrows))
+        if rows and isinstance(left, TableScan):
+            assert verify_ovcs(rows, [o for _r, o in out], (0, 1))
 
 
 @given(rows_st, rows_st)
 @settings(max_examples=60, deadline=None)
 def test_union_distinct(lrows, rrows):
-    op = UnionDistinct(scan(lrows), scan(rrows))
-    rows = [r for r, _o in op]
-    assert rows == sorted(set(lrows) | set(rrows))
+    for left, right in inputs(lrows, rrows):
+        rows = [r for r, _o in UnionDistinct(left, right)]
+        assert rows == sorted(set(lrows) | set(rrows))
 
 
 @given(rows_st, rows_st)

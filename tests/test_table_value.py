@@ -10,6 +10,8 @@ and the library never writes into its caller's table.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -161,6 +163,37 @@ def test_a_read_after_the_memo_is_dropped_builds_a_fresh_table(tmp_path):
         assert out == memo
         assert_table_valid(out)
         assert_stable_sort_of(table.rows, out)
+
+
+def test_dropping_a_memo_frees_what_callers_hung_on_it(tmp_path):
+    """A caller's computation on a memo hit keeps its records (key
+    fields, code record) on the entry's memo table, uncharged; the
+    memo dropped under pressure takes the table and them with it."""
+    table = _unsorted()
+    fp = fingerprint_table(table)
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        svc.order_by(table, TARGET)
+        size = get_cache().lookup(fp, TARGET).nbytes
+    configure_cache(budget=size, spill_dir=str(tmp_path))
+    with OrderService(cfg) as svc:
+        svc.order_by(table, TARGET)
+        memo = svc.order_by(table, TARGET).table
+        assert get_cache().lookup(fp, TARGET).table is memo
+        out = modify_sort_order(
+            memo, SortSpec.of("B", "C"), config=ExecutionConfig(engine="fast")
+        )
+        assert_stable_sort_of(memo.rows, out)
+        assert memo._facts().fields and memo._code_memo is not None
+        assert get_cache().accountant.used == size
+        held = weakref.ref(memo)
+        del memo, out
+        gc.collect()
+        assert held() is not None  # the entry's memo
+        svc.order_by(table, SortSpec.of("C", "B"))  # pressure
+    gc.collect()
+    assert held() is None
+    assert get_cache().lookup(fp, TARGET).state == "flat"
 
 
 @pytest.mark.parametrize("cfg", ENGINES, ids=["fast", "reference"])
