@@ -10,7 +10,8 @@ its input, so an entry does not keep the rows: it keeps
 * a *code book* of the offset-value codes (:func:`_code_book`): the
   distinct codes as two small word arrays ``offsets`` / ``values``
   (:func:`repro.fastpath.packed.pack_codes`) and one id into them per
-  row, ``ids``, in the narrowest unsigned typecode.  An order of 4 096
+  row, ``ids``: ``bytes`` for a book of at most 256 codes, else the
+  narrowest unsigned word array.  An order of 4 096
   rows has about a hundred distinct codes (18 on heavy ties).  When a
   code value is not a machine-word ``int`` (strings, ``None``, floats,
   bools, big ints) there is no book: ``ids`` is ``None`` and
@@ -157,12 +158,13 @@ def _code_book(ovcs: list) -> tuple:
     """``ovcs`` as a code book ``(ids, offsets, values)``.
 
     ``offsets[k]`` / ``values[k]`` is the ``k``-th distinct code, packed
-    by :func:`pack_codes`, and ``ids[i]`` is row ``i``'s ``k``.
-    ``(d, 1)``, ``(d, 1.0)`` and ``(d, True)`` are equal and hash alike,
-    so codes are merged only when *every* value, not just every distinct
-    one, is a plain ``int``.  Otherwise, and past 64 bits, ``ids`` is
-    ``None`` and the book holds every row's code: an offsets array and a
-    value list.
+    by :func:`pack_codes`, and ``ids[i]`` is row ``i``'s ``k``: ``bytes``
+    when the book holds at most 256 codes, else the narrowest word
+    array.  ``(d, 1)``, ``(d, 1.0)`` and ``(d, True)`` are equal and
+    hash alike, so codes are merged only when *every* value, not just
+    every distinct one, is a plain ``int``.  Otherwise, and past 64
+    bits, ``ids`` is ``None`` and the book holds every row's code: an
+    offsets array and a value list.
     """
     if set(map(type, map(itemgetter(1), ovcs))) <= {int}:
         # One hashing pass: map pulls len(index) before each setdefault,
@@ -174,7 +176,9 @@ def _code_book(ovcs: list) -> tuple:
         except (TypeError, OverflowError):
             pass
         else:
-            return _word_array(ids), offsets, values
+            # bytes(ids) is one C pass, a third of array("B", ids).
+            ids = bytes(ids) if len(index) <= 256 else _word_array(ids)
+            return ids, offsets, values
     offsets = _word_array(list(map(itemgetter(0), ovcs)))
     return None, offsets, list(map(itemgetter(1), ovcs))
 
@@ -192,10 +196,10 @@ def _offset_counts(ids, offsets, arity: int) -> tuple:
     ``offsets[i]`` when ``ids`` is ``None``."""
     if ids is None:
         cells = offsets
-    elif ids.itemsize == 1 and arity < 256:
+    elif type(ids) is bytes and arity < 256:
         # One C-level pass turns every id byte into its code's offset.
         clamped = bytes(min(off, arity) for off in offsets)
-        cells = ids.tobytes().translate(clamped.ljust(256, b"\0"))
+        cells = ids.translate(clamped.ljust(256, b"\0"))
     else:
         cells = array(offsets.typecode, gather(offsets, ids))
     if isinstance(cells, array) and cells.itemsize == 1 and arity <= 256:
@@ -506,7 +510,8 @@ class OrderCache:
             self._count("unpacked_installs")
         value_size = values.itemsize if isinstance(values, array) else 8
         flat_bytes = (
-            n * (perm.itemsize + (0 if ids is None else ids.itemsize))
+            n * perm.itemsize
+            + (0 if ids is None else memoryview(ids).nbytes)
             + len(offsets) * (offsets.itemsize + value_size)
         )
         memo_bytes = n * (8 * len(fp.schema) + 16)

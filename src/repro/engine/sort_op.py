@@ -32,22 +32,25 @@ exact (source rows, order) pair — a hit serves the cached rows and
 codes verbatim — or for a *related* cached order that the cost model prices cheaper to modify
 than the uncached execution; either way the served output is
 bit-identical to an uncached run.  Every executed sort installs its
-output for future requests.  The strategy actually used is recorded in
-:attr:`Sort.order_strategy` and shown by ``EXPLAIN`` after execution
-(``full-sort``, ``modify(<order>)``, ``cache-hit(<order>)``,
+output for future requests — through one install path, which
+:meth:`Sort.to_table` runs before it returns and the order service
+runs after it has answered its waiters.  The strategy actually used is
+recorded in :attr:`Sort.order_strategy` and shown by ``EXPLAIN`` after
+execution (``full-sort``, ``modify(<order>)``, ``cache-hit(<order>)``,
 ``modify-from-cache(<order>)``, ...).  The cache engages only on the
 in-memory ``method="auto"`` + ``use_ovc`` paths.
 
 Every non-passthrough path lives in :meth:`Sort._materialize`, which
 takes the child as a table (a ``TableScan`` child hands over the
-scanned table itself) and returns one; iteration and
+scanned table itself) and returns one with its install; iteration and
 :meth:`Sort.to_table` are thin terminals over it, so a materialized
 result is never re-collected pair by pair.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from ..core.analysis import analyze_order_modification
 from ..core.enforce import enforce_order
@@ -148,13 +151,6 @@ class Sort(Operator):
         self.order_strategy = outcome.label
         return outcome.table
 
-    def _install(self, cache, done) -> None:
-        from ..cache import install_result
-
-        install_result(
-            cache, self._cache_fp, self._spec, done.table, perm=done.perm
-        )
-
     def _observe(self, mark, before, **ran) -> None:
         """Close this sort's slowlog watch and log the decision.
 
@@ -179,12 +175,16 @@ class Sort(Operator):
         ordering = self._child.ordering
         return ordering is not None and ordering.satisfies(self._spec)
 
-    def _materialize(self) -> Table:
-        """Run the sort (any non-passthrough path) and return its output.
+    def _materialize(self) -> tuple[Table, Callable[[], bool] | None]:
+        """Run the sort (any non-passthrough path): its output, and the
+        install of that output into the order cache when it is due.
 
-        The returned tuples may be the order cache's own (an exact hit
-        serves the entry as-is; an executed sort installs what it
-        returns), shared as they are: nobody can change them.
+        The install is returned, not run: :meth:`to_table` and iteration
+        run it before they hand the output over, the order service after
+        it has answered its waiters.  The returned tuples may be the
+        order cache's own (an exact hit serves the entry as-is; an
+        executed sort installs what it returns), shared as they are:
+        nobody can change them.
         """
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()
@@ -197,7 +197,7 @@ class Sort(Operator):
         ):
             plan = analyze_order_modification(child.ordering, self._spec)
             if not plan.backward:
-                return self._modify_bounded(plan, mark, mark_before)
+                return self._modify_bounded(plan, mark, mark_before), None
         cache = self._cache()
 
         table = child.to_table()
@@ -206,7 +206,7 @@ class Sort(Operator):
             served = self._serve(cache, table)
             if served is not None:
                 self._observe(mark, mark_before)
-                return served
+                return served, None
 
         installs = cache is not None and self._cache_fp is not None
         done = enforce_order(
@@ -227,12 +227,17 @@ class Sort(Operator):
             self._memory_capacity if done.executed == "external_sort"
             else len(table.rows)
         )
-        if installs:
-            self._install(cache, done)
         self._observe(
             mark, mark_before, engine=done.engine, fallback=done.fallback
         )
-        return done.table
+        if not installs:
+            return done.table, None
+        from ..cache import install_result
+
+        return done.table, partial(
+            install_result, cache, self._cache_fp, self._spec, done.table,
+            perm=done.perm,
+        )
 
     def _modify_bounded(self, plan, mark, mark_before) -> Table:
         """Modify an ordered child in ``memory_capacity``-row loads."""
@@ -272,17 +277,23 @@ class Sort(Operator):
             for row, ovc in self._child:
                 yield row, ovc if ovc is None else project_ovc(ovc, arity)
             return
-        yield from _emit(self._materialize())
+        yield from _emit(_installed(*self._materialize()))
 
     def to_table(self) -> Table:
-        """The sorted output as a table.
+        """The sorted output as a table, installed in the order cache
+        (when the execution installs) before it is returned.
 
         A materialized result is handed over as is (a cache hit shares
         the entry's tuples, nothing is copied), rather than re-collected
         pair by pair from :meth:`__iter__`; passthrough keeps streaming.
         """
+        return _installed(*self._answer())
+
+    def _answer(self) -> tuple[Table, Callable[[], bool] | None]:
+        """:meth:`to_table`'s output with its install not yet run (see
+        :meth:`_materialize`): the order service answers first."""
         if self._passes_through():
-            return super().to_table()
+            return super().to_table(), None
         return self._materialize()
 
     def _children(self) -> list[Operator]:
@@ -297,6 +308,12 @@ class Sort(Operator):
 
 def _is_int(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _installed(table: Table, install: Callable[[], bool] | None) -> Table:
+    if install is not None:
+        install()
+    return table
 
 
 def _emit(table: Table) -> Iterator[tuple[tuple, tuple | None]]:

@@ -43,14 +43,18 @@ class Inflight:
     registry by ``(source_key, spec)``.  The leader's execution fills
     :attr:`table` / :attr:`label` (or :attr:`error`) and sets
     :attr:`done`; every ticket then builds its own response from the
-    shared result.  ``deadline_at`` is the *most generous* waiter
-    deadline (``None`` once any waiter has no deadline): the scheduler
-    skips execution only when nobody could still use the result.
+    shared result.  An execution that installs its output in the order
+    cache does so after :attr:`done`: the entry is then *answered* but
+    not yet installed, and stays in the registry until the install has
+    run, when :attr:`retired` is set.  ``deadline_at`` is the *most
+    generous* waiter deadline (``None`` once any waiter has no
+    deadline): the scheduler skips execution only when nobody could
+    still use the result.
     """
 
     __slots__ = (
         "key", "source", "spec", "tenant", "submitted_at", "deadline_at",
-        "waiters", "done", "table", "label", "error",
+        "waiters", "done", "retired", "table", "label", "error",
     )
 
     def __init__(
@@ -70,6 +74,7 @@ class Inflight:
         self.deadline_at = deadline_at
         self.waiters = 1
         self.done = threading.Event()
+        self.retired = threading.Event()
         self.table: Table | None = None
         self.label: str | None = None
         self.error: BaseException | None = None

@@ -44,7 +44,11 @@ through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
 the service's :class:`~repro.exec.ExecutionConfig` — which means the
 order cache (``config.cache``) and all telemetry engage exactly as they
 would for a direct call.  A queued request holds a reference to the
-caller's source table, not a copy.
+caller's source table, not a copy.  With the cache on, a miss is
+answered before its install: the scheduler thread wakes the waiters,
+yields, and only then runs the install ``Sort`` left to it and retires
+the entry.  A request for that order arriving in between waits for
+the install and is answered by the cache, as a ``cache-hit(...)``.
 
 What a request costs besides its execution: the coalescing key needs
 the source's content fingerprint — O(n) hashing, once in the life of
@@ -83,7 +87,7 @@ from .errors import (
 )
 from .normalize import SpecNormalizer
 from .queue import AdmissionQueue
-from .registry import InflightRegistry
+from .registry import COALESCED, INSTALLING, InflightRegistry
 from .request import Inflight, OrderResponse
 
 #: The most recently created, not-yet-closed service (for /healthz).
@@ -218,7 +222,9 @@ class OrderService:
         clock=time.monotonic,
     ) -> None:
         global _CURRENT
-        self._config = config if config is not None else ExecutionConfig.from_env()
+        self._config = (
+            config if config is not None else ExecutionConfig.default()
+        )
         self._clock = clock
         self._queue = AdmissionQueue(self._config.service_queue_depth)
         self._registry = InflightRegistry()
@@ -274,7 +280,8 @@ class OrderService:
         scheduler thread (``executions``) or rides on another's
         execution (``coalesced``): on a quiesced service without
         rejections, errors or deadline misses, ``requests`` is their
-        sum.
+        sum.  ``inflight`` counts registry entries, the answered ones
+        still installing among them.
         """
         with self._stats_lock:
             out = dict(self._counters)
@@ -311,7 +318,9 @@ class OrderService:
         ~0.42 ms from a spilled one (one spill-file read more).
         Everything else is queued for a scheduler thread; duplicate
         in-flight requests (same row sequence, same target order)
-        coalesce onto one execution.
+        coalesce onto one execution.  A request whose order has been
+        executed and answered but not yet installed waits here for
+        the install, and is then answered as a hit.
         Raises :class:`ServiceOverloadError` when the admission queue
         is full (never for a hit) and :class:`ServiceClosedError`
         after :meth:`close`.
@@ -350,21 +359,28 @@ class OrderService:
                     normalized=normalized.label,
                 )
             spec = normalized
+        cache = found = None
         if self._config.cache != "off" and not passes:
             # What Sort would ask the cache first (a source that already
             # satisfies ``spec`` passes through without asking); a miss
             # here counts nothing — the execution's own lookup counts it.
-            found = _exact_hit(
-                resolve_cache(self._config), fp, spec, count_miss=False
-            )
+            cache = resolve_cache(self._config)
+            found = _exact_hit(cache, fp, spec, count_miss=False)
             if found is not None:
                 return self._answer_hit(*found, tenant, now, deadline_at)
-        self._count("requests")
-        if METRICS.enabled:
-            METRICS.counter("serve.requests").inc()
         key = (fp.source_key, spec)
 
-        def _create() -> Inflight:
+        def _create() -> Inflight | None:
+            nonlocal found
+            if cache is not None:
+                # An execution of this order may have been installed and
+                # retired since the probe: then the cache answers.
+                found = _exact_hit(cache, fp, spec, count_miss=False)
+                if found is not None:
+                    return None
+            self._count("requests")
+            if METRICS.enabled:
+                METRICS.counter("serve.requests").inc()
             entry = Inflight(key, source, spec, tenant, now, deadline_at)
             if not self._queue.put(entry, tenant):
                 if self._closed or self._queue.closed:
@@ -383,12 +399,30 @@ class OrderService:
                 )
             return entry
 
-        entry, created = self._registry.attach_or_create(
-            key, deadline_at, _create
-        )
-        if not created:
-            self._count("coalesced")
+        while True:
+            entry, how = self._registry.attach_or_create(
+                key, deadline_at, _create
+            )
+            if how != INSTALLING:
+                break
+            # Answered, not yet installed: wait for the install, then
+            # the cache answers — or, had it failed, execute anew.
+            entry.retired.wait()
+            # No cache here: this source passes the order through, and
+            # the installing entry came from the same rows declared in
+            # another order.
+            if cache is not None:
+                found = _exact_hit(cache, fp, spec, count_miss=False)
+                if found is not None:
+                    break
+        if found is not None:
+            return self._answer_hit(*found, tenant, now, deadline_at)
+        if how == COALESCED:
+            with self._stats_lock:
+                self._counters["requests"] += 1
+                self._counters["coalesced"] += 1
             if METRICS.enabled:
+                METRICS.counter("serve.requests").inc()
                 METRICS.counter("serve.coalesced_requests").inc()
             if LOG.enabled:
                 LOG.event(
@@ -397,7 +431,7 @@ class OrderService:
                     waiters=entry.waiters,
                 )
         self._publish_levels()
-        return Ticket(self, entry, tenant, now, deadline_at, not created)
+        return Ticket(self, entry, tenant, now, deadline_at, how == COALESCED)
 
     def _answer_hit(
         self, hit: CachedOrder, label: str, tenant: str,
@@ -518,13 +552,14 @@ class OrderService:
                 )
             self._finish(entry)
             return
+        install = None
         with self._stats_lock:
             self._executing += 1
         try:
             with LOG.query_scope():
                 op = Sort(TableScan(entry.source), entry.spec,
                           config=self._config)
-                table = op.to_table()
+                table, install = op._answer()
             entry.table = table
             entry.label = op.order_strategy
             self._count("executions")
@@ -551,24 +586,45 @@ class OrderService:
         finally:
             with self._stats_lock:
                 self._executing -= 1
-            self._finish(entry)
+            self._finish(entry, install)
 
-    def _finish(self, entry: Inflight) -> None:
-        """Publish the result: retire the key first, wake waiters, yield.
+    def _finish(self, entry: Inflight, install=None) -> None:
+        """Publish the result: wake waiters, yield, then install.
 
-        Removal-before-set means a duplicate arriving after completion
-        starts a fresh entry instead of attaching to a finished one —
-        the order cache, not the registry, serves *sequential* repeats.
-        A woken waiter needs the GIL, which this thread would otherwise
-        keep into its next execution until the switch interval (5 ms)
-        forces it out; ``sleep(0)`` hands it over now.  Three orders of
-        20 ms CPU each in one batch (Intel Xeon, 2 vCPUs, CPython 3.11):
-        a waiter's wake delay p50 5.3 ms without the yield, 0.15 ms
-        with it (the yield is a race; about one waiter in six loses).
+        Without an ``install`` the key is retired first, so a duplicate
+        arriving after completion starts a fresh entry instead of
+        attaching to a finished one.  With one (the cache is on and the
+        order was executed), the waiters are answered before the order
+        is installed, and the key is retired only after the install: a
+        duplicate arriving in between waits for the install and is
+        answered by the cache, which serves *sequential* repeats.  An
+        install that raises is counted as an error and changes no
+        answer.  A woken waiter needs the GIL, which this thread would
+        otherwise keep into the install or its next execution until the
+        switch interval (5 ms) forces it out; ``sleep(0)`` hands it
+        over now.  Three orders of 20 ms CPU each in one batch (Intel
+        Xeon, 2 vCPUs, CPython 3.11): a waiter's wake delay p50 5.3 ms
+        without the yield, 0.15 ms with it (the yield is a race; about
+        one waiter in six loses).
         """
-        self._registry.remove(entry.key)
+        if install is None:
+            self._registry.retire(entry)
         entry.done.set()
         time.sleep(0)
+        if install is not None:
+            try:
+                install()
+            except BaseException as exc:  # noqa: BLE001 - the answer stands
+                self._count("errors")
+                if METRICS.enabled:
+                    METRICS.counter("serve.errors").inc()
+                if LOG.enabled:
+                    LOG.event(
+                        "serve.install_error", tenant=entry.tenant,
+                        order=entry.spec.label, error=repr(exc),
+                    )
+            finally:
+                self._registry.retire(entry)
         self._publish_levels()
 
     # ------------------------------------------------------------ shutdown

@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,11 +153,11 @@ class _FrozenSort:
         self._spec = spec
         self.order_strategy = "frozen"
 
-    def to_table(self):
+    def _answer(self):  # the output, and no install to run
         type(self).started.set()
         assert type(self).release.wait(timeout=30), "never released"
         type(self).executed.append(",".join(str(c) for c in self._spec.columns))
-        return self._child.source
+        return self._child.source, None
 
 
 def _frozen(monkeypatch):
@@ -692,3 +693,173 @@ def test_requests_are_hits_executions_or_coalesced():
         snap["serve.cache_hits"] + snap["serve.executions"]
         + snap.get("serve.coalesced_requests", 0)
     )
+
+
+# ------------------------------------------- answered before installed
+
+
+def _hold_installs(monkeypatch, fail_first=False):
+    """Make ``OrderCache.install`` wait on ``held.release``;
+    ``held.entered`` is set once an install is waiting.  With
+    ``fail_first`` the first install raises instead of installing."""
+    from repro.cache import OrderCache
+
+    real = OrderCache.install
+    held = SimpleNamespace(
+        entered=threading.Event(), release=threading.Event(), calls=[],
+    )
+
+    def install(self, *args, **kwargs):
+        held.calls.append(1)
+        held.entered.set()
+        assert held.release.wait(timeout=30), "install never released"
+        if fail_first and len(held.calls) == 1:
+            raise RuntimeError("synthetic install failure")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrderCache, "install", install)
+    return held
+
+
+def _in_thread(fn, *args):
+    """Run ``fn(*args)`` on a thread; returns ``(thread, results)``."""
+    results: list = []
+    thread = threading.Thread(target=lambda: results.append(fn(*args)))
+    thread.start()
+    return thread, results
+
+
+def test_waiters_are_answered_before_the_install(monkeypatch):
+    table, spec = _table(300), SortSpec.of("B", "A")
+    held = _hold_installs(monkeypatch)
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        try:
+            gate, started = _block_worker(svc)
+            leader = svc.submit(table, spec)
+            assert started.wait(timeout=10)
+            duplicate = svc.submit(table, spec)  # before publication
+            assert duplicate.coalesced
+            gate.set()
+            assert held.entered.wait(timeout=10)
+            # Both answered while the install is still held.
+            for ticket in (leader, duplicate):
+                resp = ticket.result(timeout=10)
+                assert resp.label == "full-sort"
+                _assert_oracle(resp, table, spec)
+            assert svc.counters()["inflight"] == 1  # answered, installing
+            # A repeat now waits for the install, then hits.
+            thread, results = _in_thread(svc.order_by, table, spec)
+            thread.join(timeout=0.3)
+            assert thread.is_alive() and not results
+        finally:
+            held.release.set()
+        thread.join(timeout=10)
+        assert results[0].label == "cache-hit(B,A)"
+        _assert_oracle(results[0], table, spec)
+        counters = svc.counters()
+    assert len(held.calls) == 1
+    assert counters["executions"] == 1
+    assert counters["requests"] == 3
+    assert counters["requests"] == (
+        counters["cache_hits"] + counters["executions"]
+        + counters["coalesced"]
+    )
+    assert counters["inflight"] == 0
+
+
+def test_a_failed_install_releases_its_waiters(monkeypatch):
+    table, spec = _table(300), SortSpec.of("C", "A")
+    held = _hold_installs(monkeypatch, fail_first=True)
+    cfg = ExecutionConfig(cache="on", service_threads=1)
+    with OrderService(cfg) as svc:
+        try:
+            first = svc.order_by(table, spec, timeout=10)
+            assert first.label == "full-sort"
+            assert held.entered.wait(timeout=10)
+            thread, results = _in_thread(svc.order_by, table, spec)
+            thread.join(timeout=0.3)
+            assert thread.is_alive()
+        finally:
+            held.release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        # Nothing was installed: the waiter executed anew, and that
+        # execution's install went through.
+        assert results[0].label == "full-sort"
+        _assert_oracle(results[0], table, spec)
+        again = svc.order_by(table, spec, timeout=10)
+        assert again.label == "cache-hit(C,A)"
+        counters = svc.counters()
+    assert len(held.calls) == 2
+    assert counters["errors"] == 1
+    assert counters["executions"] == 2 and counters["cache_hits"] == 1
+    assert counters["inflight"] == 0
+
+
+def test_a_passthrough_request_waits_out_an_install_of_its_rows(
+    monkeypatch,
+):
+    """The same rows declared sorted pass the order through and are
+    never probed; an execution of them declared unsorted is installing
+    under the same key.  The pass-through request waits for it, then
+    runs its own pass-through."""
+    from dataclasses import replace
+
+    spec = SortSpec.of("A", "B")
+    ordered = Sort(TableScan(_table(300)), SortSpec.of("A", "B", "C", "D"),
+                   config=ExecutionConfig(cache="off")).to_table()
+    unordered = replace(ordered, sort_spec=None, ovcs=None)
+    held = _hold_installs(monkeypatch)
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        try:
+            assert svc.order_by(unordered, spec).label == "full-sort"
+            assert held.entered.wait(timeout=10)
+            thread, results = _in_thread(svc.order_by, ordered, spec)
+            thread.join(timeout=0.3)
+            assert thread.is_alive()
+        finally:
+            held.release.set()
+        thread.join(timeout=10)
+        assert results[0].label == "passthrough"
+        _assert_oracle(results[0], ordered, spec)
+        counters = svc.counters()
+    assert counters["executions"] == 2 and counters["inflight"] == 0
+
+
+def test_close_waits_for_a_held_install(monkeypatch, tmp_path):
+    from repro.cache import configure_cache, fingerprint_table, get_cache
+
+    configure_cache(spill_dir=str(tmp_path))
+    table, spec = _table(300), SortSpec.of("D", "B")
+    held = _hold_installs(monkeypatch)
+    svc = OrderService(ExecutionConfig(cache="on", service_threads=1))
+    try:
+        svc.order_by(table, spec, timeout=10)
+        assert held.entered.wait(timeout=10)
+        closer, _ = _in_thread(svc.close)
+        closer.join(timeout=0.3)
+        assert closer.is_alive()  # close() waits for the install
+    finally:
+        held.release.set()
+    closer.join(timeout=10)
+    assert not closer.is_alive() and svc.closed
+    cache = get_cache()
+    entries = cache.candidates(fingerprint_table(table))
+    assert [entry.spec for entry in entries] == [spec]
+    assert cache.accountant.used == sum(entry.nbytes for entry in entries)
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_a_default_service_holds_the_process_default(monkeypatch):
+    """``OrderService()`` takes :meth:`ExecutionConfig.default`, which
+    reads the environment once: a variable set since changes nothing
+    until ``ExecutionConfig.default.cache_clear()``."""
+    default = ExecutionConfig.default()
+    monkeypatch.setenv("REPRO_CACHE", "on" if default.cache == "off" else "off")
+    svc = OrderService()
+    try:
+        assert svc.config is default
+        assert ExecutionConfig.default() is default
+    finally:
+        svc.close()

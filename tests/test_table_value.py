@@ -76,6 +76,7 @@ def test_a_hit_at_submit_shares_the_entrys_sequences():
     with OrderService(cfg) as svc:
         cold = svc.order_by(table, TARGET)
         assert cold.label == "full-sort"
+        svc.order_by(table, TARGET)  # answered once the install is done
         entry = get_cache().lookup(fingerprint_table(table), TARGET)
         assert entry.state == "memo"
         for _ in range(2):
@@ -145,7 +146,7 @@ def test_a_read_after_the_memo_is_dropped_builds_a_fresh_table(tmp_path):
     cfg = ExecutionConfig(cache="on", service_threads=1)
     with OrderService(cfg) as svc:
         svc.order_by(table, TARGET)
-        size = get_cache().lookup(fp, TARGET).nbytes
+    size = get_cache().lookup(fp, TARGET).nbytes  # installed by close()
     configure_cache(budget=size, spill_dir=str(tmp_path))
     other = SortSpec.of("C", "B")
     with OrderService(cfg) as svc:
@@ -153,6 +154,7 @@ def test_a_read_after_the_memo_is_dropped_builds_a_fresh_table(tmp_path):
         memo = svc.order_by(table, TARGET).table
         assert get_cache().lookup(fp, TARGET).table is memo
         svc.order_by(table, other)
+        svc.order_by(table, other)  # answered once the install is done
         states = {c.spec: c.state for c in get_cache().candidates(fp)}
         assert states == {TARGET: "flat", other: "flat"}
         outs = [svc.order_by(table, TARGET) for _ in range(2)]
@@ -174,7 +176,7 @@ def test_dropping_a_memo_frees_what_callers_hung_on_it(tmp_path):
     cfg = ExecutionConfig(cache="on", service_threads=1)
     with OrderService(cfg) as svc:
         svc.order_by(table, TARGET)
-        size = get_cache().lookup(fp, TARGET).nbytes
+    size = get_cache().lookup(fp, TARGET).nbytes  # installed by close()
     configure_cache(budget=size, spill_dir=str(tmp_path))
     with OrderService(cfg) as svc:
         svc.order_by(table, TARGET)
