@@ -48,7 +48,7 @@ from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, SLOWLOG, TRACER
 from ..ovc.compare import compare_plain
-from ..ovc.derive import project_ovcs
+from ..ovc.derive import codes_from_offsets, project_ovcs
 from ..ovc.stats import ComparisonStats
 from ..sorting.internal import tournament_sort
 from ..sorting.merge import _key_projector
@@ -246,7 +246,7 @@ def _modify(
             for lo, hi in boundaries:
                 run(lo, hi, out_rows, out_ovcs, perm)
     if backward:
-        out_rows = _restore_tie_order(
+        out_rows, out_ovcs = _restore_tie_order(
             out_rows, out_ovcs, new_spec, table.schema, stats
         )
     result = Table(table.schema, out_rows, new_spec, out_ovcs)
@@ -347,16 +347,18 @@ def bind_strategy(
     return run, engine, fallback
 
 
-def _restore_tie_order(rows, ovcs, spec, schema, stats) -> list:
-    """``rows`` (a new list) with the rows tied on ``spec`` back in
-    input order.
+def _restore_tie_order(rows, ovcs, spec, schema, stats) -> tuple:
+    """``(rows, ovcs)`` (new lists) with the rows tied on ``spec`` back
+    in input order.
 
     A backward scan reverses the input, and every executor is stable,
     so each group of rows equal under ``spec`` arrives back to front.
     With codes, a group starts at each row whose offset is below the
-    arity — found without a comparison, and the codes stay valid since
-    rows of one group share their key.  Without codes, adjacent keys
-    are compared (counted in ``stats``).
+    arity — found without a comparison.  The rows of one group share
+    their key by value but not always by type (``1``, ``1.0``,
+    ``True``), so each restored group head re-reads its code value off
+    its own row (one extraction each, counted in ``stats``).  Without
+    codes, adjacent keys are compared (counted in ``stats``).
     """
     n = len(rows)
     if ovcs is not None:
@@ -369,10 +371,20 @@ def _restore_tie_order(rows, ovcs, spec, schema, stats) -> list:
             i for i in range(1, n) if compare_plain(keys[i - 1], keys[i], stats)
         ]
     rows = list(rows)
+    heads = []  # the first row of each restored group of two or more
     for lo, hi in zip(starts, starts[1:] + [n]):
         if hi - lo > 1:
             rows[lo:hi] = rows[lo:hi][::-1]
-    return rows
+            heads.append(lo)
+    if ovcs is not None and heads:
+        ovcs = list(ovcs)
+        fresh = codes_from_offsets(
+            [rows[h] for h in heads], [ovcs[h][0] for h in heads],
+            spec.positions(schema), spec.directions, stats,
+        )
+        for h, code in zip(heads, fresh):
+            ovcs[h] = code
+    return rows, ovcs
 
 
 def _check_method(method: str) -> None:

@@ -8,13 +8,13 @@ reference engine — but executed by the kernels in
 :mod:`repro.fastpath.kernels` over packed keys.
 
 Binding packs the key once: the key columns' fields
-(:mod:`repro.fastpath.packed` — remembered on the table when the key
-source is a table's own rows, built for the call otherwise) are shared
-by every segment the bound ``run`` is then called on.  When every
-output key column is ascending, fields and kernels read key values
-straight out of the source rows; otherwise the keys are projected and
-normalized up front.  A key column the packer cannot rank raises
-``TypeError`` here, before any row moves.
+(:mod:`repro.fastpath.packed` — remembered on the table when the rows
+are a table's own, built for the call otherwise) are shared by every
+segment the bound ``run`` is then called on.  Fields and kernels read
+key values straight out of the source rows, whatever the directions: a
+descending column packs its ascending field's complement, and only the
+code values the kernels emit on it are normalized.  A key column the
+packer cannot rank raises ``TypeError`` here, before any row moves.
 
 Binding picks the kernel too: the chunked merge for a merge input with
 ``CHUNK_MIN_ROWS_PER_HEAD`` rows per head, else the segment sort.  That
@@ -37,13 +37,14 @@ from typing import Callable, Sequence
 
 from ..core.analysis import ModificationPlan, Strategy
 from ..core.classify import count_below, head_positions
-from ..model import Table
-from ..sorting.merge import _key_projector
+from ..model import Table, normalize_value
 from .kernels import (
     BOOK_MIN_ROWS_PER_VALUE, CHUNK_MIN_ROWS_PER_HEAD, fast_merge_runs,
     fast_sort_segment,
 )
-from .packed import gather, key_fields, pack_fields, table_books, table_fields
+from .packed import (
+    directed, gather, key_fields, pack_fields, table_books, table_fields,
+)
 
 
 def bind(
@@ -58,17 +59,17 @@ def bind(
     """Pack the key once; return ``strategy``'s kernel bound to this
     input as ``run(lo, hi, out_rows, out_ovcs, out_perm=None)``.
 
-    All-ascending keys need no normalization, so the rows themselves
-    serve as the key source (``colpos[d]`` maps key column ``d`` to its
-    row index), no per-row key tuples are built, and with ``table``
-    (whose rows they are) the column fields are the table's remembered
-    ones.  Any descending column forces the projected-tuple path
-    (``colpos[d] == d``).  A merge strategy needs ``table`` (whose codes
-    ``ovcs`` are): whether the input is chunked (:func:`chunk_heads`)
-    and each merge segment's chunks — heads, chunk ends and restricted
-    keys — are kept on its code record (``Table._codes()``), so a repeat
-    order packs no key and slices no head list.  ``rows`` and ``ovcs``
-    are ``table``'s own whenever ``table`` is given.
+    The rows are the key source (``positions[d]`` is key column ``d``'s
+    index into a row) in either direction: no per-row key tuple is
+    built, and with ``table`` (whose rows they are) the column fields
+    are the table's remembered ascending ones, so one table ordered
+    both ways ranks each column once.  A merge strategy needs ``table``
+    (whose codes ``ovcs`` are): whether the input is chunked
+    (:func:`chunk_heads`) and each merge segment's chunks — heads,
+    chunk ends and restricted keys — are kept on its code record
+    (``Table._codes()``), so a repeat order packs no key and slices no
+    head list.  ``rows`` and ``ovcs`` are ``table``'s own whenever
+    ``table`` is given.
     """
     k_out = len(positions)
     merging = strategy in (Strategy.MERGE_RUNS, Strategy.COMBINED)
@@ -95,32 +96,24 @@ def bind(
         merging = heads is not None
         if merging:
             stop = plan.prefix_len + plan.merge_len
-    remembered = False  # whether fields and books are the table's
-    if all(directions):
-        keysrc = rows
-        colpos = list(positions)
-        if table is not None:
-            remembered = True
-            fields = table_fields(table, colpos[start:stop])
-        else:
-            fields = key_fields(rows, colpos[start:stop], {})
+    if table is not None:
+        fields = table_fields(table, positions[start:stop])
     else:
-        project = _key_projector(positions, directions)
-        keysrc = [project(row) for row in rows]
-        colpos = list(range(k_out))
-        fields = key_fields(keysrc, colpos[start:stop], {})
+        fields = key_fields(rows, positions[start:stop], {})
 
     if not merging:
-        packed = pack_fields(fields, len(rows))
+        packed = pack_fields(directed(fields, directions[start:]), len(rows))
         if isinstance(packed, array):
             # Every word is read twice: list items are ready objects,
             # array items are made per read.
             packed = packed.tolist()
-        plain = booked = _code_table(fields, colpos, start)
-        if remembered:
-            spans = table_books(table, colpos[start:], BOOK_MIN_ROWS_PER_VALUE)
+        plain = booked = _code_table(rows, positions, directions, fields)
+        if table is not None:
+            spans = table_books(table, positions[start:], BOOK_MIN_ROWS_PER_VALUE)
             if any(spans):
-                booked = _code_table(fields, colpos, start, spans)
+                booked = _code_table(
+                    rows, positions, directions, fields, spans
+                )
         # A segment of more rows than possible packed words is mostly
         # duplicates: a book would not repay checking its rows.
         words = 1 << sum(bits for _, bits in fields)
@@ -128,8 +121,8 @@ def bind(
         def run(lo, hi, out_rows, out_ovcs, out_perm=None):
             codes = booked if words >= hi - lo else plain
             fast_sort_segment(
-                rows, ovcs, keysrc, packed, codes, colpos, lo, hi, p, k_out,
-                out_rows, out_ovcs, out_perm,
+                rows, ovcs, packed, codes, positions, directions, lo, hi, p,
+                k_out, out_rows, out_ovcs, out_perm,
             )
 
         return run
@@ -137,7 +130,7 @@ def bind(
     # The columns where two rows of this input can differ: a packed
     # column unless constant (zero-width field), any column behind.
     varying = [
-        (d, colpos[d])
+        (d, positions[d])
         for d in range(start, k_out)
         if d >= stop or fields[d - start][1]
     ]
@@ -154,7 +147,9 @@ def bind(
         chunks = segments.get(lo)
         if chunks is None or chunks[1][-1] != hi:
             if packed is None:
-                packed = pack_fields(fields, len(rows))
+                packed = pack_fields(
+                    directed(fields, directions[start:stop]), len(rows)
+                )
             seg_heads = heads[bisect_left(heads, lo) : bisect_left(heads, hi)]
             if not seg_heads or seg_heads[0] != lo:
                 # The segment's first row leads a chunk whatever its
@@ -164,7 +159,7 @@ def bind(
                 seg_heads, [*seg_heads[1:], hi], gather(packed, seg_heads)
             )
         fast_merge_runs(
-            rows, ovcs, keysrc, chunks, varying, colpos, lo, hi, plan,
+            rows, ovcs, chunks, varying, positions, directions, lo, hi, plan,
             out_rows, out_ovcs, respect_prefix, out_perm,
         )
 
@@ -181,36 +176,53 @@ def chunk_heads(offsets, plan: ModificationPlan, n: int) -> list[int] | None:
     return head_positions(offsets, boundary)
 
 
-def _code_table(fields, colpos, start, spans=None) -> list:
-    """XOR bit length -> ``(d, pd, cells, book)`` for key columns
-    ``start, ...`` packed as ``fields`` (most significant first; a
-    constant column owns no bit), with books for the columns that have
-    a value span (:func:`~repro.fastpath.packed.table_books`)."""
+def _code_table(rows, positions, directions, fields, spans=None) -> list:
+    """XOR bit length -> ``(d, pd, cells, book)`` for the last key
+    columns, whose ascending fields are ``fields`` (most significant
+    first; a constant column owns no bit).  A column with a value span
+    (:func:`~repro.fastpath.packed.table_books`) codes from a book of
+    shared tuples, indexed by its cells; any other descending column
+    from a :class:`_Descending` reader, indexed by its rows."""
     codes: list = [None]  # bit length 0: equal words, never looked up
-    for d in reversed(range(start, start + len(fields))):
+    start = len(positions) - len(fields)
+    for d in reversed(range(start, len(positions))):
         cells, bits = fields[d - start]
         span = None if spans is None else spans[d - start]
-        book = None if span is None else [(d, v) for v in span]
-        codes.extend([(d, colpos[d], cells, book)] * bits)
+        if span is not None:
+            book = [(d, v if directions[d] else -v) for v in span]
+        elif directions[d]:
+            book = None
+        else:
+            cells, book = rows, _Descending(d, positions[d])
+        codes.extend([(d, positions[d], cells, book)] * bits)
     return codes
+
+
+class _Descending:
+    """A descending column ``d``'s codes, indexed by row: each read off
+    the row itself when the kernel emits it, normalized as
+    :func:`~repro.ovc.derive.codes_from_offsets` does (``1``, ``1.0``
+    and ``True`` keep their types; a ``True`` is ``-1``)."""
+
+    __slots__ = ("d", "pd")
+
+    def __init__(self, d, pd):
+        self.d, self.pd = d, pd
+
+    def __getitem__(self, row):
+        return self.d, normalize_value(row[self.pd], False)
 
 
 def fast_sort(
     rows: Sequence[tuple],
     positions: Sequence[int],
     directions: Sequence[bool],
-    perm: list[int] | None = None,
-    table: Table | None = None,
 ) -> tuple[list[tuple], list[tuple]]:
     """Stable full sort with fresh output codes — the fast twin of
-    :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``.
-    ``perm``, when given, receives the output as indices into ``rows``;
-    ``table``, whose rows ``rows`` are, lends its remembered fields."""
+    :func:`repro.sorting.internal.tournament_sort` with ``use_ovc``."""
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
     if len(rows):
-        run = bind(
-            rows, None, positions, directions, None, Strategy.FULL_SORT, table
-        )
-        run(0, len(rows), out_rows, out_ovcs, perm)
+        run = bind(rows, None, positions, directions, None, Strategy.FULL_SORT)
+        run(0, len(rows), out_rows, out_ovcs)
     return out_rows, out_ovcs

@@ -27,12 +27,14 @@ previously popped winner):
   adjustment (offset drops by ``|X|`` — :mod:`repro.core.adjust`);
   only cross-run adjacencies scan key values, over ``varying``.
 
-Key values are read through ``keysrc``: the projected normalized key
-tuples, or — all keys ascending — the source rows themselves, indexed
-by ``pd = colpos[d]`` (``pd == d`` for key tuples, ``pd ==
-positions[d]`` for rows), which skips the per-row key-tuple projection.
-Every code value is read off its own row: equal values of two rows may
-differ in type (``1``, ``1.0``, ``True``).
+Key values are read straight out of the source rows, key column ``d``
+at ``pd = positions[d]``, in either direction: a descending column's
+packed field is complemented (:func:`repro.fastpath.packed.directed`),
+so the sorts need no normalized key, and only the code values emitted
+on a descending column are normalized, as
+:func:`repro.ovc.derive.codes_from_offsets` does.  Every code value is
+read off its own row: equal values of two rows may differ in type
+(``1``, ``1.0``, ``True``).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from contextlib import nullcontext
 from typing import Sequence
 
 from ..core.analysis import ModificationPlan
+from ..model import normalize_value
 from ..obs import TRACER
 from .packed import gather
 
@@ -63,10 +66,10 @@ BOOK_MIN_ROWS_PER_VALUE = 2
 def fast_sort_segment(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple] | None,
-    keysrc: Sequence[tuple],
     packed: Sequence[int],
     codes: Sequence[tuple],
-    colpos: Sequence[int],
+    positions: Sequence[int],
+    directions: Sequence[bool],
     lo: int,
     hi: int,
     p: int,
@@ -80,9 +83,10 @@ def fast_sort_segment(
 
     ``codes[(a ^ b).bit_length()]`` for two rows' differing ``packed``
     words is ``(d, pd, cells, book)``: the first column ``d`` they
-    differ in, its index ``pd`` into a ``keysrc`` entry and, for a
-    column with a code book, the shared code ``book[cells[i]]`` of row
-    ``i``.  Mirrors
+    differ in, its index ``pd`` into a row and, for a column with a
+    code book, the shared code ``book[cells[i]]`` of row ``i`` (a
+    descending column without one has ``cells`` the rows, and ``book``
+    normalizes the row's own value).  Mirrors
     :func:`repro.core.segmented.sort_segment` with ``use_ovc=True``.
 
     A stable sort's output *is* a permutation of its input — the
@@ -116,7 +120,8 @@ def fast_sort_segment(
         # offset; with no prefix it is coded against the imaginary
         # lowest row.
         d = ovcs[lo][0] if p > 0 else 0
-        out_ovcs.append((d, keysrc[first][colpos[d]]))
+        value = rows[first][positions[d]]
+        out_ovcs.append((d, normalize_value(value, directions[d])))
         append = out_ovcs.append
         duplicate = (k_out, 0)
         prev = packed[first]
@@ -129,17 +134,17 @@ def fast_sort_segment(
             # The highest differing bit lies in the first column the two
             # rows differ in: its code is one table read away.
             d, pd, cells, book = codes[(pk ^ prev).bit_length()]
-            append((d, keysrc[i][pd]) if book is None else book[cells[i]])
+            append((d, rows[i][pd]) if book is None else book[cells[i]])
             prev = pk
 
 
 def fast_merge_runs(
     rows: Sequence[tuple],
     ovcs: Sequence[tuple],
-    keysrc: Sequence[tuple],
     chunks: tuple[Sequence[int], Sequence[int], Sequence[int]],
     varying: Sequence[tuple],
-    colpos: Sequence[int],
+    positions: Sequence[int],
+    directions: Sequence[bool],
     lo: int,
     hi: int,
     plan: ModificationPlan,
@@ -156,28 +161,9 @@ def fast_merge_runs(
     whose old offset is below ``|P|+|X|+|M|`` — each chunk's end, and
     each head's packed restricted key (output key columns
     ``[head_offset, |P|+|M|)``).  ``varying`` pairs each output key
-    column that can differ with its index into a ``keysrc`` entry.
+    column that can differ with its index into a row; a code value read
+    off a row on a descending column (``directions``) is normalized.
     Mirrors :func:`repro.core.merge_runs.merge_preexisting_runs`.
-    """
-    if hi <= lo:
-        return
-    # The segment's first output row differs from the preceding
-    # segment where its first input row does.
-    d0 = ovcs[lo][0] if respect_prefix and plan.prefix_len > 0 else 0
-    with TRACER.span(
-        "fastpath.merge_segment", rows=hi - lo, heads=len(chunks[0])
-    ) if TRACER.enabled else _NO_SPAN:
-        _merge_chunks(
-            rows, ovcs, keysrc, chunks, varying, colpos, d0, plan,
-            out_rows, out_ovcs, out_perm,
-        )
-
-
-def _merge_chunks(
-    rows, ovcs, keysrc, chunks, varying, colpos, d0, plan,
-    out_rows, out_ovcs, out_perm,
-) -> None:
-    """Sort and code the heads; move each head's followers as a slice.
 
     The rows between two heads equal their head through the prefix,
     infix and merge keys, so a stable sort keeps them behind it in
@@ -190,76 +176,86 @@ def _merge_chunks(
     followers keep their codes, no permutation wanted — has a loop of
     its own, and neither loop looks for the first output head.
     """
-    heads, ends, keys = chunks
-    x = plan.infix_len
-    duplicate = (plan.output_arity, 0)
-    dropped = plan.infix_dropped
-    run_boundary = plan.prefix_len + x
-    tail_boundary = run_boundary + plan.merge_len + plan.tail_len
-    # With no input key column beyond the tail, old tail codes (and the
-    # old duplicate code) are the new ones: the same tuples move over.
-    positional = not dropped and plan.input_arity == tail_boundary
+    if hi <= lo:
+        return
+    # The segment's first output row differs from the preceding
+    # segment where its first input row does.
+    d0 = ovcs[lo][0] if respect_prefix and plan.prefix_len > 0 else 0
+    with TRACER.span(
+        "fastpath.merge_segment", rows=hi - lo, heads=len(chunks[0])
+    ) if TRACER.enabled else _NO_SPAN:
+        heads, ends, keys = chunks
+        x = plan.infix_len
+        duplicate = (plan.output_arity, 0)
+        dropped = plan.infix_dropped
+        run_boundary = plan.prefix_len + x
+        tail_boundary = run_boundary + plan.merge_len + plan.tail_len
+        # With no input key column beyond the tail, old tail codes (and the
+        # old duplicate code) are the new ones: the same tuples move over.
+        positional = not dropped and plan.input_arity == tail_boundary
 
-    order = sorted(range(len(heads)), key=keys.__getitem__)
-    append = out_ovcs.append
-    extend = out_ovcs.extend
-    extend_rows = out_rows.extend
-    first = len(out_ovcs)
-    # The first output head has no output predecessor: the loops code
-    # it against a stand-in (as if a chunk ended at row 0) and it is
-    # re-coded after them, so neither loop tests for it.
-    prev_end = 0
-    if positional and out_perm is None:
-        for j in order:
-            h = heads[j]
-            if prev_end == h and ovcs[h][0] >= run_boundary:
-                # Merge row behind its own run predecessor: the infix
-                # left its place before the merge keys; offset drops
-                # by |X|.
-                offset, value = ovcs[h]
-                append((offset - x, value))
-            else:
-                # Cross-run adjacency: the one place column values meet.
-                prev_keys = keysrc[prev_end - 1]
-                cur = keysrc[h]
-                for d, pd in varying:
-                    if prev_keys[pd] != cur[pd]:
-                        append((d, cur[pd]))
-                        break
+        order = sorted(range(len(heads)), key=keys.__getitem__)
+        append = out_ovcs.append
+        extend = out_ovcs.extend
+        extend_rows = out_rows.extend
+        first = len(out_ovcs)
+        # The first output head has no output predecessor: the loops code
+        # it against a stand-in (as if a chunk ended at row 0) and it is
+        # re-coded after them, so neither loop tests for it.
+        prev_end = 0
+        if positional and out_perm is None:
+            for j in order:
+                h = heads[j]
+                if prev_end == h and ovcs[h][0] >= run_boundary:
+                    # Merge row behind its own run predecessor: the infix
+                    # left its place before the merge keys; offset drops
+                    # by |X|.
+                    offset, value = ovcs[h]
+                    append((offset - x, value))
                 else:
-                    append(duplicate)
-            prev_end = ends[j]
-            extend(ovcs[h + 1 : prev_end])
-            extend_rows(rows[h:prev_end])
-    else:
-        for j in order:
-            h = heads[j]
-            e = ends[j]
-            if prev_end == h and ovcs[h][0] >= run_boundary:
-                offset, value = ovcs[h]
-                append((offset - x, value))
-            else:
-                prev_keys = keysrc[prev_end - 1]
-                cur = keysrc[h]
-                for d, pd in varying:
-                    if prev_keys[pd] != cur[pd]:
-                        append((d, cur[pd]))
-                        break
+                    # Cross-run adjacency: the one place column values meet.
+                    prev_row = rows[prev_end - 1]
+                    cur = rows[h]
+                    for d, pd in varying:
+                        if prev_row[pd] != cur[pd]:
+                            append((d, cur[pd]) if directions[d]
+                                   else (d, normalize_value(cur[pd], False)))
+                            break
+                    else:
+                        append(duplicate)
+                prev_end = ends[j]
+                extend(ovcs[h + 1 : prev_end])
+                extend_rows(rows[h:prev_end])
+        else:
+            for j in order:
+                h = heads[j]
+                e = ends[j]
+                if prev_end == h and ovcs[h][0] >= run_boundary:
+                    offset, value = ovcs[h]
+                    append((offset - x, value))
                 else:
-                    append(duplicate)
-            if e - h > 1:
-                if dropped:
-                    extend([duplicate] * (e - h - 1))
-                elif positional:
-                    extend(ovcs[h + 1 : e])
-                else:
-                    extend([
-                        code if code[0] < tail_boundary else duplicate
-                        for code in ovcs[h + 1 : e]
-                    ])
-            extend_rows(rows[h:e])
-            if out_perm is not None:
-                out_perm.extend(range(h, e))
-            prev_end = e
-    h = heads[order[0]]
-    out_ovcs[first] = (d0, keysrc[h][colpos[d0]])
+                    prev_row = rows[prev_end - 1]
+                    cur = rows[h]
+                    for d, pd in varying:
+                        if prev_row[pd] != cur[pd]:
+                            append((d, cur[pd]) if directions[d]
+                                   else (d, normalize_value(cur[pd], False)))
+                            break
+                    else:
+                        append(duplicate)
+                if e - h > 1:
+                    if dropped:
+                        extend([duplicate] * (e - h - 1))
+                    elif positional:
+                        extend(ovcs[h + 1 : e])
+                    else:
+                        extend([
+                            code if code[0] < tail_boundary else duplicate
+                            for code in ovcs[h + 1 : e]
+                        ])
+                extend_rows(rows[h:e])
+                if out_perm is not None:
+                    out_perm.extend(range(h, e))
+                prev_end = e
+        value = rows[heads[order[0]]][positions[d0]]
+        out_ovcs[first] = (d0, normalize_value(value, directions[d0]))

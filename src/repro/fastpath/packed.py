@@ -9,7 +9,8 @@ a pure-``int`` column, the dense rank among the distinct values
 otherwise — together with the bit width of the largest surrogate.
 Fields are facts of the rows, not of a request, so for a table's own
 rows they live on its row record (:func:`table_fields`) and every
-later order over the same table reuses them.
+later order over the same table reuses them, whatever its directions
+(:func:`directed` complements a descending column's field).
 
 Packing a requested order is then word arithmetic over whole columns
 (:func:`pack_fields`): each field, read as one long integer whose
@@ -95,8 +96,9 @@ def unpack_codes(offsets, values) -> tuple[tuple, ...]:
 def column_field(values: Sequence) -> Field:
     """One key column's order-preserving surrogates and their bit width.
 
-    ``values`` are the column's (direction-normalized) values, one per
-    row.  Cells are 32 bits wide unless a surrogate needs more.
+    ``values`` are the column's values, one per row, whatever its
+    direction (see :func:`directed`).  Cells are 32 bits wide unless a
+    surrogate needs more.
     """
     if values and type(values[0]) is int:
         try:
@@ -118,10 +120,31 @@ def _field(surrogates, top: int) -> Field:
     return array("I" if top < 1 << 32 else "Q", surrogates), top.bit_length()
 
 
+def directed(fields, directions: Sequence[bool]) -> list[Field]:
+    """Ascending ``fields`` as the fields of a key in ``directions``: a
+    descending column's cells ``c`` become ``(2^bits - 1) - c``, the
+    complement within the field's width.
+
+    Equal cells stay equal and every other pair swaps order, as in the
+    paper's Figure 1 (``domain - value``).  One XOR of the column's
+    long-integer image with a repeated mask, no per-row Python.
+    """
+    order = sys.byteorder
+    out = []
+    for (cells, bits), asc in zip(fields, directions):
+        if bits and not asc:
+            mask = array(cells.typecode, [(1 << bits) - 1]) * len(cells)
+            word = int.from_bytes(cells, order) ^ int.from_bytes(mask, order)
+            cells = array(mask.typecode)
+            cells.frombytes(word.to_bytes(len(mask) * mask.itemsize, order))
+        out.append((cells, bits))
+    return out
+
+
 def key_fields(
-    keysrc: Sequence[tuple], columns: Sequence[int], memo: dict
+    rows: Sequence[tuple], columns: Sequence[int], memo: dict
 ) -> list[Field]:
-    """The fields of ``keysrc`` entries' positions ``columns``, in order.
+    """The fields of ``rows``' positions ``columns``, in order.
 
     ``memo`` maps a position to its field; missing ones are built and
     stored whole, so a reader of a shared memo sees a finished field or
@@ -131,15 +154,15 @@ def key_fields(
     for pc in columns:
         field = memo.get(pc)
         if field is None:
-            field = memo[pc] = column_field(list(map(itemgetter(pc), keysrc)))
+            field = memo[pc] = column_field(list(map(itemgetter(pc), rows)))
         fields.append(field)
     return fields
 
 
 def table_fields(table, columns: Sequence[int]) -> list[Field]:
-    """:func:`key_fields` of a table's own rows (ascending), kept on its
-    row record (``Table._facts()``) for as long as the table lives.
-    Racing threads may each build a field; the builds are equal."""
+    """:func:`key_fields` of a table's own rows, kept on its row record
+    (``Table._facts()``) for as long as the table lives.  Racing
+    threads may each build a field; the builds are equal."""
     facts = table._facts()
     memo = facts.fields
     if memo is None:

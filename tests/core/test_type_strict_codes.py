@@ -6,7 +6,9 @@ comparison.  The oracle (:func:`repro.testing.assert_table_valid`)
 compares codes as ``(offset, type(value), value)``; these cases put
 such values where a path might copy a code from another row: the
 segment head (the saved code of the segment's first *input* row) and
-a retained infix column (codes derived from saved run-head codes).
+a retained infix column (codes derived from saved run-head codes),
+and the head of a tie group that a backward plan restores to input
+order.
 """
 
 from __future__ import annotations
@@ -60,7 +62,17 @@ def _mixed_infix(in_cols, out_cols, seed: int = 0) -> tuple[Table, SortSpec]:
     return _coded(schema, rows, SortSpec(in_cols)), SortSpec(out_cols)
 
 
+def _full_flip() -> tuple[Table, SortSpec]:
+    """A backward plan: each tie group of ``A`` comes back in input
+    order, and its head's code must carry the head's own ``2`` or
+    ``1``, not the ``2.0`` or ``1.0`` of the group's last row."""
+    schema = Schema.of("A", "B")
+    rows = [(0, "o"), (1, "x"), (True, "y"), (1.0, "z"), (2, "a"), (2.0, "b")]
+    return _coded(schema, rows, SortSpec.of("A")), SortSpec.of("A DESC")
+
+
 CASES = {
+    "full-flip": _full_flip,
     "segment-head": _probe,
     "case5": lambda: _mixed_infix(("A", "B", "C"), ("A", "C", "B")),
     "case7": lambda: _mixed_infix(("A", "B", "C", "D"), ("A", "C", "B", "D")),
@@ -97,7 +109,8 @@ def test_modify_codes_are_type_strict(case, method, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bounded_sort_codes_are_type_strict(case, engine):
     """Forward plans in two-row loads: every segment of more than two
-    rows goes through the spill path."""
+    rows goes through the spill path.  ``full-flip``'s backward plan
+    is the bounded ``Sort``'s in-memory one."""
     table, spec = CASES[case]()
     op = Sort(
         TableScan(table), spec, memory_capacity=2,

@@ -211,13 +211,15 @@ def test_row_wise_combined_segments_are_the_prefix_segments(
 @pytest.mark.parametrize("case", sorted(TABLE1))
 @pytest.mark.parametrize("desc_side", ["in", "out", "both"])
 def test_descending_columns_bit_identical(case, desc_side):
+    """A descending output column at each output position in turn."""
     in_cols, out_cols = TABLE1[case]
     table = _make_table(in_cols, 1, n=500, desc=desc_side in ("in", "both"))
-    if desc_side in ("out", "both"):
-        out = [f"{c} DESC" if i == 0 else c for i, c in enumerate(out_cols)]
-    else:
-        out = list(out_cols)
-    _assert_identical(table, SortSpec(out), "auto")
+    if desc_side == "in":
+        _assert_identical(table, SortSpec(out_cols), "auto")
+        return
+    for at in range(len(out_cols)):
+        out = [f"{c} DESC" if i == at else c for i, c in enumerate(out_cols)]
+        _assert_identical(table, SortSpec(out), "auto")
 
 
 @pytest.mark.parametrize("case", sorted(TABLE1))
@@ -231,24 +233,32 @@ def test_string_columns_bit_identical(case):
 @pytest.mark.parametrize("method", METHODS)
 def test_mixed_numeric_column_type_strict(case, method):
     """A key column mixing ``1``, ``1.0`` and ``True`` beside plain-int
-    columns: every code value keeps its own row's type.  Plain-int
-    columns get code books on a table's second use, so each order runs
-    twice; a book keyed by value alone would hand the ``1.0`` and
-    ``True`` rows the ``int`` code.  The oracle is stable ``sorted()``
-    plus fresh codes (both engines against it:
-    ``tests/core/test_type_strict_codes.py``)."""
+    columns, ascending and (where the output has it) descending: every
+    code value keeps its own row's type.  Plain-int columns get code
+    books on a table's second use, so each order runs twice; a book
+    keyed by value alone would hand the ``1.0`` and ``True`` rows the
+    ``int`` code.  The oracle is stable ``sorted()`` plus fresh codes
+    (both engines against it: ``tests/core/test_type_strict_codes.py``)."""
     in_cols, out_cols = TABLE1[case]
     table = _make_table(in_cols, 0, n=700, mixed=True)
-    spec = SortSpec(out_cols)
-    rows = sorted(table.rows, key=spec.key_for(SCHEMA))
-    want = _typed(derive_ovcs(rows, spec.positions(SCHEMA), spec.directions))
-    for _ in range(2):
-        try:
-            fast = modify_sort_order(table, spec, method=method, config=FAST)
-        except ValueError:
-            return  # the method does not apply to this case
-        assert list(map(id, fast.rows)) == list(map(id, rows))
-        assert _typed(fast.ovcs) == want
+    orders = [SortSpec(out_cols)]
+    if "B" in out_cols:
+        flipped = [f"{c} DESC" if c == "B" else c for c in out_cols]
+        orders.append(SortSpec(flipped))
+    for spec in orders:
+        rows = sorted(table.rows, key=spec.key_for(SCHEMA))
+        want = _typed(
+            derive_ovcs(rows, spec.positions(SCHEMA), spec.directions)
+        )
+        for _ in range(2):
+            try:
+                fast = modify_sort_order(
+                    table, spec, method=method, config=FAST
+                )
+            except ValueError:
+                break  # the method does not apply to this order
+            assert list(map(id, fast.rows)) == list(map(id, rows))
+            assert _typed(fast.ovcs) == want
 
 
 # The paper's figure workloads: 2-, 8- and 16-column lists (Figure 10,

@@ -11,6 +11,7 @@ import pytest
 
 from repro.fastpath.packed import (
     column_field,
+    directed,
     gather,
     key_fields,
     pack_fields,
@@ -119,6 +120,39 @@ def test_wide_keys_order_like_tuples(domains):
     keys = [tuple(rng.randrange(d) - d // 2 for d in domains) for _ in range(300)]
     keys += keys[:40]  # ties must stay ties
     _assert_orders_like(keys, pack_range(keys, 0, len(domains)))
+
+
+@pytest.mark.parametrize(
+    "domains, directions",
+    [
+        ((40,), (False,)),                     # one field
+        ((5, 3, 40), (True, False, True)),     # 32-bit cells
+        ((1 << 20, 1 << 20), (False, True)),   # 64-bit cells
+        ((1 << 40, 1 << 40), (True, False)),   # per-row fallback
+        ((1, 9, 1), (False, False, False)),    # beside zero-width fields
+    ],
+    ids=["one-field", "32-bits", "64-bits", "beyond-64-bits", "zero-width"],
+)
+def test_a_complemented_field_packs_in_reverse(domains, directions):
+    """A descending column packs its ascending field complemented within
+    its width: the packed words order like the key with that column
+    reversed, ties kept as ties, and the ascending field is untouched."""
+    rng = random.Random(9)
+    keys = [tuple(rng.randrange(d) for d in domains) for _ in range(300)]
+    keys += keys[:40]
+    fields = key_fields(keys, range(len(domains)), {})
+    before = [(list(cells), bits) for cells, bits in fields]
+    flipped = directed(fields, directions)
+    assert [(list(cells), bits) for cells, bits in fields] == before
+    for (cells, bits), (up, up_bits), asc in zip(flipped, fields, directions):
+        assert bits == up_bits
+        top = (1 << bits) - 1
+        want = list(up) if asc else [top - c for c in up]
+        assert list(cells) == want
+    _assert_orders_like(
+        [tuple(v if a else -v for v, a in zip(k, directions)) for k in keys],
+        pack_fields(flipped, len(keys)),
+    )
 
 
 def test_packed_words_use_the_fewest_bits():

@@ -21,6 +21,7 @@ import pytest
 from repro import (
     ExecutionConfig, Query, Schema, SortSpec, Table, modify_sort_order,
 )
+from repro.core.modify import _modify_sort_order
 from repro.fastpath import packed
 from repro.fastpath.packed import column_field
 from repro.ovc.derive import derive_ovcs
@@ -204,6 +205,38 @@ def test_full_sorts_of_one_unordered_table_build_fields_once(monkeypatch):
     assert len(built) == 6
     full_sort(table)
     assert len(built) == 6
+
+
+def test_a_table_ordered_both_ways_ranks_each_column_once(monkeypatch):
+    """A descending column packs its ascending field complemented, so
+    the second order, ``C`` flipped, builds no field; and its keys,
+    which the packer ranks, run on the fast engine under ``auto``."""
+    built = []
+
+    def counting(values):
+        built.append(len(values))
+        return column_field(values)
+
+    monkeypatch.setattr(packed, "column_field", counting)
+    schema = Schema.of("A", "B", "C", "D")
+    rows = sorted(
+        (i % 4, (i * 7) % 12, f"c{(i * 5) % 9}", (1, 1.0, True, 0)[i % 4])
+        for i in range(240)
+    )
+    base = SortSpec.of("A", "B", "C", "D")
+    codes = derive_ovcs(rows, base.positions(schema))
+    table = Table(schema, rows, base, codes)
+    auto = ExecutionConfig(engine="auto")
+    runs = []
+    for order in (("A", "C", "B", "D"), ("A", "C DESC", "B", "D")):
+        spec = SortSpec.of(*order)
+        got, engine, fallback = _modify_sort_order(
+            table, spec, "full_sort", True, None, auto
+        )
+        assert_table_valid(got)
+        assert_stable_sort_of(table.rows, got)
+        runs.append((len(built), engine, fallback))
+    assert runs == [(4, "fast", False), (4, "fast", False)]
 
 
 def test_two_threads_on_one_cold_table_agree_with_the_oracle():
