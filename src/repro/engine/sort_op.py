@@ -180,11 +180,11 @@ class Sort(Operator):
         install of that output into the order cache when it is due.
 
         The install is returned, not run: :meth:`to_table` and iteration
-        run it before they hand the output over, the order service after
-        it has answered its waiters.  The returned tuples may be the
-        order cache's own (an exact hit serves the entry as-is; an
-        executed sort installs what it returns), shared as they are:
-        nobody can change them.
+        run it before they hand the output over; the order service has a
+        scheduler thread run it after it has answered its waiters.  The
+        returned tuples may be the order cache's own (an exact hit
+        serves the entry as-is; an executed sort installs what it
+        returns), shared as they are: nobody can change them.
         """
         mark = SLOWLOG.mark()
         mark_before = self.stats.snapshot()

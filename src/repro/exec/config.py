@@ -124,7 +124,9 @@ class ExecutionConfig:
         it.  ``None`` means unlimited.
     service_threads:
         Scheduler threads of an :class:`~repro.serve.OrderService`
-        built from this config (concurrent executions).
+        built from this config, and its execution slots: at most this
+        many executions run at once, counting blocking ``order_by``
+        misses that run on their caller's thread.
     service_queue_depth:
         Bound on the service's admission queue (pending executions;
         coalesced waiters and exact cache hits, which are answered at

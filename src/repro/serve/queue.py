@@ -12,8 +12,9 @@ The service's backpressure point.  Two properties matter:
   tenant, order is FIFO.
 
 The queue stores opaque items (the service's in-flight entries); it
-knows nothing about coalescing or execution.  All operations are
-thread-safe behind one condition variable.
+knows nothing about coalescing.  Behind its one condition variable it
+also keeps the service's execution slots and an unbounded lane of
+handed-off tasks, which a slot-taking ``get`` returns before any item.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any
 class AdmissionQueue:
     """A depth-bounded multi-tenant FIFO with round-robin dequeue."""
 
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int, slots: int = 1) -> None:
         if depth < 1:
             raise ValueError(f"queue depth must be >= 1, got {depth}")
         self.depth = depth
@@ -36,6 +37,8 @@ class AdmissionQueue:
         self._tenants: "OrderedDict[str, deque]" = OrderedDict()
         self._size = 0
         self._closed = False
+        self._free = slots
+        self._handoffs: deque = deque()
 
     def put(self, item: Any, tenant: str) -> bool:
         """Enqueue ``item`` for ``tenant``; ``False`` when full or closed.
@@ -54,8 +57,36 @@ class AdmissionQueue:
             self._cond.notify()
             return True
 
-    def get(self, timeout: float | None = None) -> Any | None:
-        """Dequeue the next item fairly; ``None`` on timeout or close.
+    def hand_off(self, task: Any) -> bool:
+        """Queue ``task`` ahead of every item, unbounded; ``False``
+        once closed."""
+        with self._cond:
+            if self._closed:
+                return False
+            self._handoffs.append(task)
+            self._cond.notify()
+            return True
+
+    def claim(self) -> bool:
+        """Take a free execution slot not owed to a queued item, without
+        waiting; ``False`` when there is none or the queue is closed."""
+        with self._cond:
+            if self._closed or self._free <= self._size:
+                return False
+            self._free -= 1
+            return True
+
+    def release(self) -> None:
+        """Give back a slot taken by :meth:`claim` or ``get(slot=True)``."""
+        with self._cond:
+            self._free += 1
+            self._cond.notify()
+
+    def get(self, timeout: float | None = None,
+            slot: bool = False) -> Any | None:
+        """Dequeue the next item fairly; ``None`` on timeout, or once
+        closed and empty.  With ``slot``, handed-off tasks come first,
+        and an item comes only with a free slot, which the caller takes.
 
         Pops from the front tenant of the rotation and moves that
         tenant to the back (if it still has pending work), so K tenants
@@ -64,12 +95,20 @@ class AdmissionQueue:
         to find the item already taken by another consumer waits for
         what is left of it, not for all of it again.
         """
+        def ready() -> bool:
+            return bool(slot and self._handoffs
+                        or self._size and (self._free or not slot))
+
         with self._cond:
             self._cond.wait_for(
-                lambda: self._size > 0 or self._closed, timeout
+                lambda: ready() or self._closed and not self._size, timeout
             )
-            if self._size == 0:
+            if not ready():
                 return None
+            if slot and self._handoffs:
+                return self._handoffs.popleft()
+            if slot:
+                self._free -= 1
             tenant, pending = next(iter(self._tenants.items()))
             item = pending.popleft()
             if pending:

@@ -54,7 +54,7 @@ class Inflight:
 
     __slots__ = (
         "key", "source", "spec", "tenant", "submitted_at", "deadline_at",
-        "waiters", "done", "retired", "table", "label", "error",
+        "waiters", "done", "retired", "table", "label", "error", "inline",
     )
 
     def __init__(
@@ -78,6 +78,7 @@ class Inflight:
         self.table: Table | None = None
         self.label: str | None = None
         self.error: BaseException | None = None
+        self.inline = False  # run on its leader's thread, not a scheduler's
 
     def add_waiter(self, deadline_at: float | None) -> None:
         """Attach one more request to this execution (registry lock held)."""

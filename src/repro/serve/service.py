@@ -39,16 +39,17 @@ One in-process service owns the workload-level concerns that a solo
   ``planned_batches``).  Each request is answered the moment its own
   order is derived, and a failing order fails only its own waiters.
 
-Executions run on ``config.service_threads`` scheduler threads, each
-through the ordinary :class:`~repro.engine.sort_op.Sort` operator with
-the service's :class:`~repro.exec.ExecutionConfig` — which means the
-order cache (``config.cache``) and all telemetry engage exactly as they
-would for a direct call.  A queued request holds a reference to the
-caller's source table, not a copy.  With the cache on, a miss is
-answered before its install: the scheduler thread wakes the waiters,
-yields, and only then runs the install ``Sort`` left to it and retires
-the entry.  A request for that order arriving in between waits for
-the install and is answered by the cache, as a ``cache-hit(...)``.
+Executions run the ordinary :class:`~repro.engine.sort_op.Sort` with
+the service's :class:`~repro.exec.ExecutionConfig` (cache and
+telemetry as for a direct call), each under one of
+``config.service_threads`` execution slots.  A blocking ``order_by``
+miss with the cache on and neither ``timeout`` nor ``deadline_ms`` runs
+on the caller's own thread when a slot is free; all else is queued for
+as many scheduler threads, holding the caller's table, not a copy.
+With the cache on, a miss is answered before its install: a scheduler
+thread installs it before its next execution, then retires the entry;
+a request for that order in between waits for the install and is
+answered by the cache, as a ``cache-hit(...)``.
 
 What a request costs besides its execution: the coalescing key needs
 the source's content fingerprint — O(n) hashing, once in the life of
@@ -226,7 +227,8 @@ class OrderService:
             config if config is not None else ExecutionConfig.default()
         )
         self._clock = clock
-        self._queue = AdmissionQueue(self._config.service_queue_depth)
+        self._queue = AdmissionQueue(self._config.service_queue_depth,
+                                     self._config.service_threads)
         self._registry = InflightRegistry()
         self._closed = False
         self._stats_lock = threading.Lock()
@@ -311,20 +313,26 @@ class OrderService:
         (finite and positive; ``None``, the default, means no
         deadline).  With ``config.cache`` on, an exact cache hit is
         answered here, on the caller's thread, and the ticket returned
-        is already ``done``.  Measured per hit at 2^12 rows, one thread
-        (Intel Xeon, 2 vCPUs, CPython 3.11): ~4.5 µs from an entry's
-        memo (its own table is handed out; only the response and the
-        ticket are built), ~0.28 ms from a flat entry (two gathers),
-        ~0.42 ms from a spilled one (one spill-file read more).
-        Everything else is queued for a scheduler thread; duplicate
+        is already ``done`` (~4.5 µs from an entry's memo at 2^12
+        rows; docs/API.md has the figures).  Everything else is queued
+        for a scheduler thread — a submit never executes on the
+        caller's thread, which an async caller needs back; duplicate
         in-flight requests (same row sequence, same target order)
         coalesce onto one execution.  A request whose order has been
         executed and answered but not yet installed waits here for
         the install, and is then answered as a hit.
         Raises :class:`ServiceOverloadError` when the admission queue
-        is full (never for a hit) and :class:`ServiceClosedError`
-        after :meth:`close`.
+        is full (never for a hit), :class:`DeadlineExceededError` when
+        the deadline passes during that wait and
+        :class:`ServiceClosedError` after :meth:`close`.
         """
+        return self._admit(source, order, more_columns, tenant,
+                           deadline_ms, False)
+
+    def _admit(self, source, order, more_columns, tenant, deadline_ms,
+               inline) -> Ticket:
+        """:meth:`submit`; with ``inline``, an entry created with a free
+        execution slot takes the slot instead of a queue place."""
         if self._closed:
             raise ServiceClosedError("OrderService is closed")
         if not isinstance(source, Table):
@@ -382,7 +390,8 @@ class OrderService:
             if METRICS.enabled:
                 METRICS.counter("serve.requests").inc()
             entry = Inflight(key, source, spec, tenant, now, deadline_at)
-            if not self._queue.put(entry, tenant):
+            entry.inline = inline and self._queue.claim()
+            if not entry.inline and not self._queue.put(entry, tenant):
                 if self._closed or self._queue.closed:
                     raise ServiceClosedError("OrderService is closed")
                 self._count("rejected")
@@ -407,7 +416,14 @@ class OrderService:
                 break
             # Answered, not yet installed: wait for the install, then
             # the cache answers — or, had it failed, execute anew.
-            entry.retired.wait()
+            if not entry.retired.wait(None if deadline_at is None else
+                                      max(deadline_at - self._clock(), 0)):
+                self._count("requests")
+                if METRICS.enabled:
+                    METRICS.counter("serve.requests").inc()
+                raise Ticket(self, None, tenant, now, deadline_at, False) \
+                    ._deadline_exceeded("request deadline passed while "
+                                        "its order was being installed")
             # No cache here: this source passes the order through, and
             # the installing entry came from the same rows declared in
             # another order.
@@ -465,26 +481,42 @@ class OrderService:
         deadline_ms: float | None = None,
         timeout: float | None = None,
     ) -> OrderResponse:
-        """Blocking convenience: :meth:`submit` + :meth:`Ticket.result`."""
-        return self.submit(
-            source, order, *more_columns,
-            tenant=tenant, deadline_ms=deadline_ms,
-        ).result(timeout=timeout)
+        """Blocking convenience: :meth:`submit` + :meth:`Ticket.result`.
+
+        With the cache on and neither ``deadline_ms`` nor ``timeout``, a
+        miss that finds a free execution slot runs :meth:`_execute` on
+        this thread and hands its install to a scheduler thread;
+        duplicates coalesce onto it as onto a queued one.
+        """
+        ticket = self._admit(
+            source, order, more_columns, tenant, deadline_ms,
+            self._config.cache != "off" and deadline_ms is None
+            and timeout is None,
+        )
+        entry = ticket._entry
+        if entry is not None and entry.inline and not ticket.coalesced:
+            try:  # this call created the entry and took a slot: run it
+                self._execute(entry)
+            finally:
+                self._queue.release()
+        return ticket.result(timeout=timeout)
 
     # ----------------------------------------------------------- execution
 
     def _worker(self) -> None:
         window = self._config.plan_window_ms
         while True:
-            entry = self._queue.get(timeout=0.1)
+            entry = self._queue.get(slot=True)
             if entry is None:
-                if self._closed and len(self._queue) == 0:
-                    return
+                return
+            if isinstance(entry, tuple):  # a handed-off install
+                self._install(*entry)
                 continue
             if window is None:
                 self._execute(entry)
             else:
                 self._execute_batch(*self._drain_batch(entry, window / 1000.0))
+            self._queue.release()
 
     def _drain_batch(self, first: Inflight, window_s: float) -> tuple:
         """Collect a micro-batch: ``first`` plus what is already queued.
@@ -589,7 +621,8 @@ class OrderService:
             self._finish(entry, install)
 
     def _finish(self, entry: Inflight, install=None) -> None:
-        """Publish the result: wake waiters, yield, then install.
+        """Publish the result: wake waiters, yield, then hand off the
+        install.
 
         Without an ``install`` the key is retired first, so a duplicate
         arriving after completion starts a fresh entry instead of
@@ -597,12 +630,13 @@ class OrderService:
         order was executed), the waiters are answered before the order
         is installed, and the key is retired only after the install: a
         duplicate arriving in between waits for the install and is
-        answered by the cache, which serves *sequential* repeats.  An
-        install that raises is counted as an error and changes no
-        answer.  A woken waiter needs the GIL, which this thread would
-        otherwise keep into the install or its next execution until the
-        switch interval (5 ms) forces it out; ``sleep(0)`` hands it
-        over now.  Three orders of 20 ms CPU each in one batch (Intel
+        answered by the cache, which serves *sequential* repeats.  The
+        install is handed to the scheduler threads (run here once the
+        service is closed).  A woken waiter needs the GIL, which this
+        thread would otherwise keep until the switch interval (5 ms)
+        forces it out; ``sleep(0)`` hands it over now (a caller that ran
+        its own request yields only to coalesced waiters).  Three
+        orders of 20 ms CPU each in one batch (Intel
         Xeon, 2 vCPUs, CPython 3.11): a waiter's wake delay p50 5.3 ms
         without the yield, 0.15 ms with it (the yield is a race; about
         one waiter in six loses).
@@ -610,22 +644,28 @@ class OrderService:
         if install is None:
             self._registry.retire(entry)
         entry.done.set()
-        time.sleep(0)
-        if install is not None:
-            try:
-                install()
-            except BaseException as exc:  # noqa: BLE001 - the answer stands
-                self._count("errors")
-                if METRICS.enabled:
-                    METRICS.counter("serve.errors").inc()
-                if LOG.enabled:
-                    LOG.event(
-                        "serve.install_error", tenant=entry.tenant,
-                        order=entry.spec.label, error=repr(exc),
-                    )
-            finally:
-                self._registry.retire(entry)
+        if not entry.inline or entry.waiters > 1:
+            time.sleep(0)
+        if install is not None and not self._queue.hand_off((entry, install)):
+            self._install(entry, install)
         self._publish_levels()
+
+    def _install(self, entry: Inflight, install) -> None:
+        """Install an answered entry, then retire it; an install that
+        raises counts an error and changes no answer."""
+        try:
+            install()
+        except BaseException as exc:  # noqa: BLE001 - the answer stands
+            self._count("errors")
+            if METRICS.enabled:
+                METRICS.counter("serve.errors").inc()
+            if LOG.enabled:
+                LOG.event(
+                    "serve.install_error", tenant=entry.tenant,
+                    order=entry.spec.label, error=repr(exc),
+                )
+        finally:
+            self._registry.retire(entry)
 
     # ------------------------------------------------------------ shutdown
 

@@ -17,6 +17,7 @@ exact, not timing-dependent.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import FrozenInstanceError
@@ -863,3 +864,267 @@ def test_a_default_service_holds_the_process_default(monkeypatch):
         assert ExecutionConfig.default() is default
     finally:
         svc.close()
+
+
+def test_a_deadline_bounds_the_wait_for_an_install(monkeypatch):
+    """A request that finds its order answered but still installing
+    waits for the install no longer than its deadline."""
+    table, spec = _table(300), SortSpec.of("A", "D")
+    held = _hold_installs(monkeypatch)
+    METRICS.enable(clear=True)
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        try:
+            svc.order_by(table, spec, timeout=10)
+            assert held.entered.wait(timeout=10)
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                svc.submit(table, spec, deadline_ms=50)
+            assert time.monotonic() - start < 0.5
+        finally:
+            held.release.set()
+    counters = svc.counters()  # closed: the install has run
+    assert counters["deadline_exceeded"] == 1
+    assert METRICS.as_dict()["counters"]["serve.deadline_exceeded"] == 1
+    assert counters["executions"] == 1 and counters["inflight"] == 0
+    assert svc.health()["status"] == "degraded"
+
+
+# ------------------------------------------- misses on the caller's thread
+
+
+def _record_kernels(monkeypatch, hold=()):
+    """Wrap the kernel a ``Sort`` miss runs (from the source or from a
+    cached order): ``kernels.threads`` gets the calling thread's ident
+    per call and ``kernels.peak`` the most calls running at once.  The
+    calls numbered in ``hold`` (from 1) set ``kernels.entered`` and
+    wait for ``kernels.release``."""
+    import repro.cache.dispatch as dispatch
+    import repro.engine.sort_op as sort_op
+
+    real = sort_op.enforce_order
+    lock = threading.Lock()
+    kernels = SimpleNamespace(
+        threads=[], running=0, peak=0,
+        entered=threading.Event(), release=threading.Event(),
+    )
+
+    def recorded(*args, **kwargs):
+        with lock:
+            kernels.threads.append(threading.get_ident())
+            n = len(kernels.threads)
+            kernels.running += 1
+            kernels.peak = max(kernels.peak, kernels.running)
+        try:
+            if n in hold:
+                kernels.entered.set()
+                assert kernels.release.wait(timeout=30), "never released"
+            else:
+                time.sleep(0.005)  # long enough for callers to overlap
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                kernels.running -= 1
+
+    monkeypatch.setattr(sort_op, "enforce_order", recorded)
+    monkeypatch.setattr(dispatch, "enforce_order", recorded)
+    return kernels
+
+
+def test_a_blocking_miss_runs_on_the_callers_thread(monkeypatch):
+    kernels = _record_kernels(monkeypatch)
+    table, spec = _table(300), SortSpec.of("B", "C")
+    with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
+        resp = svc.order_by(table, spec)
+        again = svc.order_by(table, spec)
+        counters = svc.counters()
+    assert kernels.threads == [threading.get_ident()]
+    assert resp.label == "full-sort" and again.label == "cache-hit(B,C)"
+    _assert_oracle(resp, table, spec)
+    _assert_oracle(again, table, spec)
+    assert counters["executions"] == 1 and counters["cache_hits"] == 1
+
+
+def test_an_inline_miss_returns_before_its_install(monkeypatch):
+    kernels = _record_kernels(monkeypatch)
+    held = _hold_installs(monkeypatch)
+    table, spec = _table(300), SortSpec.of("C", "B")
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        try:
+            resp = svc.order_by(table, spec)  # returns, install held
+            assert held.entered.wait(timeout=10)
+            assert kernels.threads == [threading.get_ident()]
+            assert svc.counters()["inflight"] == 1
+            time.sleep(0.05)
+            assert svc.counters()["inflight"] == 1
+        finally:
+            held.release.set()
+        again = svc.order_by(table, spec)
+        counters = svc.counters()
+    _assert_oracle(resp, table, spec)
+    assert again.label == "cache-hit(C,B)"
+    assert counters["inflight"] == 0 and len(held.calls) == 1
+
+
+def test_a_duplicate_coalesces_onto_an_inline_execution(monkeypatch):
+    kernels = _record_kernels(monkeypatch, hold={1})
+    table, spec = _table(300), SortSpec.of("D", "A")
+    with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
+        try:
+            caller, results = _in_thread(svc.order_by, table, spec)
+            assert kernels.entered.wait(timeout=10)
+            duplicate = svc.submit(table, spec)
+            assert duplicate.coalesced and not duplicate.done
+        finally:
+            kernels.release.set()
+        caller.join(timeout=10)
+        resp = duplicate.result(timeout=10)
+        counters = svc.counters()
+    assert len(kernels.threads) == 1 and kernels.threads[0] == caller.ident
+    assert resp.table is results[0].table
+    _assert_oracle(resp, table, spec)
+    assert counters["executions"] == 1 and counters["coalesced"] == 1
+
+
+def test_a_duplicate_during_an_inline_install_is_a_hit(monkeypatch):
+    kernels = _record_kernels(monkeypatch)
+    held = _hold_installs(monkeypatch)
+    table, spec = _table(300), SortSpec.of("A", "C")
+    with OrderService(ExecutionConfig(cache="on", service_threads=2)) as svc:
+        try:
+            first = svc.order_by(table, spec)
+            assert held.entered.wait(timeout=10)
+            waiter, results = _in_thread(svc.submit, table, spec)
+            waiter.join(timeout=0.3)
+            assert waiter.is_alive()  # waits for the install
+        finally:
+            held.release.set()
+        waiter.join(timeout=10)
+        resp = results[0].result(timeout=10)
+        counters = svc.counters()
+    assert first.label == "full-sort" and resp.label == "cache-hit(A,C)"
+    _assert_oracle(resp, table, spec)
+    assert kernels.threads == [threading.get_ident()]
+    assert counters["executions"] == 1 and counters["cache_hits"] == 1
+
+
+@pytest.mark.parametrize("how", ["timeout", "deadline", "cache-off", "submit"])
+def test_other_requests_execute_on_a_scheduler_thread(monkeypatch, how):
+    kernels = _record_kernels(monkeypatch)
+    table, spec = _table(300), SortSpec.of("B", "D")
+    cfg = ExecutionConfig(cache="off" if how == "cache-off" else "on",
+                          service_threads=2)
+    with OrderService(cfg) as svc:
+        if how == "timeout":
+            resp = svc.order_by(table, spec, timeout=10)
+        elif how == "deadline":
+            resp = svc.order_by(table, spec, deadline_ms=10_000)
+        elif how == "submit":
+            resp = svc.submit(table, spec).result(timeout=10)
+        else:
+            resp = svc.order_by(table, spec)
+        scheduler = {t.ident for t in svc._threads}
+    _assert_oracle(resp, table, spec)
+    assert len(kernels.threads) == 1 and kernels.threads[0] in scheduler
+
+
+def test_a_miss_without_a_free_slot_queues(monkeypatch):
+    """With one slot, held by a gated inline caller, a second blocking
+    miss is queued and runs on the scheduler thread once the slot is
+    free: one kernel at a time."""
+    kernels = _record_kernels(monkeypatch, hold={1})
+    table, other = _table(300), _table(300, seed=1)
+    first_spec, second_spec = SortSpec.of("C", "D"), SortSpec.of("D", "C")
+    with OrderService(ExecutionConfig(cache="on", service_threads=1)) as svc:
+        try:
+            first, first_out = _in_thread(svc.order_by, table, first_spec)
+            assert kernels.entered.wait(timeout=10)
+            second, second_out = _in_thread(svc.order_by, other, second_spec)
+            deadline = time.monotonic() + 10
+            while svc.counters()["queued"] == 0:
+                assert time.monotonic() < deadline, "never queued"
+                time.sleep(0.001)
+            assert len(kernels.threads) == 1
+        finally:
+            kernels.release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        scheduler = svc._threads[0].ident
+    assert kernels.threads == [first.ident, scheduler]
+    assert kernels.peak == 1
+    _assert_oracle(first_out[0], table, first_spec)
+    _assert_oracle(second_out[0], other, second_spec)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_slots_bound_kernels_on_both_paths(monkeypatch, threads):
+    """Six clients mixing inline and queued misses under a short switch
+    interval: never more kernels at once than slots, and every slot
+    given back."""
+    kernels = _record_kernels(monkeypatch)
+    tables = [_table(300, seed=s) for s in range(3)]
+    specs = [SortSpec.of("A", "B"), SortSpec.of("B", "A"),
+             SortSpec.of("C", "D"), SortSpec.of("D", "C")]
+    svc = OrderService(ExecutionConfig(cache="on", service_threads=threads))
+
+    failures: list = []
+
+    def _client(i):
+        for j, spec in enumerate(specs):
+            table = tables[(i + j) % len(tables)]
+            try:
+                if (i + j) % 2:
+                    resp = svc.order_by(table, spec)
+                else:
+                    resp = svc.submit(table, spec).result(timeout=30)
+                _assert_oracle(resp, table, spec)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(repr(exc))
+
+    clients = [threading.Thread(target=_client, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        svc.close()
+    counters = svc.counters()
+    assert not any(client.is_alive() for client in clients)
+    assert not failures, failures[:3]
+    assert 1 <= kernels.peak <= threads
+    assert counters["errors"] == counters["rejected"] == 0
+    assert counters["requests"] == 24 == (
+        counters["cache_hits"] + counters["executions"]
+        + counters["coalesced"]
+    )
+    assert svc._executing == 0 and counters["inflight"] == 0
+    assert svc._queue._free == threads
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_close_retires_an_install_handed_off_by_a_caller(monkeypatch, drain):
+    kernels = _record_kernels(monkeypatch)
+    held = _hold_installs(monkeypatch)
+    table, spec = _table(300), SortSpec.of("D", "B")
+    svc = OrderService(ExecutionConfig(cache="on", service_threads=1))
+    try:
+        resp = svc.order_by(table, spec)
+        assert kernels.threads == [threading.get_ident()]
+        assert held.entered.wait(timeout=10)
+        waiter, results = _in_thread(svc.order_by, table, spec)
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive()  # waits for the install
+        closer, _ = _in_thread(svc.close, drain)
+        closer.join(timeout=0.3)
+        assert closer.is_alive()  # close() waits for the install
+    finally:
+        held.release.set()
+    closer.join(timeout=10)
+    waiter.join(timeout=10)
+    assert not closer.is_alive() and not waiter.is_alive()
+    _assert_oracle(resp, table, spec)
+    assert results[0].label == "cache-hit(D,B)"
+    assert svc.counters()["inflight"] == 0 and len(held.calls) == 1
