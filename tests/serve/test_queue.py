@@ -121,3 +121,45 @@ def test_get_timeout_is_not_restarted_by_a_stolen_wakeup():
     assert item is None
     # Restarted timeouts would end at 0.5 + 0.4 s.
     assert timeout <= elapsed < 0.7
+
+
+def test_slot_getter_takes_hand_offs_first_and_items_only_with_a_slot():
+    q = AdmissionQueue(1, slots=1)
+    assert q.put("x", "t")
+    assert q.hand_off("task") and q.hand_off("later")
+    assert q.put("y", "t") is False  # hand-offs take no queue place
+    assert q.get(timeout=0, slot=True) == "task"
+    assert q.get(timeout=0, slot=True) == "later"
+    assert q.get(timeout=0, slot=True) == "x"  # takes the only slot
+    assert q.put("y", "t")
+    assert q.get(timeout=0, slot=True) is None  # no slot left
+    assert q.get(timeout=0) == "y"  # a drain needs none
+    q.release()
+    assert q.claim() and not q.claim()
+    q.release()
+
+
+def test_claim_leaves_the_slots_queued_items_are_owed():
+    q = AdmissionQueue(4, slots=2)
+    q.put("x", "t")
+    assert q.claim()  # two free, one owed
+    assert not q.claim()  # one free, one owed
+    assert q.get(timeout=0, slot=True) == "x"
+    q.close()
+    assert not q.claim() and q.hand_off("task") is False
+
+
+def test_release_wakes_a_slot_getter_and_close_waits_for_items():
+    q = AdmissionQueue(4, slots=1)
+    assert q.claim()
+    q.put("x", "t")
+    q.close()
+    got = []
+    t = threading.Thread(target=lambda: got.append(q.get(slot=True)))
+    t.start()
+    t.join(timeout=0.2)
+    assert t.is_alive()  # closed, but an item is left and no slot free
+    q.release()
+    t.join(timeout=5)
+    assert not t.is_alive() and got == ["x"]
+    assert q.get(slot=True) is None  # closed and empty: no wait
